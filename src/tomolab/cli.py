@@ -96,7 +96,7 @@ def _parse_theta_list(text: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()

@@ -91,12 +91,18 @@ class DistanceEstimate:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Cellwise Gauss-Legendre settings for the Hellinger integral."""
+    """Cellwise Gauss-Legendre settings for the Hellinger integral.
+
+    One pass over the window gives H at ``order`` and at ``compare_order``
+    (the order term of the error bar).  Each cell costs one quadratic form
+    and per-axis node factors of size dim x order, so memory grows with
+    ``chunk_cells`` (see ``_hellinger_sq_window``).
+    """
 
     order: int = 5
     compare_order: int = 3
     window: float = 8.0       # half-width of the lattice window, in per-axis sd units
-    chunk_cells: int = 2_000_000
+    chunk_cells: int = 25_000
 
 
 def round_half_away(x):
@@ -251,6 +257,16 @@ def translate_regression_to_qst(samples, m: int, basis) -> TranslationResult:
 # --- densities on the first r-1 coordinates -------------------------------------
 
 
+def _checked_theta(theta) -> np.ndarray:
+    """``theta`` as a float vector; ValueError unless it is a probability vector."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)) or np.any(theta < 0):
+        raise ValueError(f"theta must be a finite nonnegative vector, got {theta.tolist()}")
+    if abs(theta.sum() - 1.0) > 1e-9:
+        raise ValueError(f"theta sums to {theta.sum()!r}, not 1")
+    return theta
+
+
 def _active_cells(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     return np.where((theta > DEGENERATE_TOL) & (theta < 1 - DEGENERATE_TOL))[0]
@@ -323,20 +339,37 @@ def perturbed_sampler(m: int, theta):
 # --- Hellinger quadrature --------------------------------------------------------
 
 
-def _gl_nodes(order: int, dim: int):
-    """Tensor Gauss-Legendre nodes and weights on the unit cell [-1/2, 1/2]^dim."""
+def _cell_node_tensors(order: int, prec: np.ndarray):
+    """1-D nodes on [-1/2, 1/2], tensors w K and w K^2 with K(o) = exp(-o'Po/4), sum w."""
     x, w = np.polynomial.legendre.leggauss(order)
     x, w = x / 2.0, w / 2.0
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    return offsets, weights
+    dim = len(prec)
+    offsets = np.stack(np.meshgrid(*([x] * dim), indexing="ij"), axis=-1)
+    weights = np.prod(np.stack(np.meshgrid(*([w] * dim), indexing="ij")), axis=0)
+    k = np.exp(-0.25 * np.einsum("...a,ab,...b->...", offsets, prec, offsets))
+    return x, weights * k, weights * k * k, weights.sum()
 
 
-def _hellinger_sq_window(m: int, theta: np.ndarray, order: int, window: float,
-                         chunk_cells: int) -> float:
-    """Squared Hellinger distance integrated over the lattice window."""
+def _contract(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Per row n: sum over nodes o of tensor[o] * prod_a factors[n, a, o_a]."""
+    n, dim, order = factors.shape
+    out = factors[:, -1] @ tensor.reshape(-1, order).T
+    for a in range(dim - 2, -1, -1):
+        out = np.einsum("nrk,nk->nr", out.reshape(n, -1, order), factors[:, a])
+    return out[:, 0]
+
+
+def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
+                         chunk_cells: int) -> list:
+    """Squared Hellinger distance over the lattice window, one value per order.
+
+    The pmf f(c) is evaluated once per cell c for all orders.  With
+    q(c) = (c - mu)'P(c - mu) and v = P(c - mu), q(c + o) = q(c) + 2 o'v + o'Po,
+    so sqrt g(c + o) = A(c) K(o) prod_a exp(-o_a v_a / 2) with
+    A(c) = exp(log_norm / 2 - q(c) / 4) and K(o) = exp(-o'Po / 4).  The node
+    sums S1 = sum_o w sqrt(g) / A and S2 = sum_o w g / A^2 contract per-axis
+    N x order factors, and sum_o w (sqrt f - sqrt g)^2 = f sum w - 2 sqrt(f) A S1 + A^2 S2.
+    """
     dim = len(theta) - 1
     mu, cov = _gaussian_marginal_params(m, theta)
     prec = np.linalg.inv(cov)
@@ -346,34 +379,32 @@ def _hellinger_sq_window(m: int, theta: np.ndarray, order: int, window: float,
     axes = [np.arange(math.ceil(mu[a] - window * sds[a]),
                       math.floor(mu[a] + window * sds[a]) + 1)
             for a in range(dim)]
-    offsets, node_w = _gl_nodes(order, dim)
+    nodes = [_cell_node_tensors(order, prec) for order in orders]
 
-    def accumulate(centers: np.ndarray) -> float:
+    def accumulate(centers: np.ndarray) -> list:
         full = np.concatenate(
             [centers, m - centers.sum(axis=-1, keepdims=True)], axis=-1)
         f = multinomial_pmf(full, m, theta)
-        sqrt_f = np.sqrt(f)
-        total = 0.0
-        for off, w in zip(offsets, node_w):
-            x = centers + off
-            diff = x - mu
-            quad = np.einsum("nd,de,ne->n", diff, prec, diff)
-            sqrt_g = np.exp(0.5 * log_norm - 0.25 * quad)
-            total += w * np.sum((sqrt_f - sqrt_g) ** 2)
-        return total
+        diff = centers - mu
+        v = np.einsum("nd,de->ne", diff, prec)
+        amp = np.exp(0.5 * log_norm - 0.25 * np.einsum("nd,nd->n", diff, v))
+        sqrt_f_amp = np.sqrt(f) * amp
+        sums = []
+        for x, wk, wk2, wsum in nodes:
+            e = np.exp(-0.5 * v[:, :, None] * x)
+            s1 = _contract(wk, e)
+            s2 = _contract(wk2, e * e)
+            sums.append(np.sum(f * wsum - 2.0 * sqrt_f_amp * s1 + amp * amp * s2))
+        return sums
 
-    n_rest = int(np.prod([len(a) for a in axes[1:]])) if dim > 1 else 1
+    n_rest = int(np.prod([len(a) for a in axes[1:]]))
     chunk = max(1, chunk_cells // max(n_rest, 1))
-    total = 0.0
+    totals = [0.0] * len(orders)
     for start in range(0, len(axes[0]), chunk):
-        head = axes[0][start:start + chunk]
-        if dim == 1:
-            centers = head[:, None].astype(float)
-        else:
-            grids = np.meshgrid(head, *axes[1:], indexing="ij")
-            centers = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-        total += accumulate(centers)
-    return total
+        grids = np.meshgrid(axes[0][start:start + chunk], *axes[1:], indexing="ij")
+        centers = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+        totals = [t + s for t, s in zip(totals, accumulate(centers))]
+    return totals
 
 
 def _tail_mass_bound(m: int, theta: np.ndarray, window: float) -> float:
@@ -393,12 +424,13 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
 
     Integrates |sqrt f - sqrt g|^2 cell by cell over an integer lattice
     window of ``window`` per-axis standard deviations, with fixed-order
-    Gauss-Legendre nodes inside each unit cell.  The error bar combines the
-    order-vs-comparison-order difference with an analytic bound on the mass
-    outside the window.
+    Gauss-Legendre nodes inside each unit cell; one pass gives both the
+    order and the comparison order.  The error bar combines their difference
+    with an analytic bound on the mass outside the window.  Raises
+    ValueError unless ``theta`` is a probability vector.
     """
     spec = quad_spec or QuadSpec()
-    theta = np.asarray(theta, dtype=float)
+    theta = _checked_theta(theta)
     if m < 1 or m > MAX_QUAD_M:
         raise ValueError(f"m must be in [1, {MAX_QUAD_M}]")
     active = _active_cells(theta)
@@ -410,8 +442,8 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     r = len(sub)
     if r > 4:
         raise UnsupportedArity(f"quadrature supports up to 4 cells, got {r}; use tv_monte_carlo")
-    h2 = _hellinger_sq_window(m, sub, spec.order, spec.window, spec.chunk_cells)
-    h2_cmp = _hellinger_sq_window(m, sub, spec.compare_order, spec.window, spec.chunk_cells)
+    h2, h2_cmp = _hellinger_sq_window(m, sub, (spec.order, spec.compare_order),
+                                      spec.window, spec.chunk_cells)
     value = math.sqrt(max(h2, 0.0))
     err = abs(value - math.sqrt(max(h2_cmp, 0.0)))
     err += math.sqrt(2.0 * _tail_mass_bound(m, sub, spec.window))
@@ -456,7 +488,7 @@ def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int) -
 
 def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int) -> DistanceEstimate:
     """TV between the perturbed count law and the matched normal, by Monte Carlo."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _checked_theta(theta)
     active = _active_cells(theta)
     if len(active) <= 1:
         return DistanceEstimate(value=0.0, kind="tv", method="monte_carlo",

@@ -26,7 +26,6 @@ from .errors import (
 
 __all__ = [
     "TOL_HERM",
-    "TOL_NUM",
     "MAX_TENSOR_DIM",
     "SpectralDecomposition",
     "is_hermitian",
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 TOL_HERM = 1e-9          # Hermitian symmetry check
-TOL_NUM = 1e-9           # projection-algebra checks
 MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
 
 

@@ -106,6 +106,8 @@ def _draw_design(design: SamplingDesign, basis: ObservableBasis, n: int,
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
                     n: int, m: int, seed: int) -> list:
     """n coarse samples Y_k = tr(X_k rho) + eps_k."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     indices = _draw_design(design, basis, n, seed, _COARSE_FAMILY)
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     out = []
@@ -141,6 +143,8 @@ def _sample_fine_vector(theta: np.ndarray, m: int, rng) -> np.ndarray:
 def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
                   n: int, m: int, seed: int) -> list:
     """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     indices = _draw_design(design, basis, n, seed, _FINE_FAMILY)
     out = []
     for k, j in enumerate(indices):

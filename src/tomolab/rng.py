@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "spawn_seed"]
+__all__ = ["substream"]
 
 
 def substream(root: int, *keys: int) -> np.random.Generator:
     """Return the generator for substream ``keys`` of root seed ``root``."""
     return np.random.default_rng(np.random.SeedSequence((int(root),) + tuple(int(k) for k in keys)))
 
-
-def spawn_seed(root: int, *keys: int) -> int:
-    """Derive a child root seed, for handing a whole task its own stream family."""
-    seq = np.random.SeedSequence((int(root),) + tuple(int(k) for k in keys))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])

@@ -87,6 +87,34 @@ m_grid = 16,64,256,1024
         assert cfg.m_grid == [16, 64, 256, 1024]
         assert cfg.thetas == [[0.5, 0.5]]
 
+    def test_semicolon_is_not_an_inline_comment(self, tmp_path):
+        text = """
+[run]
+task = distances
+seed = 1
+out = {out}
+
+[distances]
+theta = 0.5,0.5 ; 0.2,0.3,0.5    # two vectors
+m_grid = 16
+"""
+        cfg = cli.load_config(write_cfg(tmp_path, text.format(out=tmp_path)))
+        assert cfg.thetas == [[0.5, 0.5], [0.2, 0.3, 0.5]]
+
+    def test_invalid_theta_exits_2(self, tmp_path):
+        text = """
+[run]
+task = scaling
+seed = 1
+out = {out}
+
+[scaling]
+theta = 0.9,0.9
+m_grid = 16,64,256,1024
+"""
+        rc = cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=tmp_path / "s"))])
+        assert rc == 2
+
     def test_semantic_error_exits_2(self, tmp_path):
         text = """
 [run]
@@ -155,7 +183,7 @@ seed = 5
 out = {out}
 
 [distances]
-theta = 0.5,0.5
+theta = 0.5,0.5; 0.2,0.3,0.5; 0.1,0.2,0.3,0.4
 m_grid = 16,64
 tv_samples = 5000
 """
@@ -164,7 +192,8 @@ tv_samples = 5000
         cfg2 = write_cfg(tmp_path, text.format(out=out2), "t4.cfg")
         assert cli.main(["run", "--config", cfg1, "--threads", "1"]) == 0
         assert cli.main(["run", "--config", cfg2, "--threads", "4"]) == 0
-        assert (out1 / "distances.json").read_bytes() == (out2 / "distances.json").read_bytes()
+        for name in ("distances.json", "distance_fixtures.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_translate_roundtrip_check(self, tmp_path):
         text = SIM_CFG.replace("task = simulate", "task = translate")

@@ -17,6 +17,8 @@ PAULI2 = bases.build_basis("pauli", 2)
 
 # frozen from a high-order quadrature oracle (order 12 vs 10 agree to 8e-17)
 FIXTURE_R3_M64 = 0.072824483246
+# order-5 values of the 4-cell quadrature, frozen from the per-node form
+FIXTURE_R4 = {16: 0.3131424015473793, 64: 0.13144393180027894}
 
 
 def record(counts, m, j=0):
@@ -227,6 +229,54 @@ class TestHellinger:
         full = eq.hellinger_perturbed_vs_gaussian(32, [0.5, 0.5, 0.0]).value
         sub = eq.hellinger_perturbed_vs_gaussian(32, [0.5, 0.5]).value
         assert full == pytest.approx(sub, abs=1e-12)
+
+    @pytest.mark.parametrize("m", sorted(FIXTURE_R4))
+    def test_frozen_fixture_r4(self, m):
+        est = eq.hellinger_perturbed_vs_gaussian(m, [0.1, 0.2, 0.3, 0.4])
+        assert est.value == pytest.approx(FIXTURE_R4[m], abs=1e-12)
+
+    def test_separable_form_matches_per_node_sum(self):
+        # sum over cells and tensor nodes of w (sqrt f - sqrt g)^2, node by node
+        m, theta, order, window = 12, np.array([0.2, 0.3, 0.5]), 4, 8.0
+        mu, cov = eq._gaussian_marginal_params(m, theta)
+        sds = np.sqrt(np.diag(cov))
+        axes = [np.arange(math.ceil(mu[a] - window * sds[a]),
+                          math.floor(mu[a] + window * sds[a]) + 1) for a in range(2)]
+        cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        x, w = np.polynomial.legendre.leggauss(order)
+        sqrt_f = np.sqrt(eq.perturbed_density(m, theta, cells.astype(float)))
+        want = 0.0
+        for i in range(order):
+            for j in range(order):
+                pts = cells + np.array([x[i], x[j]]) / 2
+                sqrt_g = np.sqrt(eq.gaussian_marginal_density(m, theta, pts))
+                want += w[i] * w[j] / 4 * np.sum((sqrt_f - sqrt_g) ** 2)
+        got, = eq._hellinger_sq_window(m, theta, (order,), window, chunk_cells=7)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_one_pmf_pass_for_both_orders(self, monkeypatch):
+        rows = []
+        pmf = eq.multinomial_pmf
+
+        def counting(counts, m, theta):
+            rows.append(len(counts))
+            return pmf(counts, m, theta)
+
+        monkeypatch.setattr(eq, "multinomial_pmf", counting)
+        m, theta = 16, np.array([0.2, 0.3, 0.5])
+        eq.hellinger_perturbed_vs_gaussian(m, theta)
+        mu, cov = eq._gaussian_marginal_params(m, theta)
+        sds = np.sqrt(np.diag(cov))
+        cells = np.prod([math.floor(mu[a] + 8 * sds[a]) - math.ceil(mu[a] - 8 * sds[a]) + 1
+                         for a in range(2)])
+        assert sum(rows) == cells
+
+    @pytest.mark.parametrize("theta", [[1.5, -0.5], [math.nan, 0.5], [0.5, 0.6]])
+    def test_invalid_theta_rejected(self, theta):
+        with pytest.raises(ValueError):
+            eq.hellinger_perturbed_vs_gaussian(16, theta)
+        with pytest.raises(ValueError):
+            eq.tv_perturbed_vs_gaussian(16, theta, 100, seed=1)
 
     def test_arity_cap(self):
         with pytest.raises(UnsupportedArity):

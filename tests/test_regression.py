@@ -94,7 +94,18 @@ class TestSimulateFine:
         assert corr == pytest.approx(want, abs=0.02)
 
 
+    def test_zero_m_rejected(self):
+        st = states.validate_density(np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            regression.simulate_fine(st, PAULI2, bases.SamplingDesign.fixed(), 4, 0, seed=1)
+
+
 class TestSimulateCoarse:
+    def test_zero_m_rejected(self):
+        st = states.validate_density(np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            regression.simulate_coarse(st, PAULI2, bases.SamplingDesign.fixed(), 4, 0, seed=1)
+
     def test_identity_member_exact(self):
         st = states.validate_density(np.diag([0.5, 0.25, 0.125, 0.125]))
         design = bases.SamplingDesign.random(np.array([1.0] + [0.0] * 15))
