@@ -340,14 +340,17 @@ def perturbed_sampler(m: int, theta):
 
 
 def _cell_node_tensors(order: int, prec: np.ndarray):
-    """1-D nodes on [-1/2, 1/2], tensors w K and w K^2 with K(o) = exp(-o'Po/4), sum w."""
+    """1-D nodes on [-1/2, 1/2], tensor node offsets and weights w, and w K, w K^2.
+
+    K(o) = exp(-o'Po/4) is the part of sqrt g(c + o) / A(c) that does not factor per axis.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
     x, w = x / 2.0, w / 2.0
     dim = len(prec)
     offsets = np.stack(np.meshgrid(*([x] * dim), indexing="ij"), axis=-1)
     weights = np.prod(np.stack(np.meshgrid(*([w] * dim), indexing="ij")), axis=0)
     k = np.exp(-0.25 * np.einsum("...a,ab,...b->...", offsets, prec, offsets))
-    return x, weights * k, weights * k * k, weights.sum()
+    return x, offsets.reshape(-1, dim), weights, weights * k, weights * k * k
 
 
 def _contract(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -359,6 +362,22 @@ def _contract(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
+def _node_sums(diff, offsets, weights, prec, log_norm):
+    """sum_o w sqrt g(c + o) and sum_o w g(c + o), node by node, for rows diff = c - mu."""
+    s1 = s2 = 0.0
+    for off, w in zip(offsets, weights.ravel()):
+        d = diff + off
+        sqrt_g = np.exp(0.5 * log_norm - 0.25 * np.einsum("nd,de,ne->n", d, prec, d))
+        s1 = s1 + w * sqrt_g
+        s2 = s2 + w * sqrt_g * sqrt_g
+    return s1, s2
+
+
+# Rows whose separable scale exceeds exp(_LOG_SCALE_CAP) are summed node by node:
+# below the cap exp(2 * cap) is finite and node terms lost to underflow are negligible.
+_LOG_SCALE_CAP = 300.0
+
+
 def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
                          chunk_cells: int) -> list:
     """Squared Hellinger distance over the lattice window, one value per order.
@@ -367,8 +386,12 @@ def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
     q(c) = (c - mu)'P(c - mu) and v = P(c - mu), q(c + o) = q(c) + 2 o'v + o'Po,
     so sqrt g(c + o) = A(c) K(o) prod_a exp(-o_a v_a / 2) with
     A(c) = exp(log_norm / 2 - q(c) / 4) and K(o) = exp(-o'Po / 4).  The node
-    sums S1 = sum_o w sqrt(g) / A and S2 = sum_o w g / A^2 contract per-axis
-    N x order factors, and sum_o w (sqrt f - sqrt g)^2 = f sum w - 2 sqrt(f) A S1 + A^2 S2.
+    sums S1 = sum_o w sqrt(g) and S2 = sum_o w g contract per-axis
+    N x order factors, and sum_o w (sqrt f - sqrt g)^2 = f sum w - 2 sqrt(f) S1 + S2.
+    Each factor is divided by its largest node value exp(max_k |v_a| x_k / 2),
+    and that shift is added to log A(c), so no intermediate leaves floating-point
+    range; the few rows whose combined scale is still too large (a nearly
+    degenerate cell makes P large) are summed node by node instead.
     """
     dim = len(theta) - 1
     mu, cov = _gaussian_marginal_params(m, theta)
@@ -385,16 +408,25 @@ def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
         full = np.concatenate(
             [centers, m - centers.sum(axis=-1, keepdims=True)], axis=-1)
         f = multinomial_pmf(full, m, theta)
+        sqrt_f = np.sqrt(f)
         diff = centers - mu
         v = np.einsum("nd,de->ne", diff, prec)
-        amp = np.exp(0.5 * log_norm - 0.25 * np.einsum("nd,nd->n", diff, v))
-        sqrt_f_amp = np.sqrt(f) * amp
+        log_amp = 0.5 * log_norm - 0.25 * np.einsum("nd,nd->n", diff, v)
         sums = []
-        for x, wk, wk2, wsum in nodes:
-            e = np.exp(-0.5 * v[:, :, None] * x)
-            s1 = _contract(wk, e)
-            s2 = _contract(wk2, e * e)
-            sums.append(np.sum(f * wsum - 2.0 * sqrt_f_amp * s1 + amp * amp * s2))
+        for x, offsets, weights, wk, wk2 in nodes:
+            shift = 0.5 * x.max() * np.abs(v)
+            e = np.multiply.outer(v, -0.5 * x)
+            e -= shift[:, :, None]
+            np.exp(e, out=e)
+            log_scale = log_amp + shift.sum(axis=1)
+            direct = log_scale > _LOG_SCALE_CAP
+            scale = np.exp(np.where(direct, 0.0, log_scale))
+            s1 = scale * _contract(wk, e)
+            s2 = scale * scale * _contract(wk2, e * e)
+            if direct.any():
+                s1[direct], s2[direct] = _node_sums(diff[direct], offsets, weights,
+                                                    prec, log_norm)
+            sums.append(np.sum(f * weights.sum() - 2.0 * sqrt_f * s1 + s2))
         return sums
 
     n_rest = int(np.prod([len(a) for a in axes[1:]]))

@@ -1,5 +1,6 @@
 """Kernels, perturbed densities, Hellinger/TV machinery, scaling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -235,24 +236,34 @@ class TestHellinger:
         est = eq.hellinger_perturbed_vs_gaussian(m, [0.1, 0.2, 0.3, 0.4])
         assert est.value == pytest.approx(FIXTURE_R4[m], abs=1e-12)
 
-    def test_separable_form_matches_per_node_sum(self):
+    @pytest.mark.parametrize("m, theta, order", [
+        (12, [0.2, 0.3, 0.5], 4),
+        # a small last cell makes P large along the all-ones direction
+        (16, [0.5, 0.499, 0.001], 5),
+        (16, [0.5, 0.3, 0.199, 0.001], 5),
+        # P large enough that rows near the mean are summed node by node
+        (16, [0.5, 0.5 - 2**-17, 2**-17], 5),
+    ])
+    def test_separable_form_matches_per_node_sum(self, m, theta, order):
         # sum over cells and tensor nodes of w (sqrt f - sqrt g)^2, node by node
-        m, theta, order, window = 12, np.array([0.2, 0.3, 0.5]), 4, 8.0
+        theta, window = np.array(theta), 8.0
+        dim = len(theta) - 1
         mu, cov = eq._gaussian_marginal_params(m, theta)
         sds = np.sqrt(np.diag(cov))
         axes = [np.arange(math.ceil(mu[a] - window * sds[a]),
-                          math.floor(mu[a] + window * sds[a]) + 1) for a in range(2)]
-        cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+                          math.floor(mu[a] + window * sds[a]) + 1) for a in range(dim)]
+        cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         x, w = np.polynomial.legendre.leggauss(order)
         sqrt_f = np.sqrt(eq.perturbed_density(m, theta, cells.astype(float)))
         want = 0.0
-        for i in range(order):
-            for j in range(order):
-                pts = cells + np.array([x[i], x[j]]) / 2
-                sqrt_g = np.sqrt(eq.gaussian_marginal_density(m, theta, pts))
-                want += w[i] * w[j] / 4 * np.sum((sqrt_f - sqrt_g) ** 2)
+        for idx in itertools.product(range(order), repeat=dim):
+            sqrt_g = np.sqrt(eq.gaussian_marginal_density(m, theta, cells + x[list(idx)] / 2))
+            want += np.prod(w[list(idx)] / 2) * np.sum((sqrt_f - sqrt_g) ** 2)
         got, = eq._hellinger_sq_window(m, theta, (order,), window, chunk_cells=7)
         assert got == pytest.approx(want, rel=1e-12)
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=order))
+        assert math.isfinite(est.error_bar)
+        assert est.value == pytest.approx(math.sqrt(want), rel=1e-12)
 
     def test_one_pmf_pass_for_both_orders(self, monkeypatch):
         rows = []
