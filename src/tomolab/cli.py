@@ -62,7 +62,7 @@ class ExperimentConfig:
     detail: str = "summary"
     out_dir: str = "tomolab_out"
     threads: int = 1
-    active_tol: float = 1e-9
+    active_tol: float = diagnostics.ACTIVE_TOL
     c0: float = None
     c1: float = None
     thetas: list = field(default_factory=lambda: [[0.5, 0.5]])
@@ -137,7 +137,7 @@ def load_config(path) -> ExperimentConfig:
         detail=get("run", "detail", str, "summary"),
         out_dir=get("run", "out", str, "tomolab_out"),
         threads=get("run", "threads", int, 1),
-        active_tol=get("tolerances", "active_tol", float, 1e-9),
+        active_tol=get("tolerances", "active_tol", float, diagnostics.ACTIVE_TOL),
         c0=get("tolerances", "c0", float),
         c1=get("tolerances", "c1", float),
         tv_samples=get("distances", "tv_samples", int, 50_000),

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bases import ObservableBasis
 from .errors import ZeroWeight
+from .measurement import ACTIVE_TOL, _active_cells
 from .states import DensityMatrix
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "identifiability_check",
     "write_report_json",
 ]
-
-ACTIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> Ac
             meas.append(False)
             continue
         traces = dec.cell_traces(mat)
-        idx = tuple(int(a) for a in np.where((traces > tol) & (traces < 1 - tol))[0])
+        idx = tuple(int(a) for a in _active_cells(traces, tol))
         if idx:
             t_min = min(t_min, float(traces[list(idx)].min()))
             t_max = max(t_max, float(traces[list(idx)].max()))

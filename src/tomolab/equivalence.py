@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NegativeResult, UnsupportedArity, ZeroDensity
-from .measurement import CountRecord, TomographyDataset
+from .measurement import CountRecord, TomographyDataset, _active_cells
 from .regression import FineRegressionSample
 from .rng import substream
 
@@ -65,7 +65,6 @@ __all__ = [
     "SLOPE_BAND",
 ]
 
-DEGENERATE_TOL = 1e-12
 SLOPE_BAND = (-0.70, -0.35)
 MAX_QUAD_M = 4096
 _TRANSLATE_FAMILY = 3  # keeps translation substreams disjoint from simulator record streams
@@ -114,10 +113,20 @@ def round_half_away(x):
 # --- multinomial densities -----------------------------------------------------
 
 
-def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
-    """Multinomial pmf at integer vectors ``counts`` (last axis over cells)."""
-    counts = np.asarray(counts, dtype=float)
+def _checked_theta(theta) -> np.ndarray:
+    """``theta`` as a float vector; ValueError unless it is a probability vector."""
     theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)) or np.any(theta < 0):
+        raise ValueError(f"theta must be a finite nonnegative vector, got {theta.tolist()}")
+    if abs(theta.sum() - 1.0) > 1e-9:
+        raise ValueError(f"theta sums to {theta.sum()!r}, not 1")
+    return theta
+
+
+def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
+    """Multinomial pmf at integer vectors ``counts`` (last axis over cells); checks theta."""
+    counts = np.asarray(counts, dtype=float)
+    theta = _checked_theta(theta)
     scalar = counts.ndim == 1
     if scalar:
         counts = counts[None, :]
@@ -257,21 +266,6 @@ def translate_regression_to_qst(samples, m: int, basis) -> TranslationResult:
 # --- densities on the first r-1 coordinates -------------------------------------
 
 
-def _checked_theta(theta) -> np.ndarray:
-    """``theta`` as a float vector; ValueError unless it is a probability vector."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or not np.all(np.isfinite(theta)) or np.any(theta < 0):
-        raise ValueError(f"theta must be a finite nonnegative vector, got {theta.tolist()}")
-    if abs(theta.sum() - 1.0) > 1e-9:
-        raise ValueError(f"theta sums to {theta.sum()!r}, not 1")
-    return theta
-
-
-def _active_cells(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return np.where((theta > DEGENERATE_TOL) & (theta < 1 - DEGENERATE_TOL))[0]
-
-
 def perturbed_density(m: int, theta, x) -> np.ndarray:
     """Joint density of the first r-1 perturbed counts at points ``x``.
 
@@ -279,7 +273,7 @@ def perturbed_density(m: int, theta, x) -> np.ndarray:
     density is the multinomial pmf at the rounded lattice point, constant on
     unit cells and zero outside the support.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _checked_theta(theta)
     dim = len(theta) - 1
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -299,7 +293,7 @@ def perturbed_density(m: int, theta, x) -> np.ndarray:
 
 
 def _gaussian_marginal_params(m: int, theta):
-    theta = np.asarray(theta, dtype=float)
+    theta = _checked_theta(theta)
     dim = len(theta) - 1
     mu = m * theta[:dim]
     cov = m * (np.diag(theta) - np.outer(theta, theta))[:dim, :dim]

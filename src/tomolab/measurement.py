@@ -10,7 +10,8 @@ Randomness contract: one root seed; record k draws from the substream
 (seed, family, k + 1) and the design draws use (seed, family, 0), where
 ``family`` tags the simulator so counted and Gaussian runs with the same
 seed stay independent.  Results are therefore independent of execution
-order and worker count.
+order and worker count.  Per-member values are computed once per distinct
+drawn member; per record only the substream and the draw remain.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-12
+ACTIVE_TOL = 1e-9  # cell a is active iff ACTIVE_TOL < theta_a < 1 - ACTIVE_TOL
 _STREAM_FAMILY = 0
 
 
@@ -86,6 +88,11 @@ def cell_probabilities(rho: DensityMatrix, basis: ObservableBasis, j: int) -> np
     return theta / total
 
 
+def _active_cells(theta, tol: float = ACTIVE_TOL) -> np.ndarray:
+    """Indices a with tol < theta_a < 1 - tol; fewer than two means a deterministic law."""
+    return np.where((theta > tol) & (theta < 1 - tol))[0]
+
+
 def measure_counts(rho, basis: ObservableBasis, j: int, m: int, seed) -> CountRecord:
     """One multinomial draw of m measurements on basis member j."""
     if m < 1:
@@ -106,23 +113,21 @@ def summarize(record: CountRecord) -> float:
     return float(np.dot(record.eigenvalues, record.counts) / record.m)
 
 
-def _expand_individuals(record: CountRecord, rng) -> np.ndarray:
-    outcomes = np.repeat(record.eigenvalues, record.counts)
-    return rng.permutation(outcomes)
-
-
-def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, seed) -> np.ndarray:
-    """Observable index per record: 0..p-1 in order (fixed) or i.i.d. from Xi (random)."""
+def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, seed,
+                        family: int = _STREAM_FAMILY) -> np.ndarray:
+    """Observable index per record: 0..p-1 in order (fixed), or i.i.d. from substream
+    (seed, family, 0) with Xi for the tomography family and Pi otherwise (random)."""
     p = basis.size
     if design.mode == "fixed":
         if n != p:
             raise DesignMismatch(f"fixed design requires n = p = {p}, got n = {n}")
         return np.arange(p)
-    xi = design.weights_tomography
-    if len(xi) != p:
-        raise DesignMismatch(f"Xi has length {len(xi)}, family has {p} members")
-    rng = substream(seed, _STREAM_FAMILY, 0)
-    return rng.choice(p, size=n, p=xi)
+    name, weights = (("Xi", design.weights_tomography) if family == _STREAM_FAMILY
+                     else ("Pi", design.weights_regression))
+    if len(weights) != p:
+        raise DesignMismatch(f"{name} has length {len(weights)}, family has {p} members")
+    rng = substream(seed, family, 0)
+    return rng.choice(p, size=n, p=weights)
 
 
 def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -130,16 +135,20 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     """Simulate n records of m measurements each under the given design."""
     if detail not in ("counts", "summary", "individual"):
         raise ValueError(f"unknown detail level {detail!r}")
-    indices = draw_design_indices(design, basis, n, seed)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    indices = draw_design_indices(design, basis, n, seed).tolist()
+    thetas = {j: cell_probabilities(rho, basis, j) for j in dict.fromkeys(indices)}
     records, summaries, individuals = [], [], []
     for k, j in enumerate(indices):
         rng = substream(seed, _STREAM_FAMILY, k + 1)
-        rec = measure_counts(rho, basis, int(j), m, rng)
+        rec = CountRecord(observable_index=j, counts=rng.multinomial(m, thetas[j]),
+                          eigenvalues=basis.decompositions[j].eigenvalues, m=m)
         records.append(rec)
         if detail in ("summary", "individual"):
             summaries.append(summarize(rec))
         if detail == "individual":
-            individuals.append(_expand_individuals(rec, rng))
+            individuals.append(rng.permutation(np.repeat(rec.eigenvalues, rec.counts)))
     return TomographyDataset(
         design=design, n=n, m=m, records=records,
         summaries=summaries if detail in ("summary", "individual") else None,

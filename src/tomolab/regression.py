@@ -9,12 +9,13 @@ normal, covariance (diag(theta) - theta theta')/m where theta_a =
 tr(Q_ka rho).  That covariance annihilates the all-ones direction, so each
 fine sample sums to one; the sampler draws the nondegenerate block minus one
 coordinate by Cholesky and sets the last coordinate from the sum constraint.
-Cells with theta_a in {0, 1} are deterministic and excluded from the
-Gaussian block.
+Cells that are not active (theta_a within ``ACTIVE_TOL`` of 0 or 1) are
+deterministic and excluded from the Gaussian block.
 
 Randomness contract matches the tomography simulator, with separate
 stream families for the coarse and fine runs: record k draws from
 (seed, family, k + 1) and the design indices from (seed, family, 0).
+Per-member values (mean, noise scale, Cholesky factor) are computed once.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .errors import DesignMismatch, LengthMismatch
+from .errors import LengthMismatch
 from .hermitian import require_hermitian, trace_product
-from .measurement import cell_probabilities
+from .measurement import _active_cells, _fmt, cell_probabilities, draw_design_indices
 from .rng import substream
 from .states import DensityMatrix
 
@@ -45,7 +46,8 @@ __all__ = [
     "read_fine_csv",
 ]
 
-DEGENERATE_TOL = 1e-12
+# rounding floor on the coarse noise variance, not the active-cell rule (ACTIVE_TOL)
+VARIANCE_FLOOR = 1e-12
 _COARSE_FAMILY = 1
 _FINE_FAMILY = 2
 
@@ -80,7 +82,7 @@ def noise_variance_coarse(rho, b_mat: np.ndarray) -> float:
     second = trace_product(b_mat @ b_mat, mat).real
     first = trace_product(b_mat, mat).real
     var = second - first * first
-    return var if var >= DEGENERATE_TOL else 0.0
+    return var if var >= VARIANCE_FLOOR else 0.0
 
 
 def noise_covariance_fine(rho, basis: ObservableBasis, j: int) -> np.ndarray:
@@ -89,55 +91,53 @@ def noise_covariance_fine(rho, basis: ObservableBasis, j: int) -> np.ndarray:
     return np.diag(theta) - np.outer(theta, theta)
 
 
-def _draw_design(design: SamplingDesign, basis: ObservableBasis, n: int,
-                 seed, family: int) -> np.ndarray:
-    p = basis.size
-    if design.mode == "fixed":
-        if n != p:
-            raise DesignMismatch(f"fixed design requires n = p = {p}, got n = {n}")
-        return np.arange(p)
-    pi = design.weights_regression
-    if len(pi) != p:
-        raise DesignMismatch(f"Pi has length {len(pi)}, family has {p} members")
-    rng = substream(seed, family, 0)
-    return rng.choice(p, size=n, p=pi)
-
-
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
                     n: int, m: int, seed: int) -> list:
     """n coarse samples Y_k = tr(X_k rho) + eps_k."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    indices = _draw_design(design, basis, n, seed, _COARSE_FAMILY)
+    indices = draw_design_indices(design, basis, n, seed, _COARSE_FAMILY).tolist()
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    moments = {j: (trace_product(basis.matrices[j], mat).real,
+                   np.sqrt(noise_variance_coarse(mat, basis.matrices[j]) / m))
+               for j in dict.fromkeys(indices)}
     out = []
     for k, j in enumerate(indices):
-        j = int(j)
         rng = substream(seed, _COARSE_FAMILY, k + 1)
-        mean = trace_product(basis.matrices[j], mat).real
-        sd = np.sqrt(noise_variance_coarse(mat, basis.matrices[j]) / m)
+        mean, sd = moments[j]
         out.append(RegressionSample(design_index=j, Y=float(mean + sd * rng.standard_normal())))
     return out
 
 
-def _sample_fine_vector(theta: np.ndarray, m: int, rng) -> np.ndarray:
-    """One draw of theta + z with the singular multinomial-shaped covariance."""
-    y = theta.astype(float).copy()
-    active = np.where((theta > DEGENERATE_TOL) & (theta < 1 - DEGENERATE_TOL))[0]
+def _fine_factor(theta: np.ndarray, m: int):
+    """theta, its active cells and the Cholesky factor of the covariance of all
+    but the last of them (None when fewer than two cells are active)."""
+    active = _active_cells(theta)
     q = len(active)
-    if q == 0:
-        return y
+    if q < 2:
+        return theta, active, None
     th = theta[active]
     cov = (np.diag(th) - np.outer(th, th))[:q - 1, :q - 1] / m
-    if q > 1:
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            chol = np.linalg.cholesky(cov + 1e-12 * np.eye(q - 1))
-        z = chol @ rng.standard_normal(q - 1)
-        y[active[:q - 1]] = th[:q - 1] + z
-        y[active[q - 1]] = th[q - 1] - z.sum()
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        chol = np.linalg.cholesky(cov + 1e-12 * np.eye(q - 1))
+    return theta, active, chol
+
+
+def _draw_fine(theta: np.ndarray, active: np.ndarray, chol, rng) -> np.ndarray:
+    """theta + z, z drawn with the factor from ``_fine_factor``."""
+    y = np.array(theta, dtype=float)
+    if chol is not None:
+        z = chol @ rng.standard_normal(len(active) - 1)
+        y[active[:-1]] = theta[active[:-1]] + z
+        y[active[-1]] = theta[active[-1]] - z.sum()
     return y
+
+
+def _sample_fine_vector(theta: np.ndarray, m: int, rng) -> np.ndarray:
+    """One draw of theta + z with the singular multinomial-shaped covariance."""
+    return _draw_fine(*_fine_factor(theta, m), rng)
 
 
 def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -145,13 +145,13 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    indices = _draw_design(design, basis, n, seed, _FINE_FAMILY)
+    indices = draw_design_indices(design, basis, n, seed, _FINE_FAMILY).tolist()
+    members = {j: _fine_factor(cell_probabilities(rho, basis, j), m)
+               for j in dict.fromkeys(indices)}
     out = []
     for k, j in enumerate(indices):
-        j = int(j)
         rng = substream(seed, _FINE_FAMILY, k + 1)
-        theta = cell_probabilities(rho, basis, j)
-        out.append(FineRegressionSample(design_index=j, y=_sample_fine_vector(theta, m, rng)))
+        out.append(FineRegressionSample(design_index=j, y=_draw_fine(*members[j], rng)))
     return out
 
 
@@ -166,10 +166,6 @@ def aggregate_fine(sample: FineRegressionSample, eigenvalues) -> RegressionSampl
 
 
 # --- CSV ----------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def write_coarse_csv(samples, path) -> None:

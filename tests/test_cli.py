@@ -1,5 +1,6 @@
 """Config runner: parsing, artifacts, determinism, exit behavior."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -36,6 +37,39 @@ seed = 77
 detail = individual
 out = {out}
 """
+
+
+GOLDEN_CFG = """
+[basis]
+kind = pauli
+d = 4
+
+[state]
+class = low_rank
+r = 2
+
+[design]
+mode = random
+
+[run]
+task = {task}
+n = 500
+m = 64
+seed = 1729
+detail = individual
+out = {out}
+"""
+
+# sha256 of each artifact, recorded before the simulators computed their
+# per-member values once per distinct member; the randomness contract keeps
+# these bytes fixed
+GOLDEN_SHA256 = {
+    "tomography.csv": "9257f25d3b4ce05972f2e99ea0e8b2e12064c9f1bfd3e645ce394b14b805c031",
+    "individuals.csv": "bbc48facb905cdcc6c099b45a4ea931d19f9acb945f8b7422547b9c7595309d5",
+    "coarse.csv": "ed5bc3c02484a14688012b4a32a7697dd21e411d50ca38ac47c7e2e196a492df",
+    "fine.csv": "15ce596a21c610ea17dd0ab09dc25bb08009d468e8907dfa444e435db4e3f818",
+    "translated_fine.csv": "265435a14282c5e02ba081798bfa03bf52da4136e6620d9b14d70efa7afbad89",
+}
 
 
 class TestConfig:
@@ -194,6 +228,16 @@ tv_samples = 5000
         assert cli.main(["run", "--config", cfg2, "--threads", "4"]) == 0
         for name in ("distances.json", "distance_fixtures.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_golden_artifact_hashes(self, tmp_path):
+        got = {}
+        for task in ("simulate", "translate"):
+            out = tmp_path / task
+            cfg = write_cfg(tmp_path, GOLDEN_CFG.format(task=task, out=out), f"{task}.cfg")
+            assert cli.main(["run", "--config", cfg]) == 0
+            got.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.glob("*.csv")})
+        assert got == GOLDEN_SHA256
 
     def test_translate_roundtrip_check(self, tmp_path):
         text = SIM_CFG.replace("task = simulate", "task = translate")

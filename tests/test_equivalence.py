@@ -176,6 +176,16 @@ class TestPerturbedDensity:
     def test_outside_support(self):
         assert eq.perturbed_density(1, [0.5, 0.5], 10.0) == 0.0
 
+    @pytest.mark.parametrize("theta", [[0.5, 0.6], [0.5, math.nan], [1.5, -0.5]])
+    @pytest.mark.parametrize("density", [
+        lambda theta: eq.perturbed_density(4, theta, [2.0]),
+        lambda theta: eq.gaussian_marginal_density(4, theta, [2.0]),
+        lambda theta: eq.multinomial_pmf([2, 2], 4, theta),
+    ], ids=["perturbed", "gaussian", "pmf"])
+    def test_invalid_theta_rejected(self, density, theta):
+        with pytest.raises(ValueError):
+            density(theta)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_decomposition_matches_direct(self, seed):
         rng = np.random.default_rng(seed)

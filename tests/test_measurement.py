@@ -141,6 +141,13 @@ class TestRunTomography:
         with pytest.raises(DesignMismatch):
             measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 3, 5, 1)
 
+    @pytest.mark.parametrize("design, n", [(bases.SamplingDesign.fixed(), 4),
+                                           (bases.SamplingDesign.uniform(4), 0)])
+    def test_zero_m_rejected(self, design, n):
+        st = states.validate_density(np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            measurement.run_tomography(st, PAULI2, design, n, 0, seed=1)
+
     def test_point_mass_design(self):
         st = states.validate_density(np.eye(2) / 2)
         xi = np.array([0.0, 0.0, 1.0, 0.0])

@@ -1,9 +1,11 @@
 """Gaussian experiments: noise moments, fine/coarse simulation, aggregation."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from tomolab import bases, measurement, regression, states
+from tomolab import bases, diagnostics, equivalence, hermitian, measurement, regression, states
 from tomolab.errors import LengthMismatch
 
 PAULI2 = bases.build_basis("pauli", 2)
@@ -203,3 +205,77 @@ class TestCSV:
         back = regression.read_fine_csv(path)
         for s1, s2 in zip(out, back):
             np.testing.assert_array_equal(s1.y, s2.y)
+
+
+class TestActiveRule:
+    # the second cell of sigma3 is 5e-10, inside the shared ACTIVE_TOL of 1e-9,
+    # so every layer must treat the member as degenerate
+    STATE = states.validate_density(np.diag([1 - 5e-10, 5e-10]))
+
+    def test_nearly_degenerate_member_is_degenerate_everywhere(self):
+        theta = measurement.cell_probabilities(self.STATE, PAULI2, 3)
+        assert theta[1] == pytest.approx(5e-10, rel=1e-6)
+        out = regression.simulate_fine(self.STATE, PAULI2, bases.SamplingDesign.fixed(),
+                                       4, 64, seed=1)
+        np.testing.assert_array_equal(out[3].y, theta)
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(regression._sample_fine_vector(theta, 64, rng), theta)
+        report = diagnostics.active_index_set(self.STATE, PAULI2)
+        assert report.cardinalities[3] == 0 and not report.nondegenerate[3]
+        est = equivalence.hellinger_perturbed_vs_gaussian(64, theta)
+        assert est.value == 0.0 and est.error_bar == 0.0
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace ``fn`` at every tomolab module attribute bound to it; return the call log."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "tomolab" or name.startswith("tomolab."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+class TestPerMemberValues:
+    """Each simulator evaluates a member's probabilities and moments once per
+    distinct drawn member, not once per record."""
+
+    N = 300
+
+    def run(self, monkeypatch, simulate):
+        probs = _count_calls(monkeypatch, measurement.cell_probabilities)
+        traces = _count_calls(monkeypatch, hermitian.trace_product)
+        out = simulate(interior_state(seed=4), PAULI4, bases.SamplingDesign.uniform(16),
+                       self.N, 8, 6)
+        return out, len(probs), len(traces)
+
+    @staticmethod
+    def cells(members):
+        return sum(PAULI4.decompositions[j].r for j in members)
+
+    def test_tomography(self, monkeypatch):
+        out, probs, traces = self.run(monkeypatch, measurement.run_tomography)
+        members = {r.observable_index for r in out.records}
+        assert 1 < len(members) < self.N == len(out.records)
+        assert probs == len(members)
+        assert traces == self.cells(members)
+
+    def test_coarse(self, monkeypatch):
+        out, probs, traces = self.run(monkeypatch, regression.simulate_coarse)
+        members = {s.design_index for s in out}
+        assert 1 < len(members) < self.N == len(out)
+        assert probs == 0
+        assert traces == 3 * len(members)  # tr(B rho), then tr(B^2 rho) and tr(B rho)
+
+    def test_fine(self, monkeypatch):
+        out, probs, traces = self.run(monkeypatch, regression.simulate_fine)
+        members = {s.design_index for s in out}
+        assert 1 < len(members) < self.N == len(out)
+        assert probs == len(members)
+        assert traces == self.cells(members)
