@@ -29,7 +29,7 @@ import scipy
 from . import __version__, bases, diagnostics, equivalence, measurement, regression, states
 from .errors import ConfigParseError, TomolabError
 from .hermitian import read_matrix, trace_product
-from .rng import substream
+from .rng import RNG_CONTRACT, TRANSFER, substream
 
 __all__ = ["ExperimentConfig", "ReportBundle", "load_config", "run", "estimator_transfer", "main"]
 
@@ -171,7 +171,20 @@ def load_config(path) -> ExperimentConfig:
     if "TOMOLAB_SEED" in os.environ:
         cfg.seed = int(os.environ["TOMOLAB_SEED"])
     _check_envelope(cfg)
+    _check_grids(cfg)
     return cfg
+
+
+def _check_grids(cfg: ExperimentConfig) -> None:
+    for theta in cfg.thetas:
+        try:
+            equivalence._checked_theta(theta)
+        except ValueError as exc:
+            raise ConfigParseError(f"bad theta: {exc}") from exc
+    distinct = len(set(cfg.m_grid))
+    if cfg.task == "scaling" and distinct < equivalence.MIN_SCALING_POINTS:
+        raise ConfigParseError(f"scaling needs at least {equivalence.MIN_SCALING_POINTS} "
+                               f"distinct m values, got {distinct}")
 
 
 def _check_envelope(cfg: ExperimentConfig) -> None:
@@ -216,8 +229,13 @@ def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
 def _build_design(cfg: ExperimentConfig, basis) -> bases.SamplingDesign:
     if cfg.design_mode == "fixed":
         return bases.SamplingDesign.fixed()
+    measurable = np.array([dec is not None for dec in basis.decompositions])
     p = basis.size
-    pi = cfg.pi if cfg.pi is not None else np.full(p, 1.0 / p)
+    if measurable.all():
+        default = np.full(p, 1.0 / p)
+    else:  # masking-only members cannot be measured, so they get no weight
+        default = measurable / measurable.sum()
+    pi = cfg.pi if cfg.pi is not None else default
     xi = cfg.xi if cfg.xi is not None else pi
     return bases.SamplingDesign.random(pi, xi)
 
@@ -269,17 +287,17 @@ def _task_translate(cfg, basis, state, design, out, artifacts, checks):
 def _task_distances(cfg, basis, state, design, out, artifacts, checks):
     points = [(theta, int(m)) for theta in cfg.thetas for m in cfg.m_grid]
 
-    def one(point):
-        theta, m = point
+    def one(i):
+        theta, m = points[i]
         hel = equivalence.hellinger_perturbed_vs_gaussian(m, theta)
-        tv = equivalence.tv_perturbed_vs_gaussian(m, theta, cfg.tv_samples, cfg.seed)
+        tv = equivalence.tv_perturbed_vs_gaussian(m, theta, cfg.tv_samples, cfg.seed, i)
         return hel, tv
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, points))
+            results = list(pool.map(one, range(len(points))))
     else:
-        results = [one(pt) for pt in points]
+        results = [one(i) for i in range(len(points))]
 
     rows, estimates = [], []
     ok_all = True
@@ -402,6 +420,7 @@ def run(cfg: ExperimentConfig) -> ReportBundle:
         "task": cfg.task,
         "seed": cfg.seed,
         "threads": cfg.threads,
+        "rng_contract": RNG_CONTRACT,
         "versions": {"tomolab": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "config": cfg.raw_text,
@@ -432,7 +451,7 @@ def estimator_transfer(rho, basis, n: int, m: int, seed: int,
     if n != p:
         raise TomolabError(f"fixed design requires n = p = {p}")
     mat = rho.matrix if isinstance(rho, states.DensityMatrix) else np.asarray(rho)
-    rng = substream(seed, 4)  # own stream family, disjoint from the simulators
+    rng = substream(seed, TRANSFER)
     norms = np.array([trace_product(b, b).real for b in basis.matrices])
     alpha = np.array([trace_product(b, mat).real for b in basis.matrices]) / norms
     err_counts = np.empty((replications, p))

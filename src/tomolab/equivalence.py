@@ -34,7 +34,7 @@ from scipy.special import gammaln
 from .errors import NegativeResult, UnsupportedArity, ZeroDensity
 from .measurement import CountRecord, TomographyDataset, _active_cells
 from .regression import FineRegressionSample
-from .rng import substream
+from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
     "PerturbedCounts",
@@ -66,8 +66,9 @@ __all__ = [
 ]
 
 SLOPE_BAND = (-0.70, -0.35)
+MIN_SCALING_POINTS = 4  # distinct m values a slope fit needs
 MAX_QUAD_M = 4096
-_TRANSLATE_FAMILY = 3  # keeps translation substreams disjoint from simulator record streams
+H_MAX = math.sqrt(2.0)  # the Hellinger distance never exceeds sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -178,21 +179,29 @@ def multinomial_pmf_chain(counts, m: int, theta) -> float:
 # --- kernels -------------------------------------------------------------------
 
 
+def _perturbed(record: CountRecord, psi) -> np.ndarray:
+    """The counts with ``psi`` added to the first len(psi) cells; the next cell
+    restores the sum m."""
+    vals = record.counts.astype(float)
+    k = len(psi)
+    if k:
+        vals[:k] += psi
+        vals[k] = record.m - vals[:k].sum()
+    return vals
+
+
 def kernel_K0(record: CountRecord, seed, degenerate: bool = False) -> PerturbedCounts:
     """Uniformly perturb a count vector; sum preserved at m exactly.
 
     Records with a single cell, or flagged as coming from a degenerate law,
     pass through unchanged.
     """
-    vals = record.counts.astype(float)
-    r = len(vals)
+    r = len(record.counts)
+    psi = ()
     if r >= 2 and not degenerate:
         rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
         psi = rng.uniform(-0.5, 0.5, size=r - 1)
-        vals = vals.copy()
-        vals[:r - 1] += psi
-        vals[r - 1] = record.m - vals[:r - 1].sum()
-    return PerturbedCounts(values=vals, m=record.m, source=record)
+    return PerturbedCounts(values=_perturbed(record, psi), m=record.m, source=record)
 
 
 def kernel_K1(values, m: int) -> np.ndarray:
@@ -232,15 +241,21 @@ def translate_qst_to_regression(dataset: TomographyDataset, seed: int) -> list:
 
     Records whose counts concentrate on a single cell pass through
     unperturbed: under a degenerate law that is the identity coupling, and
-    under a nondegenerate law the event is exponentially rare.
+    under a nondegenerate law the event is exponentially rare.  Each block of
+    records draws its uniforms in one call (family ``TRANSLATE``), laid out
+    flat: the first r - 1 cells of each perturbed record, in record order.
     """
     out = []
-    for k, rec in enumerate(dataset.records):
-        rng = substream(seed, _TRANSLATE_FAMILY, k)
-        degenerate = int(np.count_nonzero(rec.counts)) <= 1
-        pert = kernel_K0(rec, rng, degenerate=degenerate)
-        out.append(FineRegressionSample(design_index=rec.observable_index,
-                                        y=pert.values / rec.m))
+    for lo, hi, rng in record_blocks(seed, TRANSLATE, len(dataset.records)):
+        block = dataset.records[lo:hi]
+        sizes = [len(rec.counts) - 1 if np.count_nonzero(rec.counts) > 1 else 0
+                 for rec in block]
+        psi = rng.uniform(-0.5, 0.5, size=sum(sizes))
+        end = 0
+        for rec, size in zip(block, sizes):
+            end += size
+            out.append(FineRegressionSample(design_index=rec.observable_index,
+                                            y=_perturbed(rec, psi[end - size:end]) / rec.m))
     return out
 
 
@@ -452,7 +467,10 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     window of ``window`` per-axis standard deviations, with fixed-order
     Gauss-Legendre nodes inside each unit cell; one pass gives both the
     order and the comparison order.  The error bar combines their difference
-    with an analytic bound on the mass outside the window.  Raises
+    with an analytic bound on the mass outside the window.  A raw value
+    above sqrt(2), which fixed-order nodes give when the matched normal is
+    much narrower than a unit cell, is returned as sqrt(2) with an error bar
+    of at least sqrt(2), which spans every admissible value.  Raises
     ValueError unless ``theta`` is a probability vector.
     """
     spec = quad_spec or QuadSpec()
@@ -473,6 +491,8 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     value = math.sqrt(max(h2, 0.0))
     err = abs(value - math.sqrt(max(h2_cmp, 0.0)))
     err += math.sqrt(2.0 * _tail_mass_bound(m, sub, spec.window))
+    if value > H_MAX:
+        value, err = H_MAX, max(err, H_MAX)
     return DistanceEstimate(value=value, kind="hellinger", method="quadrature",
                             error_bar=err, params={"m": m, "theta": theta.tolist(),
                                                    "order": spec.order})
@@ -497,9 +517,13 @@ def product_hellinger_bound(h_squares) -> float:
 # --- total variation --------------------------------------------------------------
 
 
-def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int) -> DistanceEstimate:
-    """Estimate TV(P, Q) = E_P[max(0, 1 - q/p)] with a 95% CLT half-width."""
-    rng = substream(seed)
+def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int,
+                   point: int = 0) -> DistanceEstimate:
+    """Estimate TV(P, Q) = E_P[max(0, 1 - q/p)] with a 95% CLT half-width.
+
+    Draws from substream (seed, ``TV``, point): one stream per grid point.
+    """
+    rng = substream(seed, TV, point)
     x = sampler_p(rng, n_samples)
     p = np.asarray(density_p(x), dtype=float)
     if np.any(p <= 0):
@@ -512,7 +536,8 @@ def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int) -
                             error_bar=half, params={"n_samples": n_samples})
 
 
-def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int) -> DistanceEstimate:
+def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
+                             point: int = 0) -> DistanceEstimate:
     """TV between the perturbed count law and the matched normal, by Monte Carlo."""
     theta = _checked_theta(theta)
     active = _active_cells(theta)
@@ -525,7 +550,7 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int) -> Distan
         perturbed_sampler(m, sub),
         lambda x: perturbed_density(m, sub, x),
         lambda x: gaussian_marginal_density(m, sub, x),
-        n_samples, seed,
+        n_samples, seed, point,
     )
     return DistanceEstimate(value=est.value, kind="tv", method="monte_carlo",
                             error_bar=est.error_bar,
@@ -563,8 +588,8 @@ def fit_loglog_slope(m_grid, values) -> float:
 def scaling_study(theta, m_grid, quad_spec: QuadSpec = None) -> ScalingReport:
     """Hellinger distance across a repetition grid, with its log-log slope."""
     m_grid = [int(m) for m in m_grid]
-    if len(m_grid) < 4:
-        raise ValueError("scaling study needs at least 4 grid points")
+    if len(set(m_grid)) < MIN_SCALING_POINTS:
+        raise ValueError(f"scaling study needs at least {MIN_SCALING_POINTS} distinct m values")
     estimates = [hellinger_perturbed_vs_gaussian(m, theta, quad_spec) for m in m_grid]
     values = [e.value for e in estimates]
     slope = fit_loglog_slope(m_grid, values)

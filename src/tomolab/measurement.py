@@ -6,12 +6,17 @@ tr(Q_ja rho).  Repeating m times, the per-eigenvalue counts are multinomial
 and sufficient; individual outcome sequences are reconstructed from counts by
 a seeded shuffle, which preserves the joint law of the exchangeable outcomes.
 
-Randomness contract: one root seed; record k draws from the substream
-(seed, family, k + 1) and the design draws use (seed, family, 0), where
-``family`` tags the simulator so counted and Gaussian runs with the same
-seed stay independent.  Results are therefore independent of execution
-order and worker count.  Per-member values are computed once per distinct
-drawn member; per record only the substream and the draw remain.
+Randomness follows RNG contract v2 (:mod:`tomolab.rng`), family
+``TOMOGRAPHY``: the design indices come from (seed, family, 0), and each
+block of ``BLOCK`` records makes one ``multinomial`` call on its substream,
+with one row of cell probabilities per record.  Rows are padded in front
+to the largest cell count over the basis's measurable members; a zero cell
+takes no draw, so each row consumes the stream exactly as a one-record call
+would.  Individual outcomes are one ``permuted`` call per block on a copy
+of the block substream jumped ahead by 2**127 steps from its start
+(``bit_generator.jumped()``), so the counts do not depend on ``detail`` and
+the first n records do not depend on n.  Cell probabilities are computed
+once per distinct drawn member.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import DesignMismatch, NonMeasurableObservable
-from .rng import substream
+from .rng import TOMOGRAPHY, record_blocks, substream
 from .states import DensityMatrix
 
 __all__ = [
@@ -40,7 +45,6 @@ __all__ = [
 
 PROB_CLAMP = 1e-12
 ACTIVE_TOL = 1e-9  # cell a is active iff ACTIVE_TOL < theta_a < 1 - ACTIVE_TOL
-_STREAM_FAMILY = 0
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ def summarize(record: CountRecord) -> float:
 
 
 def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, seed,
-                        family: int = _STREAM_FAMILY) -> np.ndarray:
+                        family: int = TOMOGRAPHY) -> np.ndarray:
     """Observable index per record: 0..p-1 in order (fixed), or i.i.d. from substream
     (seed, family, 0) with Xi for the tomography family and Pi otherwise (random)."""
     p = basis.size
@@ -122,12 +126,18 @@ def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, 
         if n != p:
             raise DesignMismatch(f"fixed design requires n = p = {p}, got n = {n}")
         return np.arange(p)
-    name, weights = (("Xi", design.weights_tomography) if family == _STREAM_FAMILY
+    name, weights = (("Xi", design.weights_tomography) if family == TOMOGRAPHY
                      else ("Pi", design.weights_regression))
     if len(weights) != p:
         raise DesignMismatch(f"{name} has length {len(weights)}, family has {p} members")
     rng = substream(seed, family, 0)
     return rng.choice(p, size=n, p=weights)
+
+
+def _max_cells(basis: ObservableBasis) -> int:
+    """Largest cell count over the measurable members: the row width of the
+    simulators' blocked draws, fixed by the basis and not by the drawn members."""
+    return max((dec.r for dec in basis.decompositions if dec is not None), default=1)
 
 
 def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -137,22 +147,37 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
         raise ValueError(f"unknown detail level {detail!r}")
     if m < 1:
         raise ValueError("m must be at least 1")
-    indices = draw_design_indices(design, basis, n, seed).tolist()
-    thetas = {j: cell_probabilities(rho, basis, j) for j in dict.fromkeys(indices)}
-    records, summaries, individuals = [], [], []
-    for k, j in enumerate(indices):
-        rng = substream(seed, _STREAM_FAMILY, k + 1)
-        rec = CountRecord(observable_index=j, counts=rng.multinomial(m, thetas[j]),
-                          eigenvalues=basis.decompositions[j].eigenvalues, m=m)
-        records.append(rec)
-        if detail in ("summary", "individual"):
-            summaries.append(summarize(rec))
-        if detail == "individual":
-            individuals.append(rng.permutation(np.repeat(rec.eigenvalues, rec.counts)))
+    indices = draw_design_indices(design, basis, n, seed)
+    width = _max_cells(basis)
+    pvals = np.zeros((basis.size, width))     # front-padded cell probabilities
+    lams = np.zeros((basis.size, width))      # matching eigenvalues
+    for j in dict.fromkeys(indices.tolist()):
+        theta = cell_probabilities(rho, basis, j)
+        pvals[j, width - len(theta):] = theta
+        lams[j, width - len(theta):] = basis.decompositions[j].eigenvalues
+    counts = np.empty((n, width), dtype=np.int64)
+    outcomes = np.empty((n, m)) if detail == "individual" else None
+    for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, n):
+        idx = indices[lo:hi]
+        # jumped from the block's start, so the shuffle does not depend on
+        # how many draws the counts took
+        shuffler = np.random.Generator(rng.bit_generator.jumped())
+        counts[lo:hi] = rng.multinomial(m, pvals[idx])
+        if outcomes is not None:
+            # every row holds m outcomes in eigenvalue order, then is shuffled
+            in_order = np.repeat(lams[idx].ravel(), counts[lo:hi].ravel()).reshape(hi - lo, m)
+            outcomes[lo:hi] = shuffler.permuted(in_order, axis=1)
+    records = []
+    for k, j in enumerate(indices.tolist()):
+        eigenvalues = basis.decompositions[j].eigenvalues
+        records.append(CountRecord(observable_index=j, m=m, eigenvalues=eigenvalues,
+                                   counts=counts[k, width - len(eigenvalues):]))
+    summaries = None
+    if detail in ("summary", "individual"):
+        summaries = (np.einsum("ka,ka->k", lams[indices], counts) / m).tolist()
     return TomographyDataset(
-        design=design, n=n, m=m, records=records,
-        summaries=summaries if detail in ("summary", "individual") else None,
-        individuals=individuals if detail == "individual" else None,
+        design=design, n=n, m=m, records=records, summaries=summaries,
+        individuals=list(outcomes) if outcomes is not None else None,
         detail=detail,
     )
 

@@ -12,10 +12,15 @@ coordinate by Cholesky and sets the last coordinate from the sum constraint.
 Cells that are not active (theta_a within ``ACTIVE_TOL`` of 0 or 1) are
 deterministic and excluded from the Gaussian block.
 
-Randomness contract matches the tomography simulator, with separate
-stream families for the coarse and fine runs: record k draws from
-(seed, family, k + 1) and the design indices from (seed, family, 0).
-Per-member values (mean, noise scale, Cholesky factor) are computed once.
+Randomness follows RNG contract v2 (:mod:`tomolab.rng`), with the families
+``COARSE`` and ``FINE``: design indices from (seed, family, 0), then one
+``standard_normal`` call per block of ``BLOCK`` records.  Coarse draws one
+normal per record.  Fine draws a row of w normals per record, w being one
+less than the largest cell count over the basis's measurable members, and
+maps it through the member's factor F (rows: the Cholesky factor on all but
+the last active cell, minus its column sums on the last, zero on inactive
+cells), so y = theta + F z meets the sum constraint.  Per-member values
+(mean, noise scale, factor) are computed once per distinct drawn member.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 from .bases import ObservableBasis, SamplingDesign
 from .errors import LengthMismatch
 from .hermitian import require_hermitian, trace_product
-from .measurement import _active_cells, _fmt, cell_probabilities, draw_design_indices
-from .rng import substream
+from .measurement import _active_cells, _fmt, _max_cells, cell_probabilities, draw_design_indices
+from .rng import COARSE, FINE, record_blocks
 from .states import DensityMatrix
 
 __all__ = [
@@ -48,8 +53,6 @@ __all__ = [
 
 # rounding floor on the coarse noise variance, not the active-cell rule (ACTIVE_TOL)
 VARIANCE_FLOOR = 1e-12
-_COARSE_FAMILY = 1
-_FINE_FAMILY = 2
 
 
 @dataclass(frozen=True)
@@ -96,48 +99,43 @@ def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
     """n coarse samples Y_k = tr(X_k rho) + eps_k."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    indices = draw_design_indices(design, basis, n, seed, _COARSE_FAMILY).tolist()
+    indices = draw_design_indices(design, basis, n, seed, COARSE)
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    moments = {j: (trace_product(basis.matrices[j], mat).real,
-                   np.sqrt(noise_variance_coarse(mat, basis.matrices[j]) / m))
-               for j in dict.fromkeys(indices)}
-    out = []
-    for k, j in enumerate(indices):
-        rng = substream(seed, _COARSE_FAMILY, k + 1)
-        mean, sd = moments[j]
-        out.append(RegressionSample(design_index=j, Y=float(mean + sd * rng.standard_normal())))
-    return out
+    mean, sd = np.zeros(basis.size), np.zeros(basis.size)
+    for j in dict.fromkeys(indices.tolist()):
+        mean[j] = trace_product(basis.matrices[j], mat).real
+        sd[j] = np.sqrt(noise_variance_coarse(mat, basis.matrices[j]) / m)
+    z = np.empty(n)
+    for lo, hi, rng in record_blocks(seed, COARSE, n):
+        z[lo:hi] = rng.standard_normal(hi - lo)
+    y = mean[indices] + sd[indices] * z
+    return [RegressionSample(design_index=j, Y=v) for j, v in zip(indices.tolist(), y.tolist())]
 
 
-def _fine_factor(theta: np.ndarray, m: int):
-    """theta, its active cells and the Cholesky factor of the covariance of all
-    but the last of them (None when fewer than two cells are active)."""
+def _fine_factor(theta: np.ndarray, m: int, width: int) -> np.ndarray:
+    """F (cells x width) with theta + F z ~ N(theta, (diag(theta) - theta theta')/m)
+    for z standard normal: the Cholesky factor of the covariance of all but the
+    last active cell, minus its column sums on the last active cell, zero elsewhere."""
+    factor = np.zeros((len(theta), width))
     active = _active_cells(theta)
     q = len(active)
     if q < 2:
-        return theta, active, None
+        return factor
     th = theta[active]
     cov = (np.diag(th) - np.outer(th, th))[:q - 1, :q - 1] / m
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         chol = np.linalg.cholesky(cov + 1e-12 * np.eye(q - 1))
-    return theta, active, chol
-
-
-def _draw_fine(theta: np.ndarray, active: np.ndarray, chol, rng) -> np.ndarray:
-    """theta + z, z drawn with the factor from ``_fine_factor``."""
-    y = np.array(theta, dtype=float)
-    if chol is not None:
-        z = chol @ rng.standard_normal(len(active) - 1)
-        y[active[:-1]] = theta[active[:-1]] + z
-        y[active[-1]] = theta[active[-1]] - z.sum()
-    return y
+    factor[active[:-1], :q - 1] = chol
+    factor[active[-1], :q - 1] = -chol.sum(axis=0)
+    return factor
 
 
 def _sample_fine_vector(theta: np.ndarray, m: int, rng) -> np.ndarray:
     """One draw of theta + z with the singular multinomial-shaped covariance."""
-    return _draw_fine(*_fine_factor(theta, m), rng)
+    width = len(theta) - 1
+    return theta + _fine_factor(theta, m, width) @ rng.standard_normal(width)
 
 
 def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -145,14 +143,21 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    indices = draw_design_indices(design, basis, n, seed, _FINE_FAMILY).tolist()
-    members = {j: _fine_factor(cell_probabilities(rho, basis, j), m)
-               for j in dict.fromkeys(indices)}
-    out = []
-    for k, j in enumerate(indices):
-        rng = substream(seed, _FINE_FAMILY, k + 1)
-        out.append(FineRegressionSample(design_index=j, y=_draw_fine(*members[j], rng)))
-    return out
+    indices = draw_design_indices(design, basis, n, seed, FINE)
+    cells = _max_cells(basis)
+    width = cells - 1
+    thetas = np.zeros((basis.size, cells))
+    factors = np.zeros((basis.size, cells, width))
+    for j in dict.fromkeys(indices.tolist()):
+        theta = cell_probabilities(rho, basis, j)
+        thetas[j, :len(theta)] = theta
+        factors[j, :len(theta)] = _fine_factor(theta, m, width)
+    z = np.empty((n, width))
+    for lo, hi, rng in record_blocks(seed, FINE, n):
+        z[lo:hi] = rng.standard_normal((hi - lo, width))
+    y = thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
+    return [FineRegressionSample(design_index=j, y=row[:basis.decompositions[j].r])
+            for j, row in zip(indices.tolist(), y)]
 
 
 def aggregate_fine(sample: FineRegressionSample, eigenvalues) -> RegressionSample:

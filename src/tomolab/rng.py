@@ -1,19 +1,52 @@
-"""Seeded random-number substreams.
+"""Seeded random-number substreams (RNG contract v2).
 
-All simulators take one root seed and derive an independent substream per
-record index, so results do not depend on execution order or worker count.
-Substreams are derived by hashing ``(root, *keys)`` through numpy's
-``SeedSequence``.
+Everything random takes one root seed.  A substream is the generator seeded
+by numpy's ``SeedSequence`` hash of ``(seed, *keys)``; distinct keys give
+statistically independent streams, so results do not depend on execution
+order or worker count.
+
+The record simulators key their streams by a family and a block.  Record k
+belongs to block b = k // BLOCK, and block b of a family draws from
+substream ``(seed, family, b + 1)``; the family's design draws use
+``(seed, family, 0)``.  Each block makes one vectorised call per draw kind
+and consumes it in record order, with row layouts fixed by the basis or flat,
+so the first n records never depend on n.  ``BLOCK`` is part of the
+contract: changing it changes every simulated artifact.
+
+Families:
+
+======  ===============  ==================================================
+key     name             draws
+======  ===============  ==================================================
+0       ``TOMOGRAPHY``   design, counts (and outcome order) per block
+1       ``COARSE``       design, one standard normal per record
+2       ``FINE``         design, standard normals of a basis-fixed width
+3       ``TRANSLATE``    K0 uniforms, flat per block (no design draw)
+4       ``TRANSFER``     estimator transfer: the one stream ``(seed, 4)``
+5       ``TV``           Monte-Carlo TV: ``(seed, 5, point)`` per grid point
+======  ===============  ==================================================
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream"]
+__all__ = ["RNG_CONTRACT", "BLOCK", "TOMOGRAPHY", "COARSE", "FINE", "TRANSLATE", "TRANSFER", "TV",
+           "substream", "record_blocks"]
+
+RNG_CONTRACT = 2
+BLOCK = 256  # records per block
+
+TOMOGRAPHY, COARSE, FINE, TRANSLATE, TRANSFER, TV = range(6)
 
 
 def substream(root: int, *keys: int) -> np.random.Generator:
     """Return the generator for substream ``keys`` of root seed ``root``."""
     return np.random.default_rng(np.random.SeedSequence((int(root),) + tuple(int(k) for k in keys)))
 
+
+def record_blocks(seed: int, family: int, n: int) -> list:
+    """``(lo, hi, rng)`` per block: records lo..hi-1 of ``family`` draw from ``rng``,
+    the substream ``(seed, family, b + 1)`` of block b = lo // BLOCK."""
+    return [(lo, min(lo + BLOCK, n), substream(seed, family, lo // BLOCK + 1))
+            for lo in range(0, n, BLOCK)]

@@ -60,15 +60,16 @@ detail = individual
 out = {out}
 """
 
-# sha256 of each artifact, recorded before the simulators computed their
-# per-member values once per distinct member; the randomness contract keeps
-# these bytes fixed
+# sha256 of each artifact under RNG contract v2 (blocks of rng.BLOCK = 256
+# records, one vectorised draw per block and draw kind); n = 500 spans two
+# blocks.
+# These bytes change only with a deliberate, versioned change of the contract.
 GOLDEN_SHA256 = {
-    "tomography.csv": "9257f25d3b4ce05972f2e99ea0e8b2e12064c9f1bfd3e645ce394b14b805c031",
-    "individuals.csv": "bbc48facb905cdcc6c099b45a4ea931d19f9acb945f8b7422547b9c7595309d5",
-    "coarse.csv": "ed5bc3c02484a14688012b4a32a7697dd21e411d50ca38ac47c7e2e196a492df",
-    "fine.csv": "15ce596a21c610ea17dd0ab09dc25bb08009d468e8907dfa444e435db4e3f818",
-    "translated_fine.csv": "265435a14282c5e02ba081798bfa03bf52da4136e6620d9b14d70efa7afbad89",
+    "tomography.csv": "d6e0c10aaf263924dc762468f479e4d12f46cfcbfa4cc620456a24c1398f8074",
+    "individuals.csv": "f44e45233bc2198f2d56e41eac9707641c44f8037aecb3e74cddd7de4019e400",
+    "coarse.csv": "e90b38a356309612607fe8aae71bd1cc0a759898687400053efb556d9edfc46d",
+    "fine.csv": "744879131d0085882a57ba8f87502fd9f0826830fec5fab2159277abe46c1c4f",
+    "translated_fine.csv": "7361d4b22442b8361711b5605498c270a0fab7a4343f7f225d0d66dc28304b27",
 }
 
 
@@ -163,6 +164,45 @@ m_grid = 16,64
         rc = cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=tmp_path / "s"))])
         assert rc == 2
 
+    def test_invalid_theta_rejected_before_any_build(self, tmp_path, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis or state was built")
+
+        monkeypatch.setattr(bases, "build_basis", no_build)
+        monkeypatch.setattr(states, "validate_density", no_build)
+        text = """
+[run]
+task = distances
+seed = 1
+out = {out}
+
+[distances]
+theta = 1.5,-0.5
+m_grid = 16,64,256
+"""
+        path = write_cfg(tmp_path, text.format(out=tmp_path / "d"))
+        with pytest.raises(ConfigParseError):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+
+    def test_scaling_needs_four_distinct_m(self, tmp_path):
+        text = """
+[run]
+task = {task}
+seed = 1
+out = {out}
+
+[{task}]
+theta = 0.5,0.5
+m_grid = {grid}
+"""
+        bad = text.format(task="scaling", grid="16,16,16,16", out=tmp_path)
+        with pytest.raises(ConfigParseError):
+            cli.load_config(write_cfg(tmp_path, bad, "bad.cfg"))
+        # distances keeps accepting a short grid
+        ok = text.format(task="distances", grid="16,64,256", out=tmp_path)
+        assert cli.load_config(write_cfg(tmp_path, ok, "ok.cfg")).m_grid == [16, 64, 256]
+
 
 class TestRun:
     def test_simulate_writes_artifacts(self, tmp_path):
@@ -200,6 +240,62 @@ out = {out}
         assert rows == ["k,j,m,counts,N"]
         assert (out / "manifest.json").exists()
 
+    def test_canonical_random_design(self, tmp_path):
+        # the off-diagonal canonical members cannot be measured, so the
+        # default weights leave them out
+        text = """
+[basis]
+kind = canonical
+d = 2
+
+[design]
+mode = random
+
+[run]
+task = simulate
+n = 10
+m = 8
+seed = 3
+out = {out}
+"""
+        out = tmp_path / "canon"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 0
+        rows = (out / "tomography.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 10
+        canonical = bases.build_basis("canonical", 2)
+        assert all(canonical.decompositions[int(row.split(",")[1])] is not None
+                   for row in rows)
+
+    def test_default_weights_uniform_when_all_measurable(self, tmp_path):
+        cfg = cli.load_config(write_cfg(tmp_path, SIM_CFG.format(out=tmp_path)))
+        cfg.design_mode = "random"
+        design = cli._build_design(cfg, bases.build_basis("pauli", 2))
+        np.testing.assert_array_equal(design.weights_regression, np.full(4, 1 / 4))
+        np.testing.assert_array_equal(design.weights_tomography, np.full(4, 1 / 4))
+
+    def test_manifest_records_rng_contract(self, tmp_path):
+        out = tmp_path / "m"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, SIM_CFG.format(out=out))]) == 0
+        assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 2
+
+    def test_repeated_grid_points_draw_own_tv_streams(self, tmp_path):
+        text = """
+[run]
+task = distances
+seed = 5
+out = {out}
+
+[distances]
+theta = 0.5,0.5; 0.5,0.5
+m_grid = 16
+tv_samples = 2000
+"""
+        out = tmp_path / "tv"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 0
+        first, second = json.loads((out / "distances.json").read_text())["grid"]
+        assert first["hellinger"] == second["hellinger"]
+        assert first["tv"] != second["tv"]
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = write_cfg(tmp_path, SIM_CFG.format(out=out1), "a.cfg")
@@ -228,6 +324,17 @@ tv_samples = 5000
         assert cli.main(["run", "--config", cfg2, "--threads", "4"]) == 0
         for name in ("distances.json", "distance_fixtures.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_simulate_thread_count_does_not_change_artifacts(self, tmp_path):
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"t{threads}"
+            cfg = write_cfg(tmp_path, GOLDEN_CFG.format(task="simulate", out=out),
+                            f"t{threads}.cfg")
+            assert cli.main(["run", "--config", cfg, "--threads", threads]) == 0
+            outs.append(out)
+        for name in ("tomography.csv", "individuals.csv", "coarse.csv", "fine.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_golden_artifact_hashes(self, tmp_path):
         got = {}

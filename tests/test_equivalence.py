@@ -273,7 +273,19 @@ class TestHellinger:
         assert got == pytest.approx(want, rel=1e-12)
         est = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=order))
         assert math.isfinite(est.error_bar)
-        assert est.value == pytest.approx(math.sqrt(want), rel=1e-12)
+        if math.sqrt(want) > eq.H_MAX:  # an impossible raw value is capped
+            assert est.value == eq.H_MAX and est.error_bar >= eq.H_MAX
+        else:
+            assert est.value == pytest.approx(math.sqrt(want), rel=1e-12)
+
+    @pytest.mark.parametrize("m, theta", [(16, [0.5, 0.5 - 1e-6, 1e-6]),
+                                          (64, [1 - 1e-6, 1e-6])])
+    def test_impossible_value_capped(self, m, theta):
+        # fixed-order nodes cannot resolve a normal far narrower than a cell;
+        # the raw values are about 4.3 and 3.3, above the largest possible H
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta)
+        assert est.value == eq.H_MAX == math.sqrt(2.0)
+        assert est.error_bar >= eq.H_MAX
 
     def test_one_pmf_pass_for_both_orders(self, monkeypatch):
         rows = []
@@ -348,6 +360,16 @@ class TestTVMonteCarlo:
         with pytest.raises(ZeroDensity):
             eq.tv_monte_carlo(sampler, p, p, 100, seed=3)
 
+    def test_stream_keyed_by_point(self, monkeypatch):
+        from test_regression import _count_calls
+        from tomolab import rng
+        calls = _count_calls(monkeypatch, rng.substream)
+        a = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=3)
+        b = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=4)
+        again = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=3)
+        assert calls == [(9, rng.TV, 3), (9, rng.TV, 4), (9, rng.TV, 3)]
+        assert a.value == again.value != b.value
+
     @pytest.mark.parametrize("theta", [[0.5, 0.5], [0.2, 0.3, 0.5]])
     @pytest.mark.parametrize("m", [16, 256])
     def test_tv_below_hellinger(self, theta, m):
@@ -403,6 +425,10 @@ class TestScaling:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             eq.scaling_study([0.5, 0.5], [16, 64, 256])
+
+    def test_needs_four_distinct_points(self):
+        with pytest.raises(ValueError):
+            eq.scaling_study([0.5, 0.5], [16, 16, 16, 16])
 
     def test_csv_and_json(self, tmp_path):
         rep = eq.scaling_study([0.5, 0.5], [16, 64, 256, 1024])

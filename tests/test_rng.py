@@ -1,0 +1,119 @@
+"""RNG contract v2: blocked substreams, prefix stability, one stream per block."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from test_regression import _count_calls
+
+from tomolab import bases, equivalence, measurement, regression, rng, states
+from tomolab.measurement import TomographyDataset
+
+B = rng.BLOCK
+HERM4 = bases.build_basis("hermitian", 4)
+# diagonal members have 2 cells, off-diagonal ones 3; a full-rank state makes
+# every cell active, so a 3-cell member also widens the fine draw
+STATE = states.sample_class(states.StateClassSpec("low_rank", r=4), 4, seed=2)
+THREE_CELL = next(j for j, dec in enumerate(HERM4.decompositions) if dec.r == 3)
+SEED = 31
+
+
+def rare_wide_design():
+    """Mostly 2-cell members, with a 3-cell member at weight 1/200."""
+    w = np.array([1.0 if dec.r == 2 else 0.0 for dec in HERM4.decompositions])
+    w *= (1 - 0.005) / w.sum()
+    w[THREE_CELL] = 0.005
+    return bases.SamplingDesign.random(w)
+
+
+def tomography(n, detail="individual"):
+    ds = measurement.run_tomography(STATE, HERM4, rare_wide_design(), n, 32, SEED, detail)
+    return ([r.observable_index for r in ds.records], [r.counts for r in ds.records],
+            ds.summaries, ds.individuals)
+
+
+def coarse(n):
+    out = regression.simulate_coarse(STATE, HERM4, rare_wide_design(), n, 32, SEED)
+    return [s.design_index for s in out], [s.Y for s in out]
+
+
+def fine(n):
+    out = regression.simulate_fine(STATE, HERM4, rare_wide_design(), n, 32, SEED)
+    return [s.design_index for s in out], [s.y for s in out]
+
+
+@functools.lru_cache(maxsize=1)
+def counted_records():
+    return measurement.run_tomography(STATE, HERM4, rare_wide_design(), 3 * B, 32, SEED).records
+
+
+def translate(n):
+    records = counted_records()[:n]
+    ds = TomographyDataset(design=rare_wide_design(), n=n, m=32, records=records)
+    out = equivalence.translate_qst_to_regression(ds, SEED)
+    return [s.design_index for s in out], [s.y for s in out]
+
+
+SIMULATORS = {"tomography": tomography, "coarse": coarse, "fine": fine,
+              "translate": translate}
+
+
+def assert_prefix(short, long, n):
+    for part_short, part_long in zip(short, long):
+        if part_short is None:
+            assert part_long is None
+            continue
+        assert len(part_short) == n
+        for a, b in zip(part_short, part_long[:n]):
+            np.testing.assert_array_equal(a, b)
+
+
+# the family whose design draw picks the members (translation reads counted records)
+DESIGN_FAMILY = {"tomography": rng.TOMOGRAPHY, "coarse": rng.COARSE, "fine": rng.FINE,
+                 "translate": rng.TOMOGRAPHY}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+def test_prefix_stable_when_a_wider_member_appears(name):
+    # the first n records hold only 2-cell members; the longer run adds a
+    # 3-cell member after them, which must not change the first n records
+    idx = measurement.draw_design_indices(rare_wide_design(), HERM4, 3 * B, SEED,
+                                          DESIGN_FAMILY[name])
+    n = int(np.argmax(idx == THREE_CELL))
+    assert 0 < n and idx[n] == THREE_CELL
+    simulate = SIMULATORS[name]
+    short, long = simulate(n), simulate(3 * B)
+    assert all(HERM4.decompositions[j].r == 2 for j in short[0])
+    assert any(HERM4.decompositions[j].r == 3 for j in long[0][n:])
+    assert_prefix(short, long, n)
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+def test_block_edges(name, n):
+    simulate = SIMULATORS[name]
+    assert_prefix(simulate(n), simulate(3 * B), n)
+
+
+def test_counts_do_not_depend_on_detail():
+    _, plain, _, _ = tomography(B + 5, detail="counts")
+    _, counted, _, outcomes = tomography(B + 5, detail="individual")
+    for a, b in zip(plain, counted):
+        np.testing.assert_array_equal(a, b)
+    # the shuffled outcomes are not left in eigenvalue order
+    assert any(np.any(np.diff(o) > 0) for o in outcomes)
+
+
+@pytest.mark.parametrize("n", [0, 1, B, 2 * B + 1])
+@pytest.mark.parametrize("name, family, design_draws", [
+    ("tomography", rng.TOMOGRAPHY, 1), ("coarse", rng.COARSE, 1),
+    ("fine", rng.FINE, 1), ("translate", rng.TRANSLATE, 0)])
+def test_one_substream_per_block(monkeypatch, name, family, design_draws, n):
+    counted_records()  # build the translation input before counting
+    calls = _count_calls(monkeypatch, rng.substream)
+    SIMULATORS[name](n)
+    assert len(calls) == design_draws + math.ceil(n / B)
+    assert all(args[:2] == (SEED, family) for args in calls)
+    blocks = sorted(args[2] for args in calls if args[2] > 0)
+    assert blocks == list(range(1, math.ceil(n / B) + 1))
