@@ -230,11 +230,9 @@ def _build_design(cfg: ExperimentConfig, basis) -> bases.SamplingDesign:
     if cfg.design_mode == "fixed":
         return bases.SamplingDesign.fixed()
     measurable = np.array([dec is not None for dec in basis.decompositions])
-    p = basis.size
-    if measurable.all():
-        default = np.full(p, 1.0 / p)
-    else:  # masking-only members cannot be measured, so they get no weight
-        default = measurable / measurable.sum()
+    # masking-only members cannot be measured, so they get no weight; with
+    # every member measurable this is exactly np.full(p, 1 / p)
+    default = measurable / measurable.sum()
     pi = cfg.pi if cfg.pi is not None else default
     xi = cfg.xi if cfg.xi is not None else pi
     return bases.SamplingDesign.random(pi, xi)

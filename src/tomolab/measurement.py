@@ -13,8 +13,9 @@ with one row of cell probabilities per record.  Rows are padded in front
 to the largest cell count over the basis's measurable members; a zero cell
 takes no draw, so each row consumes the stream exactly as a one-record call
 would.  Individual outcomes are one ``permuted`` call per block on a copy
-of the block substream jumped ahead by 2**127 steps from its start
-(``bit_generator.jumped()``), so the counts do not depend on ``detail`` and
+of the block substream advanced from its start by
+``bit_generator.jumped()`` (PCG64's fixed jump of about 0.618 * 2**128
+steps), so the counts do not depend on ``detail`` and
 the first n records do not depend on n.  Cell probabilities are computed
 once per distinct drawn member.
 """
@@ -112,9 +113,14 @@ def measure_counts(rho, basis: ObservableBasis, j: int, m: int, seed) -> CountRe
     )
 
 
+def _mean_outcomes(eigenvalues, counts, m: int) -> np.ndarray:
+    """Average outcome N = sum_a lambda_a U_a / m over the last axis."""
+    return np.einsum("...a,...a->...", eigenvalues, counts) / m
+
+
 def summarize(record: CountRecord) -> float:
-    """Average outcome N = sum_a lambda_a U_a / m."""
-    return float(np.dot(record.eigenvalues, record.counts) / record.m)
+    """Average outcome N of one record."""
+    return float(_mean_outcomes(record.eigenvalues, record.counts, record.m))
 
 
 def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, seed,
@@ -174,7 +180,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
                                    counts=counts[k, width - len(eigenvalues):]))
     summaries = None
     if detail in ("summary", "individual"):
-        summaries = (np.einsum("ka,ka->k", lams[indices], counts) / m).tolist()
+        summaries = _mean_outcomes(lams[indices], counts, m).tolist()
     return TomographyDataset(
         design=design, n=n, m=m, records=records, summaries=summaries,
         individuals=list(outcomes) if outcomes is not None else None,
