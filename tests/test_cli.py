@@ -72,6 +72,37 @@ GOLDEN_SHA256 = {
     "translated_fine.csv": "7361d4b22442b8361711b5605498c270a0fab7a4343f7f225d0d66dc28304b27",
 }
 
+# the other five tasks at small sizes, on the golden basis, state and design
+TASK_SECTIONS = """
+[distances]
+theta = 0.5,0.5; 0.2,0.3,0.5
+m_grid = 16,64
+tv_samples = 2000
+
+[scaling]
+theta = 0.3,0.7
+m_grid = 16,64,256,1024
+
+[transfer]
+m_grid = 16,64
+replications = 200
+
+[corollaries]
+samples = 4
+"""
+
+# sha256 of each artifact of those five tasks; a refactor must keep them
+TASK_SHA256 = {
+    "distances.json": "d21797380986a6fa6c2f55012a188190ce33dd614c7ba79a698c94d877b6ba8b",
+    "distance_fixtures.json": "e436e353c9784af2b17a0cac2f4c000ba17bea6a131c0af73e1d5e2fd5ee25e2",
+    "scaling_0.csv": "b27a3f3ae8edaee15e2c0f6ee60b6357e0c5b85e64ef9d6c666e5224be9d0ac4",
+    "scaling_0.json": "4ae2cb25cfc6aaa66a50509f85ebb40dbf74b68f76f50c7f025f2881004d8b66",
+    "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
+    "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
+    "transfer.json": "2f9a4199852ec320fa94a9c4398288b249b827c5350775225d3ad601fe8c9603",
+    "transfer.csv": "e746065a74c470241bae3b65db5eec0049c1c73c41555abc9b342f8f4bd8ce5c",
+}
+
 
 class TestConfig:
     def test_parse_round_trip(self, tmp_path):
@@ -345,6 +376,17 @@ tv_samples = 5000
             got.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in out.glob("*.csv")})
         assert got == GOLDEN_SHA256
+
+    def test_task_artifact_hashes(self, tmp_path):
+        got = {}
+        for task in ("distances", "scaling", "zeta", "corollaries", "estimator_transfer"):
+            out = tmp_path / task
+            text = GOLDEN_CFG.format(task=task, out=out) + TASK_SECTIONS
+            rc = cli.main(["run", "--config", write_cfg(tmp_path, text, f"{task}.cfg")])
+            assert rc == (1 if task == "corollaries" else 0)
+            got.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir() if path.name != "manifest.json"})
+        assert got == TASK_SHA256
 
     def test_translate_roundtrip_check(self, tmp_path):
         text = SIM_CFG.replace("task = simulate", "task = translate")
