@@ -17,7 +17,7 @@ simulation consumes them repeatedly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,22 +27,13 @@ from .errors import (
     NonOrthonormalVectors,
     WrongBasisKind,
 )
-from .hermitian import (
-    format_matrix,
-    hs_inner,
-    parse_matrix,
-    spectral_decompose,
-    tensor_chain,
-    trace_product,
-)
+from .hermitian import format_matrix, parse_matrix, spectral_decompose, tensor_chain
 
 __all__ = [
     "SIGMA",
     "ObservableBasis",
     "SamplingDesign",
     "build_basis",
-    "verify_orthogonal",
-    "pauli_projection_traces",
     "haar_wavelet_vectors",
     "write_basis",
     "read_basis",
@@ -55,7 +46,7 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-_KINDS = ("canonical", "hermitian", "pauli", "gvector", "custom")
+_KINDS = ("canonical", "hermitian", "pauli", "gvector")
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,7 @@ class ObservableBasis:
     matrices: tuple = field(repr=False)
     decompositions: tuple = field(repr=False)  # None for non-measurable members
     labels: tuple = ()
-    kappa: int = 0
+    kappa: int = 0                             # largest cell count over the members
     g_vectors: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -113,10 +104,6 @@ class SamplingDesign:
         pi = np.asarray(pi, dtype=float)
         xi = pi if xi is None else np.asarray(xi, dtype=float)
         return cls(mode="random", weights_regression=pi, weights_tomography=xi)
-
-    @classmethod
-    def uniform(cls, p: int) -> "SamplingDesign":
-        return cls.random(np.full(p, 1.0 / p))
 
 
 def _hermitian_family(axes: np.ndarray):
@@ -173,7 +160,7 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
             axes = np.eye(d)
         mats, labels = _hermitian_family(axes.astype(complex))
         decomps = tuple(spectral_decompose(m, cluster_tol) for m in mats)
-    elif kind == "pauli":
+    else:  # pauli
         b = int(round(np.log2(d)))
         if 2 ** b != d:
             raise BadDimension(f"pauli family needs d = 2^b, got d = {d}")
@@ -181,8 +168,6 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
         mats = [tensor_chain(SIGMA[l] for l in lab) for lab in labels]
         decomps = tuple(spectral_decompose(m, cluster_tol) for m in mats)
         labels = [tuple(lab) for lab in labels]
-    else:
-        raise WrongBasisKind("custom bases are assembled directly, not built")
 
     kappa = max(dec.r for dec in decomps if dec is not None)
     return ObservableBasis(
@@ -218,70 +203,6 @@ def custom_basis(matrices, cluster_tol: float = 1e-9) -> ObservableBasis:
         kind="custom", dim=d, matrices=mats, decompositions=tuple(decomps),
         labels=tuple(range(1, len(mats) + 1)), kappa=kappa,
     )
-
-
-def verify_orthogonal(basis: ObservableBasis) -> dict:
-    """Max off-diagonal |<B_j, B_j'>| over all pairs; pass iff <= 1e-9."""
-    p = basis.size
-    worst = 0.0
-    worst_pair = None
-    for j in range(p):
-        for jp in range(j + 1, p):
-            val = abs(hs_inner(basis.matrices[j], basis.matrices[jp]))
-            if val > worst:
-                worst, worst_pair = val, (j, jp)
-    norms = [abs(hs_inner(m, m)) for m in basis.matrices]
-    return {
-        "max_off_diagonal": worst,
-        "worst_pair": worst_pair,
-        "diagonal_norms": norms,
-        "passed": worst <= 1e-9,
-    }
-
-
-def pauli_projection_traces(basis: ObservableBasis) -> dict:
-    """Projection traces and cross-traces of the Pauli family.
-
-    For every non-identity member j the two projections satisfy
-    tr(Q_j+-) = d/2 and tr(B_j Q_j+-) = +-d/2, and tr(B_j' Q_j+-) = 0 for any
-    other non-identity j'.  Returns the full table plus worst-case deviations.
-    """
-    if basis.kind != "pauli":
-        raise WrongBasisKind("projection-trace table is defined for the pauli family")
-    d = basis.dim
-    rows = []
-    dev_proj = dev_self = dev_cross = 0.0
-    non_identity = [j for j in range(basis.size) if j != basis.identity_index]
-    stack = np.stack([basis.matrices[j] for j in non_identity])
-    for pos, j in enumerate(non_identity):
-        dec = basis.decompositions[j]
-        q_plus, q_minus = dec.projections[0], dec.projections[1]
-        tr_p = np.trace(q_plus).real
-        tr_m = np.trace(q_minus).real
-        cross_p = np.abs(np.einsum("kab,ba->k", stack, q_plus))
-        cross_m = np.abs(np.einsum("kab,ba->k", stack, q_minus))
-        self_p = trace_product(basis.matrices[j], q_plus).real
-        self_m = trace_product(basis.matrices[j], q_minus).real
-        dev_proj = max(dev_proj, abs(tr_p - d / 2), abs(tr_m - d / 2))
-        dev_self = max(dev_self, abs(self_p - d / 2), abs(self_m + d / 2))
-        mask = np.arange(len(non_identity)) != pos
-        cross = float(max(cross_p[mask].max(), cross_m[mask].max())) if mask.any() else 0.0
-        dev_cross = max(dev_cross, cross)
-        rows.append({
-            "j": j,
-            "tr_Q_plus": tr_p,
-            "tr_Q_minus": tr_m,
-            "tr_BQ_plus": self_p,
-            "tr_BQ_minus": self_m,
-            "max_cross_trace": cross,
-        })
-    return {
-        "rows": rows,
-        "max_projection_trace_dev": dev_proj,
-        "max_self_trace_dev": dev_self,
-        "max_cross_trace": dev_cross,
-        "passed": max(dev_proj, dev_self, dev_cross) <= 1e-9,
-    }
 
 
 def haar_wavelet_vectors(d: int) -> np.ndarray:
@@ -331,14 +252,10 @@ def read_basis(path, cluster_tol: float = 1e-9) -> ObservableBasis:
         mats.append(parse_matrix(block))
         pos += d + 1
     basis = custom_basis(mats, cluster_tol)
-    if kind in ("hermitian", "pauli", "gvector", "canonical"):
-        kappa = max((dec.r for dec in basis.decompositions if dec is not None), default=0)
+    if kind in _KINDS:
         labels = basis.labels
         if kind == "pauli":
             b = int(round(np.log2(d)))
             labels = tuple(tuple(_pauli_label(j, b)) for j in range(p))
-        basis = ObservableBasis(
-            kind=kind, dim=d, matrices=basis.matrices,
-            decompositions=basis.decompositions, labels=labels, kappa=kappa,
-        )
+        basis = replace(basis, kind=kind, labels=labels)
     return basis

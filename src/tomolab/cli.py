@@ -21,14 +21,14 @@ import configparser
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy
 
 from . import __version__, bases, diagnostics, equivalence, measurement, regression, states
 from .errors import ConfigParseError, TomolabError
-from .hermitian import read_matrix, trace_product
+from .hermitian import hs_inner, read_matrix, trace_product
 from .rng import RNG_CONTRACT, TRANSFER, substream
 
 __all__ = ["ExperimentConfig", "ReportBundle", "load_config", "run", "estimator_transfer", "main"]
@@ -92,7 +92,7 @@ def _parse_vector(text: str):
 
 def _parse_theta_list(text: str):
     return [[float(v) for v in part.split(",") if v.strip()]
-            for part in text.split(";") if part.strip()]
+            for part in text.split(";") if part.strip()] or None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -145,22 +145,23 @@ def load_config(path) -> ExperimentConfig:
         class_samples=get("corollaries", "samples", int, 20),
         raw_text=raw,
     )
-    # the task's own section wins; the others serve as fallbacks
-    own = {"distances": "distances", "scaling": "scaling",
-           "estimator_transfer": "transfer"}.get(task)
-    sections = ([own] if own else []) + ["distances", "scaling", "transfer"]
-    for section in sections:
-        if section == "transfer":
-            continue
-        thetas = get(section, "theta", _parse_theta_list)
-        if thetas:
-            cfg.thetas = thetas
-            break
-    for section in sections:
-        grid = get(section, "m_grid", _parse_vector)
-        if grid is not None:
-            cfg.m_grid = [int(v) for v in grid]
-            break
+
+    def first(key, cast, sections):
+        """``key`` from the first of ``sections`` that sets it, else None."""
+        return next((v for v in (get(s, key, cast) for s in sections) if v is not None), None)
+
+    # the sections each grid key is read from, in precedence order: the
+    # task's own section first, the others as fallbacks
+    theta_from = ("scaling", "distances") if task == "scaling" else ("distances", "scaling")
+    grid_from = {"scaling": ("scaling", "distances", "transfer"),
+                 "estimator_transfer": ("transfer", "distances", "scaling"),
+                 }.get(task, ("distances", "scaling", "transfer"))
+    thetas = first("theta", _parse_theta_list, theta_from)
+    if thetas is not None:
+        cfg.thetas = thetas
+    grid = first("m_grid", _parse_vector, grid_from)
+    if grid is not None:
+        cfg.m_grid = [int(v) for v in grid]
     wit = get("zeta", "witnesses") or get("corollaries", "witnesses")
     if wit:
         cfg.witnesses = [w.strip() for w in wit.split(",") if w.strip()]
@@ -171,8 +172,19 @@ def load_config(path) -> ExperimentConfig:
     if "TOMOLAB_SEED" in os.environ:
         cfg.seed = int(os.environ["TOMOLAB_SEED"])
     _check_envelope(cfg)
+    _check_sizes(cfg)
     _check_grids(cfg)
     return cfg
+
+
+def _check_sizes(cfg: ExperimentConfig) -> None:
+    # a Monte-Carlo half-width or a standard error needs at least two draws
+    for key, value, least in (("[corollaries] samples", cfg.class_samples, 1),
+                              ("[distances] tv_samples", cfg.tv_samples, 2),
+                              ("[transfer] replications", cfg.replications, 2),
+                              ("[run] threads", cfg.threads, 1)):
+        if value < least:
+            raise ConfigParseError(f"{key} must be at least {least}, got {value}")
 
 
 def _check_grids(cfg: ExperimentConfig) -> None:
@@ -229,7 +241,7 @@ def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
 def _build_design(cfg: ExperimentConfig, basis) -> bases.SamplingDesign:
     if cfg.design_mode == "fixed":
         return bases.SamplingDesign.fixed()
-    measurable = np.array([dec is not None for dec in basis.decompositions])
+    measurable = np.array([basis.measurable(j) for j in range(basis.size)])
     # masking-only members cannot be measured, so they get no weight; with
     # every member measurable this is exactly np.full(p, 1 / p)
     default = measurable / measurable.sum()
@@ -239,50 +251,51 @@ def _build_design(cfg: ExperimentConfig, basis) -> bases.SamplingDesign:
 
 
 # --- tasks -------------------------------------------------------------------
+#
+# A task takes the config and ``path``, which turns an artifact name into its
+# path in the output directory and lists it in the manifest; it returns its
+# checks.  Only the tasks that simulate or measure a state build a basis, a
+# state and a design.
 
 
-def _task_simulate(cfg, basis, state, design, out, artifacts, checks):
+def _inputs(cfg: ExperimentConfig):
+    basis = _build_basis(cfg)
+    return basis, _build_state(cfg, basis), _build_design(cfg, basis)
+
+
+def _task_simulate(cfg, path):
+    basis, state, design = _inputs(cfg)
     n = cfg.n if cfg.n is not None else (basis.size if design.mode == "fixed" else 0)
     dataset = measurement.run_tomography(state, basis, design, n, cfg.m, cfg.seed,
                                          detail=cfg.detail)
-    path = os.path.join(out, "tomography.csv")
-    measurement.write_dataset_csv(dataset, path)
-    artifacts.append(path)
+    measurement.write_dataset_csv(dataset, path("tomography.csv"))
     if dataset.individuals is not None:
-        ipath = os.path.join(out, "individuals.csv")
-        measurement.write_individuals_csv(dataset, ipath)
-        artifacts.append(ipath)
+        measurement.write_individuals_csv(dataset, path("individuals.csv"))
     coarse = regression.simulate_coarse(state, basis, design, n, cfg.m, cfg.seed)
-    cpath = os.path.join(out, "coarse.csv")
-    regression.write_coarse_csv(coarse, cpath)
-    artifacts.append(cpath)
+    regression.write_coarse_csv(coarse, path("coarse.csv"))
     fine = regression.simulate_fine(state, basis, design, n, cfg.m, cfg.seed)
-    fpath = os.path.join(out, "fine.csv")
-    regression.write_fine_csv(fine, fpath)
-    artifacts.append(fpath)
+    regression.write_fine_csv(fine, path("fine.csv"))
+    return []
 
 
-def _task_translate(cfg, basis, state, design, out, artifacts, checks):
+def _task_translate(cfg, path):
+    basis, state, design = _inputs(cfg)
     n = cfg.n if cfg.n is not None else (basis.size if design.mode == "fixed" else 0)
     dataset = measurement.run_tomography(state, basis, design, n, cfg.m, cfg.seed)
     translated = equivalence.translate_qst_to_regression(dataset, cfg.seed)
-    tpath = os.path.join(out, "translated_fine.csv")
-    regression.write_fine_csv(translated, tpath)
-    artifacts.append(tpath)
+    regression.write_fine_csv(translated, path("translated_fine.csv"))
     back = equivalence.translate_regression_to_qst(translated, cfg.m, basis)
     exact = len(back.records) == len(dataset.records) and all(
         np.array_equal(rec.counts, orig.counts)
         for rec, orig in zip(back.records, dataset.records))
     payload = {"roundtrip_exact": bool(exact), "dropped": back.dropped,
                "records": len(dataset.records)}
-    jpath = os.path.join(out, "translate.json")
-    diagnostics.write_report_json(payload, jpath)
-    artifacts.append(jpath)
-    checks.append({"name": "kernel-roundtrip", "anchor": "kernel-pair",
-                   "passed": bool(exact and back.dropped == 0)})
+    diagnostics.write_report_json(payload, path("translate.json"))
+    return [{"name": "kernel-roundtrip", "anchor": "kernel-pair",
+             "passed": bool(exact and back.dropped == 0)}]
 
 
-def _task_distances(cfg, basis, state, design, out, artifacts, checks):
+def _task_distances(cfg, path):
     points = [(theta, int(m)) for theta in cfg.thetas for m in cfg.m_grid]
 
     def one(i):
@@ -305,24 +318,21 @@ def _task_distances(cfg, basis, state, design, out, artifacts, checks):
         rows.append({"theta": theta, "m": m, "hellinger": hel.value,
                      "hellinger_err": hel.error_bar, "tv": tv.value,
                      "tv_err": tv.error_bar, "tv_le_hellinger": bool(ok)})
-        estimates.extend([hel, tv])
-    jpath = os.path.join(out, "distances.json")
-    diagnostics.write_report_json({"grid": rows}, jpath)
-    artifacts.append(jpath)
-    fpath = os.path.join(out, "distance_fixtures.json")
-    equivalence.write_distance_json(estimates, fpath)
-    artifacts.append(fpath)
-    checks.append({"name": "tv-below-hellinger", "anchor": "tv-hellinger-inequality",
-                   "passed": bool(ok_all)})
+        estimates.extend([asdict(hel), asdict(tv)])
+    diagnostics.write_report_json({"grid": rows}, path("distances.json"))
+    diagnostics.write_report_json(estimates, path("distance_fixtures.json"))
+    return [{"name": "tv-below-hellinger", "anchor": "tv-hellinger-inequality",
+             "passed": bool(ok_all)}]
 
 
-def _task_zeta(cfg, basis, state, design, out, artifacts, checks):
-    names = cfg.witnesses or ([cfg.witness] if cfg.witness else [])
+def _task_zeta(cfg, path):
+    basis, state, design = _inputs(cfg)
+    names = list(cfg.witnesses or ([cfg.witness] if cfg.witness else []))
     wit = [states.witness_state(nm, cfg.d, j_star=cfg.j_star, beta=cfg.beta)
            for nm in names]
-    for path in cfg.witness_files:
-        wit.append(states.validate_density(read_matrix(path)))
-        names.append(os.path.basename(path))
+    for fname in cfg.witness_files:
+        wit.append(states.validate_density(read_matrix(fname)))
+        names.append(os.path.basename(fname))
     if not wit:
         wit, names = [state], ["configured-state"]
     weights = None
@@ -340,6 +350,7 @@ def _task_zeta(cfg, basis, state, design, out, artifacts, checks):
         "active_trace_min": report.c3_min,
         "active_trace_max": report.c3_max,
     }
+    checks = []
     if c_bounds is not None:
         payload["c3_bounds"] = list(c_bounds)
         payload["c3_ok"] = report.c3_ok
@@ -348,51 +359,40 @@ def _task_zeta(cfg, basis, state, design, out, artifacts, checks):
     if design.mode == "random":
         payload["gamma_p"] = diagnostics.gamma_p(design.weights_regression,
                                                  design.weights_tomography)
-    jpath = os.path.join(out, "zeta.json")
-    diagnostics.write_report_json(payload, jpath)
-    artifacts.append(jpath)
+    diagnostics.write_report_json(payload, path("zeta.json"))
+    return checks
 
 
-def _task_corollaries(cfg, basis, state, design, out, artifacts, checks):
+def _task_corollaries(cfg, path):
     results = corollary_suite(cfg.d, cfg.seed, samples=cfg.class_samples)
-    jpath = os.path.join(out, "corollaries.json")
-    diagnostics.write_report_json({"checks": results}, jpath)
-    artifacts.append(jpath)
-    for res in results:
-        checks.append({"name": res["name"], "anchor": res["anchor"],
-                       "passed": res["passed"]})
+    diagnostics.write_report_json({"checks": results}, path("corollaries.json"))
+    return [{"name": res["name"], "anchor": res["anchor"], "passed": res["passed"]}
+            for res in results]
 
 
-def _task_transfer(cfg, basis, state, design, out, artifacts, checks):
+def _task_transfer(cfg, path):
+    basis, state, _ = _inputs(cfg)
     report = estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed,
                                       replications=cfg.replications)
-    jpath = os.path.join(out, "transfer.json")
-    diagnostics.write_report_json(report, jpath)
-    artifacts.append(jpath)
-    cpath = os.path.join(out, "transfer.csv")
-    with open(cpath, "w", encoding="ascii") as fh:
+    diagnostics.write_report_json(report, path("transfer.json"))
+    with open(path("transfer.csv"), "w", encoding="ascii") as fh:
         fh.write("m,risk_counts,risk_gaussian,gap,gap_se\n")
         for row in report["sweep"]:
             fh.write(f"{row['m']},{row['risk_counts']:.17g},{row['risk_gaussian']:.17g},"
                      f"{row['gap']:.17g},{row['gap_se']:.17g}\n")
-    artifacts.append(cpath)
-    checks.append({"name": "risk-gap-monotone", "anchor": "estimator-transfer",
-                   "passed": report["monotone"]})
+    return [{"name": "risk-gap-monotone", "anchor": "estimator-transfer",
+             "passed": report["monotone"]}]
 
 
-def _task_scaling(cfg, basis, state, design, out, artifacts, checks):
+def _task_scaling(cfg, path):
     ok_all = True
     for i, theta in enumerate(cfg.thetas):
         report = equivalence.scaling_study(theta, cfg.m_grid)
-        cpath = os.path.join(out, f"scaling_{i}.csv")
-        equivalence.write_scaling_csv(report, cpath)
-        artifacts.append(cpath)
-        jpath = os.path.join(out, f"scaling_{i}.json")
-        equivalence.write_scaling_json(report, jpath)
-        artifacts.append(jpath)
+        equivalence.write_scaling_csv(report, path(f"scaling_{i}.csv"))
+        diagnostics.write_report_json(asdict(report), path(f"scaling_{i}.json"))
         ok_all &= report.passed
-    checks.append({"name": "hellinger-slope-band", "anchor": "perturbed-count-scaling",
-                   "passed": bool(ok_all)})
+    return [{"name": "hellinger-slope-band", "anchor": "perturbed-count-scaling",
+             "passed": bool(ok_all)}]
 
 
 _TASK_FNS = {
@@ -409,11 +409,13 @@ _TASK_FNS = {
 def run(cfg: ExperimentConfig) -> ReportBundle:
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    basis = _build_basis(cfg)
-    state = _build_state(cfg, basis)
-    design = _build_design(cfg, basis)
-    artifacts, checks = [], []
-    _TASK_FNS[cfg.task](cfg, basis, state, design, out, artifacts, checks)
+    artifacts = []
+
+    def path(name):
+        artifacts.append(os.path.join(out, name))
+        return artifacts[-1]
+
+    checks = _TASK_FNS[cfg.task](cfg, path)
     manifest = {
         "task": cfg.task,
         "seed": cfg.seed,
@@ -450,7 +452,7 @@ def estimator_transfer(rho, basis, n: int, m: int, seed: int,
         raise TomolabError(f"fixed design requires n = p = {p}")
     mat = rho.matrix if isinstance(rho, states.DensityMatrix) else np.asarray(rho)
     rng = substream(seed, TRANSFER)
-    norms = np.array([trace_product(b, b).real for b in basis.matrices])
+    norms = np.array([hs_inner(b, b).real for b in basis.matrices])
     alpha = np.array([trace_product(b, mat).real for b in basis.matrices]) / norms
     err_counts = np.empty((replications, p))
     err_gauss = np.empty((replications, p))

@@ -34,7 +34,6 @@ __all__ = [
     "zeta_fraction",
     "gamma_p",
     "deficiency_bound",
-    "identifiability_check",
     "write_report_json",
 ]
 
@@ -98,12 +97,10 @@ class ZetaReport:
     zeta: float
     fractions: tuple                 # per state, max over weight vectors
     counts: tuple                    # per state, unweighted nondegenerate counts
-    weights_label: str
     state_labels: tuple
     c3_min: float = None             # observed min/max active traces over all states
     c3_max: float = None
-    c3_bounds: tuple = None          # user (c0, c1), when supplied
-    c3_ok: bool = None
+    c3_ok: bool = None               # both inside the user (c0, c1), when supplied
 
 
 def zeta_fraction(states, basis: ObservableBasis, weights=None, tol: float = ACTIVE_TOL,
@@ -117,11 +114,9 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None, tol: float = ACT
     p = basis.size
     if weights is None:
         weight_vectors = [np.full(p, 1.0 / p)]
-        label = "uniform"
     else:
         arr = np.asarray(weights, dtype=float)
         weight_vectors = [arr] if arr.ndim == 1 else [np.asarray(w, dtype=float) for w in arr]
-        label = "custom"
     for w in weight_vectors:
         if len(w) != p or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("each weight vector must be a probability vector of length p")
@@ -147,24 +142,28 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None, tol: float = ACT
         zeta=zeta,
         fractions=tuple(fractions),
         counts=tuple(counts),
-        weights_label=label,
         state_labels=tuple(state_labels) if state_labels else tuple(range(len(fractions))),
         c3_min=c3_min,
         c3_max=c3_max,
-        c3_bounds=tuple(c_bounds) if c_bounds else None,
         c3_ok=c3_ok,
     )
 
 
 def gamma_p(pi, xi) -> float:
-    """max_j |1 - Pi(j)/Xi(j)| + |1 - Xi(j)/Pi(j)|, the design discrepancy."""
+    """max_j |1 - Pi(j)/Xi(j)| + |1 - Xi(j)/Pi(j)|, the design discrepancy.
+
+    Members that neither design draws (both weights 0, such as the
+    masking-only canonical members) carry no discrepancy and are skipped.
+    """
     pi = np.asarray(pi, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if pi.shape != xi.shape:
         raise ValueError("weight vectors must have equal length")
+    drawn = (pi != 0) | (xi != 0)
+    pi, xi = pi[drawn], xi[drawn]
     if np.any(pi <= 0) or np.any(xi <= 0):
-        raise ZeroWeight("both designs must put positive weight on every member")
-    return float(np.max(np.abs(1 - pi / xi) + np.abs(1 - xi / pi)))
+        raise ZeroWeight("a member drawn by one design has zero weight in the other")
+    return float(np.max(np.abs(1 - pi / xi) + np.abs(1 - xi / pi), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -199,21 +198,6 @@ def deficiency_bound(n: int, m: int, p: int, kappa: int, gamma: float, zeta: flo
         n=n, m=m, p=p, kappa=kappa, gamma=gamma, zeta=zeta, constant=constant,
         variant=variant, bound_random=n * gamma + root, bound_uniform=root,
     )
-
-
-def identifiability_check(n: int, m: int, d: int, r: int) -> dict:
-    """Sample-size flags for recovering all d^2 - 1 free state parameters."""
-    free = d * d - 1
-    need_n_individual = math.ceil(free / (r - 1)) if r > 1 else math.inf
-    return {
-        "free_parameters": free,
-        "individual_n_ok": r > 1 and n >= need_n_individual,
-        "individual_m_ok": r > 1 and m >= r - 1,
-        "summarized_n_ok": n >= free,
-        "total_ok": m * n >= free,
-        "n_required_individual": need_n_individual,
-        "n_required_summarized": free,
-    }
 
 
 def write_report_json(payload: dict, path) -> None:

@@ -24,7 +24,6 @@ bounds evaluated in :mod:`tomolab.diagnostics`.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +43,6 @@ __all__ = [
     "TranslationResult",
     "round_half_away",
     "multinomial_pmf",
-    "multinomial_pmf_chain",
     "kernel_K0",
     "kernel_K1",
     "translate_qst_to_regression",
@@ -60,8 +58,6 @@ __all__ = [
     "fit_loglog_slope",
     "scaling_study",
     "write_scaling_csv",
-    "write_scaling_json",
-    "write_distance_json",
     "SLOPE_BAND",
 ]
 
@@ -143,39 +139,6 @@ def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def multinomial_pmf_chain(counts, m: int, theta) -> float:
-    """Same pmf through the conditional-binomial factorization.
-
-    Cell j, given the earlier cells, is binomial with the remaining trials
-    and success probability theta_j renormalized by the remaining mass; the
-    last cell is deterministic.  Used as a cross-check of the direct formula.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    theta = np.asarray(theta, dtype=float)
-    r = len(theta)
-    if counts.sum() != m or np.any(counts < 0):
-        return 0.0
-    log_p = 0.0
-    remaining_trials = m
-    remaining_mass = 1.0
-    for j in range(r - 1):
-        beta = theta[j] / remaining_mass if remaining_mass > 0 else 0.0
-        u = int(counts[j])
-        if beta <= 0.0:
-            if u:
-                return 0.0
-        elif beta >= 1.0:
-            if u != remaining_trials:
-                return 0.0
-        else:
-            log_p += (gammaln(remaining_trials + 1) - gammaln(u + 1)
-                      - gammaln(remaining_trials - u + 1)
-                      + u * math.log(beta) + (remaining_trials - u) * math.log1p(-beta))
-        remaining_trials -= u
-        remaining_mass -= theta[j]
-    return math.exp(log_p)
-
-
 # --- kernels -------------------------------------------------------------------
 
 
@@ -227,13 +190,6 @@ class TranslationResult:
     records: list
     dropped: int
     m: int
-
-    def as_dataset(self, design=None) -> TomographyDataset:
-        from .bases import SamplingDesign
-        return TomographyDataset(
-            design=design if design is not None else SamplingDesign.fixed(),
-            n=len(self.records), m=self.m, records=self.records,
-        )
 
 
 def translate_qst_to_regression(dataset: TomographyDataset, seed: int) -> list:
@@ -610,29 +566,3 @@ def write_scaling_csv(report: ScalingReport, path) -> None:
         writer.writerow(["m", "H", "error_bar"])
         for m, h, e in zip(report.m_grid, report.values, report.error_bars):
             writer.writerow([m, format(h, ".17g"), format(e, ".17g")])
-
-
-def write_scaling_json(report: ScalingReport, path) -> None:
-    payload = {
-        "theta": report.theta,
-        "slope": report.slope,
-        "band": list(report.band),
-        "passed": report.passed,
-        "m_grid": report.m_grid,
-        "values": report.values,
-        "error_bars": report.error_bars,
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_distance_json(estimates, path) -> None:
-    payload = [
-        {"value": e.value, "kind": e.kind, "method": e.method,
-         "error_bar": e.error_bar, "params": e.params}
-        for e in estimates
-    ]
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

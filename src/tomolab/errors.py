@@ -77,10 +77,6 @@ class DesignMismatch(TomolabError):
     """Design mode and requested sizes are inconsistent."""
 
 
-class LengthMismatch(TomolabError):
-    """Vector lengths disagree."""
-
-
 # --- equivalence machinery ---
 
 class NegativeResult(TomolabError):

@@ -28,7 +28,6 @@ __all__ = [
     "TOL_HERM",
     "MAX_TENSOR_DIM",
     "SpectralDecomposition",
-    "is_hermitian",
     "require_hermitian",
     "spectral_decompose",
     "tensor_product",
@@ -43,14 +42,6 @@ __all__ = [
 
 TOL_HERM = 1e-9          # Hermitian symmetry check
 MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
-
-
-def is_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> bool:
-    """True if ``mat`` equals its conjugate transpose within ``tol`` (absolute)."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return False
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
 
 
 def require_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -76,17 +67,6 @@ class SpectralDecomposition:
     def r(self) -> int:
         """Number of distinct eigenvalues."""
         return len(self.eigenvalues)
-
-    @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted projections."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            out += lam * proj
-        return out
 
     def cell_traces(self, rho: np.ndarray) -> np.ndarray:
         """Real vector of tr(Q_a rho) over the distinct eigenvalues."""

@@ -36,8 +36,6 @@ __all__ = [
     "CountRecord",
     "TomographyDataset",
     "cell_probabilities",
-    "measure_counts",
-    "summarize",
     "run_tomography",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -98,29 +96,9 @@ def _active_cells(theta, tol: float = ACTIVE_TOL) -> np.ndarray:
     return np.where((theta > tol) & (theta < 1 - tol))[0]
 
 
-def measure_counts(rho, basis: ObservableBasis, j: int, m: int, seed) -> CountRecord:
-    """One multinomial draw of m measurements on basis member j."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    theta = cell_probabilities(rho, basis, j)
-    counts = rng.multinomial(m, theta)
-    return CountRecord(
-        observable_index=j,
-        counts=counts,
-        eigenvalues=basis.decompositions[j].eigenvalues,
-        m=m,
-    )
-
-
 def _mean_outcomes(eigenvalues, counts, m: int) -> np.ndarray:
     """Average outcome N = sum_a lambda_a U_a / m over the last axis."""
     return np.einsum("...a,...a->...", eigenvalues, counts) / m
-
-
-def summarize(record: CountRecord) -> float:
-    """Average outcome N of one record."""
-    return float(_mean_outcomes(record.eigenvalues, record.counts, record.m))
 
 
 def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, seed,
@@ -140,12 +118,6 @@ def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, 
     return rng.choice(p, size=n, p=weights)
 
 
-def _max_cells(basis: ObservableBasis) -> int:
-    """Largest cell count over the measurable members: the row width of the
-    simulators' blocked draws, fixed by the basis and not by the drawn members."""
-    return max((dec.r for dec in basis.decompositions if dec is not None), default=1)
-
-
 def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
                    n: int, m: int, seed: int, detail: str = "counts") -> TomographyDataset:
     """Simulate n records of m measurements each under the given design."""
@@ -154,7 +126,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed)
-    width = _max_cells(basis)
+    width = basis.kappa  # the basis's largest cell count, not the drawn members'
     pvals = np.zeros((basis.size, width))     # front-padded cell probabilities
     lams = np.zeros((basis.size, width))      # matching eigenvalues
     for j in dict.fromkeys(indices.tolist()):

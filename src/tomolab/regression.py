@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .errors import LengthMismatch
 from .hermitian import require_hermitian, trace_product
-from .measurement import _active_cells, _fmt, _max_cells, cell_probabilities, draw_design_indices
+from .measurement import _active_cells, _fmt, cell_probabilities, draw_design_indices
 from .rng import COARSE, FINE, record_blocks
 from .states import DensityMatrix
 
@@ -41,10 +40,8 @@ __all__ = [
     "RegressionSample",
     "FineRegressionSample",
     "noise_variance_coarse",
-    "noise_covariance_fine",
     "simulate_coarse",
     "simulate_fine",
-    "aggregate_fine",
     "write_coarse_csv",
     "write_fine_csv",
     "read_coarse_csv",
@@ -69,10 +66,6 @@ class FineRegressionSample:
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
-    @property
-    def eigen_count(self) -> int:
-        return len(self.y)
-
 
 def noise_variance_coarse(rho, b_mat: np.ndarray) -> float:
     """tr(B^2 rho) - tr(B rho)^2, clamped at zero (division by m is the caller's).
@@ -86,12 +79,6 @@ def noise_variance_coarse(rho, b_mat: np.ndarray) -> float:
     first = trace_product(b_mat, mat).real
     var = second - first * first
     return var if var >= VARIANCE_FLOOR else 0.0
-
-
-def noise_covariance_fine(rho, basis: ObservableBasis, j: int) -> np.ndarray:
-    """Multinomial-shaped covariance diag(theta) - theta theta' (m-scaled)."""
-    theta = cell_probabilities(rho, basis, j)
-    return np.diag(theta) - np.outer(theta, theta)
 
 
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -132,19 +119,13 @@ def _fine_factor(theta: np.ndarray, m: int, width: int) -> np.ndarray:
     return factor
 
 
-def _sample_fine_vector(theta: np.ndarray, m: int, rng) -> np.ndarray:
-    """One draw of theta + z with the singular multinomial-shaped covariance."""
-    width = len(theta) - 1
-    return theta + _fine_factor(theta, m, width) @ rng.standard_normal(width)
-
-
 def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
                   n: int, m: int, seed: int) -> list:
     """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal."""
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed, FINE)
-    cells = _max_cells(basis)
+    cells = basis.kappa
     width = cells - 1
     thetas = np.zeros((basis.size, cells))
     factors = np.zeros((basis.size, cells, width))
@@ -158,16 +139,6 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     y = thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
     return [FineRegressionSample(design_index=j, y=row[:basis.decompositions[j].r])
             for j, row in zip(indices.tolist(), y)]
-
-
-def aggregate_fine(sample: FineRegressionSample, eigenvalues) -> RegressionSample:
-    """Collapse a fine sample to the coarse observation Y = sum_a lambda_a y_a."""
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if len(eigenvalues) != sample.eigen_count:
-        raise LengthMismatch(
-            f"{sample.eigen_count} fine coordinates vs {len(eigenvalues)} eigenvalues")
-    return RegressionSample(design_index=sample.design_index,
-                            Y=float(np.dot(eigenvalues, sample.y)))
 
 
 # --- CSV ----------------------------------------------------------------------

