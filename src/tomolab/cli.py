@@ -92,7 +92,7 @@ def _parse_vector(text: str):
 
 def _parse_theta_list(text: str):
     return [[float(v) for v in part.split(",") if v.strip()]
-            for part in text.split(";") if part.strip()] or None
+            for part in text.split(";") if part.strip()]
 
 
 def load_config(path) -> ExperimentConfig:
@@ -162,7 +162,7 @@ def load_config(path) -> ExperimentConfig:
     grid = first("m_grid", _parse_vector, grid_from)
     if grid is not None:
         cfg.m_grid = [int(v) for v in grid]
-    wit = get("zeta", "witnesses") or get("corollaries", "witnesses")
+    wit = get("zeta", "witnesses")
     if wit:
         cfg.witnesses = [w.strip() for w in wit.split(",") if w.strip()]
     wfiles = get("zeta", "witness_files")
@@ -182,21 +182,24 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
     for key, value, least in (("[corollaries] samples", cfg.class_samples, 1),
                               ("[distances] tv_samples", cfg.tv_samples, 2),
                               ("[transfer] replications", cfg.replications, 2),
-                              ("[run] threads", cfg.threads, 1)):
+                              ("[run] threads or --threads", cfg.threads, 1)):
         if value < least:
             raise ConfigParseError(f"{key} must be at least {least}, got {value}")
 
 
 def _check_grids(cfg: ExperimentConfig) -> None:
+    # an empty grid would run no point and pass a check it never made
+    if not cfg.thetas:
+        raise ConfigParseError("theta lists no probability vector")
     for theta in cfg.thetas:
         try:
             equivalence._checked_theta(theta)
         except ValueError as exc:
             raise ConfigParseError(f"bad theta: {exc}") from exc
     distinct = len(set(cfg.m_grid))
-    if cfg.task == "scaling" and distinct < equivalence.MIN_SCALING_POINTS:
-        raise ConfigParseError(f"scaling needs at least {equivalence.MIN_SCALING_POINTS} "
-                               f"distinct m values, got {distinct}")
+    least = equivalence.MIN_SCALING_POINTS if cfg.task == "scaling" else 1
+    if distinct < least:
+        raise ConfigParseError(f"{cfg.task} needs at least {least} distinct m values, got {distinct}")
 
 
 def _check_envelope(cfg: ExperimentConfig) -> None:
@@ -284,15 +287,14 @@ def _task_translate(cfg, path):
     dataset = measurement.run_tomography(state, basis, design, n, cfg.m, cfg.seed)
     translated = equivalence.translate_qst_to_regression(dataset, cfg.seed)
     regression.write_fine_csv(translated, path("translated_fine.csv"))
-    back = equivalence.translate_regression_to_qst(translated, cfg.m, basis)
-    exact = len(back.records) == len(dataset.records) and all(
-        np.array_equal(rec.counts, orig.counts)
-        for rec, orig in zip(back.records, dataset.records))
-    payload = {"roundtrip_exact": bool(exact), "dropped": back.dropped,
-               "records": len(dataset.records)}
+    back, dropped = equivalence.translate_regression_to_qst(translated, cfg.m)
+    exact = np.array_equal(back.indices, dataset.indices) and all(
+        np.array_equal(u, v) for u, v in zip(back.counts, dataset.counts))
+    payload = {"roundtrip_exact": bool(exact), "dropped": dropped,
+               "records": len(dataset.indices)}
     diagnostics.write_report_json(payload, path("translate.json"))
     return [{"name": "kernel-roundtrip", "anchor": "kernel-pair",
-             "passed": bool(exact and back.dropped == 0)}]
+             "passed": bool(exact and dropped == 0)}]
 
 
 def _task_distances(cfg, path):
@@ -611,7 +613,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.threads is not None:
-            cfg.threads = max(1, args.threads)
+            cfg.threads = args.threads
+            _check_sizes(cfg)
         if args.out is not None:
             cfg.out_dir = args.out
         bundle = run(cfg)

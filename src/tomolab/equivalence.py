@@ -31,16 +31,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NegativeResult, UnsupportedArity, ZeroDensity
-from .measurement import CountRecord, TomographyDataset, _active_cells
-from .regression import FineRegressionSample
+from .measurement import TomographyDataset, _active_cells
 from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
-    "PerturbedCounts",
     "DistanceEstimate",
     "QuadSpec",
     "ScalingReport",
-    "TranslationResult",
     "round_half_away",
     "multinomial_pmf",
     "kernel_K0",
@@ -65,15 +62,6 @@ SLOPE_BAND = (-0.70, -0.35)
 MIN_SCALING_POINTS = 4  # distinct m values a slope fit needs
 MAX_QUAD_M = 4096
 H_MAX = math.sqrt(2.0)  # the Hellinger distance never exceeds sqrt(2)
-
-
-@dataclass(frozen=True)
-class PerturbedCounts:
-    """A count vector after uniform perturbation; coordinates still sum to m."""
-
-    values: np.ndarray
-    m: int
-    source: CountRecord = None
 
 
 @dataclass(frozen=True)
@@ -142,29 +130,32 @@ def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
 # --- kernels -------------------------------------------------------------------
 
 
-def _perturbed(record: CountRecord, psi) -> np.ndarray:
+def _perturbed(counts, m: int, psi) -> np.ndarray:
     """The counts with ``psi`` added to the first len(psi) cells; the next cell
     restores the sum m."""
-    vals = record.counts.astype(float)
+    vals = counts.astype(float)
     k = len(psi)
     if k:
         vals[:k] += psi
-        vals[k] = record.m - vals[:k].sum()
+        vals[k] = m - vals[:k].sum()
     return vals
 
 
-def kernel_K0(record: CountRecord, seed, degenerate: bool = False) -> PerturbedCounts:
-    """Uniformly perturb a count vector; sum preserved at m exactly.
+def kernel_K0(counts, m: int, seed, degenerate: bool = False) -> np.ndarray:
+    """Uniformly perturb a count vector summing to m; the sum stays m exactly.
 
-    Records with a single cell, or flagged as coming from a degenerate law,
-    pass through unchanged.
+    Single-cell vectors, or vectors flagged as coming from a degenerate law,
+    pass through unchanged (as floats).
     """
-    r = len(record.counts)
+    counts = np.asarray(counts, dtype=np.int64)
+    if int(counts.sum()) != m:
+        raise ValueError(f"counts {counts.tolist()} do not sum to m = {m}")
+    r = len(counts)
     psi = ()
     if r >= 2 and not degenerate:
         rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
         psi = rng.uniform(-0.5, 0.5, size=r - 1)
-    return PerturbedCounts(values=_perturbed(record, psi), m=record.m, source=record)
+    return _perturbed(counts, m, psi)
 
 
 def kernel_K1(values, m: int) -> np.ndarray:
@@ -183,17 +174,9 @@ def kernel_K1(values, m: int) -> np.ndarray:
     return np.append(head, last)
 
 
-@dataclass
-class TranslationResult:
-    """Counts recovered from fine samples, with out-of-model drops recorded."""
-
-    records: list
-    dropped: int
-    m: int
-
-
-def translate_qst_to_regression(dataset: TomographyDataset, seed: int) -> list:
-    """Map counted measurements to fine-regression shape via y* = K0(U)/m.
+def translate_qst_to_regression(dataset: TomographyDataset, seed: int) -> tuple:
+    """Map counted measurements to fine-regression shape via y* = K0(U)/m,
+    as (indices, ys).
 
     Records whose counts concentrate on a single cell pass through
     unperturbed: under a degenerate law that is the identity coupling, and
@@ -201,37 +184,32 @@ def translate_qst_to_regression(dataset: TomographyDataset, seed: int) -> list:
     records draws its uniforms in one call (family ``TRANSLATE``), laid out
     flat: the first r - 1 cells of each perturbed record, in record order.
     """
-    out = []
-    for lo, hi, rng in record_blocks(seed, TRANSLATE, len(dataset.records)):
-        block = dataset.records[lo:hi]
-        sizes = [len(rec.counts) - 1 if np.count_nonzero(rec.counts) > 1 else 0
-                 for rec in block]
+    m, ys = dataset.m, []
+    for lo, hi, rng in record_blocks(seed, TRANSLATE, len(dataset.counts)):
+        block = dataset.counts[lo:hi]
+        sizes = [len(u) - 1 if np.count_nonzero(u) > 1 else 0 for u in block]
         psi = rng.uniform(-0.5, 0.5, size=sum(sizes))
         end = 0
-        for rec, size in zip(block, sizes):
+        for u, size in zip(block, sizes):
             end += size
-            out.append(FineRegressionSample(design_index=rec.observable_index,
-                                            y=_perturbed(rec, psi[end - size:end]) / rec.m))
-    return out
+            ys.append(_perturbed(u, m, psi[end - size:end]) / m)
+    return dataset.indices, ys
 
 
-def translate_regression_to_qst(samples, m: int, basis) -> TranslationResult:
-    """Map fine samples to counts via K1(m y); drops out-of-model records."""
-    records = []
-    dropped = 0
-    for s in samples:
+def translate_regression_to_qst(samples, m: int) -> tuple:
+    """Map fine samples (indices, ys) to counts via K1(m y), as (dataset of the
+    records K1 maps to counts, number of out-of-model records dropped)."""
+    indices, ys = samples
+    kept, counts = [], []
+    for k, y in enumerate(ys):
         try:
-            counts = kernel_K1(m * s.y, m)
+            counts.append(kernel_K1(m * y, m))
         except NegativeResult:
-            dropped += 1
             continue
-        records.append(CountRecord(
-            observable_index=s.design_index,
-            counts=counts,
-            eigenvalues=basis.decompositions[s.design_index].eigenvalues,
-            m=m,
-        ))
-    return TranslationResult(records=records, dropped=dropped, m=m)
+        kept.append(k)
+    dataset = TomographyDataset(m=m, indices=np.asarray(indices, dtype=np.int64)[kept],
+                                counts=counts)
+    return dataset, len(ys) - len(kept)
 
 
 # --- densities on the first r-1 coordinates -------------------------------------

@@ -18,6 +18,11 @@ of the block substream advanced from its start by
 steps), so the counts do not depend on ``detail`` and
 the first n records do not depend on n.  Cell probabilities are computed
 once per distinct drawn member.
+
+A run's records are held once, as arrays (:class:`TomographyDataset`): the
+member index per record, each record's counts (the unpadded tail of its row
+of the block the multinomial fills), and optionally the average outcomes
+and the (n, m) outcome array.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .rng import TOMOGRAPHY, record_blocks, substream
 from .states import DensityMatrix
 
 __all__ = [
-    "CountRecord",
     "TomographyDataset",
     "cell_probabilities",
     "run_tomography",
@@ -46,33 +50,17 @@ PROB_CLAMP = 1e-12
 ACTIVE_TOL = 1e-9  # cell a is active iff ACTIVE_TOL < theta_a < 1 - ACTIVE_TOL
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Eigenvalue counts of m measurements on one observable."""
-
-    observable_index: int
-    counts: np.ndarray       # integers, sum exactly m
-    eigenvalues: np.ndarray  # matching distinct eigenvalues, descending
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-        if int(self.counts.sum()) != self.m:
-            raise ValueError("counts must sum to m")
-
-
 @dataclass
 class TomographyDataset:
-    """Records of one tomography run, plus optional summaries and outcome lists."""
+    """Records of one tomography run: record k measured member ``indices[k]``
+    m times and saw ``counts[k]``, the member's counts over its distinct
+    eigenvalues in descending order (summing to m)."""
 
-    design: SamplingDesign
-    n: int
     m: int
-    records: list
-    summaries: list = None    # N_k per record
-    individuals: list = None  # outcome arrays of length m per record
-    detail: str = "counts"
+    indices: np.ndarray             # int64, one member per record
+    counts: list                    # int64 vector per record
+    summaries: np.ndarray = None    # N_k per record
+    individuals: np.ndarray = None  # (n, m) outcomes, one row per record
 
 
 def cell_probabilities(rho: DensityMatrix, basis: ObservableBasis, j: int) -> np.ndarray:
@@ -145,19 +133,13 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
             # every row holds m outcomes in eigenvalue order, then is shuffled
             in_order = np.repeat(lams[idx].ravel(), counts[lo:hi].ravel()).reshape(hi - lo, m)
             outcomes[lo:hi] = shuffler.permuted(in_order, axis=1)
-    records = []
-    for k, j in enumerate(indices.tolist()):
-        eigenvalues = basis.decompositions[j].eigenvalues
-        records.append(CountRecord(observable_index=j, m=m, eigenvalues=eigenvalues,
-                                   counts=counts[k, width - len(eigenvalues):]))
     summaries = None
     if detail in ("summary", "individual"):
-        summaries = _mean_outcomes(lams[indices], counts, m).tolist()
-    return TomographyDataset(
-        design=design, n=n, m=m, records=records, summaries=summaries,
-        individuals=list(outcomes) if outcomes is not None else None,
-        detail=detail,
-    )
+        summaries = _mean_outcomes(lams[indices], counts, m)
+    # each record's counts are the unpadded tail of its row
+    tails = [row[width - basis.decompositions[j].r:] for j, row in zip(indices.tolist(), counts)]
+    return TomographyDataset(m=m, indices=indices, counts=tails,
+                             summaries=summaries, individuals=outcomes)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -172,13 +154,9 @@ def write_dataset_csv(dataset: TomographyDataset, path) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "j", "m", "counts", "N"])
-        for k, rec in enumerate(dataset.records):
+        for k, (j, counts) in enumerate(zip(dataset.indices.tolist(), dataset.counts)):
             n_val = _fmt(dataset.summaries[k]) if dataset.summaries is not None else ""
-            writer.writerow([
-                k, rec.observable_index, rec.m,
-                "|".join(str(int(u)) for u in rec.counts),
-                n_val,
-            ])
+            writer.writerow([k, j, dataset.m, "|".join(map(str, counts.tolist())), n_val])
 
 
 def write_individuals_csv(dataset: TomographyDataset, path) -> None:
@@ -187,31 +165,28 @@ def write_individuals_csv(dataset: TomographyDataset, path) -> None:
         raise ValueError("dataset carries no individual outcomes")
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        for row in dataset.individuals:
+        for row in dataset.individuals.tolist():
             writer.writerow([_fmt(x) for x in row])
 
 
-def read_dataset_csv(path, basis: ObservableBasis, design: SamplingDesign = None) -> TomographyDataset:
-    """Rebuild a dataset from its CSV (eigenvalues come from the basis)."""
-    records, summaries = [], []
+def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
+    """Rebuild a dataset from its CSV; ValueError unless every row holds one
+    count per cell of a measurable member, summing to the one m of the file."""
     with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["k", "j", "m", "counts"]:
-            raise ValueError(f"unexpected dataset header {header}")
-        for row in reader:
-            j, m = int(row[1]), int(row[2])
-            counts = np.array([int(t) for t in row[3].split("|")])
-            records.append(CountRecord(
-                observable_index=j, counts=counts,
-                eigenvalues=basis.decompositions[j].eigenvalues, m=m,
-            ))
-            summaries.append(float(row[4]) if row[4] else None)
-    have_n = all(s is not None for s in summaries) and summaries
-    return TomographyDataset(
-        design=design if design is not None else SamplingDesign.fixed(),
-        n=len(records), m=records[0].m if records else 0,
-        records=records,
-        summaries=summaries if have_n else None,
-        detail="summary" if have_n else "counts",
-    )
+        header, *rows = csv.reader(fh)
+    if header[:4] != ["k", "j", "m", "counts"]:
+        raise ValueError(f"unexpected dataset header {header}")
+    ms = sorted({int(row[2]) for row in rows}) or [0]
+    if len(ms) > 1:
+        raise ValueError(f"records mix m values {ms}")
+    indices = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    counts = [np.array([int(t) for t in row[3].split("|")], dtype=np.int64) for row in rows]
+    for k, (j, u) in enumerate(zip(indices.tolist(), counts)):
+        dec = basis.decompositions[j] if 0 <= j < basis.size else None
+        if dec is None or len(u) != dec.r:
+            raise ValueError(f"record {k}: {len(u)} counts do not fit member {j}")
+        if np.any(u < 0) or int(u.sum()) != ms[0]:
+            raise ValueError(f"record {k}: counts {u.tolist()} do not sum to m = {ms[0]}")
+    have_n = bool(rows) and all(row[4] for row in rows)
+    summaries = np.array([float(row[4]) for row in rows]) if have_n else None
+    return TomographyDataset(m=ms[0], indices=indices, counts=counts, summaries=summaries)

@@ -21,12 +21,15 @@ maps it through the member's factor F (rows: the Cholesky factor on all but
 the last active cell, minus its column sums on the last, zero on inactive
 cells), so y = theta + F z meets the sum constraint.  Per-member values
 (mean, noise scale, factor) are computed once per distinct drawn member.
+
+Both simulators, and the CSV readers and writers, hold a run's records once,
+as the pair (indices, values): the member index per record (int64) with the
+coarse Y array, or with the list of fine vectors y_k over each member's cells.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +40,6 @@ from .rng import COARSE, FINE, record_blocks
 from .states import DensityMatrix
 
 __all__ = [
-    "RegressionSample",
-    "FineRegressionSample",
     "noise_variance_coarse",
     "simulate_coarse",
     "simulate_fine",
@@ -50,21 +51,6 @@ __all__ = [
 
 # rounding floor on the coarse noise variance, not the active-cell rule (ACTIVE_TOL)
 VARIANCE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class RegressionSample:
-    design_index: int
-    Y: float
-
-
-@dataclass(frozen=True)
-class FineRegressionSample:
-    design_index: int
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
 
 def noise_variance_coarse(rho, b_mat: np.ndarray) -> float:
@@ -82,8 +68,8 @@ def noise_variance_coarse(rho, b_mat: np.ndarray) -> float:
 
 
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
-                    n: int, m: int, seed: int) -> list:
-    """n coarse samples Y_k = tr(X_k rho) + eps_k."""
+                    n: int, m: int, seed: int) -> tuple:
+    """n coarse samples Y_k = tr(X_k rho) + eps_k, as (indices, Y)."""
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed, COARSE)
@@ -95,8 +81,7 @@ def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
     z = np.empty(n)
     for lo, hi, rng in record_blocks(seed, COARSE, n):
         z[lo:hi] = rng.standard_normal(hi - lo)
-    y = mean[indices] + sd[indices] * z
-    return [RegressionSample(design_index=j, Y=v) for j, v in zip(indices.tolist(), y.tolist())]
+    return indices, mean[indices] + sd[indices] * z
 
 
 def _fine_factor(theta: np.ndarray, m: int, width: int) -> np.ndarray:
@@ -120,8 +105,9 @@ def _fine_factor(theta: np.ndarray, m: int, width: int) -> np.ndarray:
 
 
 def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
-                  n: int, m: int, seed: int) -> list:
-    """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal."""
+                  n: int, m: int, seed: int) -> tuple:
+    """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal,
+    as (indices, ys) with ys[k] over the member's cells."""
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed, FINE)
@@ -137,45 +123,43 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     for lo, hi, rng in record_blocks(seed, FINE, n):
         z[lo:hi] = rng.standard_normal((hi - lo, width))
     y = thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
-    return [FineRegressionSample(design_index=j, y=row[:basis.decompositions[j].r])
-            for j, row in zip(indices.tolist(), y)]
+    return indices, [row[:basis.decompositions[j].r] for j, row in zip(indices.tolist(), y)]
 
 
 # --- CSV ----------------------------------------------------------------------
 
 
 def write_coarse_csv(samples, path) -> None:
+    """One row per record of ``samples`` = (indices, Y): k, j, Y."""
+    indices, values = samples
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "j", "Y"])
-        for k, s in enumerate(samples):
-            writer.writerow([k, s.design_index, _fmt(s.Y)])
+        for k, (j, v) in enumerate(zip(indices.tolist(), values.tolist())):
+            writer.writerow([k, j, _fmt(v)])
 
 
 def write_fine_csv(samples, path) -> None:
+    """One row per record of ``samples`` = (indices, ys): k, j, "y_1|y_2|..."."""
+    indices, ys = samples
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "j", "y"])
-        for k, s in enumerate(samples):
-            writer.writerow([k, s.design_index, "|".join(_fmt(v) for v in s.y)])
+        for k, (j, y) in enumerate(zip(indices.tolist(), ys)):
+            writer.writerow([k, j, "|".join(_fmt(v) for v in y.tolist())])
 
 
-def read_coarse_csv(path) -> list:
-    out = []
+def read_coarse_csv(path) -> tuple:
+    """(indices, Y) from a coarse CSV."""
     with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            out.append(RegressionSample(design_index=int(row[1]), Y=float(row[2])))
-    return out
+        rows = list(csv.reader(fh))[1:]
+    return (np.array([int(row[1]) for row in rows], dtype=np.int64),
+            np.array([float(row[2]) for row in rows]))
 
 
-def read_fine_csv(path) -> list:
-    out = []
+def read_fine_csv(path) -> tuple:
+    """(indices, ys) from a fine CSV."""
     with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            y = np.array([float(t) for t in row[2].split("|")])
-            out.append(FineRegressionSample(design_index=int(row[1]), y=y))
-    return out
+        rows = list(csv.reader(fh))[1:]
+    return (np.array([int(row[1]) for row in rows], dtype=np.int64),
+            [np.array([float(t) for t in row[2].split("|")]) for row in rows])

@@ -257,6 +257,55 @@ m_grid = {grid}
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("task, section, key", [
+        ("distances", "distances", "m_grid"),
+        ("distances", "distances", "theta"),
+        ("scaling", "scaling", "m_grid"),
+        ("estimator_transfer", "transfer", "m_grid"),
+    ])
+    def test_empty_grid_exits_2(self, tmp_path, monkeypatch, task, section, key):
+        # an empty grid runs no point, so its check would pass on nothing
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(bases, "build_basis", no_build)
+        sections = {"run": {"task": task, "seed": 1, "out": tmp_path / "o"},
+                    section: {"theta": "0.5,0.5", "m_grid": "16,64,256,1024"}}
+        sections[section][key] = ""
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                         for name, keys in sections.items())
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_meaningless_thread_option_exits_2(self, tmp_path, threads):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, SIM_CFG.format(out=out))
+        assert cli.main(["run", "--config", cfg, "--threads", threads]) == 2
+        assert not out.exists()
+
+    def test_zeta_reads_witnesses_only_from_its_section(self, tmp_path):
+        text = """
+[basis]
+kind = pauli
+d = 4
+
+[run]
+task = zeta
+seed = 2
+out = {out}
+
+[corollaries]
+witnesses = cor3_tilted
+"""
+        out = tmp_path / "z"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 0
+        payload = json.loads((out / "zeta.json").read_text())
+        assert payload["states"] == ["configured-state"]
+
 
 class TestRun:
     def test_simulate_writes_artifacts(self, tmp_path):

@@ -13,8 +13,6 @@ from scipy import stats as sps
 from oracles import multinomial_pmf_chain
 from tomolab import bases, diagnostics, equivalence as eq, measurement, states
 from tomolab.errors import NegativeResult, UnsupportedArity, ZeroDensity
-from tomolab.measurement import CountRecord
-from tomolab.regression import FineRegressionSample
 
 PAULI2 = bases.build_basis("pauli", 2)
 
@@ -24,44 +22,39 @@ FIXTURE_R3_M64 = 0.072824483246
 FIXTURE_R4 = {16: 0.3131424015473793, 64: 0.13144393180027894}
 
 
-def record(counts, m, j=0):
-    lam = np.linspace(1, -1, len(counts))
-    return CountRecord(observable_index=j, counts=np.array(counts),
-                       eigenvalues=lam, m=m)
-
-
 class TestKernels:
     def test_single_cell_unchanged(self):
-        rec = CountRecord(0, np.array([6]), np.array([1.0]), 6)
-        pert = eq.kernel_K0(rec, seed=1)
-        np.testing.assert_array_equal(pert.values, [6.0])
+        pert = eq.kernel_K0([6], 6, seed=1)
+        np.testing.assert_array_equal(pert, [6.0])
 
     def test_degenerate_flag_passthrough(self):
-        rec = record([4, 0], 4)
-        pert = eq.kernel_K0(rec, seed=1, degenerate=True)
-        np.testing.assert_array_equal(pert.values, [4.0, 0.0])
+        pert = eq.kernel_K0(np.array([4, 0]), 4, seed=1, degenerate=True)
+        np.testing.assert_array_equal(pert, [4.0, 0.0])
 
     def test_sum_preserved(self):
         for seed in range(50):
-            rec = record([3, 1, 2], 6)
-            pert = eq.kernel_K0(rec, seed=seed)
-            assert abs(pert.values.sum() - 6) <= 1e-12
-            assert np.all(np.abs(pert.values[:2] - rec.counts[:2]) < 0.5 + 1e-12)
+            counts = np.array([3, 1, 2])
+            pert = eq.kernel_K0(counts, 6, seed=seed)
+            assert abs(pert.sum() - 6) <= 1e-12
+            assert np.all(np.abs(pert[:2] - counts[:2]) < 0.5 + 1e-12)
 
     def test_fractional_parts_uniform_ks(self):
         rng = np.random.default_rng(99)
-        rec = record([5, 3, 2], 10)
+        counts = np.array([5, 3, 2])
         fracs = []
         for _ in range(100_000):
-            pert = eq.kernel_K0(rec, rng)
-            fracs.extend(pert.values[:2] - rec.counts[:2])
+            pert = eq.kernel_K0(counts, 10, rng)
+            fracs.extend(pert[:2] - counts[:2])
         stat = sps.kstest(np.asarray(fracs), sps.uniform(loc=-0.5, scale=1.0).cdf)
         assert stat.pvalue > 0.01
 
     def test_round_trip_example(self):
-        rec = record([3, 1, 0], 4)
-        pert = eq.kernel_K0(rec, seed=7)
-        np.testing.assert_array_equal(eq.kernel_K1(pert.values, 4), rec.counts)
+        pert = eq.kernel_K0([3, 1, 0], 4, seed=7)
+        np.testing.assert_array_equal(eq.kernel_K1(pert, 4), [3, 1, 0])
+
+    def test_counts_must_sum_to_m(self):
+        with pytest.raises(ValueError):
+            eq.kernel_K0([3, 1, 0], 5, seed=7)
 
     def test_rounding(self):
         np.testing.assert_array_equal(eq.kernel_K1([2.4, 1.6], 4), [2, 2])
@@ -76,9 +69,8 @@ class TestKernels:
         rng = np.random.default_rng(seed)
         theta = rng.dirichlet(np.ones(r))
         counts = rng.multinomial(m, theta)
-        rec = CountRecord(0, counts, np.linspace(1, -1, r), m)
-        pert = eq.kernel_K0(rec, rng)
-        np.testing.assert_array_equal(eq.kernel_K1(pert.values, m), counts)
+        pert = eq.kernel_K0(counts, m, rng)
+        np.testing.assert_array_equal(eq.kernel_K1(pert, m), counts)
 
     def test_half_away_rounding(self):
         np.testing.assert_array_equal(eq.round_half_away([0.5, -0.5, 1.5, -1.5, 0.4]),
@@ -93,15 +85,15 @@ class TestTranslation:
     def test_degenerate_record_exact(self):
         st_ = states.validate_density(np.diag([1.0, 0.0]))
         ds = self._dataset(st_, 8, seed=3)
-        fine = eq.translate_qst_to_regression(ds, seed=3)
-        rec3 = fine[3]  # sigma3 on the z-eigenstate: counts (m, 0)
-        np.testing.assert_array_equal(rec3.y, [1.0, 0.0])
+        indices, ys = eq.translate_qst_to_regression(ds, seed=3)
+        np.testing.assert_array_equal(indices, ds.indices)
+        np.testing.assert_array_equal(ys[3], [1.0, 0.0])  # sigma3 on the z-eigenstate: (m, 0)
 
     def test_sum_one(self):
         st_ = states.pauli_line_state(2, 1, 0.4)
         ds = self._dataset(st_, 16, seed=5)
-        for s in eq.translate_qst_to_regression(ds, seed=5):
-            assert abs(s.y.sum() - 1.0) <= 1e-12
+        for y in eq.translate_qst_to_regression(ds, seed=5)[1]:
+            assert abs(y.sum() - 1.0) <= 1e-12
 
     def test_translated_mean_matches_theta(self):
         st_ = states.pauli_line_state(2, 1, 0.4)
@@ -110,8 +102,8 @@ class TestTranslation:
         vals = []
         for rep in range(60):
             ds = measurement.run_tomography(st_, PAULI2, design, 300, 8, seed=rep)
-            fine = eq.translate_qst_to_regression(ds, seed=rep)
-            vals.extend(s.y[0] for s in fine)
+            _, fine = eq.translate_qst_to_regression(ds, seed=rep)
+            vals.extend(y[0] for y in fine)
         vals = np.array(vals)
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - theta[0]) <= 4 * se
@@ -120,22 +112,22 @@ class TestTranslation:
         st_ = states.pauli_line_state(2, 1, 0.4)
         ds = self._dataset(st_, 32, seed=11)
         fine = eq.translate_qst_to_regression(ds, seed=11)
-        back = eq.translate_regression_to_qst(fine, 32, PAULI2)
-        assert back.dropped == 0
-        for orig, rec in zip(ds.records, back.records):
-            np.testing.assert_array_equal(orig.counts, rec.counts)
+        back, dropped = eq.translate_regression_to_qst(fine, 32)
+        assert dropped == 0
+        np.testing.assert_array_equal(back.indices, ds.indices)
+        assert len(back.counts) == len(ds.counts)
+        for orig, u in zip(ds.counts, back.counts):
+            np.testing.assert_array_equal(orig, u)
 
     def test_fine_sample_rounding(self):
-        s = FineRegressionSample(1, np.array([0.74, 0.26]))
-        res = eq.translate_regression_to_qst([s], 4, PAULI2)
-        np.testing.assert_array_equal(res.records[0].counts, [3, 1])
+        back, _ = eq.translate_regression_to_qst((np.array([1]), [np.array([0.74, 0.26])]), 4)
+        np.testing.assert_array_equal(back.counts[0], [3, 1])
 
     def test_out_of_model_sample_dropped(self):
-        bad = FineRegressionSample(1, np.array([1.2, -0.2]))
-        good = FineRegressionSample(1, np.array([0.5, 0.5]))
-        res = eq.translate_regression_to_qst([bad, good], 4, PAULI2)
-        assert res.dropped == 1
-        assert len(res.records) == 1
+        samples = (np.array([1, 2]), [np.array([1.2, -0.2]), np.array([0.5, 0.5])])
+        back, dropped = eq.translate_regression_to_qst(samples, 4)
+        assert dropped == 1
+        assert back.indices.tolist() == [2] and len(back.counts) == 1
 
     def test_gaussian_drop_rate_small(self):
         # m = 64, theta = (1/2, 1/2): negative implied counts are ~8 sd events,
@@ -146,17 +138,17 @@ class TestTranslation:
         total = dropped = 0
         for rep in range(100):
             fine = regression.simulate_fine(st_, PAULI2, design, 1000, 64, seed=rep)
-            res = eq.translate_regression_to_qst(fine, 64, PAULI2)
-            total += len(fine)
-            dropped += res.dropped
+            _, drops = eq.translate_regression_to_qst(fine, 64)
+            total += len(fine[1])
+            dropped += drops
         assert total == 100_000
         assert dropped / total < 0.01
 
     def test_translation_result_records(self):
-        good = FineRegressionSample(1, np.array([0.5, 0.5]))
-        res = eq.translate_regression_to_qst([good], 4, PAULI2)
-        assert len(res.records) == 1 and res.m == 4 and res.dropped == 0
-        np.testing.assert_array_equal(res.records[0].counts, [2, 2])
+        back, dropped = eq.translate_regression_to_qst((np.array([1]), [np.array([0.5, 0.5])]), 4)
+        assert len(back.counts) == 1 and back.m == 4 and dropped == 0
+        assert back.indices.dtype == np.int64 and back.indices.tolist() == [1]
+        np.testing.assert_array_equal(back.counts[0], [2, 2])
 
 
 class TestPerturbedDensity:

@@ -19,7 +19,14 @@ def counts_on(st, j, n, m, seed) -> np.ndarray:
     """Counts of n records of m measurements, all on member j of PAULI2."""
     design = bases.SamplingDesign.random(np.eye(PAULI2.size)[j])
     ds = measurement.run_tomography(st, PAULI2, design, n, m, seed)
-    return np.array([rec.counts for rec in ds.records])
+    return np.array(ds.counts)
+
+
+def assert_same_counts(a, b):
+    """Two lists of per-record count vectors agree record by record."""
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        np.testing.assert_array_equal(u, v)
 
 
 class TestCellProbabilities:
@@ -137,7 +144,7 @@ class TestRunTomography:
         st = states.validate_density(np.eye(2) / 2)
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                         4, 5, seed=1)
-        assert [r.observable_index for r in ds.records] == [0, 1, 2, 3]
+        assert ds.indices.tolist() == [0, 1, 2, 3]
 
     def test_fixed_design_size_mismatch(self):
         st = states.validate_density(np.eye(2) / 2)
@@ -156,7 +163,7 @@ class TestRunTomography:
         xi = np.array([0.0, 0.0, 1.0, 0.0])
         design = bases.SamplingDesign.random(xi, xi)
         ds = measurement.run_tomography(st, PAULI2, design, 9, 3, seed=2)
-        assert all(r.observable_index == 2 for r in ds.records)
+        assert ds.indices.tolist() == [2] * 9
 
     def test_random_frequencies_chi2(self):
         st = states.validate_density(np.eye(2) / 2)
@@ -172,8 +179,9 @@ class TestRunTomography:
         st = states.pauli_line_state(2, 1, 0.3)
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                         4, 12, seed=3, detail="individual")
-        for rec, outcomes, n_k in zip(ds.records, ds.individuals, ds.summaries):
-            for lam, count in zip(rec.eigenvalues, rec.counts):
+        assert ds.individuals.shape == (4, 12)
+        for j, counts, outcomes, n_k in zip(ds.indices, ds.counts, ds.individuals, ds.summaries):
+            for lam, count in zip(PAULI2.decompositions[j].eigenvalues, counts):
                 assert np.sum(np.isclose(outcomes, lam)) == count
             assert outcomes.mean() == pytest.approx(n_k)
 
@@ -181,8 +189,9 @@ class TestRunTomography:
         st = states.pauli_line_state(2, 1, 0.3)
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                         4, 50, seed=4, detail="summary")
-        for rec, n_k in zip(ds.records, ds.summaries):
-            assert n_k == pytest.approx(np.dot(rec.eigenvalues, rec.counts) / rec.m)
+        for j, counts, n_k in zip(ds.indices, ds.counts, ds.summaries):
+            lam = PAULI2.decompositions[j].eigenvalues
+            assert n_k == pytest.approx(np.dot(lam, counts) / ds.m)
 
     def test_variance_of_summary_monte_carlo(self):
         st = states.pauli_line_state(2, 1, 0.5)
@@ -196,16 +205,29 @@ class TestRunTomography:
                 - np.trace(st.matrix @ b).real ** 2) / m
         assert ns.var() == pytest.approx(want, rel=0.1)
 
+    def test_records_are_arrays(self):
+        # a Hermitian d = 4 family mixes 2-cell and 3-cell members; each
+        # record's counts cover exactly its member's cells
+        herm = bases.build_basis("hermitian", 4)
+        st = states.sample_class(states.StateClassSpec("low_rank", r=4), 4, seed=2)
+        ds = measurement.run_tomography(st, herm, bases.SamplingDesign.fixed(), herm.size, 9,
+                                        seed=6, detail="summary")
+        assert ds.indices.dtype == np.int64 and ds.summaries.shape == (herm.size,)
+        assert ds.individuals is None
+        assert {len(u) for u in ds.counts} == {2, 3}
+        for j, u in zip(ds.indices, ds.counts):
+            assert u.dtype == np.int64 and len(u) == herm.decompositions[j].r
+            assert u.sum() == 9
+
     def test_deterministic_per_seed(self):
         st = states.pauli_line_state(2, 1, 0.3)
         a = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                        4, 9, seed=8, detail="individual")
         b = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                        4, 9, seed=8, detail="individual")
-        for r1, r2 in zip(a.records, b.records):
-            np.testing.assert_array_equal(r1.counts, r2.counts)
-        for o1, o2 in zip(a.individuals, b.individuals):
-            np.testing.assert_array_equal(o1, o2)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        assert_same_counts(a.counts, b.counts)
+        np.testing.assert_array_equal(a.individuals, b.individuals)
 
 
 class TestDatasetCSV:
@@ -216,9 +238,9 @@ class TestDatasetCSV:
         path = tmp_path / "ds.csv"
         measurement.write_dataset_csv(ds, path)
         back = measurement.read_dataset_csv(path, PAULI2)
-        for r1, r2 in zip(ds.records, back.records):
-            np.testing.assert_array_equal(r1.counts, r2.counts)
-            assert r1.observable_index == r2.observable_index
+        assert back.m == 7
+        np.testing.assert_array_equal(back.indices, ds.indices)
+        assert_same_counts(back.counts, ds.counts)
         np.testing.assert_allclose(back.summaries, ds.summaries)
 
     def test_counts_only_has_empty_summary_column(self, tmp_path):
@@ -239,3 +261,14 @@ class TestDatasetCSV:
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 4
         assert all(len(row.split(",")) == 6 for row in rows)
+
+    @pytest.mark.parametrize("rows, problem", [
+        (["0,1,4,1|1|2,"], "counts do not fit"),      # 3 counts on a 2-cell member
+        (["0,1,4,1|2,"], "do not sum"),               # 3 counts for m = 4
+        (["0,1,4,1|3,", "1,2,8,4|4,"], "mix m"),      # m = 4, then m = 8
+    ])
+    def test_read_rejects_invalid_rows(self, tmp_path, rows, problem):
+        path = tmp_path / "ds.csv"
+        path.write_text("\n".join(["k,j,m,counts,N"] + rows) + "\n")
+        with pytest.raises(ValueError, match=problem):
+            measurement.read_dataset_csv(path, PAULI2)

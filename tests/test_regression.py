@@ -64,16 +64,17 @@ class TestNoiseCovarianceFine:
 class TestSimulateFine:
     def test_degenerate_is_exact(self):
         st = states.validate_density(np.diag([1.0, 0.0]))
-        out = regression.simulate_fine(st, PAULI2, bases.SamplingDesign.fixed(), 4, 9, seed=1)
-        rec = out[3]  # sigma3 cell probabilities are (1, 0)
-        np.testing.assert_array_equal(rec.y, [1.0, 0.0])
+        _, ys = regression.simulate_fine(st, PAULI2, bases.SamplingDesign.fixed(), 4, 9, seed=1)
+        np.testing.assert_array_equal(ys[3], [1.0, 0.0])  # sigma3 cell probabilities are (1, 0)
 
     def test_rows_sum_to_one(self):
         st = interior_state()
-        out = regression.simulate_fine(st, HERM4, bases.SamplingDesign.fixed(),
-                                       16, 25, seed=3)
-        for s in out:
-            assert abs(s.y.sum() - 1.0) <= 1e-12
+        indices, ys = regression.simulate_fine(st, HERM4, bases.SamplingDesign.fixed(),
+                                               16, 25, seed=3)
+        assert indices.tolist() == list(range(16))
+        for j, y in zip(indices, ys):
+            assert len(y) == HERM4.decompositions[j].r
+            assert abs(y.sum() - 1.0) <= 1e-12
 
     def test_sample_variance_matches(self):
         st = states.pauli_line_state(2, 1, 0.4)
@@ -82,8 +83,8 @@ class TestSimulateFine:
         design = bases.SamplingDesign.random(np.array([0, 1.0, 0, 0]))
         ys = []
         for rep in range(50):
-            out = regression.simulate_fine(st, PAULI2, design, 200, m, seed=rep)
-            ys.extend(s.y[0] for s in out)
+            _, fine = regression.simulate_fine(st, PAULI2, design, 200, m, seed=rep)
+            ys.extend(y[0] for y in fine)
         ys = np.array(ys)
         want = theta[0] * (1 - theta[0]) / m
         assert ys.var() == pytest.approx(want, rel=0.1)
@@ -117,8 +118,9 @@ class TestSimulateCoarse:
     def test_identity_member_exact(self):
         st = states.validate_density(np.diag([0.5, 0.25, 0.125, 0.125]))
         design = bases.SamplingDesign.random(np.array([1.0] + [0.0] * 15))
-        out = regression.simulate_coarse(st, PAULI4, design, 20, 4, seed=2)
-        assert all(s.Y == 1.0 for s in out)
+        indices, values = regression.simulate_coarse(st, PAULI4, design, 20, 4, seed=2)
+        assert indices.tolist() == [0] * 20
+        assert values.shape == (20,) and np.all(values == 1.0)
 
     def test_mean_matches_trace(self):
         st = interior_state(seed=9)
@@ -126,8 +128,7 @@ class TestSimulateCoarse:
         design = bases.SamplingDesign.random(np.eye(16)[j])
         ys = []
         for rep in range(40):
-            out = regression.simulate_coarse(st, PAULI4, design, 250, m, seed=100 + rep)
-            ys.extend(s.Y for s in out)
+            ys.extend(regression.simulate_coarse(st, PAULI4, design, 250, m, seed=100 + rep)[1])
         ys = np.array(ys)
         want = np.trace(st.matrix @ PAULI4.matrices[j]).real
         var = regression.noise_variance_coarse(st, PAULI4.matrices[j]) / m
@@ -142,8 +143,7 @@ class TestSimulateCoarse:
         design = bases.SamplingDesign.random(np.eye(16)[j_star])
         ys = []
         for rep in range(40):
-            out = regression.simulate_coarse(st, PAULI4, design, 250, m, seed=rep)
-            ys.extend(s.Y for s in out)
+            ys.extend(regression.simulate_coarse(st, PAULI4, design, 250, m, seed=rep)[1])
         ys = np.array(ys)
         assert ys.var() == pytest.approx((1 - beta ** 2) / m, rel=0.1)
 
@@ -157,8 +157,8 @@ class TestAggregateFine:
         design = bases.SamplingDesign.random(np.eye(16)[j])
         ys = []
         for rep in range(100):
-            fine = regression.simulate_fine(st, HERM4, design, 1000, m, seed=rep)
-            ys.extend(np.dot(lam, s.y) for s in fine)
+            _, fine = regression.simulate_fine(st, HERM4, design, 1000, m, seed=rep)
+            ys.extend(np.dot(lam, y) for y in fine)
         ys = np.array(ys)
         want = regression.noise_variance_coarse(st, HERM4.matrices[j]) / m
         assert ys.var() == pytest.approx(want, rel=0.05)
@@ -185,9 +185,10 @@ class TestCSV:
                                          16, 5, seed=4)
         path = tmp_path / "coarse.csv"
         regression.write_coarse_csv(out, path)
-        back = regression.read_coarse_csv(path)
-        assert [s.design_index for s in back] == [s.design_index for s in out]
-        np.testing.assert_array_equal([s.Y for s in back], [s.Y for s in out])
+        indices, values = regression.read_coarse_csv(path)
+        assert indices.dtype == np.int64
+        np.testing.assert_array_equal(indices, out[0])
+        np.testing.assert_array_equal(values, out[1])
 
     def test_fine_round_trip(self, tmp_path):
         st = interior_state()
@@ -195,9 +196,11 @@ class TestCSV:
                                        16, 5, seed=4)
         path = tmp_path / "fine.csv"
         regression.write_fine_csv(out, path)
-        back = regression.read_fine_csv(path)
-        for s1, s2 in zip(out, back):
-            np.testing.assert_array_equal(s1.y, s2.y)
+        indices, ys = regression.read_fine_csv(path)
+        np.testing.assert_array_equal(indices, out[0])
+        assert len(ys) == len(out[1])
+        for y1, y2 in zip(out[1], ys):
+            np.testing.assert_array_equal(y1, y2)
 
 
 class TestActiveRule:
@@ -208,9 +211,9 @@ class TestActiveRule:
     def test_nearly_degenerate_member_is_degenerate_everywhere(self):
         theta = measurement.cell_probabilities(self.STATE, PAULI2, 3)
         assert theta[1] == pytest.approx(5e-10, rel=1e-6)
-        out = regression.simulate_fine(self.STATE, PAULI2, bases.SamplingDesign.fixed(),
-                                       4, 64, seed=1)
-        np.testing.assert_array_equal(out[3].y, theta)
+        _, ys = regression.simulate_fine(self.STATE, PAULI2, bases.SamplingDesign.fixed(),
+                                         4, 64, seed=1)
+        np.testing.assert_array_equal(ys[3], theta)
         np.testing.assert_array_equal(regression._fine_factor(theta, 64, 1), 0.0)
         report = diagnostics.active_index_set(self.STATE, PAULI2)
         assert report.cardinalities[3] == 0 and not report.nondegenerate[3]
@@ -253,21 +256,21 @@ class TestPerMemberValues:
 
     def test_tomography(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, measurement.run_tomography)
-        members = {r.observable_index for r in out.records}
-        assert 1 < len(members) < self.N == len(out.records)
+        members = set(out.indices.tolist())
+        assert 1 < len(members) < self.N == len(out.counts)
         assert probs == len(members)
         assert traces == self.cells(members)
 
     def test_coarse(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, regression.simulate_coarse)
-        members = {s.design_index for s in out}
-        assert 1 < len(members) < self.N == len(out)
+        members = set(out[0].tolist())
+        assert 1 < len(members) < self.N == len(out[1])
         assert probs == 0
         assert traces == 3 * len(members)  # tr(B rho), then tr(B^2 rho) and tr(B rho)
 
     def test_fine(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, regression.simulate_fine)
-        members = {s.design_index for s in out}
-        assert 1 < len(members) < self.N == len(out)
+        members = set(out[0].tolist())
+        assert 1 < len(members) < self.N == len(out[1])
         assert probs == len(members)
         assert traces == self.cells(members)

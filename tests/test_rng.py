@@ -29,30 +29,26 @@ def rare_wide_design():
 
 def tomography(n, detail="individual"):
     ds = measurement.run_tomography(STATE, HERM4, rare_wide_design(), n, 32, SEED, detail)
-    return ([r.observable_index for r in ds.records], [r.counts for r in ds.records],
-            ds.summaries, ds.individuals)
+    return ds.indices, ds.counts, ds.summaries, ds.individuals
 
 
 def coarse(n):
-    out = regression.simulate_coarse(STATE, HERM4, rare_wide_design(), n, 32, SEED)
-    return [s.design_index for s in out], [s.Y for s in out]
+    return regression.simulate_coarse(STATE, HERM4, rare_wide_design(), n, 32, SEED)
 
 
 def fine(n):
-    out = regression.simulate_fine(STATE, HERM4, rare_wide_design(), n, 32, SEED)
-    return [s.design_index for s in out], [s.y for s in out]
+    return regression.simulate_fine(STATE, HERM4, rare_wide_design(), n, 32, SEED)
 
 
 @functools.lru_cache(maxsize=1)
-def counted_records():
-    return measurement.run_tomography(STATE, HERM4, rare_wide_design(), 3 * B, 32, SEED).records
+def counted():
+    return measurement.run_tomography(STATE, HERM4, rare_wide_design(), 3 * B, 32, SEED)
 
 
 def translate(n):
-    records = counted_records()[:n]
-    ds = TomographyDataset(design=rare_wide_design(), n=n, m=32, records=records)
-    out = equivalence.translate_qst_to_regression(ds, SEED)
-    return [s.design_index for s in out], [s.y for s in out]
+    ds = counted()
+    part = TomographyDataset(m=ds.m, indices=ds.indices[:n], counts=ds.counts[:n])
+    return equivalence.translate_qst_to_regression(part, SEED)
 
 
 SIMULATORS = {"tomography": tomography, "coarse": coarse, "fine": fine,
@@ -110,7 +106,7 @@ def test_counts_do_not_depend_on_detail():
     ("tomography", rng.TOMOGRAPHY, 1), ("coarse", rng.COARSE, 1),
     ("fine", rng.FINE, 1), ("translate", rng.TRANSLATE, 0)])
 def test_one_substream_per_block(monkeypatch, name, family, design_draws, n):
-    counted_records()  # build the translation input before counting
+    counted()  # build the translation input before counting
     calls = _count_calls(monkeypatch, rng.substream)
     SIMULATORS[name](n)
     assert len(calls) == design_draws + math.ceil(n / B)
