@@ -21,12 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    BadDimension,
-    DimensionMismatch,
-    NonOrthonormalVectors,
-    WrongBasisKind,
-)
+from .errors import TomolabError
 from .hermitian import format_matrix, parse_matrix, spectral_decompose, tensor_chain
 
 __all__ = [
@@ -67,11 +62,6 @@ class ObservableBasis:
 
     def measurable(self, j: int) -> bool:
         return self.decompositions[j] is not None
-
-    @property
-    def identity_index(self):
-        """Index of the identity member (Pauli family), else None."""
-        return 0 if self.kind == "pauli" else None
 
 
 @dataclass(frozen=True)
@@ -129,9 +119,9 @@ def _hermitian_family(axes: np.ndarray):
 def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) -> ObservableBasis:
     """Construct one of the built-in observable families (p = d^2 members)."""
     if kind not in _KINDS:
-        raise WrongBasisKind(f"unknown basis kind {kind!r}")
+        raise TomolabError(f"unknown basis kind {kind!r}")
     if d < 2:
-        raise BadDimension("dimension must be at least 2")
+        raise TomolabError("dimension must be at least 2")
 
     g_store = None
     if kind == "canonical":
@@ -151,23 +141,20 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
                 raise ValueError("gvector basis requires g_vectors")
             axes = np.asarray(g_vectors, dtype=float)
             if axes.shape != (d, d):
-                raise DimensionMismatch(f"expected {d} vectors of length {d}")
+                raise TomolabError(f"expected {d} vectors of length {d}")
             gram_dev = float(np.max(np.abs(axes.T @ axes - np.eye(d))))
             if gram_dev > 1e-9:
-                raise NonOrthonormalVectors(f"Gram matrix deviates from identity by {gram_dev:.3e}")
+                raise TomolabError(f"Gram matrix deviates from identity by {gram_dev:.3e}")
             g_store = axes.copy()
         else:
             axes = np.eye(d)
         mats, labels = _hermitian_family(axes.astype(complex))
         decomps = tuple(spectral_decompose(m, cluster_tol) for m in mats)
     else:  # pauli
-        b = int(round(np.log2(d)))
-        if 2 ** b != d:
-            raise BadDimension(f"pauli family needs d = 2^b, got d = {d}")
-        labels = [_pauli_label(j, b) for j in range(d * d)]
-        mats = [tensor_chain(SIGMA[l] for l in lab) for lab in labels]
+        b = _pauli_slots(d)
+        labels = [tuple(_pauli_label(j, b)) for j in range(d * d)]
+        mats = [_pauli_member(j, b) for j in range(d * d)]
         decomps = tuple(spectral_decompose(m, cluster_tol) for m in mats)
-        labels = [tuple(lab) for lab in labels]
 
     kappa = max(dec.r for dec in decomps if dec is not None)
     return ObservableBasis(
@@ -188,6 +175,18 @@ def _pauli_label(j: int, b: int):
         digits.append(j % 4)
         j //= 4
     return digits[::-1]
+
+
+def _pauli_slots(d: int) -> int:
+    """b with d = 2^b, the tensor slots of the Pauli family at dimension d."""
+    if d < 2 or d & (d - 1):
+        raise TomolabError(f"pauli family needs d = 2^b, got d = {d}")
+    return int(d).bit_length() - 1
+
+
+def _pauli_member(j: int, b: int) -> np.ndarray:
+    """Member j of the Pauli family on b tensor slots."""
+    return tensor_chain(SIGMA[l] for l in _pauli_label(j, b))
 
 
 def custom_basis(matrices, cluster_tol: float = 1e-9) -> ObservableBasis:
@@ -213,7 +212,7 @@ def haar_wavelet_vectors(d: int) -> np.ndarray:
     """
     b = int(round(np.log2(d)))
     if 2 ** b != d:
-        raise BadDimension(f"Haar basis needs d = 2^b, got d = {d}")
+        raise TomolabError(f"Haar basis needs d = 2^b, got d = {d}")
     cols = [np.full(d, 1.0 / np.sqrt(d))]
     for level in range(b):
         n_wav = 2 ** level

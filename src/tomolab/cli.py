@@ -196,6 +196,8 @@ def _check_grids(cfg: ExperimentConfig) -> None:
             equivalence._checked_theta(theta)
         except ValueError as exc:
             raise ConfigParseError(f"bad theta: {exc}") from exc
+    if any(m < 1 for m in cfg.m_grid):
+        raise ConfigParseError(f"m_grid values must be at least 1, got {cfg.m_grid}")
     distinct = len(set(cfg.m_grid))
     least = equivalence.MIN_SCALING_POINTS if cfg.task == "scaling" else 1
     if distinct < least:
@@ -452,6 +454,8 @@ def estimator_transfer(rho, basis, n: int, m: int, seed: int,
     p = basis.size
     if n != p:
         raise TomolabError(f"fixed design requires n = p = {p}")
+    if m < 1:
+        raise TomolabError("m must be at least 1")
     mat = rho.matrix if isinstance(rho, states.DensityMatrix) else np.asarray(rho)
     rng = substream(seed, TRANSFER)
     norms = np.array([hs_inner(b, b).real for b in basis.matrices])
@@ -624,7 +628,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (TomolabError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

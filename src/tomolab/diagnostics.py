@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import ObservableBasis
-from .errors import ZeroWeight
+from .errors import TomolabError
 from .measurement import ACTIVE_TOL, _active_cells
 from .states import DensityMatrix
 
@@ -162,7 +162,7 @@ def gamma_p(pi, xi) -> float:
     drawn = (pi != 0) | (xi != 0)
     pi, xi = pi[drawn], xi[drawn]
     if np.any(pi <= 0) or np.any(xi <= 0):
-        raise ZeroWeight("a member drawn by one design has zero weight in the other")
+        raise TomolabError("a member drawn by one design has zero weight in the other")
     return float(np.max(np.abs(1 - pi / xi) + np.abs(1 - xi / pi), initial=0.0))
 
 

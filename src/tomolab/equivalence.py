@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NegativeResult, UnsupportedArity, ZeroDensity
+from .errors import NegativeResult, TomolabError
 from .measurement import TomographyDataset, _active_cells
 from .rng import TRANSLATE, TV, record_blocks, substream
 
@@ -419,7 +419,7 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     sub = sub / sub.sum()
     r = len(sub)
     if r > 4:
-        raise UnsupportedArity(f"quadrature supports up to 4 cells, got {r}; use tv_monte_carlo")
+        raise TomolabError(f"quadrature supports up to 4 cells, got {r}; use tv_monte_carlo")
     h2, h2_cmp = _hellinger_sq_window(m, sub, (spec.order, spec.compare_order),
                                       spec.window, spec.chunk_cells)
     value = math.sqrt(max(h2, 0.0))
@@ -461,7 +461,7 @@ def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int,
     x = sampler_p(rng, n_samples)
     p = np.asarray(density_p(x), dtype=float)
     if np.any(p <= 0):
-        raise ZeroDensity("sampling density vanished at a drawn point")
+        raise TomolabError("sampling density vanished at a drawn point")
     q = np.asarray(density_q(x), dtype=float)
     vals = np.maximum(0.0, 1.0 - q / p)
     value = float(vals.mean())

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionOverflow,
-    EigensolveFailure,
-    NonHermitianInput,
-)
+from .errors import TomolabError
 
 __all__ = [
     "TOL_HERM",
@@ -45,13 +40,13 @@ MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
 
 
 def require_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Return ``mat`` as a complex array, raising :class:`NonHermitianInput` if unsymmetric."""
+    """Return ``mat`` as a complex array, raising :class:`TomolabError` if unsymmetric."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise NonHermitianInput(f"expected a square matrix, got shape {mat.shape}")
+        raise TomolabError(f"expected a square matrix, got shape {mat.shape}")
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     if dev > tol:
-        raise NonHermitianInput(f"matrix deviates from Hermitian symmetry by {dev:.3e}")
+        raise TomolabError(f"matrix deviates from Hermitian symmetry by {dev:.3e}")
     return mat
 
 
@@ -83,10 +78,7 @@ def spectral_decompose(mat: np.ndarray, cluster_tol: float = 1e-9) -> SpectralDe
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
     mat = require_hermitian(mat)
-    try:
-        evals, evecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
+    evals, evecs = np.linalg.eigh(mat)
 
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     gap = cluster_tol * max(scale, 1.0) if scale > 0 else cluster_tol
@@ -115,7 +107,7 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     out_dim = a.shape[0] * b.shape[0]
     if out_dim > MAX_TENSOR_DIM:
-        raise DimensionOverflow(f"tensor product dimension {out_dim} exceeds {MAX_TENSOR_DIM}")
+        raise TomolabError(f"tensor product dimension {out_dim} exceeds {MAX_TENSOR_DIM}")
     return np.kron(a, b)
 
 
@@ -133,14 +125,14 @@ def hs_inner(a1: np.ndarray, a2: np.ndarray) -> complex:
     a1 = np.asarray(a1)
     a2 = np.asarray(a2)
     if a1.shape != a2.shape:
-        raise DimensionMismatch(f"shapes {a1.shape} and {a2.shape} differ")
+        raise TomolabError(f"shapes {a1.shape} and {a2.shape} differ")
     return complex(np.sum(a2.conj() * a1))
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     """tr(a @ b) without forming the product matrix."""
     if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} cannot be multiplied")
+        raise TomolabError(f"shapes {a.shape} and {b.shape} cannot be multiplied")
     return complex(np.sum(a * b.T))
 
 

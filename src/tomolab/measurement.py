@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .errors import DesignMismatch, NonMeasurableObservable
+from .errors import TomolabError
 from .rng import TOMOGRAPHY, record_blocks, substream
 from .states import DensityMatrix
 
@@ -67,7 +67,7 @@ def cell_probabilities(rho: DensityMatrix, basis: ObservableBasis, j: int) -> np
     """Measurement distribution tr(Q_ja rho) over the distinct eigenvalues of B_j."""
     dec = basis.decompositions[j]
     if dec is None:
-        raise NonMeasurableObservable(f"basis member {j} is masking-only (not Hermitian)")
+        raise TomolabError(f"basis member {j} is masking-only (not Hermitian)")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     theta = dec.cell_traces(mat)
     if np.any(theta < -PROB_CLAMP) or np.any(theta > 1 + PROB_CLAMP):
@@ -96,12 +96,12 @@ def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, 
     p = basis.size
     if design.mode == "fixed":
         if n != p:
-            raise DesignMismatch(f"fixed design requires n = p = {p}, got n = {n}")
+            raise TomolabError(f"fixed design requires n = p = {p}, got n = {n}")
         return np.arange(p)
     name, weights = (("Xi", design.weights_tomography) if family == TOMOGRAPHY
                      else ("Pi", design.weights_regression))
     if len(weights) != p:
-        raise DesignMismatch(f"{name} has length {len(weights)}, family has {p} members")
+        raise TomolabError(f"{name} has length {len(weights)}, family has {p} members")
     rng = substream(seed, family, 0)
     return rng.choice(p, size=n, p=weights)
 
@@ -169,21 +169,30 @@ def write_individuals_csv(dataset: TomographyDataset, path) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
+def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
+    """(rows, member indices) of a record CSV; ValueError unless its header
+    starts with ``header`` and every row names a measurable member of ``basis``."""
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        head, *rows = csv.reader(fh)
+    if head[:len(header)] != header:
+        raise ValueError(f"unexpected header {head}, expected {header}")
+    indices = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    for k, j in enumerate(indices.tolist()):
+        if not (0 <= j < basis.size and basis.measurable(j)):
+            raise ValueError(f"record {k}: member {j} is not a measurable member of the basis")
+    return rows, indices
+
+
 def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
     """Rebuild a dataset from its CSV; ValueError unless every row holds one
     count per cell of a measurable member, summing to the one m of the file."""
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        header, *rows = csv.reader(fh)
-    if header[:4] != ["k", "j", "m", "counts"]:
-        raise ValueError(f"unexpected dataset header {header}")
+    rows, indices = _read_records(path, basis, ["k", "j", "m", "counts"])
     ms = sorted({int(row[2]) for row in rows}) or [0]
     if len(ms) > 1:
         raise ValueError(f"records mix m values {ms}")
-    indices = np.array([int(row[1]) for row in rows], dtype=np.int64)
     counts = [np.array([int(t) for t in row[3].split("|")], dtype=np.int64) for row in rows]
     for k, (j, u) in enumerate(zip(indices.tolist(), counts)):
-        dec = basis.decompositions[j] if 0 <= j < basis.size else None
-        if dec is None or len(u) != dec.r:
+        if len(u) != basis.decompositions[j].r:
             raise ValueError(f"record {k}: {len(u)} counts do not fit member {j}")
         if np.any(u < 0) or int(u.sum()) != ms[0]:
             raise ValueError(f"record {k}: counts {u.tolist()} do not sum to m = {ms[0]}")

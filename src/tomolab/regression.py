@@ -35,7 +35,8 @@ import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .hermitian import require_hermitian, trace_product
-from .measurement import _active_cells, _fmt, cell_probabilities, draw_design_indices
+from .measurement import (_active_cells, _fmt, _read_records, cell_probabilities,
+                          draw_design_indices)
 from .rng import COARSE, FINE, record_blocks
 from .states import DensityMatrix
 
@@ -149,17 +150,27 @@ def write_fine_csv(samples, path) -> None:
             writer.writerow([k, j, "|".join(_fmt(v) for v in y.tolist())])
 
 
-def read_coarse_csv(path) -> tuple:
-    """(indices, Y) from a coarse CSV."""
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        rows = list(csv.reader(fh))[1:]
-    return (np.array([int(row[1]) for row in rows], dtype=np.int64),
-            np.array([float(row[2]) for row in rows]))
+def read_coarse_csv(path, basis: ObservableBasis) -> tuple:
+    """(indices, Y) from a coarse CSV; ValueError unless every row names a
+    measurable member of ``basis`` and holds a finite Y."""
+    rows, indices = _read_records(path, basis, ["k", "j", "Y"])
+    values = np.array([float(row[2]) for row in rows])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("coarse values must be finite")
+    return indices, values
 
 
-def read_fine_csv(path) -> tuple:
-    """(indices, ys) from a fine CSV."""
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        rows = list(csv.reader(fh))[1:]
-    return (np.array([int(row[1]) for row in rows], dtype=np.int64),
-            [np.array([float(t) for t in row[2].split("|")]) for row in rows])
+def read_fine_csv(path, basis: ObservableBasis) -> tuple:
+    """(indices, ys) from a fine CSV; ValueError unless every row holds one
+    finite value per cell of a measurable member of ``basis``, summing to 1
+    within 1e-9."""
+    rows, indices = _read_records(path, basis, ["k", "j", "y"])
+    ys = [np.array([float(t) for t in row[2].split("|")]) for row in rows]
+    for k, (j, y) in enumerate(zip(indices.tolist(), ys)):
+        if len(y) != basis.decompositions[j].r:
+            raise ValueError(f"record {k}: {len(y)} values do not fit member {j}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"record {k}: values {y.tolist()} must be finite")
+        if abs(y.sum() - 1.0) > 1e-9:
+            raise ValueError(f"record {k}: values sum to {y.sum()!r}, not 1")
+    return indices, ys

@@ -23,16 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bases
-from .errors import (
-    BetaOutOfRange,
-    DimensionOverflow,
-    IdentityIndex,
-    InfeasibleSpec,
-    NotHermitian,
-    NotPSD,
-    TraceNotOne,
-)
-from .hermitian import MAX_TENSOR_DIM
+from .errors import TomolabError
+from .hermitian import MAX_TENSOR_DIM, require_hermitian
 from .rng import substream
 
 __all__ = [
@@ -70,44 +62,30 @@ class StateClassSpec:
 
 def validate_density(mat: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
     """Wrap ``mat`` as a density matrix or raise the first failed property."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {mat.shape}")
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > tol:
-        raise NotHermitian(f"deviates from Hermitian symmetry by {dev:.3e}")
+    mat = require_hermitian(mat, tol)
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > tol:
-        raise TraceNotOne(f"trace is {tr:.12g}, not 1")
+        raise TomolabError(f"trace is {tr:.12g}, not 1")
     lam_min = float(np.linalg.eigvalsh(mat)[0])
     if lam_min < -tol:
-        raise NotPSD(f"most negative eigenvalue is {lam_min:.3e}")
+        raise TomolabError(f"most negative eigenvalue is {lam_min:.3e}")
     return DensityMatrix(matrix=mat)
 
 
-_BASIS_CACHE = {}
-
-
-def _cached_pauli(d: int) -> bases.ObservableBasis:
-    if d not in _BASIS_CACHE:
-        _BASIS_CACHE[d] = bases.build_basis("pauli", d)
-    return _BASIS_CACHE[d]
-
-
-def pauli_line_state(d: int, j_star, beta: float) -> DensityMatrix:
+def pauli_line_state(d: int, j_star: int, beta: float) -> DensityMatrix:
     """State I/d + (beta/d) B_j* along one non-identity Pauli direction.
 
     Its eigenvalues are (1 +- beta)/d, each with multiplicity d/2, so it is a
-    valid state exactly when |beta| < 1.
+    valid state exactly when |beta| < 1.  ``d`` must be a power of 2 and
+    0 < ``j_star`` < d^2.
     """
     if abs(beta) >= 1:
-        raise BetaOutOfRange(f"|beta| must be < 1, got {beta}")
-    basis = _cached_pauli(d)
-    if isinstance(j_star, tuple):
-        j_star = basis.labels.index(j_star)
-    if j_star == basis.identity_index:
-        raise IdentityIndex("the identity member carries no perturbation direction")
-    mat = np.eye(d, dtype=complex) / d + (beta / d) * basis.matrices[j_star]
+        raise TomolabError(f"|beta| must be < 1, got {beta}")
+    b = bases._pauli_slots(d)
+    if not 0 < j_star < d * d:
+        raise TomolabError(f"j_star must name a non-identity member, 0 < j_star < {d * d}, "
+                           f"got {j_star}")
+    mat = np.eye(d, dtype=complex) / d + (beta / d) * bases._pauli_member(j_star, b)
     return validate_density(mat)
 
 
@@ -120,7 +98,7 @@ def tilted_product_state(b: int) -> DensityMatrix:
     if b < 1:
         raise ValueError("b must be at least 1")
     if 2 ** b > MAX_TENSOR_DIM:
-        raise DimensionOverflow(f"dimension 2^{b} exceeds {MAX_TENSOR_DIM}")
+        raise TomolabError(f"dimension 2^{b} exceeds {MAX_TENSOR_DIM}")
     e = np.array([np.sqrt(6.0 / 7.0), np.sqrt(1.0 / 14.0) * (1 + 1j)])
     u = e
     for _ in range(b - 1):
@@ -172,7 +150,7 @@ def sample_class(spec: StateClassSpec, d: int, seed: int) -> DensityMatrix:
 
 def _sample_entry_sparse(d: int, s: int, rng) -> DensityMatrix:
     if s is None or s < 1:
-        raise InfeasibleSpec("entry_sparse needs s >= 1")
+        raise TomolabError("entry_sparse needs s >= 1")
     # Support patterns that survive PSD repair: a few full 2x2 blocks
     # (4 entries each) plus isolated diagonal entries.
     for _ in range(200):
@@ -200,7 +178,7 @@ def _sample_entry_sparse(d: int, s: int, rng) -> DensityMatrix:
         wanted = n_diag + 4 * n_blocks
         if support.sum() <= s and support.sum() == wanted:
             return validate_density(mat)
-    raise InfeasibleSpec(f"could not realize an entry-sparse state with s={s}, d={d}")
+    raise TomolabError(f"could not realize an entry-sparse state with s={s}, d={d}")
 
 
 def _psd_repair(mat: np.ndarray) -> np.ndarray:
@@ -213,17 +191,17 @@ def _psd_repair(mat: np.ndarray) -> np.ndarray:
 
 def _sample_pauli_sparse(d: int, s: int, rng) -> DensityMatrix:
     if s is None or s < 1:
-        raise InfeasibleSpec("pauli_sparse needs s >= 1 (unit trace forces the identity term)")
-    basis = _cached_pauli(d)
-    if s > basis.size:
-        raise InfeasibleSpec(f"s={s} exceeds the family size {basis.size}")
+        raise TomolabError("pauli_sparse needs s >= 1 (unit trace forces the identity term)")
+    b, p = bases._pauli_slots(d), d * d
+    if s > p:
+        raise TomolabError(f"s={s} exceeds the family size {p}")
     mat = np.eye(d, dtype=complex) / d
-    extra = int(min(s - 1, basis.size - 1))
+    extra = int(min(s - 1, p - 1))
     if extra:
-        others = 1 + rng.permutation(basis.size - 1)[:extra]
+        others = 1 + rng.permutation(p - 1)[:extra]
         delta = np.zeros((d, d), dtype=complex)
         for j in others:
-            delta += rng.normal() * basis.matrices[j]
+            delta += rng.normal() * bases._pauli_member(j, b)
         lam_min = float(np.linalg.eigvalsh(delta)[0])
         if lam_min < -0.9:
             # eigenvalues of I/d + delta/d are (1 + eig(delta))/d; keep a margin
@@ -234,7 +212,7 @@ def _sample_pauli_sparse(d: int, s: int, rng) -> DensityMatrix:
 
 def _sample_low_rank(d: int, r: int, rng) -> DensityMatrix:
     if r is None or not (1 <= r <= d):
-        raise InfeasibleSpec(f"low_rank needs 1 <= r <= {d}")
+        raise TomolabError(f"low_rank needs 1 <= r <= {d}")
     z = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     q, _ = np.linalg.qr(z)
     xi = rng.dirichlet(np.ones(r))
@@ -243,9 +221,9 @@ def _sample_low_rank(d: int, r: int, rng) -> DensityMatrix:
 
 def _sample_sparse_vec(d: int, r: int, gamma: int, g_vectors, rng) -> DensityMatrix:
     if r is None or gamma is None or r < 1 or gamma < 1:
-        raise InfeasibleSpec("low_rank_sparse_vec needs r >= 1 and gamma >= 1")
+        raise TomolabError("low_rank_sparse_vec needs r >= 1 and gamma >= 1")
     if r > d:
-        raise InfeasibleSpec(f"cannot place {r} orthogonal vectors in dimension {d}")
+        raise TomolabError(f"cannot place {r} orthogonal vectors in dimension {d}")
     g = np.asarray(g_vectors, dtype=float) if g_vectors is not None else np.eye(d)
     # group the r vectors into blocks of at most gamma; each block draws an
     # orthonormal complex frame inside the span of its own (disjoint) support

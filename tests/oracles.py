@@ -11,9 +11,10 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from tomolab.errors import WrongBasisKind
+from tomolab.bases import build_basis
+from tomolab.errors import TomolabError
 from tomolab.hermitian import hs_inner, trace_product
-from tomolab.states import DENSITY_TOL, DensityMatrix, _cached_pauli
+from tomolab.states import DENSITY_TOL, DensityMatrix
 
 
 def multinomial_pmf_chain(counts, m: int, theta) -> float:
@@ -76,9 +77,9 @@ def pauli_projection_traces(basis) -> dict:
     other non-identity j'.  Returns the full table plus worst-case deviations.
     """
     if basis.kind != "pauli":
-        raise WrongBasisKind("projection-trace table is defined for the pauli family")
+        raise TomolabError("projection-trace table is defined for the pauli family")
     half = basis.dim / 2
-    others = [j for j in range(basis.size) if j != basis.identity_index]
+    others = range(1, basis.size)
     stack = np.stack([basis.matrices[j] for j in others])
     rows = []
     for pos, j in enumerate(others):
@@ -111,7 +112,7 @@ def pauli_coefficients(rho, basis=None) -> np.ndarray:
     """Expansion coefficients alpha_j = tr(rho B_j)/d under the Pauli family."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     d = mat.shape[0]
-    basis = basis if basis is not None else _cached_pauli(d)
+    basis = basis if basis is not None else build_basis("pauli", d)
     return np.array([trace_product(b, mat).real / d for b in basis.matrices])
 
 

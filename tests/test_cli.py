@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tomolab import bases, cli, hermitian, states
-from tomolab.errors import ConfigParseError
+from tomolab.errors import ConfigParseError, NegativeResult, TomolabError
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -279,6 +279,55 @@ m_grid = {grid}
             cli.load_config(path)
         assert cli.main(["run", "--config", path]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("task, section", [
+        ("distances", "distances"),
+        ("scaling", "scaling"),
+        ("estimator_transfer", "transfer"),
+    ])
+    def test_m_below_1_exits_2(self, tmp_path, monkeypatch, task, section):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(bases, "build_basis", no_build)
+        text = f"""
+[run]
+task = {task}
+seed = 1
+out = {tmp_path / "o"}
+
+[{section}]
+theta = 0.5,0.5
+m_grid = 0,16,64,256,1024
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match="at least 1"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("j_star", [16, -1])
+    def test_j_star_out_of_range_exits_2(self, tmp_path, j_star):
+        text = f"""
+[basis]
+kind = pauli
+d = 4
+
+[state]
+witness = cor2_line
+j_star = {j_star}
+
+[run]
+task = zeta
+seed = 2
+out = {tmp_path / "z"}
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+
+    def test_rejections_are_value_errors(self):
+        assert issubclass(TomolabError, ValueError)
+        assert issubclass(ConfigParseError, TomolabError)
+        assert issubclass(NegativeResult, TomolabError)
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_meaningless_thread_option_exits_2(self, tmp_path, threads):
@@ -651,7 +700,7 @@ class TestEstimatorTransfer:
     def test_requires_orthogonal_family(self):
         basis = bases.build_basis("canonical", 2)
         st = states.validate_density(np.eye(2) / 2)
-        with pytest.raises(Exception):
+        with pytest.raises(TomolabError, match="orthogonal family"):
             cli.estimator_transfer(st, basis, 4, 8, seed=1)
 
     def test_sweep_monotone(self):

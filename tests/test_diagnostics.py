@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tomolab import bases, diagnostics, states
-from tomolab.errors import ZeroWeight
+from tomolab.errors import TomolabError
 
 PAULI4 = bases.build_basis("pauli", 4)
 HERM4 = bases.build_basis("hermitian", 4)
@@ -151,9 +151,9 @@ class TestGammaP:
 
     def test_zero_weight(self):
         # a member that only one design draws
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(TomolabError, match="zero weight in the other"):
             diagnostics.gamma_p([1.0, 0.0], [0.5, 0.5])
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(TomolabError, match="zero weight in the other"):
             diagnostics.gamma_p([0.5, 0.5, 0.0], [0.5, 0.25, 0.25])
 
     def test_members_neither_design_draws_are_skipped(self):

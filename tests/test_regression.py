@@ -10,6 +10,7 @@ from tomolab import bases, diagnostics, equivalence, hermitian, measurement, reg
 PAULI2 = bases.build_basis("pauli", 2)
 PAULI4 = bases.build_basis("pauli", 4)
 HERM4 = bases.build_basis("hermitian", 4)
+CANON2 = bases.build_basis("canonical", 2)
 
 
 def interior_state(d=4, seed=2):
@@ -185,7 +186,7 @@ class TestCSV:
                                          16, 5, seed=4)
         path = tmp_path / "coarse.csv"
         regression.write_coarse_csv(out, path)
-        indices, values = regression.read_coarse_csv(path)
+        indices, values = regression.read_coarse_csv(path, PAULI4)
         assert indices.dtype == np.int64
         np.testing.assert_array_equal(indices, out[0])
         np.testing.assert_array_equal(values, out[1])
@@ -196,11 +197,42 @@ class TestCSV:
                                        16, 5, seed=4)
         path = tmp_path / "fine.csv"
         regression.write_fine_csv(out, path)
-        indices, ys = regression.read_fine_csv(path)
+        indices, ys = regression.read_fine_csv(path, HERM4)
         np.testing.assert_array_equal(indices, out[0])
         assert len(ys) == len(out[1])
         for y1, y2 in zip(out[1], ys):
             np.testing.assert_array_equal(y1, y2)
+
+
+    @pytest.mark.parametrize("lines, problem", [
+        (["k,j,y", "0,0,0.5"], "unexpected header"),
+        (["k,j,Y", "0,-5,0.5"], "member -5 is not a measurable member"),
+        (["k,j,Y", "0,99,0.5"], "member 99 is not a measurable member"),
+        (["k,j,Y", "0,1,0.5"], "member 1 is not a measurable member"),  # off-diagonal
+        (["k,j,Y", "0,0,nan"], "finite"),
+        (["k,j,Y", "0,3,-inf"], "finite"),
+    ])
+    def test_coarse_read_rejects(self, tmp_path, lines, problem):
+        path = tmp_path / "coarse.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=problem):
+            regression.read_coarse_csv(path, CANON2)
+
+    @pytest.mark.parametrize("lines, problem", [
+        (["k,j,Y", "0,0,0.5|0.5"], "unexpected header"),
+        (["k,j,y", "0,-5,0.7|0.3"], "member -5 is not a measurable member"),
+        (["k,j,y", "0,99,0.7|0.3"], "member 99 is not a measurable member"),
+        (["k,j,y", "0,1,0.5|0.5"], "member 1 is not a measurable member"),  # off-diagonal
+        (["k,j,y", "0,0,0.7|0.2|0.1"], "3 values do not fit member 0"),
+        (["k,j,y", "0,0,0.7|0.3", "1,3,0.7|0.2"], "record 1: values sum to"),
+        (["k,j,y", "0,0,nan|1"], "finite"),
+        (["k,j,y", "0,0,inf|-inf"], "finite"),
+    ])
+    def test_fine_read_rejects(self, tmp_path, lines, problem):
+        path = tmp_path / "fine.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=problem):
+            regression.read_fine_csv(path, CANON2)
 
 
 class TestActiveRule:

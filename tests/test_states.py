@@ -6,13 +6,7 @@ import pytest
 from oracles import class_membership, pauli_coefficients
 from tomolab import bases, states
 from tomolab.bases import SIGMA
-from tomolab.errors import (
-    BetaOutOfRange,
-    IdentityIndex,
-    InfeasibleSpec,
-    NotPSD,
-    TraceNotOne,
-)
+from tomolab.errors import TomolabError
 
 OMEGA = (1.0, 2 * np.sqrt(3) / 7, 2 * np.sqrt(3) / 7, 5.0 / 7.0)
 
@@ -34,11 +28,11 @@ class TestValidateDensity:
         assert rank(st) == 1
 
     def test_sigma3_rejected_trace(self):
-        with pytest.raises(TraceNotOne):
+        with pytest.raises(TomolabError, match=r"trace is 0\+0j, not 1"):
             states.validate_density(SIGMA[3])
 
     def test_indefinite_trace_one_rejected_psd(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(TomolabError, match="most negative eigenvalue"):
             states.validate_density(np.diag([2.0, -1.0]))
 
 
@@ -70,12 +64,36 @@ class TestPauliLineState:
         np.testing.assert_allclose(others, 0.0, atol=1e-9)
 
     def test_identity_rejected(self):
-        with pytest.raises(IdentityIndex):
+        with pytest.raises(TomolabError, match="non-identity member"):
             states.pauli_line_state(4, 0, 0.5)
 
     def test_beta_out_of_range(self):
-        with pytest.raises(BetaOutOfRange):
+        with pytest.raises(TomolabError, match=r"\|beta\| must be < 1"):
             states.pauli_line_state(4, 1, 1.0)
+
+    @pytest.mark.parametrize("d, j_star, problem", [
+        (4, 16, "non-identity member"),
+        (4, -1, "non-identity member"),
+        (6, 1, r"pauli family needs d = 2\^b"),
+    ])
+    def test_out_of_range_rejected(self, d, j_star, problem):
+        with pytest.raises(TomolabError, match=problem):
+            states.pauli_line_state(d, j_star, 0.5)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_direction_is_the_basis_member_bit_for_bit(self, d):
+        members = bases.build_basis("pauli", d).matrices
+        for j in range(1, d * d):
+            want = np.eye(d, dtype=complex) / d + (0.5 / d) * members[j]
+            np.testing.assert_array_equal(states.pauli_line_state(d, j, 0.5).matrix, want)
+
+    def test_builds_no_basis(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(bases, "build_basis", no_build)
+        states.pauli_line_state(16, 1, 0.5)
+        states.sample_class(states.StateClassSpec("pauli_sparse", s=5), 16, seed=3)
 
 
 class TestTiltedProductState:
@@ -185,9 +203,9 @@ class TestSamplers:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_infeasible(self):
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(TomolabError, match="entry_sparse needs s >= 1"):
             states.sample_class(states.StateClassSpec("entry_sparse", s=0), 4, seed=0)
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(TomolabError, match="cannot place 9 orthogonal vectors"):
             states.sample_class(
                 states.StateClassSpec("low_rank_sparse_vec", r=9, gamma=2), 8, seed=0)
 
