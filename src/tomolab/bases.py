@@ -17,7 +17,7 @@ simulation consumes them repeatedly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class SamplingDesign:
                 if w is None:
                     raise ValueError(f"random design requires {name}")
                 w = np.asarray(w, dtype=float)
-                if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+                if not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-12:
                     raise ValueError(f"{name} must be nonnegative and sum to 1")
                 object.__setattr__(self, name, w)
 
@@ -96,24 +96,30 @@ class SamplingDesign:
         return cls(mode="random", weights_regression=pi, weights_tomography=xi)
 
 
-def _hermitian_family(axes: np.ndarray):
-    """Members and (l1, l2) labels of the hermitian construction over ``axes`` columns."""
-    d = axes.shape[1]
+def _hermitian_family(axes: np.ndarray, labels) -> list:
+    """Members of the hermitian construction over ``axes`` columns, one per (l1, l2) label."""
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    mats, labels = [], []
-    for l1 in range(1, d + 1):
-        for l2 in range(1, d + 1):
-            u = axes[:, l1 - 1][:, None]
-            v = axes[:, l2 - 1][:, None]
-            if l1 == l2:
-                mat = u @ u.conj().T
-            elif l1 < l2:
-                mat = inv_sqrt2 * (u @ v.conj().T + v @ u.conj().T)
-            else:
-                mat = 1j * inv_sqrt2 * (u @ v.conj().T - v @ u.conj().T)
-            mats.append(mat.astype(complex))
-            labels.append((l1, l2))
-    return mats, labels
+    mats = []
+    for l1, l2 in labels:
+        u = axes[:, l1 - 1][:, None]
+        v = axes[:, l2 - 1][:, None]
+        if l1 == l2:
+            mat = u @ u.conj().T
+        elif l1 < l2:
+            mat = inv_sqrt2 * (u @ v.conj().T + v @ u.conj().T)
+        else:
+            mat = 1j * inv_sqrt2 * (u @ v.conj().T - v @ u.conj().T)
+        mats.append(mat.astype(complex))
+    return mats
+
+
+def _labels(kind: str, d: int) -> list:
+    """Member labels of a built-in family: base-4 digit tuples for pauli,
+    (l1, l2) axis pairs otherwise.  They depend only on kind and d."""
+    if kind == "pauli":
+        b = _pauli_slots(d)
+        return [tuple(_pauli_label(j, b)) for j in range(d * d)]
+    return [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
 
 
 def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) -> ObservableBasis:
@@ -123,18 +129,11 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
     if d < 2:
         raise TomolabError("dimension must be at least 2")
 
+    labels = _labels(kind, d)
     g_store = None
     if kind == "canonical":
         eye = np.eye(d, dtype=complex)
-        mats, labels = [], []
-        for l1 in range(1, d + 1):
-            for l2 in range(1, d + 1):
-                mats.append(np.outer(eye[:, l1 - 1], eye[:, l2 - 1]))
-                labels.append((l1, l2))
-        decomps = tuple(
-            spectral_decompose(m, cluster_tol) if l1 == l2 else None
-            for m, (l1, l2) in zip(mats, labels)
-        )
+        mats = [np.outer(eye[:, l1 - 1], eye[:, l2 - 1]) for l1, l2 in labels]
     elif kind in ("hermitian", "gvector"):
         if kind == "gvector":
             if g_vectors is None:
@@ -148,24 +147,11 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
             g_store = axes.copy()
         else:
             axes = np.eye(d)
-        mats, labels = _hermitian_family(axes.astype(complex))
-        decomps = tuple(spectral_decompose(m, cluster_tol) for m in mats)
+        mats = _hermitian_family(axes.astype(complex), labels)
     else:  # pauli
         b = _pauli_slots(d)
-        labels = [tuple(_pauli_label(j, b)) for j in range(d * d)]
         mats = [_pauli_member(j, b) for j in range(d * d)]
-        decomps = tuple(spectral_decompose(m, cluster_tol) for m in mats)
-
-    kappa = max(dec.r for dec in decomps if dec is not None)
-    return ObservableBasis(
-        kind=kind,
-        dim=d,
-        matrices=tuple(mats),
-        decompositions=decomps,
-        labels=tuple(labels),
-        kappa=kappa,
-        g_vectors=g_store,
-    )
+    return custom_basis(mats, cluster_tol, kind=kind, labels=labels, g_vectors=g_store)
 
 
 def _pauli_label(j: int, b: int):
@@ -189,9 +175,15 @@ def _pauli_member(j: int, b: int) -> np.ndarray:
     return tensor_chain(SIGMA[l] for l in _pauli_label(j, b))
 
 
-def custom_basis(matrices, cluster_tol: float = 1e-9) -> ObservableBasis:
-    """Wrap an explicit matrix list; non-Hermitian members are left undecomposed."""
+def custom_basis(matrices, cluster_tol: float = 1e-9, kind: str = "custom", labels=None,
+                 g_vectors=None) -> ObservableBasis:
+    """The one constructor of every family: the Hermitian members are measurable
+    and decomposed, the others left undecomposed (masking only).  Labels
+    default to 1..p."""
     mats = tuple(np.asarray(m, dtype=complex) for m in matrices)
+    labels = tuple(labels if labels is not None else range(1, len(mats) + 1))
+    if len(labels) != len(mats):
+        raise ValueError(f"{len(labels)} labels for {len(mats)} members")
     d = mats[0].shape[0]
     decomps = []
     for m in mats:
@@ -199,8 +191,8 @@ def custom_basis(matrices, cluster_tol: float = 1e-9) -> ObservableBasis:
         decomps.append(spectral_decompose(m, cluster_tol) if herm else None)
     kappa = max((dec.r for dec in decomps if dec is not None), default=0)
     return ObservableBasis(
-        kind="custom", dim=d, matrices=mats, decompositions=tuple(decomps),
-        labels=tuple(range(1, len(mats) + 1)), kappa=kappa,
+        kind=kind, dim=d, matrices=mats, decompositions=tuple(decomps),
+        labels=labels, kappa=kappa, g_vectors=g_vectors,
     )
 
 
@@ -250,11 +242,6 @@ def read_basis(path, cluster_tol: float = 1e-9) -> ObservableBasis:
         block = lines[pos:pos + d + 1]
         mats.append(parse_matrix(block))
         pos += d + 1
-    basis = custom_basis(mats, cluster_tol)
-    if kind in _KINDS:
-        labels = basis.labels
-        if kind == "pauli":
-            b = int(round(np.log2(d)))
-            labels = tuple(tuple(_pauli_label(j, b)) for j in range(p))
-        basis = replace(basis, kind=kind, labels=labels)
-    return basis
+    if kind not in _KINDS:
+        return custom_basis(mats, cluster_tol)
+    return custom_basis(mats, cluster_tol, kind=kind, labels=_labels(kind, d))

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -39,39 +40,80 @@ TASKS = ("simulate", "translate", "distances", "zeta", "corollaries",
 ENVELOPE = {"d": 16, "m": 4096, "n": 100_000}
 
 
+def _parse_vector(text: str):
+    return np.array([float(t) for t in text.replace(";", ",").split(",") if t.strip()])
+
+
+def _parse_theta_list(text: str):
+    return [[float(v) for v in part.split(",") if v.strip()]
+            for part in text.split(";") if part.strip()]
+
+
+def _parse_names(text: str):
+    return [w.strip() for w in text.split(",") if w.strip()]
+
+
+def _parse_m_grid(text: str):
+    return [int(v) for v in _parse_vector(text)]
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+def _key(section, key: str, cast=str, **default):
+    """A config field read from ``[section] key`` through ``cast``; ``section``
+    may map each task to the one section it reads the key from."""
+    return field(metadata={"key": (section, key, cast)}, **default)
+
+
+# the section each grid task reads its grid keys from; estimator_transfer has no theta
+_THETA_SECTION = {"distances": "distances", "scaling": "scaling"}
+_GRID_SECTION = {**_THETA_SECTION, "estimator_transfer": "transfer"}
+
+
 @dataclass
 class ExperimentConfig:
+    """A run's settings.  Every field but ``task`` and ``raw_text`` is read from
+    the config key its ``_key`` names, and keeps its default when the file does
+    not set that key; these defaults are the only ones."""
+
     task: str
-    basis_kind: str = "pauli"
-    d: int = 4
-    g_file: str = None
-    witness: str = None
-    beta: float = 0.5
-    j_star: int = 1
-    state_class: str = None
-    s: int = None
-    r: int = None
-    gamma: int = None
-    matrix_file: str = None
-    design_mode: str = "fixed"
-    pi: np.ndarray = None
-    xi: np.ndarray = None
-    n: int = None
-    m: int = 64
-    seed: int = 20130204
-    detail: str = "summary"
-    out_dir: str = "tomolab_out"
-    threads: int = 1
-    active_tol: float = diagnostics.ACTIVE_TOL
-    c0: float = None
-    c1: float = None
-    thetas: list = field(default_factory=lambda: [[0.5, 0.5]])
-    m_grid: list = field(default_factory=lambda: [16, 64, 256, 1024, 4096])
-    tv_samples: int = 50_000
-    replications: int = 600
-    witnesses: list = field(default_factory=list)
-    witness_files: list = field(default_factory=list)
-    class_samples: int = 20
+    basis_kind: str = _key("basis", "kind", default="pauli")
+    d: int = _key("basis", "d", int, default=4)
+    g_file: str = _key("basis", "g_file", default=None)
+    witness: str = _key("state", "witness", default=None)
+    beta: float = _key("state", "beta", _finite, default=0.5)
+    j_star: int = _key("state", "j_star", int, default=1)
+    state_class: str = _key("state", "class", default=None)
+    s: int = _key("state", "s", int, default=None)
+    r: int = _key("state", "r", int, default=None)
+    gamma: int = _key("state", "gamma", int, default=None)
+    matrix_file: str = _key("state", "matrix_file", default=None)
+    design_mode: str = _key("design", "mode", default="fixed")
+    pi: np.ndarray = _key("design", "pi", _parse_vector, default=None)
+    xi: np.ndarray = _key("design", "xi", _parse_vector, default=None)
+    n: int = _key("run", "n", int, default=None)
+    m: int = _key("run", "m", int, default=64)
+    seed: int = _key("run", "seed", int, default=20130204)
+    detail: str = _key("run", "detail", default="summary")
+    out_dir: str = _key("run", "out", default="tomolab_out")
+    threads: int = _key("run", "threads", int, default=1)
+    active_tol: float = _key("tolerances", "active_tol", _finite, default=diagnostics.ACTIVE_TOL)
+    c0: float = _key("tolerances", "c0", _finite, default=None)
+    c1: float = _key("tolerances", "c1", _finite, default=None)
+    thetas: list = _key(_THETA_SECTION, "theta", _parse_theta_list,
+                        default_factory=lambda: [[0.5, 0.5]])
+    m_grid: list = _key(_GRID_SECTION, "m_grid", _parse_m_grid,
+                        default_factory=lambda: [16, 64, 256, 1024, 4096])
+    tv_samples: int = _key("distances", "tv_samples", int, default=50_000)
+    replications: int = _key("transfer", "replications", int, default=600)
+    witnesses: list = _key("zeta", "witnesses", _parse_names, default_factory=list)
+    witness_files: list = _key("zeta", "witness_files", _parse_names, default_factory=list)
+    class_samples: int = _key("corollaries", "samples", int, default=20)
     raw_text: str = ""
 
 
@@ -86,15 +128,6 @@ class ReportBundle:
         return all(c["passed"] for c in self.checks)
 
 
-def _parse_vector(text: str):
-    return np.array([float(t) for t in text.replace(";", ",").split(",") if t.strip()])
-
-
-def _parse_theta_list(text: str):
-    return [[float(v) for v in part.split(",") if v.strip()]
-            for part in text.split(";") if part.strip()]
-
-
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -104,70 +137,26 @@ def load_config(path) -> ExperimentConfig:
     except (OSError, configparser.Error) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
 
-    def get(section, key, cast=str, default=None):
-        if parser.has_option(section, key):
+    def get(section, key, cast=str):
+        if section is not None and parser.has_option(section, key):
             try:
                 return cast(parser.get(section, key))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ConfigParseError(f"bad value for [{section}] {key}: {exc}") from exc
-        return default
+        return None
 
     task = get("run", "task")
     if task not in TASKS:
         raise ConfigParseError(f"task must be one of {TASKS}, got {task!r}")
-    cfg = ExperimentConfig(
-        task=task,
-        basis_kind=get("basis", "kind", str, "pauli"),
-        d=get("basis", "d", int, 4),
-        g_file=get("basis", "g_file"),
-        witness=get("state", "witness"),
-        beta=get("state", "beta", float, 0.5),
-        j_star=get("state", "j_star", int, 1),
-        state_class=get("state", "class"),
-        s=get("state", "s", int),
-        r=get("state", "r", int),
-        gamma=get("state", "gamma", int),
-        matrix_file=get("state", "matrix_file"),
-        design_mode=get("design", "mode", str, "fixed"),
-        pi=get("design", "pi", _parse_vector),
-        xi=get("design", "xi", _parse_vector),
-        n=get("run", "n", int),
-        m=get("run", "m", int, 64),
-        seed=get("run", "seed", int, 20130204),
-        detail=get("run", "detail", str, "summary"),
-        out_dir=get("run", "out", str, "tomolab_out"),
-        threads=get("run", "threads", int, 1),
-        active_tol=get("tolerances", "active_tol", float, diagnostics.ACTIVE_TOL),
-        c0=get("tolerances", "c0", float),
-        c1=get("tolerances", "c1", float),
-        tv_samples=get("distances", "tv_samples", int, 50_000),
-        replications=get("transfer", "replications", int, 600),
-        class_samples=get("corollaries", "samples", int, 20),
-        raw_text=raw,
-    )
-
-    def first(key, cast, sections):
-        """``key`` from the first of ``sections`` that sets it, else None."""
-        return next((v for v in (get(s, key, cast) for s in sections) if v is not None), None)
-
-    # the sections each grid key is read from, in precedence order: the
-    # task's own section first, the others as fallbacks
-    theta_from = ("scaling", "distances") if task == "scaling" else ("distances", "scaling")
-    grid_from = {"scaling": ("scaling", "distances", "transfer"),
-                 "estimator_transfer": ("transfer", "distances", "scaling"),
-                 }.get(task, ("distances", "scaling", "transfer"))
-    thetas = first("theta", _parse_theta_list, theta_from)
-    if thetas is not None:
-        cfg.thetas = thetas
-    grid = first("m_grid", _parse_vector, grid_from)
-    if grid is not None:
-        cfg.m_grid = [int(v) for v in grid]
-    wit = get("zeta", "witnesses")
-    if wit:
-        cfg.witnesses = [w.strip() for w in wit.split(",") if w.strip()]
-    wfiles = get("zeta", "witness_files")
-    if wfiles:
-        cfg.witness_files = [w.strip() for w in wfiles.split(",") if w.strip()]
+    values = {}
+    for f in fields(ExperimentConfig):
+        if "key" in f.metadata:
+            section, key, cast = f.metadata["key"]
+            if isinstance(section, dict):
+                section = section.get(task)
+            values[f.name] = get(section, key, cast)
+    cfg = ExperimentConfig(task=task, raw_text=raw,
+                           **{name: v for name, v in values.items() if v is not None})
 
     if "TOMOLAB_SEED" in os.environ:
         cfg.seed = int(os.environ["TOMOLAB_SEED"])
@@ -193,9 +182,12 @@ def _check_grids(cfg: ExperimentConfig) -> None:
         raise ConfigParseError("theta lists no probability vector")
     for theta in cfg.thetas:
         try:
-            equivalence._checked_theta(theta)
+            theta = equivalence._checked_theta(theta)
         except ValueError as exc:
             raise ConfigParseError(f"bad theta: {exc}") from exc
+        # H = 0 at every m without two active cells, so there is no slope
+        if cfg.task == "scaling" and len(measurement._active_cells(theta)) < 2:
+            raise ConfigParseError(f"scaling theta {theta.tolist()} has fewer than two active cells")
     if any(m < 1 for m in cfg.m_grid):
         raise ConfigParseError(f"m_grid values must be at least 1, got {cfg.m_grid}")
     distinct = len(set(cfg.m_grid))
@@ -368,7 +360,7 @@ def _task_zeta(cfg, path):
 
 
 def _task_corollaries(cfg, path):
-    results = corollary_suite(cfg.d, cfg.seed, samples=cfg.class_samples)
+    results = corollary_suite(cfg.d, cfg.seed, cfg.class_samples)
     diagnostics.write_report_json({"checks": results}, path("corollaries.json"))
     return [{"name": res["name"], "anchor": res["anchor"], "passed": res["passed"]}
             for res in results]
@@ -376,14 +368,12 @@ def _task_corollaries(cfg, path):
 
 def _task_transfer(cfg, path):
     basis, state, _ = _inputs(cfg)
-    report = estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed,
-                                      replications=cfg.replications)
+    report = estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed, cfg.replications)
     diagnostics.write_report_json(report, path("transfer.json"))
-    with open(path("transfer.csv"), "w", encoding="ascii") as fh:
-        fh.write("m,risk_counts,risk_gaussian,gap,gap_se\n")
-        for row in report["sweep"]:
-            fh.write(f"{row['m']},{row['risk_counts']:.17g},{row['risk_gaussian']:.17g},"
-                     f"{row['gap']:.17g},{row['gap_se']:.17g}\n")
+    columns = ("risk_counts", "risk_gaussian", "gap", "gap_se")
+    measurement._write_table(path("transfer.csv"), ("m",) + columns, (
+        [row["m"], *(measurement._fmt(row[c]) for c in columns)] for row in report["sweep"]),
+        lineterminator="\n")
     return [{"name": "risk-gap-monotone", "anchor": "estimator-transfer",
              "passed": report["monotone"]}]
 
@@ -439,8 +429,7 @@ def run(cfg: ExperimentConfig) -> ReportBundle:
 # --- estimator transfer --------------------------------------------------------
 
 
-def estimator_transfer(rho, basis, n: int, m: int, seed: int,
-                       replications: int = 600) -> dict:
+def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict:
     """Compare coefficient estimators fed by counts vs by Gaussian samples.
 
     Fixed design over an orthogonal family (n = p): each replication
@@ -452,8 +441,6 @@ def estimator_transfer(rho, basis, n: int, m: int, seed: int,
     if basis.kind not in ("hermitian", "pauli", "gvector"):
         raise TomolabError("estimator transfer requires an orthogonal family")
     p = basis.size
-    if n != p:
-        raise TomolabError(f"fixed design requires n = p = {p}")
     if m < 1:
         raise TomolabError("m must be at least 1")
     mat = rho.matrix if isinstance(rho, states.DensityMatrix) else np.asarray(rho)
@@ -489,10 +476,9 @@ def estimator_transfer(rho, basis, n: int, m: int, seed: int,
     }
 
 
-def estimator_transfer_sweep(rho, basis, m_grid, seed: int, replications: int = 600) -> dict:
+def estimator_transfer_sweep(rho, basis, m_grid, seed: int, replications: int) -> dict:
     """Run the transfer comparison across a repetition grid; check the gap shrinks."""
-    sweep = [estimator_transfer(rho, basis, basis.size, int(m), seed, replications)
-             for m in m_grid]
+    sweep = [estimator_transfer(rho, basis, int(m), seed, replications) for m in m_grid]
     monotone = all(
         sweep[i + 1]["gap"] <= sweep[i]["gap"] + sweep[i]["gap_se"] + sweep[i + 1]["gap_se"]
         for i in range(len(sweep) - 1))
@@ -502,7 +488,7 @@ def estimator_transfer_sweep(rho, basis, m_grid, seed: int, replications: int = 
 # --- corollary verification suite ------------------------------------------------
 
 
-def corollary_suite(d: int, seed: int, samples: int = 20, tol: float = 1e-9) -> list:
+def corollary_suite(d: int, seed: int, samples: int, tol: float = 1e-9) -> list:
     """The four witness-and-count checks over the built-in families at dimension d.
 
     The two counting checks (sparse entries, sparse-vector mixtures) evaluate

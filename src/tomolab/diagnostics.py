@@ -118,7 +118,7 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None, tol: float = ACT
         arr = np.asarray(weights, dtype=float)
         weight_vectors = [arr] if arr.ndim == 1 else [np.asarray(w, dtype=float) for w in arr]
     for w in weight_vectors:
-        if len(w) != p or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if len(w) != p or not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("each weight vector must be a probability vector of length p")
 
     fractions, counts = [], []
@@ -201,6 +201,8 @@ def deficiency_bound(n: int, m: int, p: int, kappa: int, gamma: float, zeta: flo
 
 
 def write_report_json(payload: dict, path) -> None:
+    """The one JSON writer; a NaN or infinite value raises ValueError before
+    the file is opened, so every file it writes is valid JSON."""
     def default(obj):
         if isinstance(obj, (np.integer,)):
             return int(obj)
@@ -212,6 +214,6 @@ def write_report_json(payload: dict, path) -> None:
             return obj.__dict__
         raise TypeError(f"cannot serialize {type(obj)}")
 
+    text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -23,7 +23,6 @@ bounds evaluated in :mod:`tomolab.diagnostics`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NegativeResult, TomolabError
-from .measurement import TomographyDataset, _active_cells
+from .measurement import TomographyDataset, _active_cells, _fmt, _write_table
 from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
@@ -524,6 +523,9 @@ def scaling_study(theta, m_grid, quad_spec: QuadSpec = None) -> ScalingReport:
     m_grid = [int(m) for m in m_grid]
     if len(set(m_grid)) < MIN_SCALING_POINTS:
         raise ValueError(f"scaling study needs at least {MIN_SCALING_POINTS} distinct m values")
+    if len(_active_cells(_checked_theta(theta))) < 2:
+        # H = 0 at every m, so there is no slope to fit
+        raise ValueError(f"scaling study needs at least two active cells, got theta = {theta}")
     estimates = [hellinger_perturbed_vs_gaussian(m, theta, quad_spec) for m in m_grid]
     values = [e.value for e in estimates]
     slope = fit_loglog_slope(m_grid, values)
@@ -539,8 +541,6 @@ def scaling_study(theta, m_grid, quad_spec: QuadSpec = None) -> ScalingReport:
 
 
 def write_scaling_csv(report: ScalingReport, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "H", "error_bar"])
-        for m, h, e in zip(report.m_grid, report.values, report.error_bars):
-            writer.writerow([m, format(h, ".17g"), format(e, ".17g")])
+    """One row per grid point: m, H, error_bar."""
+    _write_table(path, ["m", "H", "error_bar"], (
+        [m, _fmt(h), _fmt(e)] for m, h, e in zip(report.m_grid, report.values, report.error_bars)))

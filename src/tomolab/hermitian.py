@@ -40,10 +40,13 @@ MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
 
 
 def require_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Return ``mat`` as a complex array, raising :class:`TomolabError` if unsymmetric."""
+    """Return ``mat`` as a complex array, raising :class:`TomolabError` if it is
+    not square, has a non-finite entry or is unsymmetric."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise TomolabError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise TomolabError("matrix has a non-finite entry")
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     if dev > tol:
         raise TomolabError(f"matrix deviates from Hermitian symmetry by {dev:.3e}")

@@ -149,24 +149,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_table(path, header, rows, lineterminator: str = "\r\n") -> None:
+    """The one CSV writer: ``header`` (None for none), then ``rows``, which
+    may be a generator so a large table streams instead of being held."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataset_csv(dataset: TomographyDataset, path) -> None:
     """One row per record: k, j, m, "U_1|U_2|...", N (empty when absent)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "j", "m", "counts", "N"])
-        for k, (j, counts) in enumerate(zip(dataset.indices.tolist(), dataset.counts)):
-            n_val = _fmt(dataset.summaries[k]) if dataset.summaries is not None else ""
-            writer.writerow([k, j, dataset.m, "|".join(map(str, counts.tolist())), n_val])
+    _write_table(path, ["k", "j", "m", "counts", "N"], (
+        [k, j, dataset.m, "|".join(map(str, counts.tolist())),
+         _fmt(dataset.summaries[k]) if dataset.summaries is not None else ""]
+        for k, (j, counts) in enumerate(zip(dataset.indices.tolist(), dataset.counts))))
 
 
 def write_individuals_csv(dataset: TomographyDataset, path) -> None:
     """Sibling outcome file: row per record, one outcome per column."""
     if dataset.individuals is None:
         raise ValueError("dataset carries no individual outcomes")
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        for row in dataset.individuals.tolist():
-            writer.writerow([_fmt(x) for x in row])
+    _write_table(path, None, ([_fmt(x) for x in row] for row in dataset.individuals.tolist()))
 
 
 def _read_records(path, basis: ObservableBasis, header: list) -> tuple:

@@ -29,14 +29,12 @@ coarse Y array, or with the list of fine vectors y_k over each member's cells.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .hermitian import require_hermitian, trace_product
-from .measurement import (_active_cells, _fmt, _read_records, cell_probabilities,
-                          draw_design_indices)
+from .measurement import (_active_cells, _fmt, _read_records, _write_table,
+                          cell_probabilities, draw_design_indices)
 from .rng import COARSE, FINE, record_blocks
 from .states import DensityMatrix
 
@@ -133,21 +131,16 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
 def write_coarse_csv(samples, path) -> None:
     """One row per record of ``samples`` = (indices, Y): k, j, Y."""
     indices, values = samples
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "j", "Y"])
-        for k, (j, v) in enumerate(zip(indices.tolist(), values.tolist())):
-            writer.writerow([k, j, _fmt(v)])
+    _write_table(path, ["k", "j", "Y"], (
+        [k, j, _fmt(v)] for k, (j, v) in enumerate(zip(indices.tolist(), values.tolist()))))
 
 
 def write_fine_csv(samples, path) -> None:
     """One row per record of ``samples`` = (indices, ys): k, j, "y_1|y_2|..."."""
     indices, ys = samples
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "j", "y"])
-        for k, (j, y) in enumerate(zip(indices.tolist(), ys)):
-            writer.writerow([k, j, "|".join(_fmt(v) for v in y.tolist())])
+    _write_table(path, ["k", "j", "y"], (
+        [k, j, "|".join(_fmt(v) for v in y.tolist())]
+        for k, (j, y) in enumerate(zip(indices.tolist(), ys))))
 
 
 def read_coarse_csv(path, basis: ObservableBasis) -> tuple:

@@ -79,7 +79,7 @@ def pauli_line_state(d: int, j_star: int, beta: float) -> DensityMatrix:
     valid state exactly when |beta| < 1.  ``d`` must be a power of 2 and
     0 < ``j_star`` < d^2.
     """
-    if abs(beta) >= 1:
+    if not abs(beta) < 1:
         raise TomolabError(f"|beta| must be < 1, got {beta}")
     b = bases._pauli_slots(d)
     if not 0 < j_star < d * d:

@@ -137,15 +137,38 @@ class TestDesign:
         with pytest.raises(ValueError):
             bases.SamplingDesign.random([0.5, 0.4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            bases.SamplingDesign.random([bad, 0.5, 0.25, 0.25])
+
 
 class TestBasisFiles:
-    @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3)])
+    @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("canonical", 3),
+                                        ("gvector", 4)])
     def test_round_trip(self, kind, d, tmp_path):
-        b = bases.build_basis(kind, d)
+        g = bases.haar_wavelet_vectors(d) if kind == "gvector" else None
+        b = bases.build_basis(kind, d, g_vectors=g)
         path = tmp_path / "basis.txt"
         bases.write_basis(b, path)
         back = bases.read_basis(path)
         assert back.kind == kind and back.dim == d and back.size == b.size
         for m1, m2 in zip(b.matrices, back.matrices):
             np.testing.assert_array_equal(m1, m2)
+        assert back.labels == b.labels
+        assert [back.measurable(j) for j in range(b.size)] == [b.measurable(j)
+                                                              for j in range(b.size)]
         assert back.kappa == b.kappa
+
+    def test_custom_family_keeps_numbered_labels(self, tmp_path):
+        b = bases.custom_basis([SIGMA[1], SIGMA[3]])
+        path = tmp_path / "basis.txt"
+        bases.write_basis(b, path)
+        back = bases.read_basis(path)
+        assert back.kind == "custom" and back.labels == (1, 2)
+
+    def test_member_count_must_fit_kind(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text("pauli 2 1\n" + hermitian.format_matrix(SIGMA[0]))
+        with pytest.raises(ValueError, match="1 members"):
+            bases.read_basis(path)

@@ -157,6 +157,29 @@ m_grid = 16,64,256,1024
         text += "\n[transfer]\nm_grid = 32,128\n"
         cfg = cli.load_config(write_cfg(tmp_path, text.format(out=tmp_path), "transfer.cfg"))
         assert cfg.m_grid == [32, 128]
+        # another task's section is never a fallback: with theta only under
+        # [distances], scaling gets the default theta, and with m_grid only
+        # under [distances], estimator_transfer gets the default m_grid
+        only_distances = """
+[run]
+task = {task}
+seed = 1
+out = {out}
+
+[distances]
+theta = 0.2,0.8
+m_grid = 16,64
+
+[scaling]
+m_grid = 16,64,256,1024
+"""
+        cfg = cli.load_config(write_cfg(
+            tmp_path, only_distances.format(task="scaling", out=tmp_path), "s.cfg"))
+        assert cfg.thetas == [[0.5, 0.5]]
+        assert cfg.m_grid == [16, 64, 256, 1024]
+        cfg = cli.load_config(write_cfg(
+            tmp_path, only_distances.format(task="estimator_transfer", out=tmp_path), "t.cfg"))
+        assert cfg.m_grid == cli.ExperimentConfig(task="estimator_transfer").m_grid
 
     def test_semicolon_is_not_an_inline_comment(self, tmp_path):
         text = """
@@ -323,6 +346,87 @@ seed = 2
 out = {tmp_path / "z"}
 """
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+
+    @pytest.mark.parametrize("section, key", [
+        ("state", "beta"),
+        ("tolerances", "active_tol"),
+        ("tolerances", "c0"),
+        ("tolerances", "c1"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_key_exits_2(self, tmp_path, section, key, value):
+        # c0 = nan used to run the zeta task, print a FAIL and write NaN to zeta.json
+        sections = {"run": {"task": "zeta", "seed": 2, "out": tmp_path / "z"},
+                    "state": {"witness": "cor2_line"},
+                    "tolerances": {"c0": 0.1, "c1": 0.9}}
+        sections[section][key] = value
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                         for name, keys in sections.items())
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match="not finite"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "z").exists()
+
+    def test_nan_design_weight_exits_2(self, tmp_path):
+        # used to exit 0 with "zeta": NaN and "gamma_p": NaN in zeta.json
+        text = f"""
+[basis]
+kind = pauli
+d = 2
+
+[design]
+mode = random
+pi = nan,0.5,0.25,0.25
+
+[run]
+task = zeta
+seed = 2
+out = {tmp_path / "z"}
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert not (tmp_path / "z" / "zeta.json").exists()
+
+    def test_scaling_theta_without_two_active_cells_exits_2(self, tmp_path, monkeypatch):
+        # H = 0 at every m has no log-log slope; rejected before any point runs
+        def no_study(*args, **kwargs):
+            raise AssertionError("a scaling study ran")
+
+        monkeypatch.setattr(cli.equivalence, "scaling_study", no_study)
+        text = f"""
+[run]
+task = scaling
+seed = 1
+out = {tmp_path / "o"}
+
+[scaling]
+theta = 0.5,0.5; 1,0
+m_grid = 16,64,256,1024
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match="two active cells"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+        # distances keeps accepting it: H = TV = 0 is a meaningful answer there
+        cfg = cli.load_config(write_cfg(
+            tmp_path, text.replace("scaling", "distances"), "d.cfg"))
+        assert cfg.thetas[1] == [1.0, 0.0]
+
+    def test_infinite_m_grid_exits_2(self, tmp_path):
+        text = f"""
+[run]
+task = distances
+seed = 1
+out = {tmp_path / "o"}
+
+[distances]
+m_grid = 16,inf
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=r"\[distances\] m_grid"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
 
     def test_rejections_are_value_errors(self):
         assert issubclass(TomolabError, ValueError)
@@ -681,14 +785,14 @@ class TestEstimatorTransfer:
     def test_identity_coefficient_exact(self):
         basis = bases.build_basis("pauli", 4)
         st = states.pauli_line_state(4, 1, 0.5)
-        report = cli.estimator_transfer(st, basis, 16, 16, seed=3, replications=200)
+        report = cli.estimator_transfer(st, basis, 16, seed=3, replications=200)
         assert report["per_j_sq_error_counts"][0] == pytest.approx(0.0, abs=1e-28)
 
     def test_line_coefficient_recovered(self):
         d, beta, j_star = 4, 0.5, 1
         basis = bases.build_basis("pauli", d)
         st = states.pauli_line_state(d, j_star, beta)
-        report = cli.estimator_transfer(st, basis, 16, 256, seed=3, replications=3000)
+        report = cli.estimator_transfer(st, basis, 256, seed=3, replications=3000)
         # squared error of alpha_j* estimates its sampling variance
         # Var(N_j*)/d^2 = (1 - beta^2)/(m d^2); the bias is zero
         want = (1 - beta ** 2) / (256 * d * d)
@@ -701,7 +805,7 @@ class TestEstimatorTransfer:
         basis = bases.build_basis("canonical", 2)
         st = states.validate_density(np.eye(2) / 2)
         with pytest.raises(TomolabError, match="orthogonal family"):
-            cli.estimator_transfer(st, basis, 4, 8, seed=1)
+            cli.estimator_transfer(st, basis, 8, seed=1, replications=600)
 
     def test_sweep_monotone(self):
         basis = bases.build_basis("pauli", 4)

@@ -114,6 +114,14 @@ class TestZetaFraction:
         rep0 = diagnostics.zeta_fraction([line], PAULI4, weights=w)
         assert rep0.zeta == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights(self, bad):
+        line = states.pauli_line_state(4, 1, 0.5)
+        w = np.full(16, 1 / 16)
+        w[1] = bad
+        with pytest.raises(ValueError, match="probability vector"):
+            diagnostics.zeta_fraction([line], PAULI4, weights=w)
+
     def test_c3_window(self):
         st = states.pauli_line_state(4, 2, 0.5)
         rep = diagnostics.zeta_fraction([st], PAULI4, c_bounds=(0.2, 0.8))
@@ -183,3 +191,14 @@ class TestDeficiencyBound:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             diagnostics.deficiency_bound(1, 1, 1, 1, 0, 0, 1.0, "other")
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad, tmp_path):
+        # NaN and Infinity are not JSON, so the writer refuses them, and
+        # leaves no truncated file behind
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            diagnostics.write_report_json({"a": [1, 2], "zeta": bad}, path)
+        assert not path.exists()

@@ -424,6 +424,12 @@ class TestScaling:
         with pytest.raises(ValueError):
             eq.scaling_study([0.5, 0.5], [16, 16, 16, 16])
 
+    @pytest.mark.parametrize("theta", [[1.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_needs_two_active_cells(self, theta):
+        # H = 0 at every m, and log 0 has no slope
+        with pytest.raises(ValueError, match="two active cells"):
+            eq.scaling_study(theta, [16, 64, 256, 1024])
+
     def test_csv_and_json(self, tmp_path):
         rep = eq.scaling_study([0.5, 0.5], [16, 64, 256, 1024])
         cpath = tmp_path / "scale.csv"

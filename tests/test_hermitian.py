@@ -50,6 +50,14 @@ class TestSpectralDecompose:
         with pytest.raises(TomolabError, match="deviates from Hermitian symmetry"):
             hermitian.spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        # every comparison with NaN is false, so the symmetry check alone passes it
+        mat = np.eye(2, dtype=complex)
+        mat[0, 0] = bad
+        with pytest.raises(TomolabError, match="non-finite entry"):
+            hermitian.require_hermitian(mat)
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("d", [2, 5, 16])
     def test_projection_algebra_random(self, d, seed):

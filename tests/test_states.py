@@ -35,6 +35,10 @@ class TestValidateDensity:
         with pytest.raises(TomolabError, match="most negative eigenvalue"):
             states.validate_density(np.diag([2.0, -1.0]))
 
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(TomolabError, match="non-finite entry"):
+            states.validate_density(np.full((2, 2), np.nan))
+
 
 class TestPauliLineState:
     def test_beta_zero_is_maximally_mixed(self):
@@ -66,6 +70,12 @@ class TestPauliLineState:
     def test_identity_rejected(self):
         with pytest.raises(TomolabError, match="non-identity member"):
             states.pauli_line_state(4, 0, 0.5)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_beta_not_finite(self, beta):
+        # rejected by the beta check, before any eigensolver sees a NaN
+        with pytest.raises(TomolabError, match=r"\|beta\| must be < 1"):
+            states.pauli_line_state(4, 1, beta)
 
     def test_beta_out_of_range(self):
         with pytest.raises(TomolabError, match=r"\|beta\| must be < 1"):
