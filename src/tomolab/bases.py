@@ -129,11 +129,10 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
     if d < 2:
         raise TomolabError("dimension must be at least 2")
 
-    labels = _labels(kind, d)
     g_store = None
     if kind == "canonical":
         eye = np.eye(d, dtype=complex)
-        mats = [np.outer(eye[:, l1 - 1], eye[:, l2 - 1]) for l1, l2 in labels]
+        mats = [np.outer(eye[:, l1 - 1], eye[:, l2 - 1]) for l1, l2 in _labels(kind, d)]
     elif kind in ("hermitian", "gvector"):
         if kind == "gvector":
             if g_vectors is None:
@@ -142,16 +141,16 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
             if axes.shape != (d, d):
                 raise TomolabError(f"expected {d} vectors of length {d}")
             gram_dev = float(np.max(np.abs(axes.T @ axes - np.eye(d))))
-            if gram_dev > 1e-9:
+            if not gram_dev <= 1e-9:
                 raise TomolabError(f"Gram matrix deviates from identity by {gram_dev:.3e}")
             g_store = axes.copy()
         else:
             axes = np.eye(d)
-        mats = _hermitian_family(axes.astype(complex), labels)
+        mats = _hermitian_family(axes.astype(complex), _labels(kind, d))
     else:  # pauli
         b = _pauli_slots(d)
         mats = [_pauli_member(j, b) for j in range(d * d)]
-    return custom_basis(mats, cluster_tol, kind=kind, labels=labels, g_vectors=g_store)
+    return _make_basis(mats, cluster_tol, kind, g_vectors=g_store)
 
 
 def _pauli_label(j: int, b: int):
@@ -175,19 +174,24 @@ def _pauli_member(j: int, b: int) -> np.ndarray:
     return tensor_chain(SIGMA[l] for l in _pauli_label(j, b))
 
 
-def custom_basis(matrices, cluster_tol: float = 1e-9, kind: str = "custom", labels=None,
-                 g_vectors=None) -> ObservableBasis:
+def custom_basis(matrices, cluster_tol: float = 1e-9) -> ObservableBasis:
+    """Wrap an explicit matrix list; non-Hermitian members are left undecomposed."""
+    return _make_basis(matrices, cluster_tol, "custom")
+
+
+def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> ObservableBasis:
     """The one constructor of every family: the Hermitian members are measurable
-    and decomposed, the others left undecomposed (masking only).  Labels
-    default to 1..p."""
+    and decomposed, the others left undecomposed (masking only).  A built-in
+    kind takes its labels from :func:`_labels`, any other kind 1..p."""
     mats = tuple(np.asarray(m, dtype=complex) for m in matrices)
-    labels = tuple(labels if labels is not None else range(1, len(mats) + 1))
+    d = mats[0].shape[0]
+    labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, len(mats) + 1))
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} members")
-    d = mats[0].shape[0]
     decomps = []
     for m in mats:
-        herm = np.max(np.abs(m - m.conj().T)) <= 1e-9
+        # a member with a NaN or inf entry goes to spectral_decompose, which rejects it
+        herm = not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) <= 1e-9
         decomps.append(spectral_decompose(m, cluster_tol) if herm else None)
     kappa = max((dec.r for dec in decomps if dec is not None), default=0)
     return ObservableBasis(
@@ -242,6 +246,4 @@ def read_basis(path, cluster_tol: float = 1e-9) -> ObservableBasis:
         block = lines[pos:pos + d + 1]
         mats.append(parse_matrix(block))
         pos += d + 1
-    if kind not in _KINDS:
-        return custom_basis(mats, cluster_tol)
-    return custom_basis(mats, cluster_tol, kind=kind, labels=_labels(kind, d))
+    return _make_basis(mats, cluster_tol, kind if kind in _KINDS else "custom")

@@ -167,6 +167,25 @@ class TestBasisFiles:
         back = bases.read_basis(path)
         assert back.kind == "custom" and back.labels == (1, 2)
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_member_rejected(self, entry, tmp_path):
+        # an off-diagonal inf is not Hermitian-symmetric; it must not pass as masking-only
+        mat = np.array(SIGMA[1])
+        mat[0, 1] = float(entry)
+        with pytest.raises(TomolabError, match="non-finite"):
+            bases.custom_basis([SIGMA[0], mat])
+        path = tmp_path / "basis.txt"
+        path.write_text("custom 2 2\n" + hermitian.format_matrix(SIGMA[0])
+                        + hermitian.format_matrix(mat))
+        with pytest.raises(TomolabError, match="non-finite"):
+            bases.read_basis(path)
+
+    def test_nan_g_vector_rejected(self):
+        g = bases.haar_wavelet_vectors(4)
+        g[0, 0] = np.nan
+        with pytest.raises(TomolabError, match="Gram"):
+            bases.build_basis("gvector", 4, g_vectors=g)
+
     def test_member_count_must_fit_kind(self, tmp_path):
         path = tmp_path / "basis.txt"
         path.write_text("pauli 2 1\n" + hermitian.format_matrix(SIGMA[0]))

@@ -387,6 +387,29 @@ out = {tmp_path / "z"}
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
         assert not (tmp_path / "z" / "zeta.json").exists()
 
+    def test_nan_g_file_exits_2(self, tmp_path):
+        # a NaN axis used to leave every member on that column masking-only,
+        # and a fixed-design zeta run exited 0 over the remaining members
+        g = bases.haar_wavelet_vectors(4)
+        g[1, 2] = np.nan
+        np.savetxt(tmp_path / "g.txt", g)
+        text = f"""
+[basis]
+kind = gvector
+d = 4
+g_file = {tmp_path / "g.txt"}
+
+[state]
+witness = cor2_line
+
+[run]
+task = zeta
+seed = 2
+out = {tmp_path / "z"}
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert not (tmp_path / "z" / "zeta.json").exists()
+
     def test_scaling_theta_without_two_active_cells_exits_2(self, tmp_path, monkeypatch):
         # H = 0 at every m has no log-log slope; rejected before any point runs
         def no_study(*args, **kwargs):

@@ -14,20 +14,37 @@ WRITERS = {"measurement", "diagnostics", "hermitian", "bases"}
 WRITE_METHODS = {"write_text", "write_bytes", "savetxt", "savez", "tofile"}
 
 
+def _mode_args(node) -> list:
+    """The mode (or os.open flags) arguments of an open call, None for any other call.
+
+    ``open(p, mode)``, ``io.open(p, mode)`` and ``os.open(p, flags)`` take it
+    second, ``Path(p).open(mode)`` first."""
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        positional = node.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        module = isinstance(func.value, ast.Name) and func.value.id in ("io", "os")
+        positional = node.args[1:2] if module else node.args[:1]
+    else:
+        return None
+    return positional + [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+
+
 def _writes_files(tree) -> list:
-    """Line numbers of the calls in ``tree`` that open a file for writing."""
+    """Line numbers of the calls in ``tree`` that open a file for writing.
+
+    A mode that is not a string constant counts as a write."""
     lines = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in WRITE_METHODS:
+        if isinstance(node.func, ast.Attribute) and node.func.attr in WRITE_METHODS:
             lines.append(node.lineno)
-        elif isinstance(func, ast.Name) and func.id == "open":
-            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
-            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
-                   for m in modes):
-                lines.append(node.lineno)
+            continue
+        modes = _mode_args(node)
+        if modes and any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                         for m in modes):
+            lines.append(node.lineno)
     return sorted(lines)
 
 
@@ -44,3 +61,16 @@ def test_only_format_owners_write_files():
 def test_guard_sees_a_write():
     tree = ast.parse('with open(p, "w") as fh:\n    pass\nopen(q)\nopen(r, mode="a")\n')
     assert _writes_files(tree) == [1, 4]
+
+
+def test_guard_sees_an_open_method_or_module_function():
+    source = "\n".join([
+        'Path(p).open("w")',
+        'Path(p).open()',
+        'Path(p).open(mode="r")',
+        'io.open(p, "wb")',
+        'io.open(p)',
+        'os.open(p, os.O_WRONLY | os.O_CREAT)',
+        'fh.open("a+")',
+    ])
+    assert _writes_files(ast.parse(source)) == [1, 4, 6, 7]
