@@ -44,11 +44,14 @@ class ActiveIndexReport:
 
     per_j: tuple                    # tuple of index tuples
     cardinalities: np.ndarray
-    nondegenerate: np.ndarray       # flags |I_j| >= 2
     measurable: np.ndarray
     tol: float
     active_traces_min: float = None
     active_traces_max: float = None
+
+    @property
+    def nondegenerate(self) -> np.ndarray:  # flags |I_j| >= 2
+        return self.cardinalities >= 2
 
     @property
     def nondegenerate_count(self) -> int:
@@ -60,14 +63,13 @@ def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> Ac
     if not (0 < tol < 0.1):
         raise ValueError("tol must lie in (0, 0.1)")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    per_j, cards, flags, meas = [], [], [], []
+    per_j, cards, meas = [], [], []
     t_min, t_max = np.inf, -np.inf
     for j in range(basis.size):
         dec = basis.decompositions[j]
         if dec is None:
             per_j.append(())
             cards.append(0)
-            flags.append(False)
             meas.append(False)
             continue
         traces = dec.cell_traces(mat)
@@ -77,12 +79,10 @@ def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> Ac
             t_max = max(t_max, float(traces[list(idx)].max()))
         per_j.append(idx)
         cards.append(len(idx))
-        flags.append(len(idx) >= 2)
         meas.append(True)
     return ActiveIndexReport(
         per_j=tuple(per_j),
         cardinalities=np.array(cards),
-        nondegenerate=np.array(flags, dtype=bool),
         measurable=np.array(meas, dtype=bool),
         tol=tol,
         active_traces_min=None if np.isinf(t_min) else t_min,

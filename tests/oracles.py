@@ -1,9 +1,10 @@
 """Reference computations the tests check the package against.
 
 Each one recomputes a property the package's constructions must have, by a
-route of its own: the multinomial pmf through conditional binomials, class
-membership of a sampled state, orthogonality and Pauli projection traces of
-a family, and a matrix rebuilt from its spectral decomposition.
+route of its own: the multinomial pmf through conditional binomials, the two
+dataset translations one record at a time, class membership of a sampled
+state, orthogonality and Pauli projection traces of a family, and a matrix
+rebuilt from its spectral decomposition.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy.special import gammaln
 from tomolab.bases import build_basis
 from tomolab.errors import TomolabError
 from tomolab.hermitian import hs_inner, trace_product
+from tomolab.rng import TRANSLATE, record_blocks
 from tomolab.states import DENSITY_TOL, DensityMatrix
 
 
@@ -57,6 +59,51 @@ def reconstruct(dec) -> np.ndarray:
     for lam, proj in zip(dec.eigenvalues, dec.projections):
         out += lam * proj
     return out
+
+
+# --- translations, one record at a time -----------------------------------------
+
+
+def translate_per_record(dataset, seed: int) -> tuple:
+    """K0 translation (indices, ys) record by record: a record with more than
+    one nonzero cell gets the next r - 1 uniforms of its block's flat draw on
+    its first r - 1 cells, and its last cell restores the sum m."""
+    m, ys = dataset.m, []
+    for lo, hi, rng in record_blocks(seed, TRANSLATE, len(dataset.counts)):
+        block = dataset.counts[lo:hi]
+        sizes = [len(u) - 1 if np.count_nonzero(u) > 1 else 0 for u in block]
+        psi = rng.uniform(-0.5, 0.5, size=sum(sizes))
+        end = 0
+        for u, size in zip(block, sizes):
+            end += size
+            vals = u.astype(float)
+            if size:
+                vals[:size] += psi[end - size:end]
+                vals[size] = m - vals[:size].sum()
+            ys.append(vals / m)
+    return dataset.indices, ys
+
+
+def _round_off_one(values, m: int) -> np.ndarray:
+    """K1 on one vector; ArithmeticError when an implied count is negative."""
+    head = (np.sign(values[:-1]) * np.floor(np.abs(values[:-1]) + 0.5)).astype(np.int64)
+    last = m - int(head.sum())
+    if np.any(head < 0) or last < 0:
+        raise ArithmeticError(f"implied counts {list(head) + [last]} contain a negative entry")
+    return np.append(head, last)
+
+
+def round_off_per_record(samples, m: int) -> tuple:
+    """K1 translation record by record, as (kept indices, kept counts, dropped)."""
+    indices, ys = samples
+    kept, counts = [], []
+    for k, y in enumerate(ys):
+        try:
+            counts.append(_round_off_one(m * y, m))
+        except ArithmeticError:
+            continue
+        kept.append(k)
+    return np.asarray(indices)[kept], counts, len(ys) - len(kept)
 
 
 # --- families ------------------------------------------------------------------

@@ -171,16 +171,19 @@ def test_criterion_04_class_count_bounds():
 def test_criterion_05_kernel_round_trip():
     rng = np.random.default_rng(SEED)
     total = 100_000
+    widths = rng.integers(2, 5, size=total)
+    ms = rng.integers(1, 65, size=total)
     failures = 0
-    for _ in range(total):
-        r = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 65))
-        theta = rng.dirichlet(np.ones(r))
-        counts = rng.multinomial(m, theta)
-        pert = eq.kernel_K0(counts, m, rng)
-        back = eq.kernel_K1(pert, m)
-        if not np.array_equal(back, counts):
-            failures += 1
+    # one K0 and one K1 block call per (r, m) group of records
+    for r in (2, 3, 4):
+        rows = np.flatnonzero(widths == r)
+        drawn = rng.multinomial(ms[rows], rng.dirichlet(np.ones(r), size=len(rows)))
+        for m in np.unique(ms[rows]).tolist():
+            counts = drawn[ms[rows] == m]
+            cells, starts, lengths = eq._ragged(counts)
+            eq._perturb(cells, starts, lengths, m, np.ones(len(counts), dtype=bool), rng)
+            back, _ = eq._round_off(cells, lengths, m)
+            failures += int(np.any(back.reshape(counts.shape) != counts, axis=1).sum())
     _report(5, "round-off inverts the uniform perturbation on 1e5 records",
             failures == 0, f"{failures} failures")
 

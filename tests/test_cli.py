@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tomolab import bases, cli, hermitian, states
-from tomolab.errors import ConfigParseError, NegativeResult, TomolabError
+from tomolab.errors import ConfigParseError, TomolabError
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -280,6 +280,26 @@ m_grid = {grid}
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("task, n_line", [
+        ("translate", ""), ("translate", "n = 0"), ("simulate", "n = -3")])
+    def test_meaningless_record_count_exits_2(self, tmp_path, task, n_line):
+        # translate over no records would pass a round trip it never made
+        text = f"""
+[design]
+mode = random
+
+[run]
+task = {task}
+{n_line}
+seed = 1
+out = {tmp_path / "o"}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=r"\[run\] n must be at least"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("task, section, key", [
         ("distances", "distances", "m_grid"),
         ("distances", "distances", "theta"),
@@ -454,7 +474,6 @@ m_grid = 16,inf
     def test_rejections_are_value_errors(self):
         assert issubclass(TomolabError, ValueError)
         assert issubclass(ConfigParseError, TomolabError)
-        assert issubclass(NegativeResult, TomolabError)
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_meaningless_thread_option_exits_2(self, tmp_path, threads):

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from oracles import multinomial_pmf_chain
-from tomolab import bases, diagnostics, equivalence as eq, measurement, states
-from tomolab.errors import NegativeResult, TomolabError
+from oracles import multinomial_pmf_chain, round_off_per_record, translate_per_record
+from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
+from tomolab.errors import TomolabError
+from tomolab.rng import BLOCK
 
 PAULI2 = bases.build_basis("pauli", 2)
 
@@ -27,9 +28,10 @@ class TestKernels:
         pert = eq.kernel_K0([6], 6, seed=1)
         np.testing.assert_array_equal(pert, [6.0])
 
-    def test_degenerate_flag_passthrough(self):
-        pert = eq.kernel_K0(np.array([4, 0]), 4, seed=1, degenerate=True)
-        np.testing.assert_array_equal(pert, [4.0, 0.0])
+    def test_unperturbed_row_passthrough(self):
+        cells = np.array([4.0, 0.0])
+        eq._perturb(cells, np.array([0]), np.array([2]), 4, [False], np.random.default_rng(1))
+        np.testing.assert_array_equal(cells, [4.0, 0.0])
 
     def test_sum_preserved(self):
         for seed in range(50):
@@ -41,11 +43,11 @@ class TestKernels:
     def test_fractional_parts_uniform_ks(self):
         rng = np.random.default_rng(99)
         counts = np.array([5, 3, 2])
-        fracs = []
-        for _ in range(100_000):
-            pert = eq.kernel_K0(counts, 10, rng)
-            fracs.extend(pert[:2] - counts[:2])
-        stat = sps.kstest(np.asarray(fracs), sps.uniform(loc=-0.5, scale=1.0).cdf)
+        total = 100_000
+        cells, starts, lengths = eq._ragged([counts] * total)
+        eq._perturb(cells, starts, lengths, 10, np.ones(total, dtype=bool), rng)
+        fracs = (cells.reshape(total, 3) - counts)[:, :2].ravel()
+        stat = sps.kstest(fracs, sps.uniform(loc=-0.5, scale=1.0).cdf)
         assert stat.pvalue > 0.01
 
     def test_round_trip_example(self):
@@ -56,11 +58,20 @@ class TestKernels:
         with pytest.raises(ValueError):
             eq.kernel_K0([3, 1, 0], 5, seed=7)
 
+    @pytest.mark.parametrize("counts", [[5, -1], [2.5, 1.5], [np.nan, 4]])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            eq.kernel_K0(counts, 4, seed=1)
+
+    def test_round_off_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            eq.kernel_K1([np.nan, 1.0], 3)
+
     def test_rounding(self):
         np.testing.assert_array_equal(eq.kernel_K1([2.4, 1.6], 4), [2, 2])
 
     def test_negative_result(self):
-        with pytest.raises(NegativeResult):
+        with pytest.raises(TomolabError):
             eq.kernel_K1([4.9, 0.0], 4)
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 5), st.integers(1, 64))
@@ -132,17 +143,39 @@ class TestTranslation:
     def test_gaussian_drop_rate_small(self):
         # m = 64, theta = (1/2, 1/2): negative implied counts are ~8 sd events,
         # so translating real Gaussian fine samples should essentially never drop
-        from tomolab import regression
         st_ = states.validate_density(np.eye(2) / 2)
         design = bases.SamplingDesign.random(np.array([0, 1.0, 0, 0]))
-        total = dropped = 0
-        for rep in range(100):
-            fine = regression.simulate_fine(st_, PAULI2, design, 1000, 64, seed=rep)
-            _, drops = eq.translate_regression_to_qst(fine, 64)
-            total += len(fine[1])
-            dropped += drops
+        fines = [regression.simulate_fine(st_, PAULI2, design, 1000, 64, seed=rep)
+                 for rep in range(100)]
+        indices = np.concatenate([fine[0] for fine in fines])
+        ys = [y for fine in fines for y in fine[1]]
+        _, dropped = eq.translate_regression_to_qst((indices, ys), 64)
+        total = len(ys)
         assert total == 100_000
         assert dropped / total < 0.01
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_block_translation_matches_per_record(self, m):
+        # Hermitian d = 4 mixes 2- and 3-cell members, and at these small m
+        # some records have a single nonzero cell (at m = 1 every record)
+        herm4 = bases.build_basis("hermitian", 4)
+        st_ = states.sample_class(states.StateClassSpec("low_rank", r=2), 4, seed=5)
+        design = bases.SamplingDesign.random(np.full(16, 1 / 16))
+        n = 3 * BLOCK + 17
+        ds = measurement.run_tomography(st_, herm4, design, n, m, seed=m)
+        assert {len(u) for u in ds.counts} == {2, 3}
+        assert any(np.count_nonzero(u) == 1 for u in ds.counts)
+        fine = eq.translate_qst_to_regression(ds, seed=m)
+        want = translate_per_record(ds, seed=m)
+        np.testing.assert_array_equal(fine[0], want[0])
+        assert [y.tobytes() for y in fine[1]] == [y.tobytes() for y in want[1]]
+        gaussian = regression.simulate_fine(st_, herm4, design, n, m, seed=m)
+        for samples, drops in ((fine, False), (gaussian, True)):
+            back, dropped = eq.translate_regression_to_qst(samples, m)
+            indices, counts, want_dropped = round_off_per_record(samples, m)
+            assert dropped == want_dropped and (dropped > 0) == drops
+            np.testing.assert_array_equal(back.indices, indices)
+            assert [u.tobytes() for u in back.counts] == [u.tobytes() for u in counts]
 
     def test_translation_result_records(self):
         back, dropped = eq.translate_regression_to_qst((np.array([1]), [np.array([0.5, 0.5])]), 4)
