@@ -12,7 +12,11 @@ Four constructions, all of size p = d^2:
   by a supplied orthonormal real basis g_1..g_d.
 
 Spectral decompositions are cached eagerly at build time; every downstream
-simulation consumes them repeatedly.
+simulation consumes them repeatedly.  The eigenspace projections Q_ja of all
+measurable members are written once, in member order, into one (C, d, d)
+array per basis, and each member's decomposition holds views of its rows,
+so :meth:`ObservableBasis.cell_traces` evaluates every tr(Q_ja rho) of the
+family in one pass.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError
-from .hermitian import format_matrix, parse_matrix, spectral_decompose, tensor_chain
+from .hermitian import _eigenspaces, _project, format_matrix, parse_matrix, tensor_chain
 
 __all__ = [
     "SIGMA",
@@ -44,9 +48,20 @@ SIGMA = (
 _KINDS = ("canonical", "hermitian", "pauli", "gvector")
 
 
+# entries of the temporary product in one chunk of ObservableBasis.cell_traces
+_TRACE_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class ObservableBasis:
-    """A finite observable family with cached spectral decompositions."""
+    """A finite observable family with cached spectral decompositions.
+
+    The eigenspace projections of every measurable member are held once, as
+    the rows of ``projections`` (shape (C, d, d), member order, each member's
+    cells in descending eigenvalue order); member j's cells are the rows
+    ``cell_start[j]:cell_start[j + 1]``.  A basis constructed directly, with
+    no ``projections``, stacks them from ``decompositions``.
+    """
 
     kind: str
     dim: int
@@ -55,6 +70,23 @@ class ObservableBasis:
     labels: tuple = ()
     kappa: int = 0                             # largest cell count over the members
     g_vectors: np.ndarray = field(default=None, repr=False)
+    projections: np.ndarray = field(default=None, repr=False)
+    cell_start: np.ndarray = field(init=False, repr=False)   # (p + 1,) row offsets
+    cell_member: np.ndarray = field(init=False, repr=False)  # (C,) member of each row
+
+    def __post_init__(self):
+        sizes = [0 if dec is None else dec.r for dec in self.decompositions]
+        start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        if self.projections is None:
+            d = self.dim
+            object.__setattr__(self, "projections", np.array(
+                [q for dec in self.decompositions if dec is not None for q in dec.projections],
+                dtype=complex).reshape(start[-1], d, d))
+        elif self.projections.shape != (start[-1], self.dim, self.dim):
+            raise ValueError(f"projections of shape {self.projections.shape} for "
+                             f"{start[-1]} cells of dimension {self.dim}")
+        object.__setattr__(self, "cell_start", start)
+        object.__setattr__(self, "cell_member", np.repeat(np.arange(len(sizes)), sizes))
 
     @property
     def size(self) -> int:
@@ -62,6 +94,26 @@ class ObservableBasis:
 
     def measurable(self, j: int) -> bool:
         return self.decompositions[j] is not None
+
+    def cell_traces(self, rho) -> np.ndarray:
+        """Real vector of tr(Q_ja rho) over every row of ``projections``.
+
+        Each entry equals ``decompositions[j].cell_traces(rho)[a]`` bit for bit:
+        both sum the same d*d entrywise products in the same order.  The rows
+        are taken in chunks, so the temporary product stays small.
+        """
+        mat = np.asarray(rho)
+        d = self.dim
+        if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
+            raise TomolabError(f"state must be a finite ({d}, {d}) matrix, "
+                               f"got shape {mat.shape}")
+        rows = self.projections.reshape(-1, d * d)
+        rho_t = mat.T.ravel()
+        out = np.empty(len(rows))
+        step = max(1, _TRACE_CHUNK // (d * d))
+        for lo in range(0, len(rows), step):
+            out[lo:lo + step] = (rows[lo:lo + step] * rho_t).sum(axis=1).real
+        return out
 
 
 @dataclass(frozen=True)
@@ -188,15 +240,19 @@ def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> Obse
     labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, len(mats) + 1))
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} members")
-    decomps = []
+    spaces = []
     for m in mats:
-        # a member with a NaN or inf entry goes to spectral_decompose, which rejects it
+        # a member with a NaN or inf entry goes to _eigenspaces, which rejects it
         herm = not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) <= 1e-9
-        decomps.append(spectral_decompose(m, cluster_tol) if herm else None)
-    kappa = max((dec.r for dec in decomps if dec is not None), default=0)
+        spaces.append(_eigenspaces(m, cluster_tol) if herm else None)
+    sizes = [0 if sp is None else len(sp[0]) for sp in spaces]
+    projections = np.empty((sum(sizes), d, d), dtype=complex)
+    ends = np.cumsum(sizes)
+    decomps = tuple(None if sp is None else _project(sp, projections[end - r:end])
+                    for sp, r, end in zip(spaces, sizes, ends))
     return ObservableBasis(
-        kind=kind, dim=d, matrices=mats, decompositions=tuple(decomps),
-        labels=labels, kappa=kappa, g_vectors=g_vectors,
+        kind=kind, dim=d, matrices=mats, decompositions=decomps, labels=labels,
+        kappa=max(sizes, default=0), g_vectors=g_vectors, projections=projections,
     )
 
 

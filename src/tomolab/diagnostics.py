@@ -23,7 +23,7 @@ import numpy as np
 
 from .bases import ObservableBasis
 from .errors import TomolabError
-from .measurement import ACTIVE_TOL, _active_cells
+from .measurement import ACTIVE_TOL, _active_mask
 from .states import DensityMatrix
 
 __all__ = [
@@ -59,34 +59,29 @@ class ActiveIndexReport:
 
 
 def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> ActiveIndexReport:
-    """Indices a with tol < tr(Q_ja rho) < 1 - tol, for every measurable member."""
+    """Indices a with tol < tr(Q_ja rho) < 1 - tol, for every measurable member.
+
+    Every tr(Q_ja rho) of the family comes from one pass over the basis's
+    projection array (:meth:`ObservableBasis.cell_traces`), which rejects a
+    state that is not a finite (d, d) matrix before computing any of them.
+    """
     if not (0 < tol < 0.1):
         raise ValueError("tol must lie in (0, 0.1)")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    per_j, cards, meas = [], [], []
-    t_min, t_max = np.inf, -np.inf
-    for j in range(basis.size):
-        dec = basis.decompositions[j]
-        if dec is None:
-            per_j.append(())
-            cards.append(0)
-            meas.append(False)
-            continue
-        traces = dec.cell_traces(mat)
-        idx = tuple(int(a) for a in _active_cells(traces, tol))
-        if idx:
-            t_min = min(t_min, float(traces[list(idx)].min()))
-            t_max = max(t_max, float(traces[list(idx)].max()))
-        per_j.append(idx)
-        cards.append(len(idx))
-        meas.append(True)
+    traces = basis.cell_traces(mat)
+    active = _active_mask(traces, tol)
+    member = basis.cell_member[active]
+    cards = np.bincount(member, minlength=basis.size)
+    cells = (np.flatnonzero(active) - basis.cell_start[member]).tolist()
+    ends = np.cumsum(cards).tolist()
+    hit = traces[active]
     return ActiveIndexReport(
-        per_j=tuple(per_j),
-        cardinalities=np.array(cards),
-        measurable=np.array(meas, dtype=bool),
+        per_j=tuple(tuple(cells[lo:hi]) for lo, hi in zip([0] + ends, ends)),
+        cardinalities=cards,
+        measurable=np.diff(basis.cell_start) > 0,
         tol=tol,
-        active_traces_min=None if np.isinf(t_min) else t_min,
-        active_traces_max=None if t_max < 0 else t_max,
+        active_traces_min=float(hit.min()) if hit.size else None,
+        active_traces_max=float(hit.max()) if hit.size else None,
     )
 
 
@@ -120,6 +115,10 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None, tol: float = ACT
     for w in weight_vectors:
         if len(w) != p or not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("each weight vector must be a probability vector of length p")
+
+    states = list(states)
+    if state_labels is not None and len(state_labels) != len(states):
+        raise ValueError(f"{len(state_labels)} state labels for {len(states)} states")
 
     fractions, counts = [], []
     t_min, t_max = np.inf, -np.inf

@@ -71,12 +71,13 @@ class SpectralDecomposition:
         return np.array([trace_product(q, rho).real for q in self.projections])
 
 
-def spectral_decompose(mat: np.ndarray, cluster_tol: float = 1e-9) -> SpectralDecomposition:
-    """Decompose a Hermitian matrix into distinct eigenvalues and projections.
+def _eigenspaces(mat: np.ndarray, cluster_tol: float) -> tuple:
+    """The clustering rule: (distinct eigenvalues, multiplicities, eigenvector
+    blocks), descending.
 
     Eigenvalues within ``cluster_tol`` times the spectral norm of each other
-    are merged into a single distinct eigenvalue whose projection is the sum
-    of the merged rank-one projectors.  Returned eigenvalues are descending.
+    are merged into one distinct eigenvalue, the mean of the merged ones,
+    whose block holds their orthonormal eigenvectors as columns.
     """
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
@@ -86,22 +87,42 @@ def spectral_decompose(mat: np.ndarray, cluster_tol: float = 1e-9) -> SpectralDe
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     gap = cluster_tol * max(scale, 1.0) if scale > 0 else cluster_tol
     # eigh returns ascending order; walk it and cut where the gap exceeds tol
-    distinct, projections, mults = [], [], []
+    distinct, blocks, mults = [], [], []
     start = 0
     d = mat.shape[0]
     for i in range(1, d + 1):
         if i == d or evals[i] - evals[start] > gap:
-            block = evecs[:, start:i]
-            projections.append(block @ block.conj().T)
+            blocks.append(evecs[:, start:i])
             distinct.append(float(np.mean(evals[start:i])))
             mults.append(i - start)
             start = i
     order = np.argsort(distinct)[::-1]
-    return SpectralDecomposition(
-        eigenvalues=np.array([distinct[i] for i in order]),
-        projections=tuple(projections[i] for i in order),
-        multiplicities=np.array([mults[i] for i in order]),
-    )
+    return (np.array([distinct[i] for i in order]),
+            np.array([mults[i] for i in order]),
+            [blocks[i] for i in order])
+
+
+def _project(spaces: tuple, out: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of :func:`_eigenspaces` output, its projections
+    V V^dagger written into the rows of ``out`` (shape (r, d, d)) and held as
+    views of them."""
+    eigenvalues, multiplicities, blocks = spaces
+    for block, slot in zip(blocks, out):
+        np.matmul(block, block.conj().T, out=slot)
+    return SpectralDecomposition(eigenvalues=eigenvalues, projections=tuple(out),
+                                 multiplicities=multiplicities)
+
+
+def spectral_decompose(mat: np.ndarray, cluster_tol: float = 1e-9) -> SpectralDecomposition:
+    """Decompose a Hermitian matrix into distinct eigenvalues and projections.
+
+    Eigenvalues within ``cluster_tol`` times the spectral norm of each other
+    are merged into a single distinct eigenvalue whose projection is the sum
+    of the merged rank-one projectors.  Returned eigenvalues are descending.
+    """
+    spaces = _eigenspaces(mat, cluster_tol)
+    d = len(mat)
+    return _project(spaces, np.empty((len(spaces[0]), d, d), dtype=complex))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -79,9 +79,14 @@ def cell_probabilities(rho: DensityMatrix, basis: ObservableBasis, j: int) -> np
     return theta / total
 
 
+def _active_mask(theta, tol: float = ACTIVE_TOL) -> np.ndarray:
+    """Flags tol < theta_a < 1 - tol, the one rule for which cells are active."""
+    return (theta > tol) & (theta < 1 - tol)
+
+
 def _active_cells(theta, tol: float = ACTIVE_TOL) -> np.ndarray:
-    """Indices a with tol < theta_a < 1 - tol; fewer than two means a deterministic law."""
-    return np.where((theta > tol) & (theta < 1 - tol))[0]
+    """Indices of the active cells; fewer than two means a deterministic law."""
+    return np.where(_active_mask(theta, tol))[0]
 
 
 def _mean_outcomes(eigenvalues, counts, m: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Each one recomputes a property the package's constructions must have, by a
 route of its own: the multinomial pmf through conditional binomials, the two
 dataset translations one record at a time, class membership of a sampled
-state, orthogonality and Pauli projection traces of a family, and a matrix
-rebuilt from its spectral decomposition.
+state, orthogonality and Pauli projection traces of a family, a matrix
+rebuilt from its spectral decomposition, and the active index sets one
+member at a time.
 """
 
 import math
@@ -13,8 +14,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from tomolab.bases import build_basis
+from tomolab.diagnostics import ActiveIndexReport
 from tomolab.errors import TomolabError
 from tomolab.hermitian import hs_inner, trace_product
+from tomolab.measurement import ACTIVE_TOL, _active_cells
 from tomolab.rng import TRANSLATE, record_blocks
 from tomolab.states import DENSITY_TOL, DensityMatrix
 
@@ -150,6 +153,37 @@ def pauli_projection_traces(basis) -> dict:
         "max_cross_trace": dev_cross,
         "passed": max(dev_proj, dev_self, dev_cross) <= 1e-9,
     }
+
+
+def active_index_set_per_member(rho, basis, tol: float = ACTIVE_TOL) -> ActiveIndexReport:
+    """The active index sets member by member, each cell trace through the
+    member's own ``cell_traces`` (one ``trace_product`` per projection)."""
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    per_j, cards, meas = [], [], []
+    t_min, t_max = np.inf, -np.inf
+    for j in range(basis.size):
+        dec = basis.decompositions[j]
+        if dec is None:
+            per_j.append(())
+            cards.append(0)
+            meas.append(False)
+            continue
+        traces = dec.cell_traces(mat)
+        idx = tuple(int(a) for a in _active_cells(traces, tol))
+        if idx:
+            t_min = min(t_min, float(traces[list(idx)].min()))
+            t_max = max(t_max, float(traces[list(idx)].max()))
+        per_j.append(idx)
+        cards.append(len(idx))
+        meas.append(True)
+    return ActiveIndexReport(
+        per_j=tuple(per_j),
+        cardinalities=np.array(cards),
+        measurable=np.array(meas, dtype=bool),
+        tol=tol,
+        active_traces_min=None if np.isinf(t_min) else t_min,
+        active_traces_max=None if t_max < 0 else t_max,
+    )
 
 
 # --- state classes ---------------------------------------------------------------

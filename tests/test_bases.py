@@ -143,6 +143,49 @@ class TestDesign:
             bases.SamplingDesign.random([bad, 0.5, 0.25, 0.25])
 
 
+class TestProjectionArray:
+    """Every cell projection of a built family is held once, as a view of its one array."""
+
+    @staticmethod
+    def assert_views(basis):
+        cells = [q for dec in basis.decompositions if dec is not None for q in dec.projections]
+        assert basis.projections.shape == (len(cells), basis.dim, basis.dim)
+        for row, q in zip(basis.projections, cells):
+            assert np.shares_memory(q, basis.projections)
+            assert np.shares_memory(q, row)
+
+    @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("canonical", 3),
+                                        ("gvector", 4), ("hermitian", 16)])
+    def test_built_family(self, kind, d, tmp_path):
+        g = bases.haar_wavelet_vectors(d) if kind == "gvector" else None
+        b = bases.build_basis(kind, d, g_vectors=g)
+        self.assert_views(b)
+        path = tmp_path / "basis.txt"
+        bases.write_basis(b, path)
+        self.assert_views(bases.read_basis(path))
+
+    def test_custom_family(self):
+        self.assert_views(bases.custom_basis([SIGMA[1], np.array([[0, 1], [0, 0]]), np.eye(2)]))
+
+    def test_cell_offsets(self):
+        b = bases.build_basis("canonical", 3)  # 3 diagonal members with 2 cells, 6 masking-only
+        sizes = [b.decompositions[j].r if b.measurable(j) else 0 for j in range(b.size)]
+        np.testing.assert_array_equal(np.diff(b.cell_start), sizes)
+        np.testing.assert_array_equal(b.cell_member, np.repeat(np.arange(b.size), sizes))
+
+    def test_direct_construction_stacks_decompositions(self):
+        b = bases.build_basis("pauli", 4)
+        perm = np.arange(16)[::-1]
+        direct = bases.ObservableBasis(
+            kind="pauli", dim=4, matrices=tuple(b.matrices[i] for i in perm),
+            decompositions=tuple(b.decompositions[i] for i in perm))
+        want = np.stack([q for i in perm for q in b.decompositions[i].projections])
+        np.testing.assert_array_equal(direct.projections, want)
+        with pytest.raises(ValueError, match="projections of shape"):
+            bases.ObservableBasis(kind="pauli", dim=4, matrices=b.matrices,
+                                  decompositions=b.decompositions, projections=b.projections[1:])
+
+
 class TestBasisFiles:
     @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("canonical", 3),
                                         ("gvector", 4)])

@@ -3,11 +3,46 @@
 import numpy as np
 import pytest
 
-from tomolab import bases, diagnostics, states
+from oracles import active_index_set_per_member
+from test_regression import _count_calls
+from tomolab import bases, diagnostics, hermitian, states
 from tomolab.errors import TomolabError
 
 PAULI4 = bases.build_basis("pauli", 4)
 HERM4 = bases.build_basis("hermitian", 4)
+
+
+def permuted(basis, perm):
+    """``basis`` with its members reordered, built directly through the constructor."""
+    return bases.ObservableBasis(
+        kind=basis.kind, dim=basis.dim,
+        matrices=tuple(basis.matrices[i] for i in perm),
+        decompositions=tuple(basis.decompositions[i] for i in perm),
+        labels=tuple(basis.labels[i] for i in perm),
+        kappa=basis.kappa)
+
+
+def repeated_eigenvalue_family():
+    """d = 4 custom family: members with one, two and three distinct eigenvalues
+    (two of them repeated), two Pauli members and a masking-only unit."""
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    unit = np.zeros((4, 4), dtype=complex)
+    unit[0, 1] = 1.0
+    return bases.custom_basis([np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0]),
+                               u @ np.diag([2.0, 2.0, -1.0, 0.0]) @ u.conj().T,
+                               unit, PAULI4.matrices[5], PAULI4.matrices[11]])
+
+
+HERM16 = bases.build_basis("hermitian", 16)
+FAMILIES = {
+    "hermitian16": HERM16,
+    "pauli16": bases.build_basis("pauli", 16),
+    "gvector16": bases.build_basis("gvector", 16, g_vectors=bases.haar_wavelet_vectors(16)),
+    "canonical4": bases.build_basis("canonical", 4),
+    "custom4": repeated_eigenvalue_family(),
+    "permuted-hermitian16": permuted(HERM16, np.random.default_rng(5).permutation(256)),
+}
 
 
 class TestActiveIndexSet:
@@ -55,7 +90,72 @@ class TestActiveIndexSet:
                     assert min(traces[a], 1 - traces[a]) <= rep.tol
 
 
+class TestOnePass:
+    """The one-pass active index sets equal the per-member reference in every field."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("state", ["entry_sparse", "low_rank", "line"])
+    def test_matches_per_member_oracle(self, name, state):
+        basis = FAMILIES[name]
+        d = basis.dim
+        if state == "line":
+            st = states.pauli_line_state(d, 3, 0.4)
+        else:
+            spec = states.StateClassSpec(state, s=2) if state == "entry_sparse" \
+                else states.StateClassSpec(state, r=2)
+            st = states.sample_class(spec, d, seed=11)
+        got = diagnostics.active_index_set(st, basis)
+        want = active_index_set_per_member(st, basis)
+        assert got.per_j == want.per_j
+        np.testing.assert_array_equal(got.cardinalities, want.cardinalities)
+        np.testing.assert_array_equal(got.measurable, want.measurable)
+        assert got.active_traces_min == want.active_traces_min
+        assert got.active_traces_max == want.active_traces_max
+        if state == "line":  # the comparison covers active cells
+            assert got.nondegenerate_count > 0
+
+        traces = basis.cell_traces(st.matrix)
+        for j, dec in enumerate(basis.decompositions):
+            cells = traces[basis.cell_start[j]:basis.cell_start[j + 1]]
+            if dec is None:
+                assert cells.size == 0
+            else:
+                np.testing.assert_array_equal(cells, dec.cell_traces(st.matrix))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (16, 16), (4,)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(TomolabError, match="finite \\(4, 4\\) matrix"):
+            diagnostics.active_index_set(np.ones(shape), HERM4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, bad, monkeypatch):
+        traces = _count_calls(monkeypatch, hermitian.trace_product)
+        with pytest.raises(TomolabError, match="finite"):
+            diagnostics.active_index_set(np.full((4, 4), bad), HERM4)
+        mixed = np.eye(4) / 4
+        mixed[2, 1] = bad
+        with pytest.raises(TomolabError, match="finite"):
+            diagnostics.active_index_set(mixed, HERM4)
+        assert traces == []
+
+    def test_no_per_projection_trace_calls(self, monkeypatch):
+        traces = _count_calls(monkeypatch, hermitian.trace_product)
+        line = states.pauli_line_state(16, 3, 0.4)
+        diagnostics.active_index_set(line, FAMILIES["pauli16"])
+        diagnostics.zeta_fraction([line, states.tilted_product_state(4)], FAMILIES["pauli16"])
+        assert traces == []
+
+
 class TestZetaFraction:
+    def test_label_count_must_match_states(self):
+        line = states.pauli_line_state(4, 1, 0.5)
+        with pytest.raises(ValueError, match="2 state labels for 1 states"):
+            diagnostics.zeta_fraction([line], PAULI4, state_labels=["a", "b"])
+        with pytest.raises(ValueError, match="1 state labels for 2 states"):
+            diagnostics.zeta_fraction([line, line], PAULI4, state_labels=["a"])
+        rep = diagnostics.zeta_fraction([line, line], PAULI4, state_labels=["a", "b"])
+        assert rep.state_labels == ("a", "b")
+
     def test_line_state_fraction(self):
         st = states.pauli_line_state(4, 2, 0.5)
         rep = diagnostics.zeta_fraction([st], PAULI4)
@@ -94,13 +194,7 @@ class TestZetaFraction:
     def test_basis_order_invariance(self):
         st = states.pauli_line_state(4, 3, 0.4)
         rep1 = diagnostics.zeta_fraction([st], PAULI4)
-        perm = np.arange(16)[::-1]
-        shuffled = bases.ObservableBasis(
-            kind="pauli", dim=4,
-            matrices=tuple(PAULI4.matrices[i] for i in perm),
-            decompositions=tuple(PAULI4.decompositions[i] for i in perm),
-            labels=tuple(PAULI4.labels[i] for i in perm),
-            kappa=PAULI4.kappa)
+        shuffled = permuted(PAULI4, np.arange(16)[::-1])
         rep2 = diagnostics.zeta_fraction([st], shuffled)
         assert rep1.zeta == pytest.approx(rep2.zeta, abs=1e-12)
 
