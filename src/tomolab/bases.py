@@ -11,11 +11,12 @@ Four constructions, all of size p = d^2:
 * ``gvector`` - the hermitian construction with the canonical axes replaced
   by a supplied orthonormal real basis g_1..g_d.
 
-Spectral decompositions are cached eagerly at build time; every downstream
-simulation consumes them repeatedly.  The eigenspace projections Q_ja of all
-measurable members are written once, in member order, into one (C, d, d)
-array per basis, and each member's decomposition holds views of its rows,
-so :meth:`ObservableBasis.cell_traces` evaluates every tr(Q_ja rho) of the
+A basis holds its spectra once, at build time, in one representation: the
+distinct eigenvalues lambda_ja and eigenspace projections Q_ja of all
+measurable members, in member order, as the rows of a (C,) and a (C, d, d)
+array, with member j's cells at rows ``cell_start[j]:cell_start[j + 1]``.
+Every simulator reads a member's rows, and
+:meth:`ObservableBasis.cell_traces` evaluates every tr(Q_ja rho) of the
 family in one pass.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError
-from .hermitian import _eigenspaces, _project, format_matrix, parse_matrix, tensor_chain
+from .hermitian import _eigenspaces, format_matrix, parse_matrix, tensor_chain
 
 __all__ = [
     "SIGMA",
@@ -54,38 +55,31 @@ _TRACE_CHUNK = 8192
 
 @dataclass(frozen=True)
 class ObservableBasis:
-    """A finite observable family with cached spectral decompositions.
+    """A finite observable family with its spectra, built by :func:`_make_basis`.
 
-    The eigenspace projections of every measurable member are held once, as
-    the rows of ``projections`` (shape (C, d, d), member order, each member's
-    cells in descending eigenvalue order); member j's cells are the rows
-    ``cell_start[j]:cell_start[j + 1]``.  A basis constructed directly, with
-    no ``projections``, stacks them from ``decompositions``.
+    Row i of ``eigenvalues`` (shape (C,)) and ``projections`` (shape
+    (C, d, d)) is one distinct eigenvalue of a measurable member and the
+    projection onto its eigenspace; member j's cells are the rows
+    ``cell_start[j]:cell_start[j + 1]``, in descending eigenvalue order, and a
+    masking-only member has none.
     """
 
     kind: str
     dim: int
     matrices: tuple = field(repr=False)
-    decompositions: tuple = field(repr=False)  # None for non-measurable members
+    eigenvalues: np.ndarray = field(repr=False)
+    projections: np.ndarray = field(repr=False)
+    cell_start: np.ndarray = field(repr=False)               # (p + 1,) row offsets
     labels: tuple = ()
-    kappa: int = 0                             # largest cell count over the members
     g_vectors: np.ndarray = field(default=None, repr=False)
-    projections: np.ndarray = field(default=None, repr=False)
-    cell_start: np.ndarray = field(init=False, repr=False)   # (p + 1,) row offsets
+    sizes: np.ndarray = field(init=False, repr=False)        # (p,) cells per member
+    kappa: int = field(init=False)                           # largest cell count
     cell_member: np.ndarray = field(init=False, repr=False)  # (C,) member of each row
 
     def __post_init__(self):
-        sizes = [0 if dec is None else dec.r for dec in self.decompositions]
-        start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-        if self.projections is None:
-            d = self.dim
-            object.__setattr__(self, "projections", np.array(
-                [q for dec in self.decompositions if dec is not None for q in dec.projections],
-                dtype=complex).reshape(start[-1], d, d))
-        elif self.projections.shape != (start[-1], self.dim, self.dim):
-            raise ValueError(f"projections of shape {self.projections.shape} for "
-                             f"{start[-1]} cells of dimension {self.dim}")
-        object.__setattr__(self, "cell_start", start)
+        sizes = np.diff(self.cell_start)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "kappa", int(sizes.max(initial=0)))
         object.__setattr__(self, "cell_member", np.repeat(np.arange(len(sizes)), sizes))
 
     @property
@@ -93,14 +87,19 @@ class ObservableBasis:
         return len(self.matrices)
 
     def measurable(self, j: int) -> bool:
-        return self.decompositions[j] is not None
+        return bool(self.sizes[j])
+
+    def cells(self, j: int) -> slice:
+        """Member j's rows of ``eigenvalues`` and ``projections``."""
+        return slice(self.cell_start[j], self.cell_start[j + 1])
 
     def cell_traces(self, rho) -> np.ndarray:
         """Real vector of tr(Q_ja rho) over every row of ``projections``.
 
-        Each entry equals ``decompositions[j].cell_traces(rho)[a]`` bit for bit:
-        both sum the same d*d entrywise products in the same order.  The rows
-        are taken in chunks, so the temporary product stays small.
+        Each entry equals ``trace_product(q, rho).real`` for its row q bit for
+        bit, the value :func:`tomolab.measurement.cell_probabilities` starts
+        from: both sum the same d*d entrywise products in the same order.  The
+        rows are taken in chunks, so the temporary product stays small.
         """
         mat = np.asarray(rho)
         d = self.dim
@@ -227,16 +226,24 @@ def _pauli_member(j: int, b: int) -> np.ndarray:
 
 
 def custom_basis(matrices, cluster_tol: float = 1e-9) -> ObservableBasis:
-    """Wrap an explicit matrix list; non-Hermitian members are left undecomposed."""
+    """Wrap an explicit matrix list; non-Hermitian members get no cells (masking only)."""
     return _make_basis(matrices, cluster_tol, "custom")
 
 
 def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> ObservableBasis:
-    """The one constructor of every family: the Hermitian members are measurable
-    and decomposed, the others left undecomposed (masking only).  A built-in
-    kind takes its labels from :func:`_labels`, any other kind 1..p."""
+    """The one constructor of every family: each Hermitian member is measurable,
+    its eigenspace projections V V^dagger written into its rows, the others
+    get no rows (masking only).  A built-in kind takes its labels from
+    :func:`_labels`, any other kind 1..p.  TomolabError unless ``matrices`` is
+    a non-empty list of (d, d) matrices, d the size of the first."""
     mats = tuple(np.asarray(m, dtype=complex) for m in matrices)
-    d = mats[0].shape[0]
+    if not mats:
+        raise TomolabError("a basis needs at least one member")
+    d = mats[0].shape[0] if mats[0].ndim == 2 else 0
+    for j, m in enumerate(mats):
+        if d < 1 or m.shape != (d, d):
+            raise TomolabError(f"member {j} has shape {m.shape}; every member "
+                               f"must be square, of member 0's size")
     labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, len(mats) + 1))
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} members")
@@ -245,14 +252,17 @@ def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> Obse
         # a member with a NaN or inf entry goes to _eigenspaces, which rejects it
         herm = not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) <= 1e-9
         spaces.append(_eigenspaces(m, cluster_tol) if herm else None)
+    measured = [sp for sp in spaces if sp is not None]
+    eigenvalues = np.array([lam for lams, _ in measured for lam in lams])
+    projections = np.empty((len(eigenvalues), d, d), dtype=complex)
+    blocks = (block for _, bl in measured for block in bl)
+    for block, slot in zip(blocks, projections):
+        np.matmul(block, block.conj().T, out=slot)
     sizes = [0 if sp is None else len(sp[0]) for sp in spaces]
-    projections = np.empty((sum(sizes), d, d), dtype=complex)
-    ends = np.cumsum(sizes)
-    decomps = tuple(None if sp is None else _project(sp, projections[end - r:end])
-                    for sp, r, end in zip(spaces, sizes, ends))
     return ObservableBasis(
-        kind=kind, dim=d, matrices=mats, decompositions=decomps, labels=labels,
-        kappa=max(sizes, default=0), g_vectors=g_vectors, projections=projections,
+        kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues, projections=projections,
+        cell_start=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+        labels=labels, g_vectors=g_vectors,
     )
 
 
@@ -298,8 +308,12 @@ def read_basis(path, cluster_tol: float = 1e-9) -> ObservableBasis:
     d, p = int(d_str), int(p_str)
     mats = []
     pos = 1
-    for _ in range(p):
-        block = lines[pos:pos + d + 1]
-        mats.append(parse_matrix(block))
+    for j in range(p):
+        mat = parse_matrix(lines[pos:pos + d + 1])
+        if mat.shape != (d, d):
+            raise ValueError(f"matrix {j} is {len(mat)} x {len(mat)}, the header declares d = {d}")
+        mats.append(mat)
         pos += d + 1
+    if any(ln.strip() for ln in lines[pos:]):
+        raise ValueError(f"text after the {p} matrices the header declares")
     return _make_basis(mats, cluster_tol, kind if kind in _KINDS else "custom")

@@ -241,7 +241,7 @@ def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
 def _build_design(cfg: ExperimentConfig, basis) -> bases.SamplingDesign:
     if cfg.design_mode == "fixed":
         return bases.SamplingDesign.fixed()
-    measurable = np.array([basis.measurable(j) for j in range(basis.size)])
+    measurable = basis.sizes > 0
     # masking-only members cannot be measured, so they get no weight; with
     # every member measurable this is exactly np.full(p, 1 / p)
     default = measurable / measurable.sum()
@@ -454,7 +454,7 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     err_gauss = np.empty((replications, p))
     for j in range(p):
         theta = measurement.cell_probabilities(states.DensityMatrix(mat), basis, j)
-        lam = basis.decompositions[j].eigenvalues
+        lam = basis.eigenvalues[basis.cells(j)]
         counts = rng.multinomial(m, theta, size=replications)
         n_avg = counts @ lam / m
         est_c = n_avg / norms[j]
@@ -533,8 +533,7 @@ def corollary_suite(d: int, seed: int, samples: int, tol: float = 1e-9) -> list:
             st = states.pauli_line_state(d, 1, beta)
             report = diagnostics.active_index_set(st, pauli, tol)
             zeta = diagnostics.zeta_fraction([st], pauli, tol=tol).zeta
-            dec1 = pauli.decompositions[0]
-            trace_id = dec1.cell_traces(st.matrix)[0]
+            trace_id = pauli.cell_traces(st.matrix)[0]
             ok &= abs(trace_id - 1.0) <= tol
             ok &= report.nondegenerate_count == p - 1
             ok &= abs(zeta - (p - 1) / p) <= tol

@@ -78,7 +78,7 @@ def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> Ac
     return ActiveIndexReport(
         per_j=tuple(tuple(cells[lo:hi]) for lo, hi in zip([0] + ends, ends)),
         cardinalities=cards,
-        measurable=np.diff(basis.cell_start) > 0,
+        measurable=basis.sizes > 0,
         tol=tol,
         active_traces_min=float(hit.min()) if hit.size else None,
         active_traces_max=float(hit.max()) if hit.size else None,
@@ -190,8 +190,9 @@ def deficiency_bound(n: int, m: int, p: int, kappa: int, gamma: float, zeta: flo
     """Evaluate n*gamma + C*sqrt(n*zeta/m) and its uniform/fixed specialization."""
     if variant not in ("random", "uniform", "fixed"):
         raise ValueError(f"unknown variant {variant!r}")
-    if min(n, m, p) < 0 or m < 1 or constant <= 0 or gamma < 0 or zeta < 0:
-        raise ValueError("sizes must be nonnegative, m >= 1 and C > 0")
+    if (min(n, m, p) < 0 or m < 1 or not 0 < constant < math.inf
+            or not (0 <= gamma < math.inf and 0 <= zeta < math.inf)):
+        raise ValueError("sizes must be nonnegative, m >= 1, C > 0, and C, gamma and zeta finite")
     root = constant * math.sqrt(n * zeta / m)
     return DeficiencyBoundReport(
         n=n, m=m, p=p, kappa=kappa, gamma=gamma, zeta=zeta, constant=constant,

@@ -1,19 +1,17 @@
-"""Complex Hermitian matrix arithmetic and spectral decompositions.
+"""Complex Hermitian matrix arithmetic and the eigenspace clustering rule.
 
-Matrices are plain complex ``numpy`` arrays.  The one structured value is
-:class:`SpectralDecomposition`, which stores the *distinct* eigenvalues of a
-Hermitian matrix together with the orthogonal projections onto their
-eigenspaces.  Floating-point eigensolvers split degenerate eigenvalues, so
-nearby eigenvalues are merged by a relative clustering tolerance before the
-projections are formed.
+Matrices are plain complex ``numpy`` arrays.  :func:`_eigenspaces` gives the
+*distinct* eigenvalues of a Hermitian matrix with an orthonormal eigenvector
+block per eigenvalue; :mod:`tomolab.bases` writes each block's projection
+V V^dagger into its basis's projection array.  Floating-point eigensolvers
+split degenerate eigenvalues, so nearby eigenvalues are merged by a relative
+clustering tolerance before the blocks are formed.
 
 Design envelope: dense double precision, dimensions up to ~1024 (tensor
-products are capped there); decompositions are O(d^3).
+products are capped there); each eigensolve is O(d^3).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,9 +20,7 @@ from .errors import TomolabError
 __all__ = [
     "TOL_HERM",
     "MAX_TENSOR_DIM",
-    "SpectralDecomposition",
     "require_hermitian",
-    "spectral_decompose",
     "tensor_product",
     "tensor_chain",
     "hs_inner",
@@ -53,27 +49,9 @@ def require_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Distinct eigenvalues (descending) with their eigenspace projections."""
-
-    eigenvalues: np.ndarray                 # shape (r,), real, descending
-    projections: tuple = field(repr=False)  # r Hermitian idempotents, each (d, d)
-    multiplicities: np.ndarray = field(default=None)
-
-    @property
-    def r(self) -> int:
-        """Number of distinct eigenvalues."""
-        return len(self.eigenvalues)
-
-    def cell_traces(self, rho: np.ndarray) -> np.ndarray:
-        """Real vector of tr(Q_a rho) over the distinct eigenvalues."""
-        return np.array([trace_product(q, rho).real for q in self.projections])
-
-
 def _eigenspaces(mat: np.ndarray, cluster_tol: float) -> tuple:
-    """The clustering rule: (distinct eigenvalues, multiplicities, eigenvector
-    blocks), descending.
+    """The clustering rule: (distinct eigenvalues, eigenvector blocks),
+    descending.
 
     Eigenvalues within ``cluster_tol`` times the spectral norm of each other
     are merged into one distinct eigenvalue, the mean of the merged ones,
@@ -87,42 +65,16 @@ def _eigenspaces(mat: np.ndarray, cluster_tol: float) -> tuple:
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     gap = cluster_tol * max(scale, 1.0) if scale > 0 else cluster_tol
     # eigh returns ascending order; walk it and cut where the gap exceeds tol
-    distinct, blocks, mults = [], [], []
+    distinct, blocks = [], []
     start = 0
     d = mat.shape[0]
     for i in range(1, d + 1):
         if i == d or evals[i] - evals[start] > gap:
             blocks.append(evecs[:, start:i])
             distinct.append(float(np.mean(evals[start:i])))
-            mults.append(i - start)
             start = i
     order = np.argsort(distinct)[::-1]
-    return (np.array([distinct[i] for i in order]),
-            np.array([mults[i] for i in order]),
-            [blocks[i] for i in order])
-
-
-def _project(spaces: tuple, out: np.ndarray) -> SpectralDecomposition:
-    """The decomposition of :func:`_eigenspaces` output, its projections
-    V V^dagger written into the rows of ``out`` (shape (r, d, d)) and held as
-    views of them."""
-    eigenvalues, multiplicities, blocks = spaces
-    for block, slot in zip(blocks, out):
-        np.matmul(block, block.conj().T, out=slot)
-    return SpectralDecomposition(eigenvalues=eigenvalues, projections=tuple(out),
-                                 multiplicities=multiplicities)
-
-
-def spectral_decompose(mat: np.ndarray, cluster_tol: float = 1e-9) -> SpectralDecomposition:
-    """Decompose a Hermitian matrix into distinct eigenvalues and projections.
-
-    Eigenvalues within ``cluster_tol`` times the spectral norm of each other
-    are merged into a single distinct eigenvalue whose projection is the sum
-    of the merged rank-one projectors.  Returned eigenvalues are descending.
-    """
-    spaces = _eigenspaces(mat, cluster_tol)
-    d = len(mat)
-    return _project(spaces, np.empty((len(spaces[0]), d, d), dtype=complex))
+    return np.array([distinct[i] for i in order]), [blocks[i] for i in order]
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,16 +143,17 @@ def format_matrix(mat: np.ndarray) -> str:
 
 
 def parse_matrix(text) -> np.ndarray:
-    """Inverse of :func:`format_matrix`; accepts a string or line iterable."""
+    """Inverse of :func:`format_matrix`; accepts a string or line iterable.
+    ValueError unless the text holds exactly the d rows its header declares."""
     lines = text.splitlines() if isinstance(text, str) else list(text)
     lines = [ln.strip() for ln in lines if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
     d = int(lines[0])
-    if len(lines) < d + 1:
-        raise ValueError(f"expected {d} rows, got {len(lines) - 1}")
+    if d < 1 or len(lines) != d + 1:
+        raise ValueError(f"header declares d = {d}, got {len(lines) - 1} rows")
     rows = []
-    for ln in lines[1:d + 1]:
+    for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != d:
             raise ValueError(f"expected {d} entries per row, got {len(toks)}")

@@ -34,6 +34,7 @@ import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
+from .hermitian import trace_product
 from .rng import TOMOGRAPHY, record_blocks, substream
 from .states import DensityMatrix
 
@@ -65,11 +66,10 @@ class TomographyDataset:
 
 def cell_probabilities(rho: DensityMatrix, basis: ObservableBasis, j: int) -> np.ndarray:
     """Measurement distribution tr(Q_ja rho) over the distinct eigenvalues of B_j."""
-    dec = basis.decompositions[j]
-    if dec is None:
-        raise TomolabError(f"basis member {j} is masking-only (not Hermitian)")
+    if not (0 <= j < basis.size and basis.measurable(j)):
+        raise TomolabError(f"basis member {j} is out of range or masking-only (not Hermitian)")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    theta = dec.cell_traces(mat)
+    theta = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
     if np.any(theta < -PROB_CLAMP) or np.any(theta > 1 + PROB_CLAMP):
         raise ValueError(f"cell probabilities escape [0,1]: {theta}")
     theta = np.clip(theta, 0.0, 1.0)
@@ -125,7 +125,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     for j in dict.fromkeys(indices.tolist()):
         theta = cell_probabilities(rho, basis, j)
         pvals[j, width - len(theta):] = theta
-        lams[j, width - len(theta):] = basis.decompositions[j].eigenvalues
+        lams[j, width - len(theta):] = basis.eigenvalues[basis.cells(j)]
     counts = np.empty((n, width), dtype=np.int64)
     outcomes = np.empty((n, m)) if detail == "individual" else None
     for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, n):
@@ -142,7 +142,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     if detail in ("summary", "individual"):
         summaries = _mean_outcomes(lams[indices], counts, m)
     # each record's counts are the unpadded tail of its row
-    tails = [row[width - basis.decompositions[j].r:] for j, row in zip(indices.tolist(), counts)]
+    tails = [row[width - r:] for r, row in zip(basis.sizes[indices].tolist(), counts)]
     return TomographyDataset(m=m, indices=indices, counts=tails,
                              summaries=summaries, individuals=outcomes)
 
@@ -202,7 +202,7 @@ def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
         raise ValueError(f"records mix m values {ms}")
     counts = [np.array([int(t) for t in row[3].split("|")], dtype=np.int64) for row in rows]
     for k, (j, u) in enumerate(zip(indices.tolist(), counts)):
-        if len(u) != basis.decompositions[j].r:
+        if len(u) != basis.sizes[j]:
             raise ValueError(f"record {k}: {len(u)} counts do not fit member {j}")
         if np.any(u < 0) or int(u.sum()) != ms[0]:
             raise ValueError(f"record {k}: counts {u.tolist()} do not sum to m = {ms[0]}")

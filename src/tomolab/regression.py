@@ -122,7 +122,7 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     for lo, hi, rng in record_blocks(seed, FINE, n):
         z[lo:hi] = rng.standard_normal((hi - lo, width))
     y = thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
-    return indices, [row[:basis.decompositions[j].r] for j, row in zip(indices.tolist(), y)]
+    return indices, [row[:r] for r, row in zip(basis.sizes[indices].tolist(), y)]
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -160,7 +160,7 @@ def read_fine_csv(path, basis: ObservableBasis) -> tuple:
     rows, indices = _read_records(path, basis, ["k", "j", "y"])
     ys = [np.array([float(t) for t in row[2].split("|")]) for row in rows]
     for k, (j, y) in enumerate(zip(indices.tolist(), ys)):
-        if len(y) != basis.decompositions[j].r:
+        if len(y) != basis.sizes[j]:
             raise ValueError(f"record {k}: {len(y)} values do not fit member {j}")
         if not np.all(np.isfinite(y)):
             raise ValueError(f"record {k}: values {y.tolist()} must be finite")

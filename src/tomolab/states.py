@@ -35,7 +35,6 @@ __all__ = [
     "tilted_product_state",
     "sample_class",
     "witness_state",
-    "WITNESS_NAMES",
 ]
 
 DENSITY_TOL = 1e-9
@@ -104,9 +103,6 @@ def tilted_product_state(b: int) -> DensityMatrix:
     for _ in range(b - 1):
         u = np.kron(u, e)
     return validate_density(np.outer(u, u.conj()))
-
-
-WITNESS_NAMES = ("cor2_line", "cor3_tilted", "remark8_haar_rank1", "remark8_haar_rank2")
 
 
 def witness_state(name: str, d: int, j_star=None, beta: float = 0.5) -> DensityMatrix:

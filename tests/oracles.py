@@ -4,8 +4,8 @@ Each one recomputes a property the package's constructions must have, by a
 route of its own: the multinomial pmf through conditional binomials, the two
 dataset translations one record at a time, class membership of a sampled
 state, orthogonality and Pauli projection traces of a family, a matrix
-rebuilt from its spectral decomposition, and the active index sets one
-member at a time.
+rebuilt from its spectral decomposition, each member's spectrum on its own,
+and the active index sets one member at a time.
 """
 
 import math
@@ -55,13 +55,35 @@ def multinomial_pmf_chain(counts, m: int, theta) -> float:
     return math.exp(log_p)
 
 
-def reconstruct(dec) -> np.ndarray:
+def reconstruct(eigenvalues, projections) -> np.ndarray:
     """Sum of the eigenvalue-weighted projections of a spectral decomposition."""
-    d = dec.projections[0].shape[0]
+    d = projections[0].shape[0]
     out = np.zeros((d, d), dtype=complex)
-    for lam, proj in zip(dec.eigenvalues, dec.projections):
+    for lam, proj in zip(eigenvalues, projections):
         out += lam * proj
     return out
+
+
+def member_spectrum(mat, cluster_tol: float = 1e-9) -> tuple:
+    """(distinct eigenvalues, eigenspace projections) of one Hermitian matrix,
+    descending, by a route of its own: eigenvalues within ``cluster_tol``
+    times the spectral norm (at least 1) of the previous one are merged, and
+    each projection is the sum of the rank-one projectors of its merged
+    eigenvectors.  None for a matrix that is not Hermitian."""
+    mat = np.asarray(mat, dtype=complex)
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
+        return None
+    evals, evecs = np.linalg.eigh(mat)
+    gap = cluster_tol * max(float(np.max(np.abs(evals))), 1.0)
+    groups = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[groups[-1][0]] > gap:
+            groups.append([])
+        groups[-1].append(i)
+    groups.reverse()
+    eigenvalues = np.array([evals[g].mean() for g in groups])
+    projections = [sum(np.outer(evecs[:, i], evecs[:, i].conj()) for i in g) for g in groups]
+    return eigenvalues, projections
 
 
 # --- translations, one record at a time -----------------------------------------
@@ -133,7 +155,7 @@ def pauli_projection_traces(basis) -> dict:
     stack = np.stack([basis.matrices[j] for j in others])
     rows = []
     for pos, j in enumerate(others):
-        q_plus, q_minus = basis.decompositions[j].projections
+        q_plus, q_minus = basis.projections[basis.cells(j)]
         cross = np.abs(np.einsum("kab,qba->qk", stack, np.stack([q_plus, q_minus])))
         rows.append({
             "j": j,
@@ -156,19 +178,18 @@ def pauli_projection_traces(basis) -> dict:
 
 
 def active_index_set_per_member(rho, basis, tol: float = ACTIVE_TOL) -> ActiveIndexReport:
-    """The active index sets member by member, each cell trace through the
-    member's own ``cell_traces`` (one ``trace_product`` per projection)."""
+    """The active index sets member by member, each cell trace through one
+    ``trace_product`` per row of the member's slice of the projection array."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     per_j, cards, meas = [], [], []
     t_min, t_max = np.inf, -np.inf
     for j in range(basis.size):
-        dec = basis.decompositions[j]
-        if dec is None:
+        if not basis.measurable(j):
             per_j.append(())
             cards.append(0)
             meas.append(False)
             continue
-        traces = dec.cell_traces(mat)
+        traces = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
         idx = tuple(int(a) for a in _active_cells(traces, tol))
         if idx:
             t_min = min(t_min, float(traces[list(idx)].min()))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import pauli_projection_traces, verify_orthogonal
+from oracles import member_spectrum, pauli_projection_traces, verify_orthogonal
 from tomolab import bases, hermitian
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
@@ -58,16 +58,15 @@ class TestBuildBasis:
         g = np.eye(d) if kind == "gvector" else None
         b = bases.build_basis(kind, d, g_vectors=g)
         inv_sqrt2 = 1 / np.sqrt(2)
-        for dec, (l1, l2) in zip(b.decompositions, b.labels):
+        for j, (l1, l2) in enumerate(b.labels):
             expected = {0.0, 1.0} if l1 == l2 else {inv_sqrt2, -inv_sqrt2, 0.0}
-            assert set(np.round(dec.eigenvalues, 9)) <= {round(e, 9) for e in expected}
+            assert set(np.round(b.eigenvalues[b.cells(j)], 9)) <= {round(e, 9) for e in expected}
 
     def test_pauli_squares_to_identity(self):
         b = bases.build_basis("pauli", 8)
         for j in range(1, b.size):
-            dec = b.decompositions[j]
-            assert dec.r == 2
-            np.testing.assert_allclose(dec.eigenvalues, [1, -1], atol=1e-9)
+            assert b.sizes[j] == 2
+            np.testing.assert_allclose(b.eigenvalues[b.cells(j)], [1, -1], atol=1e-9)
             np.testing.assert_allclose(
                 b.matrices[j] @ b.matrices[j], np.eye(8), atol=1e-9)
 
@@ -144,46 +143,69 @@ class TestDesign:
 
 
 class TestProjectionArray:
-    """Every cell projection of a built family is held once, as a view of its one array."""
+    """Each member's rows of a family's eigenvalue and projection arrays hold
+    that member's own spectrum."""
 
     @staticmethod
-    def assert_views(basis):
-        cells = [q for dec in basis.decompositions if dec is not None for q in dec.projections]
-        assert basis.projections.shape == (len(cells), basis.dim, basis.dim)
-        for row, q in zip(basis.projections, cells):
-            assert np.shares_memory(q, basis.projections)
-            assert np.shares_memory(q, row)
+    def assert_member_spectra(basis):
+        spectra = [member_spectrum(mat) for mat in basis.matrices]
+        sizes = [0 if sp is None else len(sp[0]) for sp in spectra]
+        np.testing.assert_array_equal(basis.sizes, sizes)
+        assert basis.eigenvalues.shape == (sum(sizes),)
+        assert basis.projections.shape == (sum(sizes), basis.dim, basis.dim)
+        for j, sp in enumerate(spectra):
+            if sp is not None:
+                np.testing.assert_allclose(basis.eigenvalues[basis.cells(j)], sp[0], atol=1e-12)
+                np.testing.assert_allclose(basis.projections[basis.cells(j)], np.stack(sp[1]),
+                                           atol=1e-12)
 
     @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("canonical", 3),
                                         ("gvector", 4), ("hermitian", 16)])
     def test_built_family(self, kind, d, tmp_path):
         g = bases.haar_wavelet_vectors(d) if kind == "gvector" else None
         b = bases.build_basis(kind, d, g_vectors=g)
-        self.assert_views(b)
+        self.assert_member_spectra(b)
         path = tmp_path / "basis.txt"
         bases.write_basis(b, path)
-        self.assert_views(bases.read_basis(path))
+        self.assert_member_spectra(bases.read_basis(path))
 
     def test_custom_family(self):
-        self.assert_views(bases.custom_basis([SIGMA[1], np.array([[0, 1], [0, 0]]), np.eye(2)]))
+        b = bases.custom_basis([SIGMA[1], np.array([[0, 1], [0, 0]]), np.eye(2)])
+        self.assert_member_spectra(b)
+        np.testing.assert_array_equal(b.sizes, [2, 0, 1])
 
     def test_cell_offsets(self):
         b = bases.build_basis("canonical", 3)  # 3 diagonal members with 2 cells, 6 masking-only
-        sizes = [b.decompositions[j].r if b.measurable(j) else 0 for j in range(b.size)]
+        sizes = [2 if l1 == l2 else 0 for l1, l2 in b.labels]
+        np.testing.assert_array_equal(b.sizes, sizes)
         np.testing.assert_array_equal(np.diff(b.cell_start), sizes)
         np.testing.assert_array_equal(b.cell_member, np.repeat(np.arange(b.size), sizes))
+        assert b.kappa == 2
+        assert [b.measurable(j) for j in range(b.size)] == [r > 0 for r in sizes]
+        # member 4 is e_2 e_2', the second diagonal member
+        assert b.cells(4) == slice(2, 4)
+        assert b.eigenvalues[b.cells(4)].tolist() == [1.0, 0.0]
 
-    def test_direct_construction_stacks_decompositions(self):
-        b = bases.build_basis("pauli", 4)
-        perm = np.arange(16)[::-1]
-        direct = bases.ObservableBasis(
-            kind="pauli", dim=4, matrices=tuple(b.matrices[i] for i in perm),
-            decompositions=tuple(b.decompositions[i] for i in perm))
-        want = np.stack([q for i in perm for q in b.decompositions[i].projections])
-        np.testing.assert_array_equal(direct.projections, want)
-        with pytest.raises(ValueError, match="projections of shape"):
-            bases.ObservableBasis(kind="pauli", dim=4, matrices=b.matrices,
-                                  decompositions=b.decompositions, projections=b.projections[1:])
+
+class TestMalformedMembers:
+    """The one constructor rejects a member list that is empty or not all (d, d)."""
+
+    @pytest.mark.parametrize("mats", [
+        [],
+        [SIGMA[1], np.arange(9).reshape(3, 3)],   # 3 x 3 and not Hermitian
+        [SIGMA[1], np.eye(3)],                    # 3 x 3 and Hermitian
+        [np.ones((2, 3)), np.ones((2, 3))],       # not square
+        [np.ones(4)],                             # not a matrix
+    ], ids=["empty", "non-hermitian-3x3", "hermitian-3x3", "non-square", "vector"])
+    def test_custom_basis_rejects(self, mats):
+        with pytest.raises(TomolabError, match="at least one member|every member must be square"):
+            bases.custom_basis(mats)
+
+    def test_basis_file_with_no_members(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text("custom 2 0\n")
+        with pytest.raises(TomolabError, match="at least one member"):
+            bases.read_basis(path)
 
 
 class TestBasisFiles:
@@ -233,4 +255,17 @@ class TestBasisFiles:
         path = tmp_path / "basis.txt"
         path.write_text("pauli 2 1\n" + hermitian.format_matrix(SIGMA[0]))
         with pytest.raises(ValueError, match="1 members"):
+            bases.read_basis(path)
+
+    def test_matrix_must_fit_header_dimension(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text("custom 3 1\n" + hermitian.format_matrix(SIGMA[1]))
+        with pytest.raises(ValueError, match="header declares d = 3"):
+            bases.read_basis(path)
+
+    def test_text_after_last_matrix_rejected(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text("custom 2 1\n" + hermitian.format_matrix(SIGMA[1])
+                        + hermitian.format_matrix(SIGMA[3]))
+        with pytest.raises(ValueError, match="text after the 1 matrices"):
             bases.read_basis(path)

@@ -430,6 +430,14 @@ out = {tmp_path / "z"}
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
         assert not (tmp_path / "z" / "zeta.json").exists()
 
+    def test_over_long_matrix_file_exits_2(self, tmp_path):
+        # a third row under a "2" header is not a 2 x 2 state with a stray line
+        (tmp_path / "rho.txt").write_text("2\n0.5 0\n0 0.5\n5 5\n")
+        text = SIM_CFG.replace("witness = cor2_line", f"matrix_file = {tmp_path / 'rho.txt'}")
+        out = tmp_path / "s"
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 2
+        assert not (out / "tomography.csv").exists()
+
     def test_scaling_theta_without_two_active_cells_exits_2(self, tmp_path, monkeypatch):
         # H = 0 at every m has no log-log slope; rejected before any point runs
         def no_study(*args, **kwargs):
@@ -561,8 +569,7 @@ out = {out}
         rows = (out / "tomography.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 10
         canonical = bases.build_basis("canonical", 2)
-        assert all(canonical.decompositions[int(row.split(",")[1])] is not None
-                   for row in rows)
+        assert all(canonical.measurable(int(row.split(",")[1])) for row in rows)
 
     def test_default_weights_uniform_when_all_measurable(self, tmp_path):
         cfg = cli.load_config(write_cfg(tmp_path, SIM_CFG.format(out=tmp_path)))

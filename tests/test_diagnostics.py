@@ -13,13 +13,8 @@ HERM4 = bases.build_basis("hermitian", 4)
 
 
 def permuted(basis, perm):
-    """``basis`` with its members reordered, built directly through the constructor."""
-    return bases.ObservableBasis(
-        kind=basis.kind, dim=basis.dim,
-        matrices=tuple(basis.matrices[i] for i in perm),
-        decompositions=tuple(basis.decompositions[i] for i in perm),
-        labels=tuple(basis.labels[i] for i in perm),
-        kappa=basis.kappa)
+    """A custom family of ``basis``'s members, reordered."""
+    return bases.custom_basis([basis.matrices[i] for i in perm])
 
 
 def repeated_eigenvalue_family():
@@ -82,12 +77,11 @@ class TestActiveIndexSet:
     def test_excluded_indices_are_near_deterministic(self):
         st = states.pauli_line_state(4, 2, 0.5)
         rep = diagnostics.active_index_set(st, PAULI4)
+        traces = PAULI4.cell_traces(st.matrix)
         for j in range(PAULI4.size):
-            dec = PAULI4.decompositions[j]
-            traces = dec.cell_traces(st.matrix)
-            for a in range(dec.r):
+            for a, trace in enumerate(traces[PAULI4.cells(j)]):
                 if a not in rep.per_j[j]:
-                    assert min(traces[a], 1 - traces[a]) <= rep.tol
+                    assert min(trace, 1 - trace) <= rep.tol
 
 
 class TestOnePass:
@@ -114,13 +108,9 @@ class TestOnePass:
         if state == "line":  # the comparison covers active cells
             assert got.nondegenerate_count > 0
 
-        traces = basis.cell_traces(st.matrix)
-        for j, dec in enumerate(basis.decompositions):
-            cells = traces[basis.cell_start[j]:basis.cell_start[j + 1]]
-            if dec is None:
-                assert cells.size == 0
-            else:
-                np.testing.assert_array_equal(cells, dec.cell_traces(st.matrix))
+        # bit for bit one trace_product per row, the value cell_probabilities starts from
+        want = [hermitian.trace_product(q, st.matrix).real for q in basis.projections]
+        np.testing.assert_array_equal(basis.cell_traces(st.matrix), want)
 
     @pytest.mark.parametrize("shape", [(1, 1), (16, 16), (4,)])
     def test_rejects_wrong_shape(self, shape):
@@ -285,6 +275,15 @@ class TestDeficiencyBound:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             diagnostics.deficiency_bound(1, 1, 1, 1, 0, 0, 1.0, "other")
+
+    @pytest.mark.parametrize("gamma,zeta,constant", [
+        (np.nan, 0.5, 1.0), (np.inf, 0.5, 1.0),
+        (0.1, np.nan, 1.0), (0.1, np.inf, 1.0),
+        (0.1, 0.5, np.nan), (0.1, 0.5, np.inf),
+    ])
+    def test_non_finite_rejected(self, gamma, zeta, constant):
+        with pytest.raises(ValueError, match="finite"):
+            diagnostics.deficiency_bound(10, 16, 4, 2, gamma, zeta, constant, "random")
 
 
 class TestReportJson:

@@ -366,6 +366,11 @@ class TestProductBound:
         with pytest.raises(ValueError):
             eq.product_hellinger_bound([-0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            eq.product_hellinger_bound([0.04, bad])
+
 
 class TestTVMonteCarlo:
     def test_identical_laws(self):
@@ -422,6 +427,17 @@ class TestConditionalTVBound:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             eq.conditional_tv_bound(0.0, [(0.5, 0.1), (0.6, 0.1)])
+
+    @pytest.mark.parametrize("gap,weighted", [
+        (0.0, [(math.nan, 0.1)]),
+        (0.0, [(1.0, math.nan)]),
+        (0.0, [(0.5, 0.1), (0.5, math.inf)]),
+        (math.nan, [(1.0, 0.1)]),
+        (math.inf, [(1.0, 0.1)]),
+    ])
+    def test_non_finite_rejected(self, gap, weighted):
+        with pytest.raises(ValueError, match="finite|probability vector"):
+            eq.conditional_tv_bound(gap, weighted)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_dominates_exact_tv(self, seed):

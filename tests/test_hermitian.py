@@ -1,4 +1,4 @@
-"""Matrix layer: spectral decompositions, tensor products, inner product, text I/O."""
+"""Matrix layer: the eigenspace clustering rule, tensor products, inner product, text I/O."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import reconstruct
 from tomolab import hermitian
-from tomolab.bases import SIGMA
+from tomolab.bases import SIGMA, custom_basis
 from tomolab.errors import TomolabError
 
 
@@ -25,30 +25,45 @@ def eig2x2(mat):
     return np.array([mid + off, mid - off])
 
 
+def spectrum(mat, cluster_tol=1e-9):
+    """(distinct eigenvalues, projections) of ``mat`` as a one-member basis holds them."""
+    basis = custom_basis([mat], cluster_tol)
+    return basis.eigenvalues, basis.projections
+
+
+def block_widths(mat):
+    """Multiplicity of each distinct eigenvalue: the width of its eigenvector block."""
+    return [block.shape[1] for block in hermitian._eigenspaces(mat, 1e-9)[1]]
+
+
 class TestSpectralDecompose:
     def test_sigma3(self):
-        dec = hermitian.spectral_decompose(SIGMA[3])
-        np.testing.assert_allclose(dec.eigenvalues, [1, -1])
-        np.testing.assert_allclose(dec.projections[0], np.diag([1, 0]), atol=1e-12)
-        np.testing.assert_allclose(dec.projections[1], np.diag([0, 1]), atol=1e-12)
+        lam, q = spectrum(SIGMA[3])
+        np.testing.assert_allclose(lam, [1, -1])
+        np.testing.assert_allclose(q[0], np.diag([1, 0]), atol=1e-12)
+        np.testing.assert_allclose(q[1], np.diag([0, 1]), atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_identity(self, d):
-        dec = hermitian.spectral_decompose(np.eye(d))
-        assert dec.r == 1
-        np.testing.assert_allclose(dec.eigenvalues, [1.0])
-        np.testing.assert_allclose(dec.projections[0], np.eye(d), atol=1e-12)
-        assert dec.multiplicities[0] == d
+        lam, q = spectrum(np.eye(d))
+        assert len(lam) == 1
+        np.testing.assert_allclose(lam, [1.0])
+        np.testing.assert_allclose(q[0], np.eye(d), atol=1e-12)
+        assert block_widths(np.eye(d)) == [d]
+        assert np.trace(q[0]).real == pytest.approx(d)
 
     def test_sigma1_against_closed_form(self):
-        dec = hermitian.spectral_decompose(SIGMA[1])
-        np.testing.assert_allclose(dec.eigenvalues, eig2x2(SIGMA[1]), atol=1e-12)
-        np.testing.assert_allclose(dec.projections[0], (np.eye(2) + SIGMA[1]) / 2, atol=1e-12)
-        np.testing.assert_allclose(dec.projections[1], (np.eye(2) - SIGMA[1]) / 2, atol=1e-12)
+        lam, q = spectrum(SIGMA[1])
+        np.testing.assert_allclose(lam, eig2x2(SIGMA[1]), atol=1e-12)
+        np.testing.assert_allclose(q[0], (np.eye(2) + SIGMA[1]) / 2, atol=1e-12)
+        np.testing.assert_allclose(q[1], (np.eye(2) - SIGMA[1]) / 2, atol=1e-12)
 
     def test_non_hermitian_rejected(self):
+        mat = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(TomolabError, match="deviates from Hermitian symmetry"):
-            hermitian.spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+            hermitian._eigenspaces(mat, 1e-9)
+        # a basis admits it for masking only, with no cells
+        assert not custom_basis([mat]).measurable(0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):
@@ -63,31 +78,30 @@ class TestSpectralDecompose:
     def test_projection_algebra_random(self, d, seed):
         rng = np.random.default_rng(seed)
         mat = random_hermitian(rng, d, scale=10.0 / d)
-        dec = hermitian.spectral_decompose(mat)
+        lam, projections = spectrum(mat)
         total = np.zeros((d, d), dtype=complex)
-        for i, q in enumerate(dec.projections):
+        for i, q in enumerate(projections):
             total += q
             np.testing.assert_allclose(q @ q, q, atol=1e-9)
             np.testing.assert_allclose(q, q.conj().T, atol=1e-9)
-            for q2 in dec.projections[i + 1:]:
+            for q2 in projections[i + 1:]:
                 np.testing.assert_allclose(q @ q2, np.zeros((d, d)), atol=1e-9)
         np.testing.assert_allclose(total, np.eye(d), atol=1e-9)
-        err = np.linalg.norm(reconstruct(dec) - mat)
+        err = np.linalg.norm(reconstruct(lam, projections) - mat)
         assert err <= 1e-9 * max(np.linalg.norm(mat), 1e-30)
 
     def test_degenerate_eigenvalues_merge(self):
         # sigma3 x sigma3 has eigenvalues +-1 with multiplicity 2 each
         mat = np.kron(SIGMA[3], SIGMA[3])
-        dec = hermitian.spectral_decompose(mat)
-        assert dec.r == 2
-        np.testing.assert_array_equal(dec.multiplicities, [2, 2])
+        lam, q = spectrum(mat)
+        assert len(lam) == 2
+        assert block_widths(mat) == [2, 2]
+        np.testing.assert_allclose([np.trace(x).real for x in q], [2, 2])
 
     def test_cluster_tol_merges_close_pairs(self):
         mat = np.diag([1.0, 1.0 + 1e-12, 0.0])
-        dec = hermitian.spectral_decompose(mat, cluster_tol=1e-9)
-        assert dec.r == 2
-        wide = hermitian.spectral_decompose(mat, cluster_tol=1e-14)
-        assert wide.r == 3
+        assert len(spectrum(mat, cluster_tol=1e-9)[0]) == 2
+        assert len(spectrum(mat, cluster_tol=1e-14)[0]) == 3
 
 
 class TestTensorProduct:
@@ -172,3 +186,18 @@ class TestTextFormat:
     def test_bad_entry(self):
         with pytest.raises(ValueError):
             hermitian.parse_matrix("1\nnot-a-number\n")
+
+    @pytest.mark.parametrize("text", [
+        "2\n1 0\n0 1\n5 5\n",   # one row more than the header declares
+        "2\n1 0\n",             # one row fewer
+        "0\n",                  # no rows at all
+    ])
+    def test_rows_must_match_header(self, text):
+        with pytest.raises(ValueError, match="header declares d"):
+            hermitian.parse_matrix(text)
+
+    def test_over_long_matrix_file_rejected(self, tmp_path):
+        path = tmp_path / "mat.txt"
+        path.write_text("2\n1 0\n0 1\n5 5\n")
+        with pytest.raises(ValueError, match="header declares d = 2, got 3 rows"):
+            hermitian.read_matrix(path)

@@ -58,7 +58,7 @@ class TestCellProbabilities:
         st = states.sample_class(states.StateClassSpec("low_rank", r=3), 4, seed=9)
         for j in range(PAULI4.size):
             theta = measurement.cell_probabilities(st, PAULI4, j)
-            lam = PAULI4.decompositions[j].eigenvalues
+            lam = PAULI4.eigenvalues[PAULI4.cells(j)]
             want = np.trace(st.matrix @ PAULI4.matrices[j]).real
             assert np.dot(lam, theta) == pytest.approx(want, abs=1e-9)
 
@@ -67,6 +67,12 @@ class TestCellProbabilities:
         off_diag = next(j for j, (l1, l2) in enumerate(canonical.labels) if l1 != l2)
         with pytest.raises(TomolabError, match="masking-only"):
             measurement.cell_probabilities(pure_z(), canonical, off_diag)
+
+    @pytest.mark.parametrize("j", [-1, 4])
+    def test_member_out_of_range_rejected(self, j):
+        # -1 must not wrap around to the last member
+        with pytest.raises(TomolabError, match="out of range"):
+            measurement.cell_probabilities(pure_z(), PAULI2, j)
 
     def test_probabilities_beyond_clamp_rejected(self):
         # traces below -1e-12 signal a genuinely indefinite input
@@ -131,7 +137,7 @@ class TestSummarize:
         j, m, reps = 3, 16, 10_000
         rng = np.random.default_rng(11)
         theta = measurement.cell_probabilities(st, PAULI4, j)
-        lam = PAULI4.decompositions[j].eigenvalues
+        lam = PAULI4.eigenvalues[PAULI4.cells(j)]
         ns = rng.multinomial(m, theta, size=reps) @ lam / m
         want = np.trace(st.matrix @ PAULI4.matrices[j]).real
         var = (np.trace(st.matrix @ PAULI4.matrices[j] @ PAULI4.matrices[j]).real
@@ -181,7 +187,7 @@ class TestRunTomography:
                                         4, 12, seed=3, detail="individual")
         assert ds.individuals.shape == (4, 12)
         for j, counts, outcomes, n_k in zip(ds.indices, ds.counts, ds.individuals, ds.summaries):
-            for lam, count in zip(PAULI2.decompositions[j].eigenvalues, counts):
+            for lam, count in zip(PAULI2.eigenvalues[PAULI2.cells(j)], counts):
                 assert np.sum(np.isclose(outcomes, lam)) == count
             assert outcomes.mean() == pytest.approx(n_k)
 
@@ -190,7 +196,7 @@ class TestRunTomography:
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                         4, 50, seed=4, detail="summary")
         for j, counts, n_k in zip(ds.indices, ds.counts, ds.summaries):
-            lam = PAULI2.decompositions[j].eigenvalues
+            lam = PAULI2.eigenvalues[PAULI2.cells(j)]
             assert n_k == pytest.approx(np.dot(lam, counts) / ds.m)
 
     def test_variance_of_summary_monte_carlo(self):
@@ -198,7 +204,7 @@ class TestRunTomography:
         j, m, reps = 1, 4, 20_000
         rng = np.random.default_rng(21)
         theta = measurement.cell_probabilities(st, PAULI2, j)
-        lam = PAULI2.decompositions[j].eigenvalues
+        lam = PAULI2.eigenvalues[PAULI2.cells(j)]
         ns = rng.multinomial(m, theta, size=reps) @ lam / m
         b = PAULI2.matrices[j]
         want = (np.trace(st.matrix @ b @ b).real
@@ -216,7 +222,7 @@ class TestRunTomography:
         assert ds.individuals is None
         assert {len(u) for u in ds.counts} == {2, 3}
         for j, u in zip(ds.indices, ds.counts):
-            assert u.dtype == np.int64 and len(u) == herm.decompositions[j].r
+            assert u.dtype == np.int64 and len(u) == herm.sizes[j]
             assert u.sum() == 9
 
     def test_deterministic_per_seed(self):

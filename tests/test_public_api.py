@@ -1,0 +1,112 @@
+"""No public function that only the tests can reach.
+
+Every name a module exports in ``__all__`` is either used somewhere in the
+package other than its own definition and its ``__all__`` entry, or named in
+the README's "Public API" paragraph as deliberately part of the library's
+API.  The package's own ``__all__`` lists its modules, whose names are
+checked one by one.  ``bases._make_basis`` is the one place that constructs an
+``ObservableBasis``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import tomolab
+
+PACKAGE = Path(tomolab.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _sources() -> dict:
+    """Source text of every module of the package, the package itself excepted."""
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "__init__"}
+
+
+def _exports(tree) -> list:
+    """The string entries of a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _reads(node) -> set:
+    """Names read under ``node``: loaded names and attribute names.  A
+    definition, an assignment target, an import and a string are not reads."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+    return refs
+
+
+def _defines(node):
+    """The name a top-level statement defines, if it is a def, a class or an
+    assignment to one name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return targets[0].id if len(targets) == 1 and isinstance(targets[0], ast.Name) else None
+
+
+def _listed_public_api(text: str) -> set:
+    """The names quoted in the README paragraph that begins "Public API." and
+    runs to the next paragraph that is not a list item; ``module.name`` gives
+    ``name``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Public API."))
+    end = start + 1
+    while end < len(lines) and not (
+            lines[end - 1] == "" and lines[end] and not lines[end].startswith(("*", " "))):
+        end += 1
+    return set(re.findall(r"`(?:\w+\.)?(\w+)", "\n".join(lines[start:end])))
+
+
+def _unreached(sources: dict, listed: set) -> list:
+    """The exported names, as ``module.name``, that nothing in ``sources``
+    reads and ``listed`` does not hold."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = [((mod, _defines(top)), _reads(top)) for mod, tree in trees.items()
+             for top in tree.body]
+    return sorted(f"{mod}.{name}" for mod, tree in trees.items() for name in _exports(tree)
+                  if name not in listed
+                  and not any(name in names for where, names in reads if where != (mod, name)))
+
+
+def test_every_export_is_used_or_listed():
+    assert _unreached(_sources(), _listed_public_api(README.read_text())) == []
+
+
+def test_guard_sees_an_unused_export():
+    sources = {
+        "a": '__all__ = ["used", "listed", "unused"]\n'
+             'def used(): pass\ndef listed(): pass\ndef unused(): return unused\n',
+        "b": "from .a import used, unused\nx = used()\n",
+    }
+    # neither the import nor a read inside the name's own definition counts
+    assert _unreached(sources, {"listed"}) == ["a.unused"]
+    sources["b"] += "unused()\n"
+    assert _unreached(sources, set()) == ["a.listed"]
+
+
+def test_readme_paragraph_is_found():
+    listed = _listed_public_api(README.read_text())
+    assert {"read_basis", "kernel_K1", "conditional_tv_bound"} <= listed
+    # the paragraph after the list is not part of it
+    assert "estimator_transfer_sweep" not in listed
+
+
+def test_one_basis_constructor():
+    callers = set()
+    for mod, src in _sources().items():
+        for top in ast.parse(src).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "ObservableBasis" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add((mod, getattr(top, "name", "<module>")))
+    assert callers == {("bases", "_make_basis")}

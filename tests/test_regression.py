@@ -74,7 +74,7 @@ class TestSimulateFine:
                                                16, 25, seed=3)
         assert indices.tolist() == list(range(16))
         for j, y in zip(indices, ys):
-            assert len(y) == HERM4.decompositions[j].r
+            assert len(y) == HERM4.sizes[j]
             assert abs(y.sum() - 1.0) <= 1e-12
 
     def test_sample_variance_matches(self):
@@ -154,7 +154,7 @@ class TestAggregateFine:
         # Var(sum lambda_a z_a) should equal tr(B^2 rho) - tr(B rho)^2, scaled by 1/m
         st = interior_state(seed=12)
         j, m = 1, 4
-        lam = HERM4.decompositions[j].eigenvalues
+        lam = HERM4.eigenvalues[HERM4.cells(j)]
         design = bases.SamplingDesign.random(np.eye(16)[j])
         ys = []
         for rep in range(100):
@@ -284,7 +284,7 @@ class TestPerMemberValues:
 
     @staticmethod
     def cells(members):
-        return sum(PAULI4.decompositions[j].r for j in members)
+        return sum(PAULI4.sizes[j] for j in members)
 
     def test_tomography(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, measurement.run_tomography)

@@ -15,13 +15,13 @@ HERM4 = bases.build_basis("hermitian", 4)
 # diagonal members have 2 cells, off-diagonal ones 3; a full-rank state makes
 # every cell active, so a 3-cell member also widens the fine draw
 STATE = states.sample_class(states.StateClassSpec("low_rank", r=4), 4, seed=2)
-THREE_CELL = next(j for j, dec in enumerate(HERM4.decompositions) if dec.r == 3)
+THREE_CELL = int(np.flatnonzero(HERM4.sizes == 3)[0])
 SEED = 31
 
 
 def rare_wide_design():
     """Mostly 2-cell members, with a 3-cell member at weight 1/200."""
-    w = np.array([1.0 if dec.r == 2 else 0.0 for dec in HERM4.decompositions])
+    w = (HERM4.sizes == 2).astype(float)
     w *= (1 - 0.005) / w.sum()
     w[THREE_CELL] = 0.005
     return bases.SamplingDesign.random(w)
@@ -80,8 +80,8 @@ def test_prefix_stable_when_a_wider_member_appears(name):
     assert 0 < n and idx[n] == THREE_CELL
     simulate = SIMULATORS[name]
     short, long = simulate(n), simulate(3 * B)
-    assert all(HERM4.decompositions[j].r == 2 for j in short[0])
-    assert any(HERM4.decompositions[j].r == 3 for j in long[0][n:])
+    assert all(HERM4.sizes[j] == 2 for j in short[0])
+    assert any(HERM4.sizes[j] == 3 for j in long[0][n:])
     assert_prefix(short, long, n)
 
 
