@@ -11,13 +11,13 @@ Four constructions, all of size p = d^2:
 * ``gvector`` - the hermitian construction with the canonical axes replaced
   by a supplied orthonormal real basis g_1..g_d.
 
-A basis holds its spectra once, at build time, in one representation: the
+A basis holds its members as one (p, d, d) array and its spectra once: the
 distinct eigenvalues lambda_ja and eigenspace projections Q_ja of all
 measurable members, in member order, as the rows of a (C,) and a (C, d, d)
-array, with member j's cells at rows ``cell_start[j]:cell_start[j + 1]``.
-Every simulator reads a member's rows, and
-:meth:`ObservableBasis.cell_traces` evaluates every tr(Q_ja rho) of the
-family in one pass.
+array, member j's cells at rows ``cell_start[j]:cell_start[j + 1]``.
+:meth:`ObservableBasis.cell_traces` gives every tr(Q_ja rho) in one pass,
+and :meth:`ObservableBasis.padded` lays per-cell values out in the
+front-padded (p, kappa) table the simulators index by member.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError
-from .hermitian import _eigenspaces, format_matrix, parse_matrix, tensor_chain
+from .hermitian import _eigenspaces, format_matrix, parse_matrix, stack_traces, tensor_chain
 
 __all__ = [
     "SIGMA",
@@ -49,24 +49,20 @@ SIGMA = (
 _KINDS = ("canonical", "hermitian", "pauli", "gvector")
 
 
-# entries of the temporary product in one chunk of ObservableBasis.cell_traces
-_TRACE_CHUNK = 8192
-
-
 @dataclass(frozen=True)
 class ObservableBasis:
     """A finite observable family with its spectra, built by :func:`_make_basis`.
 
-    Row i of ``eigenvalues`` (shape (C,)) and ``projections`` (shape
-    (C, d, d)) is one distinct eigenvalue of a measurable member and the
-    projection onto its eigenspace; member j's cells are the rows
-    ``cell_start[j]:cell_start[j + 1]``, in descending eigenvalue order, and a
-    masking-only member has none.
+    ``matrices`` (shape (p, d, d)) holds the members.  Row i of ``eigenvalues``
+    (shape (C,)) and ``projections`` (shape (C, d, d)) is one distinct
+    eigenvalue of a measurable member and the projection onto its eigenspace;
+    member j's cells are the rows ``cell_start[j]:cell_start[j + 1]``, in
+    descending eigenvalue order, and a masking-only member has none.
     """
 
     kind: str
     dim: int
-    matrices: tuple = field(repr=False)
+    matrices: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     projections: np.ndarray = field(repr=False)
     cell_start: np.ndarray = field(repr=False)               # (p + 1,) row offsets
@@ -86,33 +82,28 @@ class ObservableBasis:
     def size(self) -> int:
         return len(self.matrices)
 
-    def measurable(self, j: int) -> bool:
-        return bool(self.sizes[j])
-
     def cells(self, j: int) -> slice:
         """Member j's rows of ``eigenvalues`` and ``projections``."""
         return slice(self.cell_start[j], self.cell_start[j + 1])
 
     def cell_traces(self, rho) -> np.ndarray:
-        """Real vector of tr(Q_ja rho) over every row of ``projections``.
+        """tr(Q_ja rho) over every row of ``projections``, in one pass."""
+        return stack_traces(self.projections, rho)
 
-        Each entry equals ``trace_product(q, rho).real`` for its row q bit for
-        bit, the value :func:`tomolab.measurement.cell_probabilities` starts
-        from: both sum the same d*d entrywise products in the same order.  The
-        rows are taken in chunks, so the temporary product stays small.
-        """
-        mat = np.asarray(rho)
-        d = self.dim
-        if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
-            raise TomolabError(f"state must be a finite ({d}, {d}) matrix, "
-                               f"got shape {mat.shape}")
-        rows = self.projections.reshape(-1, d * d)
-        rho_t = mat.T.ravel()
-        out = np.empty(len(rows))
-        step = max(1, _TRACE_CHUNK // (d * d))
-        for lo in range(0, len(rows), step):
-            out[lo:lo + step] = (rows[lo:lo + step] * rho_t).sum(axis=1).real
-        return out
+    def padded(self, rows) -> np.ndarray:
+        """The (p, kappa, ...) table of per-cell ``rows`` (one per row of
+        ``projections``): member j's cells fill the last ``sizes[j]`` slots of
+        row j, and the slots in front of them are zero."""
+        rows = np.asarray(rows)
+        table = np.zeros((self.size, self.kappa) + rows.shape[1:], dtype=rows.dtype)
+        slot = np.arange(len(rows)) + (self.kappa - self.cell_start[1:])[self.cell_member]
+        table[self.cell_member, slot] = rows
+        return table
+
+    def tails(self, indices, table) -> list:
+        """Row k of a :meth:`padded` per-record ``table`` cut to the cells of
+        its member ``indices[k]``."""
+        return [row[self.kappa - r:] for r, row in zip(self.sizes[indices].tolist(), table)]
 
 
 @dataclass(frozen=True)
@@ -147,10 +138,9 @@ class SamplingDesign:
         return cls(mode="random", weights_regression=pi, weights_tomography=xi)
 
 
-def _hermitian_family(axes: np.ndarray, labels) -> list:
+def _hermitian_family(axes: np.ndarray, labels):
     """Members of the hermitian construction over ``axes`` columns, one per (l1, l2) label."""
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    mats = []
     for l1, l2 in labels:
         u = axes[:, l1 - 1][:, None]
         v = axes[:, l2 - 1][:, None]
@@ -160,8 +150,7 @@ def _hermitian_family(axes: np.ndarray, labels) -> list:
             mat = inv_sqrt2 * (u @ v.conj().T + v @ u.conj().T)
         else:
             mat = 1j * inv_sqrt2 * (u @ v.conj().T - v @ u.conj().T)
-        mats.append(mat.astype(complex))
-    return mats
+        yield mat.astype(complex)
 
 
 def _labels(kind: str, d: int) -> list:
@@ -183,7 +172,7 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
     g_store = None
     if kind == "canonical":
         eye = np.eye(d, dtype=complex)
-        mats = [np.outer(eye[:, l1 - 1], eye[:, l2 - 1]) for l1, l2 in _labels(kind, d)]
+        mats = (np.outer(eye[:, l1 - 1], eye[:, l2 - 1]) for l1, l2 in _labels(kind, d))
     elif kind in ("hermitian", "gvector"):
         if kind == "gvector":
             if g_vectors is None:
@@ -200,7 +189,8 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
         mats = _hermitian_family(axes.astype(complex), _labels(kind, d))
     else:  # pauli
         b = _pauli_slots(d)
-        mats = [_pauli_member(j, b) for j in range(d * d)]
+        mats = (_pauli_member(j, b) for j in range(d * d))
+    # generated, so the member list _make_basis stacks is freed once stacked
     return _make_basis(mats, cluster_tol, kind, g_vectors=g_store)
 
 
@@ -225,18 +215,13 @@ def _pauli_member(j: int, b: int) -> np.ndarray:
     return tensor_chain(SIGMA[l] for l in _pauli_label(j, b))
 
 
-def custom_basis(matrices, cluster_tol: float = 1e-9) -> ObservableBasis:
-    """Wrap an explicit matrix list; non-Hermitian members get no cells (masking only)."""
-    return _make_basis(matrices, cluster_tol, "custom")
-
-
 def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> ObservableBasis:
     """The one constructor of every family: each Hermitian member is measurable,
     its eigenspace projections V V^dagger written into its rows, the others
     get no rows (masking only).  A built-in kind takes its labels from
-    :func:`_labels`, any other kind 1..p.  TomolabError unless ``matrices`` is
-    a non-empty list of (d, d) matrices, d the size of the first."""
-    mats = tuple(np.asarray(m, dtype=complex) for m in matrices)
+    :func:`_labels`, any other kind 1..p.  TomolabError unless ``matrices``
+    holds one or more (d, d) matrices, d the size of the first."""
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:
         raise TomolabError("a basis needs at least one member")
     d = mats[0].shape[0] if mats[0].ndim == 2 else 0
@@ -244,6 +229,7 @@ def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> Obse
         if d < 1 or m.shape != (d, d):
             raise TomolabError(f"member {j} has shape {m.shape}; every member "
                                f"must be square, of member 0's size")
+    mats = np.stack(mats)
     labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, len(mats) + 1))
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} members")
@@ -302,10 +288,11 @@ def write_basis(basis: ObservableBasis, path) -> None:
 def read_basis(path, cluster_tol: float = 1e-9) -> ObservableBasis:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("empty basis file")
-    kind, d_str, p_str = lines[0].split()
-    d, p = int(d_str), int(p_str)
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or not all(t.isascii() and t.isdigit() and int(t) > 0 for t in head[1:]):
+        raise ValueError(f"line 1: expected the header 'kind d p', d and p positive "
+                         f"integers, got {' '.join(head)!r}")
+    kind, d, p = head[0], int(head[1]), int(head[2])
     mats = []
     pos = 1
     for j in range(p):

@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__, bases, diagnostics, equivalence, measurement, regression, states
 from .errors import ConfigParseError, TomolabError
-from .hermitian import hs_inner, read_matrix, trace_product
+from .hermitian import hs_inner, read_matrix, stack_traces
 from .rng import RNG_CONTRACT, TRANSFER, substream
 
 __all__ = ["ExperimentConfig", "ReportBundle", "load_config", "run", "estimator_transfer", "main"]
@@ -303,11 +303,8 @@ def _task_distances(cfg, path):
         tv = equivalence.tv_perturbed_vs_gaussian(m, theta, cfg.tv_samples, cfg.seed, i)
         return hel, tv
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, range(len(points))))
-    else:
-        results = [one(i) for i in range(len(points))]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        results = list(pool.map(one, range(len(points))))
 
     rows, estimates = [], []
     ok_all = True
@@ -446,21 +443,18 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     p = basis.size
     if m < 1:
         raise TomolabError("m must be at least 1")
-    mat = rho.matrix if isinstance(rho, states.DensityMatrix) else np.asarray(rho)
     rng = substream(seed, TRANSFER)
     norms = np.array([hs_inner(b, b).real for b in basis.matrices])
-    alpha = np.array([trace_product(b, mat).real for b in basis.matrices]) / norms
+    theta = measurement.cell_probabilities(rho, basis)
+    mean = stack_traces(basis.matrices, rho)
+    sd = np.sqrt(regression.noise_variance_coarse(rho, basis) / m)
+    alpha = mean / norms
     err_counts = np.empty((replications, p))
     err_gauss = np.empty((replications, p))
     for j in range(p):
-        theta = measurement.cell_probabilities(states.DensityMatrix(mat), basis, j)
-        lam = basis.eigenvalues[basis.cells(j)]
-        counts = rng.multinomial(m, theta, size=replications)
-        n_avg = counts @ lam / m
-        est_c = n_avg / norms[j]
-        mean = trace_product(basis.matrices[j], mat).real
-        sd = np.sqrt(regression.noise_variance_coarse(mat, basis.matrices[j]) / m)
-        est_g = (mean + sd * rng.standard_normal(replications)) / norms[j]
+        counts = rng.multinomial(m, theta[basis.cells(j)], size=replications)
+        est_c = counts @ basis.eigenvalues[basis.cells(j)] / m / norms[j]
+        est_g = (mean[j] + sd[j] * rng.standard_normal(replications)) / norms[j]
         err_counts[:, j] = (est_c - alpha[j]) ** 2
         err_gauss[:, j] = (est_g - alpha[j]) ** 2
     risk_c = err_counts.sum(axis=1)

@@ -24,7 +24,6 @@ import numpy as np
 from .bases import ObservableBasis
 from .errors import TomolabError
 from .measurement import ACTIVE_TOL, _active_mask
-from .states import DensityMatrix
 
 __all__ = [
     "ActiveIndexReport",
@@ -67,8 +66,7 @@ def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> Ac
     """
     if not (0 < tol < 0.1):
         raise ValueError("tol must lie in (0, 0.1)")
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    traces = basis.cell_traces(mat)
+    traces = basis.cell_traces(rho)
     active = _active_mask(traces, tol)
     member = basis.cell_member[active]
     cards = np.bincount(member, minlength=basis.size)

@@ -439,14 +439,15 @@ def product_hellinger_bound(h_squares) -> float:
     """Combine per-record squared distances: sqrt of the sum.
 
     ``None`` entries mark degenerate records (single-cell laws), which
-    contribute zero; any other entry must be finite and nonnegative.
+    contribute zero; any other entry must lie in [0, 2], the range of a
+    squared Hellinger distance.
     """
     total = 0.0
     for h2 in h_squares:
         if h2 is None:
             continue
-        if not 0 <= h2 < math.inf:
-            raise ValueError(f"squared distances must be finite and nonnegative, got {h2}")
+        if not 0 <= h2 <= 2.0:
+            raise ValueError(f"squared distances must be finite, nonnegative, at most 2: {h2}")
         total += h2
     return math.sqrt(total)
 
@@ -496,10 +497,11 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
 
 def conditional_tv_bound(marginal_gap: float, weighted_tvs) -> float:
     """Two-stage bound: marginal ratio gap plus weight-averaged conditional TVs.
-    ValueError unless every value is finite and the weights sum to 1."""
+    ValueError unless the gap is finite and nonnegative, every TV lies in
+    [0, 1] and the weights sum to 1."""
     weights, tvs = np.array(weighted_tvs, dtype=float).reshape(-1, 2).T
-    if not (math.isfinite(marginal_gap) and np.all(np.isfinite(tvs))):
-        raise ValueError("the marginal gap and the conditional TVs must be finite")
+    if not (0 <= marginal_gap < math.inf and np.all((tvs >= 0) & (tvs <= 1))):
+        raise ValueError("the marginal gap must be finite and nonnegative, the TVs in [0, 1]")
     if len(weights) and (np.any(weights < 0) or not abs(weights.sum() - 1.0) <= 1e-9):
         raise ValueError("weights must form a probability vector")
     return float(marginal_gap + sum(w * tv for w, tv in weighted_tvs))

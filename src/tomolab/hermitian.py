@@ -5,7 +5,8 @@ Matrices are plain complex ``numpy`` arrays.  :func:`_eigenspaces` gives the
 block per eigenvalue; :mod:`tomolab.bases` writes each block's projection
 V V^dagger into its basis's projection array.  Floating-point eigensolvers
 split degenerate eigenvalues, so nearby eigenvalues are merged by a relative
-clustering tolerance before the blocks are formed.
+clustering tolerance before the blocks are formed.  :func:`stack_traces` is
+the one kernel for tr(a rho) over a stack of matrices.
 
 Design envelope: dense double precision, dimensions up to ~1024 (tensor
 products are capped there); each eigensolve is O(d^3).
@@ -25,6 +26,7 @@ __all__ = [
     "tensor_chain",
     "hs_inner",
     "trace_product",
+    "stack_traces",
     "format_matrix",
     "parse_matrix",
     "write_matrix",
@@ -33,6 +35,7 @@ __all__ = [
 
 TOL_HERM = 1e-9          # Hermitian symmetry check
 MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
+_TRACE_CHUNK = 8192       # entries of the temporary product in one chunk of stack_traces
 
 
 def require_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -110,6 +113,25 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape[1] != b.shape[0]:
         raise TomolabError(f"shapes {a.shape} and {b.shape} cannot be multiplied")
     return complex(np.sum(a * b.T))
+
+
+def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
+    """tr(a rho).real of every matrix a of an (n, d, d) stack, each bit for bit
+    ``trace_product(a, rho).real`` (the same d*d products summed in the same
+    order), in chunks that keep the temporary product small.  ``rho`` is a
+    matrix or a state holding one as ``matrix``; TomolabError unless that
+    matrix is finite and (d, d)."""
+    mat = np.asarray(getattr(rho, "matrix", rho))
+    d = stack.shape[-1]
+    if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
+        raise TomolabError(f"state must be a finite ({d}, {d}) matrix, got shape {mat.shape}")
+    rows = stack.reshape(-1, d * d)
+    rho_t = mat.T.ravel()
+    out = np.empty(len(rows))
+    step = max(1, _TRACE_CHUNK // (d * d))
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = (rows[lo:lo + step] * rho_t).sum(axis=1).real
+    return out
 
 
 # --- text serialization ------------------------------------------------------

@@ -10,14 +10,14 @@ Randomness follows RNG contract v2 (:mod:`tomolab.rng`), family
 ``TOMOGRAPHY``: the design indices come from (seed, family, 0), and each
 block of ``BLOCK`` records makes one ``multinomial`` call on its substream,
 with one row of cell probabilities per record.  Rows are padded in front
-to the largest cell count over the basis's measurable members; a zero cell
-takes no draw, so each row consumes the stream exactly as a one-record call
-would.  Individual outcomes are one ``permuted`` call per block on a copy
-of the block substream advanced from its start by
-``bit_generator.jumped()`` (PCG64's fixed jump of about 0.618 * 2**128
-steps), so the counts do not depend on ``detail`` and
-the first n records do not depend on n.  Cell probabilities are computed
-once per distinct drawn member.
+to the largest cell count over the basis's measurable members
+(:meth:`ObservableBasis.padded`); a zero cell takes no draw, so each row
+consumes the stream exactly as a one-record call would.  Individual
+outcomes are one ``permuted`` call per block on a copy of the block
+substream advanced from its start by ``bit_generator.jumped()`` (PCG64's
+fixed jump of about 0.618 * 2**128 steps), so the counts do not depend on
+``detail`` and the first n records do not depend on n.  The cell
+probabilities of every member are computed once per run.
 
 A run's records are held once, as arrays (:class:`TomographyDataset`): the
 member index per record, each record's counts (the unpadded tail of its row
@@ -34,9 +34,7 @@ import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
-from .hermitian import trace_product
 from .rng import TOMOGRAPHY, record_blocks, substream
-from .states import DensityMatrix
 
 __all__ = [
     "TomographyDataset",
@@ -64,19 +62,27 @@ class TomographyDataset:
     individuals: np.ndarray = None  # (n, m) outcomes, one row per record
 
 
-def cell_probabilities(rho: DensityMatrix, basis: ObservableBasis, j: int) -> np.ndarray:
-    """Measurement distribution tr(Q_ja rho) over the distinct eigenvalues of B_j."""
-    if not (0 <= j < basis.size and basis.measurable(j)):
-        raise TomolabError(f"basis member {j} is out of range or masking-only (not Hermitian)")
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    theta = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
-    if np.any(theta < -PROB_CLAMP) or np.any(theta > 1 + PROB_CLAMP):
-        raise ValueError(f"cell probabilities escape [0,1]: {theta}")
+def cell_probabilities(rho, basis: ObservableBasis) -> np.ndarray:
+    """Measurement distributions tr(Q_ja rho) of every member, one (C,) vector
+    over the rows of ``basis.projections`` (member j's law is
+    ``theta[basis.cells(j)]``), each law clipped to [0, 1] and divided by its
+    sum.  ValueError if a trace escapes [0, 1] by more than PROB_CLAMP or a
+    clipped law does not sum to 1 within 1e-9."""
+    theta = basis.cell_traces(rho)
+    escaped = theta[(theta < -PROB_CLAMP) | (theta > 1 + PROB_CLAMP)]
+    if escaped.size:
+        raise ValueError(f"cell probabilities escape [0,1]: {escaped}")
     theta = np.clip(theta, 0.0, 1.0)
-    total = theta.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"cell probabilities sum to {total}, not 1")
-    return theta / total
+    for r in np.unique(basis.sizes[basis.sizes > 0]).tolist():
+        rows = basis.cell_start[:-1][basis.sizes == r, None] + np.arange(r)
+        # a (members, r) block summed along its rows adds each row as that member's
+        # 1-D sum would; a zero-padded row sum or np.add.reduceat does not, from r = 3
+        total = theta[rows].sum(axis=1)
+        worst = total[np.argmax(np.abs(total - 1.0))]
+        if abs(worst - 1.0) > 1e-9:
+            raise ValueError(f"cell probabilities sum to {worst}, not 1")
+        theta[rows] /= total[:, None]
+    return theta
 
 
 def _active_mask(theta, tol: float = ACTIVE_TOL) -> np.ndarray:
@@ -97,18 +103,23 @@ def _mean_outcomes(eigenvalues, counts, m: int) -> np.ndarray:
 def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, seed,
                         family: int = TOMOGRAPHY) -> np.ndarray:
     """Observable index per record: 0..p-1 in order (fixed), or i.i.d. from substream
-    (seed, family, 0) with Xi for the tomography family and Pi otherwise (random)."""
+    (seed, family, 0) with Xi for the tomography family and Pi otherwise (random).
+    The one place that rejects a design drawing a masking-only member."""
     p = basis.size
     if design.mode == "fixed":
         if n != p:
             raise TomolabError(f"fixed design requires n = p = {p}, got n = {n}")
-        return np.arange(p)
-    name, weights = (("Xi", design.weights_tomography) if family == TOMOGRAPHY
-                     else ("Pi", design.weights_regression))
-    if len(weights) != p:
-        raise TomolabError(f"{name} has length {len(weights)}, family has {p} members")
-    rng = substream(seed, family, 0)
-    return rng.choice(p, size=n, p=weights)
+        indices = np.arange(p)
+    else:
+        name, weights = (("Xi", design.weights_tomography) if family == TOMOGRAPHY
+                         else ("Pi", design.weights_regression))
+        if len(weights) != p:
+            raise TomolabError(f"{name} has length {len(weights)}, family has {p} members")
+        indices = substream(seed, family, 0).choice(p, size=n, p=weights)
+    masked = indices[basis.sizes[indices] == 0]
+    if len(masked):
+        raise TomolabError(f"the design draws member {masked[0]}, which is masking-only")
+    return indices
 
 
 def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -119,14 +130,9 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed)
-    width = basis.kappa  # the basis's largest cell count, not the drawn members'
-    pvals = np.zeros((basis.size, width))     # front-padded cell probabilities
-    lams = np.zeros((basis.size, width))      # matching eigenvalues
-    for j in dict.fromkeys(indices.tolist()):
-        theta = cell_probabilities(rho, basis, j)
-        pvals[j, width - len(theta):] = theta
-        lams[j, width - len(theta):] = basis.eigenvalues[basis.cells(j)]
-    counts = np.empty((n, width), dtype=np.int64)
+    pvals = basis.padded(cell_probabilities(rho, basis))
+    lams = basis.padded(basis.eigenvalues)
+    counts = np.empty((n, basis.kappa), dtype=np.int64)
     outcomes = np.empty((n, m)) if detail == "individual" else None
     for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, n):
         idx = indices[lo:hi]
@@ -141,9 +147,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     summaries = None
     if detail in ("summary", "individual"):
         summaries = _mean_outcomes(lams[indices], counts, m)
-    # each record's counts are the unpadded tail of its row
-    tails = [row[width - r:] for r, row in zip(basis.sizes[indices].tolist(), counts)]
-    return TomographyDataset(m=m, indices=indices, counts=tails,
+    return TomographyDataset(m=m, indices=indices, counts=basis.tails(indices, counts),
                              summaries=summaries, individuals=outcomes)
 
 
@@ -188,7 +192,7 @@ def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
         raise ValueError(f"unexpected header {head}, expected {header}")
     indices = np.array([int(row[1]) for row in rows], dtype=np.int64)
     for k, j in enumerate(indices.tolist()):
-        if not (0 <= j < basis.size and basis.measurable(j)):
+        if not (0 <= j < basis.size and basis.sizes[j]):
             raise ValueError(f"record {k}: member {j} is not a measurable member of the basis")
     return rows, indices
 

@@ -19,8 +19,10 @@ normal per record.  Fine draws a row of w normals per record, w being one
 less than the largest cell count over the basis's measurable members, and
 maps it through the member's factor F (rows: the Cholesky factor on all but
 the last active cell, minus its column sums on the last, zero on inactive
-cells), so y = theta + F z meets the sum constraint.  Per-member values
-(mean, noise scale, factor) are computed once per distinct drawn member.
+cells), so y = theta + F z meets the sum constraint.  Every member's law
+(cell probabilities, coarse mean and variance) is computed once per run,
+the fine factor once per distinct drawn member, in the basis's front-padded
+(p, kappa) table (:meth:`ObservableBasis.padded`).
 
 Both simulators, and the CSV readers and writers, hold a run's records once,
 as the pair (indices, values): the member index per record (int64) with the
@@ -32,11 +34,10 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .hermitian import require_hermitian, trace_product
+from .hermitian import stack_traces
 from .measurement import (_active_cells, _fmt, _read_records, _write_table,
                           cell_probabilities, draw_design_indices)
 from .rng import COARSE, FINE, record_blocks
-from .states import DensityMatrix
 
 __all__ = [
     "noise_variance_coarse",
@@ -52,18 +53,16 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 
 
-def noise_variance_coarse(rho, b_mat: np.ndarray) -> float:
-    """tr(B^2 rho) - tr(B rho)^2, clamped at zero (division by m is the caller's).
+def noise_variance_coarse(rho, basis: ObservableBasis) -> np.ndarray:
+    """tr(B_j^2 rho) - tr(B_j rho)^2 of every member, as a (p,) vector, clamped
+    at zero (division by m is the caller's); NaN for a masking-only member.
 
     Values below 1e-12 collapse to exactly zero so deterministic observables
     stay deterministic under floating-point rounding.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    b_mat = require_hermitian(b_mat)
-    second = trace_product(b_mat @ b_mat, mat).real
-    first = trace_product(b_mat, mat).real
-    var = second - first * first
-    return var if var >= VARIANCE_FLOOR else 0.0
+    first = stack_traces(basis.matrices, rho)
+    var = stack_traces(basis.matrices @ basis.matrices, rho) - first * first
+    return np.where(basis.sizes == 0, np.nan, np.where(var >= VARIANCE_FLOOR, var, 0.0))
 
 
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -72,11 +71,8 @@ def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed, COARSE)
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    mean, sd = np.zeros(basis.size), np.zeros(basis.size)
-    for j in dict.fromkeys(indices.tolist()):
-        mean[j] = trace_product(basis.matrices[j], mat).real
-        sd[j] = np.sqrt(noise_variance_coarse(mat, basis.matrices[j]) / m)
+    mean = stack_traces(basis.matrices, rho)
+    sd = np.sqrt(noise_variance_coarse(rho, basis) / m)
     z = np.empty(n)
     for lo, hi, rng in record_blocks(seed, COARSE, n):
         z[lo:hi] = rng.standard_normal(hi - lo)
@@ -110,19 +106,17 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed, FINE)
-    cells = basis.kappa
-    width = cells - 1
-    thetas = np.zeros((basis.size, cells))
-    factors = np.zeros((basis.size, cells, width))
+    width = basis.kappa - 1
+    theta = cell_probabilities(rho, basis)
+    factor = np.zeros((len(theta), width))  # one factor row per cell
     for j in dict.fromkeys(indices.tolist()):
-        theta = cell_probabilities(rho, basis, j)
-        thetas[j, :len(theta)] = theta
-        factors[j, :len(theta)] = _fine_factor(theta, m, width)
+        factor[basis.cells(j)] = _fine_factor(theta[basis.cells(j)], m, width)
+    thetas, factors = basis.padded(theta), basis.padded(factor)
     z = np.empty((n, width))
     for lo, hi, rng in record_blocks(seed, FINE, n):
         z[lo:hi] = rng.standard_normal((hi - lo, width))
     y = thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
-    return indices, [row[:r] for r, row in zip(basis.sizes[indices].tolist(), y)]
+    return indices, basis.tails(indices, y)
 
 
 # --- CSV ----------------------------------------------------------------------

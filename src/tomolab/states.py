@@ -49,14 +49,13 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class StateClassSpec:
-    """Parameters of one state class, optionally pinned to a named witness."""
+    """Parameters of one state class."""
 
     class_name: str                  # entry_sparse | pauli_sparse | low_rank | low_rank_sparse_vec
     s: int = None
     r: int = None
     gamma: int = None
     g_vectors: np.ndarray = None     # columns g_1..g_d, low_rank_sparse_vec only
-    witness_id: str = None
 
 
 def validate_density(mat: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
@@ -130,8 +129,6 @@ def witness_state(name: str, d: int, j_star=None, beta: float = 0.5) -> DensityM
 
 def sample_class(spec: StateClassSpec, d: int, seed: int) -> DensityMatrix:
     """Draw one state from the class; deterministic for a fixed seed."""
-    if spec.witness_id is not None:
-        return witness_state(spec.witness_id, d)
     rng = substream(seed)
     if spec.class_name == "entry_sparse":
         return _sample_entry_sparse(d, spec.s, rng)

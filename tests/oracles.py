@@ -5,7 +5,8 @@ route of its own: the multinomial pmf through conditional binomials, the two
 dataset translations one record at a time, class membership of a sampled
 state, orthogonality and Pauli projection traces of a family, a matrix
 rebuilt from its spectral decomposition, each member's spectrum on its own,
-and the active index sets one member at a time.
+the active index sets, cell probabilities and coarse moments one member at
+a time.  ``custom_basis`` wraps an explicit matrix list as a family.
 """
 
 import math
@@ -13,11 +14,12 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from tomolab.bases import build_basis
+from tomolab.bases import _make_basis, build_basis
 from tomolab.diagnostics import ActiveIndexReport
 from tomolab.errors import TomolabError
-from tomolab.hermitian import hs_inner, trace_product
-from tomolab.measurement import ACTIVE_TOL, _active_cells
+from tomolab.hermitian import hs_inner, require_hermitian, trace_product
+from tomolab.measurement import ACTIVE_TOL, PROB_CLAMP, _active_cells
+from tomolab.regression import VARIANCE_FLOOR
 from tomolab.rng import TRANSLATE, record_blocks
 from tomolab.states import DENSITY_TOL, DensityMatrix
 
@@ -134,6 +136,11 @@ def round_off_per_record(samples, m: int) -> tuple:
 # --- families ------------------------------------------------------------------
 
 
+def custom_basis(matrices, cluster_tol: float = 1e-9):
+    """Wrap an explicit matrix list; non-Hermitian members get no cells (masking only)."""
+    return _make_basis(matrices, cluster_tol, "custom")
+
+
 def verify_orthogonal(basis) -> dict:
     """Largest |<B_j, B_j'>| over pairs j != j' and the norms <B_j, B_j>; passes iff <= 1e-9."""
     gram = np.abs([[hs_inner(a, b) for b in basis.matrices] for a in basis.matrices])
@@ -184,7 +191,7 @@ def active_index_set_per_member(rho, basis, tol: float = ACTIVE_TOL) -> ActiveIn
     per_j, cards, meas = [], [], []
     t_min, t_max = np.inf, -np.inf
     for j in range(basis.size):
-        if not basis.measurable(j):
+        if not basis.sizes[j]:
             per_j.append(())
             cards.append(0)
             meas.append(False)
@@ -205,6 +212,30 @@ def active_index_set_per_member(rho, basis, tol: float = ACTIVE_TOL) -> ActiveIn
         active_traces_min=None if np.isinf(t_min) else t_min,
         active_traces_max=None if t_max < 0 else t_max,
     )
+
+
+def cell_probabilities_per_member(rho, basis, j: int) -> np.ndarray:
+    """Member j's cell probabilities on their own: one ``trace_product`` per
+    row of its slice of the projection array, the escape check, the clip, and
+    division by the 1-D sum of its own law."""
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    theta = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
+    if np.any(theta < -PROB_CLAMP) or np.any(theta > 1 + PROB_CLAMP):
+        raise ValueError(f"cell probabilities escape [0,1]: {theta}")
+    theta = np.clip(theta, 0.0, 1.0)
+    total = theta.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"cell probabilities sum to {total}, not 1")
+    return theta / total
+
+
+def coarse_moments_per_member(rho, b_mat) -> tuple:
+    """(tr(B rho), floored tr(B^2 rho) - tr(B rho)^2) of one Hermitian matrix B."""
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    b_mat = require_hermitian(b_mat)
+    first = trace_product(b_mat, mat).real
+    var = trace_product(b_mat @ b_mat, mat).real - first * first
+    return first, (var if var >= VARIANCE_FLOOR else 0.0)
 
 
 # --- state classes ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import member_spectrum, pauli_projection_traces, verify_orthogonal
+from oracles import custom_basis, member_spectrum, pauli_projection_traces, verify_orthogonal
 from tomolab import bases, hermitian
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
@@ -44,7 +44,7 @@ class TestBuildBasis:
     def test_canonical_off_diagonal_not_measurable(self):
         b = bases.build_basis("canonical", 3)
         for j, (l1, l2) in enumerate(b.labels):
-            assert b.measurable(j) == (l1 == l2)
+            assert bool(b.sizes[j]) == (l1 == l2)
 
     def test_kappa_recorded(self):
         assert bases.build_basis("pauli", 4).kappa == 2
@@ -83,7 +83,7 @@ class TestVerifyOrthogonal:
         np.testing.assert_allclose(report["diagonal_norms"], 4.0)
 
     def test_duplicated_member_fails(self):
-        b = bases.custom_basis([SIGMA[1], SIGMA[1]])
+        b = custom_basis([SIGMA[1], SIGMA[1]])
         report = verify_orthogonal(b)
         assert not report["passed"]
         assert report["max_off_diagonal"] == pytest.approx(2.0)
@@ -170,7 +170,7 @@ class TestProjectionArray:
         self.assert_member_spectra(bases.read_basis(path))
 
     def test_custom_family(self):
-        b = bases.custom_basis([SIGMA[1], np.array([[0, 1], [0, 0]]), np.eye(2)])
+        b = custom_basis([SIGMA[1], np.array([[0, 1], [0, 0]]), np.eye(2)])
         self.assert_member_spectra(b)
         np.testing.assert_array_equal(b.sizes, [2, 0, 1])
 
@@ -181,7 +181,6 @@ class TestProjectionArray:
         np.testing.assert_array_equal(np.diff(b.cell_start), sizes)
         np.testing.assert_array_equal(b.cell_member, np.repeat(np.arange(b.size), sizes))
         assert b.kappa == 2
-        assert [b.measurable(j) for j in range(b.size)] == [r > 0 for r in sizes]
         # member 4 is e_2 e_2', the second diagonal member
         assert b.cells(4) == slice(2, 4)
         assert b.eigenvalues[b.cells(4)].tolist() == [1.0, 0.0]
@@ -199,12 +198,21 @@ class TestMalformedMembers:
     ], ids=["empty", "non-hermitian-3x3", "hermitian-3x3", "non-square", "vector"])
     def test_custom_basis_rejects(self, mats):
         with pytest.raises(TomolabError, match="at least one member|every member must be square"):
-            bases.custom_basis(mats)
+            custom_basis(mats)
 
     def test_basis_file_with_no_members(self, tmp_path):
         path = tmp_path / "basis.txt"
         path.write_text("custom 2 0\n")
-        with pytest.raises(TomolabError, match="at least one member"):
+        with pytest.raises(ValueError, match="line 1: expected the header 'kind d p'"):
+            bases.read_basis(path)
+
+    @pytest.mark.parametrize("header", ["pauli 2 4 extra", "pauli 2", "pauli", "pauli two 4",
+                                        "pauli 2 -4", "pauli 0 4", "pauli 2 4.0"])
+    def test_malformed_header_rejected(self, header, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text(header + "\n" + hermitian.format_matrix(SIGMA[0]))
+        with pytest.raises(ValueError, match="line 1: expected the header 'kind d p', d and p "
+                                             "positive integers"):
             bases.read_basis(path)
 
 
@@ -221,12 +229,11 @@ class TestBasisFiles:
         for m1, m2 in zip(b.matrices, back.matrices):
             np.testing.assert_array_equal(m1, m2)
         assert back.labels == b.labels
-        assert [back.measurable(j) for j in range(b.size)] == [b.measurable(j)
-                                                              for j in range(b.size)]
+        np.testing.assert_array_equal(back.sizes, b.sizes)
         assert back.kappa == b.kappa
 
     def test_custom_family_keeps_numbered_labels(self, tmp_path):
-        b = bases.custom_basis([SIGMA[1], SIGMA[3]])
+        b = custom_basis([SIGMA[1], SIGMA[3]])
         path = tmp_path / "basis.txt"
         bases.write_basis(b, path)
         back = bases.read_basis(path)
@@ -238,7 +245,7 @@ class TestBasisFiles:
         mat = np.array(SIGMA[1])
         mat[0, 1] = float(entry)
         with pytest.raises(TomolabError, match="non-finite"):
-            bases.custom_basis([SIGMA[0], mat])
+            custom_basis([SIGMA[0], mat])
         path = tmp_path / "basis.txt"
         path.write_text("custom 2 2\n" + hermitian.format_matrix(SIGMA[0])
                         + hermitian.format_matrix(mat))

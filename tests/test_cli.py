@@ -569,7 +569,7 @@ out = {out}
         rows = (out / "tomography.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 10
         canonical = bases.build_basis("canonical", 2)
-        assert all(canonical.measurable(int(row.split(",")[1])) for row in rows)
+        assert all(canonical.sizes[int(row.split(",")[1])] for row in rows)
 
     def test_default_weights_uniform_when_all_measurable(self, tmp_path):
         cfg = cli.load_config(write_cfg(tmp_path, SIM_CFG.format(out=tmp_path)))

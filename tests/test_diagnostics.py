@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import active_index_set_per_member
+from oracles import active_index_set_per_member, custom_basis
 from test_regression import _count_calls
 from tomolab import bases, diagnostics, hermitian, states
 from tomolab.errors import TomolabError
@@ -14,7 +14,7 @@ HERM4 = bases.build_basis("hermitian", 4)
 
 def permuted(basis, perm):
     """A custom family of ``basis``'s members, reordered."""
-    return bases.custom_basis([basis.matrices[i] for i in perm])
+    return custom_basis([basis.matrices[i] for i in perm])
 
 
 def repeated_eigenvalue_family():
@@ -24,7 +24,7 @@ def repeated_eigenvalue_family():
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     unit = np.zeros((4, 4), dtype=complex)
     unit[0, 1] = 1.0
-    return bases.custom_basis([np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0]),
+    return custom_basis([np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0]),
                                u @ np.diag([2.0, 2.0, -1.0, 0.0]) @ u.conj().T,
                                unit, PAULI4.matrices[5], PAULI4.matrices[11]])
 

@@ -108,7 +108,7 @@ class TestTranslation:
 
     def test_translated_mean_matches_theta(self):
         st_ = states.pauli_line_state(2, 1, 0.4)
-        theta = measurement.cell_probabilities(st_, PAULI2, 1)
+        theta = measurement.cell_probabilities(st_, PAULI2)[PAULI2.cells(1)]
         design = bases.SamplingDesign.random(np.array([0, 1.0, 0, 0]))
         vals = []
         for rep in range(60):
@@ -368,8 +368,14 @@ class TestProductBound:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="finite, nonnegative"):
             eq.product_hellinger_bound([0.04, bad])
+
+    def test_above_two_rejected(self):
+        # a squared Hellinger distance never exceeds 2
+        assert eq.product_hellinger_bound([2.0]) == pytest.approx(math.sqrt(2.0))
+        with pytest.raises(ValueError, match="at most 2: 9.0"):
+            eq.product_hellinger_bound([9.0])
 
 
 class TestTVMonteCarlo:
@@ -438,6 +444,16 @@ class TestConditionalTVBound:
     def test_non_finite_rejected(self, gap, weighted):
         with pytest.raises(ValueError, match="finite|probability vector"):
             eq.conditional_tv_bound(gap, weighted)
+
+    def test_negative_marginal_gap_rejected(self):
+        with pytest.raises(ValueError, match="gap must be finite and nonnegative"):
+            eq.conditional_tv_bound(-1.0, [(1.0, 0.1)])
+
+    @pytest.mark.parametrize("tv", [5.0, -0.1])
+    def test_tv_outside_unit_interval_rejected(self, tv):
+        assert eq.conditional_tv_bound(0.0, [(0.5, 1.0), (0.5, 0.0)]) == 0.5
+        with pytest.raises(ValueError, match="the TVs in \\[0, 1\\]"):
+            eq.conditional_tv_bound(0.0, [(1.0, tv)])
 
     @pytest.mark.parametrize("seed", range(100))
     def test_dominates_exact_tv(self, seed):

@@ -4,11 +4,30 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from tomolab import bases, measurement, states
+from oracles import cell_probabilities_per_member, custom_basis
+from tomolab import bases, measurement, regression, states
 from tomolab.errors import TomolabError
 
 PAULI2 = bases.build_basis("pauli", 2)
 PAULI4 = bases.build_basis("pauli", 4)
+
+
+def _custom_family(d: int, seed: int):
+    """A random Hermitian member (d distinct eigenvalues), its square, a
+    diagonal one and the identity."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (z + z.conj().T) / 2
+    return custom_basis([h, h @ h, np.diag(np.arange(d, dtype=float)), np.eye(d)])
+
+
+LAW_FAMILIES = {
+    "pauli16": bases.build_basis("pauli", 16),
+    "hermitian16": bases.build_basis("hermitian", 16),
+    "gvector16": bases.build_basis("gvector", 16, g_vectors=bases.haar_wavelet_vectors(16)),
+    "canonical4": bases.build_basis("canonical", 4),
+    "custom12": _custom_family(12, seed=3),
+}
 
 
 def pure_z() -> states.DensityMatrix:
@@ -31,18 +50,18 @@ def assert_same_counts(a, b):
 
 class TestCellProbabilities:
     def test_eigenstate(self):
-        theta = measurement.cell_probabilities(pure_z(), PAULI2, 3)
+        theta = measurement.cell_probabilities(pure_z(), PAULI2)[PAULI2.cells(3)]
         np.testing.assert_allclose(theta, [1.0, 0.0], atol=1e-12)
 
     def test_mixed_on_sigma1(self):
         st = states.validate_density(np.eye(2) / 2)
-        theta = measurement.cell_probabilities(st, PAULI2, 1)
+        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
         np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-12)
 
     def test_line_state(self):
         beta, j_star = 0.7, 5
         st = states.pauli_line_state(4, j_star, beta)
-        theta = measurement.cell_probabilities(st, PAULI4, j_star)
+        theta = measurement.cell_probabilities(st, PAULI4)[PAULI4.cells(j_star)]
         np.testing.assert_allclose(theta, [(1 + beta) / 2, (1 - beta) / 2], atol=1e-9)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
@@ -50,42 +69,71 @@ class TestCellProbabilities:
         basis = bases.build_basis("pauli", d)
         st = states.validate_density(np.eye(d) / d)
         for j in range(1, basis.size, max(1, basis.size // 7)):
-            theta = measurement.cell_probabilities(st, basis, j)
+            theta = measurement.cell_probabilities(st, basis)[basis.cells(j)]
             np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-9)
 
     def test_expected_outcome_matches_trace(self):
         rng = np.random.default_rng(0)
         st = states.sample_class(states.StateClassSpec("low_rank", r=3), 4, seed=9)
         for j in range(PAULI4.size):
-            theta = measurement.cell_probabilities(st, PAULI4, j)
+            theta = measurement.cell_probabilities(st, PAULI4)[PAULI4.cells(j)]
             lam = PAULI4.eigenvalues[PAULI4.cells(j)]
             want = np.trace(st.matrix @ PAULI4.matrices[j]).real
             assert np.dot(lam, theta) == pytest.approx(want, abs=1e-9)
 
     def test_masking_member_rejected(self):
+        # a masking-only member has no rows in the table, and no simulator draws it
         canonical = bases.build_basis("canonical", 2)
-        off_diag = next(j for j, (l1, l2) in enumerate(canonical.labels) if l1 != l2)
+        theta = measurement.cell_probabilities(pure_z(), canonical)
+        np.testing.assert_array_equal(theta, [1.0, 0.0, 0.0, 1.0])  # e_1 e_1', e_2 e_2'
         with pytest.raises(TomolabError, match="masking-only"):
-            measurement.cell_probabilities(pure_z(), canonical, off_diag)
-
-    @pytest.mark.parametrize("j", [-1, 4])
-    def test_member_out_of_range_rejected(self, j):
-        # -1 must not wrap around to the last member
-        with pytest.raises(TomolabError, match="out of range"):
-            measurement.cell_probabilities(pure_z(), PAULI2, j)
+            measurement.run_tomography(pure_z(), canonical, bases.SamplingDesign.fixed(),
+                                       4, 5, seed=1)
 
     def test_probabilities_beyond_clamp_rejected(self):
         # traces below -1e-12 signal a genuinely indefinite input
         bad = states.DensityMatrix(matrix=np.diag([1.0 + 1e-9, -1e-9]).astype(complex))
-        with pytest.raises(ValueError):
-            measurement.cell_probabilities(bad, PAULI2, 3)
+        with pytest.raises(ValueError, match="escape"):
+            measurement.cell_probabilities(bad, PAULI2)
+
+    def test_law_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="sum to 0.5"):
+            measurement.cell_probabilities(np.eye(2) / 4, PAULI2)
 
     def test_tiny_negative_trace_clamped(self):
         eps = 5e-13  # inside the clamp window
         st = states.DensityMatrix(matrix=np.diag([1.0 + eps, -eps]).astype(complex))
-        theta = measurement.cell_probabilities(st, PAULI2, 3)
+        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(3)]
         assert theta[1] == 0.0
         assert theta.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["pauli16", "hermitian16", "gvector16", "canonical4",
+                                      "custom12"])
+    def test_table_matches_per_member(self, name):
+        # bit for bit each member's law computed on its own, for cell counts 1
+        # to 3 and, in the custom family, 12 distinct eigenvalues
+        basis = LAW_FAMILIES[name]
+        d = basis.dim
+        for seed, r in ((1, 1), (2, 2), (3, d)):
+            st = states.sample_class(states.StateClassSpec("low_rank", r=r), d, seed=seed)
+            theta = measurement.cell_probabilities(st, basis)
+            assert theta.shape == (basis.cell_start[-1],)
+            for j in np.flatnonzero(basis.sizes):
+                np.testing.assert_array_equal(theta[basis.cells(j)],
+                                              cell_probabilities_per_member(st, basis, j))
+
+    def test_padded_table(self):
+        herm = LAW_FAMILIES["hermitian16"]
+        st = states.sample_class(states.StateClassSpec("low_rank", r=3), 16, seed=4)
+        theta = measurement.cell_probabilities(st, herm)
+        table = herm.padded(theta)
+        assert table.shape == (herm.size, herm.kappa) == (256, 3)
+        for j in range(herm.size):
+            r = herm.sizes[j]
+            np.testing.assert_array_equal(table[j, 3 - r:], theta[herm.cells(j)])
+            assert np.all(table[j, :3 - r] == 0.0)
+        tails = herm.tails(np.array([0, 1, 0]), table[[0, 1, 0]])
+        assert [len(t) for t in tails] == [2, 3, 2]
 
 
 class TestMeasureCounts:
@@ -101,7 +149,7 @@ class TestMeasureCounts:
     def test_single_shot_frequencies_chi2(self):
         # m = 1: the hit cell is distributed like the cell probabilities
         st = states.pauli_line_state(2, 1, 0.4)
-        theta = measurement.cell_probabilities(st, PAULI2, 1)
+        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
         counts = counts_on(st, 1, 2000, 1, seed=0)
         assert np.all(counts.sum(axis=1) == 1)
         hits = counts.sum(axis=0)
@@ -115,7 +163,7 @@ class TestMeasureCounts:
 
     def test_empirical_mean_clt(self):
         st = states.pauli_line_state(2, 1, 0.2)
-        theta = measurement.cell_probabilities(st, PAULI2, 1)
+        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
         m, reps = 8, 10_000
         rng = np.random.default_rng(7)
         freq = rng.multinomial(m, theta, size=reps) / m
@@ -136,7 +184,7 @@ class TestSummarize:
         st = states.pauli_line_state(4, 3, 0.6)
         j, m, reps = 3, 16, 10_000
         rng = np.random.default_rng(11)
-        theta = measurement.cell_probabilities(st, PAULI4, j)
+        theta = measurement.cell_probabilities(st, PAULI4)[PAULI4.cells(j)]
         lam = PAULI4.eigenvalues[PAULI4.cells(j)]
         ns = rng.multinomial(m, theta, size=reps) @ lam / m
         want = np.trace(st.matrix @ PAULI4.matrices[j]).real
@@ -156,6 +204,19 @@ class TestRunTomography:
         st = states.validate_density(np.eye(2) / 2)
         with pytest.raises(TomolabError, match="fixed design requires n = p"):
             measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 3, 5, 1)
+
+    @pytest.mark.parametrize("simulate", [measurement.run_tomography,
+                                          regression.simulate_coarse, regression.simulate_fine])
+    def test_masking_only_draw_rejected_by_design_draw(self, simulate):
+        canonical = bases.build_basis("canonical", 2)
+        with pytest.raises(TomolabError, match="draws member 1, which is masking-only") as exc:
+            simulate(pure_z(), canonical, bases.SamplingDesign.fixed(), 4, 5, 1)
+        assert exc.traceback[-1].name == "draw_design_indices"
+        # a random design that never draws a masking-only member runs
+        diagonal = bases.SamplingDesign.random([0.5, 0.0, 0.0, 0.5])
+        out = simulate(pure_z(), canonical, diagonal, 50, 5, 1)
+        indices = out[0] if isinstance(out, tuple) else out.indices
+        assert set(indices.tolist()) == {0, 3}
 
     @pytest.mark.parametrize("design, n", [(bases.SamplingDesign.fixed(), 4),
                                            (bases.SamplingDesign.random(np.full(4, 0.25)), 0)])
@@ -203,7 +264,7 @@ class TestRunTomography:
         st = states.pauli_line_state(2, 1, 0.5)
         j, m, reps = 1, 4, 20_000
         rng = np.random.default_rng(21)
-        theta = measurement.cell_probabilities(st, PAULI2, j)
+        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(j)]
         lam = PAULI2.eigenvalues[PAULI2.cells(j)]
         ns = rng.multinomial(m, theta, size=reps) @ lam / m
         b = PAULI2.matrices[j]

@@ -1,11 +1,12 @@
 """No public function that only the tests can reach.
 
-Every name a module exports in ``__all__`` is either used somewhere in the
-package other than its own definition and its ``__all__`` entry, or named in
-the README's "Public API" paragraph as deliberately part of the library's
-API.  The package's own ``__all__`` lists its modules, whose names are
-checked one by one.  ``bases._make_basis`` is the one place that constructs an
-``ObservableBasis``.
+Every public name of a module, that is every name it exports in ``__all__``
+and every module-level def and class whose name does not start with an
+underscore, is either used somewhere in the package other than its own
+definition and its ``__all__`` entry, or named in the README's "Public API"
+paragraph as deliberately part of the library's API.  The package's own
+``__all__`` lists its modules, whose names are checked one by one.
+``bases._make_basis`` is the one place that constructs an ``ObservableBasis``.
 """
 
 import ast
@@ -31,6 +32,13 @@ def _exports(tree) -> list:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return [elt.value for elt in node.value.elts]
     return []
+
+
+def _public(tree) -> list:
+    """The names a module exports, then its other public module-level defs and classes."""
+    defs = [top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and not top.name.startswith("_")]
+    return list(dict.fromkeys(_exports(tree) + defs))
 
 
 def _reads(node) -> set:
@@ -68,12 +76,12 @@ def _listed_public_api(text: str) -> set:
 
 
 def _unreached(sources: dict, listed: set) -> list:
-    """The exported names, as ``module.name``, that nothing in ``sources``
+    """The public names, as ``module.name``, that nothing in ``sources``
     reads and ``listed`` does not hold."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     reads = [((mod, _defines(top)), _reads(top)) for mod, tree in trees.items()
              for top in tree.body]
-    return sorted(f"{mod}.{name}" for mod, tree in trees.items() for name in _exports(tree)
+    return sorted(f"{mod}.{name}" for mod, tree in trees.items() for name in _public(tree)
                   if name not in listed
                   and not any(name in names for where, names in reads if where != (mod, name)))
 
@@ -92,6 +100,17 @@ def test_guard_sees_an_unused_export():
     assert _unreached(sources, {"listed"}) == ["a.unused"]
     sources["b"] += "unused()\n"
     assert _unreached(sources, set()) == ["a.listed"]
+
+
+def test_guard_sees_a_public_def_outside_all():
+    sources = {
+        "a": '__all__ = ["used"]\n'
+             'def used(): pass\ndef hidden(): pass\nclass Hidden: pass\ndef _private(): pass\n',
+        "b": "from .a import used\nx = used()\n",
+    }
+    assert _unreached(sources, set()) == ["a.Hidden", "a.hidden"]
+    sources["b"] += "Hidden()\n"
+    assert _unreached(sources, {"hidden"}) == []
 
 
 def test_readme_paragraph_is_found():

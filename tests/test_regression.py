@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import coarse_moments_per_member
+from test_measurement import LAW_FAMILIES
 from tomolab import bases, diagnostics, equivalence, hermitian, measurement, regression, states
 
 PAULI2 = bases.build_basis("pauli", 2)
@@ -19,7 +21,7 @@ def interior_state(d=4, seed=2):
 
 def fine_covariance(st, basis, j):
     """Covariance F F' of the fine sampler's noise F z for member j at m = 1."""
-    theta = measurement.cell_probabilities(st, basis, j)
+    theta = measurement.cell_probabilities(st, basis)[basis.cells(j)]
     factor = regression._fine_factor(theta, 1, len(theta) - 1)
     return factor @ factor.T
 
@@ -27,15 +29,31 @@ def fine_covariance(st, basis, j):
 class TestNoiseVarianceCoarse:
     def test_identity_observable(self):
         st = interior_state()
-        assert regression.noise_variance_coarse(st, np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+        assert regression.noise_variance_coarse(st, PAULI4)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_pauli(self):
         st = states.validate_density(np.eye(4) / 4)
-        assert regression.noise_variance_coarse(st, PAULI4.matrices[7]) == pytest.approx(1.0)
+        assert regression.noise_variance_coarse(st, PAULI4)[7] == pytest.approx(1.0)
 
     def test_eigenstate_is_deterministic(self):
         st = states.validate_density(np.diag([1.0, 0.0]))
-        assert regression.noise_variance_coarse(st, PAULI2.matrices[3]) == pytest.approx(0.0)
+        assert regression.noise_variance_coarse(st, PAULI2)[3] == pytest.approx(0.0)
+
+    def test_masking_only_member_has_no_variance(self):
+        var = regression.noise_variance_coarse(np.eye(2) / 2, CANON2)
+        np.testing.assert_array_equal(np.isnan(var), [False, True, True, False])
+
+    @pytest.mark.parametrize("name", sorted(LAW_FAMILIES))
+    def test_moments_match_per_member(self, name):
+        # bit for bit one trace_product per member and the floored variance formula
+        basis = LAW_FAMILIES[name]
+        d = basis.dim
+        for seed, r in ((1, 1), (2, d)):
+            st = states.sample_class(states.StateClassSpec("low_rank", r=r), d, seed=seed)
+            mean = hermitian.stack_traces(basis.matrices, st.matrix)
+            var = regression.noise_variance_coarse(st, basis)
+            for j in np.flatnonzero(basis.sizes):
+                assert (mean[j], var[j]) == coarse_moments_per_member(st, basis.matrices[j])
 
 
 class TestNoiseCovarianceFine:
@@ -57,7 +75,7 @@ class TestNoiseCovarianceFine:
 
     def test_matches_multinomial_covariance_formula(self):
         st = interior_state(seed=6)
-        theta = measurement.cell_probabilities(st, HERM4, 1)
+        theta = measurement.cell_probabilities(st, HERM4)[HERM4.cells(1)]
         cov = fine_covariance(st, HERM4, 1)
         np.testing.assert_allclose(cov, np.diag(theta) - np.outer(theta, theta), atol=1e-12)
 
@@ -79,7 +97,7 @@ class TestSimulateFine:
 
     def test_sample_variance_matches(self):
         st = states.pauli_line_state(2, 1, 0.4)
-        theta = measurement.cell_probabilities(st, PAULI2, 1)
+        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
         m, reps = 16, 10_000
         design = bases.SamplingDesign.random(np.array([0, 1.0, 0, 0]))
         ys = []
@@ -132,7 +150,7 @@ class TestSimulateCoarse:
             ys.extend(regression.simulate_coarse(st, PAULI4, design, 250, m, seed=100 + rep)[1])
         ys = np.array(ys)
         want = np.trace(st.matrix @ PAULI4.matrices[j]).real
-        var = regression.noise_variance_coarse(st, PAULI4.matrices[j]) / m
+        var = regression.noise_variance_coarse(st, PAULI4)[j] / m
         assert ys.mean() == pytest.approx(want, abs=4 * np.sqrt(var / len(ys)))
 
     def test_line_state_moments(self):
@@ -140,7 +158,8 @@ class TestSimulateCoarse:
         st = states.pauli_line_state(4, j_star, beta)
         b = PAULI4.matrices[j_star]
         assert np.trace(st.matrix @ b).real == pytest.approx(beta, abs=1e-12)
-        assert regression.noise_variance_coarse(st, b) == pytest.approx(1 - beta ** 2, abs=1e-12)
+        var = regression.noise_variance_coarse(st, PAULI4)[j_star]
+        assert var == pytest.approx(1 - beta ** 2, abs=1e-12)
         design = bases.SamplingDesign.random(np.eye(16)[j_star])
         ys = []
         for rep in range(40):
@@ -161,7 +180,7 @@ class TestAggregateFine:
             _, fine = regression.simulate_fine(st, HERM4, design, 1000, m, seed=rep)
             ys.extend(np.dot(lam, y) for y in fine)
         ys = np.array(ys)
-        want = regression.noise_variance_coarse(st, HERM4.matrices[j]) / m
+        want = regression.noise_variance_coarse(st, HERM4)[j] / m
         assert ys.var() == pytest.approx(want, rel=0.05)
         want_mean = np.trace(st.matrix @ HERM4.matrices[j]).real
         assert ys.mean() == pytest.approx(want_mean, abs=4 * np.sqrt(want / len(ys)))
@@ -170,7 +189,7 @@ class TestAggregateFine:
         # first two moments of the fine Gaussian equal those of counts/m
         st = interior_state(seed=13)
         for j in (0, 1, 5):
-            theta = measurement.cell_probabilities(st, HERM4, j)
+            theta = measurement.cell_probabilities(st, HERM4)[HERM4.cells(j)]
             cov = fine_covariance(st, HERM4, j)
             m = 7
             rng = np.random.default_rng(j)
@@ -241,7 +260,7 @@ class TestActiveRule:
     STATE = states.validate_density(np.diag([1 - 5e-10, 5e-10]))
 
     def test_nearly_degenerate_member_is_degenerate_everywhere(self):
-        theta = measurement.cell_probabilities(self.STATE, PAULI2, 3)
+        theta = measurement.cell_probabilities(self.STATE, PAULI2)[PAULI2.cells(3)]
         assert theta[1] == pytest.approx(5e-10, rel=1e-6)
         _, ys = regression.simulate_fine(self.STATE, PAULI2, bases.SamplingDesign.fixed(),
                                          4, 64, seed=1)
@@ -270,8 +289,8 @@ def _count_calls(monkeypatch, fn):
 
 
 class TestPerMemberValues:
-    """Each simulator evaluates a member's probabilities and moments once per
-    distinct drawn member, not once per record."""
+    """Each simulator takes every member's law from one whole-basis table per
+    run, never from a per-member trace."""
 
     N = 300
 
@@ -282,27 +301,20 @@ class TestPerMemberValues:
                        self.N, 8, 6)
         return out, len(probs), len(traces)
 
-    @staticmethod
-    def cells(members):
-        return sum(PAULI4.sizes[j] for j in members)
-
     def test_tomography(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, measurement.run_tomography)
-        members = set(out.indices.tolist())
-        assert 1 < len(members) < self.N == len(out.counts)
-        assert probs == len(members)
-        assert traces == self.cells(members)
+        assert 1 < len(set(out.indices.tolist())) < self.N == len(out.counts)
+        assert probs == 1
+        assert traces == 0
 
     def test_coarse(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, regression.simulate_coarse)
-        members = set(out[0].tolist())
-        assert 1 < len(members) < self.N == len(out[1])
+        assert 1 < len(set(out[0].tolist())) < self.N == len(out[1])
         assert probs == 0
-        assert traces == 3 * len(members)  # tr(B rho), then tr(B^2 rho) and tr(B rho)
+        assert traces == 0
 
     def test_fine(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, regression.simulate_fine)
-        members = set(out[0].tolist())
-        assert 1 < len(members) < self.N == len(out[1])
-        assert probs == len(members)
-        assert traces == self.cells(members)
+        assert 1 < len(set(out[0].tolist())) < self.N == len(out[1])
+        assert probs == 1
+        assert traces == 0

@@ -162,12 +162,6 @@ class TestWitnesses:
         np.testing.assert_allclose(st.matrix, want, atol=1e-12)
         assert rank(st) == 2
 
-    def test_sample_class_dispatches_witness(self):
-        spec = states.StateClassSpec("low_rank_sparse_vec", r=1, gamma=1,
-                                     witness_id="remark8_haar_rank1")
-        st = states.sample_class(spec, 4, seed=0)
-        np.testing.assert_allclose(st.matrix, np.ones((4, 4)) / 4)
-
 
 class TestSamplers:
     def test_entry_sparse_s1_is_pure_diagonal(self):
