@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from .errors import TomolabError
 from .measurement import TomographyDataset, _active_cells, _fmt, _write_table
@@ -76,15 +76,16 @@ class DistanceEstimate:
 class QuadSpec:
     """Cellwise Gauss-Legendre settings for the Hellinger integral.
 
-    One pass over the window gives H at ``order`` and at ``compare_order``
-    (the order term of the error bar).  Each cell costs one quadratic form
-    and per-axis node factors of size dim x order, so memory grows with
-    ``chunk_cells`` (see ``_hellinger_sq_window``).
+    One pass over the window W, the cells meeting the Mahalanobis ellipsoid of
+    radius R = ``window``, gives H at ``order`` and at ``compare_order`` (the
+    order term of the error bar, an estimate).  Each cell costs one quadratic
+    form and per-axis node factors of size dim x order, so memory grows with
+    ``chunk_cells``, the cells of W's bounding box per chunk, before the mask.
     """
 
     order: int = 5
     compare_order: int = 3
-    window: float = 8.0       # half-width of the lattice window, in per-axis sd units
+    window: float = 8.0
     chunk_cells: int = 25_000
 
 
@@ -245,27 +246,26 @@ def perturbed_density(m: int, theta, x) -> np.ndarray:
 
 
 def _gaussian_marginal_params(m: int, theta):
+    """(mean, covariance, precision, log normaliser) of the matched normal."""
     theta = _checked_theta(theta)
     dim = len(theta) - 1
     mu = m * theta[:dim]
     cov = m * (np.diag(theta) - np.outer(theta, theta))[:dim, :dim]
-    return mu, cov
+    _, logdet = np.linalg.slogdet(cov)
+    return mu, cov, np.linalg.inv(cov), -0.5 * (dim * np.log(2 * np.pi) + logdet)
 
 
 def gaussian_marginal_density(m: int, theta, x) -> np.ndarray:
     """Moment-matched normal density of the first r-1 count coordinates."""
-    mu, cov = _gaussian_marginal_params(m, theta)
+    mu, _, prec, log_norm = _gaussian_marginal_params(m, theta)
     dim = len(mu)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1, 1)
     elif x.ndim == 1:
         x = x[:, None] if dim == 1 else x[None, :]
-    prec = np.linalg.inv(cov)
-    _, logdet = np.linalg.slogdet(cov)
     diff = x - mu
     quad = np.einsum("nd,de,ne->n", diff, prec, diff)
-    log_norm = -0.5 * (len(mu) * np.log(2 * np.pi) + logdet)
     return np.exp(log_norm - 0.5 * quad)
 
 
@@ -325,39 +325,46 @@ _LOG_SCALE_CAP = 300.0
 
 
 def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
-                         chunk_cells: int) -> list:
-    """Squared Hellinger distance over the lattice window, one value per order.
+                         chunk_cells: int) -> tuple:
+    """(squared Hellinger distance over the window W, one per order, sum_W f).
 
-    The pmf f(c) is evaluated once per cell c for all orders.  With
-    q(c) = (c - mu)'P(c - mu) and v = P(c - mu), q(c + o) = q(c) + 2 o'v + o'Po,
-    so sqrt g(c + o) = A(c) K(o) prod_a exp(-o_a v_a / 2) with
-    A(c) = exp(log_norm / 2 - q(c) / 4) and K(o) = exp(-o'Po / 4).  The node
-    sums S1 = sum_o w sqrt(g) and S2 = sum_o w g contract per-axis
-    N x order factors, and sum_o w (sqrt f - sqrt g)^2 = f sum w - 2 sqrt(f) S1 + S2.
+    W is every unit cell that meets E(R) = {x : (x - mu)'P(x - mu) <= R^2},
+    R = ``window``.  Such a cell's centre c lies in the box |c_a - mu_a| <=
+    R sd_a + 1/2 (E(R) spans mu_a +- R sd_a on axis a) and, by the triangle
+    inequality, has q(c) = (c - mu)'P(c - mu) <= (R + delta)^2, delta =
+    sqrt((r - 1) lambda_max(P)) / 2 the longest P-length of a half cell
+    diagonal.  Only centres passing the q test are evaluated, in chunks of
+    about ``chunk_cells`` box centres: whole rows of the first axis, none
+    empty (round a point of E(R) in the row's reach on the other axes).
+    With v = P(c - mu), q(c + o) = q(c) + 2 o'v + o'Po, so sqrt g(c + o) =
+    A(c) K(o) prod_a exp(-o_a v_a / 2), A(c) = exp(log_norm / 2 - q(c) / 4) and
+    K(o) = exp(-o'Po / 4).  The node sums S1 = sum_o w sqrt(g) and S2 = sum_o w g
+    contract per-axis N x order factors, and
+    sum_o w (sqrt f - sqrt g)^2 = f sum w - 2 sqrt(f) S1 + S2.
     Each factor is divided by its largest node value exp(max_k |v_a| x_k / 2),
     and that shift is added to log A(c), so no intermediate leaves floating-point
     range; the few rows whose combined scale is still too large (a nearly
     degenerate cell makes P large) are summed node by node instead.
     """
     dim = len(theta) - 1
-    mu, cov = _gaussian_marginal_params(m, theta)
-    prec = np.linalg.inv(cov)
-    _, logdet = np.linalg.slogdet(cov)
-    log_norm = -0.5 * (dim * np.log(2 * np.pi) + logdet)
-    sds = np.sqrt(np.diag(cov))
-    axes = [np.arange(math.ceil(mu[a] - window * sds[a]),
-                      math.floor(mu[a] + window * sds[a]) + 1)
+    mu, cov, prec, log_norm = _gaussian_marginal_params(m, theta)
+    reach = window * np.sqrt(np.diag(cov)) + 0.5
+    axes = [np.arange(math.ceil(mu[a] - reach[a]), math.floor(mu[a] + reach[a]) + 1)
             for a in range(dim)]
+    q_max = (window + 0.5 * math.sqrt(dim * np.linalg.eigvalsh(prec)[-1])) ** 2  # (R + delta)^2
     nodes = [_cell_node_tensors(order, prec) for order in orders]
 
-    def accumulate(centers: np.ndarray) -> list:
+    def accumulate(centers: np.ndarray) -> tuple:
+        diff = centers - mu
+        v = np.einsum("nd,de->ne", diff, prec)
+        q = np.einsum("nd,nd->n", diff, v)
+        keep = q <= q_max
+        centers, diff, v, q = centers[keep], diff[keep], v[keep], q[keep]
         full = np.concatenate(
             [centers, m - centers.sum(axis=-1, keepdims=True)], axis=-1)
         f = multinomial_pmf(full, m, theta)
         sqrt_f = np.sqrt(f)
-        diff = centers - mu
-        v = np.einsum("nd,de->ne", diff, prec)
-        log_amp = 0.5 * log_norm - 0.25 * np.einsum("nd,nd->n", diff, v)
+        log_amp = 0.5 * log_norm - 0.25 * q
         sums = []
         for x, offsets, weights, wk, wk2 in nodes:
             shift = 0.5 * x.max() * np.abs(v)
@@ -373,42 +380,33 @@ def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
                 s1[direct], s2[direct] = _node_sums(diff[direct], offsets, weights,
                                                     prec, log_norm)
             sums.append(np.sum(f * weights.sum() - 2.0 * sqrt_f * s1 + s2))
-        return sums
+        return sums, np.sum(f)
 
     n_rest = int(np.prod([len(a) for a in axes[1:]]))
     chunk = max(1, chunk_cells // max(n_rest, 1))
-    totals = [0.0] * len(orders)
+    totals, mass = [0.0] * len(orders), 0.0
     for start in range(0, len(axes[0]), chunk):
         grids = np.meshgrid(axes[0][start:start + chunk], *axes[1:], indexing="ij")
         centers = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-        totals = [t + s for t, s in zip(totals, accumulate(centers))]
-    return totals
-
-
-def _tail_mass_bound(m: int, theta: np.ndarray, window: float) -> float:
-    """Bound on the P* and Q mass outside the lattice window (Bernstein + normal tail)."""
-    dim = len(theta) - 1
-    sds = np.sqrt(m * theta[:dim] * (1 - theta[:dim]))
-    q_tail = dim * math.erfc(window / math.sqrt(2.0))
-    p_tail = 0.0
-    for sd in sds:
-        t = max(window * sd - 0.5, 0.0)
-        p_tail += 2.0 * math.exp(-t * t / (2.0 * sd * sd + 2.0 * t / 3.0))
-    return p_tail + q_tail
+        sums, f_mass = accumulate(centers)
+        totals, mass = [t + s for t, s in zip(totals, sums)], mass + f_mass
+    return totals, mass
 
 
 def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -> DistanceEstimate:
     """Hellinger distance between perturbed counts and the matched normal law.
 
-    Integrates |sqrt f - sqrt g|^2 cell by cell over an integer lattice
-    window of ``window`` per-axis standard deviations, with fixed-order
-    Gauss-Legendre nodes inside each unit cell; one pass gives both the
-    order and the comparison order.  The error bar combines their difference
-    with an analytic bound on the mass outside the window.  A raw value
-    above sqrt(2), which fixed-order nodes give when the matched normal is
-    much narrower than a unit cell, is returned as sqrt(2) with an error bar
-    of at least sqrt(2), which spans every admissible value.  Raises
-    ValueError unless ``theta`` is a probability vector.
+    Integrates |sqrt f - sqrt g|^2 with fixed-order Gauss-Legendre nodes in each
+    unit cell of the window W (see ``_hellinger_sq_window``); one pass gives
+    both orders.  The error bar is |H(order) - H(compare_order)|, an estimate,
+    plus sqrt(2 T), T a bound on the mass of both laws outside W: the exact P
+    tail (1 - sum_W f)_+, as every cell of W is evaluated, its rounding
+    allowance 8 eps (gammaln(m + 1) + m max_a(-log theta_a)), which bounds the
+    terms each log f sums, and the Q tail gammaincc((r - 1) / 2, R^2 / 2), as W
+    covers E(R).  ``params`` give ``order_term`` and ``tail``.  A raw value
+    above sqrt(2), which fixed-order nodes give when the matched normal is much
+    narrower than a cell, becomes sqrt(2) with an error bar of at least sqrt(2).
+    Raises ValueError unless ``theta`` is a probability vector.
     """
     spec = quad_spec or QuadSpec()
     theta = _checked_theta(theta)
@@ -423,16 +421,18 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     r = len(sub)
     if r > 4:
         raise TomolabError(f"quadrature supports up to 4 cells, got {r}; use tv_monte_carlo")
-    h2, h2_cmp = _hellinger_sq_window(m, sub, (spec.order, spec.compare_order),
-                                      spec.window, spec.chunk_cells)
+    (h2, h2_cmp), mass = _hellinger_sq_window(m, sub, (spec.order, spec.compare_order),
+                                              spec.window, spec.chunk_cells)
     value = math.sqrt(max(h2, 0.0))
-    err = abs(value - math.sqrt(max(h2_cmp, 0.0)))
-    err += math.sqrt(2.0 * _tail_mass_bound(m, sub, spec.window))
+    order_term = abs(value - math.sqrt(max(h2_cmp, 0.0)))
+    rounding = 8.0 * np.finfo(float).eps * (gammaln(m + 1) - m * np.log(sub.min()))
+    tail = max(1.0 - mass, 0.0) + rounding + gammaincc((r - 1) / 2, spec.window ** 2 / 2)
+    err = order_term + math.sqrt(2.0 * tail)
     if value > H_MAX:
         value, err = H_MAX, max(err, H_MAX)
-    return DistanceEstimate(value=value, kind="hellinger", method="quadrature",
-                            error_bar=err, params={"m": m, "theta": theta.tolist(),
-                                                   "order": spec.order})
+    return DistanceEstimate(value=value, kind="hellinger", method="quadrature", error_bar=err,
+                            params={"m": m, "theta": theta.tolist(), "order": spec.order,
+                                    "order_term": order_term, "tail": float(tail)})
 
 
 def product_hellinger_bound(h_squares) -> float:

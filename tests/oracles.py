@@ -1,14 +1,17 @@
 """Reference computations the tests check the package against.
 
 Each one recomputes a property the package's constructions must have, by a
-route of its own: the multinomial pmf through conditional binomials, the two
-dataset translations one record at a time, class membership of a sampled
-state, orthogonality and Pauli projection traces of a family, a matrix
-rebuilt from its spectral decomposition, each member's spectrum on its own,
-the active index sets, cell probabilities and coarse moments one member at
-a time.  ``custom_basis`` wraps an explicit matrix list as a family.
+route of its own: the multinomial pmf through conditional binomials, the
+Hellinger quadrature's lattice window cell by cell and the exact Mahalanobis
+distance of a cell, the two dataset translations one record at a time, class
+membership of a sampled state, orthogonality and Pauli projection traces of a
+family, a matrix rebuilt from its spectral decomposition, each member's
+spectrum on its own, the active index sets, cell probabilities and coarse
+moments one member at a time.  ``custom_basis`` wraps an explicit matrix list
+as a family.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +58,58 @@ def multinomial_pmf_chain(counts, m: int, theta) -> float:
         remaining_trials -= u
         remaining_mass -= theta[j]
     return math.exp(log_p)
+
+
+def _matched_normal(m: int, theta) -> tuple:
+    theta = np.asarray(theta, dtype=float)
+    dim = len(theta) - 1
+    return m * theta[:dim], m * (np.diag(theta[:dim]) - np.outer(theta[:dim], theta[:dim]))
+
+
+def lattice_box(m: int, theta, radius: float, pad: int = 0) -> np.ndarray:
+    """Integer centres (first r - 1 counts) of the box |c_a - mu_a| <= radius
+    sd_a + 1/2 + pad around the matched normal's mean, one cell at a time."""
+    mu, cov = _matched_normal(m, theta)
+    reach = radius * np.sqrt(np.diag(cov)) + 0.5 + pad
+    axes = (range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in zip(mu - reach, mu + reach))
+    return np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(mu))
+
+
+def ellipsoid_window(m: int, theta, radius: float) -> np.ndarray:
+    """The Hellinger quadrature's window, cell by cell: the centres of
+    ``lattice_box`` whose Mahalanobis length under the matched normal is at
+    most radius + delta, delta = sqrt(r - 1) / 2 over the square root of the
+    covariance's smallest eigenvalue (the longest half cell diagonal)."""
+    mu, cov = _matched_normal(m, theta)
+    limit = (radius + 0.5 * math.sqrt(len(mu) / np.linalg.eigvalsh(cov)[0])) ** 2
+    cells = [c for c in lattice_box(m, theta, radius)
+             if (c - mu) @ np.linalg.solve(cov, c - mu) <= limit]
+    return np.array(cells, dtype=float).reshape(-1, len(mu))
+
+
+def cell_min_mahalanobis_sq(m: int, theta, centres) -> np.ndarray:
+    """min over each unit cell c + [-1/2, 1/2]^(r-1) of (x - mu)' cov^-1 (x - mu),
+    exactly: the minimiser of a convex quadratic over a box is the free
+    minimiser on one of its faces, so every face (each coordinate at -1/2,
+    at +1/2 or free) is solved and the feasible values compared."""
+    mu, cov = _matched_normal(m, theta)
+    prec = np.linalg.inv(cov)
+    centres = np.asarray(centres, dtype=float)
+    best = np.full(len(centres), np.inf)
+    for face in itertools.product((-0.5, None, 0.5), repeat=len(mu)):
+        fixed = [a for a, o in enumerate(face) if o is not None]
+        free = [a for a, o in enumerate(face) if o is None]
+        z = centres - mu
+        z[:, fixed] += [face[a] for a in fixed]
+        if free:
+            # stationary in the free coordinates: P_ff z_f = -P_fx z_x
+            rhs = -z[:, fixed] @ prec[np.ix_(fixed, free)]
+            z[:, free] = np.linalg.solve(prec[np.ix_(free, free)], rhs.T).T
+        offset = z + mu - centres
+        ok = np.all(np.abs(offset) <= 0.5 + 1e-12, axis=1)
+        q = np.einsum("nd,de,ne->n", z, prec, z)
+        best = np.where(ok & (q < best), q, best)
+    return best
 
 
 def reconstruct(eigenvalues, projections) -> np.ndarray:

@@ -91,12 +91,13 @@ replications = 200
 samples = 4
 """
 
-# sha256 of each artifact of those five tasks; a refactor must keep them
+# sha256 of each artifact of those five tasks; a refactor must keep them.  The
+# quadrature artifacts follow the ellipsoidal Hellinger window and its exact tail.
 TASK_SHA256 = {
-    "distances.json": "d21797380986a6fa6c2f55012a188190ce33dd614c7ba79a698c94d877b6ba8b",
-    "distance_fixtures.json": "e436e353c9784af2b17a0cac2f4c000ba17bea6a131c0af73e1d5e2fd5ee25e2",
-    "scaling_0.csv": "b27a3f3ae8edaee15e2c0f6ee60b6357e0c5b85e64ef9d6c666e5224be9d0ac4",
-    "scaling_0.json": "4ae2cb25cfc6aaa66a50509f85ebb40dbf74b68f76f50c7f025f2881004d8b66",
+    "distances.json": "e295974458eb507ff6b74827aea8661b1d7e0d3d12124e9ac0e9aa25b1360c3e",
+    "distance_fixtures.json": "55480cef46d97a225ff8d67de517c19fdb0b3ac1b6aeaa4115f2fbf65813b7c8",
+    "scaling_0.csv": "b8bb236146cde9c14e52cc03e0b69907180cf510ee41dc47e873e7c922668204",
+    "scaling_0.json": "a7d400ce5036e7d2c4e8c3f30cdac636d44cd3121f5ab27a8f9ffb73a25f43c8",
     "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
     "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
     "transfer.json": "2f9a4199852ec320fa94a9c4398288b249b827c5350775225d3ad601fe8c9603",

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from oracles import multinomial_pmf_chain, round_off_per_record, translate_per_record
+from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, lattice_box,
+                     multinomial_pmf_chain, round_off_per_record,
+                     translate_per_record)
 from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
 from tomolab.errors import TomolabError
 from tomolab.rng import BLOCK
@@ -19,8 +21,10 @@ PAULI2 = bases.build_basis("pauli", 2)
 
 # frozen from a high-order quadrature oracle (order 12 vs 10 agree to 8e-17)
 FIXTURE_R3_M64 = 0.072824483246
-# order-5 values of the 4-cell quadrature, frozen from the per-node form
-FIXTURE_R4 = {16: 0.3131424015473793, 64: 0.13144393180027894}
+# order-5 values of the 4-cell quadrature over the ellipsoidal window
+FIXTURE_R4 = {16: 0.3131424015473856, 64: 0.1314439321963495}
+# the same values over the whole 8-sd box, frozen from the per-node form
+FIXTURE_R4_BOX = {16: 0.3131424015473793, 64: 0.13144393180027894}
 
 
 class TestKernels:
@@ -272,6 +276,9 @@ class TestHellinger:
     def test_frozen_fixture_r4(self, m):
         est = eq.hellinger_perturbed_vs_gaussian(m, [0.1, 0.2, 0.3, 0.4])
         assert est.value == pytest.approx(FIXTURE_R4[m], abs=1e-12)
+        # the cells the box adds or drops lie outside the ellipsoid, so the
+        # change is inside the error bar
+        assert abs(est.value - FIXTURE_R4_BOX[m]) <= est.error_bar
 
     @pytest.mark.parametrize("m, theta, order", [
         (12, [0.2, 0.3, 0.5], 4),
@@ -285,19 +292,18 @@ class TestHellinger:
         # sum over cells and tensor nodes of w (sqrt f - sqrt g)^2, node by node
         theta, window = np.array(theta), 8.0
         dim = len(theta) - 1
-        mu, cov = eq._gaussian_marginal_params(m, theta)
-        sds = np.sqrt(np.diag(cov))
-        axes = [np.arange(math.ceil(mu[a] - window * sds[a]),
-                          math.floor(mu[a] + window * sds[a]) + 1) for a in range(dim)]
-        cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        cells = ellipsoid_window(m, theta, window)
         x, w = np.polynomial.legendre.leggauss(order)
-        sqrt_f = np.sqrt(eq.perturbed_density(m, theta, cells.astype(float)))
+        f = eq.perturbed_density(m, theta, cells.astype(float))
+        sqrt_f = np.sqrt(f)
         want = 0.0
         for idx in itertools.product(range(order), repeat=dim):
             sqrt_g = np.sqrt(eq.gaussian_marginal_density(m, theta, cells + x[list(idx)] / 2))
             want += np.prod(w[list(idx)] / 2) * np.sum((sqrt_f - sqrt_g) ** 2)
-        got, = eq._hellinger_sq_window(m, theta, (order,), window, chunk_cells=7)
+        # one row of the first axis per chunk
+        (got,), mass = eq._hellinger_sq_window(m, theta, (order,), window, chunk_cells=7)
         assert got == pytest.approx(want, rel=1e-12)
+        assert mass == pytest.approx(f.sum(), rel=1e-12)
         est = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=order))
         assert math.isfinite(est.error_bar)
         if math.sqrt(want) > eq.H_MAX:  # an impossible raw value is capped
@@ -314,22 +320,68 @@ class TestHellinger:
         assert est.value == eq.H_MAX == math.sqrt(2.0)
         assert est.error_bar >= eq.H_MAX
 
-    def test_one_pmf_pass_for_both_orders(self, monkeypatch):
-        rows = []
+    @staticmethod
+    def _pmf_cells(monkeypatch) -> list:
+        """The first r - 1 counts of every row the quadrature passes to the pmf."""
+        cells = []
         pmf = eq.multinomial_pmf
 
-        def counting(counts, m, theta):
-            rows.append(len(counts))
+        def recording(counts, m, theta):
+            cells.append(np.asarray(counts)[:, :-1])
             return pmf(counts, m, theta)
 
-        monkeypatch.setattr(eq, "multinomial_pmf", counting)
+        monkeypatch.setattr(eq, "multinomial_pmf", recording)
+        return cells
+
+    def test_one_pmf_pass_for_both_orders(self, monkeypatch):
+        cells = self._pmf_cells(monkeypatch)
         m, theta = 16, np.array([0.2, 0.3, 0.5])
         eq.hellinger_perturbed_vs_gaussian(m, theta)
-        mu, cov = eq._gaussian_marginal_params(m, theta)
-        sds = np.sqrt(np.diag(cov))
-        cells = np.prod([math.floor(mu[a] + 8 * sds[a]) - math.ceil(mu[a] - 8 * sds[a]) + 1
-                         for a in range(2)])
-        assert sum(rows) == cells
+        assert sum(map(len, cells)) == len(ellipsoid_window(m, theta, 8.0))
+
+    def test_window_skips_the_box_corners(self, monkeypatch):
+        # the whole 8-sd box at this point has 927,927 cells
+        m, theta = 256, np.array([0.1, 0.2, 0.3, 0.4])
+        mu, sds = m * theta, np.sqrt(m * theta * (1 - theta))
+        box = np.prod([math.floor(mu[a] + 8 * sds[a]) - math.ceil(mu[a] - 8 * sds[a]) + 1
+                       for a in range(3)])
+        assert box == 927_927
+        cells = self._pmf_cells(monkeypatch)
+        eq.hellinger_perturbed_vs_gaussian(m, theta)
+        assert sum(map(len, cells)) < 0.55 * box
+
+    @pytest.mark.parametrize("m, theta", [
+        (16, [0.1, 0.3, 0.6]), (16, [0.01, 0.9, 0.09]),
+        (16, [0.1, 0.2, 0.3, 0.4]), (16, [0.05, 0.8, 0.1, 0.05]),
+        # sum_W f rounds above 1 here, so only the rounding allowance covers the tail
+        (4096, [0.3, 0.7]), (4096, [0.01, 0.99]),
+    ])
+    def test_tail_term_bounds_the_mass_outside_the_window(self, monkeypatch, m, theta):
+        window = 8.0
+        evaluated = self._pmf_cells(monkeypatch)
+        tail = eq.hellinger_perturbed_vs_gaussian(m, theta).params["tail"]
+        monkeypatch.undo()
+        cells = np.concatenate(evaluated)
+        np.testing.assert_array_equal(cells, ellipsoid_window(m, theta, window))
+        inside = {tuple(c) for c in cells.astype(int).tolist()}
+        # every cell of a box two cells wider that meets E(R) is in the window
+        wide = lattice_box(m, theta, window, pad=2)
+        meets = wide[cell_min_mahalanobis_sq(m, theta, wide) <= window ** 2]
+        assert len(meets) and {tuple(c) for c in meets.astype(int).tolist()} <= inside
+        simplex = np.array([c for c in itertools.product(range(m + 1), repeat=len(theta) - 1)
+                            if sum(c) <= m], dtype=float)
+        outside = np.array([tuple(c) not in inside for c in simplex.astype(int).tolist()])
+        full = np.concatenate([simplex, m - simplex.sum(axis=1, keepdims=True)], axis=1)
+        p_out = eq.multinomial_pmf(full[outside], m, theta).sum()
+        assert 0 < p_out <= tail <= p_out + 1e-10
+
+    def test_tiny_cell_tail_is_small(self):
+        # the per-axis Bernstein tail of the whole box gave 0.406 +- 0.329 here
+        m, theta = 256, [0.00069, 0.98201, 0.0173]
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta)
+        high = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=12, compare_order=10))
+        assert est.error_bar < 0.01 * est.value
+        assert abs(est.value - high.value) <= est.error_bar
 
     @pytest.mark.parametrize("theta", [[1.5, -0.5], [math.nan, 0.5], [0.5, 0.6]])
     def test_invalid_theta_rejected(self, theta):
