@@ -35,6 +35,7 @@ __all__ = [
     "SamplingDesign",
     "build_basis",
     "haar_wavelet_vectors",
+    "default_g_vectors",
     "write_basis",
     "read_basis",
 ]
@@ -272,6 +273,11 @@ def haar_wavelet_vectors(d: int) -> np.ndarray:
             v[start + width:start + 2 * width] = -1.0
             cols.append(v / np.linalg.norm(v))
     return np.stack(cols, axis=1)
+
+
+def default_g_vectors(d: int) -> np.ndarray:
+    """The g-vectors used when none are given: Haar if d is a power of 2, else the identity."""
+    return haar_wavelet_vectors(d) if d & (d - 1) == 0 else np.eye(d)
 
 
 # --- basis text files --------------------------------------------------------

@@ -230,8 +230,7 @@ def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
     if cfg.state_class:
         g = basis.g_vectors
         if g is None and cfg.state_class == "low_rank_sparse_vec":
-            b = int(round(np.log2(cfg.d)))
-            g = bases.haar_wavelet_vectors(cfg.d) if 2 ** b == cfg.d else np.eye(cfg.d)
+            g = bases.default_g_vectors(cfg.d)
         spec = states.StateClassSpec(class_name=cfg.state_class, s=cfg.s, r=cfg.r,
                                      gamma=cfg.gamma, g_vectors=g)
         return states.sample_class(spec, cfg.d, cfg.seed)
@@ -551,8 +550,7 @@ def corollary_suite(d: int, seed: int, samples: int, tol: float = 1e-9) -> list:
                         "details": {"zeta": zeta, "min_trace": lo, "max_trace": hi}})
 
     # sparse-vector mixtures against a g-vector family
-    b = int(round(np.log2(d)))
-    g = bases.haar_wavelet_vectors(d) if 2 ** b == d else np.eye(d)
+    g = bases.default_g_vectors(d)
     gbasis = bases.build_basis("gvector", d, g_vectors=g)
     worst = {}
     for (r, gam) in ((1, 1), (2, 2)):

@@ -10,15 +10,16 @@ Two data translations drive everything here:
 
 The perturbed counts have a piecewise-constant joint density on unit cells.
 Distances to the moment-matched multivariate normal are computed two ways:
-squared Hellinger by per-cell Gauss-Legendre quadrature on the first r-1
-coordinates (the last coordinate is the same deterministic function of the
-rest under both laws, so the marginal distance equals the joint one), and
-total variation by Monte Carlo with CLT error bars.  A scaling study fits
-the log-log slope of the Hellinger distance against the number of
-measurement repetitions; combined with the product rule for squared
-Hellinger distances over independent records and the two-stage total
-variation bound, these are the quantitative ingredients of the deficiency
-bounds evaluated in :mod:`tomolab.diagnostics`.
+Hellinger from the Bhattacharyya affinity, by per-cell Gauss-Legendre
+quadrature over the cells that meet the normal's Mahalanobis ellipsoid on the
+first r-1 coordinates (the last is the same deterministic function of the rest
+under both laws, so the marginal distance equals the joint one), with an error
+budget and a vacuous bar for an impossible affinity above 1; and total
+variation by Monte Carlo with CLT error bars.  A scaling study fits the log-log
+slope of the Hellinger distance against the number of repetitions; with the
+product rule for squared Hellinger distances over independent records and the
+two-stage total variation bound, these are the quantitative ingredients of the
+deficiency bounds evaluated in :mod:`tomolab.diagnostics`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ SLOPE_BAND = (-0.70, -0.35)
 MIN_SCALING_POINTS = 4  # distinct m values a slope fit needs
 MAX_QUAD_M = 4096
 H_MAX = math.sqrt(2.0)  # the Hellinger distance never exceeds sqrt(2)
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,9 @@ class QuadSpec:
     """Cellwise Gauss-Legendre settings for the Hellinger integral.
 
     One pass over the window W, the cells meeting the Mahalanobis ellipsoid of
-    radius R = ``window``, gives H at ``order`` and at ``compare_order`` (the
-    order term of the error bar, an estimate).  Each cell costs one quadratic
-    form and per-axis node factors of size dim x order, so memory grows with
-    ``chunk_cells``, the cells of W's bounding box per chunk, before the mask.
+    radius R = ``window``, gives the affinity at ``order`` and at
+    ``compare_order`` (the order term of the error bar, an estimate).  Memory
+    grows with ``chunk_cells``, the cells of W's bounding box per chunk.
     """
 
     order: int = 5
@@ -140,11 +141,11 @@ def _rows(cells, starts, lengths) -> list:
     return [cells[a:a + k] for a, k in zip(starts.tolist(), lengths.tolist())]
 
 
-def _perturb(cells, starts, lengths, m: int, perturb, rng) -> None:
-    """K0 in place on the rows where ``perturb`` holds, each of two or more cells:
-    one flat Uniform(-1/2, 1/2) draw from ``rng`` on the first r - 1 cells of
-    each, in row order, and the last cell restores the sum m."""
-    rows = np.flatnonzero(perturb)
+def _perturb(cells, starts, lengths, m: int, rng) -> None:
+    """K0 in place on every row of two or more cells: one flat Uniform(-1/2, 1/2)
+    draw from ``rng`` on the first r - 1 cells of each, in row order, and the
+    last cell restores the sum m."""
+    rows = np.flatnonzero(lengths >= 2)
     heads = lengths[rows] - 1
     psi = rng.uniform(-0.5, 0.5, size=heads.sum())
     for k in np.unique(heads):
@@ -177,7 +178,7 @@ def kernel_K0(counts, m: int, seed) -> np.ndarray:
     if not (np.all((vals >= 0) & (vals == np.floor(vals))) and vals.sum() == m):  # NaN, inf fail too
         raise ValueError(f"counts {vals.tolist()} are not nonnegative integers summing to m = {m}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    _perturb(vals, np.zeros(1, np.int64), np.array([len(vals)]), m, [len(vals) >= 2], rng)
+    _perturb(vals, np.zeros(1, np.int64), np.array([len(vals)]), m, rng)
     return vals
 
 
@@ -193,16 +194,12 @@ def kernel_K1(values, m: int) -> np.ndarray:
 
 def translate_qst_to_regression(dataset: TomographyDataset, seed: int) -> tuple:
     """Map counted measurements to fine-regression shape via y* = K0(U)/m, as
-    (indices, ys).  A record whose counts sit on one cell passes through
-    unperturbed.  Under a nondegenerate law that happens with probability
-    sum_a theta_a^m, which is large when m * theta_min is small: for every
-    record at m = 1, and for about 31% at theta = (0.00069, 0.982, 0.0173),
-    m = 64.  Each block of records draws its uniforms in one call (family
-    ``TRANSLATE``), flat: the first r - 1 cells of each perturbed record."""
+    (indices, ys).  As in :func:`kernel_K0`, every record of two or more cells
+    is perturbed.  Each block of records draws its uniforms in one call
+    (family ``TRANSLATE``), flat: the first r - 1 cells of each such record."""
     cells, starts, lengths = _ragged(dataset.counts)
-    perturb = np.add.reduceat(cells != 0, starts, dtype=np.int64) > 1
     for lo, hi, rng in record_blocks(seed, TRANSLATE, len(starts)):
-        _perturb(cells, starts[lo:hi], lengths[lo:hi], dataset.m, perturb[lo:hi], rng)
+        _perturb(cells, starts[lo:hi], lengths[lo:hi], dataset.m, rng)
     return dataset.indices, _rows(cells / dataset.m, starts, lengths)
 
 
@@ -286,17 +283,17 @@ def perturbed_sampler(m: int, theta):
 
 
 def _cell_node_tensors(order: int, prec: np.ndarray):
-    """1-D nodes on [-1/2, 1/2], tensor node offsets and weights w, and w K, w K^2.
+    """1-D nodes on [-1/2, 1/2], tensor node offsets and weights w, and w K.
 
     K(o) = exp(-o'Po/4) is the part of sqrt g(c + o) / A(c) that does not factor per axis.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     x, w = x / 2.0, w / 2.0
     dim = len(prec)
-    offsets = np.stack(np.meshgrid(*([x] * dim), indexing="ij"), axis=-1)
-    weights = np.prod(np.stack(np.meshgrid(*([w] * dim), indexing="ij")), axis=0)
-    k = np.exp(-0.25 * np.einsum("...a,ab,...b->...", offsets, prec, offsets))
-    return x, offsets.reshape(-1, dim), weights, weights * k, weights * k * k
+    offsets = np.stack(np.meshgrid(*([x] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    weights = np.prod(np.stack(np.meshgrid(*([w] * dim), indexing="ij")), axis=0).ravel()
+    k = np.exp(-0.25 * np.einsum("na,ab,nb->n", offsets, prec, offsets))
+    return x, offsets, weights, weights * k
 
 
 def _contract(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -309,49 +306,43 @@ def _contract(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 def _node_sums(diff, offsets, weights, prec, log_norm):
-    """sum_o w sqrt g(c + o) and sum_o w g(c + o), node by node, for rows diff = c - mu."""
-    s1 = s2 = 0.0
-    for off, w in zip(offsets, weights.ravel()):
-        d = diff + off
-        sqrt_g = np.exp(0.5 * log_norm - 0.25 * np.einsum("nd,de,ne->n", d, prec, d))
-        s1 = s1 + w * sqrt_g
-        s2 = s2 + w * sqrt_g * sqrt_g
-    return s1, s2
+    """sum_o w sqrt g(c + o), node by node, for rows diff = c - mu."""
+    return sum(w * np.exp(0.5 * log_norm - 0.25 * np.einsum("nd,de,ne->n", c, prec, c))
+               for c, w in zip((diff + o for o in offsets), weights))
 
 
-# Rows whose separable scale exceeds exp(_LOG_SCALE_CAP) are summed node by node:
-# below the cap exp(2 * cap) is finite and node terms lost to underflow are negligible.
+# Rows whose separable scale exceeds exp(_LOG_SCALE_CAP) are summed node by node.
+# Below the cap the scale is finite, and a node term lost to underflow is below
+# exp(_LOG_SCALE_CAP) times the smallest normal double, about 4e-178.
 _LOG_SCALE_CAP = 300.0
 
 
-def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
-                         chunk_cells: int) -> tuple:
-    """(squared Hellinger distance over the window W, one per order, sum_W f).
+def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
+                     chunk_cells: int) -> tuple:
+    """(Bhattacharyya affinity BC_W over the window W, one per order; sum_W f; rel).
 
     W is every unit cell that meets E(R) = {x : (x - mu)'P(x - mu) <= R^2},
-    R = ``window``.  Such a cell's centre c lies in the box |c_a - mu_a| <=
-    R sd_a + 1/2 (E(R) spans mu_a +- R sd_a on axis a) and, by the triangle
-    inequality, has q(c) = (c - mu)'P(c - mu) <= (R + delta)^2, delta =
-    sqrt((r - 1) lambda_max(P)) / 2 the longest P-length of a half cell
-    diagonal.  Only centres passing the q test are evaluated, in chunks of
-    about ``chunk_cells`` box centres: whole rows of the first axis, none
-    empty (round a point of E(R) in the row's reach on the other axes).
-    With v = P(c - mu), q(c + o) = q(c) + 2 o'v + o'Po, so sqrt g(c + o) =
-    A(c) K(o) prod_a exp(-o_a v_a / 2), A(c) = exp(log_norm / 2 - q(c) / 4) and
-    K(o) = exp(-o'Po / 4).  The node sums S1 = sum_o w sqrt(g) and S2 = sum_o w g
-    contract per-axis N x order factors, and
-    sum_o w (sqrt f - sqrt g)^2 = f sum w - 2 sqrt(f) S1 + S2.
-    Each factor is divided by its largest node value exp(max_k |v_a| x_k / 2),
-    and that shift is added to log A(c), so no intermediate leaves floating-point
-    range; the few rows whose combined scale is still too large (a nearly
-    degenerate cell makes P large) are summed node by node instead.
+    R = ``window``: the centres in the box |c_a - mu_a| <= R sd_a + 1/2 with
+    q(c) = (c - mu)'P(c - mu) <= q_max = (R + delta)^2, delta = sqrt((r - 1)
+    lambda_max(P)) / 2 the longest P-length of a half cell diagonal, walked in
+    chunks of about ``chunk_cells`` box centres (whole rows of the first axis).
+    BC_W = sum_W sqrt(f_c) S1(c), S1 = sum_o w sqrt g(c + o), and sqrt g(c + o)
+    = A(c) K(o) prod_a exp(-o_a v_a / 2) with v = P(c - mu), A(c) =
+    exp(log_norm / 2 - q(c) / 4) and K(o) = exp(-o'Po / 4), so S1 is one
+    contraction of per-axis N x order factors; each factor is divided by its
+    largest node value, the shift added to log A(c).  ``rel`` is an allowance
+    for the relative rounding of BC_W apart from sqrt f: a node term is exp of
+    log_norm / 2 - q(c) / 4 plus shifts of at most sqrt(lambda_max q_max) / 2
+    <= q_max, formed by dim x order multiply-adds, and a sum of n nonnegative
+    terms adds n eps, so rel = 8 eps (|log_norm| + q_max + dim order + n), n
+    the cells of W, the 8 to spare.
     """
     dim = len(theta) - 1
     mu, cov, prec, log_norm = _gaussian_marginal_params(m, theta)
     reach = window * np.sqrt(np.diag(cov)) + 0.5
     axes = [np.arange(math.ceil(mu[a] - reach[a]), math.floor(mu[a] + reach[a]) + 1)
             for a in range(dim)]
-    q_max = (window + 0.5 * math.sqrt(dim * np.linalg.eigvalsh(prec)[-1])) ** 2  # (R + delta)^2
+    q_max = (window + 0.5 * math.sqrt(dim * np.linalg.eigvalsh(prec)[-1])) ** 2
     nodes = [_cell_node_tensors(order, prec) for order in orders]
 
     def accumulate(centers: np.ndarray) -> tuple:
@@ -360,53 +351,54 @@ def _hellinger_sq_window(m: int, theta: np.ndarray, orders, window: float,
         q = np.einsum("nd,nd->n", diff, v)
         keep = q <= q_max
         centers, diff, v, q = centers[keep], diff[keep], v[keep], q[keep]
-        full = np.concatenate(
-            [centers, m - centers.sum(axis=-1, keepdims=True)], axis=-1)
+        full = np.concatenate([centers, m - centers.sum(axis=-1, keepdims=True)], axis=-1)
         f = multinomial_pmf(full, m, theta)
         sqrt_f = np.sqrt(f)
         log_amp = 0.5 * log_norm - 0.25 * q
         sums = []
-        for x, offsets, weights, wk, wk2 in nodes:
+        for x, offsets, weights, wk in nodes:
             shift = 0.5 * x.max() * np.abs(v)
             e = np.multiply.outer(v, -0.5 * x)
             e -= shift[:, :, None]
             np.exp(e, out=e)
             log_scale = log_amp + shift.sum(axis=1)
             direct = log_scale > _LOG_SCALE_CAP
-            scale = np.exp(np.where(direct, 0.0, log_scale))
-            s1 = scale * _contract(wk, e)
-            s2 = scale * scale * _contract(wk2, e * e)
+            s1 = np.exp(np.where(direct, 0.0, log_scale)) * _contract(wk, e)
             if direct.any():
-                s1[direct], s2[direct] = _node_sums(diff[direct], offsets, weights,
-                                                    prec, log_norm)
-            sums.append(np.sum(f * weights.sum() - 2.0 * sqrt_f * s1 + s2))
-        return sums, np.sum(f)
+                s1[direct] = _node_sums(diff[direct], offsets, weights, prec, log_norm)
+            sums.append(np.sum(sqrt_f * s1))
+        return sums, np.sum(f), len(f)
 
     n_rest = int(np.prod([len(a) for a in axes[1:]]))
     chunk = max(1, chunk_cells // max(n_rest, 1))
-    totals, mass = [0.0] * len(orders), 0.0
+    totals, mass, n = [0.0] * len(orders), 0.0, 0
     for start in range(0, len(axes[0]), chunk):
         grids = np.meshgrid(axes[0][start:start + chunk], *axes[1:], indexing="ij")
         centers = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-        sums, f_mass = accumulate(centers)
-        totals, mass = [t + s for t, s in zip(totals, sums)], mass + f_mass
-    return totals, mass
+        sums, f_mass, cells = accumulate(centers)
+        totals, mass, n = [t + s for t, s in zip(totals, sums)], mass + f_mass, n + cells
+    rel = 8.0 * EPS * (abs(log_norm) + q_max + dim * max(orders) + n)
+    return totals, mass, rel
 
 
 def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -> DistanceEstimate:
     """Hellinger distance between perturbed counts and the matched normal law.
 
-    Integrates |sqrt f - sqrt g|^2 with fixed-order Gauss-Legendre nodes in each
-    unit cell of the window W (see ``_hellinger_sq_window``); one pass gives
-    both orders.  The error bar is |H(order) - H(compare_order)|, an estimate,
-    plus sqrt(2 T), T a bound on the mass of both laws outside W: the exact P
-    tail (1 - sum_W f)_+, as every cell of W is evaluated, its rounding
-    allowance 8 eps (gammaln(m + 1) + m max_a(-log theta_a)), which bounds the
-    terms each log f sums, and the Q tail gammaincc((r - 1) / 2, R^2 / 2), as W
-    covers E(R).  ``params`` give ``order_term`` and ``tail``.  A raw value
-    above sqrt(2), which fixed-order nodes give when the matched normal is much
-    narrower than a cell, becomes sqrt(2) with an error bar of at least sqrt(2).
-    Raises ValueError unless ``theta`` is a probability vector.
+    f is constant on unit cells and both laws have mass 1, so H^2 = 2 - 2 BC,
+    BC = sum_c sqrt(f_c) (integral of sqrt g over cell c); one pass over the
+    window W gives BC_W at both orders (``_affinity_window``).  ``params`` hold
+    the error budget: ``order_term`` |H(order) - H(compare_order)|, an
+    estimate; bounds ``tail_p`` (1 - sum_W f)_+ + a on the P mass outside W,
+    a = 8 eps (gammaln(m + 1) + m max_a(-log theta_a)) bounding the terms each
+    log f sums, and ``tail_q`` gammaincc((r - 1) / 2, R^2 / 2) on the Q mass
+    outside W, which covers E(R); ``truncation`` 2 sqrt(tail_p tail_q), a bound
+    on H_W^2 - H^2 >= 0 by Cauchy-Schwarz; and ``rounding`` 2 (a / 2 + rel) BC_W
+    + 2 eps, an allowance for the cancellation in H_W^2 = 2 - 2 BC_W.  The
+    error bar is ``order_term`` plus H_W - sqrt(H_W^2 - truncation - rounding),
+    which by concavity also covers H_W^2 + rounding.  Fixed-order nodes give an
+    impossible affinity above 1 when the normal is far narrower than a cell;
+    then H is sqrt(2) with the vacuous bar sqrt(2).  ValueError unless
+    ``theta`` is a probability vector.
     """
     spec = quad_spec or QuadSpec()
     theta = _checked_theta(theta)
@@ -421,18 +413,22 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     r = len(sub)
     if r > 4:
         raise TomolabError(f"quadrature supports up to 4 cells, got {r}; use tv_monte_carlo")
-    (h2, h2_cmp), mass = _hellinger_sq_window(m, sub, (spec.order, spec.compare_order),
-                                              spec.window, spec.chunk_cells)
+    (bc, bc_cmp), mass, rel = _affinity_window(m, sub, (spec.order, spec.compare_order),
+                                               spec.window, spec.chunk_cells)
+    a = 8.0 * EPS * (gammaln(m + 1) - m * np.log(sub.min()))
+    h2 = 2.0 - 2.0 * bc
     value = math.sqrt(max(h2, 0.0))
-    order_term = abs(value - math.sqrt(max(h2_cmp, 0.0)))
-    rounding = 8.0 * np.finfo(float).eps * (gammaln(m + 1) - m * np.log(sub.min()))
-    tail = max(1.0 - mass, 0.0) + rounding + gammaincc((r - 1) / 2, spec.window ** 2 / 2)
-    err = order_term + math.sqrt(2.0 * tail)
-    if value > H_MAX:
-        value, err = H_MAX, max(err, H_MAX)
+    tail_p, tail_q = max(1.0 - mass, 0.0) + a, gammaincc((r - 1) / 2, spec.window ** 2 / 2)
+    budget = {"order_term": abs(value - math.sqrt(max(2.0 - 2.0 * bc_cmp, 0.0))),
+              "tail_p": float(tail_p), "tail_q": float(tail_q),
+              "truncation": 2.0 * math.sqrt(tail_p * tail_q),
+              "rounding": float(2.0 * (a / 2 + rel) * bc + 2.0 * EPS)}
+    low = math.sqrt(max(h2 - budget["truncation"] - budget["rounding"], 0.0))
+    err = budget["order_term"] + value - low
+    if max(bc, bc_cmp) > 1.0:
+        value = err = H_MAX
     return DistanceEstimate(value=value, kind="hellinger", method="quadrature", error_bar=err,
-                            params={"m": m, "theta": theta.tolist(), "order": spec.order,
-                                    "order_term": order_term, "tail": float(tail)})
+                            params={"m": m, "theta": theta.tolist(), "order": spec.order, **budget})
 
 
 def product_hellinger_bound(h_squares) -> float:

@@ -3,19 +3,21 @@
 Each one recomputes a property the package's constructions must have, by a
 route of its own: the multinomial pmf through conditional binomials, the
 Hellinger quadrature's lattice window cell by cell and the exact Mahalanobis
-distance of a cell, the two dataset translations one record at a time, class
-membership of a sampled state, orthogonality and Pauli projection traces of a
-family, a matrix rebuilt from its spectral decomposition, each member's
-spectrum on its own, the active index sets, cell probabilities and coarse
-moments one member at a time.  ``custom_basis`` wraps an explicit matrix list
-as a family.
+distance of a cell, the Hellinger distance for 2 and 3 cells with the last
+axis integrated exactly, the two dataset translations one record at a time,
+class membership of a sampled state, orthogonality and Pauli projection
+traces of a family, a matrix rebuilt from its spectral decomposition, each
+member's spectrum on its own, the active index sets, cell probabilities and
+coarse moments one member at a time.  ``custom_basis`` wraps an explicit
+matrix list as a family.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy import stats as sps
+from scipy.special import gammaln, ndtr
 
 from tomolab.bases import _make_basis, build_basis
 from tomolab.diagnostics import ActiveIndexReport
@@ -87,6 +89,63 @@ def ellipsoid_window(m: int, theta, radius: float) -> np.ndarray:
     return np.array(cells, dtype=float).reshape(-1, len(mu))
 
 
+def hellinger_ndtr(m: int, theta, radius: float = 12.0, order: int = 10) -> float:
+    """H between the perturbed counts and the matched normal for 2 or 3 cells,
+    from the affinity BC = sum_c sqrt(f_c) (integral of sqrt g over cell c)
+    with f from ``scipy.stats.multinomial``.  sqrt g is (8 pi)^(dim/4)
+    det(cov)^(1/4) times the N(mu, 2 cov) density, so each cell integral is a
+    normal probability: exact by ``ndtr`` on the last axis, given the first;
+    on the first axis of 3 cells, ``order``-point Gauss-Legendre on pieces of
+    each cell no wider than an eighth of the smallest scale the integrand
+    varies on (the marginal sd, or the conditional sd over the slope of the
+    conditional mean).  The cells are those of the simplex within Mahalanobis
+    distance ``radius`` + delta of the mean, which leave out less than
+    sqrt(Q mass outside E(radius)) of BC."""
+    theta = np.asarray(theta, dtype=float)
+    mu, cov = _matched_normal(m, theta)
+    dim = len(mu)
+    if dim not in (1, 2):
+        raise ValueError("the ndtr oracle covers 2 and 3 cells")
+    cov2 = 2.0 * cov
+    cells = lattice_box(m, theta, radius)
+    limit = (radius + 0.5 * math.sqrt(dim / np.linalg.eigvalsh(cov)[0])) ** 2
+    z = cells - mu
+    keep = (np.einsum("nd,de,ne->n", z, np.linalg.inv(cov), z) <= limit)
+    keep &= np.all(cells >= 0, axis=1) & (cells.sum(axis=1) <= m)
+    cells = cells[keep]
+    full = np.concatenate([cells, m - cells.sum(axis=1, keepdims=True)], axis=1)
+    sqrt_f = np.sqrt(sps.multinomial.pmf(full.astype(np.int64), m, theta))
+
+    def interval(lo, hi, mean, sd):
+        """P(lo <= X <= hi) for X ~ N(mean, sd^2), subtracting upper or lower tails."""
+        a, b = (lo - mean) / sd, (hi - mean) / sd
+        return np.where(a > 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+
+    if dim == 1:
+        probs = interval(cells[:, 0] - 0.5, cells[:, 0] + 0.5, mu[0], math.sqrt(cov2[0, 0]))
+    else:
+        s1 = math.sqrt(cov2[0, 0])
+        slope = cov2[0, 1] / cov2[0, 0]
+        s_cond = math.sqrt(cov2[1, 1] - cov2[0, 1] * slope)
+        scale = min(s1, s_cond / abs(slope)) if slope else s1
+        pieces = max(1, math.ceil(8.0 / scale))
+        x, w = np.polynomial.legendre.leggauss(order)
+        offsets = ((np.arange(pieces)[:, None] + (x + 1) / 2) / pieces - 0.5).ravel()
+        weights = np.tile(w / (2 * pieces), pieces)
+        probs = np.empty(len(cells))
+        step = 4096  # cells per block, to keep the (cells, nodes) arrays small
+        for lo in range(0, len(cells), step):
+            c = cells[lo:lo + step]
+            t = c[:, :1] + offsets
+            density = np.exp(-0.5 * ((t - mu[0]) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
+            mean = mu[1] + slope * (t - mu[0])
+            inner = interval(c[:, 1:] - 0.5, c[:, 1:] + 0.5, mean, s_cond)
+            probs[lo:lo + step] = (density * inner) @ weights
+    const = (8 * math.pi) ** (dim / 4) * np.linalg.det(cov) ** 0.25
+    bc = const * math.fsum(sqrt_f * probs)
+    return math.sqrt(max(2.0 - 2.0 * bc, 0.0))
+
+
 def cell_min_mahalanobis_sq(m: int, theta, centres) -> np.ndarray:
     """min over each unit cell c + [-1/2, 1/2]^(r-1) of (x - mu)' cov^-1 (x - mu),
     exactly: the minimiser of a convex quadratic over a box is the free
@@ -147,13 +206,13 @@ def member_spectrum(mat, cluster_tol: float = 1e-9) -> tuple:
 
 
 def translate_per_record(dataset, seed: int) -> tuple:
-    """K0 translation (indices, ys) record by record: a record with more than
-    one nonzero cell gets the next r - 1 uniforms of its block's flat draw on
-    its first r - 1 cells, and its last cell restores the sum m."""
+    """K0 translation (indices, ys) record by record: a record of r >= 2 cells
+    gets the next r - 1 uniforms of its block's flat draw on its first r - 1
+    cells, and its last cell restores the sum m."""
     m, ys = dataset.m, []
     for lo, hi, rng in record_blocks(seed, TRANSLATE, len(dataset.counts)):
         block = dataset.counts[lo:hi]
-        sizes = [len(u) - 1 if np.count_nonzero(u) > 1 else 0 for u in block]
+        sizes = [len(u) - 1 for u in block]
         psi = rng.uniform(-0.5, 0.5, size=sum(sizes))
         end = 0
         for u, size in zip(block, sizes):

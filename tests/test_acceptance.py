@@ -182,7 +182,7 @@ def test_criterion_05_kernel_round_trip():
         for m in np.unique(ms[rows]).tolist():
             counts = drawn[ms[rows] == m]
             cells, starts, lengths = eq._ragged(counts)
-            eq._perturb(cells, starts, lengths, m, np.ones(len(counts), dtype=bool), rng)
+            eq._perturb(cells, starts, lengths, m, rng)
             back, _ = eq._round_off(cells, lengths, m)
             failures += int(np.any(back.reshape(counts.shape) != counts, axis=1).sum())
     _report(5, "round-off inverts the uniform perturbation on 1e5 records",

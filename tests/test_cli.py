@@ -92,12 +92,13 @@ samples = 4
 """
 
 # sha256 of each artifact of those five tasks; a refactor must keep them.  The
-# quadrature artifacts follow the ellipsoidal Hellinger window and its exact tail.
+# quadrature artifacts follow the Hellinger affinity over the ellipsoidal window
+# and its error budget.
 TASK_SHA256 = {
-    "distances.json": "e295974458eb507ff6b74827aea8661b1d7e0d3d12124e9ac0e9aa25b1360c3e",
-    "distance_fixtures.json": "55480cef46d97a225ff8d67de517c19fdb0b3ac1b6aeaa4115f2fbf65813b7c8",
-    "scaling_0.csv": "b8bb236146cde9c14e52cc03e0b69907180cf510ee41dc47e873e7c922668204",
-    "scaling_0.json": "a7d400ce5036e7d2c4e8c3f30cdac636d44cd3121f5ab27a8f9ffb73a25f43c8",
+    "distances.json": "45512af459dea92ad9a5c7f4201ea942f569b8e01a4d438bb5a444750758561b",
+    "distance_fixtures.json": "7ff790ecdc786744e15d038e9aa879e397e94af1be1734db94cb674c6af1ac61",
+    "scaling_0.csv": "43c1788df9ec4446ee8cefad15378a870024778ae81887730dfa576d183d5cfa",
+    "scaling_0.json": "92ce195917dd7da069cb0f11dbe565cc612f66b8f886278fd902e003cf82d9c4",
     "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
     "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
     "transfer.json": "2f9a4199852ec320fa94a9c4398288b249b827c5350775225d3ad601fe8c9603",

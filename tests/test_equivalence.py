@@ -10,21 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, lattice_box,
-                     multinomial_pmf_chain, round_off_per_record,
+from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, hellinger_ndtr,
+                     lattice_box, multinomial_pmf_chain, round_off_per_record,
                      translate_per_record)
 from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
 from tomolab.errors import TomolabError
-from tomolab.rng import BLOCK
+from tomolab.rng import BLOCK, TRANSLATE, record_blocks
 
 PAULI2 = bases.build_basis("pauli", 2)
 
 # frozen from a high-order quadrature oracle (order 12 vs 10 agree to 8e-17)
 FIXTURE_R3_M64 = 0.072824483246
-# order-5 values of the 4-cell quadrature over the ellipsoidal window
-FIXTURE_R4 = {16: 0.3131424015473856, 64: 0.1314439321963495}
+# order-5 values of the 4-cell quadrature of the affinity over the ellipsoidal window
+FIXTURE_R4 = {16: 0.3131424035207856, 64: 0.13144393229622026}
 # the same values over the whole 8-sd box, frozen from the per-node form
-FIXTURE_R4_BOX = {16: 0.3131424015473793, 64: 0.13144393180027894}
+FIXTURE_R4_BOX = {16: 0.3131424035207849, 64: 0.1314439322960302}
+# the window values of the integrand (sqrt f - sqrt g)^2 that the affinity replaced
+FIXTURE_R4_SQ_DIFF = {16: 0.3131424015473856, 64: 0.1314439321963495}
+# 2- and 3-cell points of the distances-4cell and scaling-lowdim benchmark grids
+BENCH_POINTS = [(theta, m) for theta in ([0.5, 0.5], [0.3, 0.7], [0.2, 0.3, 0.5])
+                for m in (16, 64, 256, 1024, 4096)]
 
 
 class TestKernels:
@@ -33,9 +38,11 @@ class TestKernels:
         np.testing.assert_array_equal(pert, [6.0])
 
     def test_unperturbed_row_passthrough(self):
-        cells = np.array([4.0, 0.0])
-        eq._perturb(cells, np.array([0]), np.array([2]), 4, [False], np.random.default_rng(1))
-        np.testing.assert_array_equal(cells, [4.0, 0.0])
+        # a row of one cell draws no uniform; the next row takes the first one
+        cells = np.array([4.0, 4.0, 0.0])
+        eq._perturb(cells, np.array([0, 1]), np.array([1, 2]), 4, np.random.default_rng(1))
+        psi = np.random.default_rng(1).uniform(-0.5, 0.5)
+        np.testing.assert_array_equal(cells, [4.0, 4.0 + psi, 4 - (4.0 + psi)])
 
     def test_sum_preserved(self):
         for seed in range(50):
@@ -49,7 +56,7 @@ class TestKernels:
         counts = np.array([5, 3, 2])
         total = 100_000
         cells, starts, lengths = eq._ragged([counts] * total)
-        eq._perturb(cells, starts, lengths, 10, np.ones(total, dtype=bool), rng)
+        eq._perturb(cells, starts, lengths, 10, rng)
         fracs = (cells.reshape(total, 3) - counts)[:, :2].ravel()
         stat = sps.kstest(fracs, sps.uniform(loc=-0.5, scale=1.0).cdf)
         assert stat.pvalue > 0.01
@@ -97,12 +104,17 @@ class TestTranslation:
         return measurement.run_tomography(st_, PAULI2, bases.SamplingDesign.fixed(),
                                           n, m, seed)
 
-    def test_degenerate_record_exact(self):
+    def test_single_nonzero_record_matches_K0(self):
+        # sigma3 on the z-eigenstate counts (m, 0); like any record of two
+        # cells it takes the next uniform of its block's flat draw
         st_ = states.validate_density(np.diag([1.0, 0.0]))
         ds = self._dataset(st_, 8, seed=3)
+        np.testing.assert_array_equal(ds.counts[3], [8, 0])
         indices, ys = eq.translate_qst_to_regression(ds, seed=3)
         np.testing.assert_array_equal(indices, ds.indices)
-        np.testing.assert_array_equal(ys[3], [1.0, 0.0])  # sigma3 on the z-eigenstate: (m, 0)
+        (_, _, rng), = record_blocks(3, TRANSLATE, len(ds.counts))
+        rng.uniform(-0.5, 0.5, size=2)  # records 1 and 2; record 0, the identity, has one cell
+        np.testing.assert_array_equal(ys[3], eq.kernel_K0(ds.counts[3], 8, rng) / 8)
 
     def test_sum_one(self):
         st_ = states.pauli_line_state(2, 1, 0.4)
@@ -279,6 +291,7 @@ class TestHellinger:
         # the cells the box adds or drops lie outside the ellipsoid, so the
         # change is inside the error bar
         assert abs(est.value - FIXTURE_R4_BOX[m]) <= est.error_bar
+        assert abs(est.value - FIXTURE_R4_SQ_DIFF[m]) <= est.error_bar
 
     @pytest.mark.parametrize("m, theta, order", [
         (12, [0.2, 0.3, 0.5], 4),
@@ -289,7 +302,7 @@ class TestHellinger:
         (16, [0.5, 0.5 - 2**-17, 2**-17], 5),
     ])
     def test_separable_form_matches_per_node_sum(self, m, theta, order):
-        # sum over cells and tensor nodes of w (sqrt f - sqrt g)^2, node by node
+        # the affinity: sum over cells and tensor nodes of w sqrt(f) sqrt(g), node by node
         theta, window = np.array(theta), 8.0
         dim = len(theta) - 1
         cells = ellipsoid_window(m, theta, window)
@@ -299,26 +312,27 @@ class TestHellinger:
         want = 0.0
         for idx in itertools.product(range(order), repeat=dim):
             sqrt_g = np.sqrt(eq.gaussian_marginal_density(m, theta, cells + x[list(idx)] / 2))
-            want += np.prod(w[list(idx)] / 2) * np.sum((sqrt_f - sqrt_g) ** 2)
+            want += np.prod(w[list(idx)] / 2) * np.sum(sqrt_f * sqrt_g)
         # one row of the first axis per chunk
-        (got,), mass = eq._hellinger_sq_window(m, theta, (order,), window, chunk_cells=7)
+        (got, got_cmp), mass, _ = eq._affinity_window(m, theta, (order, 3), window, chunk_cells=7)
         assert got == pytest.approx(want, rel=1e-12)
         assert mass == pytest.approx(f.sum(), rel=1e-12)
         est = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=order))
         assert math.isfinite(est.error_bar)
-        if math.sqrt(want) > eq.H_MAX:  # an impossible raw value is capped
-            assert est.value == eq.H_MAX and est.error_bar >= eq.H_MAX
+        if max(got, got_cmp) > 1:  # an impossible affinity gives the vacuous bar
+            assert est.value == est.error_bar == eq.H_MAX
         else:
-            assert est.value == pytest.approx(math.sqrt(want), rel=1e-12)
+            assert est.value == pytest.approx(math.sqrt(2 - 2 * want), rel=1e-12)
 
     @pytest.mark.parametrize("m, theta", [(16, [0.5, 0.5 - 1e-6, 1e-6]),
                                           (64, [1 - 1e-6, 1e-6])])
-    def test_impossible_value_capped(self, m, theta):
+    def test_affinity_above_one_gives_vacuous_bar(self, m, theta):
         # fixed-order nodes cannot resolve a normal far narrower than a cell;
-        # the raw values are about 4.3 and 3.3, above the largest possible H
+        # the raw affinities are about 2.2 and 2.0, above the largest possible 1
+        (bc, _), _, _ = eq._affinity_window(m, np.array(theta), (5, 3), 8.0, 25_000)
+        assert bc > 1
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        assert est.value == eq.H_MAX == math.sqrt(2.0)
-        assert est.error_bar >= eq.H_MAX
+        assert est.value == est.error_bar == eq.H_MAX == math.sqrt(2.0)
 
     @staticmethod
     def _pmf_cells(monkeypatch) -> list:
@@ -359,7 +373,7 @@ class TestHellinger:
     def test_tail_term_bounds_the_mass_outside_the_window(self, monkeypatch, m, theta):
         window = 8.0
         evaluated = self._pmf_cells(monkeypatch)
-        tail = eq.hellinger_perturbed_vs_gaussian(m, theta).params["tail"]
+        tail = eq.hellinger_perturbed_vs_gaussian(m, theta).params["tail_p"]
         monkeypatch.undo()
         cells = np.concatenate(evaluated)
         np.testing.assert_array_equal(cells, ellipsoid_window(m, theta, window))
@@ -382,6 +396,43 @@ class TestHellinger:
         high = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=12, compare_order=10))
         assert est.error_bar < 0.01 * est.value
         assert abs(est.value - high.value) <= est.error_bar
+
+    @pytest.mark.parametrize("theta, m", BENCH_POINTS)
+    def test_matches_ndtr_oracle(self, theta, m):
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta)
+        want = hellinger_ndtr(m, theta)
+        assert est.value == pytest.approx(want, abs=1e-10)
+        assert abs(est.value - want) <= est.error_bar < 1e-6
+
+    @pytest.mark.parametrize("theta, m", [(theta, m) for theta in ([0.5, 0.5], [0.3, 0.7],
+                                                                   [0.2, 0.3, 0.5])
+                                          for m in (1, 2)])
+    def test_smallest_m_matches_ndtr_oracle(self, theta, m):
+        # a cell spans about two sd here, so order 5 is off by up to 3e-8,
+        # inside its bar, and order 12 resolves it
+        want = hellinger_ndtr(m, theta)
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta)
+        assert abs(est.value - want) <= est.error_bar
+        high = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=12, compare_order=10))
+        assert high.value == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("theta, m, exact", [
+        ([0.5, 0.4999, 1e-4], 16, 1.070896),
+        ([0.5, 0.5 - 1e-6, 1e-6], 16, 1.311037),
+        ([0.00069, 0.98201, 0.0173], 256, 0.40636933),
+        ([0.01, 0.9, 0.09], 16, 0.46412961),
+    ])
+    def test_bar_covers_tiny_cell_values(self, theta, m, exact):
+        # cells tiny against 1/m, with their exact values from the closed form
+        want = hellinger_ndtr(m, theta)
+        assert want == pytest.approx(exact, abs=1e-6)
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta)
+        assert abs(est.value - want) <= est.error_bar
+
+    def test_bar_covers_tiny_cell_value_r4(self):
+        # the exact value lies in this 95% Hoeffding interval of 200,000 mixture samples
+        est = eq.hellinger_perturbed_vs_gaussian(16, [0.3, 0.3, 0.3999, 1e-4])
+        assert est.value - est.error_bar <= 1.1508 and 1.1589 <= est.value + est.error_bar
 
     @pytest.mark.parametrize("theta", [[1.5, -0.5], [math.nan, 0.5], [0.5, 0.6]])
     def test_invalid_theta_rejected(self, theta):
