@@ -80,14 +80,15 @@ class QuadSpec:
 
     One pass over the window W, the cells meeting the Mahalanobis ellipsoid of
     radius R = ``window``, gives the affinity at ``order`` and at
-    ``compare_order`` (the order term of the error bar, an estimate).  Memory
-    grows with ``chunk_cells``, the cells of W's bounding box per chunk.
+    ``compare_order`` (the order term of the error bar, an estimate).  Each
+    flat run of ``chunk_cells`` box cells holds a (kept cells x nodes) exponent
+    matrix; 2048 and 4096 gave the least peak memory at the 4-cell benchmark.
     """
 
     order: int = 5
     compare_order: int = 3
     window: float = 8.0
-    chunk_cells: int = 25_000
+    chunk_cells: int = 4096
 
 
 def round_half_away(x):
@@ -267,8 +268,11 @@ def gaussian_marginal_density(m: int, theta, x) -> np.ndarray:
 
 
 def perturbed_sampler(m: int, theta):
-    """Sampler of the first r-1 perturbed coordinates, for Monte Carlo use."""
-    theta = np.asarray(theta, dtype=float)
+    """Sampler of the first r-1 perturbed coordinates, for Monte Carlo use.
+    ValueError unless m >= 1 and ``theta`` is a probability vector."""
+    theta = _checked_theta(theta)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     dim = len(theta) - 1
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -282,39 +286,15 @@ def perturbed_sampler(m: int, theta):
 # --- Hellinger quadrature --------------------------------------------------------
 
 
-def _cell_node_tensors(order: int, prec: np.ndarray):
-    """1-D nodes on [-1/2, 1/2], tensor node offsets and weights w, and w K.
-
-    K(o) = exp(-o'Po/4) is the part of sqrt g(c + o) / A(c) that does not factor per axis.
-    """
+def _cell_node_tensors(order: int, prec: np.ndarray) -> np.ndarray:
+    """The (dim + 2) x nodes table of the tensor Gauss-Legendre nodes o on the
+    unit cell: rows -o/2, then 1, then log w_o - o'Po/4."""
     x, w = np.polynomial.legendre.leggauss(order)
-    x, w = x / 2.0, w / 2.0
-    dim = len(prec)
-    offsets = np.stack(np.meshgrid(*([x] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    weights = np.prod(np.stack(np.meshgrid(*([w] * dim), indexing="ij")), axis=0).ravel()
-    k = np.exp(-0.25 * np.einsum("na,ab,nb->n", offsets, prec, offsets))
-    return x, offsets, weights, weights * k
-
-
-def _contract(tensor: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Per row n: sum over nodes o of tensor[o] * prod_a factors[n, a, o_a]."""
-    n, dim, order = factors.shape
-    out = factors[:, -1] @ tensor.reshape(-1, order).T
-    for a in range(dim - 2, -1, -1):
-        out = np.einsum("nrk,nk->nr", out.reshape(n, -1, order), factors[:, a])
-    return out[:, 0]
-
-
-def _node_sums(diff, offsets, weights, prec, log_norm):
-    """sum_o w sqrt g(c + o), node by node, for rows diff = c - mu."""
-    return sum(w * np.exp(0.5 * log_norm - 0.25 * np.einsum("nd,de,ne->n", c, prec, c))
-               for c, w in zip((diff + o for o in offsets), weights))
-
-
-# Rows whose separable scale exceeds exp(_LOG_SCALE_CAP) are summed node by node.
-# Below the cap the scale is finite, and a node term lost to underflow is below
-# exp(_LOG_SCALE_CAP) times the smallest normal double, about 4e-178.
-_LOG_SCALE_CAP = 300.0
+    idx = np.indices((order,) * len(prec)).reshape(len(prec), -1)
+    offsets = x[idx] / 2.0
+    log_w = np.log(w / 2.0)[idx].sum(axis=0)
+    log_w -= 0.25 * np.einsum("an,ab,bn->n", offsets, prec, offsets)
+    return np.vstack([-0.5 * offsets, np.ones_like(log_w), log_w])
 
 
 def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
@@ -325,59 +305,49 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     R = ``window``: the centres in the box |c_a - mu_a| <= R sd_a + 1/2 with
     q(c) = (c - mu)'P(c - mu) <= q_max = (R + delta)^2, delta = sqrt((r - 1)
     lambda_max(P)) / 2 the longest P-length of a half cell diagonal, walked in
-    chunks of about ``chunk_cells`` box centres (whole rows of the first axis).
-    BC_W = sum_W sqrt(f_c) S1(c), S1 = sum_o w sqrt g(c + o), and sqrt g(c + o)
-    = A(c) K(o) prod_a exp(-o_a v_a / 2) with v = P(c - mu), A(c) =
-    exp(log_norm / 2 - q(c) / 4) and K(o) = exp(-o'Po / 4), so S1 is one
-    contraction of per-axis N x order factors; each factor is divided by its
-    largest node value, the shift added to log A(c).  ``rel`` is an allowance
-    for the relative rounding of BC_W apart from sqrt f: a node term is exp of
-    log_norm / 2 - q(c) / 4 plus shifts of at most sqrt(lambda_max q_max) / 2
-    <= q_max, formed by dim x order multiply-adds, and a sum of n nonnegative
-    terms adds n eps, so rel = 8 eps (|log_norm| + q_max + dim order + n), n
-    the cells of W, the 8 to spare.
+    flat runs of ``chunk_cells`` box centres (a run may hold no cell of W).
+    BC_W = sum_W sqrt(f_c) S1(c), S1 = sum_o w_o sqrt g(c + o), and each node
+    term is the exp of its exact log, the rows (v, log_norm / 2 - q(c) / 4, 1),
+    v = P(c - mu), times the node table: log_norm / 2 + log w_o - (c + o -
+    mu)'P(c + o - mu) / 4 <= log_norm / 2 + log w_o, so it cannot overflow.
+    ``rel`` allows for the relative rounding of BC_W apart from sqrt f.  An
+    exponent's parts total at most |log_norm| / 2 + q_max + dim order in size
+    (|o'v| <= delta sqrt(q(c)) <= q_max, o'Po <= delta^2, |log w_o| <= dim
+    order), and 8 eps times that covers the dot product of length dim + 2 <= 5
+    and its inputs.  A sum of k nonnegative terms is off by at most (k - 1)
+    eps / 2, and the sums run over the kept cells of a chunk (at most n_max),
+    the nodes of an order and the chunks.  So rel = 8 eps (|log_norm| + q_max
+    + dim order) + eps (n_max + nodes + chunks), the factors to spare.
     """
     dim = len(theta) - 1
     mu, cov, prec, log_norm = _gaussian_marginal_params(m, theta)
     reach = window * np.sqrt(np.diag(cov)) + 0.5
-    axes = [np.arange(math.ceil(mu[a] - reach[a]), math.floor(mu[a] + reach[a]) + 1)
-            for a in range(dim)]
+    low = np.ceil(mu - reach)
+    shape = tuple((np.floor(mu + reach) - low + 1).astype(np.int64).tolist())
     q_max = (window + 0.5 * math.sqrt(dim * np.linalg.eigvalsh(prec)[-1])) ** 2
-    nodes = [_cell_node_tensors(order, prec) for order in orders]
-
-    def accumulate(centers: np.ndarray) -> tuple:
+    tables = [_cell_node_tensors(order, prec) for order in orders]
+    size = math.prod(shape)
+    starts = range(0, size, chunk_cells)
+    totals, mass, n_max = [0.0] * len(orders), 0.0, 0
+    for start in starts:
+        flat = np.arange(start, min(start + chunk_cells, size))
+        centers = low + np.stack(np.unravel_index(flat, shape), axis=-1)
         diff = centers - mu
-        v = np.einsum("nd,de->ne", diff, prec)
+        v = diff @ prec
         q = np.einsum("nd,nd->n", diff, v)
         keep = q <= q_max
-        centers, diff, v, q = centers[keep], diff[keep], v[keep], q[keep]
+        centers, v, q = centers[keep], v[keep], q[keep]
         full = np.concatenate([centers, m - centers.sum(axis=-1, keepdims=True)], axis=-1)
         f = multinomial_pmf(full, m, theta)
         sqrt_f = np.sqrt(f)
-        log_amp = 0.5 * log_norm - 0.25 * q
-        sums = []
-        for x, offsets, weights, wk in nodes:
-            shift = 0.5 * x.max() * np.abs(v)
-            e = np.multiply.outer(v, -0.5 * x)
-            e -= shift[:, :, None]
+        rows = np.column_stack([v, 0.5 * log_norm - 0.25 * q, np.ones_like(q)])
+        for i, table in enumerate(tables):
+            e = rows @ table
             np.exp(e, out=e)
-            log_scale = log_amp + shift.sum(axis=1)
-            direct = log_scale > _LOG_SCALE_CAP
-            s1 = np.exp(np.where(direct, 0.0, log_scale)) * _contract(wk, e)
-            if direct.any():
-                s1[direct] = _node_sums(diff[direct], offsets, weights, prec, log_norm)
-            sums.append(np.sum(sqrt_f * s1))
-        return sums, np.sum(f), len(f)
-
-    n_rest = int(np.prod([len(a) for a in axes[1:]]))
-    chunk = max(1, chunk_cells // max(n_rest, 1))
-    totals, mass, n = [0.0] * len(orders), 0.0, 0
-    for start in range(0, len(axes[0]), chunk):
-        grids = np.meshgrid(axes[0][start:start + chunk], *axes[1:], indexing="ij")
-        centers = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-        sums, f_mass, cells = accumulate(centers)
-        totals, mass, n = [t + s for t, s in zip(totals, sums)], mass + f_mass, n + cells
-    rel = 8.0 * EPS * (abs(log_norm) + q_max + dim * max(orders) + n)
+            totals[i] += float(np.sum(sqrt_f @ e))
+        mass, n_max = mass + np.sum(f), max(n_max, len(f))
+    rel = EPS * (8.0 * (abs(log_norm) + q_max + dim * max(orders))
+                 + n_max + max(orders) ** dim + len(starts))
     return totals, mass, rel
 
 
@@ -456,7 +426,9 @@ def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int,
     """Estimate TV(P, Q) = E_P[max(0, 1 - q/p)] with a 95% CLT half-width.
 
     Draws from substream (seed, ``TV``, point): one stream per grid point.
-    """
+    ValueError unless ``n_samples`` >= 2, the fewest the half-width needs."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     rng = substream(seed, TV, point)
     x = sampler_p(rng, n_samples)
     p = np.asarray(density_p(x), dtype=float)
@@ -472,8 +444,11 @@ def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int,
 
 def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
                              point: int = 0) -> DistanceEstimate:
-    """TV between the perturbed count law and the matched normal, by Monte Carlo."""
+    """TV between the perturbed count law and the matched normal, by Monte Carlo.
+    ValueError unless m >= 1 and ``theta`` is a probability vector."""
     theta = _checked_theta(theta)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     active = _active_cells(theta)
     if len(active) <= 1:
         return DistanceEstimate(value=0.0, kind="tv", method="monte_carlo",

@@ -95,10 +95,10 @@ samples = 4
 # quadrature artifacts follow the Hellinger affinity over the ellipsoidal window
 # and its error budget.
 TASK_SHA256 = {
-    "distances.json": "45512af459dea92ad9a5c7f4201ea942f569b8e01a4d438bb5a444750758561b",
-    "distance_fixtures.json": "7ff790ecdc786744e15d038e9aa879e397e94af1be1734db94cb674c6af1ac61",
-    "scaling_0.csv": "43c1788df9ec4446ee8cefad15378a870024778ae81887730dfa576d183d5cfa",
-    "scaling_0.json": "92ce195917dd7da069cb0f11dbe565cc612f66b8f886278fd902e003cf82d9c4",
+    "distances.json": "b998c3633323772e1e4a38c1be30efc7abca7e2e33c1fa73c04f23c08583562b",
+    "distance_fixtures.json": "d029ae41137d12fe7c8a6c616f7402c1a66cad013a8ff6a6db0d5705b99db0e9",
+    "scaling_0.csv": "495c20581bac0d2195cee08318efbc17b1af99a3dc5a5d634bffbcb7f70509b0",
+    "scaling_0.json": "f4236bcf3492fc9646c64fc2b926dba53b16fec8f175fd99bf3f90951cb36853",
     "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
     "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
     "transfer.json": "2f9a4199852ec320fa94a9c4398288b249b827c5350775225d3ad601fe8c9603",

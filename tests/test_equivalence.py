@@ -224,10 +224,16 @@ class TestPerturbedDensity:
         lambda theta: eq.perturbed_density(4, theta, [2.0]),
         lambda theta: eq.gaussian_marginal_density(4, theta, [2.0]),
         lambda theta: eq.multinomial_pmf([2, 2], 4, theta),
-    ], ids=["perturbed", "gaussian", "pmf"])
+        lambda theta: eq.perturbed_sampler(4, theta),
+    ], ids=["perturbed", "gaussian", "pmf", "sampler"])
     def test_invalid_theta_rejected(self, density, theta):
         with pytest.raises(ValueError):
             density(theta)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_sampler_rejects_m_below_one(self, m):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            eq.perturbed_sampler(m, [0.5, 0.5])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_decomposition_matches_direct(self, seed):
@@ -293,16 +299,21 @@ class TestHellinger:
         assert abs(est.value - FIXTURE_R4_BOX[m]) <= est.error_bar
         assert abs(est.value - FIXTURE_R4_SQ_DIFF[m]) <= est.error_bar
 
-    @pytest.mark.parametrize("m, theta, order", [
-        (12, [0.2, 0.3, 0.5], 4),
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("chunk_cells", [1, 7])
+    @pytest.mark.parametrize("m, theta, order, rel", [
+        (12, [0.2, 0.3, 0.5], 4, 1e-12),
         # a small last cell makes P large along the all-ones direction
-        (16, [0.5, 0.499, 0.001], 5),
-        (16, [0.5, 0.3, 0.199, 0.001], 5),
-        # P large enough that rows near the mean are summed node by node
-        (16, [0.5, 0.5 - 2**-17, 2**-17], 5),
+        (16, [0.5, 0.499, 0.001], 5, 1e-12),
+        (16, [0.5, 0.3, 0.199, 0.001], 5, 1e-12),
+        (16, [0.5, 0.5 - 2**-17, 2**-17], 5, 1e-12),
+        # P about 1e9: exponent parts of about 1e9 cancel in both sums, hence rel 1e-7
+        (4, [0.4, 0.6 - 1e-10, 1e-10], 5, 1e-7),
     ])
-    def test_separable_form_matches_per_node_sum(self, m, theta, order):
-        # the affinity: sum over cells and tensor nodes of w sqrt(f) sqrt(g), node by node
+    def test_node_sum_matches_per_node_oracle(self, monkeypatch, m, theta, order, rel,
+                                              chunk_cells):
+        # the affinity: sum over cells and tensor nodes of w sqrt(f) sqrt(g), with
+        # one density evaluation per node
         theta, window = np.array(theta), 8.0
         dim = len(theta) - 1
         cells = ellipsoid_window(m, theta, window)
@@ -313,10 +324,15 @@ class TestHellinger:
         for idx in itertools.product(range(order), repeat=dim):
             sqrt_g = np.sqrt(eq.gaussian_marginal_density(m, theta, cells + x[list(idx)] / 2))
             want += np.prod(w[list(idx)] / 2) * np.sum(sqrt_f * sqrt_g)
-        # one row of the first axis per chunk
-        (got, got_cmp), mass, _ = eq._affinity_window(m, theta, (order, 3), window, chunk_cells=7)
-        assert got == pytest.approx(want, rel=1e-12)
+        # with chunk_cells = 1 most chunks hold no cell of W
+        evaluated = self._pmf_cells(monkeypatch)
+        (got, got_cmp), mass, _ = eq._affinity_window(m, theta, (order, 3), window, chunk_cells)
+        monkeypatch.undo()
+        assert sum(map(len, evaluated)) == len(cells)
+        assert got == pytest.approx(want, rel=rel)
         assert mass == pytest.approx(f.sum(), rel=1e-12)
+        if theta.min() <= measurement.ACTIVE_TOL:
+            return  # the distance itself drops the inactive cell
         est = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=order))
         assert math.isfinite(est.error_bar)
         if max(got, got_cmp) > 1:  # an impossible affinity gives the vacuous bar
@@ -500,6 +516,20 @@ class TestTVMonteCarlo:
         p = lambda x: np.zeros_like(np.asarray(x))
         with pytest.raises(TomolabError, match="sampling density vanished"):
             eq.tv_monte_carlo(sampler, p, p, 100, seed=3)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_rejected(self, n_samples):
+        # one sample has no standard deviation, so no error bar
+        sampler = lambda rng, n: rng.uniform(0, 1, n)
+        p = lambda x: np.ones_like(np.asarray(x))
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            eq.tv_monte_carlo(sampler, p, p, n_samples, seed=3)
+
+    @pytest.mark.parametrize("theta", [[0.5, 0.5], [1.0, 0.0]])
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_m_below_one_rejected(self, theta, m):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            eq.tv_perturbed_vs_gaussian(m, theta, 100, seed=1)
 
     def test_stream_keyed_by_point(self, monkeypatch):
         from test_regression import _count_calls
