@@ -111,21 +111,31 @@ def _checked_theta(theta) -> np.ndarray:
 
 
 def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
-    """Multinomial pmf at integer vectors ``counts`` (last axis over cells); checks theta."""
+    """Multinomial pmf at integer vectors ``counts`` (last axis over cells); checks theta.
+
+    The cells are walked one column at a time, left to right, which adds in
+    the order a reduction over a row this short does."""
     counts = np.asarray(counts, dtype=float)
     theta = _checked_theta(theta)
+    if counts.shape[-1:] != theta.shape:
+        raise ValueError(f"counts have {counts.shape[-1:]} cells, theta has {len(theta)}")
     scalar = counts.ndim == 1
     if scalar:
         counts = counts[None, :]
-    valid = np.all(counts >= 0, axis=-1) & (np.abs(counts.sum(axis=-1) - m) < 0.5)
-    safe = np.where(counts < 0, 0.0, counts)
-    with np.errstate(divide="ignore"):
-        log_theta = np.log(theta)
-    terms = np.where((safe == 0) & (theta == 0.0)[None, :], 0.0, safe * log_theta[None, :])
-    log_pmf = gammaln(m + 1) - gammaln(safe + 1).sum(axis=-1) + terms.sum(axis=-1)
-    # a cell with theta = 0 must carry zero count
-    valid &= ~np.any((safe > 0) & (theta == 0.0)[None, :], axis=-1)
-    out = np.where(valid, np.exp(log_pmf), 0.0)
+    total, log_fact, terms = (np.zeros(counts.shape[:-1]) for _ in range(3))
+    valid = np.ones(counts.shape[:-1], dtype=bool)
+    log_theta = np.log(theta, where=theta > 0, out=np.zeros_like(theta))
+    for c, t, log_t in zip(np.moveaxis(counts, -1, 0), theta, log_theta):
+        total += c
+        if t == 0.0:
+            valid &= c == 0  # a cell with theta = 0 must carry zero count
+            continue
+        valid &= c >= 0
+        safe = np.maximum(c, 0.0)
+        log_fact += gammaln(safe + 1)
+        terms += safe * log_t
+    valid &= np.abs(total - m) < 0.5
+    out = np.exp(gammaln(m + 1) - log_fact + terms, where=valid, out=np.zeros(valid.shape))
     return float(out[0]) if scalar else out
 
 
@@ -304,8 +314,12 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     W is every unit cell that meets E(R) = {x : (x - mu)'P(x - mu) <= R^2},
     R = ``window``: the centres in the box |c_a - mu_a| <= R sd_a + 1/2 with
     q(c) = (c - mu)'P(c - mu) <= q_max = (R + delta)^2, delta = sqrt((r - 1)
-    lambda_max(P)) / 2 the longest P-length of a half cell diagonal, walked in
-    flat runs of ``chunk_cells`` box centres (a run may hold no cell of W).
+    lambda_max(P)) / 2 the longest P-length of a half cell diagonal.  Each row
+    of the box (axes 0..r-3 fixed) is walked only over the interval of the last
+    axis where q <= q_max, one cell to spare on each side, and the exact test
+    q(c) <= q_max decides.  The runs are flat and still counted in box cells,
+    ``chunk_cells`` each; a run's centres are its rows' intervals clipped to it
+    (a run may hold no cell of W).
     BC_W = sum_W sqrt(f_c) S1(c), S1 = sum_o w_o sqrt g(c + o), and each node
     term is the exp of its exact log, the rows (v, log_norm / 2 - q(c) / 4, 1),
     v = P(c - mu), times the node table: log_norm / 2 + log w_o - (c + o -
@@ -326,11 +340,27 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     shape = tuple((np.floor(mu + reach) - low + 1).astype(np.int64).tolist())
     q_max = (window + 0.5 * math.sqrt(dim * np.linalg.eigvalsh(prec)[-1])) ** 2
     tables = [_cell_node_tensors(order, prec) for order in orders]
-    size = math.prod(shape)
+    size, length = math.prod(shape), shape[-1]
+    # on a row (axes 0..r-3 fixed at mu + y) q is p (x - mid)^2 + const in the
+    # last axis' index x, so its centres with q <= q_max lie within `half` of mid;
+    # the discriminant is clamped at 0, so a row E misses keeps a few cells
+    y = low[:-1] + np.indices(shape[:-1]).reshape(dim - 1, size // length).T - mu[:-1]
+    p, b = prec[-1, -1], y @ prec[:-1, -1]
+    gap = np.einsum("nd,de,ne->n", y, prec[:-1, :-1], y) - q_max
+    half = np.sqrt(np.maximum(b * b - p * gap, 0.0)) / p
+    mid = mu[-1] - low[-1] - b / p
+    x = np.clip([np.ceil(mid - half) - 1, np.floor(mid + half) + 2], 0, length)
+    first, stop = np.arange(len(mid)) * length + x.astype(np.int64)  # flat, per row
     starts = range(0, size, chunk_cells)
     totals, mass, n_max = [0.0] * len(orders), 0.0, 0
     for start in starts:
-        flat = np.arange(start, min(start + chunk_cells, size))
+        end = min(start + chunk_cells, size)
+        span = slice(start // length, (end - 1) // length + 1)  # the rows the run meets
+        lo = np.clip(first[span], start, end)
+        n = np.clip(stop[span], start, end) - lo
+        if not n.any():
+            continue
+        flat = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
         centers = low + np.stack(np.unravel_index(flat, shape), axis=-1)
         diff = centers - mu
         v = diff @ prec

@@ -1,15 +1,15 @@
 """Reference computations the tests check the package against.
 
 Each one recomputes a property the package's constructions must have, by a
-route of its own: the multinomial pmf through conditional binomials, the
-Hellinger quadrature's lattice window cell by cell and the exact Mahalanobis
-distance of a cell, the Hellinger distance for 2 and 3 cells with the last
-axis integrated exactly, the two dataset translations one record at a time,
-class membership of a sampled state, orthogonality and Pauli projection
-traces of a family, a matrix rebuilt from its spectral decomposition, each
-member's spectrum on its own, the active index sets, cell probabilities and
-coarse moments one member at a time.  ``custom_basis`` wraps an explicit
-matrix list as a family.
+route of its own: the multinomial pmf through conditional binomials and as
+``gammaln`` reductions over whole rows, the Hellinger quadrature's lattice
+window cell by cell and the exact Mahalanobis distance of a cell, the
+Hellinger distance for 2 and 3 cells with the last axis integrated exactly,
+the two dataset translations one record at a time, class membership of a
+sampled state, orthogonality and Pauli projection traces of a family, a
+matrix rebuilt from its spectral decomposition, each member's spectrum on its
+own, the active index sets, cell probabilities and coarse moments one member
+at a time.  ``custom_basis`` wraps an explicit matrix list as a family.
 """
 
 import itertools
@@ -60,6 +60,27 @@ def multinomial_pmf_chain(counts, m: int, theta) -> float:
         remaining_trials -= u
         remaining_mass -= theta[j]
     return math.exp(log_p)
+
+
+def multinomial_pmf_gammaln(counts, m: int, theta) -> np.ndarray:
+    """The multinomial pmf as ``gammaln`` sums over the last axis, with
+    ``np.where`` masks for negative counts, wrong sums and cells of theta = 0;
+    the bit-exact reference for ``equivalence.multinomial_pmf``."""
+    counts = np.asarray(counts, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    scalar = counts.ndim == 1
+    if scalar:
+        counts = counts[None, :]
+    valid = np.all(counts >= 0, axis=-1) & (np.abs(counts.sum(axis=-1) - m) < 0.5)
+    safe = np.where(counts < 0, 0.0, counts)
+    # a cell with theta = 0 forms 0 * -inf, and a wrong sum may overflow exp; both are masked
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_theta = np.log(theta)
+        terms = np.where((safe == 0) & (theta == 0.0)[None, :], 0.0, safe * log_theta[None, :])
+        log_pmf = gammaln(m + 1) - gammaln(safe + 1).sum(axis=-1) + terms.sum(axis=-1)
+        valid &= ~np.any((safe > 0) & (theta == 0.0)[None, :], axis=-1)
+        out = np.where(valid, np.exp(log_pmf), 0.0)
+    return float(out[0]) if scalar else out
 
 
 def _matched_normal(m: int, theta) -> tuple:

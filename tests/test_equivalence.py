@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, hellinger_ndtr,
-                     lattice_box, multinomial_pmf_chain, round_off_per_record,
-                     translate_per_record)
+                     lattice_box, multinomial_pmf_chain, multinomial_pmf_gammaln,
+                     round_off_per_record, translate_per_record)
 from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
 from tomolab.errors import TomolabError
 from tomolab.rng import BLOCK, TRANSLATE, record_blocks
@@ -27,6 +27,15 @@ FIXTURE_R4 = {16: 0.3131424035207856, 64: 0.13144393229622026}
 FIXTURE_R4_BOX = {16: 0.3131424035207849, 64: 0.1314439322960302}
 # the window values of the integrand (sqrt f - sqrt g)^2 that the affinity replaced
 FIXTURE_R4_SQ_DIFF = {16: 0.3131424015473856, 64: 0.1314439321963495}
+# _affinity_window(m, theta, (5, 3), 8.0, 4096) as float.hex: both affinities, sum_W f, rel
+WINDOW_HEX = {
+    (16, (0.1, 0.2, 0.3, 0.4)): ("0x1.e6e5a8fcb9034p-1", "0x1.e6e5ab9c376c9p-1",
+                                 "0x1.fffffff56234dp-1", "0x1.e2668972c8f60p-41"),
+    (64, (0.1, 0.2, 0.3, 0.4)): ("0x1.fb93b3870770fp-1", "0x1.fb93b390a3fd3p-1",
+                                 "0x1.ffffffffc646dp-1", "0x1.00873b9f80396p-40"),
+    (16, (0.3, 0.3, 0.3999, 1e-4)): ("0x1.fd9ef1e03a7e2p-2", "0x1.d593eae638acap-1",
+                                     "0x1.ffffd7c5b1cd1p-1", "0x1.0cc24e7da648fp-38"),
+}
 # 2- and 3-cell points of the distances-4cell and scaling-lowdim benchmark grids
 BENCH_POINTS = [(theta, m) for theta in ([0.5, 0.5], [0.3, 0.7], [0.2, 0.3, 0.5])
                 for m in (16, 64, 256, 1024, 4096)]
@@ -256,6 +265,54 @@ class TestPerturbedDensity:
         assert multinomial_pmf_chain(np.array([0, 1, 1]), 2, theta) == 0.0
 
 
+class TestMultinomialPmf:
+    @staticmethod
+    def _batch(rng, r, m, theta, n=3000):
+        """Multinomial draws, and among them rows with a negative count, a wrong
+        sum, non-integer counts and counts anywhere in [-2, m + 2]."""
+        counts = rng.multinomial(m, theta, size=n).astype(float)
+        counts[1::5, 0] -= 1
+        counts[1::5, -1] += 1
+        counts[2::5, -1] += 1
+        counts[3::5, 0] += 0.5
+        counts[3::5, 1] -= 0.5
+        counts[4::5] = rng.integers(-2, m + 3, size=counts[4::5].shape)
+        return counts
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [0, 1, 7, 64, 256])
+    @pytest.mark.parametrize("zero", [None, 0, -1], ids=["positive", "zero-first", "zero-last"])
+    def test_matches_gammaln_oracle(self, r, m, zero):
+        rng = np.random.default_rng(100 * r + m)
+        theta = rng.dirichlet(np.ones(r))
+        if zero is not None:
+            theta[zero] = 0.0
+            theta /= theta.sum()
+        counts = self._batch(rng, r, m, theta)
+        got = eq.multinomial_pmf(counts, m, theta)
+        np.testing.assert_array_equal(got, multinomial_pmf_gammaln(counts, m, theta))
+        assert np.any(got > 0)
+        shaped = counts.reshape(30, 100, r)
+        np.testing.assert_array_equal(eq.multinomial_pmf(shaped, m, theta),
+                                      multinomial_pmf_gammaln(counts, m, theta).reshape(30, 100))
+        for row in counts[:7]:
+            one = eq.multinomial_pmf(row, m, theta)
+            assert type(one) is float and one == multinomial_pmf_gammaln(row, m, theta)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_cell_emits_no_warning(self):
+        theta = [0.5, 0.0, 0.5]
+        assert eq.multinomial_pmf([1, 0, 1], 2, theta) == 0.5
+        assert eq.multinomial_pmf([1, 1, 0], 2, theta) == 0.0
+        np.testing.assert_array_equal(
+            eq.perturbed_density(2, theta, [[1.2, 0.1], [0.0, -0.3], [0.9, 1.0]]),
+            [0.5, 0.25, 0.0])
+
+    def test_cell_count_must_match_theta(self):
+        with pytest.raises(ValueError, match="cells"):
+            eq.multinomial_pmf([[1.0, 1.0, 0.0]], 2, [0.5, 0.5])
+
+
 class TestHellinger:
     def test_range(self):
         est = eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5])
@@ -298,6 +355,11 @@ class TestHellinger:
         # change is inside the error bar
         assert abs(est.value - FIXTURE_R4_BOX[m]) <= est.error_bar
         assert abs(est.value - FIXTURE_R4_SQ_DIFF[m]) <= est.error_bar
+
+    @pytest.mark.parametrize("m, theta", sorted(WINDOW_HEX))
+    def test_window_outputs_are_pinned(self, m, theta):
+        (bc, bc_cmp), mass, rel = eq._affinity_window(m, np.array(theta), (5, 3), 8.0, 4096)
+        assert tuple(float(x).hex() for x in (bc, bc_cmp, mass, rel)) == WINDOW_HEX[m, theta]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("chunk_cells", [1, 7])
