@@ -37,7 +37,7 @@ __all__ = ["ExperimentConfig", "ReportBundle", "load_config", "run", "estimator_
 TASKS = ("simulate", "translate", "distances", "zeta", "corollaries",
          "estimator_transfer", "scaling")
 
-ENVELOPE = {"d": 16, "m": 4096, "n": 100_000}
+ENVELOPE = {"d": 16, "m": 4096, "n": 100_000, "tv_samples": 1_000_000, "replications": 10_000}
 
 
 def _parse_vector(text: str):
@@ -188,9 +188,13 @@ def _check_grids(cfg: ExperimentConfig) -> None:
             theta = equivalence._checked_theta(theta)
         except ValueError as exc:
             raise ConfigParseError(f"bad theta: {exc}") from exc
+        active = len(measurement._active_cells(theta))
         # H = 0 at every m without two active cells, so there is no slope
-        if cfg.task == "scaling" and len(measurement._active_cells(theta)) < 2:
+        if cfg.task == "scaling" and active < 2:
             raise ConfigParseError(f"scaling theta {theta.tolist()} has fewer than two active cells")
+        if active > equivalence.MAX_QUAD_CELLS:
+            raise ConfigParseError(f"theta {theta.tolist()} has {active} active cells, more than "
+                                   f"the {equivalence.MAX_QUAD_CELLS} the quadrature supports")
     if any(m < 1 for m in cfg.m_grid):
         raise ConfigParseError(f"m_grid values must be at least 1, got {cfg.m_grid}")
     distinct = len(set(cfg.m_grid))
@@ -208,6 +212,9 @@ def _check_envelope(cfg: ExperimentConfig) -> None:
         raise ConfigParseError(f"n = {cfg.n} exceeds envelope {ENVELOPE['n']}")
     if any(m > ENVELOPE["m"] for m in cfg.m_grid):
         raise ConfigParseError(f"m_grid exceeds envelope {ENVELOPE['m']}")
+    for key, value in (("tv_samples", cfg.tv_samples), ("replications", cfg.replications)):
+        if value > ENVELOPE[key]:
+            raise ConfigParseError(f"{key} = {value} exceeds envelope {ENVELOPE[key]}")
     for fname in [cfg.g_file, cfg.matrix_file] + list(cfg.witness_files):
         if fname and not os.path.exists(fname):
             raise ConfigParseError(f"referenced file does not exist: {fname}")
@@ -302,8 +309,9 @@ def _task_distances(cfg, path):
         tv = equivalence.tv_perturbed_vs_gaussian(m, theta, cfg.tv_samples, cfg.seed, i)
         return hel, tv
 
+    # one thread maps in the calling thread: a pool worker allocates from its own malloc arena
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(one, range(len(points))))
+        results = list((pool.map if cfg.threads > 1 else map)(one, range(len(points))))
 
     rows, estimates = [], []
     ok_all = True

@@ -8,18 +8,19 @@ Two data translations drive everything here:
 * ``kernel_K1`` rounds the first r-1 coordinates half-away-from-zero and
   inverts K0 exactly on every count vector.
 
-The perturbed counts have a piecewise-constant joint density on unit cells.
-Distances to the moment-matched multivariate normal are computed two ways:
-Hellinger from the Bhattacharyya affinity, by per-cell Gauss-Legendre
-quadrature over the cells that meet the normal's Mahalanobis ellipsoid on the
-first r-1 coordinates (the last is the same deterministic function of the rest
-under both laws, so the marginal distance equals the joint one), with an error
-budget and a vacuous bar for an impossible affinity above 1; and total
-variation by Monte Carlo with CLT error bars.  A scaling study fits the log-log
-slope of the Hellinger distance against the number of repetitions; with the
-product rule for squared Hellinger distances over independent records and the
-two-stage total variation bound, these are the quantitative ingredients of the
-deficiency bounds evaluated in :mod:`tomolab.diagnostics`.
+The perturbed counts have a piecewise-constant joint density on unit cells:
+the multinomial pmf of the cell.  Each distance to the moment-matched
+multivariate normal on the first r-1 coordinates (the last is the same
+deterministic function of the rest under both laws, so the marginal distance
+equals the joint one) has one function: ``hellinger_perturbed_vs_gaussian``,
+from the Bhattacharyya affinity by per-cell Gauss-Legendre quadrature over the
+cells that meet the normal's Mahalanobis ellipsoid, with an error budget and a
+vacuous bar for an impossible affinity above 1; and ``tv_perturbed_vs_gaussian``,
+total variation by Monte Carlo with a CLT error bar.  A scaling study fits the
+log-log slope of the Hellinger distance against the number of repetitions;
+with the product rule for squared Hellinger distances over independent records
+and the two-stage total variation bound, these are the quantitative
+ingredients of the deficiency bounds evaluated in :mod:`tomolab.diagnostics`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
     "DistanceEstimate",
-    "QuadSpec",
     "ScalingReport",
     "round_half_away",
     "multinomial_pmf",
@@ -44,12 +44,8 @@ __all__ = [
     "kernel_K1",
     "translate_qst_to_regression",
     "translate_regression_to_qst",
-    "perturbed_density",
-    "gaussian_marginal_density",
-    "perturbed_sampler",
     "hellinger_perturbed_vs_gaussian",
     "product_hellinger_bound",
-    "tv_monte_carlo",
     "tv_perturbed_vs_gaussian",
     "conditional_tv_bound",
     "fit_loglog_slope",
@@ -61,6 +57,7 @@ __all__ = [
 SLOPE_BAND = (-0.70, -0.35)
 MIN_SCALING_POINTS = 4  # distinct m values a slope fit needs
 MAX_QUAD_M = 4096
+MAX_QUAD_CELLS = 4
 H_MAX = math.sqrt(2.0)  # the Hellinger distance never exceeds sqrt(2)
 EPS = np.finfo(float).eps
 
@@ -74,21 +71,13 @@ class DistanceEstimate:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Cellwise Gauss-Legendre settings for the Hellinger integral.
-
-    One pass over the window W, the cells meeting the Mahalanobis ellipsoid of
-    radius R = ``window``, gives the affinity at ``order`` and at
-    ``compare_order`` (the order term of the error bar, an estimate).  Each
-    flat run of ``chunk_cells`` box cells holds a (kept cells x nodes) exponent
-    matrix; 2048 and 4096 gave the least peak memory at the 4-cell benchmark.
-    """
-
-    order: int = 5
-    compare_order: int = 3
-    window: float = 8.0
-    chunk_cells: int = 4096
+# Cellwise Gauss-Legendre for the Hellinger integral.  One pass over the
+# window W, the cells meeting the Mahalanobis ellipsoid of radius R = WINDOW,
+# gives the affinity at ORDER and at COMPARE_ORDER (the order term of the error
+# bar, an estimate).  Each flat run of CHUNK_CELLS box cells holds a (kept
+# cells x nodes) exponent matrix; 2048 and 4096 gave the least peak memory at
+# the 4-cell benchmark.
+ORDER, COMPARE_ORDER, WINDOW, CHUNK_CELLS = 5, 3, 8.0, 4096
 
 
 def round_half_away(x):
@@ -224,33 +213,7 @@ def translate_regression_to_qst(samples, m: int) -> tuple:
                              counts=_rows(counts, starts[keep], lengths[keep])), int((~keep).sum())
 
 
-# --- densities on the first r-1 coordinates -------------------------------------
-
-
-def perturbed_density(m: int, theta, x) -> np.ndarray:
-    """Joint density of the first r-1 perturbed counts at points ``x``.
-
-    The perturbed vector determines its source counts by rounding, so the
-    density is the multinomial pmf at the rounded lattice point, constant on
-    unit cells and zero outside the support.
-    """
-    theta = _checked_theta(theta)
-    dim = len(theta) - 1
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        pts, scalar = x.reshape(1, 1), True
-    elif x.ndim == 1 and dim == 1:
-        pts, scalar = x[:, None], False
-    elif x.ndim == 1:
-        pts, scalar = x[None, :], True
-    else:
-        pts, scalar = x, False
-    if pts.shape[-1] != dim:
-        raise ValueError(f"expected points of dimension {dim}")
-    head = round_half_away(pts)
-    full = np.concatenate([head, m - head.sum(axis=-1, keepdims=True)], axis=-1)
-    vals = multinomial_pmf(full, m, theta)
-    return float(vals[0]) if scalar else vals
+# --- the matched normal on the first r-1 coordinates ------------------------------
 
 
 def _gaussian_marginal_params(m: int, theta):
@@ -263,34 +226,11 @@ def _gaussian_marginal_params(m: int, theta):
     return mu, cov, np.linalg.inv(cov), -0.5 * (dim * np.log(2 * np.pi) + logdet)
 
 
-def gaussian_marginal_density(m: int, theta, x) -> np.ndarray:
-    """Moment-matched normal density of the first r-1 count coordinates."""
+def _gaussian_density(m: int, theta, x) -> np.ndarray:
+    """Matched normal density of the first r-1 counts at the (n, r - 1) points ``x``."""
     mu, _, prec, log_norm = _gaussian_marginal_params(m, theta)
-    dim = len(mu)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1, 1)
-    elif x.ndim == 1:
-        x = x[:, None] if dim == 1 else x[None, :]
     diff = x - mu
-    quad = np.einsum("nd,de,ne->n", diff, prec, diff)
-    return np.exp(log_norm - 0.5 * quad)
-
-
-def perturbed_sampler(m: int, theta):
-    """Sampler of the first r-1 perturbed coordinates, for Monte Carlo use.
-    ValueError unless m >= 1 and ``theta`` is a probability vector."""
-    theta = _checked_theta(theta)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    dim = len(theta) - 1
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = rng.multinomial(m, theta, size=n)
-        psi = rng.uniform(-0.5, 0.5, size=(n, dim))
-        return counts[:, :dim] + psi
-
-    return draw
+    return np.exp(log_norm - 0.5 * np.einsum("nd,de,ne->n", diff, prec, diff))
 
 
 # --- Hellinger quadrature --------------------------------------------------------
@@ -381,7 +321,7 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     return totals, mass, rel
 
 
-def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -> DistanceEstimate:
+def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
     """Hellinger distance between perturbed counts and the matched normal law.
 
     f is constant on unit cells and both laws have mass 1, so H^2 = 2 - 2 BC,
@@ -400,7 +340,6 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     then H is sqrt(2) with the vacuous bar sqrt(2).  ValueError unless
     ``theta`` is a probability vector.
     """
-    spec = quad_spec or QuadSpec()
     theta = _checked_theta(theta)
     if m < 1 or m > MAX_QUAD_M:
         raise ValueError(f"m must be in [1, {MAX_QUAD_M}]")
@@ -411,14 +350,13 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     sub = theta[active]
     sub = sub / sub.sum()
     r = len(sub)
-    if r > 4:
-        raise TomolabError(f"quadrature supports up to 4 cells, got {r}; use tv_monte_carlo")
-    (bc, bc_cmp), mass, rel = _affinity_window(m, sub, (spec.order, spec.compare_order),
-                                               spec.window, spec.chunk_cells)
+    if r > MAX_QUAD_CELLS:
+        raise TomolabError(f"quadrature supports up to {MAX_QUAD_CELLS} cells, got {r}")
+    (bc, bc_cmp), mass, rel = _affinity_window(m, sub, (ORDER, COMPARE_ORDER), WINDOW, CHUNK_CELLS)
     a = 8.0 * EPS * (gammaln(m + 1) - m * np.log(sub.min()))
     h2 = 2.0 - 2.0 * bc
     value = math.sqrt(max(h2, 0.0))
-    tail_p, tail_q = max(1.0 - mass, 0.0) + a, gammaincc((r - 1) / 2, spec.window ** 2 / 2)
+    tail_p, tail_q = max(1.0 - mass, 0.0) + a, gammaincc((r - 1) / 2, WINDOW ** 2 / 2)
     budget = {"order_term": abs(value - math.sqrt(max(2.0 - 2.0 * bc_cmp, 0.0))),
               "tail_p": float(tail_p), "tail_q": float(tail_q),
               "truncation": 2.0 * math.sqrt(tail_p * tail_q),
@@ -428,7 +366,7 @@ def hellinger_perturbed_vs_gaussian(m: int, theta, quad_spec: QuadSpec = None) -
     if max(bc, bc_cmp) > 1.0:
         value = err = H_MAX
     return DistanceEstimate(value=value, kind="hellinger", method="quadrature", error_bar=err,
-                            params={"m": m, "theta": theta.tolist(), "order": spec.order, **budget})
+                            params={"m": m, "theta": theta.tolist(), "order": ORDER, **budget})
 
 
 def product_hellinger_bound(h_squares) -> float:
@@ -451,48 +389,37 @@ def product_hellinger_bound(h_squares) -> float:
 # --- total variation --------------------------------------------------------------
 
 
-def tv_monte_carlo(sampler_p, density_p, density_q, n_samples: int, seed: int,
-                   point: int = 0) -> DistanceEstimate:
-    """Estimate TV(P, Q) = E_P[max(0, 1 - q/p)] with a 95% CLT half-width.
-
-    Draws from substream (seed, ``TV``, point): one stream per grid point.
-    ValueError unless ``n_samples`` >= 2, the fewest the half-width needs."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    rng = substream(seed, TV, point)
-    x = sampler_p(rng, n_samples)
-    p = np.asarray(density_p(x), dtype=float)
-    if np.any(p <= 0):
-        raise TomolabError("sampling density vanished at a drawn point")
-    q = np.asarray(density_q(x), dtype=float)
-    vals = np.maximum(0.0, 1.0 - q / p)
-    value = float(vals.mean())
-    half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(n_samples)
-    return DistanceEstimate(value=value, kind="tv", method="monte_carlo",
-                            error_bar=half, params={"n_samples": n_samples})
-
-
 def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
                              point: int = 0) -> DistanceEstimate:
-    """TV between the perturbed count law and the matched normal, by Monte Carlo.
-    ValueError unless m >= 1 and ``theta`` is a probability vector."""
+    """TV(P, Q) = E_P[max(0, 1 - g/f)] between the perturbed count law P and
+    the matched normal Q on the first r-1 coordinates, by Monte Carlo with a
+    95% CLT half-width.
+
+    Draws from substream (seed, ``TV``, point), one stream per grid point: the
+    counts U, then the K0 uniforms psi.  The point x = U_head + psi rounds back
+    to U, so f(x) is the pmf at U.  ValueError unless m >= 1, ``n_samples`` >= 2
+    (the fewest the half-width needs) and ``theta`` is a probability vector."""
     theta = _checked_theta(theta)
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     active = _active_cells(theta)
     if len(active) <= 1:
         return DistanceEstimate(value=0.0, kind="tv", method="monte_carlo",
                                 error_bar=0.0, params={"m": m, "theta": theta.tolist()})
     sub = theta[active]
     sub = sub / sub.sum()
-    est = tv_monte_carlo(
-        perturbed_sampler(m, sub),
-        lambda x: perturbed_density(m, sub, x),
-        lambda x: gaussian_marginal_density(m, sub, x),
-        n_samples, seed, point,
-    )
-    return DistanceEstimate(value=est.value, kind="tv", method="monte_carlo",
-                            error_bar=est.error_bar,
+    rng = substream(seed, TV, point)
+    counts = rng.multinomial(m, sub, size=n_samples)
+    x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n_samples, len(sub) - 1))
+    f = multinomial_pmf(counts, m, sub)
+    if np.any(f <= 0):
+        raise TomolabError("sampling density vanished at a drawn point")
+    vals = np.maximum(0.0, 1.0 - _gaussian_density(m, sub, x) / f)
+    half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(n_samples)
+    return DistanceEstimate(value=float(vals.mean()), kind="tv", method="monte_carlo",
+                            error_bar=half,
                             params={"m": m, "theta": theta.tolist(), "n_samples": n_samples})
 
 
@@ -528,7 +455,7 @@ def fit_loglog_slope(m_grid, values) -> float:
                             np.log(np.asarray(values, dtype=float)), 1)[0])
 
 
-def scaling_study(theta, m_grid, quad_spec: QuadSpec = None) -> ScalingReport:
+def scaling_study(theta, m_grid) -> ScalingReport:
     """Hellinger distance across a repetition grid, with its log-log slope."""
     m_grid = [int(m) for m in m_grid]
     if len(set(m_grid)) < MIN_SCALING_POINTS:
@@ -536,7 +463,7 @@ def scaling_study(theta, m_grid, quad_spec: QuadSpec = None) -> ScalingReport:
     if len(_active_cells(_checked_theta(theta))) < 2:
         # H = 0 at every m, so there is no slope to fit
         raise ValueError(f"scaling study needs at least two active cells, got theta = {theta}")
-    estimates = [hellinger_perturbed_vs_gaussian(m, theta, quad_spec) for m in m_grid]
+    estimates = [hellinger_perturbed_vs_gaussian(m, theta) for m in m_grid]
     values = [e.value for e in estimates]
     slope = fit_loglog_slope(m_grid, values)
     return ScalingReport(

@@ -23,7 +23,7 @@ key     name             draws
 2       ``FINE``         design, standard normals of a basis-fixed width
 3       ``TRANSLATE``    K0 uniforms, flat per block (no design draw)
 4       ``TRANSFER``     estimator transfer: the one stream ``(seed, 4)``
-5       ``TV``           Monte-Carlo TV: ``(seed, 5, point)`` per grid point
+5       ``TV``           ``tv_perturbed_vs_gaussian``: ``(seed, 5, point)`` per grid point
 ======  ===============  ==================================================
 """
 

@@ -5,7 +5,7 @@ route of its own: the multinomial pmf through conditional binomials and as
 ``gammaln`` reductions over whole rows, the Hellinger quadrature's lattice
 window cell by cell and the exact Mahalanobis distance of a cell, the
 Hellinger distance for 2 and 3 cells with the last axis integrated exactly,
-the two dataset translations one record at a time, class membership of a
+the total variation distance for 2 cells exactly, the two dataset translations one record at a time, class membership of a
 sampled state, orthogonality and Pauli projection traces of a family, a
 matrix rebuilt from its spectral decomposition, each member's spectrum on its
 own, the active index sets, cell probabilities and coarse moments one member
@@ -165,6 +165,29 @@ def hellinger_ndtr(m: int, theta, radius: float = 12.0, order: int = 10) -> floa
     const = (8 * math.pi) ** (dim / 4) * np.linalg.det(cov) ** 0.25
     bc = const * math.fsum(sqrt_f * probs)
     return math.sqrt(max(2.0 - 2.0 * bc, 0.0))
+
+
+def tv_two_cell(m: int, theta) -> float:
+    """TV between the perturbed counts and the matched normal for 2 cells,
+    exactly.  On the unit cell of count c, f_c - g >= 0 exactly where
+    |x - mu| >= t_c, with g(mu + t_c) = f_c (t_c = 0 when f_c is at least the
+    normal's peak), so the cell adds f_c times the length of that part of the
+    cell minus its normal probability, each an ``ndtr`` difference."""
+    mu, cov = _matched_normal(m, theta)
+    mu, sd = mu[0], math.sqrt(cov[0, 0])
+    counts = np.arange(m + 1)
+    f = sps.binom.pmf(counts, m, theta[0])
+    log_ratio = np.log(f * sd * math.sqrt(2 * math.pi), where=f > 0, out=np.zeros(m + 1))
+    t = np.sqrt(np.maximum(-2.0 * log_ratio, 0.0)) * sd
+    terms = []
+    for lo, hi, f_c, t_c in zip(counts - 0.5, counts + 0.5, f, t):
+        for a, b in ((lo, min(hi, mu - t_c)), (max(lo, mu + t_c), hi)):
+            if a < b:
+                # upper-tail differences right of the mean keep their digits
+                mass = (ndtr((mu - a) / sd) - ndtr((mu - b) / sd) if a > mu
+                        else ndtr((b - mu) / sd) - ndtr((a - mu) / sd))
+                terms.append(f_c * (b - a) - mass)
+    return math.fsum(terms)
 
 
 def cell_min_mahalanobis_sq(m: int, theta, centres) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -481,6 +482,59 @@ m_grid = 16,inf
             cli.load_config(path)
         assert cli.main(["run", "--config", path]) == 2
 
+    @pytest.mark.parametrize("task, section, key", [
+        ("distances", "distances", "tv_samples"),
+        ("estimator_transfer", "transfer", "replications"),
+    ])
+    def test_sample_count_above_envelope_exits_2(self, tmp_path, capsys, task, section, key):
+        # 10^12 draws would end in a numpy allocation traceback, not a config error
+        text = f"""
+[run]
+task = {task}
+seed = 1
+out = {tmp_path / "o"}
+
+[{section}]
+{key} = {{value}}
+"""
+        cap = cli.ENVELOPE[key]
+        ok = cli.load_config(write_cfg(tmp_path, text.format(value=cap), "ok.cfg"))
+        assert getattr(ok, key) == cap
+        bad = write_cfg(tmp_path, text.format(value=10 ** 12), "bad.cfg")
+        with pytest.raises(ConfigParseError, match=f"{key} = {10 ** 12} exceeds envelope {cap}"):
+            cli.load_config(bad)
+        assert cli.main(["run", "--config", bad]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("task", ["distances", "scaling"])
+    def test_theta_with_five_active_cells_exits_2(self, tmp_path, monkeypatch, task):
+        # the quadrature integrates at most 4 cells; rejected before any point runs
+        def no_point(*args, **kwargs):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian", no_point)
+        monkeypatch.setattr(cli.equivalence, "tv_perturbed_vs_gaussian", no_point)
+        text = f"""
+[run]
+task = {task}
+seed = 1
+out = {tmp_path / "o"}
+
+[{task}]
+theta = 0.1,0.2,0.3,0.4; 0.2,0.2,0.2,0.2,0.2
+m_grid = 16,64,256,1024
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match="has 5 active cells"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+        # an inactive fifth cell leaves 4 to integrate
+        cfg = cli.load_config(write_cfg(tmp_path, text.replace("0.2,0.2,0.2,0.2,0.2",
+                                                               "0.25,0.25,0.25,0.25,0"), "4.cfg"))
+        assert cfg.thetas[1] == [0.25, 0.25, 0.25, 0.25, 0.0]
+
     def test_rejections_are_value_errors(self):
         assert issubclass(TomolabError, ValueError)
         assert issubclass(ConfigParseError, TomolabError)
@@ -602,6 +656,24 @@ tv_samples = 2000
         first, second = json.loads((out / "distances.json").read_text())["grid"]
         assert first["hellinger"] == second["hellinger"]
         assert first["tv"] != second["tv"]
+
+    def test_one_thread_runs_points_in_the_calling_thread(self, tmp_path, monkeypatch):
+        idents = []
+        hellinger = cli.equivalence.hellinger_perturbed_vs_gaussian
+        monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian",
+                            lambda m, theta: idents.append(threading.get_ident()) or hellinger(m, theta))
+        text = f"""
+[run]
+task = distances
+seed = 5
+out = {tmp_path / "o"}
+
+[distances]
+m_grid = 16,64
+tv_samples = 100
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--threads", "1"]) == 0
+        assert idents == [threading.get_ident()] * 2
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

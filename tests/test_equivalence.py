@@ -12,10 +12,10 @@ from scipy import stats as sps
 
 from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, hellinger_ndtr,
                      lattice_box, multinomial_pmf_chain, multinomial_pmf_gammaln,
-                     round_off_per_record, translate_per_record)
+                     round_off_per_record, translate_per_record, tv_two_cell)
 from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
 from tomolab.errors import TomolabError
-from tomolab.rng import BLOCK, TRANSLATE, record_blocks
+from tomolab.rng import BLOCK, TRANSLATE, TV, record_blocks, substream
 
 PAULI2 = bases.build_basis("pauli", 2)
 
@@ -209,40 +209,54 @@ class TestTranslation:
         np.testing.assert_array_equal(back.counts[0], [2, 2])
 
 
+def whole_cells(m: int, heads) -> np.ndarray:
+    """Count vectors of the unit cells centred at the first r - 1 counts ``heads``."""
+    heads = np.asarray(heads, dtype=float)
+    return np.concatenate([heads, m - heads.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def hellinger_order_12(m: int, theta) -> float:
+    """H from the affinity over the same window at order 12, for cells all active."""
+    (bc, _), _, _ = eq._affinity_window(m, np.array(theta), (12, 10), eq.WINDOW, eq.CHUNK_CELLS)
+    return math.sqrt(max(2.0 - 2.0 * bc, 0.0))
+
+
 class TestPerturbedDensity:
+    # the perturbed density is constant on each unit cell: the pmf at its centre
+
     def test_binomial_point(self):
-        assert eq.perturbed_density(1, [0.5, 0.5], 0.2) == pytest.approx(0.5)
+        assert eq.multinomial_pmf(whole_cells(1, [0.0]), 1, [0.5, 0.5]) == 0.5
 
     def test_integrates_to_one(self):
         m, theta = 12, np.array([0.3, 0.7])
-        cells = np.arange(-2, m + 3)
-        total = eq.perturbed_density(m, theta, cells.astype(float)).sum()
+        cells = np.arange(-2, m + 3)[:, None]
+        total = eq.multinomial_pmf(whole_cells(m, cells), m, theta).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_integrates_to_one_trinomial(self):
         m, theta = 9, np.array([0.2, 0.3, 0.5])
-        grid = np.array([[a, b] for a in range(-1, m + 2) for b in range(-1, m + 2)],
-                        dtype=float)
-        assert eq.perturbed_density(m, theta, grid).sum() == pytest.approx(1.0, abs=1e-9)
+        grid = [[a, b] for a in range(-1, m + 2) for b in range(-1, m + 2)]
+        assert eq.multinomial_pmf(whole_cells(m, grid), m, theta).sum() == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_outside_support(self):
-        assert eq.perturbed_density(1, [0.5, 0.5], 10.0) == 0.0
+        assert eq.multinomial_pmf(whole_cells(1, [10.0]), 1, [0.5, 0.5]) == 0.0
 
     @pytest.mark.parametrize("theta", [[0.5, 0.6], [0.5, math.nan], [1.5, -0.5]])
     @pytest.mark.parametrize("density", [
-        lambda theta: eq.perturbed_density(4, theta, [2.0]),
-        lambda theta: eq.gaussian_marginal_density(4, theta, [2.0]),
+        lambda theta: eq._gaussian_density(4, theta, np.array([[2.0]])),
         lambda theta: eq.multinomial_pmf([2, 2], 4, theta),
-        lambda theta: eq.perturbed_sampler(4, theta),
-    ], ids=["perturbed", "gaussian", "pmf", "sampler"])
+        lambda theta: eq.tv_perturbed_vs_gaussian(4, theta, 100, seed=1),
+    ], ids=["gaussian", "pmf", "sampler"])
     def test_invalid_theta_rejected(self, density, theta):
         with pytest.raises(ValueError):
             density(theta)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_sampler_rejects_m_below_one(self, m):
+        # checked before the sample count, so the first error names m
         with pytest.raises(ValueError, match="m must be at least 1"):
-            eq.perturbed_sampler(m, [0.5, 0.5])
+            eq.tv_perturbed_vs_gaussian(m, [0.5, 0.5], 1, seed=1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_decomposition_matches_direct(self, seed):
@@ -305,7 +319,7 @@ class TestMultinomialPmf:
         assert eq.multinomial_pmf([1, 0, 1], 2, theta) == 0.5
         assert eq.multinomial_pmf([1, 1, 0], 2, theta) == 0.0
         np.testing.assert_array_equal(
-            eq.perturbed_density(2, theta, [[1.2, 0.1], [0.0, -0.3], [0.9, 1.0]]),
+            eq.multinomial_pmf(whole_cells(2, [[1, 0], [0, 0], [1, 1]]), 2, theta),
             [0.5, 0.25, 0.0])
 
     def test_cell_count_must_match_theta(self):
@@ -380,11 +394,11 @@ class TestHellinger:
         dim = len(theta) - 1
         cells = ellipsoid_window(m, theta, window)
         x, w = np.polynomial.legendre.leggauss(order)
-        f = eq.perturbed_density(m, theta, cells.astype(float))
+        f = eq.multinomial_pmf(whole_cells(m, cells), m, theta)
         sqrt_f = np.sqrt(f)
         want = 0.0
         for idx in itertools.product(range(order), repeat=dim):
-            sqrt_g = np.sqrt(eq.gaussian_marginal_density(m, theta, cells + x[list(idx)] / 2))
+            sqrt_g = np.sqrt(eq._gaussian_density(m, theta, cells + x[list(idx)] / 2))
             want += np.prod(w[list(idx)] / 2) * np.sum(sqrt_f * sqrt_g)
         # with chunk_cells = 1 most chunks hold no cell of W
         evaluated = self._pmf_cells(monkeypatch)
@@ -393,9 +407,9 @@ class TestHellinger:
         assert sum(map(len, evaluated)) == len(cells)
         assert got == pytest.approx(want, rel=rel)
         assert mass == pytest.approx(f.sum(), rel=1e-12)
-        if theta.min() <= measurement.ACTIVE_TOL:
-            return  # the distance itself drops the inactive cell
-        est = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=order))
+        if theta.min() <= measurement.ACTIVE_TOL or order != eq.ORDER:
+            return  # the distance itself drops the inactive cell, and runs at ORDER only
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta)
         assert math.isfinite(est.error_bar)
         if max(got, got_cmp) > 1:  # an impossible affinity gives the vacuous bar
             assert est.value == est.error_bar == eq.H_MAX
@@ -471,9 +485,8 @@ class TestHellinger:
         # the per-axis Bernstein tail of the whole box gave 0.406 +- 0.329 here
         m, theta = 256, [0.00069, 0.98201, 0.0173]
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        high = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=12, compare_order=10))
         assert est.error_bar < 0.01 * est.value
-        assert abs(est.value - high.value) <= est.error_bar
+        assert abs(est.value - hellinger_order_12(m, theta)) <= est.error_bar
 
     @pytest.mark.parametrize("theta, m", BENCH_POINTS)
     def test_matches_ndtr_oracle(self, theta, m):
@@ -491,8 +504,7 @@ class TestHellinger:
         want = hellinger_ndtr(m, theta)
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
         assert abs(est.value - want) <= est.error_bar
-        high = eq.hellinger_perturbed_vs_gaussian(m, theta, eq.QuadSpec(order=12, compare_order=10))
-        assert high.value == pytest.approx(want, abs=1e-10)
+        assert hellinger_order_12(m, theta) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("theta, m, exact", [
         ([0.5, 0.4999, 1e-4], 16, 1.070896),
@@ -561,31 +573,44 @@ class TestProductBound:
 
 class TestTVMonteCarlo:
     def test_identical_laws(self):
-        density = lambda x: np.exp(-0.5 * np.asarray(x) ** 2) / math.sqrt(2 * math.pi)
-        sampler = lambda rng, n: rng.standard_normal(n)
-        est = eq.tv_monte_carlo(sampler, density, density, 20_000, seed=1)
-        assert est.value <= est.error_bar + 1e-12
+        # one active cell: both laws are the same point mass
+        est = eq.tv_perturbed_vs_gaussian(16, [1.0, 0.0], 2, seed=1)
+        assert est.value == est.error_bar == 0.0
 
-    def test_shifted_uniform(self):
-        sampler = lambda rng, n: rng.uniform(0, 1, n)
-        p = lambda x: ((np.asarray(x) >= 0) & (np.asarray(x) <= 1)).astype(float)
-        q = lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)).astype(float)
-        est = eq.tv_monte_carlo(sampler, p, q, 50_000, seed=2)
-        assert est.value == pytest.approx(0.5, abs=3 * est.error_bar + 0.01)
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("m, exact", [(16, 0.059959), (256, 0.014815)])
+    def test_matches_exact_two_cell_oracle(self, m, exact, seed):
+        theta = [0.3, 0.7]
+        want = tv_two_cell(m, theta)
+        assert want == pytest.approx(exact, abs=1e-6)
+        est = eq.tv_perturbed_vs_gaussian(m, theta, 50_000, seed=seed)
+        assert abs(est.value - want) <= 3 * est.error_bar
 
-    def test_zero_density_raises(self):
-        sampler = lambda rng, n: rng.uniform(0, 1, n)
-        p = lambda x: np.zeros_like(np.asarray(x))
+    def test_zero_density_raises(self, monkeypatch):
+        monkeypatch.setattr(eq, "multinomial_pmf", lambda counts, m, theta: np.zeros(len(counts)))
         with pytest.raises(TomolabError, match="sampling density vanished"):
-            eq.tv_monte_carlo(sampler, p, p, 100, seed=3)
+            eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 100, seed=3)
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples_rejected(self, n_samples):
         # one sample has no standard deviation, so no error bar
-        sampler = lambda rng, n: rng.uniform(0, 1, n)
-        p = lambda x: np.ones_like(np.asarray(x))
         with pytest.raises(ValueError, match="n_samples must be at least 2"):
-            eq.tv_monte_carlo(sampler, p, p, n_samples, seed=3)
+            eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], n_samples, seed=3)
+
+    def test_one_pmf_call_at_the_drawn_counts(self, monkeypatch):
+        # U first, then psi; f is the pmf at U, since U_head + psi rounds back to U
+        m, theta, n = 16, [0.2, 0.3, 0.5], 1000
+        calls = []
+        pmf = eq.multinomial_pmf
+        monkeypatch.setattr(eq, "multinomial_pmf",
+                            lambda counts, m, theta: calls.append(counts) or pmf(counts, m, theta))
+        eq.tv_perturbed_vs_gaussian(m, theta, n, seed=7, point=2)
+        rng = substream(7, TV, 2)
+        counts = rng.multinomial(m, np.array(theta) / np.sum(theta), size=n)
+        x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, 2))
+        (drawn,) = calls
+        np.testing.assert_array_equal(drawn, counts)
+        np.testing.assert_array_equal(eq.round_half_away(x), counts[:, :-1])
 
     @pytest.mark.parametrize("theta", [[0.5, 0.5], [1.0, 0.0]])
     @pytest.mark.parametrize("m", [0, -2])

@@ -5,11 +5,14 @@ and every module-level def and class whose name does not start with an
 underscore, is either used somewhere in the package other than its own
 definition and its ``__all__`` entry, or named in the README's "Public API"
 paragraph as deliberately part of the library's API.  The package's own
-``__all__`` lists its modules, whose names are checked one by one.
-``bases._make_basis`` is the one place that constructs an ``ObservableBasis``.
+``__all__`` lists its modules, whose names are checked one by one.  Every name
+that paragraph lists, and every family and function of the README's RNG
+family table, is defined in the package.  ``bases._make_basis`` is the one
+place that constructs an ``ObservableBasis``.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -86,6 +89,25 @@ def _unreached(sources: dict, listed: set) -> list:
                   and not any(name in names for where, names in reads if where != (mod, name)))
 
 
+def _rng_table(text: str) -> list:
+    """(family, function) of each row of the README's RNG family table."""
+    return re.findall(r"^\| \d+ \| `(\w+)` \(`(\w+)`\)", text, re.M)
+
+
+def _undefined(names: set, sources: dict) -> list:
+    """The ``names``, builtins aside, that no module of ``sources`` defines at
+    module level as a def, a class or an assignment target."""
+    defined = set()
+    for src in sources.values():
+        for top in ast.parse(src).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(top.name)
+            targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+            defined.update(sub.id for target in targets if target is not None
+                           for sub in ast.walk(target) if isinstance(sub, ast.Name))
+    return sorted(name for name in names if name not in defined and not hasattr(builtins, name))
+
+
 def test_every_export_is_used_or_listed():
     assert _unreached(_sources(), _listed_public_api(README.read_text())) == []
 
@@ -118,6 +140,22 @@ def test_readme_paragraph_is_found():
     assert {"read_basis", "kernel_K1", "conditional_tv_bound"} <= listed
     # the paragraph after the list is not part of it
     assert "estimator_transfer_sweep" not in listed
+
+
+def test_readme_names_are_defined():
+    text = README.read_text()
+    rows = _rng_table(text)
+    assert [family for family, _ in rows] == ["TOMOGRAPHY", "COARSE", "FINE", "TRANSLATE",
+                                              "TRANSFER", "TV"]
+    named = _listed_public_api(text) | {name for row in rows for name in row}
+    assert _undefined(named, _sources()) == []
+
+
+def test_guard_sees_a_stale_readme_name():
+    sources = {"a": "X, Y = range(2)\nZ: int = 3\ndef f(): pass\nclass C: pass\n",
+               "b": "def g():\n    local = 1\n"}
+    assert _undefined({"X", "Y", "Z", "f", "C", "ValueError", "local", "gone"}, sources) == [
+        "gone", "local"]
 
 
 def test_one_basis_constructor():
