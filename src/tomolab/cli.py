@@ -28,16 +28,18 @@ import numpy as np
 import scipy
 
 from . import __version__, bases, diagnostics, equivalence, measurement, regression, states
-from .errors import ConfigParseError, TomolabError
-from .hermitian import hs_inner, read_matrix, stack_traces
-from .rng import RNG_CONTRACT, TRANSFER, substream
+from .errors import ConfigParseError
+from .hermitian import read_matrix
+from .rng import RNG_CONTRACT
 
-__all__ = ["ExperimentConfig", "ReportBundle", "load_config", "run", "estimator_transfer", "main"]
+__all__ = ["ExperimentConfig", "ReportBundle", "load_config", "run", "main"]
 
 TASKS = ("simulate", "translate", "distances", "zeta", "corollaries",
          "estimator_transfer", "scaling")
 
-ENVELOPE = {"d": 16, "m": 4096, "n": 100_000, "tv_samples": 1_000_000, "replications": 10_000}
+# [corollaries] samples <= 1000 also keeps the sample seeds seed + 1000 * s + i apart
+ENVELOPE = {"d": 16, "m": 4096, "n": 100_000, "tv_samples": 1_000_000, "replications": 10_000,
+            "samples": 1_000}
 
 
 def _parse_vector(text: str):
@@ -160,23 +162,33 @@ def load_config(path) -> ExperimentConfig:
 
     if "TOMOLAB_SEED" in os.environ:
         cfg.seed = int(os.environ["TOMOLAB_SEED"])
-    _check_envelope(cfg)
-    _check_sizes(cfg)
+    _check_bounds(cfg)
     _check_grids(cfg)
+    if (cfg.c0 is None) != (cfg.c1 is None) or cfg.c0 is not None and cfg.c0 > cfg.c1:
+        raise ConfigParseError(f"[tolerances] c0 and c1 must be set together with c0 <= c1, "
+                               f"got c0 = {cfg.c0}, c1 = {cfg.c1}")
+    for fname in [cfg.g_file, cfg.matrix_file] + list(cfg.witness_files):
+        if fname and not os.path.exists(fname):
+            raise ConfigParseError(f"referenced file does not exist: {fname}")
     return cfg
 
 
-def _check_sizes(cfg: ExperimentConfig) -> None:
+def _check_bounds(cfg: ExperimentConfig) -> None:
     # a Monte-Carlo half-width or a standard error needs two draws, translate's round
     # trip a record; an unset n is p >= 1 under a fixed design and 0 under a random one
     n = cfg.n if cfg.n is not None else int(cfg.design_mode == "fixed")
-    for key, value, least in (("[corollaries] samples", cfg.class_samples, 1),
-                              ("[distances] tv_samples", cfg.tv_samples, 2),
-                              ("[transfer] replications", cfg.replications, 2),
-                              ("[run] threads or --threads", cfg.threads, 1),
-                              ("[run] n", n, int(cfg.task == "translate"))):
+    for key, value, least, most in (
+            ("[basis] d", cfg.d, -math.inf, ENVELOPE["d"]),
+            ("[run] m", cfg.m, -math.inf, ENVELOPE["m"]),
+            ("[run] n", n, int(cfg.task == "translate"), ENVELOPE["n"]),
+            ("[corollaries] samples", cfg.class_samples, 1, ENVELOPE["samples"]),
+            ("[distances] tv_samples", cfg.tv_samples, 2, ENVELOPE["tv_samples"]),
+            ("[transfer] replications", cfg.replications, 2, ENVELOPE["replications"]),
+            ("[run] threads or --threads", cfg.threads, 1, math.inf)):
         if value < least:
             raise ConfigParseError(f"{key} must be at least {least}, got {value}")
+        if value > most:
+            raise ConfigParseError(f"{key.split()[1]} = {value} exceeds envelope {most}")
 
 
 def _check_grids(cfg: ExperimentConfig) -> None:
@@ -197,27 +209,12 @@ def _check_grids(cfg: ExperimentConfig) -> None:
                                    f"the {equivalence.MAX_QUAD_CELLS} the quadrature supports")
     if any(m < 1 for m in cfg.m_grid):
         raise ConfigParseError(f"m_grid values must be at least 1, got {cfg.m_grid}")
+    if any(m > ENVELOPE["m"] for m in cfg.m_grid):
+        raise ConfigParseError(f"m_grid exceeds envelope {ENVELOPE['m']}")
     distinct = len(set(cfg.m_grid))
     least = equivalence.MIN_SCALING_POINTS if cfg.task == "scaling" else 1
     if distinct < least:
         raise ConfigParseError(f"{cfg.task} needs at least {least} distinct m values, got {distinct}")
-
-
-def _check_envelope(cfg: ExperimentConfig) -> None:
-    if cfg.d > ENVELOPE["d"]:
-        raise ConfigParseError(f"d = {cfg.d} exceeds envelope {ENVELOPE['d']}")
-    if cfg.m > ENVELOPE["m"]:
-        raise ConfigParseError(f"m = {cfg.m} exceeds envelope {ENVELOPE['m']}")
-    if cfg.n is not None and cfg.n > ENVELOPE["n"]:
-        raise ConfigParseError(f"n = {cfg.n} exceeds envelope {ENVELOPE['n']}")
-    if any(m > ENVELOPE["m"] for m in cfg.m_grid):
-        raise ConfigParseError(f"m_grid exceeds envelope {ENVELOPE['m']}")
-    for key, value in (("tv_samples", cfg.tv_samples), ("replications", cfg.replications)):
-        if value > ENVELOPE[key]:
-            raise ConfigParseError(f"{key} = {value} exceeds envelope {ENVELOPE[key]}")
-    for fname in [cfg.g_file, cfg.matrix_file] + list(cfg.witness_files):
-        if fname and not os.path.exists(fname):
-            raise ConfigParseError(f"referenced file does not exist: {fname}")
 
 
 def _build_basis(cfg: ExperimentConfig) -> bases.ObservableBasis:
@@ -341,7 +338,7 @@ def _task_zeta(cfg, path):
     weights = None
     if design.mode == "random":
         weights = [design.weights_regression, design.weights_tomography]
-    c_bounds = (cfg.c0, cfg.c1) if cfg.c0 is not None and cfg.c1 is not None else None
+    c_bounds = (cfg.c0, cfg.c1) if cfg.c0 is not None else None
     report = diagnostics.zeta_fraction(wit, basis, weights=weights,
                                        tol=cfg.active_tol, state_labels=names,
                                        c_bounds=c_bounds)
@@ -367,7 +364,7 @@ def _task_zeta(cfg, path):
 
 
 def _task_corollaries(cfg, path):
-    results = corollary_suite(cfg.d, cfg.seed, cfg.class_samples)
+    results = diagnostics.corollary_suite(cfg.d, cfg.seed, cfg.class_samples)
     diagnostics.write_report_json({"checks": results}, path("corollaries.json"))
     return [{"name": res["name"], "anchor": res["anchor"], "passed": res["passed"]}
             for res in results]
@@ -375,7 +372,8 @@ def _task_corollaries(cfg, path):
 
 def _task_transfer(cfg, path):
     basis, state, _ = _inputs(cfg)
-    report = estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed, cfg.replications)
+    report = regression.estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed,
+                                                 cfg.replications)
     diagnostics.write_report_json(report, path("transfer.json"))
     columns = ("risk_counts", "risk_gaussian", "gap", "gap_se")
     measurement._write_table(path("transfer.csv"), ("m",) + columns, (
@@ -433,162 +431,6 @@ def run(cfg: ExperimentConfig) -> ReportBundle:
     return ReportBundle(manifest=manifest, artifacts=artifacts + [mpath], checks=checks)
 
 
-# --- estimator transfer --------------------------------------------------------
-
-
-def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict:
-    """Compare coefficient estimators fed by counts vs by Gaussian samples.
-
-    Fixed design over an orthogonal family (n = p): each replication
-    estimates every expansion coefficient by the per-observable average
-    outcome, once from the counted experiment and once from the Gaussian one,
-    normalizing by the member's squared norm.  Reports per-coefficient
-    squared errors and the paired gap in total squared risk.
-    """
-    if basis.kind not in ("hermitian", "pauli", "gvector"):
-        raise TomolabError("estimator transfer requires an orthogonal family")
-    p = basis.size
-    if m < 1:
-        raise TomolabError("m must be at least 1")
-    rng = substream(seed, TRANSFER)
-    norms = np.array([hs_inner(b, b).real for b in basis.matrices])
-    theta = measurement.cell_probabilities(rho, basis)
-    mean = stack_traces(basis.matrices, rho)
-    sd = np.sqrt(regression.noise_variance_coarse(rho, basis) / m)
-    alpha = mean / norms
-    err_counts = np.empty((replications, p))
-    err_gauss = np.empty((replications, p))
-    for j in range(p):
-        counts = rng.multinomial(m, theta[basis.cells(j)], size=replications)
-        est_c = counts @ basis.eigenvalues[basis.cells(j)] / m / norms[j]
-        est_g = (mean[j] + sd[j] * rng.standard_normal(replications)) / norms[j]
-        err_counts[:, j] = (est_c - alpha[j]) ** 2
-        err_gauss[:, j] = (est_g - alpha[j]) ** 2
-    risk_c = err_counts.sum(axis=1)
-    risk_g = err_gauss.sum(axis=1)
-    diff = risk_c - risk_g
-    gap_se = float(diff.std(ddof=1) / np.sqrt(replications))
-    return {
-        "m": m,
-        "replications": replications,
-        "per_j_sq_error_counts": err_counts.mean(axis=0).tolist(),
-        "per_j_sq_error_gaussian": err_gauss.mean(axis=0).tolist(),
-        "risk_counts": float(risk_c.mean()),
-        "risk_gaussian": float(risk_g.mean()),
-        "gap": float(abs(diff.mean())),
-        "gap_se": gap_se,
-    }
-
-
-def estimator_transfer_sweep(rho, basis, m_grid, seed: int, replications: int) -> dict:
-    """Run the transfer comparison across a repetition grid; check the gap shrinks."""
-    sweep = [estimator_transfer(rho, basis, int(m), seed, replications) for m in m_grid]
-    monotone = all(
-        sweep[i + 1]["gap"] <= sweep[i]["gap"] + sweep[i]["gap_se"] + sweep[i + 1]["gap_se"]
-        for i in range(len(sweep) - 1))
-    return {"sweep": sweep, "monotone": bool(monotone)}
-
-
-# --- corollary verification suite ------------------------------------------------
-
-
-def corollary_suite(d: int, seed: int, samples: int, tol: float = 1e-9) -> list:
-    """The four witness-and-count checks over the built-in families at dimension d.
-
-    The two counting checks (sparse entries, sparse-vector mixtures) evaluate
-    the nominal bounds d*s_d and 8*r*gamma^2 + 2*r*gamma; each result also
-    reports the observed maximum count so discrepancies stay visible.
-    """
-    results = []
-    p = d * d
-
-    # sparse-entry states against the hermitian family
-    herm = bases.build_basis("hermitian", d)
-    worst = {}
-    for s in (1, 2, 4):
-        max_count, violations, corrected_ok = 0, 0, True
-        for i in range(samples):
-            st = states.sample_class(states.StateClassSpec("entry_sparse", s=s), d,
-                                     seed + 1000 * s + i)
-            s_d = int(np.sum(np.abs(np.diag(st.matrix)) > tol))
-            count = diagnostics.active_index_set(st, herm, tol).nondegenerate_count
-            max_count = max(max_count, count)
-            violations += count > d * s_d
-            corrected_ok &= count <= 2 * d * s_d - s_d * s_d
-        worst[f"s{s}"] = {"max_count": max_count, "bound_rule": f"{d}*s_d per state",
-                          "violations": int(violations), "samples": samples,
-                          "corrected_rule_ok": bool(corrected_ok),
-                          "ok": violations == 0}
-    results.append({
-        "name": "sparse-entry-count", "anchor": "corollary1",
-        "passed": all(v["ok"] for v in worst.values()),
-        "details": worst,
-    })
-
-    # the one-direction line state against the Pauli family
-    pauli = bases.build_basis("pauli", d) if (d & (d - 1)) == 0 else None
-    if pauli is not None:
-        ok = True
-        detail = {}
-        for beta in (0.1, 0.5, 0.9):
-            st = states.pauli_line_state(d, 1, beta)
-            report = diagnostics.active_index_set(st, pauli, tol)
-            zeta = diagnostics.zeta_fraction([st], pauli, tol=tol).zeta
-            trace_id = pauli.cell_traces(st.matrix)[0]
-            ok &= abs(trace_id - 1.0) <= tol
-            ok &= report.nondegenerate_count == p - 1
-            ok &= abs(zeta - (p - 1) / p) <= tol
-            detail[str(beta)] = {"nondegenerate": report.nondegenerate_count,
-                                 "zeta": zeta}
-        results.append({"name": "pauli-line-witness", "anchor": "corollary2",
-                        "passed": bool(ok), "details": detail})
-
-        # the tilted product state
-        st = states.tilted_product_state(int(round(np.log2(d))))
-        # every non-identity member has two cells, +1 then -1
-        traces = pauli.cell_traces(st.matrix)
-        first = pauli.cell_start[1:-1]
-        rest = traces[first[0]:]
-        lo, hi = rest.min(), rest.max()
-        ok = np.all(traces[first] >= 0.5 - tol) and np.all(traces[first + 1] >= 1.0 / 7.0 - tol)
-        zeta = diagnostics.zeta_fraction([st], pauli, tol=tol).zeta
-        ok &= abs(zeta - (p - 1) / p) <= tol
-        results.append({"name": "tilted-product-witness", "anchor": "corollary3",
-                        "passed": bool(ok),
-                        "details": {"zeta": zeta, "min_trace": lo, "max_trace": hi}})
-
-    # sparse-vector mixtures against a g-vector family
-    g = bases.default_g_vectors(d)
-    gbasis = bases.build_basis("gvector", d, g_vectors=g)
-    worst = {}
-    for (r, gam) in ((1, 1), (2, 2)):
-        max_count, violations, corrected_ok = 0, 0, True
-        bound = 8 * r * gam * gam + 2 * r * gam
-        for i in range(samples):
-            spec = states.StateClassSpec("low_rank_sparse_vec", r=r, gamma=gam, g_vectors=g)
-            st = states.sample_class(spec, d, seed + 7000 * r + 100 * gam + i)
-            count = diagnostics.active_index_set(st, gbasis, tol).nondegenerate_count
-            max_count = max(max_count, count)
-            violations += count > bound
-            # union g-support of the eigenvectors gives the per-family
-            # at-least-one-endpoint pair count, plus the diagonal members
-            evals, evecs = np.linalg.eigh(st.matrix)
-            coeffs = g.T @ evecs[:, evals > tol]
-            u = int(np.sum(np.any(np.abs(coeffs) > tol, axis=1)))
-            corrected = 2 * (u * d - u * (u + 1) // 2) + u
-            corrected_ok &= count <= corrected
-        worst[f"r{r}g{gam}"] = {"max_count": max_count, "bound": bound,
-                                "violations": int(violations), "samples": samples,
-                                "corrected_rule_ok": bool(corrected_ok),
-                                "ok": violations == 0}
-    results.append({
-        "name": "sparse-vector-count", "anchor": "corollary4",
-        "passed": all(v["ok"] for v in worst.values()),
-        "details": worst,
-    })
-    return results
-
-
 # --- entry point -----------------------------------------------------------------
 
 
@@ -606,7 +448,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.threads is not None:
             cfg.threads = args.threads
-            _check_sizes(cfg)
+            _check_bounds(cfg)
         if args.out is not None:
             cfg.out_dir = args.out
         bundle = run(cfg)

@@ -8,6 +8,7 @@ comparison between the counted and Gaussian experiments; the weighted
 fraction of nondegenerate observables (maximized over a witness list of
 states) is the quantity the deficiency-style bounds consume, together with
 the design discrepancy between the two sampling distributions.
+``corollary_suite`` runs the witness and class-count checks on the built-in families.
 
 The supremum over a state class is replaced by a maximum over supplied
 witness states, so reported fractions are lower bounds for the class value.
@@ -21,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import ObservableBasis
+from .bases import ObservableBasis, build_basis, default_g_vectors
 from .errors import TomolabError
 from .measurement import ACTIVE_TOL, _active_mask
+from .states import StateClassSpec, pauli_line_state, sample_class, tilted_product_state
 
 __all__ = [
     "ActiveIndexReport",
@@ -33,6 +35,7 @@ __all__ = [
     "zeta_fraction",
     "gamma_p",
     "deficiency_bound",
+    "corollary_suite",
     "write_report_json",
 ]
 
@@ -196,6 +199,87 @@ def deficiency_bound(n: int, m: int, p: int, kappa: int, gamma: float, zeta: flo
         n=n, m=m, p=p, kappa=kappa, gamma=gamma, zeta=zeta, constant=constant,
         variant=variant, bound_random=n * gamma + root, bound_uniform=root,
     )
+
+
+def _count_block(basis: ObservableBasis, axes, sampled, bound, tol: float) -> dict:
+    """Nondegenerate counts of the ``sampled`` states on ``basis`` against the
+    nominal ``bound(u)`` and the rule 2*d*u - u^2.
+
+    u = #{i : (A' rho A)_ii > tol} over the columns of ``axes`` A, the axes the
+    family is built on.  For a PSD rho these are the axes its range touches, so
+    only the u diagonal members on them and both members of each pair with an
+    endpoint among them can be active.
+    """
+    d = len(axes)
+    max_count, violations, rule_ok = 0, 0, True
+    for st in sampled:
+        u = int(np.sum(np.diag(axes.T @ st.matrix @ axes).real > tol))
+        count = active_index_set(st, basis, tol).nondegenerate_count
+        max_count = max(max_count, count)
+        violations += count > bound(u)
+        rule_ok &= count <= 2 * d * u - u * u
+    return {"max_count": max_count, "violations": int(violations), "samples": len(sampled),
+            "corrected_rule_ok": bool(rule_ok), "ok": violations == 0}
+
+
+def corollary_suite(d: int, seed: int, samples: int, tol: float = ACTIVE_TOL) -> list:
+    """The four witness-and-count checks over the built-in families at dimension d.
+
+    The two counting checks (entry-sparse states on the hermitian family,
+    sparse-vector mixtures on a g-vector family) pass or fail on the nominal
+    bounds d*s_d and 8*r*gamma^2 + 2*r*gamma; each block also reports the
+    observed maximum count and whether every count meets the rule
+    2*d*u - u^2, so discrepancies stay visible.
+    """
+    p = d * d
+    herm = build_basis("hermitian", d)
+    worst = {}
+    for s in (1, 2, 4):
+        spec = StateClassSpec("entry_sparse", s=s)
+        sampled = [sample_class(spec, d, seed + 1000 * s + i) for i in range(samples)]
+        worst[f"s{s}"] = {**_count_block(herm, np.eye(d), sampled, lambda u: d * u, tol),
+                          "bound_rule": f"{d}*s_d per state"}
+    results = [{"name": "sparse-entry-count", "anchor": "corollary1",
+                "passed": all(v["ok"] for v in worst.values()), "details": worst}]
+
+    if d & (d - 1) == 0:
+        # zeta = count / p is exact, p being a power of 4; it is (p - 1) / p
+        # exactly when count = p - 1
+        pauli = build_basis("pauli", d)
+        ok, detail = True, {}
+        for beta in (0.1, 0.5, 0.9):
+            st = pauli_line_state(d, 1, beta)
+            count = active_index_set(st, pauli, tol).nondegenerate_count
+            ok &= abs(pauli.cell_traces(st.matrix)[0] - 1.0) <= tol and count == p - 1
+            detail[str(beta)] = {"nondegenerate": count, "zeta": count / p}
+        results.append({"name": "pauli-line-witness", "anchor": "corollary2",
+                        "passed": bool(ok), "details": detail})
+
+        # the tilted product state; every non-identity member has two cells, +1 then -1
+        st = tilted_product_state(int(round(np.log2(d))))
+        traces = pauli.cell_traces(st.matrix)
+        first = pauli.cell_start[1:-1]
+        rest = traces[first[0]:]
+        ok = np.all(traces[first] >= 0.5 - tol) and np.all(traces[first + 1] >= 1.0 / 7.0 - tol)
+        count = active_index_set(st, pauli, tol).nondegenerate_count
+        ok &= count == p - 1
+        results.append({"name": "tilted-product-witness", "anchor": "corollary3",
+                        "passed": bool(ok), "details": {
+                            "zeta": count / p, "min_trace": rest.min(), "max_trace": rest.max()}})
+
+    g = default_g_vectors(d)
+    gbasis = build_basis("gvector", d, g_vectors=g)
+    worst = {}
+    for r, gam in ((1, 1), (2, 2)):
+        bound = 8 * r * gam * gam + 2 * r * gam
+        spec = StateClassSpec("low_rank_sparse_vec", r=r, gamma=gam, g_vectors=g)
+        sampled = [sample_class(spec, d, seed + 7000 * r + 100 * gam + i)
+                   for i in range(samples)]
+        worst[f"r{r}g{gam}"] = {**_count_block(gbasis, g, sampled, lambda u: bound, tol),
+                                "bound": bound}
+    results.append({"name": "sparse-vector-count", "anchor": "corollary4",
+                    "passed": all(v["ok"] for v in worst.values()), "details": worst})
+    return results
 
 
 def write_report_json(payload: dict, path) -> None:

@@ -27,6 +27,9 @@ the fine factor once per distinct drawn member, in the basis's front-padded
 Both simulators, and the CSV readers and writers, hold a run's records once,
 as the pair (indices, values): the member index per record (int64) with the
 coarse Y array, or with the list of fine vectors y_k over each member's cells.
+
+``estimator_transfer`` compares coefficient estimates fed by counts and by coarse
+Gaussian samples over an orthogonal family, from the one stream (seed, ``TRANSFER``).
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .hermitian import stack_traces
+from .errors import TomolabError
+from .hermitian import hs_inner, stack_traces
 from .measurement import (_active_cells, _fmt, _read_records, _write_table,
                           cell_probabilities, draw_design_indices)
-from .rng import COARSE, FINE, record_blocks
+from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
 
 __all__ = [
     "noise_variance_coarse",
@@ -47,6 +51,8 @@ __all__ = [
     "write_fine_csv",
     "read_coarse_csv",
     "read_fine_csv",
+    "estimator_transfer",
+    "estimator_transfer_sweep",
 ]
 
 # rounding floor on the coarse noise variance, not the active-cell rule (ACTIVE_TOL)
@@ -161,3 +167,56 @@ def read_fine_csv(path, basis: ObservableBasis) -> tuple:
         if abs(y.sum() - 1.0) > 1e-9:
             raise ValueError(f"record {k}: values sum to {y.sum()!r}, not 1")
     return indices, ys
+
+
+def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict:
+    """Compare coefficient estimators fed by counts vs by Gaussian samples.
+
+    Fixed design over an orthogonal family (n = p): each replication
+    estimates every expansion coefficient by the per-observable average
+    outcome, once from the counted experiment and once from the Gaussian one,
+    normalizing by the member's squared norm.  Reports per-coefficient
+    squared errors and the paired gap in total squared risk.
+    """
+    if basis.kind not in ("hermitian", "pauli", "gvector"):
+        raise TomolabError("estimator transfer requires an orthogonal family")
+    p = basis.size
+    if m < 1:
+        raise TomolabError("m must be at least 1")
+    rng = substream(seed, TRANSFER)
+    norms = np.array([hs_inner(b, b).real for b in basis.matrices])
+    theta = cell_probabilities(rho, basis)
+    mean = stack_traces(basis.matrices, rho)
+    sd = np.sqrt(noise_variance_coarse(rho, basis) / m)
+    alpha = mean / norms
+    err_counts = np.empty((replications, p))
+    err_gauss = np.empty((replications, p))
+    for j in range(p):
+        counts = rng.multinomial(m, theta[basis.cells(j)], size=replications)
+        est_c = counts @ basis.eigenvalues[basis.cells(j)] / m / norms[j]
+        est_g = (mean[j] + sd[j] * rng.standard_normal(replications)) / norms[j]
+        err_counts[:, j] = (est_c - alpha[j]) ** 2
+        err_gauss[:, j] = (est_g - alpha[j]) ** 2
+    risk_c = err_counts.sum(axis=1)
+    risk_g = err_gauss.sum(axis=1)
+    diff = risk_c - risk_g
+    gap_se = float(diff.std(ddof=1) / np.sqrt(replications))
+    return {
+        "m": m,
+        "replications": replications,
+        "per_j_sq_error_counts": err_counts.mean(axis=0).tolist(),
+        "per_j_sq_error_gaussian": err_gauss.mean(axis=0).tolist(),
+        "risk_counts": float(risk_c.mean()),
+        "risk_gaussian": float(risk_g.mean()),
+        "gap": float(abs(diff.mean())),
+        "gap_se": gap_se,
+    }
+
+
+def estimator_transfer_sweep(rho, basis, m_grid, seed: int, replications: int) -> dict:
+    """Run the transfer comparison across a repetition grid; check the gap shrinks."""
+    sweep = [estimator_transfer(rho, basis, int(m), seed, replications) for m in m_grid]
+    monotone = all(
+        sweep[i + 1]["gap"] <= sweep[i]["gap"] + sweep[i]["gap_se"] + sweep[i + 1]["gap_se"]
+        for i in range(len(sweep) - 1))
+    return {"sweep": sweep, "monotone": bool(monotone)}

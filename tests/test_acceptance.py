@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from oracles import pauli_projection_traces
-from tomolab import bases, cli, diagnostics, equivalence as eq, measurement, states
+from tomolab import bases, cli, diagnostics, equivalence as eq, measurement, regression, states
 
 SEED = 20130204
 
@@ -278,8 +278,8 @@ def test_criterion_10_estimator_transfer():
     t0 = time.monotonic()
     basis = bases.build_basis("pauli", 4)
     rho = states.pauli_line_state(4, 1, 0.5)
-    report = cli.estimator_transfer_sweep(rho, basis, [16, 256, 4096],
-                                          seed=SEED, replications=4000)
+    report = regression.estimator_transfer_sweep(rho, basis, [16, 256, 4096],
+                                                 seed=SEED, replications=4000)
     elapsed = time.monotonic() - t0
     gaps = [(row["m"], round(row["gap"], 7), round(row["gap_se"], 7))
             for row in report["sweep"]]

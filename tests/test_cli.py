@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from tomolab import bases, cli, hermitian, states
+from tomolab import bases, cli, hermitian, regression, states
 from tomolab.errors import ConfigParseError, TomolabError
 
 
@@ -485,6 +485,7 @@ m_grid = 16,inf
     @pytest.mark.parametrize("task, section, key", [
         ("distances", "distances", "tv_samples"),
         ("estimator_transfer", "transfer", "replications"),
+        ("corollaries", "corollaries", "samples"),
     ])
     def test_sample_count_above_envelope_exits_2(self, tmp_path, capsys, task, section, key):
         # 10^12 draws would end in a numpy allocation traceback, not a config error
@@ -499,13 +500,60 @@ out = {tmp_path / "o"}
 """
         cap = cli.ENVELOPE[key]
         ok = cli.load_config(write_cfg(tmp_path, text.format(value=cap), "ok.cfg"))
-        assert getattr(ok, key) == cap
+        assert getattr(ok, {"samples": "class_samples"}.get(key, key)) == cap
         bad = write_cfg(tmp_path, text.format(value=10 ** 12), "bad.cfg")
         with pytest.raises(ConfigParseError, match=f"{key} = {10 ** 12} exceeds envelope {cap}"):
             cli.load_config(bad)
         assert cli.main(["run", "--config", bad]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("basis", "d", 17, "d = 17 exceeds envelope 16"),
+        ("run", "m", 4097, "m = 4097 exceeds envelope 4096"),
+        ("run", "n", 100_001, "n = 100001 exceeds envelope 100000"),
+        ("distances", "m_grid", "16,8192", "m_grid exceeds envelope 4096"),
+    ], ids=["d", "m", "n", "m_grid"])
+    def test_size_above_envelope_exits_2(self, tmp_path, section, key, value, message):
+        sections = {"run": {"task": "distances", "seed": 1, "out": tmp_path / "o"}}
+        sections.setdefault(section, {})[key] = value
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                         for name, keys in sections.items())
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=f"^{message}$"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("window", ["c0 = 0.2", "c1 = 0.8", "c0 = 0.8\nc1 = 0.2"],
+                             ids=["c0-only", "c1-only", "c0-above-c1"])
+    def test_meaningless_trace_window_exits_2(self, tmp_path, window):
+        # c0 alone made no check and exited 0; c0 > c1 failed on every state and exited 1
+        text = f"""
+[basis]
+kind = pauli
+d = 4
+
+[run]
+task = zeta
+seed = 2
+out = {tmp_path / "z"}
+
+[zeta]
+witnesses = cor2_line
+
+[tolerances]
+{window}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=r"\[tolerances\] c0 and c1"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "z").exists()
+        # an equal pair is a window of one value, which the loader accepts
+        one = write_cfg(tmp_path, text.replace(window, "c0 = 0.25\nc1 = 0.25"), "one.cfg")
+        cfg = cli.load_config(one)
+        assert (cfg.c0, cfg.c1) == (0.25, 0.25)
 
     @pytest.mark.parametrize("task", ["distances", "scaling"])
     def test_theta_with_five_active_cells_exits_2(self, tmp_path, monkeypatch, task):
@@ -908,14 +956,14 @@ class TestEstimatorTransfer:
     def test_identity_coefficient_exact(self):
         basis = bases.build_basis("pauli", 4)
         st = states.pauli_line_state(4, 1, 0.5)
-        report = cli.estimator_transfer(st, basis, 16, seed=3, replications=200)
+        report = regression.estimator_transfer(st, basis, 16, seed=3, replications=200)
         assert report["per_j_sq_error_counts"][0] == pytest.approx(0.0, abs=1e-28)
 
     def test_line_coefficient_recovered(self):
         d, beta, j_star = 4, 0.5, 1
         basis = bases.build_basis("pauli", d)
         st = states.pauli_line_state(d, j_star, beta)
-        report = cli.estimator_transfer(st, basis, 256, seed=3, replications=3000)
+        report = regression.estimator_transfer(st, basis, 256, seed=3, replications=3000)
         # squared error of alpha_j* estimates its sampling variance
         # Var(N_j*)/d^2 = (1 - beta^2)/(m d^2); the bias is zero
         want = (1 - beta ** 2) / (256 * d * d)
@@ -928,11 +976,11 @@ class TestEstimatorTransfer:
         basis = bases.build_basis("canonical", 2)
         st = states.validate_density(np.eye(2) / 2)
         with pytest.raises(TomolabError, match="orthogonal family"):
-            cli.estimator_transfer(st, basis, 8, seed=1, replications=600)
+            regression.estimator_transfer(st, basis, 8, seed=1, replications=600)
 
     def test_sweep_monotone(self):
         basis = bases.build_basis("pauli", 4)
         st = states.pauli_line_state(4, 1, 0.5)
-        report = cli.estimator_transfer_sweep(st, basis, [16, 256], seed=6,
-                                              replications=500)
+        report = regression.estimator_transfer_sweep(st, basis, [16, 256], seed=6,
+                                                     replications=500)
         assert report["monotone"] is True

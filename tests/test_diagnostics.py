@@ -216,6 +216,61 @@ class TestZetaFraction:
         assert tight.c3_ok is False
 
 
+def counted(basis, axes, st):
+    """(u, count) that the corollary suite's count helper sees for one state."""
+    seen = []
+    block = diagnostics._count_block(basis, axes, [st], lambda u: seen.append(u) or 0,
+                                     diagnostics.ACTIVE_TOL)
+    assert block["corrected_rule_ok"] is True
+    return seen[0], block["max_count"]
+
+
+def two_axis_state(axes, weights):
+    """sum_i weights[i] a_i a_i' over the first columns a_i of ``axes``."""
+    diag = np.zeros(len(axes))
+    diag[:len(weights)] = weights
+    return states.validate_density(axes @ np.diag(diag) @ axes.T)
+
+
+class TestCountRule:
+    # the rule 2*d*u - u^2 and its closed-form witnesses (README, "Nominal count constants")
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_closed_forms_on_hermitian_axes(self, d):
+        herm = bases.build_basis("hermitian", d)
+        eye = np.eye(d)
+        assert counted(herm, eye, two_axis_state(eye, (1.0,))) == (1, 2 * (d - 1))
+        assert counted(herm, eye, two_axis_state(eye, (0.3, 0.7))) == (2, 4 * d - 4)
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_haar_rank_two_witness_in_g_axes(self, d):
+        g = bases.haar_wavelet_vectors(d)
+        gbasis = bases.build_basis("gvector", d, g_vectors=g)
+        assert counted(gbasis, g, two_axis_state(g, (0.3, 0.7))) == (2, 4 * d - 4)
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_u_is_the_eigenvector_support(self, d):
+        # reference: the union g-support of the eigenvectors spanning the range
+        g = bases.default_g_vectors(d)
+        gbasis = bases.build_basis("gvector", d, g_vectors=g)
+        tol = diagnostics.ACTIVE_TOL
+        for r, gam in ((1, 1), (2, 2)):
+            spec = states.StateClassSpec("low_rank_sparse_vec", r=r, gamma=gam, g_vectors=g)
+            for seed in range(10):
+                st = states.sample_class(spec, d, seed)
+                evals, evecs = np.linalg.eigh(st.matrix)
+                coeffs = g.T @ evecs[:, evals > tol]
+                want = int(np.sum(np.any(np.abs(coeffs) > tol, axis=1)))
+                assert counted(gbasis, g, st)[0] == want
+
+    def test_block_counts_nominal_violations(self):
+        sampled = [two_axis_state(np.eye(4), w) for w in ((1.0,), (0.3, 0.7), (0.5, 0.5))]
+        block = diagnostics._count_block(HERM4, np.eye(4), sampled, lambda u: 4 * u,
+                                         diagnostics.ACTIVE_TOL)
+        # counts 6 > 4 * 1, then 12 > 4 * 2 twice
+        assert block == {"max_count": 12, "violations": 3, "samples": 3,
+                         "corrected_rule_ok": True, "ok": False}
+
+
 class TestGammaP:
     def test_equal_designs(self):
         assert diagnostics.gamma_p([0.25] * 4, [0.25] * 4) == 0.0

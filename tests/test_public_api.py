@@ -108,6 +108,20 @@ def _undefined(names: set, sources: dict) -> list:
     return sorted(name for name in names if name not in defined and not hasattr(builtins, name))
 
 
+# the only public functions of the config runner, and the classes it exports besides
+SHELL_FUNCTIONS = {"load_config", "run", "main"}
+SHELL_CLASSES = {"ExperimentConfig", "ReportBundle"}
+
+
+def _shell_extras(src: str) -> list:
+    """The public functions ``src`` defines, and the names its ``__all__``
+    lists, beyond those of a thin config shell."""
+    tree = ast.parse(src)
+    defs = {top.name for top in tree.body
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")}
+    return sorted((defs - SHELL_FUNCTIONS) | (set(_exports(tree)) - SHELL_FUNCTIONS - SHELL_CLASSES))
+
+
 def test_every_export_is_used_or_listed():
     assert _unreached(_sources(), _listed_public_api(README.read_text())) == []
 
@@ -156,6 +170,18 @@ def test_guard_sees_a_stale_readme_name():
                "b": "def g():\n    local = 1\n"}
     assert _undefined({"X", "Y", "Z", "f", "C", "ValueError", "local", "gone"}, sources) == [
         "gone", "local"]
+
+
+def test_cli_is_a_thin_shell():
+    assert _shell_extras(_sources()["cli"]) == []
+
+
+def test_guard_sees_domain_logic_in_the_shell():
+    src = ('__all__ = ["ExperimentConfig", "run", "corollary_suite", "Helper"]\n'
+           "class ExperimentConfig: pass\nclass Helper: pass\n"
+           "def run(): pass\ndef main(): pass\ndef _task(): pass\n"
+           "def corollary_suite(): pass\ndef estimator_transfer(): pass\n")
+    assert _shell_extras(src) == ["Helper", "corollary_suite", "estimator_transfer"]
 
 
 def test_one_basis_constructor():
