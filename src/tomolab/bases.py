@@ -48,6 +48,7 @@ SIGMA = (
 )
 
 _KINDS = ("canonical", "hermitian", "pauli", "gvector")
+CLUSTER_TOL = 1e-9  # eigenvalues within this times max(spectral norm, 1) share a cell
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,6 @@ class ObservableBasis:
         slot = np.arange(len(rows)) + (self.kappa - self.cell_start[1:])[self.cell_member]
         table[self.cell_member, slot] = rows
         return table
-
-    def tails(self, indices, table) -> list:
-        """Row k of a :meth:`padded` per-record ``table`` cut to the cells of
-        its member ``indices[k]``."""
-        return [row[self.kappa - r:] for r, row in zip(self.sizes[indices].tolist(), table)]
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def _labels(kind: str, d: int) -> list:
     return [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
 
 
-def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) -> ObservableBasis:
+def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
     """Construct one of the built-in observable families (p = d^2 members)."""
     if kind not in _KINDS:
         raise TomolabError(f"unknown basis kind {kind!r}")
@@ -192,7 +188,7 @@ def build_basis(kind: str, d: int, g_vectors=None, cluster_tol: float = 1e-9) ->
         b = _pauli_slots(d)
         mats = (_pauli_member(j, b) for j in range(d * d))
     # generated, so the member list _make_basis stacks is freed once stacked
-    return _make_basis(mats, cluster_tol, kind, g_vectors=g_store)
+    return _make_basis(mats, CLUSTER_TOL, kind, g_vectors=g_store)
 
 
 def _pauli_label(j: int, b: int):
@@ -291,7 +287,7 @@ def write_basis(basis: ObservableBasis, path) -> None:
             fh.write(format_matrix(mat))
 
 
-def read_basis(path, cluster_tol: float = 1e-9) -> ObservableBasis:
+def read_basis(path) -> ObservableBasis:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     head = lines[0].split() if lines else []
@@ -309,4 +305,4 @@ def read_basis(path, cluster_tol: float = 1e-9) -> ObservableBasis:
         pos += d + 1
     if any(ln.strip() for ln in lines[pos:]):
         raise ValueError(f"text after the {p} matrices the header declares")
-    return _make_basis(mats, cluster_tol, kind if kind in _KINDS else "custom")
+    return _make_basis(mats, CLUSTER_TOL, kind if kind in _KINDS else "custom")

@@ -271,13 +271,13 @@ def _task_simulate(cfg, path):
     n = cfg.n if cfg.n is not None else (basis.size if design.mode == "fixed" else 0)
     dataset = measurement.run_tomography(state, basis, design, n, cfg.m, cfg.seed,
                                          detail=cfg.detail)
-    measurement.write_dataset_csv(dataset, path("tomography.csv"))
+    measurement.write_dataset_csv(dataset, basis, path("tomography.csv"))
     if dataset.individuals is not None:
         measurement.write_individuals_csv(dataset, path("individuals.csv"))
     coarse = regression.simulate_coarse(state, basis, design, n, cfg.m, cfg.seed)
     regression.write_coarse_csv(coarse, path("coarse.csv"))
     fine = regression.simulate_fine(state, basis, design, n, cfg.m, cfg.seed)
-    regression.write_fine_csv(fine, path("fine.csv"))
+    regression.write_fine_csv(fine, basis, path("fine.csv"))
     return []
 
 
@@ -285,11 +285,10 @@ def _task_translate(cfg, path):
     basis, state, design = _inputs(cfg)
     n = cfg.n if cfg.n is not None else (basis.size if design.mode == "fixed" else 0)
     dataset = measurement.run_tomography(state, basis, design, n, cfg.m, cfg.seed)
-    translated = equivalence.translate_qst_to_regression(dataset, cfg.seed)
-    regression.write_fine_csv(translated, path("translated_fine.csv"))
+    translated = equivalence.translate_qst_to_regression(dataset, basis, cfg.seed)
+    regression.write_fine_csv(translated, basis, path("translated_fine.csv"))
     back, dropped = equivalence.translate_regression_to_qst(translated, cfg.m)
-    # K1 keeps each row's length, so with nothing dropped the flat counts line up
-    exact = dropped == 0 and np.array_equal(np.concatenate(back.counts), np.concatenate(dataset.counts))
+    exact = np.array_equal(back.counts, dataset.counts)
     payload = {"roundtrip_exact": bool(exact), "dropped": dropped,
                "records": len(dataset.indices)}
     diagnostics.write_report_json(payload, path("translate.json"))
@@ -407,10 +406,11 @@ _TASK_FNS = {
 
 def run(cfg: ExperimentConfig) -> ReportBundle:
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     artifacts = []
 
     def path(name):
+        # made when the first artifact is named, so a task that rejects its input leaves none
+        os.makedirs(out, exist_ok=True)
         artifacts.append(os.path.join(out, name))
         return artifacts[-1]
 
@@ -426,9 +426,8 @@ def run(cfg: ExperimentConfig) -> ReportBundle:
         "artifacts": [os.path.basename(a) for a in artifacts],
         "checks": checks,
     }
-    mpath = os.path.join(out, "manifest.json")
-    diagnostics.write_report_json(manifest, mpath)
-    return ReportBundle(manifest=manifest, artifacts=artifacts + [mpath], checks=checks)
+    diagnostics.write_report_json(manifest, path("manifest.json"))
+    return ReportBundle(manifest=manifest, artifacts=artifacts, checks=checks)
 
 
 # --- entry point -----------------------------------------------------------------

@@ -131,43 +131,29 @@ def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
 # --- kernels -------------------------------------------------------------------
 
 
-def _ragged(rows) -> tuple:
-    """``rows`` laid end to end, the kernels' layout: (float cells, starts, lengths)."""
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    return np.concatenate([np.zeros(0), *rows]), np.cumsum(lengths) - lengths, lengths
-
-
-def _rows(cells, starts, lengths) -> list:
-    return [cells[a:a + k] for a, k in zip(starts.tolist(), lengths.tolist())]
-
-
-def _perturb(cells, starts, lengths, m: int, rng) -> None:
-    """K0 in place on every row of two or more cells: one flat Uniform(-1/2, 1/2)
-    draw from ``rng`` on the first r - 1 cells of each, in row order, and the
-    last cell restores the sum m."""
-    rows = np.flatnonzero(lengths >= 2)
-    heads = lengths[rows] - 1
+def _perturb(table, sizes, m: int, rng) -> None:
+    """K0 in place on each front-padded row of ``table`` with two or more cells
+    (``sizes``): one flat Uniform(-1/2, 1/2) draw from ``rng`` on the first r - 1
+    cells of each, slots -r:-1, in row order; the last slot restores the sum m."""
+    heads = np.maximum(sizes - 1, 0)
     psi = rng.uniform(-0.5, 0.5, size=heads.sum())
-    for k in np.unique(heads):
-        sel = heads == k
-        head = starts[rows[sel], None] + np.arange(k)
-        cells[head] += psi[(np.cumsum(heads) - heads)[sel, None] + np.arange(k)]
+    first = np.cumsum(heads) - heads  # each row's first uniform
+    for k in np.unique(heads[heads > 0]).tolist():
+        rows, head = np.flatnonzero(heads == k)[:, None], np.arange(-1 - k, -1)
+        table[rows, head] += psi[first[rows] + np.arange(k)]
         # a (rows, k) block summed along its rows adds each row as a 1-D sum would
-        cells[head[:, -1] + 1] = m - cells[head].sum(axis=1)
+        table[rows[:, 0], -1] = m - table[rows, head].sum(axis=1)
 
 
-def _round_off(cells, lengths, m: int) -> tuple:
-    """K1 on rows laid end to end from 0: (int64 counts, zero in the rows with a
-    negative count, and the mask of the other rows); ValueError unless finite."""
-    if not np.all(np.isfinite(cells)):
+def _round_off(table, m: int) -> tuple:
+    """K1 on whole front-padded rows, whose padding 0 rounds to 0: (int64 counts,
+    mask of the rows without a negative count); ValueError unless finite."""
+    if not np.all(np.isfinite(table)):
         raise ValueError("round-off needs finite values")
-    row, last = np.repeat(np.arange(len(lengths)), lengths), np.cumsum(lengths) - 1
-    counts = round_half_away(cells)
-    counts[last] = 0
+    counts = round_half_away(table)
     # integer-valued, so the sums of the kept rows (at most m) are exact
-    counts[last] = m - np.bincount(row, weights=counts, minlength=len(lengths))
-    keep = np.bincount(row, weights=counts < 0, minlength=len(lengths)) == 0
-    return np.where(keep[row], counts, 0).astype(np.int64), keep
+    counts[:, -1] = m - counts[:, :-1].sum(axis=1)
+    return counts.astype(np.int64), np.all(counts >= 0, axis=1)
 
 
 def kernel_K0(counts, m: int, seed) -> np.ndarray:
@@ -178,7 +164,7 @@ def kernel_K0(counts, m: int, seed) -> np.ndarray:
     if not (np.all((vals >= 0) & (vals == np.floor(vals))) and vals.sum() == m):  # NaN, inf fail too
         raise ValueError(f"counts {vals.tolist()} are not nonnegative integers summing to m = {m}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    _perturb(vals, np.zeros(1, np.int64), np.array([len(vals)]), m, rng)
+    _perturb(vals[None], np.array([len(vals)]), m, rng)
     return vals
 
 
@@ -186,31 +172,32 @@ def kernel_K1(values, m: int) -> np.ndarray:
     """Round off a perturbed vector back to counts; inverts :func:`kernel_K0`.  Raises
     TomolabError on a negative implied count (out-of-model), ValueError unless finite."""
     values = np.asarray(values, dtype=float)
-    counts, keep = _round_off(values, np.array([len(values)]), m)
+    counts, keep = _round_off(values[None], m)
     if not keep[0]:
         raise TomolabError(f"values {values.tolist()} imply a negative count")
-    return counts
+    return counts[0]
 
 
-def translate_qst_to_regression(dataset: TomographyDataset, seed: int) -> tuple:
+def translate_qst_to_regression(dataset: TomographyDataset, basis, seed: int) -> tuple:
     """Map counted measurements to fine-regression shape via y* = K0(U)/m, as
-    (indices, ys).  As in :func:`kernel_K0`, every record of two or more cells
-    is perturbed.  Each block of records draws its uniforms in one call
-    (family ``TRANSLATE``), flat: the first r - 1 cells of each such record."""
-    cells, starts, lengths = _ragged(dataset.counts)
-    for lo, hi, rng in record_blocks(seed, TRANSLATE, len(starts)):
-        _perturb(cells, starts[lo:hi], lengths[lo:hi], dataset.m, rng)
-    return dataset.indices, _rows(cells / dataset.m, starts, lengths)
+    (indices, y), y the front-padded (n, kappa) table of ``basis``.  As in
+    :func:`kernel_K0`, every record of two or more cells is perturbed.  Each
+    block of records draws its uniforms in one call (family ``TRANSLATE``),
+    flat: the first r - 1 cells of each such record."""
+    table = dataset.counts.astype(float)
+    sizes = basis.sizes[dataset.indices]
+    for lo, hi, rng in record_blocks(seed, TRANSLATE, len(table)):
+        _perturb(table[lo:hi], sizes[lo:hi], dataset.m, rng)
+    return dataset.indices, table / dataset.m
 
 
 def translate_regression_to_qst(samples, m: int) -> tuple:
-    """Map fine samples (indices, ys) to counts via K1(m y), as (dataset of the
-    records K1 maps to counts, number of out-of-model records dropped)."""
-    indices, ys = samples
-    cells, starts, lengths = _ragged(ys)
-    counts, keep = _round_off(m * cells, lengths, m)
+    """Map fine samples (indices, y), y a front-padded table, to counts via K1(m y), as
+    (dataset of the records K1 maps to counts, number of out-of-model records dropped)."""
+    indices, table = samples
+    counts, keep = _round_off(m * np.asarray(table, dtype=float), m)
     return TomographyDataset(m=m, indices=np.asarray(indices, dtype=np.int64)[keep],
-                             counts=_rows(counts, starts[keep], lengths[keep])), int((~keep).sum())
+                             counts=counts[keep]), int((~keep).sum())
 
 
 # --- the matched normal on the first r-1 coordinates ------------------------------

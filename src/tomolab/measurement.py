@@ -20,9 +20,9 @@ fixed jump of about 0.618 * 2**128 steps), so the counts do not depend on
 probabilities of every member are computed once per run.
 
 A run's records are held once, as arrays (:class:`TomographyDataset`): the
-member index per record, each record's counts (the unpadded tail of its row
-of the block the multinomial fills), and optionally the average outcomes
-and the (n, m) outcome array.
+member index per record, the (n, kappa) count table the multinomial fills
+(record k's counts in the last ``sizes[indices[k]]`` slots of row k, zeros in
+front), and optionally the average outcomes and the (n, m) outcome array.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ ACTIVE_TOL = 1e-9  # cell a is active iff ACTIVE_TOL < theta_a < 1 - ACTIVE_TOL
 @dataclass
 class TomographyDataset:
     """Records of one tomography run: record k measured member ``indices[k]``
-    m times and saw ``counts[k]``, the member's counts over its distinct
-    eigenvalues in descending order (summing to m)."""
+    m times and saw the last ``sizes[indices[k]]`` entries of ``counts[k]``,
+    its counts over the member's eigenvalues in descending order (summing to m)."""
 
     m: int
     indices: np.ndarray             # int64, one member per record
-    counts: list                    # int64 vector per record
+    counts: np.ndarray              # (n, kappa) int64, front-padded as ObservableBasis.padded
     summaries: np.ndarray = None    # N_k per record
     individuals: np.ndarray = None  # (n, m) outcomes, one row per record
 
@@ -147,7 +147,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     summaries = None
     if detail in ("summary", "individual"):
         summaries = _mean_outcomes(lams[indices], counts, m)
-    return TomographyDataset(m=m, indices=indices, counts=basis.tails(indices, counts),
+    return TomographyDataset(m=m, indices=indices, counts=counts,
                              summaries=summaries, individuals=outcomes)
 
 
@@ -168,12 +168,20 @@ def _write_table(path, header, rows, lineterminator: str = "\r\n") -> None:
         writer.writerows(rows)
 
 
-def write_dataset_csv(dataset: TomographyDataset, path) -> None:
+def _record_cells(basis: ObservableBasis, indices, table):
+    """(k, j, record k's cells) per record, for a writer: row k of the
+    front-padded ``table`` as a list, cut at ``kappa - sizes[j]``."""
+    cuts = (basis.kappa - basis.sizes[indices]).tolist()
+    return ((k, j, row[c:]) for k, (j, c, row) in
+            enumerate(zip(indices.tolist(), cuts, table.tolist())))
+
+
+def write_dataset_csv(dataset: TomographyDataset, basis: ObservableBasis, path) -> None:
     """One row per record: k, j, m, "U_1|U_2|...", N (empty when absent)."""
     _write_table(path, ["k", "j", "m", "counts", "N"], (
-        [k, j, dataset.m, "|".join(map(str, counts.tolist())),
+        [k, j, dataset.m, "|".join(map(str, counts)),
          _fmt(dataset.summaries[k]) if dataset.summaries is not None else ""]
-        for k, (j, counts) in enumerate(zip(dataset.indices.tolist(), dataset.counts))))
+        for k, j, counts in _record_cells(basis, dataset.indices, dataset.counts)))
 
 
 def write_individuals_csv(dataset: TomographyDataset, path) -> None:
@@ -185,11 +193,15 @@ def write_individuals_csv(dataset: TomographyDataset, path) -> None:
 
 def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
     """(rows, member indices) of a record CSV; ValueError unless its header
-    starts with ``header`` and every row names a measurable member of ``basis``."""
+    starts with ``header``, every row has as many fields as the header and
+    names a measurable member of ``basis``."""
     with open(path, "r", newline="", encoding="ascii") as fh:
         head, *rows = csv.reader(fh)
     if head[:len(header)] != header:
         raise ValueError(f"unexpected header {head}, expected {header}")
+    for k, row in enumerate(rows):
+        if len(row) != len(head):
+            raise ValueError(f"record {k}: {len(row)} fields, the header has {len(head)}")
     indices = np.array([int(row[1]) for row in rows], dtype=np.int64)
     for k, j in enumerate(indices.tolist()):
         if not (0 <= j < basis.size and basis.sizes[j]):
@@ -200,16 +212,18 @@ def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
 def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
     """Rebuild a dataset from its CSV; ValueError unless every row holds one
     count per cell of a measurable member, summing to the one m of the file."""
-    rows, indices = _read_records(path, basis, ["k", "j", "m", "counts"])
+    rows, indices = _read_records(path, basis, ["k", "j", "m", "counts", "N"])
     ms = sorted({int(row[2]) for row in rows}) or [0]
     if len(ms) > 1:
         raise ValueError(f"records mix m values {ms}")
-    counts = [np.array([int(t) for t in row[3].split("|")], dtype=np.int64) for row in rows]
-    for k, (j, u) in enumerate(zip(indices.tolist(), counts)):
+    counts = np.zeros((len(rows), basis.kappa), dtype=np.int64)
+    for k, (j, row) in enumerate(zip(indices.tolist(), rows)):
+        u = [int(t) for t in row[3].split("|")]
         if len(u) != basis.sizes[j]:
             raise ValueError(f"record {k}: {len(u)} counts do not fit member {j}")
-        if np.any(u < 0) or int(u.sum()) != ms[0]:
-            raise ValueError(f"record {k}: counts {u.tolist()} do not sum to m = {ms[0]}")
+        if min(u) < 0 or sum(u) != ms[0]:
+            raise ValueError(f"record {k}: counts {u} do not sum to m = {ms[0]}")
+        counts[k, basis.kappa - len(u):] = u
     have_n = bool(rows) and all(row[4] for row in rows)
     summaries = np.array([float(row[4]) for row in rows]) if have_n else None
     return TomographyDataset(m=ms[0], indices=indices, counts=counts, summaries=summaries)

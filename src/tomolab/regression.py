@@ -26,7 +26,8 @@ the fine factor once per distinct drawn member, in the basis's front-padded
 
 Both simulators, and the CSV readers and writers, hold a run's records once,
 as the pair (indices, values): the member index per record (int64) with the
-coarse Y array, or with the list of fine vectors y_k over each member's cells.
+coarse Y array, or with the fine (n, kappa) table, record k's values in the
+last ``sizes[indices[k]]`` slots of row k and zeros in front of them.
 
 ``estimator_transfer`` compares coefficient estimates fed by counts and by coarse
 Gaussian samples over an orthogonal family, from the one stream (seed, ``TRANSFER``).
@@ -39,7 +40,7 @@ import numpy as np
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
 from .hermitian import hs_inner, stack_traces
-from .measurement import (_active_cells, _fmt, _read_records, _write_table,
+from .measurement import (_active_cells, _fmt, _read_records, _record_cells, _write_table,
                           cell_probabilities, draw_design_indices)
 from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
 
@@ -108,7 +109,7 @@ def _fine_factor(theta: np.ndarray, m: int, width: int) -> np.ndarray:
 def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
                   n: int, m: int, seed: int) -> tuple:
     """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal,
-    as (indices, ys) with ys[k] over the member's cells."""
+    as (indices, y) with y the front-padded (n, kappa) table of the records."""
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed, FINE)
@@ -121,8 +122,7 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     z = np.empty((n, width))
     for lo, hi, rng in record_blocks(seed, FINE, n):
         z[lo:hi] = rng.standard_normal((hi - lo, width))
-    y = thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
-    return indices, basis.tails(indices, y)
+    return indices, thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -135,12 +135,10 @@ def write_coarse_csv(samples, path) -> None:
         [k, j, _fmt(v)] for k, (j, v) in enumerate(zip(indices.tolist(), values.tolist()))))
 
 
-def write_fine_csv(samples, path) -> None:
-    """One row per record of ``samples`` = (indices, ys): k, j, "y_1|y_2|..."."""
-    indices, ys = samples
+def write_fine_csv(samples, basis: ObservableBasis, path) -> None:
+    """One row per record of ``samples`` = (indices, y): k, j, "y_1|y_2|..."."""
     _write_table(path, ["k", "j", "y"], (
-        [k, j, "|".join(_fmt(v) for v in y.tolist())]
-        for k, (j, y) in enumerate(zip(indices.tolist(), ys))))
+        [k, j, "|".join(map(_fmt, y))] for k, j, y in _record_cells(basis, *samples)))
 
 
 def read_coarse_csv(path, basis: ObservableBasis) -> tuple:
@@ -154,19 +152,21 @@ def read_coarse_csv(path, basis: ObservableBasis) -> tuple:
 
 
 def read_fine_csv(path, basis: ObservableBasis) -> tuple:
-    """(indices, ys) from a fine CSV; ValueError unless every row holds one
-    finite value per cell of a measurable member of ``basis``, summing to 1
-    within 1e-9."""
+    """(indices, y) from a fine CSV, y the front-padded (n, kappa) table;
+    ValueError unless every row holds one finite value per cell of a
+    measurable member of ``basis``, summing to 1 within 1e-9."""
     rows, indices = _read_records(path, basis, ["k", "j", "y"])
-    ys = [np.array([float(t) for t in row[2].split("|")]) for row in rows]
-    for k, (j, y) in enumerate(zip(indices.tolist(), ys)):
+    table = np.zeros((len(rows), basis.kappa))
+    for k, (j, row) in enumerate(zip(indices.tolist(), rows)):
+        y = np.array([float(t) for t in row[2].split("|")])
         if len(y) != basis.sizes[j]:
             raise ValueError(f"record {k}: {len(y)} values do not fit member {j}")
         if not np.all(np.isfinite(y)):
             raise ValueError(f"record {k}: values {y.tolist()} must be finite")
         if abs(y.sum() - 1.0) > 1e-9:
             raise ValueError(f"record {k}: values sum to {y.sum()!r}, not 1")
-    return indices, ys
+        table[k, basis.kappa - len(y):] = y
+    return indices, table
 
 
 def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict:

@@ -249,6 +249,12 @@ def member_spectrum(mat, cluster_tol: float = 1e-9) -> tuple:
 # --- translations, one record at a time -----------------------------------------
 
 
+def record_tails(basis, indices, table) -> list:
+    """Row k of a front-padded per-record ``table`` cut to the cells of its
+    member ``indices[k]``: the per-record vectors the oracles below take."""
+    return [row[basis.kappa - basis.sizes[j]:] for j, row in zip(indices, table)]
+
+
 def translate_per_record(dataset, seed: int) -> tuple:
     """K0 translation (indices, ys) record by record: a record of r >= 2 cells
     gets the next r - 1 uniforms of its block's flat draw on its first r - 1

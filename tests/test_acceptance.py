@@ -181,10 +181,10 @@ def test_criterion_05_kernel_round_trip():
         drawn = rng.multinomial(ms[rows], rng.dirichlet(np.ones(r), size=len(rows)))
         for m in np.unique(ms[rows]).tolist():
             counts = drawn[ms[rows] == m]
-            cells, starts, lengths = eq._ragged(counts)
-            eq._perturb(cells, starts, lengths, m, rng)
-            back, _ = eq._round_off(cells, lengths, m)
-            failures += int(np.any(back.reshape(counts.shape) != counts, axis=1).sum())
+            table = counts.astype(float)
+            eq._perturb(table, np.full(len(counts), r), m, rng)
+            back, _ = eq._round_off(table, m)
+            failures += int(np.any(back != counts, axis=1).sum())
     _report(5, "round-off inverts the uniform perturbation on 1e5 records",
             failures == 0, f"{failures} failures")
 

@@ -594,6 +594,15 @@ m_grid = 16,64,256,1024
         assert cli.main(["run", "--config", cfg, "--threads", threads]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, bad", [("m = 16", "m = 0"), ("d = 2", "d = 1")],
+                             ids=["m0", "d1"])
+    def test_task_rejection_leaves_no_output_directory(self, tmp_path, line, bad):
+        # the loader accepts both; the simulate task rejects them before naming an artifact
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, SIM_CFG.replace(line, bad).format(out=out))
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert not out.exists()
+
     def test_zeta_reads_witnesses_only_from_its_section(self, tmp_path):
         text = """
 [basis]

@@ -12,7 +12,7 @@ from scipy import stats as sps
 
 from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, hellinger_ndtr,
                      lattice_box, multinomial_pmf_chain, multinomial_pmf_gammaln,
-                     round_off_per_record, translate_per_record, tv_two_cell)
+                     record_tails, round_off_per_record, translate_per_record, tv_two_cell)
 from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
 from tomolab.errors import TomolabError
 from tomolab.rng import BLOCK, TRANSLATE, TV, record_blocks, substream
@@ -47,11 +47,12 @@ class TestKernels:
         np.testing.assert_array_equal(pert, [6.0])
 
     def test_unperturbed_row_passthrough(self):
-        # a row of one cell draws no uniform; the next row takes the first one
-        cells = np.array([4.0, 4.0, 0.0])
-        eq._perturb(cells, np.array([0, 1]), np.array([1, 2]), 4, np.random.default_rng(1))
+        # a row of one cell draws no uniform; the next row takes the first one,
+        # and the padding slot in front of the one cell stays 0
+        table = np.array([[0.0, 4.0], [4.0, 0.0]])
+        eq._perturb(table, np.array([1, 2]), 4, np.random.default_rng(1))
         psi = np.random.default_rng(1).uniform(-0.5, 0.5)
-        np.testing.assert_array_equal(cells, [4.0, 4.0 + psi, 4 - (4.0 + psi)])
+        np.testing.assert_array_equal(table, [[0.0, 4.0], [4.0 + psi, 4 - (4.0 + psi)]])
 
     def test_sum_preserved(self):
         for seed in range(50):
@@ -64,9 +65,9 @@ class TestKernels:
         rng = np.random.default_rng(99)
         counts = np.array([5, 3, 2])
         total = 100_000
-        cells, starts, lengths = eq._ragged([counts] * total)
-        eq._perturb(cells, starts, lengths, 10, rng)
-        fracs = (cells.reshape(total, 3) - counts)[:, :2].ravel()
+        table = np.tile(counts, (total, 1)).astype(float)
+        eq._perturb(table, np.full(total, 3), 10, rng)
+        fracs = (table - counts)[:, :2].ravel()
         stat = sps.kstest(fracs, sps.uniform(loc=-0.5, scale=1.0).cdf)
         assert stat.pvalue > 0.01
 
@@ -119,7 +120,7 @@ class TestTranslation:
         st_ = states.validate_density(np.diag([1.0, 0.0]))
         ds = self._dataset(st_, 8, seed=3)
         np.testing.assert_array_equal(ds.counts[3], [8, 0])
-        indices, ys = eq.translate_qst_to_regression(ds, seed=3)
+        indices, ys = eq.translate_qst_to_regression(ds, PAULI2, seed=3)
         np.testing.assert_array_equal(indices, ds.indices)
         (_, _, rng), = record_blocks(3, TRANSLATE, len(ds.counts))
         rng.uniform(-0.5, 0.5, size=2)  # records 1 and 2; record 0, the identity, has one cell
@@ -128,7 +129,7 @@ class TestTranslation:
     def test_sum_one(self):
         st_ = states.pauli_line_state(2, 1, 0.4)
         ds = self._dataset(st_, 16, seed=5)
-        for y in eq.translate_qst_to_regression(ds, seed=5)[1]:
+        for y in eq.translate_qst_to_regression(ds, PAULI2, seed=5)[1]:
             assert abs(y.sum() - 1.0) <= 1e-12
 
     def test_translated_mean_matches_theta(self):
@@ -138,7 +139,7 @@ class TestTranslation:
         vals = []
         for rep in range(60):
             ds = measurement.run_tomography(st_, PAULI2, design, 300, 8, seed=rep)
-            _, fine = eq.translate_qst_to_regression(ds, seed=rep)
+            _, fine = eq.translate_qst_to_regression(ds, PAULI2, seed=rep)
             vals.extend(y[0] for y in fine)
         vals = np.array(vals)
         se = vals.std() / math.sqrt(len(vals))
@@ -147,20 +148,18 @@ class TestTranslation:
     def test_round_trip_recovers_counts(self):
         st_ = states.pauli_line_state(2, 1, 0.4)
         ds = self._dataset(st_, 32, seed=11)
-        fine = eq.translate_qst_to_regression(ds, seed=11)
+        fine = eq.translate_qst_to_regression(ds, PAULI2, seed=11)
         back, dropped = eq.translate_regression_to_qst(fine, 32)
         assert dropped == 0
         np.testing.assert_array_equal(back.indices, ds.indices)
-        assert len(back.counts) == len(ds.counts)
-        for orig, u in zip(ds.counts, back.counts):
-            np.testing.assert_array_equal(orig, u)
+        np.testing.assert_array_equal(back.counts, ds.counts)
 
     def test_fine_sample_rounding(self):
-        back, _ = eq.translate_regression_to_qst((np.array([1]), [np.array([0.74, 0.26])]), 4)
+        back, _ = eq.translate_regression_to_qst((np.array([1]), np.array([[0.74, 0.26]])), 4)
         np.testing.assert_array_equal(back.counts[0], [3, 1])
 
     def test_out_of_model_sample_dropped(self):
-        samples = (np.array([1, 2]), [np.array([1.2, -0.2]), np.array([0.5, 0.5])])
+        samples = (np.array([1, 2]), np.array([[1.2, -0.2], [0.5, 0.5]]))
         back, dropped = eq.translate_regression_to_qst(samples, 4)
         assert dropped == 1
         assert back.indices.tolist() == [2] and len(back.counts) == 1
@@ -173,7 +172,7 @@ class TestTranslation:
         fines = [regression.simulate_fine(st_, PAULI2, design, 1000, 64, seed=rep)
                  for rep in range(100)]
         indices = np.concatenate([fine[0] for fine in fines])
-        ys = [y for fine in fines for y in fine[1]]
+        ys = np.concatenate([fine[1] for fine in fines])
         _, dropped = eq.translate_regression_to_qst((indices, ys), 64)
         total = len(ys)
         assert total == 100_000
@@ -188,22 +187,26 @@ class TestTranslation:
         design = bases.SamplingDesign.random(np.full(16, 1 / 16))
         n = 3 * BLOCK + 17
         ds = measurement.run_tomography(st_, herm4, design, n, m, seed=m)
-        assert {len(u) for u in ds.counts} == {2, 3}
-        assert any(np.count_nonzero(u) == 1 for u in ds.counts)
-        fine = eq.translate_qst_to_regression(ds, seed=m)
-        want = translate_per_record(ds, seed=m)
+        rows = record_tails(herm4, ds.indices, ds.counts)
+        assert {len(u) for u in rows} == {2, 3}
+        assert any(np.count_nonzero(u) == 1 for u in rows)
+        fine = eq.translate_qst_to_regression(ds, herm4, seed=m)
+        want = translate_per_record(dataclasses.replace(ds, counts=rows), seed=m)
         np.testing.assert_array_equal(fine[0], want[0])
-        assert [y.tobytes() for y in fine[1]] == [y.tobytes() for y in want[1]]
+        assert ([y.tobytes() for y in record_tails(herm4, *fine)]
+                == [y.tobytes() for y in want[1]])
         gaussian = regression.simulate_fine(st_, herm4, design, n, m, seed=m)
         for samples, drops in ((fine, False), (gaussian, True)):
             back, dropped = eq.translate_regression_to_qst(samples, m)
-            indices, counts, want_dropped = round_off_per_record(samples, m)
+            indices, counts, want_dropped = round_off_per_record(
+                (samples[0], record_tails(herm4, *samples)), m)
             assert dropped == want_dropped and (dropped > 0) == drops
             np.testing.assert_array_equal(back.indices, indices)
-            assert [u.tobytes() for u in back.counts] == [u.tobytes() for u in counts]
+            assert ([u.tobytes() for u in record_tails(herm4, back.indices, back.counts)]
+                    == [u.tobytes() for u in counts])
 
     def test_translation_result_records(self):
-        back, dropped = eq.translate_regression_to_qst((np.array([1]), [np.array([0.5, 0.5])]), 4)
+        back, dropped = eq.translate_regression_to_qst((np.array([1]), np.array([[0.5, 0.5]])), 4)
         assert len(back.counts) == 1 and back.m == 4 and dropped == 0
         assert back.indices.dtype == np.int64 and back.indices.tolist() == [1]
         np.testing.assert_array_equal(back.counts[0], [2, 2])

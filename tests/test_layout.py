@@ -1,0 +1,77 @@
+"""One record layout: every run's records are the basis's front-padded (n, kappa) table.
+
+A custom basis with members of 1, 2 and 3 cells puts every padding width in
+one run: each producer returns tables of width kappa, K0 leaves the padding
+slots at exactly 0, K1 on whole rows agrees with the per-record oracle fed
+each row's tail, and each CSV writer and reader round-trips the table.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import custom_basis, record_tails, round_off_per_record
+from tomolab import bases, equivalence as eq, measurement, regression, states
+
+# the identity (1 cell), a rank-2 projection (2 cells) and a random Hermitian member (3 cells)
+_rng = np.random.default_rng(8)
+_z = _rng.normal(size=(3, 3)) + 1j * _rng.normal(size=(3, 3))
+MIXED = custom_basis([np.eye(3), np.diag([1.0, 1.0, 0.0]), (_z + _z.conj().T) / 2])
+STATE = states.sample_class(states.StateClassSpec("low_rank", r=3), 3, seed=1)
+DESIGN = bases.SamplingDesign.random(np.full(3, 1 / 3))
+N = 600
+
+
+def padding(indices) -> np.ndarray:
+    """Mask of the padding slots of each record's row."""
+    return np.arange(MIXED.kappa) < (MIXED.kappa - MIXED.sizes[indices])[:, None]
+
+
+def test_basis_mixes_one_two_and_three_cells():
+    assert MIXED.sizes.tolist() == [1, 2, 3] and MIXED.kappa == 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 64])
+def test_producers_fill_the_padded_table(m):
+    ds = measurement.run_tomography(STATE, MIXED, DESIGN, N, m, seed=m)
+    assert set(ds.indices.tolist()) == {0, 1, 2}
+    fine = regression.simulate_fine(STATE, MIXED, DESIGN, N, m, seed=m)
+    translated = eq.translate_qst_to_regression(ds, MIXED, seed=m)
+    back, dropped = eq.translate_regression_to_qst(translated, m)
+    gaussian, _ = eq.translate_regression_to_qst(fine, m)
+    tables = [(ds.indices, ds.counts, np.int64), (fine[0], fine[1], np.float64),
+              (translated[0], translated[1], np.float64), (back.indices, back.counts, np.int64),
+              (gaussian.indices, gaussian.counts, np.int64)]
+    for indices, table, dtype in tables:
+        assert table.shape == (len(indices), MIXED.kappa) and table.dtype == dtype
+        # K0, like every other producer, leaves each padding slot exactly 0
+        assert np.all(table[padding(indices)] == 0)
+    assert dropped == 0
+    np.testing.assert_array_equal(back.counts, ds.counts)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_round_off_matches_per_record_oracle(m):
+    # Gaussian fine samples at small m imply negative counts, so some records drop
+    samples = regression.simulate_fine(STATE, MIXED, DESIGN, N, m, seed=m)
+    back, dropped = eq.translate_regression_to_qst(samples, m)
+    indices, counts, want_dropped = round_off_per_record(
+        (samples[0], record_tails(MIXED, *samples)), m)
+    assert dropped == want_dropped > 0
+    np.testing.assert_array_equal(back.indices, indices)
+    assert ([u.tobytes() for u in record_tails(MIXED, back.indices, back.counts)]
+            == [u.tobytes() for u in counts])
+
+
+def test_writers_and_readers_round_trip_the_table(tmp_path):
+    ds = measurement.run_tomography(STATE, MIXED, DESIGN, N, 9, seed=3, detail="summary")
+    measurement.write_dataset_csv(ds, MIXED, tmp_path / "tomography.csv")
+    back = measurement.read_dataset_csv(tmp_path / "tomography.csv", MIXED)
+    assert back.counts.shape == (N, MIXED.kappa)
+    np.testing.assert_array_equal(back.indices, ds.indices)
+    np.testing.assert_array_equal(back.counts, ds.counts)
+    fine = regression.simulate_fine(STATE, MIXED, DESIGN, N, 9, seed=3)
+    regression.write_fine_csv(fine, MIXED, tmp_path / "fine.csv")
+    indices, table = regression.read_fine_csv(tmp_path / "fine.csv", MIXED)
+    assert table.shape == (N, MIXED.kappa)
+    np.testing.assert_array_equal(indices, fine[0])
+    np.testing.assert_array_equal(table, fine[1])

@@ -41,13 +41,6 @@ def counts_on(st, j, n, m, seed) -> np.ndarray:
     return np.array(ds.counts)
 
 
-def assert_same_counts(a, b):
-    """Two lists of per-record count vectors agree record by record."""
-    assert len(a) == len(b)
-    for u, v in zip(a, b):
-        np.testing.assert_array_equal(u, v)
-
-
 class TestCellProbabilities:
     def test_eigenstate(self):
         theta = measurement.cell_probabilities(pure_z(), PAULI2)[PAULI2.cells(3)]
@@ -132,8 +125,6 @@ class TestCellProbabilities:
             r = herm.sizes[j]
             np.testing.assert_array_equal(table[j, 3 - r:], theta[herm.cells(j)])
             assert np.all(table[j, :3 - r] == 0.0)
-        tails = herm.tails(np.array([0, 1, 0]), table[[0, 1, 0]])
-        assert [len(t) for t in tails] == [2, 3, 2]
 
 
 class TestMeasureCounts:
@@ -248,7 +239,8 @@ class TestRunTomography:
                                         4, 12, seed=3, detail="individual")
         assert ds.individuals.shape == (4, 12)
         for j, counts, outcomes, n_k in zip(ds.indices, ds.counts, ds.individuals, ds.summaries):
-            for lam, count in zip(PAULI2.eigenvalues[PAULI2.cells(j)], counts):
+            lams = PAULI2.eigenvalues[PAULI2.cells(j)]
+            for lam, count in zip(lams, counts[2 - len(lams):]):
                 assert np.sum(np.isclose(outcomes, lam)) == count
             assert outcomes.mean() == pytest.approx(n_k)
 
@@ -258,7 +250,7 @@ class TestRunTomography:
                                         4, 50, seed=4, detail="summary")
         for j, counts, n_k in zip(ds.indices, ds.counts, ds.summaries):
             lam = PAULI2.eigenvalues[PAULI2.cells(j)]
-            assert n_k == pytest.approx(np.dot(lam, counts) / ds.m)
+            assert n_k == pytest.approx(np.dot(lam, counts[2 - len(lam):]) / ds.m)
 
     def test_variance_of_summary_monte_carlo(self):
         st = states.pauli_line_state(2, 1, 0.5)
@@ -274,17 +266,17 @@ class TestRunTomography:
 
     def test_records_are_arrays(self):
         # a Hermitian d = 4 family mixes 2-cell and 3-cell members; each
-        # record's counts cover exactly its member's cells
+        # record's counts fill exactly its member's cells, at the end of its row
         herm = bases.build_basis("hermitian", 4)
         st = states.sample_class(states.StateClassSpec("low_rank", r=4), 4, seed=2)
         ds = measurement.run_tomography(st, herm, bases.SamplingDesign.fixed(), herm.size, 9,
                                         seed=6, detail="summary")
         assert ds.indices.dtype == np.int64 and ds.summaries.shape == (herm.size,)
         assert ds.individuals is None
-        assert {len(u) for u in ds.counts} == {2, 3}
+        assert ds.counts.dtype == np.int64 and ds.counts.shape == (herm.size, 3)
+        assert set(herm.sizes[ds.indices].tolist()) == {2, 3}
         for j, u in zip(ds.indices, ds.counts):
-            assert u.dtype == np.int64 and len(u) == herm.sizes[j]
-            assert u.sum() == 9
+            assert np.all(u[:3 - herm.sizes[j]] == 0) and u.sum() == 9
 
     def test_deterministic_per_seed(self):
         st = states.pauli_line_state(2, 1, 0.3)
@@ -293,7 +285,7 @@ class TestRunTomography:
         b = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                        4, 9, seed=8, detail="individual")
         np.testing.assert_array_equal(a.indices, b.indices)
-        assert_same_counts(a.counts, b.counts)
+        np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.individuals, b.individuals)
 
 
@@ -303,11 +295,11 @@ class TestDatasetCSV:
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                         4, 7, seed=5, detail="summary")
         path = tmp_path / "ds.csv"
-        measurement.write_dataset_csv(ds, path)
+        measurement.write_dataset_csv(ds, PAULI2, path)
         back = measurement.read_dataset_csv(path, PAULI2)
         assert back.m == 7
         np.testing.assert_array_equal(back.indices, ds.indices)
-        assert_same_counts(back.counts, ds.counts)
+        np.testing.assert_array_equal(back.counts, ds.counts)
         np.testing.assert_allclose(back.summaries, ds.summaries)
 
     def test_counts_only_has_empty_summary_column(self, tmp_path):
@@ -315,7 +307,7 @@ class TestDatasetCSV:
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                         4, 7, seed=5, detail="counts")
         path = tmp_path / "ds.csv"
-        measurement.write_dataset_csv(ds, path)
+        measurement.write_dataset_csv(ds, PAULI2, path)
         rows = path.read_text().strip().splitlines()
         assert rows[1].endswith(",")
 
@@ -333,9 +325,17 @@ class TestDatasetCSV:
         (["0,1,4,1|1|2,"], "counts do not fit"),      # 3 counts on a 2-cell member
         (["0,1,4,1|2,"], "do not sum"),               # 3 counts for m = 4
         (["0,1,4,1|3,", "1,2,8,4|4,"], "mix m"),      # m = 4, then m = 8
+        (["0,1,4,1|3,", "1,2,4,2|2"], "record 1: 4 fields, the header has 5"),
     ])
     def test_read_rejects_invalid_rows(self, tmp_path, rows, problem):
         path = tmp_path / "ds.csv"
         path.write_text("\n".join(["k,j,m,counts,N"] + rows) + "\n")
         with pytest.raises(ValueError, match=problem):
+            measurement.read_dataset_csv(path, PAULI2)
+
+    def test_read_requires_the_summary_column(self, tmp_path):
+        # the writer always writes N, empty when absent
+        path = tmp_path / "ds.csv"
+        path.write_text("k,j,m,counts\n0,1,4,1|3\n")
+        with pytest.raises(ValueError, match="unexpected header"):
             measurement.read_dataset_csv(path, PAULI2)

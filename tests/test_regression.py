@@ -90,9 +90,9 @@ class TestSimulateFine:
         st = interior_state()
         indices, ys = regression.simulate_fine(st, HERM4, bases.SamplingDesign.fixed(),
                                                16, 25, seed=3)
-        assert indices.tolist() == list(range(16))
+        assert indices.tolist() == list(range(16)) and ys.shape == (16, 3)
         for j, y in zip(indices, ys):
-            assert len(y) == HERM4.sizes[j]
+            assert np.all(y[:3 - HERM4.sizes[j]] == 0.0)
             assert abs(y.sum() - 1.0) <= 1e-12
 
     def test_sample_variance_matches(self):
@@ -215,12 +215,10 @@ class TestCSV:
         out = regression.simulate_fine(st, HERM4, bases.SamplingDesign.fixed(),
                                        16, 5, seed=4)
         path = tmp_path / "fine.csv"
-        regression.write_fine_csv(out, path)
+        regression.write_fine_csv(out, HERM4, path)
         indices, ys = regression.read_fine_csv(path, HERM4)
         np.testing.assert_array_equal(indices, out[0])
-        assert len(ys) == len(out[1])
-        for y1, y2 in zip(out[1], ys):
-            np.testing.assert_array_equal(y1, y2)
+        np.testing.assert_array_equal(ys, out[1])
 
 
     @pytest.mark.parametrize("lines, problem", [
@@ -230,6 +228,7 @@ class TestCSV:
         (["k,j,Y", "0,1,0.5"], "member 1 is not a measurable member"),  # off-diagonal
         (["k,j,Y", "0,0,nan"], "finite"),
         (["k,j,Y", "0,3,-inf"], "finite"),
+        (["k,j,Y", "0,1"], "record 0: 2 fields, the header has 3"),
     ])
     def test_coarse_read_rejects(self, tmp_path, lines, problem):
         path = tmp_path / "coarse.csv"

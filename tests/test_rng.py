@@ -48,7 +48,7 @@ def counted():
 def translate(n):
     ds = counted()
     part = TomographyDataset(m=ds.m, indices=ds.indices[:n], counts=ds.counts[:n])
-    return equivalence.translate_qst_to_regression(part, SEED)
+    return equivalence.translate_qst_to_regression(part, HERM4, SEED)
 
 
 SIMULATORS = {"tomography": tomography, "coarse": coarse, "fine": fine,
