@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError
-from .hermitian import _eigenspaces, format_matrix, parse_matrix, stack_traces, tensor_chain
+from .hermitian import (TOL_HERM, _eigenspaces, format_matrix, parse_matrix, stack_traces,
+                        tensor_chain)
 
 __all__ = [
     "SIGMA",
@@ -48,7 +49,6 @@ SIGMA = (
 )
 
 _KINDS = ("canonical", "hermitian", "pauli", "gvector")
-CLUSTER_TOL = 1e-9  # eigenvalues within this times max(spectral norm, 1) share a cell
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
         b = _pauli_slots(d)
         mats = (_pauli_member(j, b) for j in range(d * d))
     # generated, so the member list _make_basis stacks is freed once stacked
-    return _make_basis(mats, CLUSTER_TOL, kind, g_vectors=g_store)
+    return _make_basis(mats, kind, g_vectors=g_store)
 
 
 def _pauli_label(j: int, b: int):
@@ -212,7 +212,7 @@ def _pauli_member(j: int, b: int) -> np.ndarray:
     return tensor_chain(SIGMA[l] for l in _pauli_label(j, b))
 
 
-def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> ObservableBasis:
+def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     """The one constructor of every family: each Hermitian member is measurable,
     its eigenspace projections V V^dagger written into its rows, the others
     get no rows (masking only).  A built-in kind takes its labels from
@@ -233,8 +233,8 @@ def _make_basis(matrices, cluster_tol: float, kind: str, g_vectors=None) -> Obse
     spaces = []
     for m in mats:
         # a member with a NaN or inf entry goes to _eigenspaces, which rejects it
-        herm = not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) <= 1e-9
-        spaces.append(_eigenspaces(m, cluster_tol) if herm else None)
+        herm = not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) <= TOL_HERM
+        spaces.append(_eigenspaces(m) if herm else None)
     measured = [sp for sp in spaces if sp is not None]
     eigenvalues = np.array([lam for lams, _ in measured for lam in lams])
     projections = np.empty((len(eigenvalues), d, d), dtype=complex)
@@ -305,4 +305,4 @@ def read_basis(path) -> ObservableBasis:
         pos += d + 1
     if any(ln.strip() for ln in lines[pos:]):
         raise ValueError(f"text after the {p} matrices the header declares")
-    return _make_basis(mats, CLUSTER_TOL, kind if kind in _KINDS else "custom")
+    return _make_basis(mats, kind if kind in _KINDS else "custom")

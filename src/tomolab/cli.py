@@ -69,7 +69,8 @@ def _finite(text: str) -> float:
 def _key(section, key: str, cast=str, **default):
     """A config field read from ``[section] key`` through ``cast``; ``section``
     may map each task to the one section it reads the key from."""
-    return field(metadata={"key": (section, key, cast)}, **default)
+    sections = section if isinstance(section, dict) else dict.fromkeys(TASKS, section)
+    return field(metadata={"key": (sections, key, cast)}, **default)
 
 
 # the section each grid task reads its grid keys from; estimator_transfer has no theta
@@ -104,7 +105,6 @@ class ExperimentConfig:
     detail: str = _key("run", "detail", default="summary")
     out_dir: str = _key("run", "out", default="tomolab_out")
     threads: int = _key("run", "threads", int, default=1)
-    active_tol: float = _key("tolerances", "active_tol", _finite, default=diagnostics.ACTIVE_TOL)
     c0: float = _key("tolerances", "c0", _finite, default=None)
     c1: float = _key("tolerances", "c1", _finite, default=None)
     thetas: list = _key(_THETA_SECTION, "theta", _parse_theta_list,
@@ -117,6 +117,11 @@ class ExperimentConfig:
     witness_files: list = _key("zeta", "witness_files", _parse_names, default_factory=list)
     class_samples: int = _key("corollaries", "samples", int, default=20)
     raw_text: str = ""
+
+
+# every (section, key) a config may set: those the fields read for some task, and [run] task
+_KEYS = {("run", "task")} | {(sec, f.metadata["key"][1]) for f in fields(ExperimentConfig)
+                             if "key" in f.metadata for sec in f.metadata["key"][0].values()}
 
 
 @dataclass
@@ -150,18 +155,22 @@ def load_config(path) -> ExperimentConfig:
     task = get("run", "task")
     if task not in TASKS:
         raise ConfigParseError(f"task must be one of {TASKS}, got {task!r}")
+    unknown = sorted({(sec, key) for sec in [parser.default_section, *parser.sections()]
+                      for key in parser[sec]} - _KEYS)
+    if unknown:
+        raise ConfigParseError("read by no setting: " + ", ".join(f"[{s}] {k}" for s, k in unknown))
     values = {}
     for f in fields(ExperimentConfig):
         if "key" in f.metadata:
-            section, key, cast = f.metadata["key"]
-            if isinstance(section, dict):
-                section = section.get(task)
-            values[f.name] = get(section, key, cast)
+            sections, key, cast = f.metadata["key"]
+            values[f.name] = get(sections.get(task), key, cast)
     cfg = ExperimentConfig(task=task, raw_text=raw,
                            **{name: v for name, v in values.items() if v is not None})
 
     if "TOMOLAB_SEED" in os.environ:
         cfg.seed = int(os.environ["TOMOLAB_SEED"])
+    if cfg.n is None:  # every family the runner builds has p = d^2 members
+        cfg.n = cfg.d * cfg.d if cfg.design_mode == "fixed" else 0
     _check_bounds(cfg)
     _check_grids(cfg)
     if (cfg.c0 is None) != (cfg.c1 is None) or cfg.c0 is not None and cfg.c0 > cfg.c1:
@@ -174,13 +183,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _check_bounds(cfg: ExperimentConfig) -> None:
-    # a Monte-Carlo half-width or a standard error needs two draws, translate's round
-    # trip a record; an unset n is p >= 1 under a fixed design and 0 under a random one
-    n = cfg.n if cfg.n is not None else int(cfg.design_mode == "fixed")
+    # a Monte-Carlo half-width or a standard error needs two draws, a translate run a record
     for key, value, least, most in (
             ("[basis] d", cfg.d, -math.inf, ENVELOPE["d"]),
             ("[run] m", cfg.m, -math.inf, ENVELOPE["m"]),
-            ("[run] n", n, int(cfg.task == "translate"), ENVELOPE["n"]),
+            ("[run] n", cfg.n, int(cfg.task == "translate"), ENVELOPE["n"]),
             ("[corollaries] samples", cfg.class_samples, 1, ENVELOPE["samples"]),
             ("[distances] tv_samples", cfg.tv_samples, 2, ENVELOPE["tv_samples"]),
             ("[transfer] replications", cfg.replications, 2, ENVELOPE["replications"]),
@@ -200,7 +207,7 @@ def _check_grids(cfg: ExperimentConfig) -> None:
             theta = equivalence._checked_theta(theta)
         except ValueError as exc:
             raise ConfigParseError(f"bad theta: {exc}") from exc
-        active = len(measurement._active_cells(theta))
+        active = int(measurement._active_mask(theta).sum())
         # H = 0 at every m without two active cells, so there is no slope
         if cfg.task == "scaling" and active < 2:
             raise ConfigParseError(f"scaling theta {theta.tolist()} has fewer than two active cells")
@@ -268,23 +275,21 @@ def _inputs(cfg: ExperimentConfig):
 
 def _task_simulate(cfg, path):
     basis, state, design = _inputs(cfg)
-    n = cfg.n if cfg.n is not None else (basis.size if design.mode == "fixed" else 0)
-    dataset = measurement.run_tomography(state, basis, design, n, cfg.m, cfg.seed,
+    dataset = measurement.run_tomography(state, basis, design, cfg.n, cfg.m, cfg.seed,
                                          detail=cfg.detail)
     measurement.write_dataset_csv(dataset, basis, path("tomography.csv"))
     if dataset.individuals is not None:
         measurement.write_individuals_csv(dataset, path("individuals.csv"))
-    coarse = regression.simulate_coarse(state, basis, design, n, cfg.m, cfg.seed)
+    coarse = regression.simulate_coarse(state, basis, design, cfg.n, cfg.m, cfg.seed)
     regression.write_coarse_csv(coarse, path("coarse.csv"))
-    fine = regression.simulate_fine(state, basis, design, n, cfg.m, cfg.seed)
+    fine = regression.simulate_fine(state, basis, design, cfg.n, cfg.m, cfg.seed)
     regression.write_fine_csv(fine, basis, path("fine.csv"))
     return []
 
 
 def _task_translate(cfg, path):
     basis, state, design = _inputs(cfg)
-    n = cfg.n if cfg.n is not None else (basis.size if design.mode == "fixed" else 0)
-    dataset = measurement.run_tomography(state, basis, design, n, cfg.m, cfg.seed)
+    dataset = measurement.run_tomography(state, basis, design, cfg.n, cfg.m, cfg.seed)
     translated = equivalence.translate_qst_to_regression(dataset, basis, cfg.seed)
     regression.write_fine_csv(translated, basis, path("translated_fine.csv"))
     back, dropped = equivalence.translate_regression_to_qst(translated, cfg.m)
@@ -338,9 +343,8 @@ def _task_zeta(cfg, path):
     if design.mode == "random":
         weights = [design.weights_regression, design.weights_tomography]
     c_bounds = (cfg.c0, cfg.c1) if cfg.c0 is not None else None
-    report = diagnostics.zeta_fraction(wit, basis, weights=weights,
-                                       tol=cfg.active_tol, state_labels=names,
-                                       c_bounds=c_bounds)
+    report = diagnostics.zeta_fraction(wit, basis, weights=weights, c_bounds=c_bounds,
+                                       state_labels=names)
     payload = {
         "zeta": report.zeta,
         "fractions": list(report.fractions),

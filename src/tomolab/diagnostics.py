@@ -47,7 +47,6 @@ class ActiveIndexReport:
     per_j: tuple                    # tuple of index tuples
     cardinalities: np.ndarray
     measurable: np.ndarray
-    tol: float
     active_traces_min: float = None
     active_traces_max: float = None
 
@@ -60,17 +59,15 @@ class ActiveIndexReport:
         return int(self.nondegenerate.sum())
 
 
-def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> ActiveIndexReport:
-    """Indices a with tol < tr(Q_ja rho) < 1 - tol, for every measurable member.
+def active_index_set(rho, basis: ObservableBasis) -> ActiveIndexReport:
+    """Indices a with ACTIVE_TOL < tr(Q_ja rho) < 1 - ACTIVE_TOL of every measurable member.
 
     Every tr(Q_ja rho) of the family comes from one pass over the basis's
     projection array (:meth:`ObservableBasis.cell_traces`), which rejects a
     state that is not a finite (d, d) matrix before computing any of them.
     """
-    if not (0 < tol < 0.1):
-        raise ValueError("tol must lie in (0, 0.1)")
     traces = basis.cell_traces(rho)
-    active = _active_mask(traces, tol)
+    active = _active_mask(traces)
     member = basis.cell_member[active]
     cards = np.bincount(member, minlength=basis.size)
     cells = (np.flatnonzero(active) - basis.cell_start[member]).tolist()
@@ -80,7 +77,6 @@ def active_index_set(rho, basis: ObservableBasis, tol: float = ACTIVE_TOL) -> Ac
         per_j=tuple(tuple(cells[lo:hi]) for lo, hi in zip([0] + ends, ends)),
         cardinalities=cards,
         measurable=basis.sizes > 0,
-        tol=tol,
         active_traces_min=float(hit.min()) if hit.size else None,
         active_traces_max=float(hit.max()) if hit.size else None,
     )
@@ -99,8 +95,8 @@ class ZetaReport:
     c3_ok: bool = None               # both inside the user (c0, c1), when supplied
 
 
-def zeta_fraction(states, basis: ObservableBasis, weights=None, tol: float = ACTIVE_TOL,
-                  c_bounds=None, state_labels=None) -> ZetaReport:
+def zeta_fraction(states, basis: ObservableBasis, weights=None, c_bounds=None,
+                  state_labels=None) -> ZetaReport:
     """Weighted fraction of nondegenerate observables, maximized over states.
 
     ``weights`` is None (uniform 1/p), one probability vector, or a sequence
@@ -124,7 +120,7 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None, tol: float = ACT
     fractions, counts = [], []
     t_min, t_max = np.inf, -np.inf
     for state in states:
-        report = active_index_set(state, basis, tol)
+        report = active_index_set(state, basis)
         flags = report.nondegenerate.astype(float)
         fractions.append(max(float(np.dot(w, flags)) for w in weight_vectors))
         counts.append(report.nondegenerate_count)
@@ -201,11 +197,11 @@ def deficiency_bound(n: int, m: int, p: int, kappa: int, gamma: float, zeta: flo
     )
 
 
-def _count_block(basis: ObservableBasis, axes, sampled, bound, tol: float) -> dict:
+def _count_block(basis: ObservableBasis, axes, sampled, bound) -> dict:
     """Nondegenerate counts of the ``sampled`` states on ``basis`` against the
     nominal ``bound(u)`` and the rule 2*d*u - u^2.
 
-    u = #{i : (A' rho A)_ii > tol} over the columns of ``axes`` A, the axes the
+    u = #{i : (A' rho A)_ii > ACTIVE_TOL} over the columns of ``axes`` A, the axes the
     family is built on.  For a PSD rho these are the axes its range touches, so
     only the u diagonal members on them and both members of each pair with an
     endpoint among them can be active.
@@ -213,8 +209,8 @@ def _count_block(basis: ObservableBasis, axes, sampled, bound, tol: float) -> di
     d = len(axes)
     max_count, violations, rule_ok = 0, 0, True
     for st in sampled:
-        u = int(np.sum(np.diag(axes.T @ st.matrix @ axes).real > tol))
-        count = active_index_set(st, basis, tol).nondegenerate_count
+        u = int(np.sum(np.diag(axes.T @ st.matrix @ axes).real > ACTIVE_TOL))
+        count = active_index_set(st, basis).nondegenerate_count
         max_count = max(max_count, count)
         violations += count > bound(u)
         rule_ok &= count <= 2 * d * u - u * u
@@ -222,7 +218,7 @@ def _count_block(basis: ObservableBasis, axes, sampled, bound, tol: float) -> di
             "corrected_rule_ok": bool(rule_ok), "ok": violations == 0}
 
 
-def corollary_suite(d: int, seed: int, samples: int, tol: float = ACTIVE_TOL) -> list:
+def corollary_suite(d: int, seed: int, samples: int) -> list:
     """The four witness-and-count checks over the built-in families at dimension d.
 
     The two counting checks (entry-sparse states on the hermitian family,
@@ -237,7 +233,7 @@ def corollary_suite(d: int, seed: int, samples: int, tol: float = ACTIVE_TOL) ->
     for s in (1, 2, 4):
         spec = StateClassSpec("entry_sparse", s=s)
         sampled = [sample_class(spec, d, seed + 1000 * s + i) for i in range(samples)]
-        worst[f"s{s}"] = {**_count_block(herm, np.eye(d), sampled, lambda u: d * u, tol),
+        worst[f"s{s}"] = {**_count_block(herm, np.eye(d), sampled, lambda u: d * u),
                           "bound_rule": f"{d}*s_d per state"}
     results = [{"name": "sparse-entry-count", "anchor": "corollary1",
                 "passed": all(v["ok"] for v in worst.values()), "details": worst}]
@@ -249,8 +245,8 @@ def corollary_suite(d: int, seed: int, samples: int, tol: float = ACTIVE_TOL) ->
         ok, detail = True, {}
         for beta in (0.1, 0.5, 0.9):
             st = pauli_line_state(d, 1, beta)
-            count = active_index_set(st, pauli, tol).nondegenerate_count
-            ok &= abs(pauli.cell_traces(st.matrix)[0] - 1.0) <= tol and count == p - 1
+            count = active_index_set(st, pauli).nondegenerate_count
+            ok &= abs(pauli.cell_traces(st.matrix)[0] - 1.0) <= ACTIVE_TOL and count == p - 1
             detail[str(beta)] = {"nondegenerate": count, "zeta": count / p}
         results.append({"name": "pauli-line-witness", "anchor": "corollary2",
                         "passed": bool(ok), "details": detail})
@@ -260,9 +256,9 @@ def corollary_suite(d: int, seed: int, samples: int, tol: float = ACTIVE_TOL) ->
         traces = pauli.cell_traces(st.matrix)
         first = pauli.cell_start[1:-1]
         rest = traces[first[0]:]
-        ok = np.all(traces[first] >= 0.5 - tol) and np.all(traces[first + 1] >= 1.0 / 7.0 - tol)
-        count = active_index_set(st, pauli, tol).nondegenerate_count
-        ok &= count == p - 1
+        count = active_index_set(st, pauli).nondegenerate_count
+        ok = (count == p - 1 and np.all(traces[first] >= 0.5 - ACTIVE_TOL)
+              and np.all(traces[first + 1] >= 1 / 7 - ACTIVE_TOL))
         results.append({"name": "tilted-product-witness", "anchor": "corollary3",
                         "passed": bool(ok), "details": {
                             "zeta": count / p, "min_trace": rest.min(), "max_trace": rest.max()}})
@@ -275,7 +271,7 @@ def corollary_suite(d: int, seed: int, samples: int, tol: float = ACTIVE_TOL) ->
         spec = StateClassSpec("low_rank_sparse_vec", r=r, gamma=gam, g_vectors=g)
         sampled = [sample_class(spec, d, seed + 7000 * r + 100 * gam + i)
                    for i in range(samples)]
-        worst[f"r{r}g{gam}"] = {**_count_block(gbasis, g, sampled, lambda u: bound, tol),
+        worst[f"r{r}g{gam}"] = {**_count_block(gbasis, g, sampled, lambda u: bound),
                                 "bound": bound}
     results.append({"name": "sparse-vector-count", "anchor": "corollary4",
                     "passed": all(v["ok"] for v in worst.values()), "details": worst})

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from .errors import TomolabError
-from .measurement import TomographyDataset, _active_cells, _fmt, _write_table
+from .measurement import TomographyDataset, _active_mask, _fmt, _write_table
 from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
@@ -330,7 +330,7 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
     theta = _checked_theta(theta)
     if m < 1 or m > MAX_QUAD_M:
         raise ValueError(f"m must be in [1, {MAX_QUAD_M}]")
-    active = _active_cells(theta)
+    active = np.flatnonzero(_active_mask(theta))
     if len(active) <= 1:
         return DistanceEstimate(value=0.0, kind="hellinger", method="quadrature",
                                 error_bar=0.0, params={"m": m, "theta": theta.tolist()})
@@ -391,7 +391,7 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
         raise ValueError(f"m must be at least 1, got {m}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    active = _active_cells(theta)
+    active = np.flatnonzero(_active_mask(theta))
     if len(active) <= 1:
         return DistanceEstimate(value=0.0, kind="tv", method="monte_carlo",
                                 error_bar=0.0, params={"m": m, "theta": theta.tolist()})
@@ -447,7 +447,7 @@ def scaling_study(theta, m_grid) -> ScalingReport:
     m_grid = [int(m) for m in m_grid]
     if len(set(m_grid)) < MIN_SCALING_POINTS:
         raise ValueError(f"scaling study needs at least {MIN_SCALING_POINTS} distinct m values")
-    if len(_active_cells(_checked_theta(theta))) < 2:
+    if _active_mask(_checked_theta(theta)).sum() < 2:
         # H = 0 at every m, so there is no slope to fit
         raise ValueError(f"scaling study needs at least two active cells, got theta = {theta}")
     estimates = [hellinger_perturbed_vs_gaussian(m, theta) for m in m_grid]

@@ -4,8 +4,8 @@ Matrices are plain complex ``numpy`` arrays.  :func:`_eigenspaces` gives the
 *distinct* eigenvalues of a Hermitian matrix with an orthonormal eigenvector
 block per eigenvalue; :mod:`tomolab.bases` writes each block's projection
 V V^dagger into its basis's projection array.  Floating-point eigensolvers
-split degenerate eigenvalues, so nearby eigenvalues are merged by a relative
-clustering tolerance before the blocks are formed.  :func:`stack_traces` is
+split degenerate eigenvalues, so nearby eigenvalues are merged by the relative
+clustering tolerance ``CLUSTER_TOL`` before the blocks are formed.  :func:`stack_traces` is
 the one kernel for tr(a rho) over a stack of matrices.
 
 Design envelope: dense double precision, dimensions up to ~1024 (tensor
@@ -34,39 +34,37 @@ __all__ = [
 ]
 
 TOL_HERM = 1e-9          # Hermitian symmetry check
+CLUSTER_TOL = 1e-9       # eigenvalues within this times max(spectral norm, 1) share a cell
 MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
 _TRACE_CHUNK = 8192       # entries of the temporary product in one chunk of stack_traces
 
 
-def require_hermitian(mat: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def require_hermitian(mat: np.ndarray) -> np.ndarray:
     """Return ``mat`` as a complex array, raising :class:`TomolabError` if it is
-    not square, has a non-finite entry or is unsymmetric."""
+    not square, has a non-finite entry or is unsymmetric (``TOL_HERM``)."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise TomolabError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise TomolabError("matrix has a non-finite entry")
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if dev > tol:
+    if dev > TOL_HERM:
         raise TomolabError(f"matrix deviates from Hermitian symmetry by {dev:.3e}")
     return mat
 
 
-def _eigenspaces(mat: np.ndarray, cluster_tol: float) -> tuple:
+def _eigenspaces(mat: np.ndarray) -> tuple:
     """The clustering rule: (distinct eigenvalues, eigenvector blocks),
     descending.
 
-    Eigenvalues within ``cluster_tol`` times the spectral norm of each other
-    are merged into one distinct eigenvalue, the mean of the merged ones,
-    whose block holds their orthonormal eigenvectors as columns.
+    Eigenvalues within ``CLUSTER_TOL`` times max(spectral norm, 1) of each
+    other are merged into one distinct eigenvalue, the mean of the merged
+    ones, whose block holds their orthonormal eigenvectors as columns.
     """
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
     mat = require_hermitian(mat)
     evals, evecs = np.linalg.eigh(mat)
 
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    gap = cluster_tol * max(scale, 1.0) if scale > 0 else cluster_tol
+    gap = CLUSTER_TOL * float(np.max(np.abs(evals), initial=1.0))
     # eigh returns ascending order; walk it and cut where the gap exceeds tol
     distinct, blocks = [], []
     start = 0

@@ -85,14 +85,9 @@ def cell_probabilities(rho, basis: ObservableBasis) -> np.ndarray:
     return theta
 
 
-def _active_mask(theta, tol: float = ACTIVE_TOL) -> np.ndarray:
-    """Flags tol < theta_a < 1 - tol, the one rule for which cells are active."""
-    return (theta > tol) & (theta < 1 - tol)
-
-
-def _active_cells(theta, tol: float = ACTIVE_TOL) -> np.ndarray:
-    """Indices of the active cells; fewer than two means a deterministic law."""
-    return np.where(_active_mask(theta, tol))[0]
+def _active_mask(theta) -> np.ndarray:
+    """Flags ACTIVE_TOL < theta_a < 1 - ACTIVE_TOL, the one rule for which cells are active."""
+    return (theta > ACTIVE_TOL) & (theta < 1 - ACTIVE_TOL)
 
 
 def _mean_outcomes(eigenvalues, counts, m: int) -> np.ndarray:
@@ -191,18 +186,26 @@ def write_individuals_csv(dataset: TomographyDataset, path) -> None:
     _write_table(path, None, ([_fmt(x) for x in row] for row in dataset.individuals.tolist()))
 
 
+def _field(k: int, column: str, text: str, cast):
+    """``cast(text)``; a ValueError names record k and ``column`` if it fails."""
+    try:
+        return cast(text)
+    except (ValueError, OverflowError):
+        raise ValueError(f"record {k}: cannot read column {column} from {text!r}") from None
+
+
 def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
     """(rows, member indices) of a record CSV; ValueError unless its header
     starts with ``header``, every row has as many fields as the header and
     names a measurable member of ``basis``."""
     with open(path, "r", newline="", encoding="ascii") as fh:
-        head, *rows = csv.reader(fh)
+        head, *rows = list(csv.reader(fh)) or [[]]
     if head[:len(header)] != header:
         raise ValueError(f"unexpected header {head}, expected {header}")
     for k, row in enumerate(rows):
         if len(row) != len(head):
             raise ValueError(f"record {k}: {len(row)} fields, the header has {len(head)}")
-    indices = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    indices = np.array([_field(k, "j", r[1], np.int64) for k, r in enumerate(rows)], dtype=np.int64)
     for k, j in enumerate(indices.tolist()):
         if not (0 <= j < basis.size and basis.sizes[j]):
             raise ValueError(f"record {k}: member {j} is not a measurable member of the basis")
@@ -210,20 +213,28 @@ def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
 
 
 def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
-    """Rebuild a dataset from its CSV; ValueError unless every row holds one
-    count per cell of a measurable member, summing to the one m of the file."""
+    """Rebuild a dataset from its CSV; ValueError unless every row holds one count per cell
+    of a measurable member, summing to the file's one m, and N, if set, is their mean outcome."""
     rows, indices = _read_records(path, basis, ["k", "j", "m", "counts", "N"])
-    ms = sorted({int(row[2]) for row in rows}) or [0]
+    ms = sorted({_field(k, "m", row[2], int) for k, row in enumerate(rows)}) or [0]
     if len(ms) > 1:
         raise ValueError(f"records mix m values {ms}")
+    if rows and ms[0] < 1:
+        raise ValueError(f"m must be at least 1, got {ms[0]}")
     counts = np.zeros((len(rows), basis.kappa), dtype=np.int64)
     for k, (j, row) in enumerate(zip(indices.tolist(), rows)):
-        u = [int(t) for t in row[3].split("|")]
+        u = _field(k, "counts", row[3], lambda t: [int(c) for c in t.split("|")])
         if len(u) != basis.sizes[j]:
             raise ValueError(f"record {k}: {len(u)} counts do not fit member {j}")
         if min(u) < 0 or sum(u) != ms[0]:
             raise ValueError(f"record {k}: counts {u} do not sum to m = {ms[0]}")
         counts[k, basis.kappa - len(u):] = u
-    have_n = bool(rows) and all(row[4] for row in rows)
-    summaries = np.array([float(row[4]) for row in rows]) if have_n else None
+    if not (rows and all(row[4] for row in rows)):
+        return TomographyDataset(m=ms[0], indices=indices, counts=counts)
+    summaries = np.array([_field(k, "N", row[4], float) for k, row in enumerate(rows)])
+    # the writer's formula, so the library's own files read back bit for bit
+    err = np.abs(summaries - _mean_outcomes(basis.padded(basis.eigenvalues)[indices], counts, ms[0]))
+    bad = np.flatnonzero(~(err <= 1e-12 * max(1.0, np.abs(basis.eigenvalues).max()))).tolist()
+    if bad:
+        raise ValueError(f"record {bad[0]}: N = {summaries[bad[0]]} is not its counts' mean outcome")
     return TomographyDataset(m=ms[0], indices=indices, counts=counts, summaries=summaries)

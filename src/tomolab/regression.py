@@ -1,8 +1,8 @@
 """Gaussian trace-regression simulation, coarse and fine scale.
 
 Coarse: Y_k = tr(X_k rho) + eps_k with eps_k normal, variance
-(tr(X_k^2 rho) - tr(X_k rho)^2)/m, matching the variance of the averaged
-measurement outcome on the same observable.
+(tr(X_k^2 rho) - tr(X_k rho)^2)/m, the variance of the averaged outcome on the
+same observable, and exactly 0 on a member with fewer than two active cells.
 
 Fine: per eigenprojection, y_ka = tr(Q_ka rho) + z_ka with (z_ka) jointly
 normal, covariance (diag(theta) - theta theta')/m where theta_a =
@@ -40,8 +40,8 @@ import numpy as np
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
 from .hermitian import hs_inner, stack_traces
-from .measurement import (_active_cells, _fmt, _read_records, _record_cells, _write_table,
-                          cell_probabilities, draw_design_indices)
+from .measurement import (_active_mask, _field, _fmt, _read_records, _record_cells,
+                          _write_table, cell_probabilities, draw_design_indices)
 from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
 
 __all__ = [
@@ -56,20 +56,19 @@ __all__ = [
     "estimator_transfer_sweep",
 ]
 
-# rounding floor on the coarse noise variance, not the active-cell rule (ACTIVE_TOL)
-VARIANCE_FLOOR = 1e-12
-
 
 def noise_variance_coarse(rho, basis: ObservableBasis) -> np.ndarray:
-    """tr(B_j^2 rho) - tr(B_j rho)^2 of every member, as a (p,) vector, clamped
-    at zero (division by m is the caller's); NaN for a masking-only member.
+    """tr(B_j^2 rho) - tr(B_j rho)^2 of every member, (p,), not divided by m: NaN if masking-only,
+    0 with fewer than two active cells, else clamped at 0; raises where cell_probabilities does."""
+    return _coarse_moments(rho, basis, cell_probabilities(rho, basis))[1]
 
-    Values below 1e-12 collapse to exactly zero so deterministic observables
-    stay deterministic under floating-point rounding.
-    """
-    first = stack_traces(basis.matrices, rho)
-    var = stack_traces(basis.matrices @ basis.matrices, rho) - first * first
-    return np.where(basis.sizes == 0, np.nan, np.where(var >= VARIANCE_FLOOR, var, 0.0))
+
+def _coarse_moments(rho, basis: ObservableBasis, theta: np.ndarray) -> tuple:
+    """(mean, variance) (p,) vectors of the coarse model, given the run's cell law theta."""
+    mean = stack_traces(basis.matrices, rho)
+    var = np.maximum(stack_traces(basis.matrices @ basis.matrices, rho) - mean * mean, 0.0)
+    active = np.bincount(basis.cell_member[_active_mask(theta)], minlength=basis.size)
+    return mean, np.where(basis.sizes == 0, np.nan, np.where(active >= 2, var, 0.0))
 
 
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -78,8 +77,8 @@ def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed, COARSE)
-    mean = stack_traces(basis.matrices, rho)
-    sd = np.sqrt(noise_variance_coarse(rho, basis) / m)
+    mean, var = _coarse_moments(rho, basis, cell_probabilities(rho, basis))
+    sd = np.sqrt(var / m)
     z = np.empty(n)
     for lo, hi, rng in record_blocks(seed, COARSE, n):
         z[lo:hi] = rng.standard_normal(hi - lo)
@@ -91,7 +90,7 @@ def _fine_factor(theta: np.ndarray, m: int, width: int) -> np.ndarray:
     for z standard normal: the Cholesky factor of the covariance of all but the
     last active cell, minus its column sums on the last active cell, zero elsewhere."""
     factor = np.zeros((len(theta), width))
-    active = _active_cells(theta)
+    active = np.flatnonzero(_active_mask(theta))
     q = len(active)
     if q < 2:
         return factor
@@ -145,7 +144,7 @@ def read_coarse_csv(path, basis: ObservableBasis) -> tuple:
     """(indices, Y) from a coarse CSV; ValueError unless every row names a
     measurable member of ``basis`` and holds a finite Y."""
     rows, indices = _read_records(path, basis, ["k", "j", "Y"])
-    values = np.array([float(row[2]) for row in rows])
+    values = np.array([_field(k, "Y", row[2], float) for k, row in enumerate(rows)])
     if not np.all(np.isfinite(values)):
         raise ValueError("coarse values must be finite")
     return indices, values
@@ -158,7 +157,7 @@ def read_fine_csv(path, basis: ObservableBasis) -> tuple:
     rows, indices = _read_records(path, basis, ["k", "j", "y"])
     table = np.zeros((len(rows), basis.kappa))
     for k, (j, row) in enumerate(zip(indices.tolist(), rows)):
-        y = np.array([float(t) for t in row[2].split("|")])
+        y = np.array(_field(k, "y", row[2], lambda t: [float(v) for v in t.split("|")]))
         if len(y) != basis.sizes[j]:
             raise ValueError(f"record {k}: {len(y)} values do not fit member {j}")
         if not np.all(np.isfinite(y)):
@@ -186,8 +185,8 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     rng = substream(seed, TRANSFER)
     norms = np.array([hs_inner(b, b).real for b in basis.matrices])
     theta = cell_probabilities(rho, basis)
-    mean = stack_traces(basis.matrices, rho)
-    sd = np.sqrt(noise_variance_coarse(rho, basis) / m)
+    mean, var = _coarse_moments(rho, basis, theta)
+    sd = np.sqrt(var / m)
     alpha = mean / norms
     err_counts = np.empty((replications, p))
     err_gauss = np.empty((replications, p))

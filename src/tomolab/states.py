@@ -58,14 +58,14 @@ class StateClassSpec:
     g_vectors: np.ndarray = None     # columns g_1..g_d, low_rank_sparse_vec only
 
 
-def validate_density(mat: np.ndarray, tol: float = DENSITY_TOL) -> DensityMatrix:
+def validate_density(mat: np.ndarray) -> DensityMatrix:
     """Wrap ``mat`` as a density matrix or raise the first failed property."""
-    mat = require_hermitian(mat, tol)
+    mat = require_hermitian(mat)
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > DENSITY_TOL:
         raise TomolabError(f"trace is {tr:.12g}, not 1")
     lam_min = float(np.linalg.eigvalsh(mat)[0])
-    if lam_min < -tol:
+    if lam_min < -DENSITY_TOL:
         raise TomolabError(f"most negative eigenvalue is {lam_min:.3e}")
     return DensityMatrix(matrix=mat)
 

@@ -22,9 +22,8 @@ from scipy.special import gammaln, ndtr
 from tomolab.bases import _make_basis, build_basis
 from tomolab.diagnostics import ActiveIndexReport
 from tomolab.errors import TomolabError
-from tomolab.hermitian import hs_inner, require_hermitian, trace_product
-from tomolab.measurement import ACTIVE_TOL, PROB_CLAMP, _active_cells
-from tomolab.regression import VARIANCE_FLOOR
+from tomolab.hermitian import hs_inner, trace_product
+from tomolab.measurement import PROB_CLAMP, _active_mask
 from tomolab.rng import TRANSLATE, record_blocks
 from tomolab.states import DENSITY_TOL, DensityMatrix
 
@@ -300,9 +299,9 @@ def round_off_per_record(samples, m: int) -> tuple:
 # --- families ------------------------------------------------------------------
 
 
-def custom_basis(matrices, cluster_tol: float = 1e-9):
+def custom_basis(matrices):
     """Wrap an explicit matrix list; non-Hermitian members get no cells (masking only)."""
-    return _make_basis(matrices, cluster_tol, "custom")
+    return _make_basis(matrices, "custom")
 
 
 def verify_orthogonal(basis) -> dict:
@@ -348,7 +347,7 @@ def pauli_projection_traces(basis) -> dict:
     }
 
 
-def active_index_set_per_member(rho, basis, tol: float = ACTIVE_TOL) -> ActiveIndexReport:
+def active_index_set_per_member(rho, basis) -> ActiveIndexReport:
     """The active index sets member by member, each cell trace through one
     ``trace_product`` per row of the member's slice of the projection array."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
@@ -361,7 +360,7 @@ def active_index_set_per_member(rho, basis, tol: float = ACTIVE_TOL) -> ActiveIn
             meas.append(False)
             continue
         traces = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
-        idx = tuple(int(a) for a in _active_cells(traces, tol))
+        idx = tuple(np.flatnonzero(_active_mask(traces)).tolist())
         if idx:
             t_min = min(t_min, float(traces[list(idx)].min()))
             t_max = max(t_max, float(traces[list(idx)].max()))
@@ -372,7 +371,6 @@ def active_index_set_per_member(rho, basis, tol: float = ACTIVE_TOL) -> ActiveIn
         per_j=tuple(per_j),
         cardinalities=np.array(cards),
         measurable=np.array(meas, dtype=bool),
-        tol=tol,
         active_traces_min=None if np.isinf(t_min) else t_min,
         active_traces_max=None if t_max < 0 else t_max,
     )
@@ -393,13 +391,16 @@ def cell_probabilities_per_member(rho, basis, j: int) -> np.ndarray:
     return theta / total
 
 
-def coarse_moments_per_member(rho, b_mat) -> tuple:
-    """(tr(B rho), floored tr(B^2 rho) - tr(B rho)^2) of one Hermitian matrix B."""
+def coarse_moments_per_member(rho, basis, j: int) -> tuple:
+    """(tr(B rho), tr(B^2 rho) - tr(B rho)^2) of member j, B = B_j: the variance
+    clamped at zero, and exactly zero unless member j's own law
+    (:func:`cell_probabilities_per_member`) has two active cells."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    b_mat = require_hermitian(b_mat)
+    b_mat = basis.matrices[j]
     first = trace_product(b_mat, mat).real
     var = trace_product(b_mat @ b_mat, mat).real - first * first
-    return first, (var if var >= VARIANCE_FLOOR else 0.0)
+    random = _active_mask(cell_probabilities_per_member(rho, basis, j)).sum() >= 2
+    return first, (max(var, 0.0) if random else 0.0)
 
 
 # --- state classes ---------------------------------------------------------------

@@ -315,13 +315,17 @@ out = {tmp_path / "o"}
             raise AssertionError("a basis was built")
 
         monkeypatch.setattr(bases, "build_basis", no_build)
-        sections = {"run": {"task": task, "seed": 1, "out": tmp_path / "o"},
-                    section: {"theta": "0.5,0.5", "m_grid": "16,64,256,1024"}}
+        grid = {"m_grid": "16,64,256,1024"}
+        if task != "estimator_transfer":
+            grid["theta"] = "0.5,0.5"
+        sections = {"run": {"task": task, "seed": 1, "out": tmp_path / "o"}, section: grid}
         sections[section][key] = ""
         text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                          for name, keys in sections.items())
         path = write_cfg(tmp_path, text)
-        with pytest.raises(ConfigParseError):
+        message = ("theta lists no probability vector" if key == "theta"
+                   else "distinct m values, got 0")
+        with pytest.raises(ConfigParseError, match=message):
             cli.load_config(path)
         assert cli.main(["run", "--config", path]) == 2
         assert not (tmp_path / "o").exists()
@@ -343,7 +347,7 @@ seed = 1
 out = {tmp_path / "o"}
 
 [{section}]
-theta = 0.5,0.5
+{"" if task == "estimator_transfer" else "theta = 0.5,0.5"}
 m_grid = 0,16,64,256,1024
 """
         path = write_cfg(tmp_path, text)
@@ -372,7 +376,6 @@ out = {tmp_path / "z"}
 
     @pytest.mark.parametrize("section, key", [
         ("state", "beta"),
-        ("tolerances", "active_tol"),
         ("tolerances", "c0"),
         ("tolerances", "c1"),
     ])
@@ -617,10 +620,32 @@ out = {out}
 [corollaries]
 witnesses = cor3_tilted
 """
+        # [corollaries] has no witnesses key, so the loader rejects it rather
+        # than run the zeta task on the configured state alone
         out = tmp_path / "z"
-        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 0
-        payload = json.loads((out / "zeta.json").read_text())
-        assert payload["states"] == ["configured-state"]
+        path = write_cfg(tmp_path, text.format(out=out))
+        with pytest.raises(ConfigParseError, match=r"\[corollaries\] witnesses"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("tolerances", "active_tol"),   # the active-cell window is the constant ACTIVE_TOL
+        ("transfer", "theta"),          # estimator_transfer reads no theta
+        ("scaling", "tv_samples"),      # tv_samples is read from [distances] only
+        ("run", "threds"),
+        ("DEFAULT", "seed"),            # no setting reads [DEFAULT], whose keys every section gets
+    ])
+    def test_key_no_setting_reads_exits_2(self, tmp_path, section, key):
+        sections = {"run": {"task": "zeta", "seed": 2, "out": tmp_path / "z"}}
+        sections.setdefault(section, {})[key] = "1e-3"
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                         for name, keys in sections.items())
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=rf"read by no setting: \[{section}\] {key}$"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "z").exists()
 
 
 class TestRun:
@@ -956,7 +981,7 @@ out = {tmp_path / task}
 [{task}]
 theta = 0.5,0.5
 m_grid = 16,64,256,1024
-tv_samples = 100
+{"tv_samples = 100" if task == "distances" else ""}
 """
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 0
 

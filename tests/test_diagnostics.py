@@ -69,11 +69,6 @@ class TestActiveIndexSet:
         assert not rep.measurable[1]
         assert rep.cardinalities[1] == 0
 
-    def test_bad_tol(self):
-        st = states.validate_density(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            diagnostics.active_index_set(st, bases.build_basis("pauli", 2), tol=0.5)
-
     def test_excluded_indices_are_near_deterministic(self):
         st = states.pauli_line_state(4, 2, 0.5)
         rep = diagnostics.active_index_set(st, PAULI4)
@@ -81,7 +76,7 @@ class TestActiveIndexSet:
         for j in range(PAULI4.size):
             for a, trace in enumerate(traces[PAULI4.cells(j)]):
                 if a not in rep.per_j[j]:
-                    assert min(trace, 1 - trace) <= rep.tol
+                    assert min(trace, 1 - trace) <= diagnostics.ACTIVE_TOL
 
 
 class TestOnePass:
@@ -219,8 +214,7 @@ class TestZetaFraction:
 def counted(basis, axes, st):
     """(u, count) that the corollary suite's count helper sees for one state."""
     seen = []
-    block = diagnostics._count_block(basis, axes, [st], lambda u: seen.append(u) or 0,
-                                     diagnostics.ACTIVE_TOL)
+    block = diagnostics._count_block(basis, axes, [st], lambda u: seen.append(u) or 0)
     assert block["corrected_rule_ok"] is True
     return seen[0], block["max_count"]
 
@@ -264,8 +258,7 @@ class TestCountRule:
 
     def test_block_counts_nominal_violations(self):
         sampled = [two_axis_state(np.eye(4), w) for w in ((1.0,), (0.3, 0.7), (0.5, 0.5))]
-        block = diagnostics._count_block(HERM4, np.eye(4), sampled, lambda u: 4 * u,
-                                         diagnostics.ACTIVE_TOL)
+        block = diagnostics._count_block(HERM4, np.eye(4), sampled, lambda u: 4 * u)
         # counts 6 > 4 * 1, then 12 > 4 * 2 twice
         assert block == {"max_count": 12, "violations": 3, "samples": 3,
                          "corrected_rule_ok": True, "ok": False}

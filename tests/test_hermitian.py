@@ -25,15 +25,15 @@ def eig2x2(mat):
     return np.array([mid + off, mid - off])
 
 
-def spectrum(mat, cluster_tol=1e-9):
+def spectrum(mat):
     """(distinct eigenvalues, projections) of ``mat`` as a one-member basis holds them."""
-    basis = custom_basis([mat], cluster_tol)
+    basis = custom_basis([mat])
     return basis.eigenvalues, basis.projections
 
 
 def block_widths(mat):
     """Multiplicity of each distinct eigenvalue: the width of its eigenvector block."""
-    return [block.shape[1] for block in hermitian._eigenspaces(mat, 1e-9)[1]]
+    return [block.shape[1] for block in hermitian._eigenspaces(mat)[1]]
 
 
 class TestSpectralDecompose:
@@ -61,7 +61,7 @@ class TestSpectralDecompose:
     def test_non_hermitian_rejected(self):
         mat = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(TomolabError, match="deviates from Hermitian symmetry"):
-            hermitian._eigenspaces(mat, 1e-9)
+            hermitian._eigenspaces(mat)
         # a basis admits it for masking only, with no cells
         assert custom_basis([mat]).sizes[0] == 0
 
@@ -99,9 +99,12 @@ class TestSpectralDecompose:
         np.testing.assert_allclose([np.trace(x).real for x in q], [2, 2])
 
     def test_cluster_tol_merges_close_pairs(self):
-        mat = np.diag([1.0, 1.0 + 1e-12, 0.0])
-        assert len(spectrum(mat, cluster_tol=1e-9)[0]) == 2
-        assert len(spectrum(mat, cluster_tol=1e-14)[0]) == 3
+        # a pair closer than CLUSTER_TOL times max(spectral norm, 1) merges, a pair
+        # twice as far apart splits
+        for scale in (1.0, 100.0):
+            tol = hermitian.CLUSTER_TOL * scale
+            assert len(spectrum(np.diag([scale, scale + tol / 2, 0.0]))[0]) == 2
+            assert len(spectrum(np.diag([scale, scale + 2 * tol, 0.0]))[0]) == 3
 
 
 class TestTensorProduct:
@@ -126,7 +129,8 @@ class TestTensorProduct:
         rng = np.random.default_rng(3)
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 3)
-        hermitian.require_hermitian(hermitian.tensor_product(a, b), tol=1e-12)
+        out = hermitian.tensor_product(a, b)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
 
 class TestHSInner:

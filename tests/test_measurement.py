@@ -302,6 +302,23 @@ class TestDatasetCSV:
         np.testing.assert_array_equal(back.counts, ds.counts)
         np.testing.assert_allclose(back.summaries, ds.summaries)
 
+    def test_round_trip_is_exact_for_large_eigenvalues(self, tmp_path):
+        # one rounding step of an N near 1e5 exceeds 1e-12, so the reader must
+        # recompute N as the writer does and scale its bound by the eigenvalues
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        big = custom_basis([q @ np.diag(lams) @ q.conj().T
+                            for lams in ([123456.78, -98765.4321, 31415.926],
+                                         [1e5 / 3, 2e5 / 7, -5e5 / 9])])
+        st = states.validate_density(np.diag([0.5, 0.3, 0.2]).astype(complex))
+        ds = measurement.run_tomography(st, big, bases.SamplingDesign.random([0.5, 0.5]),
+                                        200, 7, seed=5, detail="summary")
+        path = tmp_path / "ds.csv"
+        measurement.write_dataset_csv(ds, big, path)
+        back = measurement.read_dataset_csv(path, big)
+        np.testing.assert_array_equal(back.counts, ds.counts)
+        np.testing.assert_array_equal(back.summaries, ds.summaries)
+
     def test_counts_only_has_empty_summary_column(self, tmp_path):
         st = states.pauli_line_state(2, 1, 0.3)
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
@@ -326,12 +343,32 @@ class TestDatasetCSV:
         (["0,1,4,1|2,"], "do not sum"),               # 3 counts for m = 4
         (["0,1,4,1|3,", "1,2,8,4|4,"], "mix m"),      # m = 4, then m = 8
         (["0,1,4,1|3,", "1,2,4,2|2"], "record 1: 4 fields, the header has 5"),
+        (["0,x,4,1|3,"], "record 0: cannot read column j from 'x'"),
+        (["0,1,4,1|3,", "1,1,a,2|2,"], "record 1: cannot read column m from 'a'"),
+        (["0,1,4,1|abc,"], r"record 0: cannot read column counts from '1\|abc'"),
+        (["0,1,4,1|3,-0.5", "1,1,4,2|2,x"], "record 1: cannot read column N from 'x'"),
+        # sigma1's eigenvalues are +1 and -1, so counts 2|2 mean N = 0
+        (["0,1,4,1|3,-0.5", "1,1,4,2|2,0.9"], "record 1: N = 0.9 is not its counts' mean outcome"),
+        (["0,1,4,2|2,nan"], "record 0: N = nan is not"),
+        (["0,1,0,0|0,0"], "m must be at least 1, got 0"),
     ])
     def test_read_rejects_invalid_rows(self, tmp_path, rows, problem):
         path = tmp_path / "ds.csv"
         path.write_text("\n".join(["k,j,m,counts,N"] + rows) + "\n")
         with pytest.raises(ValueError, match=problem):
             measurement.read_dataset_csv(path, PAULI2)
+
+    def test_read_rejects_an_empty_file(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"unexpected header \[\]"):
+            measurement.read_dataset_csv(path, PAULI2)
+
+    def test_header_only_file_has_no_records(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("k,j,m,counts,N\n")
+        back = measurement.read_dataset_csv(path, PAULI2)
+        assert back.indices.dtype == np.int64 and back.counts.shape == (0, PAULI2.kappa)
 
     def test_read_requires_the_summary_column(self, tmp_path):
         # the writer always writes N, empty when absent

@@ -8,15 +8,18 @@ paragraph as deliberately part of the library's API.  The package's own
 ``__all__`` lists its modules, whose names are checked one by one.  Every name
 that paragraph lists, and every family and function of the README's RNG
 family table, is defined in the package.  ``bases._make_basis`` is the one
-place that constructs an ``ObservableBasis``.
+place that constructs an ``ObservableBasis``.  The README's config block
+lists exactly the (section, key) pairs the config loader reads.
 """
 
 import ast
 import builtins
+import configparser
 import re
 from pathlib import Path
 
 import tomolab
+from tomolab import cli
 
 PACKAGE = Path(tomolab.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -193,3 +196,22 @@ def test_one_basis_constructor():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add((mod, getattr(top, "name", "<module>")))
     assert callers == {("bases", "_make_basis")}
+
+
+def _readme_config_keys(text: str) -> set:
+    """(section, key) of every key of the README's ``ini`` block, parsed as the
+    config loader parses a file."""
+    block = re.search(r"^```ini\n(.*?)^```", text, re.M | re.S).group(1)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(block)
+    return {(section, key) for section in parser.sections() for key in parser.options(section)}
+
+
+def test_readme_config_block_lists_the_loader_keys():
+    assert _readme_config_keys(README.read_text()) == cli._KEYS
+
+
+def test_readme_block_parser_drops_comments():
+    text = ("```ini\n[run]\ntask = zeta   # a task\n              # more on the task\n\n"
+            "[zeta]        # zeta task\nwitnesses = cor2_line\n```\n")
+    assert _readme_config_keys(text) == {("run", "task"), ("zeta", "witnesses")}

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import coarse_moments_per_member
+from oracles import coarse_moments_per_member, custom_basis
 from test_measurement import LAW_FAMILIES
 from tomolab import bases, diagnostics, equivalence, hermitian, measurement, regression, states
 
@@ -43,9 +43,19 @@ class TestNoiseVarianceCoarse:
         var = regression.noise_variance_coarse(np.eye(2) / 2, CANON2)
         np.testing.assert_array_equal(np.isnan(var), [False, True, True, False])
 
+    @pytest.mark.parametrize("simulate", [regression.simulate_coarse, regression.simulate_fine])
+    def test_state_outside_the_cell_law_is_rejected(self, simulate):
+        # a valid density to within DENSITY_TOL, but a cell trace of -5e-10
+        st = states.validate_density(np.diag([1 + 5e-10, -5e-10]))
+        with pytest.raises(ValueError, match="escape"):
+            regression.noise_variance_coarse(st, PAULI2)
+        with pytest.raises(ValueError, match="escape"):
+            simulate(st, PAULI2, bases.SamplingDesign.fixed(), 4, 8, 1)
+
     @pytest.mark.parametrize("name", sorted(LAW_FAMILIES))
     def test_moments_match_per_member(self, name):
-        # bit for bit one trace_product per member and the floored variance formula
+        # bit for bit one trace_product per member, the variance zero on a member
+        # without two active cells
         basis = LAW_FAMILIES[name]
         d = basis.dim
         for seed, r in ((1, 1), (2, d)):
@@ -53,7 +63,7 @@ class TestNoiseVarianceCoarse:
             mean = hermitian.stack_traces(basis.matrices, st.matrix)
             var = regression.noise_variance_coarse(st, basis)
             for j in np.flatnonzero(basis.sizes):
-                assert (mean[j], var[j]) == coarse_moments_per_member(st, basis.matrices[j])
+                assert (mean[j], var[j]) == coarse_moments_per_member(st, basis, j)
 
 
 class TestNoiseCovarianceFine:
@@ -229,6 +239,10 @@ class TestCSV:
         (["k,j,Y", "0,0,nan"], "finite"),
         (["k,j,Y", "0,3,-inf"], "finite"),
         (["k,j,Y", "0,1"], "record 0: 2 fields, the header has 3"),
+        (["k,j,Y", "0,x,0.5"], "record 0: cannot read column j from 'x'"),
+        (["k,j,Y", "0,100000000000000000000,0.5"], "cannot read column j from '1000"),
+        (["k,j,Y", "0,0,0.5", "1,3,abc"], "record 1: cannot read column Y from 'abc'"),
+        ([], r"unexpected header \[\]"),
     ])
     def test_coarse_read_rejects(self, tmp_path, lines, problem):
         path = tmp_path / "coarse.csv"
@@ -245,6 +259,7 @@ class TestCSV:
         (["k,j,y", "0,0,0.7|0.3", "1,3,0.7|0.2"], "record 1: values sum to"),
         (["k,j,y", "0,0,nan|1"], "finite"),
         (["k,j,y", "0,0,inf|-inf"], "finite"),
+        (["k,j,y", "0,0,0.5|x"], r"record 0: cannot read column y from '0.5\|x'"),
     ])
     def test_fine_read_rejects(self, tmp_path, lines, problem):
         path = tmp_path / "fine.csv"
@@ -254,21 +269,47 @@ class TestCSV:
 
 
 class TestActiveRule:
-    # the second cell of sigma3 is 5e-10, inside the shared ACTIVE_TOL of 1e-9,
-    # so every layer must treat the member as degenerate
-    STATE = states.validate_density(np.diag([1 - 5e-10, 5e-10]))
+    """On diag(1 - eps, eps) the second cell of sigma3 is eps: inside the shared
+    ACTIVE_TOL of 1e-9 every layer treats the member as deterministic, above it
+    every layer treats it as random."""
+
+    @staticmethod
+    def layers(st, basis, j):
+        """Per layer, whether it drew or counted member j as random on state st."""
+        design, p = bases.SamplingDesign.fixed(), basis.size
+        theta = measurement.cell_probabilities(st, basis)[basis.cells(j)]
+        mean = hermitian.stack_traces(basis.matrices, st.matrix)[j]
+        _, big_y = regression.simulate_coarse(st, basis, design, p, 64, seed=1)
+        _, ys = regression.simulate_fine(st, basis, design, p, 64, seed=1)
+        zeta = diagnostics.zeta_fraction([st], basis, weights=np.eye(p)[j]).zeta
+        est = equivalence.hellinger_perturbed_vs_gaussian(64, theta)
+        return {
+            "coarse": (big_y[j] != mean, regression.noise_variance_coarse(st, basis)[j] > 0),
+            "fine": (not np.array_equal(ys[j][-len(theta):], theta),
+                     np.any(regression._fine_factor(theta, 64, len(theta) - 1))),
+            "zeta": (zeta > 0, diagnostics.active_index_set(st, basis).nondegenerate[j]),
+            "hellinger": (est.value > 0, est.error_bar > 0),
+        }
 
     def test_nearly_degenerate_member_is_degenerate_everywhere(self):
-        theta = measurement.cell_probabilities(self.STATE, PAULI2)[PAULI2.cells(3)]
+        st = states.validate_density(np.diag([1 - 5e-10, 5e-10]))
+        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(3)]
         assert theta[1] == pytest.approx(5e-10, rel=1e-6)
-        _, ys = regression.simulate_fine(self.STATE, PAULI2, bases.SamplingDesign.fixed(),
-                                         4, 64, seed=1)
-        np.testing.assert_array_equal(ys[3], theta)
-        np.testing.assert_array_equal(regression._fine_factor(theta, 64, 1), 0.0)
-        report = diagnostics.active_index_set(self.STATE, PAULI2)
-        assert report.cardinalities[3] == 0 and not report.nondegenerate[3]
-        est = equivalence.hellinger_perturbed_vs_gaussian(64, theta)
-        assert est.value == 0.0 and est.error_bar == 0.0
+        # exactly: the coarse Y is the mean, the fine y the law, zeta and H 0
+        random = self.layers(st, PAULI2, 3)
+        assert random == {layer: (False, False) for layer in random}
+
+    def test_member_above_the_tolerance_is_random_everywhere(self):
+        st = states.validate_density(np.diag([1 - 1e-4, 1e-4]))
+        random = self.layers(st, PAULI2, 3)
+        assert random == {layer: (True, True) for layer in random}
+
+    def test_one_active_cell_is_deterministic_everywhere(self):
+        # law (1 - 1.5e-9, 7.5e-10, 7.5e-10): only the first cell is active
+        st = states.validate_density(np.diag([1 - 1.5e-9, 7.5e-10, 7.5e-10]))
+        basis = custom_basis([np.diag([1.0, 0.0, -1.0])])
+        random = self.layers(st, basis, 0)
+        assert random == {layer: (False, False) for layer in random}
 
 
 def _count_calls(monkeypatch, fn):
@@ -309,7 +350,7 @@ class TestPerMemberValues:
     def test_coarse(self, monkeypatch):
         out, probs, traces = self.run(monkeypatch, regression.simulate_coarse)
         assert 1 < len(set(out[0].tolist())) < self.N == len(out[1])
-        assert probs == 0
+        assert probs == 1  # the active rule's law
         assert traces == 0
 
     def test_fine(self, monkeypatch):
