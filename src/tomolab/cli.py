@@ -342,23 +342,24 @@ def _task_zeta(cfg, path):
     weights = None
     if design.mode == "random":
         weights = [design.weights_regression, design.weights_tomography]
-    c_bounds = (cfg.c0, cfg.c1) if cfg.c0 is not None else None
-    report = diagnostics.zeta_fraction(wit, basis, weights=weights, c_bounds=c_bounds,
-                                       state_labels=names)
+    report = diagnostics.zeta_fraction(wit, basis, weights=weights)
     payload = {
         "zeta": report.zeta,
         "fractions": list(report.fractions),
         "counts": list(report.counts),
-        "states": list(report.state_labels),
+        "states": names,
         "active_trace_min": report.c3_min,
         "active_trace_max": report.c3_max,
     }
     checks = []
-    if c_bounds is not None:
-        payload["c3_bounds"] = list(c_bounds)
-        payload["c3_ok"] = report.c3_ok
+    if cfg.c0 is not None:
+        # every active trace inside [c0, c1]; None when no trace is active
+        lo, hi = report.c3_min, report.c3_max
+        ok = None if lo is None else cfg.c0 <= lo and hi <= cfg.c1
+        payload["c3_bounds"] = [cfg.c0, cfg.c1]
+        payload["c3_ok"] = ok
         checks.append({"name": "c3-trace-window", "anchor": "active-trace-window",
-                       "passed": bool(report.c3_ok)})
+                       "passed": bool(ok)})
     if design.mode == "random":
         payload["gamma_p"] = diagnostics.gamma_p(design.weights_regression,
                                                  design.weights_tomography)

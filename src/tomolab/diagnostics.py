@@ -30,7 +30,6 @@ from .states import StateClassSpec, pauli_line_state, sample_class, tilted_produ
 __all__ = [
     "ActiveIndexReport",
     "ZetaReport",
-    "DeficiencyBoundReport",
     "active_index_set",
     "zeta_fraction",
     "gamma_p",
@@ -46,7 +45,6 @@ class ActiveIndexReport:
 
     per_j: tuple                    # tuple of index tuples
     cardinalities: np.ndarray
-    measurable: np.ndarray
     active_traces_min: float = None
     active_traces_max: float = None
 
@@ -76,7 +74,6 @@ def active_index_set(rho, basis: ObservableBasis) -> ActiveIndexReport:
     return ActiveIndexReport(
         per_j=tuple(tuple(cells[lo:hi]) for lo, hi in zip([0] + ends, ends)),
         cardinalities=cards,
-        measurable=basis.sizes > 0,
         active_traces_min=float(hit.min()) if hit.size else None,
         active_traces_max=float(hit.max()) if hit.size else None,
     )
@@ -89,14 +86,11 @@ class ZetaReport:
     zeta: float
     fractions: tuple                 # per state, max over weight vectors
     counts: tuple                    # per state, unweighted nondegenerate counts
-    state_labels: tuple
     c3_min: float = None             # observed min/max active traces over all states
     c3_max: float = None
-    c3_ok: bool = None               # both inside the user (c0, c1), when supplied
 
 
-def zeta_fraction(states, basis: ObservableBasis, weights=None, c_bounds=None,
-                  state_labels=None) -> ZetaReport:
+def zeta_fraction(states, basis: ObservableBasis, weights=None) -> ZetaReport:
     """Weighted fraction of nondegenerate observables, maximized over states.
 
     ``weights`` is None (uniform 1/p), one probability vector, or a sequence
@@ -113,36 +107,14 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None, c_bounds=None,
         if len(w) != p or not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("each weight vector must be a probability vector of length p")
 
-    states = list(states)
-    if state_labels is not None and len(state_labels) != len(states):
-        raise ValueError(f"{len(state_labels)} state labels for {len(states)} states")
-
-    fractions, counts = [], []
-    t_min, t_max = np.inf, -np.inf
-    for state in states:
-        report = active_index_set(state, basis)
-        flags = report.nondegenerate.astype(float)
-        fractions.append(max(float(np.dot(w, flags)) for w in weight_vectors))
-        counts.append(report.nondegenerate_count)
-        if report.active_traces_min is not None:
-            t_min = min(t_min, report.active_traces_min)
-            t_max = max(t_max, report.active_traces_max)
-    zeta = max(fractions) if fractions else 0.0
-    c3_min = None if np.isinf(t_min) else t_min
-    c3_max = None if t_max < 0 else t_max
-    c3_ok = None
-    if c_bounds is not None and c3_min is not None:
-        c0, c1 = c_bounds
-        c3_ok = bool(c0 <= c3_min and c3_max <= c1)
-    return ZetaReport(
-        zeta=zeta,
-        fractions=tuple(fractions),
-        counts=tuple(counts),
-        state_labels=tuple(state_labels) if state_labels else tuple(range(len(fractions))),
-        c3_min=c3_min,
-        c3_max=c3_max,
-        c3_ok=c3_ok,
-    )
+    reports = [active_index_set(state, basis) for state in states]
+    fractions = tuple(max(float(np.dot(w, r.nondegenerate.astype(float))) for w in weight_vectors)
+                      for r in reports)
+    lows = [r.active_traces_min for r in reports if r.active_traces_min is not None]
+    highs = [r.active_traces_max for r in reports if r.active_traces_max is not None]
+    return ZetaReport(zeta=max(fractions, default=0.0), fractions=fractions,
+                      counts=tuple(r.nondegenerate_count for r in reports),
+                      c3_min=min(lows, default=None), c3_max=max(highs, default=None))
 
 
 def gamma_p(pi, xi) -> float:
@@ -162,39 +134,13 @@ def gamma_p(pi, xi) -> float:
     return float(np.max(np.abs(1 - pi / xi) + np.abs(1 - xi / pi), initial=0.0))
 
 
-@dataclass(frozen=True)
-class DeficiencyBoundReport:
-    """Evaluated right-hand sides of the deficiency bounds."""
-
-    n: int
-    m: int
-    p: int
-    kappa: int
-    gamma: float
-    zeta: float
-    constant: float
-    variant: str
-    bound_random: float
-    bound_uniform: float
-
-    @property
-    def value(self) -> float:
-        return self.bound_random if self.variant == "random" else self.bound_uniform
-
-
-def deficiency_bound(n: int, m: int, p: int, kappa: int, gamma: float, zeta: float,
-                     constant: float, variant: str = "random") -> DeficiencyBoundReport:
-    """Evaluate n*gamma + C*sqrt(n*zeta/m) and its uniform/fixed specialization."""
-    if variant not in ("random", "uniform", "fixed"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if (min(n, m, p) < 0 or m < 1 or not 0 < constant < math.inf
+def deficiency_bound(n: int, m: int, gamma: float, zeta: float, constant: float) -> float:
+    """n*gamma + C*sqrt(n*zeta/m); a uniform or fixed design has gamma = 0."""
+    if (n < 0 or m < 1 or not 0 < constant < math.inf
             or not (0 <= gamma < math.inf and 0 <= zeta < math.inf)):
-        raise ValueError("sizes must be nonnegative, m >= 1, C > 0, and C, gamma and zeta finite")
-    root = constant * math.sqrt(n * zeta / m)
-    return DeficiencyBoundReport(
-        n=n, m=m, p=p, kappa=kappa, gamma=gamma, zeta=zeta, constant=constant,
-        variant=variant, bound_random=n * gamma + root, bound_uniform=root,
-    )
+        raise ValueError("n must be nonnegative, m >= 1, C > 0, and C, gamma and zeta "
+                         "finite and nonnegative")
+    return n * gamma + constant * math.sqrt(n * zeta / m)
 
 
 def _count_block(basis: ObservableBasis, axes, sampled, bound) -> dict:

@@ -220,6 +220,16 @@ def _gaussian_density(m: int, theta, x) -> np.ndarray:
     return np.exp(log_norm - 0.5 * np.einsum("nd,de,ne->n", diff, prec, diff))
 
 
+def _active_law(m: int, theta: np.ndarray, kind: str, method: str) -> tuple:
+    """(the law of theta's active cells, renormalised; None), or (None, the zero
+    estimate) when fewer than two cells are active and the record is deterministic."""
+    sub = theta[_active_mask(theta)]
+    if len(sub) <= 1:
+        return None, DistanceEstimate(value=0.0, kind=kind, method=method, error_bar=0.0,
+                                      params={"m": m, "theta": theta.tolist()})
+    return sub / sub.sum(), None
+
+
 # --- Hellinger quadrature --------------------------------------------------------
 
 
@@ -330,12 +340,9 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
     theta = _checked_theta(theta)
     if m < 1 or m > MAX_QUAD_M:
         raise ValueError(f"m must be in [1, {MAX_QUAD_M}]")
-    active = np.flatnonzero(_active_mask(theta))
-    if len(active) <= 1:
-        return DistanceEstimate(value=0.0, kind="hellinger", method="quadrature",
-                                error_bar=0.0, params={"m": m, "theta": theta.tolist()})
-    sub = theta[active]
-    sub = sub / sub.sum()
+    sub, zero = _active_law(m, theta, "hellinger", "quadrature")
+    if zero is not None:
+        return zero
     r = len(sub)
     if r > MAX_QUAD_CELLS:
         raise TomolabError(f"quadrature supports up to {MAX_QUAD_CELLS} cells, got {r}")
@@ -359,15 +366,12 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
 def product_hellinger_bound(h_squares) -> float:
     """Combine per-record squared distances: sqrt of the sum.
 
-    ``None`` entries mark degenerate records (single-cell laws), which
-    contribute zero; any other entry must lie in [0, 2], the range of a
-    squared Hellinger distance.
+    Every entry must lie in [0, 2], the range of a squared Hellinger
+    distance; a degenerate record (fewer than two active cells) has H = 0.
     """
     total = 0.0
     for h2 in h_squares:
-        if h2 is None:
-            continue
-        if not 0 <= h2 <= 2.0:
+        if h2 is None or not 0 <= h2 <= 2.0:
             raise ValueError(f"squared distances must be finite, nonnegative, at most 2: {h2}")
         total += h2
     return math.sqrt(total)
@@ -391,12 +395,9 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
         raise ValueError(f"m must be at least 1, got {m}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    active = np.flatnonzero(_active_mask(theta))
-    if len(active) <= 1:
-        return DistanceEstimate(value=0.0, kind="tv", method="monte_carlo",
-                                error_bar=0.0, params={"m": m, "theta": theta.tolist()})
-    sub = theta[active]
-    sub = sub / sub.sum()
+    sub, zero = _active_law(m, theta, "tv", "monte_carlo")
+    if zero is not None:
+        return zero
     rng = substream(seed, TV, point)
     counts = rng.multinomial(m, sub, size=n_samples)
     x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n_samples, len(sub) - 1))

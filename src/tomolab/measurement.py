@@ -196,8 +196,9 @@ def _field(k: int, column: str, text: str, cast):
 
 def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
     """(rows, member indices) of a record CSV; ValueError unless its header
-    starts with ``header``, every row has as many fields as the header and
-    names a measurable member of ``basis``."""
+    starts with ``header``, every row has as many fields as the header, row k's
+    column k reads as the integer k and every row names a measurable member of
+    ``basis``."""
     with open(path, "r", newline="", encoding="ascii") as fh:
         head, *rows = list(csv.reader(fh)) or [[]]
     if head[:len(header)] != header:
@@ -205,6 +206,8 @@ def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
     for k, row in enumerate(rows):
         if len(row) != len(head):
             raise ValueError(f"record {k}: {len(row)} fields, the header has {len(head)}")
+        if _field(k, "k", row[0], int) != k:
+            raise ValueError(f"record {k}: column k holds {row[0]!r}, not {k}")
     indices = np.array([_field(k, "j", r[1], np.int64) for k, r in enumerate(rows)], dtype=np.int64)
     for k, j in enumerate(indices.tolist()):
         if not (0 <= j < basis.size and basis.sizes[j]):
@@ -214,7 +217,8 @@ def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
 
 def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
     """Rebuild a dataset from its CSV; ValueError unless every row holds one count per cell
-    of a measurable member, summing to the file's one m, and N, if set, is their mean outcome."""
+    of a measurable member, summing to the file's one m, and N is set on every row, as
+    their mean outcome, or on none."""
     rows, indices = _read_records(path, basis, ["k", "j", "m", "counts", "N"])
     ms = sorted({_field(k, "m", row[2], int) for k, row in enumerate(rows)}) or [0]
     if len(ms) > 1:
@@ -229,7 +233,11 @@ def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
         if min(u) < 0 or sum(u) != ms[0]:
             raise ValueError(f"record {k}: counts {u} do not sum to m = {ms[0]}")
         counts[k, basis.kappa - len(u):] = u
-    if not (rows and all(row[4] for row in rows)):
+    with_n = [bool(row[4]) for row in rows]
+    if len(set(with_n)) > 1:
+        k = with_n.index(not with_n[0])
+        raise ValueError(f"record {k}: N must be set on every row or on none")
+    if not any(with_n):
         return TomographyDataset(m=ms[0], indices=indices, counts=counts)
     summaries = np.array([_field(k, "N", row[4], float) for k, row in enumerate(rows)])
     # the writer's formula, so the library's own files read back bit for bit

@@ -351,13 +351,12 @@ def active_index_set_per_member(rho, basis) -> ActiveIndexReport:
     """The active index sets member by member, each cell trace through one
     ``trace_product`` per row of the member's slice of the projection array."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    per_j, cards, meas = [], [], []
+    per_j, cards = [], []
     t_min, t_max = np.inf, -np.inf
     for j in range(basis.size):
         if not basis.sizes[j]:
             per_j.append(())
             cards.append(0)
-            meas.append(False)
             continue
         traces = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
         idx = tuple(np.flatnonzero(_active_mask(traces)).tolist())
@@ -366,11 +365,9 @@ def active_index_set_per_member(rho, basis) -> ActiveIndexReport:
             t_max = max(t_max, float(traces[list(idx)].max()))
         per_j.append(idx)
         cards.append(len(idx))
-        meas.append(True)
     return ActiveIndexReport(
         per_j=tuple(per_j),
         cardinalities=np.array(cards),
-        measurable=np.array(meas, dtype=bool),
         active_traces_min=None if np.isinf(t_min) else t_min,
         active_traces_max=None if t_max < 0 else t_max,
     )

@@ -906,11 +906,41 @@ witnesses = cor2_line
         payload = json.loads((out / "zeta.json").read_text())
         assert payload["c3_ok"] is True
         assert payload["active_trace_min"] == pytest.approx(0.25)
+        assert payload["c3_bounds"] == [0.2, 0.8]
         # a window the witness traces escape must fail the check
         rc = cli.main(["run", "--config", write_cfg(
             tmp_path, text.replace("c0 = 0.2", "c0 = 0.3").format(out=tmp_path / "zc2"),
             "tight.cfg")])
         assert rc == 1
+        assert json.loads((tmp_path / "zc2" / "zeta.json").read_text())["c3_ok"] is False
+
+    def test_zeta_c3_window_without_active_trace(self, tmp_path, capsys):
+        # on |1><1| every cell trace of the canonical family is 0 or 1, so no
+        # trace is active: c3_ok is null and the window check fails
+        rho = tmp_path / "rho.txt"
+        hermitian.write_matrix(np.diag([1.0, 0.0]), rho)
+        text = f"""
+[basis]
+kind = canonical
+d = 2
+
+[run]
+task = zeta
+seed = 2
+out = {tmp_path / "z"}
+
+[tolerances]
+c0 = 0.2
+c1 = 0.8
+
+[zeta]
+witness_files = {rho}
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 1
+        assert "[FAIL] c3-trace-window" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "z" / "zeta.json").read_text())
+        assert payload["c3_ok"] is None and payload["active_trace_min"] is None
+        assert payload["zeta"] == 0.0 and payload["states"] == ["rho.txt"]
 
     def test_config_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])

@@ -205,6 +205,58 @@ class TestTranslation:
             assert ([u.tobytes() for u in record_tails(herm4, back.indices, back.counts)]
                     == [u.tobytes() for u in counts])
 
+    def test_translated_law_is_tv_draw(self):
+        # K0's law: at m = 64 the translated vectors of a 3-cell member, times m,
+        # follow the law of U + psi that tv_perturbed_vs_gaussian samples from
+        herm3 = bases.build_basis("hermitian", 3)
+        j, m, n = herm3.labels.index((1, 2)), 64, 4000
+        theta = np.array([0.00069, 0.982, 0.01731])
+        # rho = sum_a theta_a Q_ja, the member's rank-one projections
+        rho = np.einsum("a,aij->ij", theta, herm3.projections[herm3.cells(j)])
+        st_ = states.validate_density(rho)
+        law = measurement.cell_probabilities(st_, herm3)[herm3.cells(j)]
+        np.testing.assert_allclose(law, theta, atol=1e-15)
+        design = bases.SamplingDesign.random(np.eye(herm3.size)[j])
+        ds = measurement.run_tomography(st_, herm3, design, n, m, seed=21)
+        translated = m * eq.translate_qst_to_regression(ds, herm3, seed=21)[1]
+        # the draws of substream (seed, TV, point): the counts U, then the uniforms psi
+        rng = substream(8, TV, 3)
+        counts = rng.multinomial(m, law / law.sum(), size=n)
+        x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, 2))
+        ratio = eq._gaussian_density(m, law, x) / eq.multinomial_pmf(counts, m, law)
+        # they are the draws the estimate averages over
+        assert np.maximum(0.0, 1.0 - ratio).mean() == eq.tv_perturbed_vs_gaussian(
+            m, law, n, seed=8, point=3).value
+        drawn = np.column_stack([x, m - x.sum(axis=1)])
+        for a in range(3):
+            assert sps.ks_2samp(translated[:, a], drawn[:, a]).pvalue > 0.01
+        # and the test tells U + psi from the matched normal
+        mu, cov = m * law[0], m * law[0] * (1 - law[0])
+        normal = np.random.default_rng(5).normal(mu, math.sqrt(cov), size=n)
+        assert sps.ks_2samp(translated[:, 0], normal).pvalue < 1e-6
+
+    def test_inactive_cell_is_singular(self):
+        # on |1><1| member (1, 2) of the hermitian family has theta = (0.5, 0, 0.5):
+        # the fine simulator puts an exact 0 on the inactive middle cell, K0
+        # perturbs it, so the two laws are mutually singular on that coordinate,
+        # and the distances integrate the active cells only
+        herm3 = bases.build_basis("hermitian", 3)
+        j, m, n = herm3.labels.index((1, 2)), 16, 8
+        st_ = states.validate_density(np.diag([1.0, 0, 0]).astype(complex))
+        theta = measurement.cell_probabilities(st_, herm3)[herm3.cells(j)]
+        np.testing.assert_array_equal(theta, [0.5, 0.0, 0.5])
+        design = bases.SamplingDesign.random(np.eye(herm3.size)[j])
+        _, fine = regression.simulate_fine(st_, herm3, design, n, m, seed=4)
+        ds = measurement.run_tomography(st_, herm3, design, n, m, seed=4)
+        np.testing.assert_array_equal(ds.counts[:, 1], 0)
+        _, translated = eq.translate_qst_to_regression(ds, herm3, seed=4)
+        assert np.all(fine[:, 1] == 0.0)
+        assert np.all(translated[:, 1] != 0.0)
+        hel = eq.hellinger_perturbed_vs_gaussian(m, theta)
+        assert hel.value == eq.hellinger_perturbed_vs_gaussian(m, [0.5, 0.5]).value > 0
+        tv = eq.tv_perturbed_vs_gaussian(m, theta, 100, seed=4)
+        assert tv.value == eq.tv_perturbed_vs_gaussian(m, [0.5, 0.5], 100, seed=4).value
+
     def test_translation_result_records(self):
         back, dropped = eq.translate_regression_to_qst((np.array([1]), np.array([[0.5, 0.5]])), 4)
         assert len(back.counts) == 1 and back.m == 4 and dropped == 0
@@ -555,8 +607,15 @@ class TestProductBound:
         got = eq.product_hellinger_bound([c / m] * n)
         assert got == pytest.approx(math.sqrt(n * c / m))
 
-    def test_degenerate_skipped(self):
-        assert eq.product_hellinger_bound([None, 0.04, None]) == pytest.approx(0.2)
+    def test_degenerate_record_is_zero(self):
+        # a record with fewer than two active cells contributes its H^2 = 0.0
+        zero = eq.hellinger_perturbed_vs_gaussian(16, [1.0, 0.0]).value
+        assert zero == 0.0
+        assert eq.product_hellinger_bound([zero, 0.04, zero]) == pytest.approx(0.2)
+        with pytest.raises(ValueError, match="at most 2: None"):
+            eq.product_hellinger_bound([None])
+        with pytest.raises(ValueError, match="at most 2: None"):
+            eq.product_hellinger_bound([0.04, None])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

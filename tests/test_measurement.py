@@ -351,6 +351,13 @@ class TestDatasetCSV:
         (["0,1,4,1|3,-0.5", "1,1,4,2|2,0.9"], "record 1: N = 0.9 is not its counts' mean outcome"),
         (["0,1,4,2|2,nan"], "record 0: N = nan is not"),
         (["0,1,0,0|0,0"], "m must be at least 1, got 0"),
+        # N on every row or on none: record 1's wrong N must not go unread
+        (["0,1,4,1|3,-0.5", "1,1,4,2|2,123.0", "2,1,4,2|2,"],
+         "record 2: N must be set on every row or on none"),
+        (["0,1,4,1|3,", "1,1,4,2|2,0"], "record 1: N must be set on every row or on none"),
+        # row k's column k reads as the integer k
+        (["0,1,4,1|3,", "x,1,4,2|2,"], "record 1: cannot read column k from 'x'"),
+        (["0,1,4,1|3,", "-3,1,4,2|2,"], "record 1: column k holds '-3', not 1"),
     ])
     def test_read_rejects_invalid_rows(self, tmp_path, rows, problem):
         path = tmp_path / "ds.csv"

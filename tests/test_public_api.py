@@ -7,7 +7,9 @@ definition and its ``__all__`` entry, or named in the README's "Public API"
 paragraph as deliberately part of the library's API.  The package's own
 ``__all__`` lists its modules, whose names are checked one by one.  Every name
 that paragraph lists, and every family and function of the README's RNG
-family table, is defined in the package.  ``bases._make_basis`` is the one
+family table, is defined in the package, and every ``module.name(args)`` the
+README quotes names the leading parameters of that function.
+``bases._make_basis`` is the one
 place that constructs an ``ObservableBasis``.  The README's config block
 lists exactly the (section, key) pairs the config loader reads.
 """
@@ -15,6 +17,8 @@ lists exactly the (section, key) pairs the config loader reads.
 import ast
 import builtins
 import configparser
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -111,6 +115,26 @@ def _undefined(names: set, sources: dict) -> list:
     return sorted(name for name in names if name not in defined and not hasattr(builtins, name))
 
 
+def _quoted_calls(text: str) -> list:
+    """(module, name, args) of every ``module.name(args)`` code span of ``text``
+    whose module is one of the package's; a span may run over lines."""
+    return [(mod, name, [arg.strip() for arg in args.split(",") if arg.strip()])
+            for mod, name, args in re.findall(r"`(\w+)\.(\w+)\(([^`]*)\)`", text)
+            if mod in _sources()]
+
+
+def _signature_mismatches(calls) -> list:
+    """The quoted calls, as ``module.name(args)``, whose args are not the
+    function's leading parameter names."""
+    bad = []
+    for mod, name, args in calls:
+        params = list(inspect.signature(getattr(importlib.import_module(f"tomolab.{mod}"),
+                                                name)).parameters)
+        if params[:len(args)] != args:
+            bad.append(f"{mod}.{name}({', '.join(args)})")
+    return bad
+
+
 # the only public functions of the config runner, and the classes it exports besides
 SHELL_FUNCTIONS = {"load_config", "run", "main"}
 SHELL_CLASSES = {"ExperimentConfig", "ReportBundle"}
@@ -173,6 +197,23 @@ def test_guard_sees_a_stale_readme_name():
                "b": "def g():\n    local = 1\n"}
     assert _undefined({"X", "Y", "Z", "f", "C", "ValueError", "local", "gone"}, sources) == [
         "gone", "local"]
+
+
+def test_readme_quotes_match_signatures():
+    calls = _quoted_calls(README.read_text())
+    assert ("diagnostics", "deficiency_bound", ["n", "m", "gamma", "zeta", "constant"]) in calls
+    assert _signature_mismatches(calls) == []
+
+
+def test_guard_sees_a_stale_signature():
+    # a quote without a package module is not checked; a leading subset of the
+    # parameters passes
+    text = ("`diagnostics.deficiency_bound(n, m,\n  p, kappa)` and `kernel_K1(values)`, "
+            "`equivalence.kernel_K0(counts)`, `bit_generator.jumped()`")
+    calls = _quoted_calls(text)
+    assert [(mod, name) for mod, name, _ in calls] == [
+        ("diagnostics", "deficiency_bound"), ("equivalence", "kernel_K0")]
+    assert _signature_mismatches(calls) == ["diagnostics.deficiency_bound(n, m, p, kappa)"]
 
 
 def test_cli_is_a_thin_shell():

@@ -243,6 +243,7 @@ class TestCSV:
         (["k,j,Y", "0,100000000000000000000,0.5"], "cannot read column j from '1000"),
         (["k,j,Y", "0,0,0.5", "1,3,abc"], "record 1: cannot read column Y from 'abc'"),
         ([], r"unexpected header \[\]"),
+        (["k,j,Y", "0,0,0.5", "foo,3,0.5"], "record 1: cannot read column k from 'foo'"),
     ])
     def test_coarse_read_rejects(self, tmp_path, lines, problem):
         path = tmp_path / "coarse.csv"
@@ -260,6 +261,7 @@ class TestCSV:
         (["k,j,y", "0,0,nan|1"], "finite"),
         (["k,j,y", "0,0,inf|-inf"], "finite"),
         (["k,j,y", "0,0,0.5|x"], r"record 0: cannot read column y from '0.5\|x'"),
+        (["k,j,y", "0,0,0.7|0.3", "-3,3,0.7|0.3"], "record 1: column k holds '-3', not 1"),
     ])
     def test_fine_read_rejects(self, tmp_path, lines, problem):
         path = tmp_path / "fine.csv"
