@@ -379,9 +379,9 @@ def _task_transfer(cfg, path):
     report = regression.estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed,
                                                  cfg.replications)
     diagnostics.write_report_json(report, path("transfer.json"))
-    columns = ("risk_counts", "risk_gaussian", "gap", "gap_se")
-    measurement._write_table(path("transfer.csv"), ("m",) + columns, (
-        [row["m"], *(measurement._fmt(row[c]) for c in columns)] for row in report["sweep"]),
+    columns = ("m", "risk_counts", "risk_gaussian", "gap", "gap_se")
+    measurement._write_table(path("transfer.csv"), columns, measurement._blocks(
+        "%d" + ",%.17g" * 4, *([row[c] for row in report["sweep"]] for c in columns)),
         lineterminator="\n")
     return [{"name": "risk-gap-monotone", "anchor": "estimator-transfer",
              "passed": report["monotone"]}]

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from .errors import TomolabError
-from .measurement import TomographyDataset, _active_mask, _fmt, _write_table
+from .measurement import TomographyDataset, _active_mask, _blocks, _write_table
 from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
@@ -467,5 +467,5 @@ def scaling_study(theta, m_grid) -> ScalingReport:
 
 def write_scaling_csv(report: ScalingReport, path) -> None:
     """One row per grid point: m, H, error_bar."""
-    _write_table(path, ["m", "H", "error_bar"], (
-        [m, _fmt(h), _fmt(e)] for m, h, e in zip(report.m_grid, report.values, report.error_bars)))
+    _write_table(path, ["m", "H", "error_bar"], _blocks(
+        "%d,%.17g,%.17g", report.m_grid, report.values, report.error_bars))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
-from .rng import TOMOGRAPHY, record_blocks, substream
+from .rng import BLOCK, TOMOGRAPHY, record_blocks, substream
 
 __all__ = [
     "TomographyDataset",
@@ -149,41 +149,69 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
 # --- CSV ----------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_table(path, header, rows, lineterminator: str = "\r\n") -> None:
-    """The one CSV writer: ``header`` (None for none), then ``rows``, which
-    may be a generator so a large table streams instead of being held."""
+def _write_table(path, header, blocks, lineterminator: str = "\r\n") -> None:
+    """The one table writer: ``header`` (None for none), then each block of
+    ``blocks``, a (row templates, flat values) pair, with one ``%`` over its
+    templates, each ended by ``lineterminator``.  ``blocks`` may be a
+    generator, so a large table streams a block at a time.  Every field is a
+    number, which csv quoting would leave as it is."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
         if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+            fh.write(",".join(header) + lineterminator)
+        for templates, values in blocks:
+            fh.write(lineterminator.join(templates) % values)
+            fh.write(lineterminator)
+            del templates, values  # so one block at a time is alive
 
 
-def _record_cells(basis: ObservableBasis, indices, table):
-    """(k, j, record k's cells) per record, for a writer: row k of the
-    front-padded ``table`` as a list, cut at ``kappa - sizes[j]``."""
-    cuts = (basis.kappa - basis.sizes[indices]).tolist()
-    return ((k, j, row[c:]) for k, (j, c, row) in
-            enumerate(zip(indices.tolist(), cuts, table.tolist())))
+def _objects(columns) -> np.ndarray:
+    """The columns (one entry, or one row of entries, per table row) side by
+    side as Python objects: int64 entries as ints, float64 entries as floats,
+    which ``%d`` and ``%.17g`` print as ``str`` and ``format(x, ".17g")`` do."""
+    return np.column_stack([np.asarray(c).astype(object) for c in columns])
+
+
+def _blocks(template, *columns):
+    """(templates, values) per block of BLOCK rows, for _write_table: every
+    row is ``template``, filled from row k of each of ``columns`` in turn."""
+    n = len(columns[0])
+    for lo in range(0, n, BLOCK):
+        yield ([template] * min(BLOCK, n - lo),
+               tuple(_objects(c[lo:lo + BLOCK] for c in columns).ravel()))
+
+
+def _record_blocks(basis: ObservableBasis, indices, table, row, *tail):
+    """(templates, values) per block of BLOCK records, for _write_table:
+    record k's row is ``row(r)``, r the cell count of its member j, filled
+    from k, j, the last r entries of row k of the front-padded ``table`` and
+    the k-th entry of each of ``tail``."""
+    kappa = basis.kappa
+    sizes = basis.sizes[indices]
+    templates = {r: row(r) for r in np.unique(sizes).tolist()}
+    for lo in range(0, len(indices), BLOCK):
+        hi = min(lo + BLOCK, len(indices))
+        block = _objects([np.arange(lo, hi), indices[lo:hi], table[lo:hi],
+                          *(t[lo:hi] for t in tail)])
+        keep = np.ones(block.shape, dtype=bool)
+        keep[:, 2:2 + kappa] = np.arange(kappa) >= kappa - sizes[lo:hi, None]
+        yield [templates[r] for r in sizes[lo:hi].tolist()], tuple(block[keep])
 
 
 def write_dataset_csv(dataset: TomographyDataset, basis: ObservableBasis, path) -> None:
     """One row per record: k, j, m, "U_1|U_2|...", N (empty when absent)."""
-    _write_table(path, ["k", "j", "m", "counts", "N"], (
-        [k, j, dataset.m, "|".join(map(str, counts)),
-         _fmt(dataset.summaries[k]) if dataset.summaries is not None else ""]
-        for k, j, counts in _record_cells(basis, dataset.indices, dataset.counts)))
+    tail = () if dataset.summaries is None else (dataset.summaries,)
+    last = ",%.17g" if tail else ","
+    _write_table(path, ["k", "j", "m", "counts", "N"], _record_blocks(
+        basis, dataset.indices, dataset.counts,
+        lambda r: f"%d,%d,{dataset.m}," + "|".join(["%d"] * r) + last, *tail))
 
 
 def write_individuals_csv(dataset: TomographyDataset, path) -> None:
     """Sibling outcome file: row per record, one outcome per column."""
     if dataset.individuals is None:
         raise ValueError("dataset carries no individual outcomes")
-    _write_table(path, None, ([_fmt(x) for x in row] for row in dataset.individuals.tolist()))
+    outcomes = dataset.individuals
+    _write_table(path, None, _blocks(",".join(["%.17g"] * outcomes.shape[1]), outcomes))
 
 
 def _field(k: int, column: str, text: str, cast):

@@ -40,7 +40,7 @@ import numpy as np
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
 from .hermitian import hs_inner, stack_traces
-from .measurement import (_active_mask, _field, _fmt, _read_records, _record_cells,
+from .measurement import (_active_mask, _blocks, _field, _read_records, _record_blocks,
                           _write_table, cell_probabilities, draw_design_indices)
 from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
 
@@ -130,14 +130,14 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
 def write_coarse_csv(samples, path) -> None:
     """One row per record of ``samples`` = (indices, Y): k, j, Y."""
     indices, values = samples
-    _write_table(path, ["k", "j", "Y"], (
-        [k, j, _fmt(v)] for k, (j, v) in enumerate(zip(indices.tolist(), values.tolist()))))
+    _write_table(path, ["k", "j", "Y"],
+                 _blocks("%d,%d,%.17g", np.arange(len(indices)), indices, values))
 
 
 def write_fine_csv(samples, basis: ObservableBasis, path) -> None:
     """One row per record of ``samples`` = (indices, y): k, j, "y_1|y_2|..."."""
-    _write_table(path, ["k", "j", "y"], (
-        [k, j, "|".join(map(_fmt, y))] for k, j, y in _record_cells(basis, *samples)))
+    _write_table(path, ["k", "j", "y"], _record_blocks(
+        basis, *samples, lambda r: "%d,%d," + "|".join(["%.17g"] * r)))
 
 
 def read_coarse_csv(path, basis: ObservableBasis) -> tuple:

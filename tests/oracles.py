@@ -9,9 +9,11 @@ the total variation distance for 2 cells exactly, the two dataset translations o
 sampled state, orthogonality and Pauli projection traces of a family, a
 matrix rebuilt from its spectral decomposition, each member's spectrum on its
 own, the active index sets, cell probabilities and coarse moments one member
-at a time.  ``custom_basis`` wraps an explicit matrix list as a family.
+at a time, and every table written one ``csv.writer`` row at a time.
+``custom_basis`` wraps an explicit matrix list as a family.
 """
 
+import csv
 import itertools
 import math
 
@@ -294,6 +296,64 @@ def round_off_per_record(samples, m: int) -> tuple:
             continue
         kept.append(k)
     return np.asarray(indices)[kept], counts, len(ys) - len(kept)
+
+
+# --- tables, one csv.writer row per record -------------------------------------
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def write_table_rows(path, header, rows, lineterminator: str = "\r\n") -> None:
+    """``header`` (None for none), then ``rows``, through ``csv.writer``."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_dataset_rows(dataset, basis, path) -> None:
+    """tomography.csv: k, j, m, "U_1|U_2|...", N (empty when absent)."""
+    write_table_rows(path, ["k", "j", "m", "counts", "N"], (
+        [k, j, dataset.m, "|".join(map(str, counts.tolist())),
+         _fmt(dataset.summaries[k]) if dataset.summaries is not None else ""]
+        for k, (j, counts) in enumerate(zip(dataset.indices.tolist(),
+                                            record_tails(basis, dataset.indices, dataset.counts)))))
+
+
+def write_individuals_rows(dataset, path) -> None:
+    """individuals.csv: one outcome per column, no header."""
+    write_table_rows(path, None, ([_fmt(x) for x in row] for row in dataset.individuals))
+
+
+def write_coarse_rows(samples, path) -> None:
+    """coarse.csv: k, j, Y."""
+    indices, values = samples
+    write_table_rows(path, ["k", "j", "Y"], (
+        [k, j, _fmt(v)] for k, (j, v) in enumerate(zip(indices.tolist(), values))))
+
+
+def write_fine_rows(samples, basis, path) -> None:
+    """fine.csv and translated_fine.csv: k, j, "y_1|y_2|..."."""
+    indices, table = samples
+    write_table_rows(path, ["k", "j", "y"], (
+        [k, j, "|".join(map(_fmt, y))]
+        for k, (j, y) in enumerate(zip(indices.tolist(), record_tails(basis, indices, table)))))
+
+
+def write_scaling_rows(report, path) -> None:
+    """scaling_i.csv: m, H, error_bar."""
+    write_table_rows(path, ["m", "H", "error_bar"], (
+        [m, _fmt(h), _fmt(e)] for m, h, e in zip(report.m_grid, report.values, report.error_bars)))
+
+
+def write_transfer_rows(sweep, path) -> None:
+    """transfer.csv: m, then the risks, the gap and its standard error, "\\n" line ends."""
+    columns = ("risk_counts", "risk_gaussian", "gap", "gap_se")
+    write_table_rows(path, ("m",) + columns, (
+        [row["m"], *(_fmt(row[c]) for c in columns)] for row in sweep), lineterminator="\n")
 
 
 # --- families ------------------------------------------------------------------
