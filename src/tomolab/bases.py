@@ -11,13 +11,12 @@ Four constructions, all of size p = d^2:
 * ``gvector`` - the hermitian construction with the canonical axes replaced
   by a supplied orthonormal real basis g_1..g_d.
 
-A basis holds its members as one (p, d, d) array and its spectra once: the
-distinct eigenvalues lambda_ja and eigenspace projections Q_ja of all
-measurable members, in member order, as the rows of a (C,) and a (C, d, d)
-array, member j's cells at rows ``cell_start[j]:cell_start[j + 1]``.
-:meth:`ObservableBasis.cell_traces` gives every tr(Q_ja rho) in one pass,
-and :meth:`ObservableBasis.padded` lays per-cell values out in the
-front-padded (p, kappa) table the simulators index by member.
+A basis holds its members as one (p, d, d) array and its spectra once, in
+the front-padded table every per-cell value of the package uses: row j of
+the (p, kappa) ``eigenvalues`` and the (p, kappa, d, d) ``projections`` holds
+member j's distinct eigenvalues lambda_ja and eigenspace projections Q_ja in
+its last ``sizes[j]`` slots and exact zeros in front, kappa the largest cell
+count.  :meth:`ObservableBasis.cell_traces` gives every tr(Q_ja rho) in one pass.
 """
 
 from __future__ import annotations
@@ -55,11 +54,10 @@ _KINDS = ("canonical", "hermitian", "pauli", "gvector")
 class ObservableBasis:
     """A finite observable family with its spectra, built by :func:`_make_basis`.
 
-    ``matrices`` (shape (p, d, d)) holds the members.  Row i of ``eigenvalues``
-    (shape (C,)) and ``projections`` (shape (C, d, d)) is one distinct
-    eigenvalue of a measurable member and the projection onto its eigenspace;
-    member j's cells are the rows ``cell_start[j]:cell_start[j + 1]``, in
-    descending eigenvalue order, and a masking-only member has none.
+    ``matrices`` (shape (p, d, d)) holds the members.  Member j's ``sizes[j]``
+    cells, its distinct eigenvalues in descending order and the projections
+    onto their eigenspaces, are the slots ``cells(j)`` of row j of ``eigenvalues``
+    (p, kappa) and ``projections`` (p, kappa, d, d); every other slot is zero.
     """
 
     kind: str
@@ -67,40 +65,25 @@ class ObservableBasis:
     matrices: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     projections: np.ndarray = field(repr=False)
-    cell_start: np.ndarray = field(repr=False)               # (p + 1,) row offsets
+    sizes: np.ndarray = field(repr=False)        # (p,) cells per member
     labels: tuple = ()
     g_vectors: np.ndarray = field(default=None, repr=False)
-    sizes: np.ndarray = field(init=False, repr=False)        # (p,) cells per member
-    kappa: int = field(init=False)                           # largest cell count
-    cell_member: np.ndarray = field(init=False, repr=False)  # (C,) member of each row
-
-    def __post_init__(self):
-        sizes = np.diff(self.cell_start)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "kappa", int(sizes.max(initial=0)))
-        object.__setattr__(self, "cell_member", np.repeat(np.arange(len(sizes)), sizes))
 
     @property
     def size(self) -> int:
         return len(self.matrices)
 
+    @property
+    def kappa(self) -> int:  # the largest cell count, the tables' width
+        return self.eigenvalues.shape[1]
+
     def cells(self, j: int) -> slice:
-        """Member j's rows of ``eigenvalues`` and ``projections``."""
-        return slice(self.cell_start[j], self.cell_start[j + 1])
+        """Member j's slots of row j of ``eigenvalues`` and ``projections``."""
+        return slice(self.kappa - int(self.sizes[j]), self.kappa)
 
     def cell_traces(self, rho) -> np.ndarray:
-        """tr(Q_ja rho) over every row of ``projections``, in one pass."""
+        """tr(Q_ja rho) of every slot of ``projections``, the (p, kappa) table, in one pass."""
         return stack_traces(self.projections, rho)
-
-    def padded(self, rows) -> np.ndarray:
-        """The (p, kappa, ...) table of per-cell ``rows`` (one per row of
-        ``projections``): member j's cells fill the last ``sizes[j]`` slots of
-        row j, and the slots in front of them are zero."""
-        rows = np.asarray(rows)
-        table = np.zeros((self.size, self.kappa) + rows.shape[1:], dtype=rows.dtype)
-        slot = np.arange(len(rows)) + (self.kappa - self.cell_start[1:])[self.cell_member]
-        table[self.cell_member, slot] = rows
-        return table
 
 
 @dataclass(frozen=True)
@@ -201,9 +184,9 @@ def _pauli_label(j: int, b: int):
 
 
 def _pauli_slots(d: int) -> int:
-    """b with d = 2^b, the tensor slots of the Pauli family at dimension d."""
+    """b with d = 2^b, b >= 1 (Pauli tensor slots, Haar levels); TomolabError otherwise."""
     if d < 2 or d & (d - 1):
-        raise TomolabError(f"pauli family needs d = 2^b, got d = {d}")
+        raise TomolabError(f"pauli family needs d = 2^b (b >= 1), as do Haar vectors; got d = {d}")
     return int(d).bit_length() - 1
 
 
@@ -214,10 +197,11 @@ def _pauli_member(j: int, b: int) -> np.ndarray:
 
 def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     """The one constructor of every family: each Hermitian member is measurable,
-    its eigenspace projections V V^dagger written into its rows, the others
-    get no rows (masking only).  A built-in kind takes its labels from
-    :func:`_labels`, any other kind 1..p.  TomolabError unless ``matrices``
-    holds one or more (d, d) matrices, d the size of the first."""
+    its eigenvalues and eigenspace projections V V^dagger written into the
+    last slots of its row, the others get no cells (masking only).  A built-in
+    kind takes its labels from :func:`_labels`, any other kind 1..p.
+    TomolabError unless ``matrices`` holds one or more (d, d) matrices, d the
+    size of the first."""
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:
         raise TomolabError("a basis needs at least one member")
@@ -234,30 +218,26 @@ def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     for m in mats:
         # a member with a NaN or inf entry goes to _eigenspaces, which rejects it
         herm = not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) <= TOL_HERM
-        spaces.append(_eigenspaces(m) if herm else None)
-    measured = [sp for sp in spaces if sp is not None]
-    eigenvalues = np.array([lam for lams, _ in measured for lam in lams])
-    projections = np.empty((len(eigenvalues), d, d), dtype=complex)
-    blocks = (block for _, bl in measured for block in bl)
-    for block, slot in zip(blocks, projections):
-        np.matmul(block, block.conj().T, out=slot)
-    sizes = [0 if sp is None else len(sp[0]) for sp in spaces]
-    return ObservableBasis(
-        kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues, projections=projections,
-        cell_start=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
-        labels=labels, g_vectors=g_vectors,
-    )
+        spaces.append(_eigenspaces(m) if herm else ((), ()))
+    sizes = np.array([len(lams) for lams, _ in spaces], dtype=np.int64)
+    kappa = int(sizes.max())
+    eigenvalues = np.zeros((len(mats), kappa))
+    projections = np.zeros((len(mats), kappa, d, d), dtype=complex)
+    for j, (lams, blocks) in enumerate(spaces):
+        eigenvalues[j, kappa - len(lams):] = lams
+        for block, slot in zip(blocks, projections[j, kappa - len(lams):]):
+            np.matmul(block, block.conj().T, out=slot)
+    return ObservableBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues,
+                           projections=projections, sizes=sizes, labels=labels, g_vectors=g_vectors)
 
 
 def haar_wavelet_vectors(d: int) -> np.ndarray:
-    """Orthonormal Haar wavelet basis of R^d (d a power of 2), columns are vectors.
+    """Orthonormal Haar wavelet basis of R^d (d = 2^b, b >= 1), columns are vectors.
 
     The first column is the constant vector; subsequent columns are the
     rescaled step wavelets.
     """
-    b = int(round(np.log2(d)))
-    if 2 ** b != d:
-        raise TomolabError(f"Haar basis needs d = 2^b, got d = {d}")
+    b = _pauli_slots(d)
     cols = [np.full(d, 1.0 / np.sqrt(d))]
     for level in range(b):
         n_wav = 2 ** level
@@ -272,8 +252,14 @@ def haar_wavelet_vectors(d: int) -> np.ndarray:
 
 
 def default_g_vectors(d: int) -> np.ndarray:
-    """The g-vectors used when none are given: Haar if d is a power of 2, else the identity."""
-    return haar_wavelet_vectors(d) if d & (d - 1) == 0 else np.eye(d)
+    """The g-vectors used when none are given: Haar if d = 2^b, else the
+    identity; TomolabError if d < 2."""
+    try:
+        return haar_wavelet_vectors(d)
+    except TomolabError:
+        if d < 2:
+            raise
+        return np.eye(d)
 
 
 # --- basis text files --------------------------------------------------------

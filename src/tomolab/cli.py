@@ -219,9 +219,12 @@ def _check_grids(cfg: ExperimentConfig) -> None:
     if any(m > ENVELOPE["m"] for m in cfg.m_grid):
         raise ConfigParseError(f"m_grid exceeds envelope {ENVELOPE['m']}")
     distinct = len(set(cfg.m_grid))
-    least = equivalence.MIN_SCALING_POINTS if cfg.task == "scaling" else 1
+    least = {"scaling": equivalence.MIN_SCALING_POINTS, "estimator_transfer": 2}.get(cfg.task, 1)
     if distinct < least:
         raise ConfigParseError(f"{cfg.task} needs at least {least} distinct m values, got {distinct}")
+    # "the gap shrinks with m" compares consecutive grid points, so m must increase
+    if cfg.task == "estimator_transfer" and sorted(set(cfg.m_grid)) != cfg.m_grid:
+        raise ConfigParseError(f"estimator_transfer m_grid must strictly increase, got {cfg.m_grid}")
 
 
 def _build_basis(cfg: ExperimentConfig) -> bases.ObservableBasis:

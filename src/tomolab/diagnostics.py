@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import ObservableBasis, build_basis, default_g_vectors
+from .bases import ObservableBasis, _pauli_slots, build_basis, default_g_vectors
 from .errors import TomolabError
 from .measurement import ACTIVE_TOL, _active_mask
 from .states import StateClassSpec, pauli_line_state, sample_class, tilted_product_state
@@ -61,14 +61,14 @@ def active_index_set(rho, basis: ObservableBasis) -> ActiveIndexReport:
     """Indices a with ACTIVE_TOL < tr(Q_ja rho) < 1 - ACTIVE_TOL of every measurable member.
 
     Every tr(Q_ja rho) of the family comes from one pass over the basis's
-    projection array (:meth:`ObservableBasis.cell_traces`), which rejects a
+    projection table (:meth:`ObservableBasis.cell_traces`), which rejects a
     state that is not a finite (d, d) matrix before computing any of them.
     """
     traces = basis.cell_traces(rho)
     active = _active_mask(traces)
-    member = basis.cell_member[active]
+    member, slot = np.nonzero(active)
     cards = np.bincount(member, minlength=basis.size)
-    cells = (np.flatnonzero(active) - basis.cell_start[member]).tolist()
+    cells = (slot - (basis.kappa - basis.sizes)[member]).tolist()
     ends = np.cumsum(cards).tolist()
     hit = traces[active]
     return ActiveIndexReport(
@@ -184,7 +184,11 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
     results = [{"name": "sparse-entry-count", "anchor": "corollary1",
                 "passed": all(v["ok"] for v in worst.values()), "details": worst}]
 
-    if d & (d - 1) == 0:
+    try:
+        b = _pauli_slots(d)
+    except TomolabError:
+        b = 0  # no Pauli family at this d
+    if b:
         # zeta = count / p is exact, p being a power of 4; it is (p - 1) / p
         # exactly when count = p - 1
         pauli = build_basis("pauli", d)
@@ -192,19 +196,17 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
         for beta in (0.1, 0.5, 0.9):
             st = pauli_line_state(d, 1, beta)
             count = active_index_set(st, pauli).nondegenerate_count
-            ok &= abs(pauli.cell_traces(st.matrix)[0] - 1.0) <= ACTIVE_TOL and count == p - 1
+            ok &= abs(pauli.cell_traces(st.matrix)[0, -1] - 1.0) <= ACTIVE_TOL and count == p - 1
             detail[str(beta)] = {"nondegenerate": count, "zeta": count / p}
         results.append({"name": "pauli-line-witness", "anchor": "corollary2",
                         "passed": bool(ok), "details": detail})
 
         # the tilted product state; every non-identity member has two cells, +1 then -1
-        st = tilted_product_state(int(round(np.log2(d))))
-        traces = pauli.cell_traces(st.matrix)
-        first = pauli.cell_start[1:-1]
-        rest = traces[first[0]:]
+        st = tilted_product_state(b)
+        rest = pauli.cell_traces(st.matrix)[1:]
         count = active_index_set(st, pauli).nondegenerate_count
-        ok = (count == p - 1 and np.all(traces[first] >= 0.5 - ACTIVE_TOL)
-              and np.all(traces[first + 1] >= 1 / 7 - ACTIVE_TOL))
+        ok = (count == p - 1 and np.all(rest[:, 0] >= 0.5 - ACTIVE_TOL)
+              and np.all(rest[:, 1] >= 1 / 7 - ACTIVE_TOL))
         results.append({"name": "tilted-product-witness", "anchor": "corollary3",
                         "passed": bool(ok), "details": {
                             "zeta": count / p, "min_trace": rest.min(), "max_trace": rest.max()}})

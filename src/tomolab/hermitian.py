@@ -3,7 +3,7 @@
 Matrices are plain complex ``numpy`` arrays.  :func:`_eigenspaces` gives the
 *distinct* eigenvalues of a Hermitian matrix with an orthonormal eigenvector
 block per eigenvalue; :mod:`tomolab.bases` writes each block's projection
-V V^dagger into its basis's projection array.  Floating-point eigensolvers
+V V^dagger into its basis's projection table.  Floating-point eigensolvers
 split degenerate eigenvalues, so nearby eigenvalues are merged by the relative
 clustering tolerance ``CLUSTER_TOL`` before the blocks are formed.  :func:`stack_traces` is
 the one kernel for tr(a rho) over a stack of matrices.
@@ -114,11 +114,11 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
-    """tr(a rho).real of every matrix a of an (n, d, d) stack, each bit for bit
-    ``trace_product(a, rho).real`` (the same d*d products summed in the same
-    order), in chunks that keep the temporary product small.  ``rho`` is a
-    matrix or a state holding one as ``matrix``; TomolabError unless that
-    matrix is finite and (d, d)."""
+    """tr(a rho).real of every matrix a of a (..., d, d) stack, shaped as its
+    leading axes, each bit for bit ``trace_product(a, rho).real`` (the same d*d
+    products summed in the same order), in chunks of whole matrices that keep
+    the temporary product small.  ``rho`` is a matrix or a state holding one as
+    ``matrix``; TomolabError unless that matrix is finite and (d, d)."""
     mat = np.asarray(getattr(rho, "matrix", rho))
     d = stack.shape[-1]
     if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
@@ -129,7 +129,7 @@ def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
     step = max(1, _TRACE_CHUNK // (d * d))
     for lo in range(0, len(rows), step):
         out[lo:lo + step] = (rows[lo:lo + step] * rho_t).sum(axis=1).real
-    return out
+    return out.reshape(stack.shape[:-2])
 
 
 # --- text serialization ------------------------------------------------------

@@ -9,10 +9,10 @@ a seeded shuffle, which preserves the joint law of the exchangeable outcomes.
 Randomness follows RNG contract v2 (:mod:`tomolab.rng`), family
 ``TOMOGRAPHY``: the design indices come from (seed, family, 0), and each
 block of ``BLOCK`` records makes one ``multinomial`` call on its substream,
-with one row of cell probabilities per record.  Rows are padded in front
-to the largest cell count over the basis's measurable members
-(:meth:`ObservableBasis.padded`); a zero cell takes no draw, so each row
-consumes the stream exactly as a one-record call would.  Individual
+with one row of cell probabilities per record.  Rows are the basis's
+front-padded (p, kappa) table (:class:`ObservableBasis`), padded in front to
+the largest cell count over its members; a zero cell takes no draw, so each
+row consumes the stream exactly as a one-record call would.  Individual
 outcomes are one ``permuted`` call per block on a copy of the block
 substream advanced from its start by ``bit_generator.jumped()`` (PCG64's
 fixed jump of about 0.618 * 2**128 steps), so the counts do not depend on
@@ -57,31 +57,31 @@ class TomographyDataset:
 
     m: int
     indices: np.ndarray             # int64, one member per record
-    counts: np.ndarray              # (n, kappa) int64, front-padded as ObservableBasis.padded
+    counts: np.ndarray              # (n, kappa) int64, front-padded as the basis's tables
     summaries: np.ndarray = None    # N_k per record
     individuals: np.ndarray = None  # (n, m) outcomes, one row per record
 
 
 def cell_probabilities(rho, basis: ObservableBasis) -> np.ndarray:
-    """Measurement distributions tr(Q_ja rho) of every member, one (C,) vector
-    over the rows of ``basis.projections`` (member j's law is
-    ``theta[basis.cells(j)]``), each law clipped to [0, 1] and divided by its
-    sum.  ValueError if a trace escapes [0, 1] by more than PROB_CLAMP or a
-    clipped law does not sum to 1 within 1e-9."""
+    """Measurement distributions tr(Q_ja rho) of every member, the basis's
+    (p, kappa) table (member j's law is ``theta[j, basis.cells(j)]``, zeros in
+    front), each law clipped to [0, 1] and divided by its sum.  ValueError if
+    a trace escapes [0, 1] by more than PROB_CLAMP or a clipped law does not
+    sum to 1 within 1e-9."""
     theta = basis.cell_traces(rho)
     escaped = theta[(theta < -PROB_CLAMP) | (theta > 1 + PROB_CLAMP)]
     if escaped.size:
         raise ValueError(f"cell probabilities escape [0,1]: {escaped}")
     theta = np.clip(theta, 0.0, 1.0)
     for r in np.unique(basis.sizes[basis.sizes > 0]).tolist():
-        rows = basis.cell_start[:-1][basis.sizes == r, None] + np.arange(r)
+        rows = np.flatnonzero(basis.sizes == r)
         # a (members, r) block summed along its rows adds each row as that member's
-        # 1-D sum would; a zero-padded row sum or np.add.reduceat does not, from r = 3
-        total = theta[rows].sum(axis=1)
+        # 1-D sum would; a zero-padded row sum does not, from r = 3
+        total = theta[rows, -r:].sum(axis=1)
         worst = total[np.argmax(np.abs(total - 1.0))]
         if abs(worst - 1.0) > 1e-9:
             raise ValueError(f"cell probabilities sum to {worst}, not 1")
-        theta[rows] /= total[:, None]
+        theta[rows, -r:] /= total[:, None]
     return theta
 
 
@@ -125,8 +125,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     if m < 1:
         raise ValueError("m must be at least 1")
     indices = draw_design_indices(design, basis, n, seed)
-    pvals = basis.padded(cell_probabilities(rho, basis))
-    lams = basis.padded(basis.eigenvalues)
+    pvals, lams = cell_probabilities(rho, basis), basis.eigenvalues
     counts = np.empty((n, basis.kappa), dtype=np.int64)
     outcomes = np.empty((n, m)) if detail == "individual" else None
     for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, n):
@@ -269,7 +268,7 @@ def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
         return TomographyDataset(m=ms[0], indices=indices, counts=counts)
     summaries = np.array([_field(k, "N", row[4], float) for k, row in enumerate(rows)])
     # the writer's formula, so the library's own files read back bit for bit
-    err = np.abs(summaries - _mean_outcomes(basis.padded(basis.eigenvalues)[indices], counts, ms[0]))
+    err = np.abs(summaries - _mean_outcomes(basis.eigenvalues[indices], counts, ms[0]))
     bad = np.flatnonzero(~(err <= 1e-12 * max(1.0, np.abs(basis.eigenvalues).max()))).tolist()
     if bad:
         raise ValueError(f"record {bad[0]}: N = {summaries[bad[0]]} is not its counts' mean outcome")

@@ -22,7 +22,7 @@ the last active cell, minus its column sums on the last, zero on inactive
 cells), so y = theta + F z meets the sum constraint.  Every member's law
 (cell probabilities, coarse mean and variance) is computed once per run,
 the fine factor once per distinct drawn member, in the basis's front-padded
-(p, kappa) table (:meth:`ObservableBasis.padded`).
+(p, kappa) table (:class:`ObservableBasis`).
 
 Both simulators, and the CSV readers and writers, hold a run's records once,
 as the pair (indices, values): the member index per record (int64) with the
@@ -67,7 +67,7 @@ def _coarse_moments(rho, basis: ObservableBasis, theta: np.ndarray) -> tuple:
     """(mean, variance) (p,) vectors of the coarse model, given the run's cell law theta."""
     mean = stack_traces(basis.matrices, rho)
     var = np.maximum(stack_traces(basis.matrices @ basis.matrices, rho) - mean * mean, 0.0)
-    active = np.bincount(basis.cell_member[_active_mask(theta)], minlength=basis.size)
+    active = _active_mask(theta).sum(axis=1)
     return mean, np.where(basis.sizes == 0, np.nan, np.where(active >= 2, var, 0.0))
 
 
@@ -114,14 +114,13 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     indices = draw_design_indices(design, basis, n, seed, FINE)
     width = basis.kappa - 1
     theta = cell_probabilities(rho, basis)
-    factor = np.zeros((len(theta), width))  # one factor row per cell
+    factors = np.zeros((basis.size, basis.kappa, width))  # padding slots are never active
     for j in dict.fromkeys(indices.tolist()):
-        factor[basis.cells(j)] = _fine_factor(theta[basis.cells(j)], m, width)
-    thetas, factors = basis.padded(theta), basis.padded(factor)
+        factors[j] = _fine_factor(theta[j], m, width)
     z = np.empty((n, width))
     for lo, hi, rng in record_blocks(seed, FINE, n):
         z[lo:hi] = rng.standard_normal((hi - lo, width))
-    return indices, thetas[indices] + np.einsum("kab,kb->ka", factors[indices], z)
+    return indices, theta[indices] + np.einsum("kab,kb->ka", factors[indices], z)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -191,8 +190,8 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     err_counts = np.empty((replications, p))
     err_gauss = np.empty((replications, p))
     for j in range(p):
-        counts = rng.multinomial(m, theta[basis.cells(j)], size=replications)
-        est_c = counts @ basis.eigenvalues[basis.cells(j)] / m / norms[j]
+        counts = rng.multinomial(m, theta[j, basis.cells(j)], size=replications)
+        est_c = counts @ basis.eigenvalues[j, basis.cells(j)] / m / norms[j]
         est_g = (mean[j] + sd[j] * rng.standard_normal(replications)) / norms[j]
         err_counts[:, j] = (est_c - alpha[j]) ** 2
         err_gauss[:, j] = (est_g - alpha[j]) ** 2

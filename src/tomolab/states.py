@@ -111,10 +111,7 @@ def witness_state(name: str, d: int, j_star=None, beta: float = 0.5) -> DensityM
             j_star = 1  # first non-identity member
         return pauli_line_state(d, j_star, beta)
     if name == "cor3_tilted":
-        b = int(round(np.log2(d)))
-        if 2 ** b != d:
-            raise ValueError("cor3_tilted needs d = 2^b")
-        return tilted_product_state(b)
+        return tilted_product_state(bases._pauli_slots(d))
     if name == "remark8_haar_rank1":
         return validate_density(np.ones((d, d), dtype=complex) / d)
     if name == "remark8_haar_rank2":

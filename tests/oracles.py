@@ -385,7 +385,7 @@ def pauli_projection_traces(basis) -> dict:
     stack = np.stack([basis.matrices[j] for j in others])
     rows = []
     for pos, j in enumerate(others):
-        q_plus, q_minus = basis.projections[basis.cells(j)]
+        q_plus, q_minus = basis.projections[j, basis.cells(j)]
         cross = np.abs(np.einsum("kab,qba->qk", stack, np.stack([q_plus, q_minus])))
         rows.append({
             "j": j,
@@ -409,7 +409,7 @@ def pauli_projection_traces(basis) -> dict:
 
 def active_index_set_per_member(rho, basis) -> ActiveIndexReport:
     """The active index sets member by member, each cell trace through one
-    ``trace_product`` per row of the member's slice of the projection array."""
+    ``trace_product`` per slot of ``cells(j)`` in row j of the projection table."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     per_j, cards = [], []
     t_min, t_max = np.inf, -np.inf
@@ -418,7 +418,7 @@ def active_index_set_per_member(rho, basis) -> ActiveIndexReport:
             per_j.append(())
             cards.append(0)
             continue
-        traces = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
+        traces = np.array([trace_product(q, mat).real for q in basis.projections[j, basis.cells(j)]])
         idx = tuple(np.flatnonzero(_active_mask(traces)).tolist())
         if idx:
             t_min = min(t_min, float(traces[list(idx)].min()))
@@ -435,10 +435,10 @@ def active_index_set_per_member(rho, basis) -> ActiveIndexReport:
 
 def cell_probabilities_per_member(rho, basis, j: int) -> np.ndarray:
     """Member j's cell probabilities on their own: one ``trace_product`` per
-    row of its slice of the projection array, the escape check, the clip, and
-    division by the 1-D sum of its own law."""
+    slot of ``cells(j)`` in row j of the projection table, the escape check,
+    the clip, and division by the 1-D sum of its own law."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    theta = np.array([trace_product(q, mat).real for q in basis.projections[basis.cells(j)]])
+    theta = np.array([trace_product(q, mat).real for q in basis.projections[j, basis.cells(j)]])
     if np.any(theta < -PROB_CLAMP) or np.any(theta > 1 + PROB_CLAMP):
         raise ValueError(f"cell probabilities escape [0,1]: {theta}")
     theta = np.clip(theta, 0.0, 1.0)

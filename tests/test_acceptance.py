@@ -39,7 +39,7 @@ def test_criterion_01_pauli_eigenstructure():
     for d in (2, 4, 8, 16):
         basis = bases.build_basis("pauli", d)
         for j in range(1, basis.size):
-            lam = basis.eigenvalues[basis.cells(j)]
+            lam = basis.eigenvalues[j, basis.cells(j)]
             pair_counts_ok &= len(lam) == 2
             worst = max(worst, abs(lam[0] - 1), abs(lam[-1] + 1))
         rep = pauli_projection_traces(basis)
@@ -61,14 +61,14 @@ def test_criterion_02_line_witness_exact():
             j_star = 1 + (d % 3)
             rho = states.pauli_line_state(d, j_star, beta)
             traces = basis.cell_traces(rho.matrix)
-            worst = max(worst, abs(traces[basis.cells(0)][0] - 1.0))
-            tr_star = traces[basis.cells(j_star)]
+            worst = max(worst, abs(traces[0, basis.cells(0)][0] - 1.0))
+            tr_star = traces[j_star, basis.cells(j_star)]
             worst = max(worst, abs(tr_star[0] - (1 + beta) / 2),
                         abs(tr_star[1] - (1 - beta) / 2))
             for j in range(1, p):
                 if j == j_star:
                     continue
-                tr = traces[basis.cells(j)]
+                tr = traces[j, basis.cells(j)]
                 worst = max(worst, abs(tr[0] - 0.5), abs(tr[1] - 0.5))
             zeta = diagnostics.zeta_fraction([rho], basis).zeta
             zeta_ok &= abs(zeta - (p - 1) / p) <= 1e-9
@@ -90,7 +90,7 @@ def test_criterion_03_tilted_witness():
         p = basis.size
         traces = basis.cell_traces(rho.matrix)
         for j in range(1, p):
-            tr = traces[basis.cells(j)]
+            tr = traces[j, basis.cells(j)]
             bounds_ok &= tr[0] >= 0.5 - 1e-9
             bounds_ok &= tr[1] >= 1 / 7 - 1e-9
         zeta = diagnostics.zeta_fraction([rho], basis).zeta
@@ -205,7 +205,7 @@ def test_criterion_06_moment_matching():
     rng = np.random.default_rng(SEED + 1)
     worst_pull = 0.0
     for rho, basis, j, m in grid:
-        theta = measurement.cell_probabilities(rho, basis)[basis.cells(j)]
+        theta = measurement.cell_probabilities(rho, basis)[j, basis.cells(j)]
         # grid sanity: strictly interior laws only
         assert np.all(theta > 1e-6) and np.all(theta < 1 - 1e-6)
         r = len(theta)

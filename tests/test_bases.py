@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import custom_basis, member_spectrum, pauli_projection_traces, verify_orthogonal
-from tomolab import bases, hermitian
+from tomolab import bases, hermitian, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
 
@@ -22,7 +22,8 @@ class TestBuildBasis:
         assert b.labels[0] == (0, 0)
 
     def test_pauli_bad_dimension(self):
-        with pytest.raises(TomolabError, match=r"pauli family needs d = 2\^b, got d = 6"):
+        with pytest.raises(TomolabError, match=r"pauli family needs d = 2\^b \(b >= 1\), as do "
+                                               r"Haar vectors; got d = 6"):
             bases.build_basis("pauli", 6)
 
     def test_gvector_with_canonical_axes_matches_hermitian(self):
@@ -60,13 +61,13 @@ class TestBuildBasis:
         inv_sqrt2 = 1 / np.sqrt(2)
         for j, (l1, l2) in enumerate(b.labels):
             expected = {0.0, 1.0} if l1 == l2 else {inv_sqrt2, -inv_sqrt2, 0.0}
-            assert set(np.round(b.eigenvalues[b.cells(j)], 9)) <= {round(e, 9) for e in expected}
+            assert set(np.round(b.eigenvalues[j, b.cells(j)], 9)) <= {round(e, 9) for e in expected}
 
     def test_pauli_squares_to_identity(self):
         b = bases.build_basis("pauli", 8)
         for j in range(1, b.size):
             assert b.sizes[j] == 2
-            np.testing.assert_allclose(b.eigenvalues[b.cells(j)], [1, -1], atol=1e-9)
+            np.testing.assert_allclose(b.eigenvalues[j, b.cells(j)], [1, -1], atol=1e-9)
             np.testing.assert_allclose(
                 b.matrices[j] @ b.matrices[j], np.eye(8), atol=1e-9)
 
@@ -125,6 +126,21 @@ class TestHaarWavelets:
         g = bases.haar_wavelet_vectors(4)
         np.testing.assert_allclose(g[:, 1], [0.5, 0.5, -0.5, -0.5])
 
+    @pytest.mark.parametrize("d", [0, -4, 1, 3])
+    def test_one_power_of_two_rule(self, d):
+        # every construction on d = 2^b, b >= 1, rejects any other d the same way,
+        # with no overflow and no divide-by-zero warning on its way
+        for build in (bases.haar_wavelet_vectors,
+                      lambda d: states.witness_state("cor3_tilted", d),
+                      lambda d: states.witness_state("remark8_haar_rank2", d)):
+            with pytest.raises(TomolabError, match=rf"needs d = 2\^b \(b >= 1\).*got d = {d}$"):
+                build(d)
+        if d < 2:
+            with pytest.raises(TomolabError, match=rf"got d = {d}$"):
+                bases.default_g_vectors(d)
+        else:  # no Haar basis at d = 3, so the identity
+            np.testing.assert_array_equal(bases.default_g_vectors(d), np.eye(d))
+
 
 class TestDesign:
     def test_uniform(self):
@@ -143,20 +159,24 @@ class TestDesign:
 
 
 class TestProjectionArray:
-    """Each member's rows of a family's eigenvalue and projection arrays hold
-    that member's own spectrum."""
+    """The last slots of each member's row of a family's eigenvalue and
+    projection tables hold that member's own spectrum, the slots in front of
+    them zeros."""
 
     @staticmethod
     def assert_member_spectra(basis):
         spectra = [member_spectrum(mat) for mat in basis.matrices]
         sizes = [0 if sp is None else len(sp[0]) for sp in spectra]
+        kappa = max(sizes)
         np.testing.assert_array_equal(basis.sizes, sizes)
-        assert basis.eigenvalues.shape == (sum(sizes),)
-        assert basis.projections.shape == (sum(sizes), basis.dim, basis.dim)
+        assert basis.eigenvalues.shape == (basis.size, kappa)
+        assert basis.projections.shape == (basis.size, kappa, basis.dim, basis.dim)
         for j, sp in enumerate(spectra):
+            pad = slice(0, kappa - sizes[j])
+            assert not basis.eigenvalues[j, pad].any() and not basis.projections[j, pad].any()
             if sp is not None:
-                np.testing.assert_allclose(basis.eigenvalues[basis.cells(j)], sp[0], atol=1e-12)
-                np.testing.assert_allclose(basis.projections[basis.cells(j)], np.stack(sp[1]),
+                np.testing.assert_allclose(basis.eigenvalues[j, basis.cells(j)], sp[0], atol=1e-12)
+                np.testing.assert_allclose(basis.projections[j, basis.cells(j)], np.stack(sp[1]),
                                            atol=1e-12)
 
     @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("canonical", 3),
@@ -174,16 +194,16 @@ class TestProjectionArray:
         self.assert_member_spectra(b)
         np.testing.assert_array_equal(b.sizes, [2, 0, 1])
 
-    def test_cell_offsets(self):
+    def test_front_padded_table(self):
         b = bases.build_basis("canonical", 3)  # 3 diagonal members with 2 cells, 6 masking-only
         sizes = [2 if l1 == l2 else 0 for l1, l2 in b.labels]
         np.testing.assert_array_equal(b.sizes, sizes)
-        np.testing.assert_array_equal(np.diff(b.cell_start), sizes)
-        np.testing.assert_array_equal(b.cell_member, np.repeat(np.arange(b.size), sizes))
         assert b.kappa == 2
-        # member 4 is e_2 e_2', the second diagonal member
-        assert b.cells(4) == slice(2, 4)
-        assert b.eigenvalues[b.cells(4)].tolist() == [1.0, 0.0]
+        assert b.eigenvalues.shape == (9, 2) and b.projections.shape == (9, 2, 3, 3)
+        # member 4 is e_2 e_2', the second diagonal member; member 1 is masking-only
+        assert b.cells(4) == slice(0, 2) and b.cells(1) == slice(2, 2)
+        assert b.eigenvalues[4, b.cells(4)].tolist() == [1.0, 0.0]
+        assert not b.eigenvalues[1].any() and not b.projections[1].any()
 
 
 class TestMalformedMembers:

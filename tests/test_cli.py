@@ -330,6 +330,34 @@ out = {tmp_path / "o"}
         assert cli.main(["run", "--config", path]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        ("64", "at least 2 distinct m values, got 1"),
+        ("64,64", "at least 2 distinct m values, got 1"),
+        ("16,64,64", "m_grid must strictly increase"),
+        ("256,16", "m_grid must strictly increase"),
+    ], ids=["single", "repeated", "repeated-last", "decreasing"])
+    def test_transfer_grid_must_increase_exits_2(self, tmp_path, monkeypatch, grid, message):
+        # "the gap shrinks with m" compares consecutive grid points: with one
+        # point it compares none and would pass on nothing
+        def no_build(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(bases, "build_basis", no_build)
+        text = f"""
+[run]
+task = estimator_transfer
+seed = 1
+out = {tmp_path / "o"}
+
+[transfer]
+m_grid = {grid}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=message):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("task, section", [
         ("distances", "distances"),
         ("scaling", "scaling"),

@@ -76,7 +76,7 @@ class TestActiveIndexSet:
         rep = diagnostics.active_index_set(st, PAULI4)
         traces = PAULI4.cell_traces(st.matrix)
         for j in range(PAULI4.size):
-            for a, trace in enumerate(traces[PAULI4.cells(j)]):
+            for a, trace in enumerate(traces[j, PAULI4.cells(j)]):
                 if a not in rep.per_j[j]:
                     assert min(trace, 1 - trace) <= diagnostics.ACTIVE_TOL
 
@@ -104,8 +104,9 @@ class TestOnePass:
         if state == "line":  # the comparison covers active cells
             assert got.nondegenerate_count > 0
 
-        # bit for bit one trace_product per row, the value cell_probabilities starts from
-        want = [hermitian.trace_product(q, st.matrix).real for q in basis.projections]
+        # bit for bit one trace_product per slot, the value cell_probabilities starts from
+        want = [[hermitian.trace_product(q, st.matrix).real for q in row]
+                for row in basis.projections]
         np.testing.assert_array_equal(basis.cell_traces(st.matrix), want)
 
     @pytest.mark.parametrize("shape", [(1, 1), (16, 16), (4,)])

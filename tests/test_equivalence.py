@@ -134,7 +134,7 @@ class TestTranslation:
 
     def test_translated_mean_matches_theta(self):
         st_ = states.pauli_line_state(2, 1, 0.4)
-        theta = measurement.cell_probabilities(st_, PAULI2)[PAULI2.cells(1)]
+        theta = measurement.cell_probabilities(st_, PAULI2)[1, PAULI2.cells(1)]
         design = bases.SamplingDesign.random(np.array([0, 1.0, 0, 0]))
         vals = []
         for rep in range(60):
@@ -212,9 +212,9 @@ class TestTranslation:
         j, m, n = herm3.labels.index((1, 2)), 64, 4000
         theta = np.array([0.00069, 0.982, 0.01731])
         # rho = sum_a theta_a Q_ja, the member's rank-one projections
-        rho = np.einsum("a,aij->ij", theta, herm3.projections[herm3.cells(j)])
+        rho = np.einsum("a,aij->ij", theta, herm3.projections[j, herm3.cells(j)])
         st_ = states.validate_density(rho)
-        law = measurement.cell_probabilities(st_, herm3)[herm3.cells(j)]
+        law = measurement.cell_probabilities(st_, herm3)[j, herm3.cells(j)]
         np.testing.assert_allclose(law, theta, atol=1e-15)
         design = bases.SamplingDesign.random(np.eye(herm3.size)[j])
         ds = measurement.run_tomography(st_, herm3, design, n, m, seed=21)
@@ -243,7 +243,7 @@ class TestTranslation:
         herm3 = bases.build_basis("hermitian", 3)
         j, m, n = herm3.labels.index((1, 2)), 16, 8
         st_ = states.validate_density(np.diag([1.0, 0, 0]).astype(complex))
-        theta = measurement.cell_probabilities(st_, herm3)[herm3.cells(j)]
+        theta = measurement.cell_probabilities(st_, herm3)[j, herm3.cells(j)]
         np.testing.assert_array_equal(theta, [0.5, 0.0, 0.5])
         design = bases.SamplingDesign.random(np.eye(herm3.size)[j])
         _, fine = regression.simulate_fine(st_, herm3, design, n, m, seed=4)

@@ -27,8 +27,8 @@ def eig2x2(mat):
 
 def spectrum(mat):
     """(distinct eigenvalues, projections) of ``mat`` as a one-member basis holds them."""
-    basis = custom_basis([mat])
-    return basis.eigenvalues, basis.projections
+    basis = custom_basis([mat])  # one member, so its row has no padding
+    return basis.eigenvalues[0], basis.projections[0]
 
 
 def block_widths(mat):

@@ -1,16 +1,19 @@
-"""One record layout: every run's records are the basis's front-padded (n, kappa) table.
+"""One layout from basis to record: the front-padded table of width kappa.
 
-A custom basis with members of 1, 2 and 3 cells puts every padding width in
-one run: each producer returns tables of width kappa, K0 leaves the padding
-slots at exactly 0, K1 on whole rows agrees with the per-record oracle fed
-each row's tail, and each CSV writer and reader round-trips the table.
+A basis stores its spectra as (p, kappa) and (p, kappa, d, d) tables with
+exact zeros in front of each member's cells, so its cell traces carry exact
+zeros there too, which no rule reads as active.  A custom basis with members
+of 1, 2 and 3 cells puts every padding width in one run: each producer
+returns tables of width kappa, K0 leaves the padding slots at exactly 0, K1
+on whole rows agrees with the per-record oracle fed each row's tail, and
+each CSV writer and reader round-trips the table.
 """
 
 import numpy as np
 import pytest
 
 from oracles import custom_basis, record_tails, round_off_per_record
-from tomolab import bases, equivalence as eq, measurement, regression, states
+from tomolab import bases, equivalence as eq, hermitian, measurement, regression, states
 
 # the identity (1 cell), a rank-2 projection (2 cells) and a random Hermitian member (3 cells)
 _rng = np.random.default_rng(8)
@@ -28,6 +31,33 @@ def padding(indices) -> np.ndarray:
 
 def test_basis_mixes_one_two_and_three_cells():
     assert MIXED.sizes.tolist() == [1, 2, 3] and MIXED.kappa == 3
+
+
+# canonical d = 3: six masking-only members, whose rows are all padding
+CANONICAL3 = bases.build_basis("canonical", 3)
+CANONICAL3_STATE = states.sample_class(states.StateClassSpec("low_rank", r=2), 3, seed=2)
+
+
+@pytest.mark.parametrize("basis, state, masked", [(MIXED, STATE, 0),
+                                                  (CANONICAL3, CANONICAL3_STATE, 6)],
+                         ids=["mixed", "canonical3"])
+def test_basis_tables_are_front_padded_with_exact_zeros(basis, state, masked):
+    slots = np.arange(basis.kappa) < (basis.kappa - basis.sizes)[:, None]
+    assert basis.eigenvalues.shape == (basis.size, basis.kappa)
+    assert basis.projections.shape == (basis.size, basis.kappa, basis.dim, basis.dim)
+    assert np.all(basis.eigenvalues[slots] == 0) and np.all(basis.projections[slots] == 0)
+    # a masking-only member's row is all padding and its cells(j) is empty
+    assert np.count_nonzero(basis.sizes == 0) == masked
+    for j in range(basis.size):
+        cells = basis.cells(j)
+        assert cells.stop == basis.kappa and cells.stop - cells.start == basis.sizes[j]
+    traces = basis.cell_traces(state)
+    assert traces.shape == (basis.size, basis.kappa)
+    assert np.all(traces[slots] == 0.0) and not measurement._active_mask(traces)[slots].any()
+    # bit for bit one trace_product per slot, padding slots included
+    want = np.array([[hermitian.trace_product(q, state.matrix).real for q in row]
+                     for row in basis.projections])
+    assert hermitian.stack_traces(basis.projections, state).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 64])

@@ -43,18 +43,18 @@ def counts_on(st, j, n, m, seed) -> np.ndarray:
 
 class TestCellProbabilities:
     def test_eigenstate(self):
-        theta = measurement.cell_probabilities(pure_z(), PAULI2)[PAULI2.cells(3)]
+        theta = measurement.cell_probabilities(pure_z(), PAULI2)[3, PAULI2.cells(3)]
         np.testing.assert_allclose(theta, [1.0, 0.0], atol=1e-12)
 
     def test_mixed_on_sigma1(self):
         st = states.validate_density(np.eye(2) / 2)
-        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
+        theta = measurement.cell_probabilities(st, PAULI2)[1, PAULI2.cells(1)]
         np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-12)
 
     def test_line_state(self):
         beta, j_star = 0.7, 5
         st = states.pauli_line_state(4, j_star, beta)
-        theta = measurement.cell_probabilities(st, PAULI4)[PAULI4.cells(j_star)]
+        theta = measurement.cell_probabilities(st, PAULI4)[j_star, PAULI4.cells(j_star)]
         np.testing.assert_allclose(theta, [(1 + beta) / 2, (1 - beta) / 2], atol=1e-9)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
@@ -62,23 +62,24 @@ class TestCellProbabilities:
         basis = bases.build_basis("pauli", d)
         st = states.validate_density(np.eye(d) / d)
         for j in range(1, basis.size, max(1, basis.size // 7)):
-            theta = measurement.cell_probabilities(st, basis)[basis.cells(j)]
+            theta = measurement.cell_probabilities(st, basis)[j, basis.cells(j)]
             np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-9)
 
     def test_expected_outcome_matches_trace(self):
         rng = np.random.default_rng(0)
         st = states.sample_class(states.StateClassSpec("low_rank", r=3), 4, seed=9)
         for j in range(PAULI4.size):
-            theta = measurement.cell_probabilities(st, PAULI4)[PAULI4.cells(j)]
-            lam = PAULI4.eigenvalues[PAULI4.cells(j)]
+            theta = measurement.cell_probabilities(st, PAULI4)[j, PAULI4.cells(j)]
+            lam = PAULI4.eigenvalues[j, PAULI4.cells(j)]
             want = np.trace(st.matrix @ PAULI4.matrices[j]).real
             assert np.dot(lam, theta) == pytest.approx(want, abs=1e-9)
 
     def test_masking_member_rejected(self):
-        # a masking-only member has no rows in the table, and no simulator draws it
+        # a masking-only member has an all-zero row in the table, and no simulator draws it
         canonical = bases.build_basis("canonical", 2)
         theta = measurement.cell_probabilities(pure_z(), canonical)
-        np.testing.assert_array_equal(theta, [1.0, 0.0, 0.0, 1.0])  # e_1 e_1', e_2 e_2'
+        np.testing.assert_array_equal(theta, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                              [0.0, 1.0]])  # e_1 e_1', e_2 e_2'
         with pytest.raises(TomolabError, match="masking-only"):
             measurement.run_tomography(pure_z(), canonical, bases.SamplingDesign.fixed(),
                                        4, 5, seed=1)
@@ -96,7 +97,7 @@ class TestCellProbabilities:
     def test_tiny_negative_trace_clamped(self):
         eps = 5e-13  # inside the clamp window
         st = states.DensityMatrix(matrix=np.diag([1.0 + eps, -eps]).astype(complex))
-        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(3)]
+        theta = measurement.cell_probabilities(st, PAULI2)[3, PAULI2.cells(3)]
         assert theta[1] == 0.0
         assert theta.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -110,20 +111,19 @@ class TestCellProbabilities:
         for seed, r in ((1, 1), (2, 2), (3, d)):
             st = states.sample_class(states.StateClassSpec("low_rank", r=r), d, seed=seed)
             theta = measurement.cell_probabilities(st, basis)
-            assert theta.shape == (basis.cell_start[-1],)
+            assert theta.shape == (basis.size, basis.kappa)
             for j in np.flatnonzero(basis.sizes):
-                np.testing.assert_array_equal(theta[basis.cells(j)],
+                np.testing.assert_array_equal(theta[j, basis.cells(j)],
                                               cell_probabilities_per_member(st, basis, j))
 
     def test_padded_table(self):
         herm = LAW_FAMILIES["hermitian16"]
         st = states.sample_class(states.StateClassSpec("low_rank", r=3), 16, seed=4)
-        theta = measurement.cell_probabilities(st, herm)
-        table = herm.padded(theta)
+        table = measurement.cell_probabilities(st, herm)
         assert table.shape == (herm.size, herm.kappa) == (256, 3)
         for j in range(herm.size):
             r = herm.sizes[j]
-            np.testing.assert_array_equal(table[j, 3 - r:], theta[herm.cells(j)])
+            np.testing.assert_array_equal(table[j, 3 - r:], cell_probabilities_per_member(st, herm, j))
             assert np.all(table[j, :3 - r] == 0.0)
 
 
@@ -140,7 +140,7 @@ class TestMeasureCounts:
     def test_single_shot_frequencies_chi2(self):
         # m = 1: the hit cell is distributed like the cell probabilities
         st = states.pauli_line_state(2, 1, 0.4)
-        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
+        theta = measurement.cell_probabilities(st, PAULI2)[1, PAULI2.cells(1)]
         counts = counts_on(st, 1, 2000, 1, seed=0)
         assert np.all(counts.sum(axis=1) == 1)
         hits = counts.sum(axis=0)
@@ -154,7 +154,7 @@ class TestMeasureCounts:
 
     def test_empirical_mean_clt(self):
         st = states.pauli_line_state(2, 1, 0.2)
-        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
+        theta = measurement.cell_probabilities(st, PAULI2)[1, PAULI2.cells(1)]
         m, reps = 8, 10_000
         rng = np.random.default_rng(7)
         freq = rng.multinomial(m, theta, size=reps) / m
@@ -175,8 +175,8 @@ class TestSummarize:
         st = states.pauli_line_state(4, 3, 0.6)
         j, m, reps = 3, 16, 10_000
         rng = np.random.default_rng(11)
-        theta = measurement.cell_probabilities(st, PAULI4)[PAULI4.cells(j)]
-        lam = PAULI4.eigenvalues[PAULI4.cells(j)]
+        theta = measurement.cell_probabilities(st, PAULI4)[j, PAULI4.cells(j)]
+        lam = PAULI4.eigenvalues[j, PAULI4.cells(j)]
         ns = rng.multinomial(m, theta, size=reps) @ lam / m
         want = np.trace(st.matrix @ PAULI4.matrices[j]).real
         var = (np.trace(st.matrix @ PAULI4.matrices[j] @ PAULI4.matrices[j]).real
@@ -239,7 +239,7 @@ class TestRunTomography:
                                         4, 12, seed=3, detail="individual")
         assert ds.individuals.shape == (4, 12)
         for j, counts, outcomes, n_k in zip(ds.indices, ds.counts, ds.individuals, ds.summaries):
-            lams = PAULI2.eigenvalues[PAULI2.cells(j)]
+            lams = PAULI2.eigenvalues[j, PAULI2.cells(j)]
             for lam, count in zip(lams, counts[2 - len(lams):]):
                 assert np.sum(np.isclose(outcomes, lam)) == count
             assert outcomes.mean() == pytest.approx(n_k)
@@ -249,15 +249,15 @@ class TestRunTomography:
         ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
                                         4, 50, seed=4, detail="summary")
         for j, counts, n_k in zip(ds.indices, ds.counts, ds.summaries):
-            lam = PAULI2.eigenvalues[PAULI2.cells(j)]
+            lam = PAULI2.eigenvalues[j, PAULI2.cells(j)]
             assert n_k == pytest.approx(np.dot(lam, counts[2 - len(lam):]) / ds.m)
 
     def test_variance_of_summary_monte_carlo(self):
         st = states.pauli_line_state(2, 1, 0.5)
         j, m, reps = 1, 4, 20_000
         rng = np.random.default_rng(21)
-        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(j)]
-        lam = PAULI2.eigenvalues[PAULI2.cells(j)]
+        theta = measurement.cell_probabilities(st, PAULI2)[j, PAULI2.cells(j)]
+        lam = PAULI2.eigenvalues[j, PAULI2.cells(j)]
         ns = rng.multinomial(m, theta, size=reps) @ lam / m
         b = PAULI2.matrices[j]
         want = (np.trace(st.matrix @ b @ b).real

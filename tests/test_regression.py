@@ -21,7 +21,7 @@ def interior_state(d=4, seed=2):
 
 def fine_covariance(st, basis, j):
     """Covariance F F' of the fine sampler's noise F z for member j at m = 1."""
-    theta = measurement.cell_probabilities(st, basis)[basis.cells(j)]
+    theta = measurement.cell_probabilities(st, basis)[j, basis.cells(j)]
     factor = regression._fine_factor(theta, 1, len(theta) - 1)
     return factor @ factor.T
 
@@ -85,7 +85,7 @@ class TestNoiseCovarianceFine:
 
     def test_matches_multinomial_covariance_formula(self):
         st = interior_state(seed=6)
-        theta = measurement.cell_probabilities(st, HERM4)[HERM4.cells(1)]
+        theta = measurement.cell_probabilities(st, HERM4)[1, HERM4.cells(1)]
         cov = fine_covariance(st, HERM4, 1)
         np.testing.assert_allclose(cov, np.diag(theta) - np.outer(theta, theta), atol=1e-12)
 
@@ -107,7 +107,7 @@ class TestSimulateFine:
 
     def test_sample_variance_matches(self):
         st = states.pauli_line_state(2, 1, 0.4)
-        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(1)]
+        theta = measurement.cell_probabilities(st, PAULI2)[1, PAULI2.cells(1)]
         m, reps = 16, 10_000
         design = bases.SamplingDesign.random(np.array([0, 1.0, 0, 0]))
         ys = []
@@ -183,7 +183,7 @@ class TestAggregateFine:
         # Var(sum lambda_a z_a) should equal tr(B^2 rho) - tr(B rho)^2, scaled by 1/m
         st = interior_state(seed=12)
         j, m = 1, 4
-        lam = HERM4.eigenvalues[HERM4.cells(j)]
+        lam = HERM4.eigenvalues[j, HERM4.cells(j)]
         design = bases.SamplingDesign.random(np.eye(16)[j])
         ys = []
         for rep in range(100):
@@ -199,7 +199,7 @@ class TestAggregateFine:
         # first two moments of the fine Gaussian equal those of counts/m
         st = interior_state(seed=13)
         for j in (0, 1, 5):
-            theta = measurement.cell_probabilities(st, HERM4)[HERM4.cells(j)]
+            theta = measurement.cell_probabilities(st, HERM4)[j, HERM4.cells(j)]
             cov = fine_covariance(st, HERM4, j)
             m = 7
             rng = np.random.default_rng(j)
@@ -279,7 +279,7 @@ class TestActiveRule:
     def layers(st, basis, j):
         """Per layer, whether it drew or counted member j as random on state st."""
         design, p = bases.SamplingDesign.fixed(), basis.size
-        theta = measurement.cell_probabilities(st, basis)[basis.cells(j)]
+        theta = measurement.cell_probabilities(st, basis)[j, basis.cells(j)]
         mean = hermitian.stack_traces(basis.matrices, st.matrix)[j]
         _, big_y = regression.simulate_coarse(st, basis, design, p, 64, seed=1)
         _, ys = regression.simulate_fine(st, basis, design, p, 64, seed=1)
@@ -295,7 +295,7 @@ class TestActiveRule:
 
     def test_nearly_degenerate_member_is_degenerate_everywhere(self):
         st = states.validate_density(np.diag([1 - 5e-10, 5e-10]))
-        theta = measurement.cell_probabilities(st, PAULI2)[PAULI2.cells(3)]
+        theta = measurement.cell_probabilities(st, PAULI2)[3, PAULI2.cells(3)]
         assert theta[1] == pytest.approx(5e-10, rel=1e-6)
         # exactly: the coarse Y is the mean, the fine y the law, zeta and H 0
         random = self.layers(st, PAULI2, 3)

@@ -55,7 +55,7 @@ class TestPauliLineState:
     def test_projection_traces(self, d, j_star, beta):
         st = states.pauli_line_state(d, j_star, beta)
         basis = bases.build_basis("pauli", d)
-        traces = basis.cell_traces(st.matrix)[basis.cells(j_star)]
+        traces = basis.cell_traces(st.matrix)[j_star, basis.cells(j_star)]
         np.testing.assert_allclose(traces, [(1 + beta) / 2, (1 - beta) / 2], atol=1e-9)
 
     def test_coefficients(self):
@@ -133,7 +133,7 @@ class TestTiltedProductState:
         basis = bases.build_basis("pauli", d)
         traces = basis.cell_traces(st.matrix)
         for j in range(1, basis.size):
-            tr = traces[basis.cells(j)]
+            tr = traces[j, basis.cells(j)]
             assert tr[0] >= 0.5 - 1e-9
             assert tr[1] >= 1.0 / 7.0 - 1e-9
 
