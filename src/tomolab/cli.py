@@ -32,7 +32,7 @@ from .errors import ConfigParseError
 from .hermitian import read_matrix
 from .rng import RNG_CONTRACT
 
-__all__ = ["ExperimentConfig", "ReportBundle", "load_config", "run", "main"]
+__all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
 TASKS = ("simulate", "translate", "distances", "zeta", "corollaries",
          "estimator_transfer", "scaling")
@@ -56,7 +56,7 @@ def _parse_names(text: str):
 
 
 def _parse_m_grid(text: str):
-    return [int(v) for v in _parse_vector(text)]
+    return [int(t) for t in text.replace(";", ",").split(",") if t.strip()]
 
 
 def _finite(text: str) -> float:
@@ -124,17 +124,6 @@ _KEYS = {("run", "task")} | {(sec, f.metadata["key"][1]) for f in fields(Experim
                              if "key" in f.metadata for sec in f.metadata["key"][0].values()}
 
 
-@dataclass
-class ReportBundle:
-    manifest: dict
-    artifacts: list
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -168,7 +157,10 @@ def load_config(path) -> ExperimentConfig:
                            **{name: v for name, v in values.items() if v is not None})
 
     if "TOMOLAB_SEED" in os.environ:
-        cfg.seed = int(os.environ["TOMOLAB_SEED"])
+        try:
+            cfg.seed = int(os.environ["TOMOLAB_SEED"])
+        except ValueError as exc:
+            raise ConfigParseError(f"bad value for TOMOLAB_SEED: {exc}") from exc
     if cfg.n is None:  # every family the runner builds has p = d^2 members
         cfg.n = cfg.d * cfg.d if cfg.design_mode == "fixed" else 0
     _check_bounds(cfg)
@@ -188,6 +180,7 @@ def _check_bounds(cfg: ExperimentConfig) -> None:
             ("[basis] d", cfg.d, -math.inf, ENVELOPE["d"]),
             ("[run] m", cfg.m, -math.inf, ENVELOPE["m"]),
             ("[run] n", cfg.n, int(cfg.task == "translate"), ENVELOPE["n"]),
+            ("[run] seed or TOMOLAB_SEED", cfg.seed, 0, math.inf),
             ("[corollaries] samples", cfg.class_samples, 1, ENVELOPE["samples"]),
             ("[distances] tv_samples", cfg.tv_samples, 2, ENVELOPE["tv_samples"]),
             ("[transfer] replications", cfg.replications, 2, ENVELOPE["replications"]),
@@ -242,11 +235,8 @@ def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
     if cfg.witness:
         return states.witness_state(cfg.witness, cfg.d, j_star=cfg.j_star, beta=cfg.beta)
     if cfg.state_class:
-        g = basis.g_vectors
-        if g is None and cfg.state_class == "low_rank_sparse_vec":
-            g = bases.default_g_vectors(cfg.d)
         spec = states.StateClassSpec(class_name=cfg.state_class, s=cfg.s, r=cfg.r,
-                                     gamma=cfg.gamma, g_vectors=g)
+                                     gamma=cfg.gamma, g_vectors=basis.g_vectors)
         return states.sample_class(spec, cfg.d, cfg.seed)
     return states.validate_density(np.eye(cfg.d, dtype=complex) / cfg.d)
 
@@ -345,19 +335,11 @@ def _task_zeta(cfg, path):
     weights = None
     if design.mode == "random":
         weights = [design.weights_regression, design.weights_tomography]
-    report = diagnostics.zeta_fraction(wit, basis, weights=weights)
-    payload = {
-        "zeta": report.zeta,
-        "fractions": list(report.fractions),
-        "counts": list(report.counts),
-        "states": names,
-        "active_trace_min": report.c3_min,
-        "active_trace_max": report.c3_max,
-    }
+    payload = {**diagnostics.zeta_fraction(wit, basis, weights=weights), "states": names}
     checks = []
     if cfg.c0 is not None:
         # every active trace inside [c0, c1]; None when no trace is active
-        lo, hi = report.c3_min, report.c3_max
+        lo, hi = payload["active_trace_min"], payload["active_trace_max"]
         ok = None if lo is None else cfg.c0 <= lo and hi <= cfg.c1
         payload["c3_bounds"] = [cfg.c0, cfg.c1]
         payload["c3_ok"] = ok
@@ -395,8 +377,8 @@ def _task_scaling(cfg, path):
     for i, theta in enumerate(cfg.thetas):
         report = equivalence.scaling_study(theta, cfg.m_grid)
         equivalence.write_scaling_csv(report, path(f"scaling_{i}.csv"))
-        diagnostics.write_report_json(asdict(report), path(f"scaling_{i}.json"))
-        ok_all &= report.passed
+        diagnostics.write_report_json(report, path(f"scaling_{i}.json"))
+        ok_all &= report["passed"]
     return [{"name": "hellinger-slope-band", "anchor": "perturbed-count-scaling",
              "passed": bool(ok_all)}]
 
@@ -412,7 +394,8 @@ _TASK_FNS = {
 }
 
 
-def run(cfg: ExperimentConfig) -> ReportBundle:
+def run(cfg: ExperimentConfig) -> dict:
+    """Run the config's task; return the manifest it writes to ``manifest.json``."""
     out = cfg.out_dir
     artifacts = []
 
@@ -435,7 +418,7 @@ def run(cfg: ExperimentConfig) -> ReportBundle:
         "checks": checks,
     }
     diagnostics.write_report_json(manifest, path("manifest.json"))
-    return ReportBundle(manifest=manifest, artifacts=artifacts, checks=checks)
+    return manifest
 
 
 # --- entry point -----------------------------------------------------------------
@@ -458,7 +441,7 @@ def main(argv=None) -> int:
             _check_bounds(cfg)
         if args.out is not None:
             cfg.out_dir = args.out
-        bundle = run(cfg)
+        manifest = run(cfg)
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -469,11 +452,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for check in bundle.checks:
+    for check in manifest["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"[{status}] {check['name']} ({check['anchor']})")
     print(f"artifacts in {cfg.out_dir}")
-    return 0 if bundle.passed else 1
+    return 0 if all(c["passed"] for c in manifest["checks"]) else 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .measurement import ACTIVE_TOL, _active_mask
 from .states import StateClassSpec, pauli_line_state, sample_class, tilted_product_state
 
 __all__ = [
-    "ActiveIndexReport",
-    "ZetaReport",
     "active_index_set",
     "zeta_fraction",
     "gamma_p",
@@ -39,59 +36,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ActiveIndexReport:
-    """Per-observable active eigenvalue indices for one state."""
-
-    per_j: tuple                    # tuple of index tuples
-    cardinalities: np.ndarray
-    active_traces_min: float = None
-    active_traces_max: float = None
-
-    @property
-    def nondegenerate(self) -> np.ndarray:  # flags |I_j| >= 2
-        return self.cardinalities >= 2
-
-    @property
-    def nondegenerate_count(self) -> int:
-        return int(self.nondegenerate.sum())
-
-
-def active_index_set(rho, basis: ObservableBasis) -> ActiveIndexReport:
-    """Indices a with ACTIVE_TOL < tr(Q_ja rho) < 1 - ACTIVE_TOL of every measurable member.
+def active_index_set(rho, basis: ObservableBasis) -> np.ndarray:
+    """The active traces of every member: the basis's front-padded (p, kappa)
+    table, tr(Q_ja rho) where ACTIVE_TOL < tr(Q_ja rho) < 1 - ACTIVE_TOL and
+    exact 0 elsewhere, so member j's I_j is the nonzero slots of ``cells(j)``.
 
     Every tr(Q_ja rho) of the family comes from one pass over the basis's
     projection table (:meth:`ObservableBasis.cell_traces`), which rejects a
     state that is not a finite (d, d) matrix before computing any of them.
     """
     traces = basis.cell_traces(rho)
-    active = _active_mask(traces)
-    member, slot = np.nonzero(active)
-    cards = np.bincount(member, minlength=basis.size)
-    cells = (slot - (basis.kappa - basis.sizes)[member]).tolist()
-    ends = np.cumsum(cards).tolist()
-    hit = traces[active]
-    return ActiveIndexReport(
-        per_j=tuple(tuple(cells[lo:hi]) for lo, hi in zip([0] + ends, ends)),
-        cardinalities=cards,
-        active_traces_min=float(hit.min()) if hit.size else None,
-        active_traces_max=float(hit.max()) if hit.size else None,
-    )
+    return np.where(_active_mask(traces), traces, 0.0)
 
 
-@dataclass(frozen=True)
-class ZetaReport:
-    """Max weighted nondegenerate fraction over the supplied witness states."""
-
-    zeta: float
-    fractions: tuple                 # per state, max over weight vectors
-    counts: tuple                    # per state, unweighted nondegenerate counts
-    c3_min: float = None             # observed min/max active traces over all states
-    c3_max: float = None
+def _nondegenerate(table: np.ndarray) -> np.ndarray:
+    """Per member of an active-trace table, whether |I_j| >= 2."""
+    return np.count_nonzero(table, axis=1) >= 2
 
 
-def zeta_fraction(states, basis: ObservableBasis, weights=None) -> ZetaReport:
-    """Weighted fraction of nondegenerate observables, maximized over states.
+def zeta_fraction(states, basis: ObservableBasis, weights=None) -> dict:
+    """The ``zeta.json`` payload: the weighted fraction of nondegenerate
+    observables, maximized over states, with each state's fraction and count
+    and the range of the active traces over all states (None if none is active).
 
     ``weights`` is None (uniform 1/p), one probability vector, or a sequence
     of them; with several vectors the per-state fraction is the max across
@@ -107,14 +73,17 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None) -> ZetaReport:
         if len(w) != p or not np.all(w >= 0) or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValueError("each weight vector must be a probability vector of length p")
 
-    reports = [active_index_set(state, basis) for state in states]
-    fractions = tuple(max(float(np.dot(w, r.nondegenerate.astype(float))) for w in weight_vectors)
-                      for r in reports)
-    lows = [r.active_traces_min for r in reports if r.active_traces_min is not None]
-    highs = [r.active_traces_max for r in reports if r.active_traces_max is not None]
-    return ZetaReport(zeta=max(fractions, default=0.0), fractions=fractions,
-                      counts=tuple(r.nondegenerate_count for r in reports),
-                      c3_min=min(lows, default=None), c3_max=max(highs, default=None))
+    fractions, counts, hits = [], [], [np.empty(0)]
+    for state in states:
+        table = active_index_set(state, basis)
+        flags = _nondegenerate(table).astype(float)
+        fractions.append(max(float(np.dot(w, flags)) for w in weight_vectors))
+        counts.append(int(flags.sum()))
+        hits.append(table[table != 0])
+    hits = np.concatenate(hits)
+    return {"zeta": max(fractions, default=0.0), "fractions": fractions, "counts": counts,
+            "active_trace_min": float(hits.min()) if hits.size else None,
+            "active_trace_max": float(hits.max()) if hits.size else None}
 
 
 def gamma_p(pi, xi) -> float:
@@ -156,7 +125,7 @@ def _count_block(basis: ObservableBasis, axes, sampled, bound) -> dict:
     max_count, violations, rule_ok = 0, 0, True
     for st in sampled:
         u = int(np.sum(np.diag(axes.T @ st.matrix @ axes).real > ACTIVE_TOL))
-        count = active_index_set(st, basis).nondegenerate_count
+        count = int(_nondegenerate(active_index_set(st, basis)).sum())
         max_count = max(max_count, count)
         violations += count > bound(u)
         rule_ok &= count <= 2 * d * u - u * u
@@ -195,7 +164,7 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
         ok, detail = True, {}
         for beta in (0.1, 0.5, 0.9):
             st = pauli_line_state(d, 1, beta)
-            count = active_index_set(st, pauli).nondegenerate_count
+            count = int(_nondegenerate(active_index_set(st, pauli)).sum())
             ok &= abs(pauli.cell_traces(st.matrix)[0, -1] - 1.0) <= ACTIVE_TOL and count == p - 1
             detail[str(beta)] = {"nondegenerate": count, "zeta": count / p}
         results.append({"name": "pauli-line-witness", "anchor": "corollary2",
@@ -204,7 +173,7 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
         # the tilted product state; every non-identity member has two cells, +1 then -1
         st = tilted_product_state(b)
         rest = pauli.cell_traces(st.matrix)[1:]
-        count = active_index_set(st, pauli).nondegenerate_count
+        count = int(_nondegenerate(active_index_set(st, pauli)).sum())
         ok = (count == p - 1 and np.all(rest[:, 0] >= 0.5 - ACTIVE_TOL)
               and np.all(rest[:, 1] >= 1 / 7 - ACTIVE_TOL))
         results.append({"name": "tilted-product-witness", "anchor": "corollary3",
@@ -236,8 +205,6 @@ def write_report_json(payload: dict, path) -> None:
             return float(obj)
         if isinstance(obj, np.ndarray):
             return obj.tolist()
-        if hasattr(obj, "__dict__"):
-            return obj.__dict__
         raise TypeError(f"cannot serialize {type(obj)}")
 
     text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)

@@ -37,7 +37,6 @@ from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
     "DistanceEstimate",
-    "ScalingReport",
     "round_half_away",
     "multinomial_pmf",
     "kernel_K0",
@@ -426,25 +425,15 @@ def conditional_tv_bound(marginal_gap: float, weighted_tvs) -> float:
 # --- scaling study ------------------------------------------------------------------
 
 
-@dataclass
-class ScalingReport:
-    theta: list
-    m_grid: list
-    values: list
-    error_bars: list
-    slope: float
-    band: tuple = SLOPE_BAND
-    passed: bool = False
-
-
 def fit_loglog_slope(m_grid, values) -> float:
     """Least-squares slope of log(value) against log(m)."""
     return float(np.polyfit(np.log(np.asarray(m_grid, dtype=float)),
                             np.log(np.asarray(values, dtype=float)), 1)[0])
 
 
-def scaling_study(theta, m_grid) -> ScalingReport:
-    """Hellinger distance across a repetition grid, with its log-log slope."""
+def scaling_study(theta, m_grid) -> dict:
+    """The ``scaling_i.json`` payload: the Hellinger distance and its error bar
+    across a repetition grid, with the log-log slope and whether it lies in ``band``."""
     m_grid = [int(m) for m in m_grid]
     if len(set(m_grid)) < MIN_SCALING_POINTS:
         raise ValueError(f"scaling study needs at least {MIN_SCALING_POINTS} distinct m values")
@@ -454,18 +443,12 @@ def scaling_study(theta, m_grid) -> ScalingReport:
     estimates = [hellinger_perturbed_vs_gaussian(m, theta) for m in m_grid]
     values = [e.value for e in estimates]
     slope = fit_loglog_slope(m_grid, values)
-    return ScalingReport(
-        theta=list(np.asarray(theta, dtype=float)),
-        m_grid=m_grid,
-        values=values,
-        error_bars=[e.error_bar for e in estimates],
-        slope=slope,
-        band=SLOPE_BAND,
-        passed=SLOPE_BAND[0] <= slope <= SLOPE_BAND[1],
-    )
+    return {"theta": list(np.asarray(theta, dtype=float)), "m_grid": m_grid, "values": values,
+            "error_bars": [e.error_bar for e in estimates], "slope": slope,
+            "band": SLOPE_BAND, "passed": SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]}
 
 
-def write_scaling_csv(report: ScalingReport, path) -> None:
-    """One row per grid point: m, H, error_bar."""
+def write_scaling_csv(report: dict, path) -> None:
+    """One row per grid point of a :func:`scaling_study` payload: m, H, error_bar."""
     _write_table(path, ["m", "H", "error_bar"], _blocks(
-        "%d,%.17g,%.17g", report.m_grid, report.values, report.error_bars))
+        "%d,%.17g,%.17g", report["m_grid"], report["values"], report["error_bars"]))

@@ -25,7 +25,6 @@ __all__ = [
     "tensor_product",
     "tensor_chain",
     "hs_inner",
-    "trace_product",
     "stack_traces",
     "format_matrix",
     "parse_matrix",
@@ -106,19 +105,12 @@ def hs_inner(a1: np.ndarray, a2: np.ndarray) -> complex:
     return complex(np.sum(a2.conj() * a1))
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr(a @ b) without forming the product matrix."""
-    if a.shape[1] != b.shape[0]:
-        raise TomolabError(f"shapes {a.shape} and {b.shape} cannot be multiplied")
-    return complex(np.sum(a * b.T))
-
-
 def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
     """tr(a rho).real of every matrix a of a (..., d, d) stack, shaped as its
-    leading axes, each bit for bit ``trace_product(a, rho).real`` (the same d*d
-    products summed in the same order), in chunks of whole matrices that keep
-    the temporary product small.  ``rho`` is a matrix or a state holding one as
-    ``matrix``; TomolabError unless that matrix is finite and (d, d)."""
+    leading axes, each the sum of the d*d products a_ik rho_ki in row-major
+    order, in chunks of whole matrices that keep the temporary product small.
+    ``rho`` is a matrix or a state holding one as ``matrix``; TomolabError
+    unless that matrix is finite and (d, d)."""
     mat = np.asarray(getattr(rho, "matrix", rho))
     d = stack.shape[-1]
     if mat.shape != (d, d) or not np.all(np.isfinite(mat)):

@@ -55,7 +55,8 @@ class StateClassSpec:
     s: int = None
     r: int = None
     gamma: int = None
-    g_vectors: np.ndarray = None     # columns g_1..g_d, low_rank_sparse_vec only
+    g_vectors: np.ndarray = None     # columns g_1..g_d, low_rank_sparse_vec only;
+                                     # None means bases.default_g_vectors(d)
 
 
 def validate_density(mat: np.ndarray) -> DensityMatrix:
@@ -214,7 +215,7 @@ def _sample_sparse_vec(d: int, r: int, gamma: int, g_vectors, rng) -> DensityMat
         raise TomolabError("low_rank_sparse_vec needs r >= 1 and gamma >= 1")
     if r > d:
         raise TomolabError(f"cannot place {r} orthogonal vectors in dimension {d}")
-    g = np.asarray(g_vectors, dtype=float) if g_vectors is not None else np.eye(d)
+    g = np.asarray(g_vectors if g_vectors is not None else bases.default_g_vectors(d), dtype=float)
     # group the r vectors into blocks of at most gamma; each block draws an
     # orthonormal complex frame inside the span of its own (disjoint) support
     # of at most gamma basis vectors, so mixture components stay orthonormal

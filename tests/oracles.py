@@ -1,7 +1,7 @@
 """Reference computations the tests check the package against.
 
 Each one recomputes a property the package's constructions must have, by a
-route of its own: the multinomial pmf through conditional binomials and as
+route of its own: one trace tr(a b) at a time, the multinomial pmf through conditional binomials and as
 ``gammaln`` reductions over whole rows, the Hellinger quadrature's lattice
 window cell by cell and the exact Mahalanobis distance of a cell, the
 Hellinger distance for 2 and 3 cells with the last axis integrated exactly,
@@ -21,13 +21,21 @@ import numpy as np
 from scipy import stats as sps
 from scipy.special import gammaln, ndtr
 
-from tomolab.bases import _make_basis, build_basis
-from tomolab.diagnostics import ActiveIndexReport
+from tomolab.bases import _make_basis, build_basis, default_g_vectors
 from tomolab.errors import TomolabError
-from tomolab.hermitian import hs_inner, trace_product
+from tomolab.hermitian import hs_inner
 from tomolab.measurement import PROB_CLAMP, _active_mask
 from tomolab.rng import TRANSLATE, record_blocks
 from tomolab.states import DENSITY_TOL, DensityMatrix
+
+
+def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """tr(a @ b) without forming the product matrix; ``hermitian.stack_traces``
+    reproduces its real part bit for bit (the same d*d products summed in the
+    same order) for every matrix of a stack."""
+    if a.shape[1] != b.shape[0]:
+        raise TomolabError(f"shapes {a.shape} and {b.shape} cannot be multiplied")
+    return complex(np.sum(a * b.T))
 
 
 def multinomial_pmf_chain(counts, m: int, theta) -> float:
@@ -346,7 +354,8 @@ def write_fine_rows(samples, basis, path) -> None:
 def write_scaling_rows(report, path) -> None:
     """scaling_i.csv: m, H, error_bar."""
     write_table_rows(path, ["m", "H", "error_bar"], (
-        [m, _fmt(h), _fmt(e)] for m, h, e in zip(report.m_grid, report.values, report.error_bars)))
+        [m, _fmt(h), _fmt(e)] for m, h, e in zip(report["m_grid"], report["values"],
+                                                  report["error_bars"])))
 
 
 def write_transfer_rows(sweep, path) -> None:
@@ -407,30 +416,16 @@ def pauli_projection_traces(basis) -> dict:
     }
 
 
-def active_index_set_per_member(rho, basis) -> ActiveIndexReport:
-    """The active index sets member by member, each cell trace through one
-    ``trace_product`` per slot of ``cells(j)`` in row j of the projection table."""
+def active_index_set_per_member(rho, basis) -> np.ndarray:
+    """The active-trace table member by member: in row j, one ``trace_product``
+    per slot of ``cells(j)`` where the active rule holds, exact 0 elsewhere."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    per_j, cards = [], []
-    t_min, t_max = np.inf, -np.inf
+    table = np.zeros((basis.size, basis.kappa))
     for j in range(basis.size):
-        if not basis.sizes[j]:
-            per_j.append(())
-            cards.append(0)
-            continue
-        traces = np.array([trace_product(q, mat).real for q in basis.projections[j, basis.cells(j)]])
-        idx = tuple(np.flatnonzero(_active_mask(traces)).tolist())
-        if idx:
-            t_min = min(t_min, float(traces[list(idx)].min()))
-            t_max = max(t_max, float(traces[list(idx)].max()))
-        per_j.append(idx)
-        cards.append(len(idx))
-    return ActiveIndexReport(
-        per_j=tuple(per_j),
-        cardinalities=np.array(cards),
-        active_traces_min=None if np.isinf(t_min) else t_min,
-        active_traces_max=None if t_max < 0 else t_max,
-    )
+        slots = basis.cells(j)
+        traces = np.array([trace_product(q, mat).real for q in basis.projections[j, slots]])
+        table[j, slots] = np.where(_active_mask(traces), traces, 0.0)
+    return table
 
 
 def cell_probabilities_per_member(rho, basis, j: int) -> np.ndarray:
@@ -495,7 +490,8 @@ def class_membership(rho, spec, d: int = None, tol: float = DENSITY_TOL) -> dict
 
 
 def _sparse_vec_membership(mat, spec, d, tol) -> dict:
-    g = np.asarray(spec.g_vectors, dtype=float) if spec.g_vectors is not None else np.eye(d)
+    g = np.asarray(spec.g_vectors if spec.g_vectors is not None else default_g_vectors(d),
+                   dtype=float)
     evals, evecs = np.linalg.eigh(mat)
     active = [i for i in range(d) if evals[i] > tol]
     if len(active) > spec.r:

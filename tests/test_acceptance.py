@@ -70,7 +70,7 @@ def test_criterion_02_line_witness_exact():
                     continue
                 tr = traces[j, basis.cells(j)]
                 worst = max(worst, abs(tr[0] - 0.5), abs(tr[1] - 0.5))
-            zeta = diagnostics.zeta_fraction([rho], basis).zeta
+            zeta = diagnostics.zeta_fraction([rho], basis)["zeta"]
             zeta_ok &= abs(zeta - (p - 1) / p) <= 1e-9
     ok = worst <= 1e-9 and zeta_ok
     _report(2, "one-direction line witness traces and zeta = (p-1)/p", ok,
@@ -93,11 +93,17 @@ def test_criterion_03_tilted_witness():
             tr = traces[j, basis.cells(j)]
             bounds_ok &= tr[0] >= 0.5 - 1e-9
             bounds_ok &= tr[1] >= 1 / 7 - 1e-9
-        zeta = diagnostics.zeta_fraction([rho], basis).zeta
+        zeta = diagnostics.zeta_fraction([rho], basis)["zeta"]
         zeta_ok &= abs(zeta - (p - 1) / p) <= 1e-9
     ok = omega_dev <= 1e-12 and bounds_ok and zeta_ok
     _report(3, "tilted product witness: slot averages, trace floors, zeta", ok,
             f"omega dev {omega_dev:.2e}")
+
+
+def _nondegenerate_count(rho, basis) -> int:
+    """Members with at least two active cells: two nonzero slots in their row
+    of the active-trace table."""
+    return int(np.sum(np.count_nonzero(diagnostics.active_index_set(rho, basis), axis=1) >= 2))
 
 
 def _count_rule(d: int, u: int) -> int:
@@ -125,7 +131,7 @@ def test_criterion_04_class_count_bounds():
             diag = np.zeros(d)
             diag[:len(weights)] = weights
             st = states.validate_density(np.diag(diag))
-            count = diagnostics.active_index_set(st, herm).nondegenerate_count
+            count = _nondegenerate_count(st, herm)
             if count != want:
                 failures.append(f"closed form d={d} diag{weights}: {count} != {want}")
         for s in (1, 2, 4):
@@ -135,7 +141,7 @@ def test_criterion_04_class_count_bounds():
                     seed=SEED + 1000 * s + i)
                 # for a PSD matrix the nonzero diagonal entries are its row support
                 s_d = int(np.sum(np.abs(np.diag(st.matrix)) > tol))
-                count = diagnostics.active_index_set(st, herm).nondegenerate_count
+                count = _nondegenerate_count(st, herm)
                 samples += 1
                 nominal_broken += count > d * s_d
                 if count > _count_rule(d, s_d):
@@ -153,7 +159,7 @@ def test_criterion_04_class_count_bounds():
                 evals, evecs = np.linalg.eigh(st.matrix)
                 coeffs = g.T @ evecs[:, evals > tol]
                 u = int(np.sum(np.any(np.abs(coeffs) > tol, axis=1)))
-                count = diagnostics.active_index_set(st, gbasis).nondegenerate_count
+                count = _nondegenerate_count(st, gbasis)
                 samples += 1
                 nominal_broken += count > 8 * r * gam * gam + 2 * r * gam
                 if u > 2 * r * gam:
@@ -234,8 +240,8 @@ def test_criterion_07_hellinger_scaling():
     ok = True
     for theta in THETA_GRID:
         rep = eq.scaling_study(theta, M_GRID)
-        slopes[tuple(round(t, 3) for t in theta)] = round(rep.slope, 4)
-        ok &= -0.70 <= rep.slope <= -0.35
+        slopes[tuple(round(t, 3) for t in theta)] = round(rep["slope"], 4)
+        ok &= -0.70 <= rep["slope"] <= -0.35
     elapsed = time.monotonic() - t0
     ok &= elapsed < 300.0
     _report(7, "log-log Hellinger slope within [-0.70, -0.35]", ok,

@@ -15,6 +15,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tomolab import cli
@@ -55,3 +56,12 @@ def test_benchmark_checks_pass(workload, tmp_path, capsys):
     problem, _ = checks.check_run(workload, cli.load_config(str(config)), str(out), rc,
                                   REFERENCE.get(workload, {}))
     assert problem is None
+
+
+def test_check_state_is_the_run_state():
+    # with no g_file the sampler and the runner both take bases.default_g_vectors(d)
+    cfg = cli.ExperimentConfig(task="simulate", basis_kind="pauli", d=8,
+                               state_class="low_rank_sparse_vec", r=2, gamma=2)
+    basis = cli._build_basis(cfg)
+    want = cli._build_state(cfg, basis).matrix
+    assert checks.build_state(cfg, basis).matrix.tobytes() == want.tobytes()

@@ -513,6 +513,54 @@ m_grid = 16,inf
             cli.load_config(path)
         assert cli.main(["run", "--config", path]) == 2
 
+    @pytest.mark.parametrize("grid", ["16.9,0.5e2", "16,64,256.5"])
+    def test_non_integer_m_grid_exits_2(self, tmp_path, capsys, grid):
+        # each entry is an integer or the grid is rejected; 16.9 is not run as m = 16
+        text = f"""
+[run]
+task = distances
+seed = 1
+out = {tmp_path / "o"}
+
+[distances]
+m_grid = {grid}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=r"^bad value for \[distances\] m_grid"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad value for [distances] m_grid")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("task", ["distances", "corollaries"])
+    def test_negative_or_malformed_seed_exits_2(self, tmp_path, capsys, monkeypatch, task):
+        # from the config and from TOMOLAB_SEED alike, before any task runs
+        text = f"""
+[run]
+task = {task}
+seed = {{seed}}
+out = {tmp_path / "o"}
+"""
+        negative = write_cfg(tmp_path, text.format(seed=-1), "negative.cfg")
+        valid = write_cfg(tmp_path, text.format(seed=3), "valid.cfg")
+        message = "[run] seed or TOMOLAB_SEED must be at least 0, got -1"
+        cases = [(None, negative, message), ("-1", valid, message),
+                 ("abc", valid, "bad value for TOMOLAB_SEED: "),
+                 ("1.5", valid, "bad value for TOMOLAB_SEED: ")]
+        for env, path, want in cases:
+            if env is None:
+                monkeypatch.delenv("TOMOLAB_SEED", raising=False)
+            else:
+                monkeypatch.setenv("TOMOLAB_SEED", env)
+            with pytest.raises(ConfigParseError) as exc:
+                cli.load_config(path)
+            assert str(exc.value).startswith(want)
+            assert cli.main(["run", "--config", path]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {want}")
+            assert not (tmp_path / "o").exists()
+        monkeypatch.setenv("TOMOLAB_SEED", "0")
+        assert cli.load_config(valid).seed == 0
+
     @pytest.mark.parametrize("task, section, key", [
         ("distances", "distances", "tv_samples"),
         ("estimator_transfer", "transfer", "replications"),
@@ -1017,7 +1065,7 @@ witness_files = {rho}
         assert (tmp_path / "z" / "zeta.json").read_bytes() == payload
         assert cfg.witnesses == ["cor2_line"]
         assert json.loads(payload)["states"] == ["cor2_line", "rho.txt"]
-        assert first.manifest == second.manifest
+        assert first == second
 
     @pytest.mark.parametrize("task", ["distances", "scaling"])
     def test_grid_tasks_build_no_basis_or_state(self, tmp_path, monkeypatch, task):

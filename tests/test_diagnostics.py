@@ -1,13 +1,15 @@
 """Active index sets, nondegeneracy fractions, design discrepancy, bounds."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import active_index_set_per_member, custom_basis
+from oracles import active_index_set_per_member, custom_basis, trace_product
 from test_regression import _count_calls
-from tomolab import bases, diagnostics, hermitian, states
+from tomolab import bases, diagnostics, equivalence, hermitian, states
 from tomolab.errors import TomolabError
 
 PAULI4 = bases.build_basis("pauli", 4)
@@ -42,47 +44,57 @@ FAMILIES = {
 }
 
 
+def active_cells(table, basis, j):
+    """Member j's I_j: the nonzero slots of ``cells(j)`` in an active-trace table."""
+    return tuple(np.flatnonzero(table[j, basis.cells(j)]).tolist())
+
+
+def nondegenerate_count(table):
+    return int(np.sum(np.count_nonzero(table, axis=1) >= 2))
+
+
 class TestActiveIndexSet:
     def test_line_state(self):
         st = states.pauli_line_state(4, 2, 0.5)
-        rep = diagnostics.active_index_set(st, PAULI4)
-        assert rep.cardinalities[0] == 0          # identity: trace is 1
-        assert all(rep.cardinalities[j] == 2 for j in range(1, 16))
-        assert rep.nondegenerate_count == 15
+        table = diagnostics.active_index_set(st, PAULI4)
+        assert table.shape == (PAULI4.size, PAULI4.kappa)
+        assert active_cells(table, PAULI4, 0) == ()          # identity: trace is 1
+        assert all(active_cells(table, PAULI4, j) == (0, 1) for j in range(1, 16))
+        assert nondegenerate_count(table) == 15
 
     def test_pure_state_on_own_diagonal_member(self):
         st = states.validate_density(np.diag([1.0, 0, 0, 0]))
-        rep = diagnostics.active_index_set(st, HERM4)
+        table = diagnostics.active_index_set(st, HERM4)
         j11 = HERM4.labels.index((1, 1))
-        assert rep.per_j[j11] == ()
+        assert active_cells(table, HERM4, j11) == ()
+        assert np.all(table[j11] == 0.0)
 
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_tilted_state(self, b):
         d = 2 ** b
         st = states.tilted_product_state(b)
         basis = bases.build_basis("pauli", d)
-        rep = diagnostics.active_index_set(st, basis)
-        assert rep.nondegenerate_count == d * d - 1
+        assert nondegenerate_count(diagnostics.active_index_set(st, basis)) == d * d - 1
 
     def test_masking_members_skipped(self):
         canonical = bases.build_basis("canonical", 2)
         st = states.validate_density(np.eye(2) / 2)
-        rep = diagnostics.active_index_set(st, canonical)
+        table = diagnostics.active_index_set(st, canonical)
         assert not canonical.sizes[1]
-        assert rep.cardinalities[1] == 0
+        assert np.all(table[1] == 0.0)
 
     def test_excluded_indices_are_near_deterministic(self):
         st = states.pauli_line_state(4, 2, 0.5)
-        rep = diagnostics.active_index_set(st, PAULI4)
+        table = diagnostics.active_index_set(st, PAULI4)
         traces = PAULI4.cell_traces(st.matrix)
-        for j in range(PAULI4.size):
-            for a, trace in enumerate(traces[j, PAULI4.cells(j)]):
-                if a not in rep.per_j[j]:
-                    assert min(trace, 1 - trace) <= diagnostics.ACTIVE_TOL
+        active = table != 0
+        np.testing.assert_array_equal(table[active], traces[active])
+        # every excluded slot, padding included, is near deterministic
+        assert np.all(np.minimum(traces[~active], 1 - traces[~active]) <= diagnostics.ACTIVE_TOL)
 
 
 class TestOnePass:
-    """The one-pass active index sets equal the per-member reference in every field."""
+    """The one-pass active-trace table equals the per-member reference bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     @pytest.mark.parametrize("state", ["entry_sparse", "low_rank", "line"])
@@ -97,15 +109,12 @@ class TestOnePass:
             st = states.sample_class(spec, d, seed=11)
         got = diagnostics.active_index_set(st, basis)
         want = active_index_set_per_member(st, basis)
-        assert got.per_j == want.per_j
-        np.testing.assert_array_equal(got.cardinalities, want.cardinalities)
-        assert got.active_traces_min == want.active_traces_min
-        assert got.active_traces_max == want.active_traces_max
+        assert got.tobytes() == want.tobytes()
         if state == "line":  # the comparison covers active cells
-            assert got.nondegenerate_count > 0
+            assert nondegenerate_count(got) > 0
 
         # bit for bit one trace_product per slot, the value cell_probabilities starts from
-        want = [[hermitian.trace_product(q, st.matrix).real for q in row]
+        want = [[trace_product(q, st.matrix).real for q in row]
                 for row in basis.projections]
         np.testing.assert_array_equal(basis.cell_traces(st.matrix), want)
 
@@ -115,29 +124,34 @@ class TestOnePass:
             diagnostics.active_index_set(np.ones(shape), HERM4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_state(self, bad, monkeypatch):
-        traces = _count_calls(monkeypatch, hermitian.trace_product)
+    def test_rejects_non_finite_state(self, bad):
         with pytest.raises(TomolabError, match="finite"):
             diagnostics.active_index_set(np.full((4, 4), bad), HERM4)
         mixed = np.eye(4) / 4
         mixed[2, 1] = bad
         with pytest.raises(TomolabError, match="finite"):
             diagnostics.active_index_set(mixed, HERM4)
-        assert traces == []
 
     def test_no_per_projection_trace_calls(self, monkeypatch):
-        traces = _count_calls(monkeypatch, hermitian.trace_product)
+        # one pass of the trace kernel per state, whoever asks for the table
+        traces = _count_calls(monkeypatch, hermitian.stack_traces)
         line = states.pauli_line_state(16, 3, 0.4)
         diagnostics.active_index_set(line, FAMILIES["pauli16"])
         diagnostics.zeta_fraction([line, states.tilted_product_state(4)], FAMILIES["pauli16"])
-        assert traces == []
+        assert len(traces) == 3
 
 
 class TestZetaFraction:
     def test_line_state_fraction(self):
         st = states.pauli_line_state(4, 2, 0.5)
         rep = diagnostics.zeta_fraction([st], PAULI4)
-        assert rep.zeta == pytest.approx(15 / 16, abs=1e-12)
+        assert rep["zeta"] == pytest.approx(15 / 16, abs=1e-12)
+
+    def test_payload_keys(self):
+        # the zeta.json payload, less the names the task adds
+        rep = diagnostics.zeta_fraction([states.pauli_line_state(4, 2, 0.5)], PAULI4)
+        assert sorted(rep) == ["active_trace_max", "active_trace_min", "counts", "fractions", "zeta"]
+        assert rep["counts"] == [15] and rep["fractions"] == [rep["zeta"]]
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
     def test_line_state_all_betas(self, beta):
@@ -145,7 +159,7 @@ class TestZetaFraction:
         basis = bases.build_basis("pauli", 8)
         rep = diagnostics.zeta_fraction([st], basis)
         p = 64
-        assert rep.zeta >= 1 - 1 / p - 1e-12
+        assert rep["zeta"] >= 1 - 1 / p - 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_tilted_witness(self, d):
@@ -153,13 +167,13 @@ class TestZetaFraction:
         basis = bases.build_basis("pauli", d)
         rep = diagnostics.zeta_fraction([st], basis)
         p = d * d
-        assert rep.zeta >= 1 - 1 / p - 1e-12
+        assert rep["zeta"] >= 1 - 1 / p - 1e-12
 
     def test_identity_member_never_counts(self):
         for seed in range(5):
             st = states.sample_class(states.StateClassSpec("low_rank", r=3), 4, seed=seed)
-            rep = diagnostics.active_index_set(st, PAULI4)
-            assert not rep.nondegenerate[0]
+            table = diagnostics.active_index_set(st, PAULI4)
+            assert len(active_cells(table, PAULI4, 0)) < 2
 
     def test_entry_sparse_fraction_corrected_bound(self):
         # per-family counting: at most 2*d*s_d - s_d^2 members can be active
@@ -167,24 +181,24 @@ class TestZetaFraction:
             st = states.sample_class(states.StateClassSpec("entry_sparse", s=2), 4, seed=seed)
             s_d = int(np.sum(np.abs(np.diag(st.matrix)) > 1e-9))
             rep = diagnostics.zeta_fraction([st], HERM4)
-            assert rep.counts[0] <= 2 * 4 * s_d - s_d ** 2
+            assert rep["counts"][0] <= 2 * 4 * s_d - s_d ** 2
 
     def test_basis_order_invariance(self):
         st = states.pauli_line_state(4, 3, 0.4)
         rep1 = diagnostics.zeta_fraction([st], PAULI4)
         shuffled = permuted(PAULI4, np.arange(16)[::-1])
         rep2 = diagnostics.zeta_fraction([st], shuffled)
-        assert rep1.zeta == pytest.approx(rep2.zeta, abs=1e-12)
+        assert rep1["zeta"] == pytest.approx(rep2["zeta"], abs=1e-12)
 
     def test_max_over_states_and_weights(self):
         mixed = states.validate_density(np.eye(4) / 4)
         line = states.pauli_line_state(4, 1, 0.5)
         rep = diagnostics.zeta_fraction([mixed, line], PAULI4)
-        assert rep.zeta == max(rep.fractions)
+        assert rep["zeta"] == max(rep["fractions"])
         w = np.zeros(16)
         w[0] = 1.0  # all weight on the identity member: fraction 0
         rep0 = diagnostics.zeta_fraction([line], PAULI4, weights=w)
-        assert rep0.zeta == 0.0
+        assert rep0["zeta"] == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights(self, bad):
@@ -198,12 +212,13 @@ class TestZetaFraction:
         # the observed range of the active traces; the zeta task checks it against [c0, c1]
         st = states.pauli_line_state(4, 2, 0.5)
         rep = diagnostics.zeta_fraction([st], PAULI4)
-        assert rep.c3_min == pytest.approx(0.25)
-        assert rep.c3_max == pytest.approx(0.75)
+        assert rep["active_trace_min"] == pytest.approx(0.25)
+        assert rep["active_trace_max"] == pytest.approx(0.75)
         # on |0><0| every cell trace of the canonical family is 0 or 1
         canonical = bases.build_basis("canonical", 4)
         none = diagnostics.zeta_fraction([np.diag([1.0, 0, 0, 0])], canonical)
-        assert none.c3_min is None and none.c3_max is None and none.zeta == 0.0
+        assert none["active_trace_min"] is None and none["active_trace_max"] is None
+        assert none["zeta"] == 0.0
 
 
 def counted(basis, axes, st):
@@ -344,3 +359,15 @@ class TestReportJson:
         with pytest.raises(ValueError):
             diagnostics.write_report_json({"a": [1, 2], "zeta": bad}, path)
         assert not path.exists()
+
+    def test_object_rejected(self, tmp_path):
+        # a dataclass reaches a file only as a dict, through dataclasses.asdict
+        est = equivalence.DistanceEstimate(value=0.25, kind="tv", method="monte_carlo",
+                                           error_bar=0.01)
+        path = tmp_path / "r.json"
+        for payload in (est, {"estimate": est}, [est]):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                diagnostics.write_report_json(payload, path)
+            assert not path.exists()
+        diagnostics.write_report_json({"estimate": dataclasses.asdict(est)}, path)
+        assert json.loads(path.read_text())["estimate"]["value"] == 0.25

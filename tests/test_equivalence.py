@@ -760,8 +760,8 @@ class TestScaling:
 
     def test_band_check(self):
         rep = eq.scaling_study([0.5, 0.5], [16, 64, 256, 1024])
-        assert rep.passed
-        assert eq.SLOPE_BAND[0] <= rep.slope <= eq.SLOPE_BAND[1]
+        assert rep["passed"] is True
+        assert eq.SLOPE_BAND[0] <= rep["slope"] <= eq.SLOPE_BAND[1]
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
@@ -782,11 +782,12 @@ class TestScaling:
         cpath = tmp_path / "scale.csv"
         jpath = tmp_path / "scale.json"
         eq.write_scaling_csv(rep, cpath)
-        diagnostics.write_report_json(dataclasses.asdict(rep), jpath)
+        diagnostics.write_report_json(rep, jpath)
         rows = cpath.read_text().strip().splitlines()
         assert rows[0] == "m,H,error_bar"
         assert len(rows) == 5
         import json
         payload = json.loads(jpath.read_text())
         assert payload["passed"] is True
-        assert "slope" in payload
+        assert sorted(payload) == ["band", "error_bars", "m_grid", "passed", "slope", "theta",
+                                   "values"]

