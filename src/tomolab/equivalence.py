@@ -16,11 +16,11 @@ equals the joint one) has one function: ``hellinger_perturbed_vs_gaussian``,
 from the Bhattacharyya affinity by per-cell Gauss-Legendre quadrature over the
 cells that meet the normal's Mahalanobis ellipsoid, with an error budget and a
 vacuous bar for an impossible affinity above 1; and ``tv_perturbed_vs_gaussian``,
-total variation by Monte Carlo with a CLT error bar.  A scaling study fits the
-log-log slope of the Hellinger distance against the number of repetitions;
-with the product rule for squared Hellinger distances over independent records
-and the two-stage total variation bound, these are the quantitative
-ingredients of the deficiency bounds evaluated in :mod:`tomolab.diagnostics`.
+total variation by Monte Carlo with a CLT error bar.  ``scaling_report`` fits
+the log-log slope of Hellinger estimates against the number of repetitions m.
+The product rule for squared Hellinger distances over independent records and
+the paper's two-stage total variation bound are here too; no task calls them,
+and ``diagnostics.deficiency_bound`` takes n, m, gamma, zeta and C, not them.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ __all__ = [
     "product_hellinger_bound",
     "tv_perturbed_vs_gaussian",
     "conditional_tv_bound",
-    "fit_loglog_slope",
-    "scaling_study",
+    "scaling_report",
     "write_scaling_csv",
     "SLOPE_BAND",
 ]
@@ -425,30 +424,28 @@ def conditional_tv_bound(marginal_gap: float, weighted_tvs) -> float:
 # --- scaling study ------------------------------------------------------------------
 
 
-def fit_loglog_slope(m_grid, values) -> float:
-    """Least-squares slope of log(value) against log(m)."""
-    return float(np.polyfit(np.log(np.asarray(m_grid, dtype=float)),
-                            np.log(np.asarray(values, dtype=float)), 1)[0])
-
-
-def scaling_study(theta, m_grid) -> dict:
-    """The ``scaling_i.json`` payload: the Hellinger distance and its error bar
-    across a repetition grid, with the log-log slope and whether it lies in ``band``."""
+def scaling_report(theta, m_grid, estimates) -> dict:
+    """The ``scaling_i.json`` payload of one theta's Hellinger ``estimates`` on ``m_grid``:
+    the log-log slope against m, and whether it lies in ``SLOPE_BAND`` with no vacuous
+    bar (one of sqrt(2) spans every admissible H).  ValueError unless the grid has
+    ``MIN_SCALING_POINTS`` distinct m, one estimate per m in grid order, all positive
+    (H = 0 exactly when fewer than two cells are active, and log 0 has no slope)."""
     m_grid = [int(m) for m in m_grid]
     if len(set(m_grid)) < MIN_SCALING_POINTS:
         raise ValueError(f"scaling study needs at least {MIN_SCALING_POINTS} distinct m values")
-    if _active_mask(_checked_theta(theta)).sum() < 2:
-        # H = 0 at every m, so there is no slope to fit
-        raise ValueError(f"scaling study needs at least two active cells, got theta = {theta}")
-    estimates = [hellinger_perturbed_vs_gaussian(m, theta) for m in m_grid]
+    if [e.params["m"] for e in estimates] != m_grid:
+        raise ValueError(f"scaling study needs one estimate per m of {m_grid}, in grid order")
     values = [e.value for e in estimates]
-    slope = fit_loglog_slope(m_grid, values)
+    if not all(v > 0 for v in values):
+        raise ValueError(f"scaling study needs positive distances, got {values} at theta = {theta}")
+    slope = float(np.polyfit(np.log(m_grid), np.log(values), 1)[0])
     return {"theta": list(np.asarray(theta, dtype=float)), "m_grid": m_grid, "values": values,
-            "error_bars": [e.error_bar for e in estimates], "slope": slope,
-            "band": SLOPE_BAND, "passed": SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]}
+            "error_bars": [e.error_bar for e in estimates], "slope": slope, "band": SLOPE_BAND,
+            "passed": max(e.error_bar for e in estimates) < H_MAX
+            and SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]}
 
 
 def write_scaling_csv(report: dict, path) -> None:
-    """One row per grid point of a :func:`scaling_study` payload: m, H, error_bar."""
+    """One row per grid point of a :func:`scaling_report` payload: m, H, error_bar."""
     _write_table(path, ["m", "H", "error_bar"], _blocks(
         "%d,%.17g,%.17g", report["m_grid"], report["values"], report["error_bars"]))

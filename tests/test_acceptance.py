@@ -239,9 +239,10 @@ def test_criterion_07_hellinger_scaling():
     slopes = {}
     ok = True
     for theta in THETA_GRID:
-        rep = eq.scaling_study(theta, M_GRID)
+        estimates = [eq.hellinger_perturbed_vs_gaussian(m, theta) for m in M_GRID]
+        rep = eq.scaling_report(theta, M_GRID, estimates)
         slopes[tuple(round(t, 3) for t in theta)] = round(rep["slope"], 4)
-        ok &= -0.70 <= rep["slope"] <= -0.35
+        ok &= -0.70 <= rep["slope"] <= -0.35 and rep["passed"]
     elapsed = time.monotonic() - t0
     ok &= elapsed < 300.0
     _report(7, "log-log Hellinger slope within [-0.70, -0.35]", ok,

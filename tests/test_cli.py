@@ -474,10 +474,10 @@ out = {tmp_path / "z"}
 
     def test_scaling_theta_without_two_active_cells_exits_2(self, tmp_path, monkeypatch):
         # H = 0 at every m has no log-log slope; rejected before any point runs
-        def no_study(*args, **kwargs):
-            raise AssertionError("a scaling study ran")
+        def no_point(*args, **kwargs):
+            raise AssertionError("a Hellinger point ran")
 
-        monkeypatch.setattr(cli.equivalence, "scaling_study", no_study)
+        monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian", no_point)
         text = f"""
 [run]
 task = scaling
@@ -497,6 +497,25 @@ m_grid = 16,64,256,1024
         cfg = cli.load_config(write_cfg(
             tmp_path, text.replace("scaling", "distances"), "d.cfg"))
         assert cfg.thetas[1] == [1.0, 0.0]
+
+    def test_scaling_point_with_vacuous_bar_exits_1(self, tmp_path, capsys):
+        # m = 64 and 256 give the vacuous sqrt(2) +- sqrt(2); the slope through
+        # them (-0.367) lies in the band but says nothing, so the check fails
+        text = f"""
+[run]
+task = scaling
+seed = 1
+out = {tmp_path / "o"}
+
+[scaling]
+theta = 2e-5,0.99998
+m_grid = 64,256,1024,4096
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 1
+        assert "[FAIL] hellinger-slope-band" in capsys.readouterr().out
+        report = json.loads((tmp_path / "o" / "scaling_0.json").read_text())
+        assert report["error_bars"][:2] == [2 ** 0.5] * 2
+        assert -0.70 <= report["slope"] <= -0.35 and report["passed"] is False
 
     def test_infinite_m_grid_exits_2(self, tmp_path):
         text = f"""
@@ -820,18 +839,19 @@ tv_samples = 2000
         hellinger = cli.equivalence.hellinger_perturbed_vs_gaussian
         monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian",
                             lambda m, theta: idents.append(threading.get_ident()) or hellinger(m, theta))
-        text = f"""
+        for task in ("distances", "scaling"):
+            text = f"""
 [run]
-task = distances
+task = {task}
 seed = 5
-out = {tmp_path / "o"}
+out = {tmp_path / task}
 
-[distances]
-m_grid = 16,64
-tv_samples = 100
+[{task}]
+m_grid = 16,64,256,1024
+{"tv_samples = 100" if task == "distances" else ""}
 """
-        assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--threads", "1"]) == 0
-        assert idents == [threading.get_ident()] * 2
+            assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--threads", "1"]) == 0
+        assert idents == [threading.get_ident()] * 8
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -842,25 +862,51 @@ tv_samples = 100
         for name in ("tomography.csv", "individuals.csv", "coarse.csv", "fine.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_thread_count_does_not_change_artifacts(self, tmp_path):
-        text = """
+    @pytest.mark.parametrize("task, grid, names", [
+        ("distances", "theta = 0.5,0.5; 0.2,0.3,0.5; 0.1,0.2,0.3,0.4\nm_grid = 16,64\n"
+         "tv_samples = 5000", ("distances.json", "distance_fixtures.json")),
+        ("scaling", "theta = 0.5,0.5; 0.2,0.3,0.5\nm_grid = 16,64,256,1024",
+         ("scaling_0.csv", "scaling_0.json", "scaling_1.csv", "scaling_1.json"))],
+        ids=["distances", "scaling"])
+    def test_thread_count_does_not_change_artifacts(self, tmp_path, task, grid, names):
+        text = f"""
 [run]
-task = distances
+task = {task}
 seed = 5
-out = {out}
+out = {{out}}
 
-[distances]
-theta = 0.5,0.5; 0.2,0.3,0.5; 0.1,0.2,0.3,0.4
-m_grid = 16,64
-tv_samples = 5000
+[{task}]
+{grid}
 """
         out1, out2 = tmp_path / "t1", tmp_path / "t4"
         cfg1 = write_cfg(tmp_path, text.format(out=out1), "t1.cfg")
         cfg2 = write_cfg(tmp_path, text.format(out=out2), "t4.cfg")
         assert cli.main(["run", "--config", cfg1, "--threads", "1"]) == 0
         assert cli.main(["run", "--config", cfg2, "--threads", "4"]) == 0
-        for name in ("distances.json", "distance_fixtures.json"):
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("task", ["distances", "scaling"])
+    def test_threads_run_grid_points_on_the_pool(self, tmp_path, monkeypatch, task):
+        # --threads is honoured by both grid tasks, not only by distances
+        idents = []
+        hellinger = cli.equivalence.hellinger_perturbed_vs_gaussian
+        monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian",
+                            lambda m, theta: idents.append(threading.get_ident()) or hellinger(m, theta))
+        text = f"""
+[run]
+task = {task}
+seed = 5
+out = {tmp_path / "o"}
+
+[{task}]
+theta = 0.5,0.5; 0.3,0.7
+m_grid = 16,64,256,1024
+{"tv_samples = 100" if task == "distances" else ""}
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text), "--threads", "2"]) == 0
+        assert len(idents) == 8
+        assert threading.get_ident() not in idents
 
     def test_simulate_thread_count_does_not_change_artifacts(self, tmp_path):
         outs = []

@@ -752,33 +752,63 @@ class TestConditionalTVBound:
         assert rhs >= exact - 1e-12
 
 
+def _hellinger_grid(theta, m_grid):
+    return [eq.hellinger_perturbed_vs_gaussian(m, theta) for m in m_grid]
+
+
 class TestScaling:
     def test_synthetic_powerlaw(self):
         ms = [16, 64, 256, 1024]
-        vals = [0.7 / math.sqrt(m) for m in ms]
-        assert eq.fit_loglog_slope(ms, vals) == pytest.approx(-0.5, abs=1e-12)
+        estimates = [eq.DistanceEstimate(value=0.7 / math.sqrt(m), kind="hellinger",
+                                         method="quadrature", error_bar=0.0, params={"m": m})
+                     for m in ms]
+        rep = eq.scaling_report([0.5, 0.5], ms, estimates)
+        assert rep["slope"] == pytest.approx(-0.5, abs=1e-12)
+        assert rep["passed"] is True
 
     def test_band_check(self):
-        rep = eq.scaling_study([0.5, 0.5], [16, 64, 256, 1024])
+        ms = [16, 64, 256, 1024]
+        rep = eq.scaling_report([0.5, 0.5], ms, _hellinger_grid([0.5, 0.5], ms))
         assert rep["passed"] is True
         assert eq.SLOPE_BAND[0] <= rep["slope"] <= eq.SLOPE_BAND[1]
 
     def test_needs_four_points(self):
-        with pytest.raises(ValueError):
-            eq.scaling_study([0.5, 0.5], [16, 64, 256])
+        ms = [16, 64, 256]
+        with pytest.raises(ValueError, match="distinct m"):
+            eq.scaling_report([0.5, 0.5], ms, _hellinger_grid([0.5, 0.5], ms))
 
     def test_needs_four_distinct_points(self):
-        with pytest.raises(ValueError):
-            eq.scaling_study([0.5, 0.5], [16, 16, 16, 16])
+        ms = [16, 16, 16, 16]
+        with pytest.raises(ValueError, match="distinct m"):
+            eq.scaling_report([0.5, 0.5], ms, _hellinger_grid([0.5, 0.5], ms))
+
+    @pytest.mark.parametrize("got", [[16, 64, 256], [16, 64, 256, 1024, 1024],
+                                     [64, 16, 256, 1024]])
+    def test_needs_one_estimate_per_m(self, got):
+        # a missing, extra or misplaced estimate is not fitted against the wrong m
+        with pytest.raises(ValueError, match="one estimate per m"):
+            eq.scaling_report([0.5, 0.5], [16, 64, 256, 1024], _hellinger_grid([0.5, 0.5], got))
 
     @pytest.mark.parametrize("theta", [[1.0, 0.0], [0.0, 1.0, 0.0]])
     def test_needs_two_active_cells(self, theta):
-        # H = 0 at every m, and log 0 has no slope
-        with pytest.raises(ValueError, match="two active cells"):
-            eq.scaling_study(theta, [16, 64, 256, 1024])
+        # H = 0 at every m, so the values are not positive and log 0 has no slope
+        ms = [16, 64, 256, 1024]
+        with pytest.raises(ValueError, match="positive"):
+            eq.scaling_report(theta, ms, _hellinger_grid(theta, ms))
+
+    def test_vacuous_bar_fails_the_band(self):
+        # at m = 64 and 256 the normal is far narrower than a cell, and H = sqrt(2)
+        # carries the vacuous bar; the slope (-0.367) is in the band but means nothing
+        theta, ms = [2e-5, 0.99998], [64, 256, 1024, 4096]
+        estimates = _hellinger_grid(theta, ms)
+        assert [e.error_bar == eq.H_MAX for e in estimates] == [True, True, False, False]
+        rep = eq.scaling_report(theta, ms, estimates)
+        assert eq.SLOPE_BAND[0] <= rep["slope"] <= eq.SLOPE_BAND[1]
+        assert rep["passed"] is False
 
     def test_csv_and_json(self, tmp_path):
-        rep = eq.scaling_study([0.5, 0.5], [16, 64, 256, 1024])
+        ms = [16, 64, 256, 1024]
+        rep = eq.scaling_report([0.5, 0.5], ms, _hellinger_grid([0.5, 0.5], ms))
         cpath = tmp_path / "scale.csv"
         jpath = tmp_path / "scale.json"
         eq.write_scaling_csv(rep, cpath)

@@ -84,7 +84,9 @@ def test_regression_tables(tmp_path, kind):
 
 
 def test_scaling_table(tmp_path):
-    report = equivalence.scaling_study([0.3, 0.7], [16, 64, 256, 1024])
+    m_grid = [16, 64, 256, 1024]
+    estimates = [equivalence.hellinger_perturbed_vs_gaussian(m, [0.3, 0.7]) for m in m_grid]
+    report = equivalence.scaling_report([0.3, 0.7], m_grid, estimates)
     _same_bytes(tmp_path, equivalence.write_scaling_csv, oracles.write_scaling_rows, report)
 
 
