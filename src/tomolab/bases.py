@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError
-from .hermitian import (TOL_HERM, _eigenspaces, format_matrix, parse_matrix, stack_traces,
-                        tensor_chain)
+from .hermitian import (MAX_TENSOR_DIM, TOL_HERM, _eigenspaces, format_matrix, parse_matrix,
+                        stack_traces)
 
 __all__ = [
     "SIGMA",
@@ -137,8 +137,7 @@ def _labels(kind: str, d: int) -> list:
     """Member labels of a built-in family: base-4 digit tuples for pauli,
     (l1, l2) axis pairs otherwise.  They depend only on kind and d."""
     if kind == "pauli":
-        b = _pauli_slots(d)
-        return [tuple(_pauli_label(j, b)) for j in range(d * d)]
+        return [tuple(row) for row in _pauli_label(np.arange(d * d), _pauli_slots(d)).tolist()]
     return [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
 
 
@@ -168,19 +167,17 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
             axes = np.eye(d)
         mats = _hermitian_family(axes.astype(complex), _labels(kind, d))
     else:  # pauli
-        b = _pauli_slots(d)
-        mats = (_pauli_member(j, b) for j in range(d * d))
-    # generated, so the member list _make_basis stacks is freed once stacked
+        mats = _pauli_members(np.array(_labels(kind, d)))
+    # generated but for pauli, so the member list _make_basis stacks is freed once stacked
     return _make_basis(mats, kind, g_vectors=g_store)
 
 
-def _pauli_label(j: int, b: int):
-    """Base-4 digits of j, most significant first; j = 0 is the identity."""
-    digits = []
-    for _ in range(b):
-        digits.append(j % 4)
-        j //= 4
-    return digits[::-1]
+def _pauli_label(j, b: int) -> np.ndarray:
+    """Base-4 digits of each index in ``j`` in a new last axis, most significant first
+    (0 is the identity); TomolabError if 2^b exceeds ``MAX_TENSOR_DIM``, before any table."""
+    if 2 ** b > MAX_TENSOR_DIM:
+        raise TomolabError(f"tensor product dimension {2 ** b} exceeds {MAX_TENSOR_DIM}")
+    return np.asarray(j)[..., None] // 4 ** np.arange(b - 1, -1, -1) % 4
 
 
 def _pauli_slots(d: int) -> int:
@@ -190,18 +187,27 @@ def _pauli_slots(d: int) -> int:
     return int(d).bit_length() - 1
 
 
-def _pauli_member(j: int, b: int) -> np.ndarray:
-    """Member j of the Pauli family on b tensor slots."""
-    return tensor_chain(SIGMA[l] for l in _pauli_label(j, b))
+def _pauli_members(labels) -> np.ndarray:
+    """The (n, 2^b, 2^b) Pauli members of an (n, b) table of base-4 digits, member i
+    the left-to-right Kronecker product of SIGMA[labels[i, t]] over the slots t: one
+    broadcast outer product per slot for all n, each entry the product np.kron forms."""
+    labels = np.asarray(labels)
+    sigma = np.stack(SIGMA)
+    out = sigma[labels[:, 0]]
+    for digits in labels[:, 1:].T:
+        n, k = out.shape[:2]
+        outer = out[:, :, None, :, None] * sigma[digits][:, None, :, None, :]
+        out = outer.reshape(n, 2 * k, 2 * k)
+    return out
 
 
 def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     """The one constructor of every family: each Hermitian member is measurable,
     its eigenvalues and eigenspace projections V V^dagger written into the
-    last slots of its row, the others get no cells (masking only).  A built-in
-    kind takes its labels from :func:`_labels`, any other kind 1..p.
-    TomolabError unless ``matrices`` holds one or more (d, d) matrices, d the
-    size of the first."""
+    last slots of its row, the others get no cells (masking only); one
+    ``eigh`` call solves every Hermitian member.  A built-in kind takes its
+    labels from :func:`_labels`, any other kind 1..p.  TomolabError unless
+    ``matrices`` holds one or more finite (d, d) matrices, d the size of the first."""
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:
         raise TomolabError("a basis needs at least one member")
@@ -214,11 +220,14 @@ def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, len(mats) + 1))
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} members")
-    spaces = []
-    for m in mats:
-        # a member with a NaN or inf entry goes to _eigenspaces, which rejects it
-        herm = not np.all(np.isfinite(m)) or np.max(np.abs(m - m.conj().T)) <= TOL_HERM
-        spaces.append(_eigenspaces(m) if herm else ((), ()))
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise TomolabError(f"member {np.argmin(finite)} has a non-finite entry")
+    herm = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= TOL_HERM
+    spaces = [((), ())] * len(mats)
+    hermitian = mats if herm.all() else mats[herm]  # no copy when all members are
+    for j, evals, evecs in zip(np.flatnonzero(herm), *np.linalg.eigh(hermitian)):
+        spaces[j] = _eigenspaces(evals, evecs)
     sizes = np.array([len(lams) for lams, _ in spaces], dtype=np.int64)
     kappa = int(sizes.max())
     eigenvalues = np.zeros((len(mats), kappa))

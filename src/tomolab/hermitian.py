@@ -1,15 +1,15 @@
 """Complex Hermitian matrix arithmetic and the eigenspace clustering rule.
 
-Matrices are plain complex ``numpy`` arrays.  :func:`_eigenspaces` gives the
-*distinct* eigenvalues of a Hermitian matrix with an orthonormal eigenvector
-block per eigenvalue; :mod:`tomolab.bases` writes each block's projection
-V V^dagger into its basis's projection table.  Floating-point eigensolvers
-split degenerate eigenvalues, so nearby eigenvalues are merged by the relative
-clustering tolerance ``CLUSTER_TOL`` before the blocks are formed.  :func:`stack_traces` is
-the one kernel for tr(a rho) over a stack of matrices.
+Matrices are plain complex ``numpy`` arrays.  :func:`_eigenspaces` turns one member's
+ascending ``eigh`` output into its *distinct* eigenvalues with an orthonormal eigenvector
+block each; :mod:`tomolab.bases` solves a whole family with one batched ``eigh`` and
+writes each block's projection V V^dagger into its projection table.  Floating-point
+eigensolvers split degenerate eigenvalues, so nearby eigenvalues are merged by the
+relative clustering tolerance ``CLUSTER_TOL`` before the blocks are formed.
+:func:`stack_traces` is the one kernel for tr(a rho) over a stack of matrices.
 
 Design envelope: dense double precision, dimensions up to ~1024 (tensor
-products are capped there); each eigensolve is O(d^3).
+products are capped there at ``MAX_TENSOR_DIM``); each eigensolve is O(d^3).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "TOL_HERM",
     "MAX_TENSOR_DIM",
     "require_hermitian",
-    "tensor_product",
-    "tensor_chain",
     "hs_inner",
     "stack_traces",
     "format_matrix",
@@ -52,22 +50,19 @@ def require_hermitian(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _eigenspaces(mat: np.ndarray) -> tuple:
-    """The clustering rule: (distinct eigenvalues, eigenvector blocks),
-    descending.
+def _eigenspaces(evals: np.ndarray, evecs: np.ndarray) -> tuple:
+    """The clustering rule on one member's ascending ``eigh`` output:
+    (distinct eigenvalues, eigenvector blocks), descending.
 
-    Eigenvalues within ``CLUSTER_TOL`` times max(spectral norm, 1) of each
-    other are merged into one distinct eigenvalue, the mean of the merged
-    ones, whose block holds their orthonormal eigenvectors as columns.
+    Eigenvalues within ``CLUSTER_TOL`` times max(spectral norm, 1) of the
+    first of their run are merged into one distinct eigenvalue, the mean of
+    the merged ones, whose block holds their orthonormal eigenvectors as columns.
     """
-    mat = require_hermitian(mat)
-    evals, evecs = np.linalg.eigh(mat)
-
     gap = CLUSTER_TOL * float(np.max(np.abs(evals), initial=1.0))
     # eigh returns ascending order; walk it and cut where the gap exceeds tol
     distinct, blocks = [], []
     start = 0
-    d = mat.shape[0]
+    d = len(evals)
     for i in range(1, d + 1):
         if i == d or evals[i] - evals[start] > gap:
             blocks.append(evecs[:, start:i])
@@ -75,25 +70,6 @@ def _eigenspaces(mat: np.ndarray) -> tuple:
             start = i
     order = np.argsort(distinct)[::-1]
     return np.array([distinct[i] for i in order]), [blocks[i] for i in order]
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, capped at ``MAX_TENSOR_DIM``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > MAX_TENSOR_DIM:
-        raise TomolabError(f"tensor product dimension {out_dim} exceeds {MAX_TENSOR_DIM}")
-    return np.kron(a, b)
-
-
-def tensor_chain(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of matrices."""
-    factors = list(factors)
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = tensor_product(out, f)
-    return out
 
 
 def hs_inner(a1: np.ndarray, a2: np.ndarray) -> complex:

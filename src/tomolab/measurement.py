@@ -130,9 +130,9 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     outcomes = np.empty((n, m)) if detail == "individual" else None
     for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, n):
         idx = indices[lo:hi]
-        # jumped from the block's start, so the shuffle does not depend on
-        # how many draws the counts took
-        shuffler = np.random.Generator(rng.bit_generator.jumped())
+        # jumped from the block's start (jumped() leaves rng where it is), so
+        # the shuffle does not depend on how many draws the counts took
+        shuffler = None if outcomes is None else np.random.Generator(rng.bit_generator.jumped())
         counts[lo:hi] = rng.multinomial(m, pvals[idx])
         if outcomes is not None:
             # every row holds m outcomes in eigenvalue order, then is shuffled
@@ -242,6 +242,21 @@ def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
     return rows, indices
 
 
+def _cell_table(texts, indices, basis: ObservableBasis, column: str, noun: str,
+                cast, check) -> np.ndarray:
+    """The front-padded (n, kappa) table (dtype ``cast``) of the records' "|"-joined ``column``
+    fields ``texts``; ValueError unless record k holds one ``cast`` value per cell of member
+    ``indices[k]``.  ``check(k, values)`` may raise too, before row k is stored."""
+    table = np.zeros((len(texts), basis.kappa), dtype=cast)
+    for k, (j, text) in enumerate(zip(indices.tolist(), texts)):
+        u = _field(k, column, text, lambda t: [cast(v) for v in t.split("|")])
+        if len(u) != basis.sizes[j]:
+            raise ValueError(f"record {k}: {len(u)} {noun} do not fit member {j}")
+        check(k, u)
+        table[k, basis.kappa - len(u):] = u
+    return table
+
+
 def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
     """Rebuild a dataset from its CSV; ValueError unless every row holds one count per cell
     of a measurable member, summing to the file's one m, and N is set on every row, as
@@ -252,14 +267,12 @@ def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
         raise ValueError(f"records mix m values {ms}")
     if rows and ms[0] < 1:
         raise ValueError(f"m must be at least 1, got {ms[0]}")
-    counts = np.zeros((len(rows), basis.kappa), dtype=np.int64)
-    for k, (j, row) in enumerate(zip(indices.tolist(), rows)):
-        u = _field(k, "counts", row[3], lambda t: [int(c) for c in t.split("|")])
-        if len(u) != basis.sizes[j]:
-            raise ValueError(f"record {k}: {len(u)} counts do not fit member {j}")
+
+    def check(k, u):
         if min(u) < 0 or sum(u) != ms[0]:
             raise ValueError(f"record {k}: counts {u} do not sum to m = {ms[0]}")
-        counts[k, basis.kappa - len(u):] = u
+
+    counts = _cell_table([row[3] for row in rows], indices, basis, "counts", "counts", int, check)
     with_n = [bool(row[4]) for row in rows]
     if len(set(with_n)) > 1:
         k = with_n.index(not with_n[0])

@@ -20,9 +20,10 @@ less than the largest cell count over the basis's measurable members, and
 maps it through the member's factor F (rows: the Cholesky factor on all but
 the last active cell, minus its column sums on the last, zero on inactive
 cells), so y = theta + F z meets the sum constraint.  Every member's law
-(cell probabilities, coarse mean and variance) is computed once per run,
-the fine factor once per distinct drawn member, in the basis's front-padded
-(p, kappa) table (:class:`ObservableBasis`).
+(cell probabilities, coarse mean and variance) and fine factor is computed
+once per run, in the basis's front-padded (p, kappa) table
+(:class:`ObservableBasis`), the factors with one batched Cholesky per
+active-cell count.
 
 Both simulators, and the CSV readers and writers, hold a run's records once,
 as the pair (indices, values): the member index per record (int64) with the
@@ -40,8 +41,8 @@ import numpy as np
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
 from .hermitian import hs_inner, stack_traces
-from .measurement import (_active_mask, _blocks, _field, _read_records, _record_blocks,
-                          _write_table, cell_probabilities, draw_design_indices)
+from .measurement import (_active_mask, _blocks, _cell_table, _field, _read_records,
+                          _record_blocks, _write_table, cell_probabilities, draw_design_indices)
 from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
 
 __all__ = [
@@ -85,24 +86,24 @@ def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
     return indices, mean[indices] + sd[indices] * z
 
 
-def _fine_factor(theta: np.ndarray, m: int, width: int) -> np.ndarray:
-    """F (cells x width) with theta + F z ~ N(theta, (diag(theta) - theta theta')/m)
-    for z standard normal: the Cholesky factor of the covariance of all but the
-    last active cell, minus its column sums on the last active cell, zero elsewhere."""
-    factor = np.zeros((len(theta), width))
-    active = np.flatnonzero(_active_mask(theta))
-    q = len(active)
-    if q < 2:
-        return factor
-    th = theta[active]
-    cov = (np.diag(th) - np.outer(th, th))[:q - 1, :q - 1] / m
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        chol = np.linalg.cholesky(cov + 1e-12 * np.eye(q - 1))
-    factor[active[:-1], :q - 1] = chol
-    factor[active[-1], :q - 1] = -chol.sum(axis=0)
-    return factor
+def _fine_factors(theta: np.ndarray, m: int) -> np.ndarray:
+    """The (p, kappa, kappa - 1) factors F_j with theta_j + F_j z ~ N(theta_j, (diag(theta_j)
+    - theta_j theta_j')/m) for z standard normal, theta the (p, kappa) law table: the Cholesky
+    factor of the covariance of all but the last active cell, minus its column sums on the
+    last, zero elsewhere and with fewer than two active cells.  One batched Cholesky per
+    active-cell count; every block is positive definite (active cells exceed ``ACTIVE_TOL``)."""
+    p, kappa = theta.shape
+    factors = np.zeros((p, kappa, kappa - 1))
+    active = _active_mask(theta)
+    counts = active.sum(axis=1)
+    for q in np.unique(counts[counts >= 2]).tolist():
+        rows = np.flatnonzero(counts == q)
+        cols = np.nonzero(active[rows])[1].reshape(-1, q)
+        th = theta[rows[:, None], cols[:, :-1], None]  # all but the last active cell
+        chol = np.linalg.cholesky((th * np.eye(q - 1) - th * th.swapaxes(1, 2)) / m)
+        factors[rows[:, None], cols[:, :-1], :q - 1] = chol
+        factors[rows, cols[:, -1], :q - 1] = -chol.sum(axis=1)
+    return factors
 
 
 def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -114,13 +115,11 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
     indices = draw_design_indices(design, basis, n, seed, FINE)
     width = basis.kappa - 1
     theta = cell_probabilities(rho, basis)
-    factors = np.zeros((basis.size, basis.kappa, width))  # padding slots are never active
-    for j in dict.fromkeys(indices.tolist()):
-        factors[j] = _fine_factor(theta[j], m, width)
     z = np.empty((n, width))
     for lo, hi, rng in record_blocks(seed, FINE, n):
         z[lo:hi] = rng.standard_normal((hi - lo, width))
-    return indices, theta[indices] + np.einsum("kab,kb->ka", factors[indices], z)
+    # padding slots are never active, so their rows of F are 0 and y stays 0 there
+    return indices, theta[indices] + np.einsum("kab,kb->ka", _fine_factors(theta, m)[indices], z)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -154,17 +153,16 @@ def read_fine_csv(path, basis: ObservableBasis) -> tuple:
     ValueError unless every row holds one finite value per cell of a
     measurable member of ``basis``, summing to 1 within 1e-9."""
     rows, indices = _read_records(path, basis, ["k", "j", "y"])
-    table = np.zeros((len(rows), basis.kappa))
-    for k, (j, row) in enumerate(zip(indices.tolist(), rows)):
-        y = np.array(_field(k, "y", row[2], lambda t: [float(v) for v in t.split("|")]))
-        if len(y) != basis.sizes[j]:
-            raise ValueError(f"record {k}: {len(y)} values do not fit member {j}")
+
+    def check(k, y):
+        y = np.array(y)
         if not np.all(np.isfinite(y)):
             raise ValueError(f"record {k}: values {y.tolist()} must be finite")
         if abs(y.sum() - 1.0) > 1e-9:
             raise ValueError(f"record {k}: values sum to {y.sum()!r}, not 1")
-        table[k, basis.kappa - len(y):] = y
-    return indices, table
+
+    return indices, _cell_table([row[2] for row in rows], indices, basis, "y", "values", float,
+                                check)
 
 
 def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict:

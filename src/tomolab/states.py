@@ -84,8 +84,8 @@ def pauli_line_state(d: int, j_star: int, beta: float) -> DensityMatrix:
     if not 0 < j_star < d * d:
         raise TomolabError(f"j_star must name a non-identity member, 0 < j_star < {d * d}, "
                            f"got {j_star}")
-    mat = np.eye(d, dtype=complex) / d + (beta / d) * bases._pauli_member(j_star, b)
-    return validate_density(mat)
+    member = bases._pauli_members(bases._pauli_label([j_star], b))[0]
+    return validate_density(np.eye(d, dtype=complex) / d + (beta / d) * member)
 
 
 def tilted_product_state(b: int) -> DensityMatrix:
@@ -191,8 +191,8 @@ def _sample_pauli_sparse(d: int, s: int, rng) -> DensityMatrix:
     if extra:
         others = 1 + rng.permutation(p - 1)[:extra]
         delta = np.zeros((d, d), dtype=complex)
-        for j in others:
-            delta += rng.normal() * bases._pauli_member(j, b)
+        for member in bases._pauli_members(bases._pauli_label(others, b)):
+            delta += rng.normal() * member
         lam_min = float(np.linalg.eigvalsh(delta)[0])
         if lam_min < -0.9:
             # eigenvalues of I/d + delta/d are (1 + eig(delta))/d; keep a margin

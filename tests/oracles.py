@@ -8,8 +8,10 @@ Hellinger distance for 2 and 3 cells with the last axis integrated exactly,
 the total variation distance for 2 cells exactly, the two dataset translations one record at a time, class membership of a
 sampled state, orthogonality and Pauli projection traces of a family, a
 matrix rebuilt from its spectral decomposition, each member's spectrum on its
-own, the active index sets, cell probabilities and coarse moments one member
-at a time, and every table written one ``csv.writer`` row at a time.
+own, the Pauli members as ``np.kron`` chains, a family's spectral tables and
+the fine noise factors one member at a time, the active index sets, cell
+probabilities and coarse moments one member at a time, and every table
+written one ``csv.writer`` row at a time.
 ``custom_basis`` wraps an explicit matrix list as a family.
 """
 
@@ -21,9 +23,9 @@ import numpy as np
 from scipy import stats as sps
 from scipy.special import gammaln, ndtr
 
-from tomolab.bases import _make_basis, build_basis, default_g_vectors
+from tomolab.bases import SIGMA, _make_basis, build_basis, default_g_vectors
 from tomolab.errors import TomolabError
-from tomolab.hermitian import hs_inner
+from tomolab.hermitian import TOL_HERM, _eigenspaces, hs_inner
 from tomolab.measurement import PROB_CLAMP, _active_mask
 from tomolab.rng import TRANSLATE, record_blocks
 from tomolab.states import DENSITY_TOL, DensityMatrix
@@ -253,6 +255,53 @@ def member_spectrum(mat, cluster_tol: float = 1e-9) -> tuple:
     eigenvalues = np.array([evals[g].mean() for g in groups])
     projections = [sum(np.outer(evecs[:, i], evecs[:, i].conj()) for i in g) for g in groups]
     return eigenvalues, projections
+
+
+def spectral_tables_per_member(matrices) -> tuple:
+    """(eigenvalues, projections, sizes) of a family built member by member:
+    ``eigh`` of one Hermitian member at a time, the clustering rule on its
+    output, each block's V V^dagger by its own matmul into the front-padded
+    tables; ``bases`` reproduces them bit for bit with one batched ``eigh``."""
+    spaces = [_eigenspaces(*np.linalg.eigh(m))
+              if np.max(np.abs(m - m.conj().T)) <= TOL_HERM else ((), ()) for m in matrices]
+    sizes = np.array([len(lams) for lams, _ in spaces], dtype=np.int64)
+    kappa = int(sizes.max())
+    d = len(matrices[0])
+    eigenvalues = np.zeros((len(spaces), kappa))
+    projections = np.zeros((len(spaces), kappa, d, d), dtype=complex)
+    for j, (lams, blocks) in enumerate(spaces):
+        eigenvalues[j, kappa - len(lams):] = lams
+        for block, slot in zip(blocks, projections[j, kappa - len(lams):]):
+            np.matmul(block, block.conj().T, out=slot)
+    return eigenvalues, projections, sizes
+
+
+def pauli_member_kron(j: int, b: int) -> np.ndarray:
+    """Member j of the Pauli family on b tensor slots as a left-to-right chain
+    of ``np.kron`` calls over the base-4 digits of j, most significant first."""
+    digits = [j // 4 ** t % 4 for t in range(b - 1, -1, -1)]
+    out = SIGMA[digits[0]]
+    for digit in digits[1:]:
+        out = np.kron(out, SIGMA[digit])
+    return out
+
+
+def fine_factor(theta, m: int, width: int) -> np.ndarray:
+    """One member's fine factor F (cells x width), theta its cell law: the
+    Cholesky factor of the covariance (diag(theta) - theta theta')/m of all
+    but the last active cell, minus its column sums on the last active cell,
+    zero elsewhere and with fewer than two active cells."""
+    theta = np.asarray(theta, dtype=float)
+    factor = np.zeros((len(theta), width))
+    active = np.flatnonzero(_active_mask(theta))
+    q = len(active)
+    if q < 2:
+        return factor
+    th = theta[active]
+    chol = np.linalg.cholesky((np.diag(th) - np.outer(th, th))[:q - 1, :q - 1] / m)
+    factor[active[:-1], :q - 1] = chol
+    factor[active[-1], :q - 1] = -chol.sum(axis=0)
+    return factor
 
 
 # --- translations, one record at a time -----------------------------------------

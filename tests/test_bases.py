@@ -189,6 +189,14 @@ class TestProjectionArray:
         bases.write_basis(b, path)
         self.assert_member_spectra(bases.read_basis(path))
 
+    @pytest.mark.parametrize("kind", ["canonical", "hermitian", "pauli", "gvector"])
+    def test_one_eigensolve_per_basis(self, kind, monkeypatch):
+        # every Hermitian member of a family in one batched eigh call
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        b = bases.build_basis(kind, 8, g_vectors=bases.default_g_vectors(8))
+        assert calls == [(np.count_nonzero(b.sizes), 8, 8)]
+
     def test_custom_family(self):
         b = custom_basis([SIGMA[1], np.array([[0, 1], [0, 0]]), np.eye(2)])
         self.assert_member_spectra(b)

@@ -517,6 +517,25 @@ m_grid = 64,256,1024,4096
         assert report["error_bars"][:2] == [2 ** 0.5] * 2
         assert -0.70 <= report["slope"] <= -0.35 and report["passed"] is False
 
+    def test_distances_point_with_vacuous_bar_exits_1(self, tmp_path, capsys):
+        # sqrt(2) +- sqrt(2) bounds no TV in [0, 1] from above, so the point
+        # fails, as it does in the scaling check
+        text = f"""
+[run]
+task = distances
+seed = 1
+out = {tmp_path / "o"}
+
+[distances]
+theta = 2e-5,0.99998
+m_grid = 64,256
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 1
+        assert "[FAIL] tv-below-hellinger" in capsys.readouterr().out
+        grid = json.loads((tmp_path / "o" / "distances.json").read_text())["grid"]
+        assert [row["hellinger_err"] for row in grid] == [2 ** 0.5] * 2
+        assert not any(row["tv_le_hellinger"] for row in grid)
+
     def test_infinite_m_grid_exits_2(self, tmp_path):
         text = f"""
 [run]

@@ -1,4 +1,4 @@
-"""Matrix layer: the eigenspace clustering rule, tensor products, inner product, text I/O."""
+"""Matrix layer: the eigenspace clustering rule, Pauli tensor products, inner product, text I/O."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import custom_basis, reconstruct, trace_product
-from tomolab import hermitian
+from tomolab import bases, hermitian, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
 
@@ -33,7 +33,7 @@ def spectrum(mat):
 
 def block_widths(mat):
     """Multiplicity of each distinct eigenvalue: the width of its eigenvector block."""
-    return [block.shape[1] for block in hermitian._eigenspaces(mat)[1]]
+    return [block.shape[1] for block in hermitian._eigenspaces(*np.linalg.eigh(mat))[1]]
 
 
 class TestSpectralDecompose:
@@ -61,9 +61,11 @@ class TestSpectralDecompose:
     def test_non_hermitian_rejected(self):
         mat = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(TomolabError, match="deviates from Hermitian symmetry"):
-            hermitian._eigenspaces(mat)
-        # a basis admits it for masking only, with no cells
-        assert custom_basis([mat]).sizes[0] == 0
+            hermitian.require_hermitian(mat)
+        # a basis admits it for masking only, with no cells, next to a measurable member
+        basis = custom_basis([mat, SIGMA[3]])
+        assert basis.sizes.tolist() == [0, 2]
+        assert np.all(basis.eigenvalues[0] == 0) and np.all(basis.projections[0] == 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):
@@ -108,29 +110,37 @@ class TestSpectralDecompose:
 
 
 class TestTensorProduct:
+    """The Pauli members of a base-4 label table, all built at once."""
+
     def test_identity_pair(self):
-        np.testing.assert_array_equal(hermitian.tensor_product(SIGMA[0], SIGMA[0]), np.eye(4))
+        np.testing.assert_array_equal(bases._pauli_members([[0, 0]])[0], np.eye(4))
 
     def test_sigma3_pair(self):
-        got = hermitian.tensor_product(SIGMA[3], SIGMA[3])
-        np.testing.assert_array_equal(got, np.diag([1, -1, -1, 1]).astype(complex))
+        # members 0 and 15 at d = 4 are np.kron of their factors, bit for bit
+        got = bases._pauli_members([[0, 0], [3, 3]])
+        assert got[0].tobytes() == np.kron(SIGMA[0], SIGMA[0]).tobytes()
+        assert got[1].tobytes() == np.kron(SIGMA[3], SIGMA[3]).tobytes()
+        np.testing.assert_array_equal(got[1], np.diag([1, -1, -1, 1]).astype(complex))
 
     def test_dimension_arithmetic(self):
-        a = np.eye(2)
-        b = np.eye(4)
-        assert hermitian.tensor_product(a, b).shape == (8, 8)
+        assert bases._pauli_members(np.zeros((5, 3), dtype=int)).shape == (5, 8, 8)
 
-    def test_overflow(self):
-        big = np.eye(64)
-        with pytest.raises(TomolabError, match="tensor product dimension 2048 exceeds"):
-            hermitian.tensor_product(big, np.eye(32))
+    def test_overflow(self, monkeypatch):
+        # the cap is checked before any label table or member is made
+        def no_members(labels):
+            raise AssertionError("members were built")
+
+        monkeypatch.setattr(bases, "_pauli_members", no_members)
+        with pytest.raises(TomolabError, match="tensor product dimension 2048 exceeds 1024"):
+            bases.build_basis("pauli", 2048)
+        with pytest.raises(TomolabError, match="tensor product dimension 2048 exceeds 1024"):
+            states.pauli_line_state(2048, 1, 0.5)
 
     def test_hermitian_preserved(self):
-        rng = np.random.default_rng(3)
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 3)
-        out = hermitian.tensor_product(a, b)
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+        labels = np.random.default_rng(3).integers(0, 4, size=(20, 3))
+        out = bases._pauli_members(labels)
+        np.testing.assert_array_equal(out, out.conj().swapaxes(1, 2))
+        np.testing.assert_array_equal(out @ out, np.broadcast_to(np.eye(8), out.shape))
 
 
 class TestHSInner:

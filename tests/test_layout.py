@@ -6,13 +6,16 @@ zeros there too, which no rule reads as active.  A custom basis with members
 of 1, 2 and 3 cells puts every padding width in one run: each producer
 returns tables of width kappa, K0 leaves the padding slots at exactly 0, K1
 on whole rows agrees with the per-record oracle fed each row's tail, and
-each CSV writer and reader round-trips the table.
+each CSV writer and reader round-trips the table.  The whole-table
+builders (Pauli members, one batched eigensolve per family, the fine factors)
+give the bytes of their member-by-member references.
 """
 
 import numpy as np
 import pytest
 
-from oracles import custom_basis, record_tails, round_off_per_record, trace_product
+from oracles import (custom_basis, fine_factor, pauli_member_kron, record_tails,
+                     round_off_per_record, spectral_tables_per_member, trace_product)
 from tomolab import bases, equivalence as eq, hermitian, measurement, regression, states
 
 # the identity (1 cell), a rank-2 projection (2 cells) and a random Hermitian member (3 cells)
@@ -105,3 +108,41 @@ def test_writers_and_readers_round_trip_the_table(tmp_path):
     assert table.shape == (N, MIXED.kappa)
     np.testing.assert_array_equal(indices, fine[0])
     np.testing.assert_array_equal(table, fine[1])
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+@pytest.mark.parametrize("kind", ["canonical", "hermitian", "pauli", "gvector"])
+def test_basis_tables_match_member_by_member_build(kind, d):
+    basis = bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
+    if kind == "pauli":
+        b = d.bit_length() - 1
+        want = np.stack([pauli_member_kron(j, b) for j in range(d * d)])
+        assert basis.matrices.tobytes() == want.tobytes()
+        assert basis.labels == tuple(tuple(j // 4 ** t % 4 for t in range(b - 1, -1, -1))
+                                     for j in range(d * d))
+    eigenvalues, projections, sizes = spectral_tables_per_member(basis.matrices)
+    assert basis.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert basis.projections.tobytes() == projections.tobytes()
+    assert basis.sizes.tobytes() == sizes.tobytes()
+
+
+# 4 cells each; on diag(1/2, 0, 1/2, 0) the second and third members have
+# inactive cells between and after their active ones
+_w = _rng.normal(size=(4, 4)) + 1j * _rng.normal(size=(4, 4))
+MIXED4 = custom_basis([(_w + _w.conj().T) / 2, np.diag([3.0, 2.0, 1.0, 0.0]),
+                       np.diag([0.0, 1.0, 3.0, 2.0]), np.eye(4)])
+FINE_LAWS = [(MIXED, STATE), (MIXED4, states.sample_class(states.StateClassSpec("low_rank", r=4),
+                                                          4, seed=3)),
+             (MIXED4, states.validate_density(np.diag([0.5, 0.0, 0.5, 0.0]))),
+             (bases.build_basis("hermitian", 4), states.witness_state("remark8_haar_rank1", 4)),
+             (bases.build_basis("pauli", 16), states.pauli_line_state(16, 3, 0.4))]
+
+
+@pytest.mark.parametrize("m", [1, 64, 4096])
+@pytest.mark.parametrize("law", range(len(FINE_LAWS)))
+def test_fine_factors_match_member_by_member(law, m):
+    basis, state = FINE_LAWS[law]
+    theta = measurement.cell_probabilities(state, basis)
+    want = np.stack([fine_factor(row, m, basis.kappa - 1) for row in theta])
+    assert regression._fine_factors(theta, m).tobytes() == want.tobytes()
+

@@ -22,7 +22,7 @@ def interior_state(d=4, seed=2):
 def fine_covariance(st, basis, j):
     """Covariance F F' of the fine sampler's noise F z for member j at m = 1."""
     theta = measurement.cell_probabilities(st, basis)[j, basis.cells(j)]
-    factor = regression._fine_factor(theta, 1, len(theta) - 1)
+    factor = regression._fine_factors(theta[None], 1)[0]
     return factor @ factor.T
 
 
@@ -124,7 +124,7 @@ class TestSimulateFine:
         # correlation of two cells of the constrained Gaussian is -theta1*theta2/...
         rng = np.random.default_rng(0)
         m = 9
-        factor = regression._fine_factor(theta, m, 2)
+        factor = regression._fine_factors(theta[None], m)[0]
         draws = theta + rng.standard_normal((40_000, 2)) @ factor.T
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         want = -theta[0] * theta[1] / np.sqrt(
@@ -288,7 +288,7 @@ class TestActiveRule:
         return {
             "coarse": (big_y[j] != mean, regression.noise_variance_coarse(st, basis)[j] > 0),
             "fine": (not np.array_equal(ys[j][-len(theta):], theta),
-                     np.any(regression._fine_factor(theta, 64, len(theta) - 1))),
+                     np.any(regression._fine_factors(theta[None], 64))),
             "zeta": (zeta > 0, np.count_nonzero(diagnostics.active_index_set(st, basis)[j]) >= 2),
             "hellinger": (est.value > 0, est.error_bar > 0),
         }
@@ -355,3 +355,29 @@ class TestPerMemberValues:
         out, probs = self.run(monkeypatch, regression.simulate_fine)
         assert 1 < len(set(out[0].tolist())) < self.N == len(out[1])
         assert probs == 1
+
+    def test_one_cholesky_per_active_cell_count(self, monkeypatch):
+        # the fine factors are one table per run, never one factor per drawn member
+        cholesky, calls = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        st = interior_state(seed=4)
+        for basis in (PAULI4, HERM4):
+            calls.clear()
+            design = bases.SamplingDesign.random(np.full(16, 1 / 16))
+            indices, _ = regression.simulate_fine(st, basis, design, self.N, 8, 6)
+            active = measurement._active_mask(measurement.cell_probabilities(st, basis)).sum(axis=1)
+            counts = set(active[active >= 2].tolist())
+            assert len(set(indices.tolist())) > len(counts) and 0 < len(calls) <= len(counts)
+
+
+def test_fine_factors_at_twice_the_active_tolerance():
+    # active cells just above ACTIVE_TOL, at the largest m: every block still
+    # factors, and F F' on all but the last active cell is the law's covariance
+    tol, m = 2 * measurement.ACTIVE_TOL, 4096
+    theta = np.array([[tol, tol, 1 - 2 * tol], [1 - 2 * tol, tol, tol], [0.0, 1 - tol, tol]])
+    factors = regression._fine_factors(theta, m)
+    assert np.all(np.isfinite(factors))
+    for row, factor in zip(theta, factors):
+        cells = np.flatnonzero(row)[:-1]
+        cov = (np.diag(row[cells]) - np.outer(row[cells], row[cells])) / m
+        np.testing.assert_allclose((factor @ factor.T)[np.ix_(cells, cells)], cov, rtol=1e-6)
