@@ -137,7 +137,8 @@ def _labels(kind: str, d: int) -> list:
     """Member labels of a built-in family: base-4 digit tuples for pauli,
     (l1, l2) axis pairs otherwise.  They depend only on kind and d."""
     if kind == "pauli":
-        return [tuple(row) for row in _pauli_label(np.arange(d * d), _pauli_slots(d)).tolist()]
+        labels = _pauli_label(np.arange(d * d), _pauli_tensor_slots(d))
+        return [tuple(row) for row in labels.tolist()]
     return [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
 
 
@@ -174,9 +175,7 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
 
 def _pauli_label(j, b: int) -> np.ndarray:
     """Base-4 digits of each index in ``j`` in a new last axis, most significant first
-    (0 is the identity); TomolabError if 2^b exceeds ``MAX_TENSOR_DIM``, before any table."""
-    if 2 ** b > MAX_TENSOR_DIM:
-        raise TomolabError(f"tensor product dimension {2 ** b} exceeds {MAX_TENSOR_DIM}")
+    (0 is the identity)."""
     return np.asarray(j)[..., None] // 4 ** np.arange(b - 1, -1, -1) % 4
 
 
@@ -185,6 +184,15 @@ def _pauli_slots(d: int) -> int:
     if d < 2 or d & (d - 1):
         raise TomolabError(f"pauli family needs d = 2^b (b >= 1), as do Haar vectors; got d = {d}")
     return int(d).bit_length() - 1
+
+
+def _pauli_tensor_slots(d: int) -> int:
+    """``_pauli_slots(d)`` for Pauli tensor products of dimension d; TomolabError if d
+    exceeds ``MAX_TENSOR_DIM``.  Every Pauli construction calls it before it allocates."""
+    b = _pauli_slots(d)
+    if d > MAX_TENSOR_DIM:
+        raise TomolabError(f"tensor product dimension {d} exceeds {MAX_TENSOR_DIM}")
+    return b
 
 
 def _pauli_members(labels) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
 import numpy as np
-import scipy
+import scipy  # only for the manifest's version string
 
 from . import __version__, bases, diagnostics, equivalence, measurement, regression, states
 from .errors import ConfigParseError

@@ -25,11 +25,12 @@ and ``diagnostics.deficiency_bound`` takes n, m, gamma, zeta and C, not them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
+from numpy.polynomial import legendre
 
 from .errors import TomolabError
 from .measurement import TomographyDataset, _active_mask, _blocks, _write_table
@@ -97,8 +98,19 @@ def _checked_theta(theta) -> np.ndarray:
     return theta
 
 
+@functools.lru_cache(maxsize=32)
+def _log_factorials(m: int) -> np.ndarray:
+    """log k! for k = 0..m, read-only: a long-double running sum of log k, rounded
+    to float64 once; within an ulp of log k! for k <= MAX_QUAD_M, exact at k <= 2."""
+    logs = np.log(np.arange(1, m + 1, dtype=np.longdouble))
+    table = np.concatenate([[0.0], np.cumsum(logs).astype(float)])
+    table.flags.writeable = False
+    return table
+
+
 def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
-    """Multinomial pmf at integer vectors ``counts`` (last axis over cells); checks theta.
+    """Multinomial pmf at vectors ``counts`` (last axis over cells); checks theta.
+    A row that is not a nonnegative integer vector summing to m has pmf 0.
 
     The cells are walked one column at a time, left to right, which adds in
     the order a reduction over a row this short does."""
@@ -109,6 +121,7 @@ def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
     scalar = counts.ndim == 1
     if scalar:
         counts = counts[None, :]
+    log_k = _log_factorials(m)
     total, log_fact, terms = (np.zeros(counts.shape[:-1]) for _ in range(3))
     valid = np.ones(counts.shape[:-1], dtype=bool)
     log_theta = np.log(theta, where=theta > 0, out=np.zeros_like(theta))
@@ -117,12 +130,13 @@ def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
         if t == 0.0:
             valid &= c == 0  # a cell with theta = 0 must carry zero count
             continue
-        valid &= c >= 0
-        safe = np.maximum(c, 0.0)
-        log_fact += gammaln(safe + 1)
+        ok = (c >= 0) & (c <= m) & (c == np.floor(c))  # NaN fails every comparison
+        valid &= ok
+        safe = np.where(ok, c, 0.0)
+        log_fact += log_k[safe.astype(np.intp)]
         terms += safe * log_t
-    valid &= np.abs(total - m) < 0.5
-    out = np.exp(gammaln(m + 1) - log_fact + terms, where=valid, out=np.zeros(valid.shape))
+    valid &= total == m
+    out = np.exp(log_k[m] - log_fact + terms, where=valid, out=np.zeros(valid.shape))
     return float(out[0]) if scalar else out
 
 
@@ -234,7 +248,7 @@ def _active_law(m: int, theta: np.ndarray, kind: str, method: str) -> tuple:
 def _cell_node_tensors(order: int, prec: np.ndarray) -> np.ndarray:
     """The (dim + 2) x nodes table of the tensor Gauss-Legendre nodes o on the
     unit cell: rows -o/2, then 1, then log w_o - o'Po/4."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = legendre.leggauss(order)
     idx = np.indices((order,) * len(prec)).reshape(len(prec), -1)
     offsets = x[idx] / 2.0
     log_w = np.log(w / 2.0)[idx].sum(axis=0)
@@ -316,6 +330,18 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     return totals, mass, rel
 
 
+def _chi2_tail(dim: int, x: float) -> float:
+    """The regularised upper incomplete gamma Q(dim / 2, x) = P(chi^2_dim > 2 x), in
+    closed form for the dim = 1, 2, 3 (2 to ``MAX_QUAD_CELLS`` cells) the quadrature has."""
+    if dim == 1:
+        return math.erfc(math.sqrt(x))
+    if dim == 2:
+        return math.exp(-x)
+    if dim == 3:
+        return math.erfc(math.sqrt(x)) + 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+    raise ValueError(f"no closed-form chi-square tail for {dim} degrees of freedom")
+
+
 def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
     """Hellinger distance between perturbed counts and the matched normal law.
 
@@ -324,9 +350,10 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
     window W gives BC_W at both orders (``_affinity_window``).  ``params`` hold
     the error budget: ``order_term`` |H(order) - H(compare_order)|, an
     estimate; bounds ``tail_p`` (1 - sum_W f)_+ + a on the P mass outside W,
-    a = 8 eps (gammaln(m + 1) + m max_a(-log theta_a)) bounding the terms each
-    log f sums, and ``tail_q`` gammaincc((r - 1) / 2, R^2 / 2) on the Q mass
-    outside W, which covers E(R); ``truncation`` 2 sqrt(tail_p tail_q), a bound
+    a = 8 eps (log m! + m max_a(-log theta_a)) bounding the terms each log f
+    sums, log m! from the log-factorial table, and ``tail_q`` the chi-square
+    tail P(chi^2_{r-1} > R^2) (``_chi2_tail``) on the Q mass outside W, which
+    covers E(R); ``truncation`` 2 sqrt(tail_p tail_q), a bound
     on H_W^2 - H^2 >= 0 by Cauchy-Schwarz; and ``rounding`` 2 (a / 2 + rel) BC_W
     + 2 eps, an allowance for the cancellation in H_W^2 = 2 - 2 BC_W.  The
     error bar is ``order_term`` plus H_W - sqrt(H_W^2 - truncation - rounding),
@@ -345,12 +372,12 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
     if r > MAX_QUAD_CELLS:
         raise TomolabError(f"quadrature supports up to {MAX_QUAD_CELLS} cells, got {r}")
     (bc, bc_cmp), mass, rel = _affinity_window(m, sub, (ORDER, COMPARE_ORDER), WINDOW, CHUNK_CELLS)
-    a = 8.0 * EPS * (gammaln(m + 1) - m * np.log(sub.min()))
+    a = 8.0 * EPS * (_log_factorials(m)[m] - m * np.log(sub.min()))
     h2 = 2.0 - 2.0 * bc
     value = math.sqrt(max(h2, 0.0))
-    tail_p, tail_q = max(1.0 - mass, 0.0) + a, gammaincc((r - 1) / 2, WINDOW ** 2 / 2)
+    tail_p, tail_q = max(1.0 - mass, 0.0) + a, _chi2_tail(r - 1, WINDOW ** 2 / 2)
     budget = {"order_term": abs(value - math.sqrt(max(2.0 - 2.0 * bc_cmp, 0.0))),
-              "tail_p": float(tail_p), "tail_q": float(tail_q),
+              "tail_p": float(tail_p), "tail_q": tail_q,
               "truncation": 2.0 * math.sqrt(tail_p * tail_q),
               "rounding": float(2.0 * (a / 2 + rel) * bc + 2.0 * EPS)}
     low = math.sqrt(max(h2 - budget["truncation"] - budget["rounding"], 0.0))

@@ -31,6 +31,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # np.unique imports it on its first call (numpy 2.x)
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError

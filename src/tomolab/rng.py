@@ -30,6 +30,7 @@ key     name             draws
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy 2.x loads it on first use otherwise
 
 __all__ = ["RNG_CONTRACT", "BLOCK", "TOMOGRAPHY", "COARSE", "FINE", "TRANSLATE", "TRANSFER", "TV",
            "substream", "record_blocks"]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bases
 from .errors import TomolabError
-from .hermitian import MAX_TENSOR_DIM, require_hermitian
+from .hermitian import require_hermitian
 from .rng import substream
 
 __all__ = [
@@ -80,7 +80,7 @@ def pauli_line_state(d: int, j_star: int, beta: float) -> DensityMatrix:
     """
     if not abs(beta) < 1:
         raise TomolabError(f"|beta| must be < 1, got {beta}")
-    b = bases._pauli_slots(d)
+    b = bases._pauli_tensor_slots(d)
     if not 0 < j_star < d * d:
         raise TomolabError(f"j_star must name a non-identity member, 0 < j_star < {d * d}, "
                            f"got {j_star}")
@@ -96,8 +96,7 @@ def tilted_product_state(b: int) -> DensityMatrix:
     """
     if b < 1:
         raise ValueError("b must be at least 1")
-    if 2 ** b > MAX_TENSOR_DIM:
-        raise TomolabError(f"dimension 2^{b} exceeds {MAX_TENSOR_DIM}")
+    bases._pauli_tensor_slots(2 ** b)  # the tensor-product size cap
     e = np.array([np.sqrt(6.0 / 7.0), np.sqrt(1.0 / 14.0) * (1 + 1j)])
     u = e
     for _ in range(b - 1):
@@ -183,7 +182,7 @@ def _psd_repair(mat: np.ndarray) -> np.ndarray:
 def _sample_pauli_sparse(d: int, s: int, rng) -> DensityMatrix:
     if s is None or s < 1:
         raise TomolabError("pauli_sparse needs s >= 1 (unit trace forces the identity term)")
-    b, p = bases._pauli_slots(d), d * d
+    b, p = bases._pauli_tensor_slots(d), d * d
     if s > p:
         raise TomolabError(f"s={s} exceeds the family size {p}")
     mat = np.eye(d, dtype=complex) / d

@@ -2,7 +2,8 @@
 
 Each one recomputes a property the package's constructions must have, by a
 route of its own: one trace tr(a b) at a time, the multinomial pmf through conditional binomials and as
-``gammaln`` reductions over whole rows, the Hellinger quadrature's lattice
+``gammaln`` reductions over whole rows, its log in long double from 30-digit
+mpmath log-factorials, the Hellinger quadrature's lattice
 window cell by cell and the exact Mahalanobis distance of a cell, the
 Hellinger distance for 2 and 3 cells with the last axis integrated exactly,
 the total variation distance for 2 cells exactly, the two dataset translations one record at a time, class membership of a
@@ -16,9 +17,11 @@ written one ``csv.writer`` row at a time.
 """
 
 import csv
+import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy import stats as sps
 from scipy.special import gammaln, ndtr
@@ -121,10 +124,37 @@ def ellipsoid_window(m: int, theta, radius: float) -> np.ndarray:
     return np.array(cells, dtype=float).reshape(-1, len(mu))
 
 
+def _long_double(x) -> np.longdouble:
+    """An mpmath number as a long double, from its leading two float64 parts."""
+    hi = float(x)
+    return np.longdouble(hi) + np.longdouble(float(x - hi))
+
+
+@functools.cache
+def log_factorials_30_digits(m: int) -> np.ndarray:
+    """log k! for k = 0..m from ``mpmath.loggamma`` at 30 digits, as long doubles."""
+    with mpmath.workdps(30):
+        return np.array([_long_double(mpmath.loggamma(k + 1)) for k in range(m + 1)],
+                        dtype=np.longdouble)
+
+
+def multinomial_log_pmf_long(counts, m: int, theta) -> np.ndarray:
+    """The multinomial log pmf at nonnegative integer rows ``counts`` summing to m,
+    theta positive, in long double: log k! and log theta_a from mpmath at 30 digits,
+    summed in long double, so each row is off by far less than one float64 ulp of
+    log m!, which is what any float64 log pmf may be off by."""
+    counts = np.asarray(counts, dtype=np.int64)
+    log_fact = log_factorials_30_digits(m)
+    with mpmath.workdps(30):
+        log_theta = np.array([_long_double(mpmath.log(t)) for t in np.asarray(theta, float)],
+                             dtype=np.longdouble)
+    return log_fact[m] - log_fact[counts].sum(axis=-1) + (counts * log_theta).sum(axis=-1)
+
+
 def hellinger_ndtr(m: int, theta, radius: float = 12.0, order: int = 10) -> float:
     """H between the perturbed counts and the matched normal for 2 or 3 cells,
     from the affinity BC = sum_c sqrt(f_c) (integral of sqrt g over cell c)
-    with f from ``scipy.stats.multinomial``.  sqrt g is (8 pi)^(dim/4)
+    with f from :func:`multinomial_log_pmf_long`.  sqrt g is (8 pi)^(dim/4)
     det(cov)^(1/4) times the N(mu, 2 cov) density, so each cell integral is a
     normal probability: exact by ``ndtr`` on the last axis, given the first;
     on the first axis of 3 cells, ``order``-point Gauss-Legendre on pieces of
@@ -146,7 +176,7 @@ def hellinger_ndtr(m: int, theta, radius: float = 12.0, order: int = 10) -> floa
     keep &= np.all(cells >= 0, axis=1) & (cells.sum(axis=1) <= m)
     cells = cells[keep]
     full = np.concatenate([cells, m - cells.sum(axis=1, keepdims=True)], axis=1)
-    sqrt_f = np.sqrt(sps.multinomial.pmf(full.astype(np.int64), m, theta))
+    sqrt_f = np.exp(0.5 * multinomial_log_pmf_long(full, m, theta))
 
     def interval(lo, hi, mean, sd):
         """P(lo <= X <= hi) for X ~ N(mean, sd^2), subtracting upper or lower tails."""

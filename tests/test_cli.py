@@ -93,13 +93,13 @@ samples = 4
 """
 
 # sha256 of each artifact of those five tasks; a refactor must keep them.  The
-# quadrature artifacts follow the Hellinger affinity over the ellipsoidal window
-# and its error budget.
+# quadrature artifacts follow the Hellinger affinity over the ellipsoidal window,
+# its error budget, the log-factorial table and the closed-form chi-square tails.
 TASK_SHA256 = {
-    "distances.json": "b998c3633323772e1e4a38c1be30efc7abca7e2e33c1fa73c04f23c08583562b",
-    "distance_fixtures.json": "d029ae41137d12fe7c8a6c616f7402c1a66cad013a8ff6a6db0d5705b99db0e9",
-    "scaling_0.csv": "495c20581bac0d2195cee08318efbc17b1af99a3dc5a5d634bffbcb7f70509b0",
-    "scaling_0.json": "f4236bcf3492fc9646c64fc2b926dba53b16fec8f175fd99bf3f90951cb36853",
+    "distances.json": "95e5d4a84706703f07189f8e9e525b6ff0588c780520421ae91c14f72990728a",
+    "distance_fixtures.json": "cd159c8a232a95d3dbf3f09376be76a3fd3fc8edc225cd4b73ac4229ad7ca741",
+    "scaling_0.csv": "253c90286d85a1b99a991f4e234d8c7aa0902d6d5314c1331830bcbe0fc49511",
+    "scaling_0.json": "cea7c53b9ab53c65170c5cae058aad28cabbfe712a3b3e9f5442addd5438b7a9",
     "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
     "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
     "transfer.json": "2f9a4199852ec320fa94a9c4398288b249b827c5350775225d3ad601fe8c9603",

@@ -1,5 +1,8 @@
 """Density matrices, witnesses and state-class samplers."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +187,22 @@ class TestSamplers:
         st = states.sample_class(spec, 4, seed=seed)
         report = class_membership(st, spec)
         assert report["member"], report
+
+    def test_pauli_sparse_cap_checked_before_any_draw(self):
+        # the d^2 - 1 member permutation alone would take 32 MB at d = 2048
+        tracemalloc.start()
+        try:
+            with pytest.raises(TomolabError, match="tensor product dimension 2048 exceeds 1024"):
+                states.sample_class(states.StateClassSpec("pauli_sparse", s=2), 2048, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_pauli_sparse_bytes_pinned(self):
+        st = states.sample_class(states.StateClassSpec("pauli_sparse", s=5), 16, seed=3)
+        assert hashlib.sha256(st.matrix.tobytes()).hexdigest() == (
+            "31f35e2de3a6cee4fecd7ced4ce5d6ef8df7ce33c5a6334fe39409bfef45d6b2")
 
     def test_low_rank_d8_r2(self):
         spec = states.StateClassSpec("low_rank", r=2)
