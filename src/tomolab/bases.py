@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError
-from .hermitian import (MAX_TENSOR_DIM, TOL_HERM, _eigenspaces, format_matrix, parse_matrix,
-                        stack_traces)
+from .hermitian import (_CHUNK, MAX_TENSOR_DIM, TOL_HERM, _run_starts, format_matrix,
+                        parse_matrix, stack_traces)
 
 __all__ = [
     "SIGMA",
@@ -118,27 +118,28 @@ class SamplingDesign:
         return cls(mode="random", weights_regression=pi, weights_tomography=xi)
 
 
-def _hermitian_family(axes: np.ndarray, labels):
-    """Members of the hermitian construction over ``axes`` columns, one per (l1, l2) label."""
+def _hermitian_family(axes: np.ndarray) -> np.ndarray:
+    """The (d*d, d, d) members of the hermitian construction over the d ``axes``
+    columns, member (l1, l2) at row (l1 - 1) d + l2 - 1, all from one stack of
+    the outer products u v^dagger of every pair of columns."""
+    d = len(axes)
+    cols = axes.T[:, :, None]
+    outer = cols[:, None] @ cols.conj().swapaxes(1, 2)[None]  # outer[l1, l2] = u v^dagger
+    swapped = outer.swapaxes(0, 1)                             # swapped[l1, l2] = v u^dagger
+    l1, l2 = np.indices((d, d))
+    upper, lower = l1 < l2, l1 > l2
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for l1, l2 in labels:
-        u = axes[:, l1 - 1][:, None]
-        v = axes[:, l2 - 1][:, None]
-        if l1 == l2:
-            mat = u @ u.conj().T
-        elif l1 < l2:
-            mat = inv_sqrt2 * (u @ v.conj().T + v @ u.conj().T)
-        else:
-            mat = 1j * inv_sqrt2 * (u @ v.conj().T - v @ u.conj().T)
-        yield mat.astype(complex)
+    anti = 1j * inv_sqrt2 * (outer[lower] - swapped[lower])  # before the upper half changes
+    outer[upper] = inv_sqrt2 * (outer[upper] + swapped[upper])
+    outer[lower] = anti
+    return outer.reshape(d * d, d, d)
 
 
 def _labels(kind: str, d: int) -> list:
     """Member labels of a built-in family: base-4 digit tuples for pauli,
     (l1, l2) axis pairs otherwise.  They depend only on kind and d."""
     if kind == "pauli":
-        labels = _pauli_label(np.arange(d * d), _pauli_tensor_slots(d))
-        return [tuple(row) for row in labels.tolist()]
+        return list(map(tuple, _pauli_label(np.arange(d * d), _pauli_tensor_slots(d)).tolist()))
     return [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
 
 
@@ -151,8 +152,7 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
 
     g_store = None
     if kind == "canonical":
-        eye = np.eye(d, dtype=complex)
-        mats = (np.outer(eye[:, l1 - 1], eye[:, l2 - 1]) for l1, l2 in _labels(kind, d))
+        mats = np.eye(d * d).reshape(d * d, d, d)
     elif kind in ("hermitian", "gvector"):
         if kind == "gvector":
             if g_vectors is None:
@@ -166,10 +166,9 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
             g_store = axes.copy()
         else:
             axes = np.eye(d)
-        mats = _hermitian_family(axes.astype(complex), _labels(kind, d))
+        mats = _hermitian_family(axes.astype(complex))
     else:  # pauli
-        mats = _pauli_members(np.array(_labels(kind, d)))
-    # generated but for pauli, so the member list _make_basis stacks is freed once stacked
+        mats = _pauli_members(_pauli_label(np.arange(d * d), _pauli_tensor_slots(d)))
     return _make_basis(mats, kind, g_vectors=g_store)
 
 
@@ -212,38 +211,54 @@ def _pauli_members(labels) -> np.ndarray:
 def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     """The one constructor of every family: each Hermitian member is measurable,
     its eigenvalues and eigenspace projections V V^dagger written into the
-    last slots of its row, the others get no cells (masking only); one
-    ``eigh`` call solves every Hermitian member.  A built-in kind takes its
-    labels from :func:`_labels`, any other kind 1..p.  TomolabError unless
-    ``matrices`` holds one or more finite (d, d) matrices, d the size of the first."""
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    if not mats:
+    last slots of its row, the others get no cells (masking only).  One ``eigh``
+    solves every Hermitian member, :func:`_run_starts` cuts each spectrum into
+    runs, run k (ascending) goes to slot kappa - 1 - k, and one mean and one
+    batched V V^dagger serve all runs of one (first column, width) shape.  A built-in
+    kind takes its labels from :func:`_labels`, any other kind 1..p.  TomolabError
+    unless ``matrices`` holds one or more finite (d, d) matrices, d member 0's size."""
+    try:
+        mats = np.asarray(matrices, dtype=complex)
+        shapes = [mats.shape[1:]] if len(mats) else []  # one shape for every member
+    except ValueError:  # ragged, or an entry that is not a number (raised as it is)
+        shapes = [np.shape(m) for m in matrices]
+        if len(set(shapes)) == 1:
+            raise
+    if not shapes:
         raise TomolabError("a basis needs at least one member")
-    d = mats[0].shape[0] if mats[0].ndim == 2 else 0
-    for j, m in enumerate(mats):
-        if d < 1 or m.shape != (d, d):
-            raise TomolabError(f"member {j} has shape {m.shape}; every member "
-                               f"must be square, of member 0's size")
-    mats = np.stack(mats)
-    labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, len(mats) + 1))
-    if len(labels) != len(mats):
-        raise ValueError(f"{len(labels)} labels for {len(mats)} members")
+    square = shapes[0][:1] * 2 if len(shapes[0]) == 2 and shapes[0][0] else None
+    bad = [j for j, shape in enumerate(shapes) if shape != square]
+    if bad:
+        raise TomolabError(f"member {bad[0]} has shape {shapes[bad[0]]}; every member "
+                           f"must be square, of member 0's size")
+    p, d = mats.shape[:2]
+    labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, p + 1))
+    if len(labels) != p:
+        raise ValueError(f"{len(labels)} labels for {p} members")
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         raise TomolabError(f"member {np.argmin(finite)} has a non-finite entry")
     herm = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= TOL_HERM
-    spaces = [((), ())] * len(mats)
-    hermitian = mats if herm.all() else mats[herm]  # no copy when all members are
-    for j, evals, evecs in zip(np.flatnonzero(herm), *np.linalg.eigh(hermitian)):
-        spaces[j] = _eigenspaces(evals, evecs)
-    sizes = np.array([len(lams) for lams, _ in spaces], dtype=np.int64)
+    rows = np.flatnonzero(herm)
+    evals, evecs = np.linalg.eigh(mats if herm.all() else mats[herm])  # no copy when all are
+    starts = _run_starts(evals)
+    # runs in table order; column 0 opens every row's first run, so a run ends where the next starts
+    flat = np.flatnonzero(starts)
+    member, first = np.divmod(flat, d)
+    sizes = np.bincount(rows[member], minlength=p)
     kappa = int(sizes.max())
-    eigenvalues = np.zeros((len(mats), kappa))
-    projections = np.zeros((len(mats), kappa, d, d), dtype=complex)
-    for j, (lams, blocks) in enumerate(spaces):
-        eigenvalues[j, kappa - len(lams):] = lams
-        for block, slot in zip(blocks, projections[j, kappa - len(lams):]):
-            np.matmul(block, block.conj().T, out=slot)
+    eigenvalues = np.zeros((p, kappa))
+    projections = np.zeros((p, kappa, d, d), dtype=complex)
+    slot = kappa - np.cumsum(starts, axis=1)[starts]
+    shape = first * (d + 1) + np.diff(flat, append=starts.size)  # (first, width) as one key
+    step = max(1, _CHUNK // (d * d))  # products per chunk, so the temporaries stay small
+    for key in np.unique(shape):
+        pick = np.flatnonzero(shape == key)
+        h, (lo, width) = member[pick], divmod(int(key), d + 1)
+        eigenvalues[rows[h], slot[pick]] = evals[h, lo:lo + width].mean(axis=1)
+        for part in np.split(pick, range(step, len(pick), step)):
+            block = evecs[member[part], :, lo:lo + width]
+            projections[rows[member[part]], slot[part]] = block @ block.conj().swapaxes(1, 2)
     return ObservableBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues,
                            projections=projections, sizes=sizes, labels=labels, g_vectors=g_vectors)
 
@@ -251,21 +266,16 @@ def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
 def haar_wavelet_vectors(d: int) -> np.ndarray:
     """Orthonormal Haar wavelet basis of R^d (d = 2^b, b >= 1), columns are vectors.
 
-    The first column is the constant vector; subsequent columns are the
-    rescaled step wavelets.
+    The first column is the constant vector; column 2^l + k (level l, 0 <= k < 2^l)
+    is the rescaled step wavelet, +1 then -1 on the halves of the k-th of 2^l blocks.
     """
-    b = _pauli_slots(d)
-    cols = [np.full(d, 1.0 / np.sqrt(d))]
-    for level in range(b):
-        n_wav = 2 ** level
-        width = d // (2 * n_wav)
-        for k in range(n_wav):
-            v = np.zeros(d)
-            start = k * 2 * width
-            v[start:start + width] = 1.0
-            v[start + width:start + 2 * width] = -1.0
-            cols.append(v / np.linalg.norm(v))
-    return np.stack(cols, axis=1)
+    _pauli_slots(d)  # d = 2^b, b >= 1, or TomolabError
+    n = np.arange(1, d)
+    level = np.frexp(n)[1] - 1
+    width = d >> (level + 1)                        # half a block
+    half = np.arange(d)[:, None] // width           # (d, d - 1): which half-block holds row i
+    steps = np.where(half // 2 == n - 2 ** level, 1 - 2 * (half % 2), 0) / np.sqrt(2 * width)
+    return np.column_stack([np.full(d, 1.0 / np.sqrt(d)), steps])
 
 
 def default_g_vectors(d: int) -> np.ndarray:

@@ -156,6 +156,11 @@ def load_config(path) -> ExperimentConfig:
             values[f.name] = get(sections.get(task), key, cast)
     cfg = ExperimentConfig(task=task, raw_text=raw,
                            **{name: v for name, v in values.items() if v is not None})
+    if cfg.design_mode not in ("fixed", "random"):
+        raise ConfigParseError(f"[design] mode must be fixed or random, got {cfg.design_mode!r}")
+    sources = [key for key in ("witness", "class", "matrix_file") if parser.has_option("state", key)]
+    if len(sources) > 1:
+        raise ConfigParseError(f"[state] sets {' and '.join(sources)}; pick one source")
 
     if "TOMOLAB_SEED" in os.environ:
         try:

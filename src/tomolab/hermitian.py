@@ -1,12 +1,13 @@
 """Complex Hermitian matrix arithmetic and the eigenspace clustering rule.
 
-Matrices are plain complex ``numpy`` arrays.  :func:`_eigenspaces` turns one member's
-ascending ``eigh`` output into its *distinct* eigenvalues with an orthonormal eigenvector
-block each; :mod:`tomolab.bases` solves a whole family with one batched ``eigh`` and
-writes each block's projection V V^dagger into its projection table.  Floating-point
-eigensolvers split degenerate eigenvalues, so nearby eigenvalues are merged by the
-relative clustering tolerance ``CLUSTER_TOL`` before the blocks are formed.
-:func:`stack_traces` is the one kernel for tr(a rho) over a stack of matrices.
+Matrices are plain complex ``numpy`` arrays.  :func:`_run_starts` applies the
+clustering rule to a whole family's ascending ``eigh`` eigenvalues at once, one
+walk over the d eigenvalue columns: floating-point eigensolvers split degenerate
+eigenvalues, so an eigenvalue within the relative tolerance ``CLUSTER_TOL`` of
+the first eigenvalue of its run joins that run, and :mod:`tomolab.bases` turns
+each run into a distinct eigenvalue (the run's mean) and an eigenspace
+projection V V^dagger.  :func:`stack_traces` is the one kernel for tr(a rho)
+over a stack of matrices.
 
 Design envelope: dense double precision, dimensions up to ~1024 (tensor
 products are capped there at ``MAX_TENSOR_DIM``); each eigensolve is O(d^3).
@@ -22,7 +23,6 @@ __all__ = [
     "TOL_HERM",
     "MAX_TENSOR_DIM",
     "require_hermitian",
-    "hs_inner",
     "stack_traces",
     "format_matrix",
     "parse_matrix",
@@ -33,7 +33,7 @@ __all__ = [
 TOL_HERM = 1e-9          # Hermitian symmetry check
 CLUSTER_TOL = 1e-9       # eigenvalues within this times max(spectral norm, 1) share a cell
 MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
-_TRACE_CHUNK = 8192       # entries of the temporary product in one chunk of stack_traces
+_CHUNK = 8192             # entries of a temporary product in one chunk (traces, projections)
 
 
 def require_hermitian(mat: np.ndarray) -> np.ndarray:
@@ -50,35 +50,18 @@ def require_hermitian(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _eigenspaces(evals: np.ndarray, evecs: np.ndarray) -> tuple:
-    """The clustering rule on one member's ascending ``eigh`` output:
-    (distinct eigenvalues, eigenvector blocks), descending.
-
-    Eigenvalues within ``CLUSTER_TOL`` times max(spectral norm, 1) of the
-    first of their run are merged into one distinct eigenvalue, the mean of
-    the merged ones, whose block holds their orthonormal eigenvectors as columns.
-    """
-    gap = CLUSTER_TOL * float(np.max(np.abs(evals), initial=1.0))
-    # eigh returns ascending order; walk it and cut where the gap exceeds tol
-    distinct, blocks = [], []
-    start = 0
-    d = len(evals)
-    for i in range(1, d + 1):
-        if i == d or evals[i] - evals[start] > gap:
-            blocks.append(evecs[:, start:i])
-            distinct.append(float(np.mean(evals[start:i])))
-            start = i
-    order = np.argsort(distinct)[::-1]
-    return np.array([distinct[i] for i in order]), [blocks[i] for i in order]
-
-
-def hs_inner(a1: np.ndarray, a2: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a2† a1)."""
-    a1 = np.asarray(a1)
-    a2 = np.asarray(a2)
-    if a1.shape != a2.shape:
-        raise TomolabError(f"shapes {a1.shape} and {a2.shape} differ")
-    return complex(np.sum(a2.conj() * a1))
+def _run_starts(evals: np.ndarray) -> np.ndarray:
+    """The clustering rule on an (h, d) table of ascending ``eigh`` eigenvalues,
+    one row per member: the (h, d) mask of the eigenvalues that open a run, those
+    more than ``CLUSTER_TOL`` times max(spectral norm, 1) above the first
+    eigenvalue of the current run.  Each run is one distinct eigenvalue."""
+    gap = CLUSTER_TOL * np.max(np.abs(evals), axis=1, initial=1.0)
+    starts = np.ones(evals.shape, dtype=bool)
+    first = evals[:, 0]
+    for i in range(1, evals.shape[1]):
+        starts[:, i] = evals[:, i] - first > gap
+        first = np.where(starts[:, i], evals[:, i], first)
+    return starts
 
 
 def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
@@ -94,7 +77,7 @@ def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
     rows = stack.reshape(-1, d * d)
     rho_t = mat.T.ravel()
     out = np.empty(len(rows))
-    step = max(1, _TRACE_CHUNK // (d * d))
+    step = max(1, _CHUNK // (d * d))
     for lo in range(0, len(rows), step):
         out[lo:lo + step] = (rows[lo:lo + step] * rho_t).sum(axis=1).real
     return out.reshape(stack.shape[:-2])

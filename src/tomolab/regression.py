@@ -40,7 +40,7 @@ import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
-from .hermitian import hs_inner, stack_traces
+from .hermitian import stack_traces
 from .measurement import (_active_mask, _blocks, _cell_table, _field, _read_records,
                           _record_blocks, _write_table, cell_probabilities, draw_design_indices)
 from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
@@ -180,7 +180,7 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     if m < 1:
         raise TomolabError("m must be at least 1")
     rng = substream(seed, TRANSFER)
-    norms = np.array([hs_inner(b, b).real for b in basis.matrices])
+    norms = (basis.matrices.conj() * basis.matrices).reshape(p, -1).sum(axis=1).real
     theta = cell_probabilities(rho, basis)
     mean, var = _coarse_moments(rho, basis, theta)
     sd = np.sqrt(var / m)

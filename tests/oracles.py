@@ -9,8 +9,10 @@ Hellinger distance for 2 and 3 cells with the last axis integrated exactly,
 the total variation distance for 2 cells exactly, the two dataset translations one record at a time, class membership of a
 sampled state, orthogonality and Pauli projection traces of a family, a
 matrix rebuilt from its spectral decomposition, each member's spectrum on its
-own, the Pauli members as ``np.kron`` chains, a family's spectral tables and
-the fine noise factors one member at a time, the active index sets, cell
+own, the Pauli members as ``np.kron`` chains, the other families' members, the
+Haar vectors, a family's spectral tables (the clustering rule walked one
+eigenvalue at a time) and the fine noise factors one member at a time, the
+Hilbert-Schmidt inner product of one pair, the active index sets, cell
 probabilities and coarse moments one member at a time, and every table
 written one ``csv.writer`` row at a time.
 ``custom_basis`` wraps an explicit matrix list as a family.
@@ -28,7 +30,7 @@ from scipy.special import gammaln, ndtr
 
 from tomolab.bases import SIGMA, _make_basis, build_basis, default_g_vectors
 from tomolab.errors import TomolabError
-from tomolab.hermitian import TOL_HERM, _eigenspaces, hs_inner
+from tomolab.hermitian import CLUSTER_TOL, TOL_HERM
 from tomolab.measurement import PROB_CLAMP, _active_mask
 from tomolab.rng import TRANSLATE, record_blocks
 from tomolab.states import DENSITY_TOL, DensityMatrix
@@ -287,12 +289,34 @@ def member_spectrum(mat, cluster_tol: float = 1e-9) -> tuple:
     return eigenvalues, projections
 
 
+def member_eigenspaces(evals: np.ndarray, evecs: np.ndarray) -> tuple:
+    """The clustering rule on one member's ascending ``eigh`` output, walked one
+    eigenvalue at a time: (distinct eigenvalues, eigenvector blocks), descending.
+
+    Eigenvalues within ``CLUSTER_TOL`` times max(spectral norm, 1) of the
+    first of their run are merged into one distinct eigenvalue, the mean of
+    the merged ones, whose block holds their orthonormal eigenvectors as columns.
+    """
+    gap = CLUSTER_TOL * float(np.max(np.abs(evals), initial=1.0))
+    distinct, blocks = [], []
+    start = 0
+    d = len(evals)
+    for i in range(1, d + 1):
+        if i == d or evals[i] - evals[start] > gap:
+            blocks.append(evecs[:, start:i])
+            distinct.append(float(np.mean(evals[start:i])))
+            start = i
+    order = np.argsort(distinct)[::-1]
+    return np.array([distinct[i] for i in order]), [blocks[i] for i in order]
+
+
 def spectral_tables_per_member(matrices) -> tuple:
     """(eigenvalues, projections, sizes) of a family built member by member:
-    ``eigh`` of one Hermitian member at a time, the clustering rule on its
-    output, each block's V V^dagger by its own matmul into the front-padded
-    tables; ``bases`` reproduces them bit for bit with one batched ``eigh``."""
-    spaces = [_eigenspaces(*np.linalg.eigh(m))
+    ``eigh`` of one Hermitian member at a time, :func:`member_eigenspaces` on
+    its output, each block's V V^dagger by its own matmul into the front-padded
+    tables; ``bases`` reproduces them bit for bit with one batched ``eigh``, one
+    walk over the eigenvalue columns and one product per run shape."""
+    spaces = [member_eigenspaces(*np.linalg.eigh(m))
               if np.max(np.abs(m - m.conj().T)) <= TOL_HERM else ((), ()) for m in matrices]
     sizes = np.array([len(lams) for lams, _ in spaces], dtype=np.int64)
     kappa = int(sizes.max())
@@ -304,6 +328,43 @@ def spectral_tables_per_member(matrices) -> tuple:
         for block, slot in zip(blocks, projections[j, kappa - len(lams):]):
             np.matmul(block, block.conj().T, out=slot)
     return eigenvalues, projections, sizes
+
+
+def family_members_per_member(kind: str, d: int, g_vectors=None) -> np.ndarray:
+    """The (d*d, d, d) members of a canonical, hermitian or gvector family built
+    one at a time, member (l1, l2) at row (l1 - 1) d + l2 - 1: canonical the
+    outer product of two unit vectors, the others from the matmul outer
+    products of the two axis columns; ``bases`` builds them all at once."""
+    eye = np.eye(d, dtype=complex)
+    axes = eye if g_vectors is None else np.asarray(g_vectors, dtype=float).astype(complex)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    mats = []
+    for l1, l2 in itertools.product(range(d), repeat=2):
+        u, v = axes[:, l1][:, None], axes[:, l2][:, None]
+        if kind == "canonical":
+            mats.append(np.outer(eye[:, l1], eye[:, l2]))
+        elif l1 == l2:
+            mats.append(u @ u.conj().T)
+        elif l1 < l2:
+            mats.append(inv_sqrt2 * (u @ v.conj().T + v @ u.conj().T))
+        else:
+            mats.append(1j * inv_sqrt2 * (u @ v.conj().T - v @ u.conj().T))
+    return np.stack(mats)
+
+
+def haar_vectors_per_column(d: int) -> np.ndarray:
+    """The Haar wavelet basis of R^d (d = 2^b) one column at a time: the constant
+    vector, then at each level each step wavelet divided by its own norm."""
+    cols = [np.full(d, 1.0 / np.sqrt(d))]
+    width = d // 2
+    while width:
+        for start in range(0, d, 2 * width):
+            v = np.zeros(d)
+            v[start:start + width] = 1.0
+            v[start + width:start + 2 * width] = -1.0
+            cols.append(v / np.linalg.norm(v))
+        width //= 2
+    return np.stack(cols, axis=1)
 
 
 def pauli_member_kron(j: int, b: int) -> np.ndarray:
@@ -450,6 +511,16 @@ def write_transfer_rows(sweep, path) -> None:
 def custom_basis(matrices):
     """Wrap an explicit matrix list; non-Hermitian members get no cells (masking only)."""
     return _make_basis(matrices, "custom")
+
+
+def hs_inner(a1: np.ndarray, a2: np.ndarray) -> complex:
+    """Hilbert-Schmidt inner product tr(a2^dagger a1) of one pair; the norms of
+    ``regression.estimator_transfer`` are hs_inner(b, b).real bit for bit."""
+    a1 = np.asarray(a1)
+    a2 = np.asarray(a2)
+    if a1.shape != a2.shape:
+        raise TomolabError(f"shapes {a1.shape} and {a2.shape} differ")
+    return complex(np.sum(a2.conj() * a1))
 
 
 def verify_orthogonal(basis) -> dict:

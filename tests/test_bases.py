@@ -1,9 +1,12 @@
 """Observable families: constructions, orthogonality, Pauli projection traces."""
 
+import re
+
 import numpy as np
 import pytest
 
-from oracles import custom_basis, member_spectrum, pauli_projection_traces, verify_orthogonal
+from oracles import (custom_basis, haar_vectors_per_column, member_spectrum,
+                     pauli_projection_traces, verify_orthogonal)
 from tomolab import bases, hermitian, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
@@ -126,6 +129,10 @@ class TestHaarWavelets:
         g = bases.haar_wavelet_vectors(4)
         np.testing.assert_allclose(g[:, 1], [0.5, 0.5, -0.5, -0.5])
 
+    @pytest.mark.parametrize("d", [2 ** b for b in range(1, 11)])
+    def test_matches_column_by_column_build(self, d):
+        assert bases.haar_wavelet_vectors(d).tobytes() == haar_vectors_per_column(d).tobytes()
+
     @pytest.mark.parametrize("d", [0, -4, 1, 3])
     def test_one_power_of_two_rule(self, d):
         # every construction on d = 2^b, b >= 1, rejects any other d the same way,
@@ -226,6 +233,22 @@ class TestMalformedMembers:
     ], ids=["empty", "non-hermitian-3x3", "hermitian-3x3", "non-square", "vector"])
     def test_custom_basis_rejects(self, mats):
         with pytest.raises(TomolabError, match="at least one member|every member must be square"):
+            custom_basis(mats)
+
+    _square = "; every member must be square, of member 0's size"
+
+    @pytest.mark.parametrize("mats, message", [
+        ([SIGMA[1], np.eye(3)], "member 1 has shape (3, 3)" + _square),
+        ([SIGMA[1], np.ones(2)], "member 1 has shape (2,)" + _square),
+        ([np.ones(4)], "member 0 has shape (4,)" + _square),
+        (np.ones((3, 2, 4)), "member 0 has shape (2, 4)" + _square),
+        ([np.eye(2), np.diag([1.0, np.nan])], "member 1 has a non-finite entry"),
+        (np.stack([np.eye(2), np.eye(2), np.diag([np.inf, 1.0])]), "member 2 has a non-finite entry"),
+        ([], "a basis needs at least one member"),
+    ], ids=["ragged", "one-d-member", "vector", "p-d-e-stack", "nan", "inf-in-stack", "empty"])
+    def test_each_check_names_the_member(self, mats, message):
+        # the checks run on the (p, d, d) table, with the member-by-member messages
+        with pytest.raises(TomolabError, match=f"^{re.escape(message)}$"):
             custom_basis(mats)
 
     def test_basis_file_with_no_members(self, tmp_path):

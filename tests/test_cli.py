@@ -720,6 +720,44 @@ m_grid = 16,64,256,1024
         assert cli.main(["run", "--config", cfg]) == 2
         assert not out.exists()
 
+    def test_mistyped_design_mode_exits_2(self, tmp_path):
+        # a mode other than fixed or random used to run as random, with no records at n = 0
+        out = tmp_path / "o"
+        path = write_cfg(tmp_path, SIM_CFG.replace("mode = fixed", "mode = rnadom")
+                         .replace("n = 4\n", "").format(out=out))
+        with pytest.raises(ConfigParseError, match=r"\[design\] mode must be fixed or random, "
+                                                   r"got 'rnadom'"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sources, named", [
+        ("class = low_rank\nr = 2\nmatrix_file = {rho}", "class and matrix_file"),
+        ("witness = cor2_line\nclass = low_rank\nr = 2", "witness and class"),
+        ("witness = cor2_line\nclass = low_rank\nmatrix_file = {rho}", "witness and class and matrix_file"),
+    ], ids=["class-file", "witness-class", "all-three"])
+    def test_two_state_sources_exit_2(self, tmp_path, sources, named):
+        # the README's [state] block says "pick one source"; none wins by precedence
+        hermitian.write_matrix(np.eye(2) / 2, tmp_path / "rho.txt")
+        out = tmp_path / "z"
+        text = f"""
+[basis]
+kind = pauli
+d = 2
+
+[state]
+{sources.format(rho=tmp_path / "rho.txt")}
+
+[run]
+task = zeta
+out = {out}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError, match=rf"^\[state\] sets {named}; pick one source$"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not out.exists()
+
     def test_zeta_reads_witnesses_only_from_its_section(self, tmp_path):
         text = """
 [basis]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import custom_basis, reconstruct, trace_product
+from oracles import custom_basis, hs_inner, member_eigenspaces, reconstruct, trace_product
 from tomolab import bases, hermitian, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
@@ -33,7 +33,7 @@ def spectrum(mat):
 
 def block_widths(mat):
     """Multiplicity of each distinct eigenvalue: the width of its eigenvector block."""
-    return [block.shape[1] for block in hermitian._eigenspaces(*np.linalg.eigh(mat))[1]]
+    return [block.shape[1] for block in member_eigenspaces(*np.linalg.eigh(mat))[1]]
 
 
 class TestSpectralDecompose:
@@ -144,18 +144,20 @@ class TestTensorProduct:
 
 
 class TestHSInner:
+    """The tests' Hilbert-Schmidt inner product, the reference for the transfer norms."""
+
     def test_identity(self):
-        assert hermitian.hs_inner(np.eye(5), np.eye(5)) == pytest.approx(5)
+        assert hs_inner(np.eye(5), np.eye(5)) == pytest.approx(5)
 
     def test_sigma1_sigma2_orthogonal(self):
-        assert hermitian.hs_inner(SIGMA[1], SIGMA[2]) == pytest.approx(0)
+        assert hs_inner(SIGMA[1], SIGMA[2]) == pytest.approx(0)
 
     def test_sigma1_norm(self):
-        assert hermitian.hs_inner(SIGMA[1], SIGMA[1]) == pytest.approx(2)
+        assert hs_inner(SIGMA[1], SIGMA[1]) == pytest.approx(2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(TomolabError, match="shapes .* differ"):
-            hermitian.hs_inner(np.eye(2), np.eye(3))
+            hs_inner(np.eye(2), np.eye(3))
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -163,11 +165,11 @@ class TestHSInner:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        lhs = hermitian.hs_inner(a, b)
-        rhs = hermitian.hs_inner(b, a)
+        lhs = hs_inner(a, b)
+        rhs = hs_inner(b, a)
         assert lhs == pytest.approx(np.conj(rhs))
-        assert hermitian.hs_inner(a, a).real > 0
-        assert abs(hermitian.hs_inner(a, a).imag) < 1e-9
+        assert hs_inner(a, a).real > 0
+        assert abs(hs_inner(a, a).imag) < 1e-9
 
     def test_trace_product_matches_full_product(self):
         rng = np.random.default_rng(11)

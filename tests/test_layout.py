@@ -7,16 +7,19 @@ of 1, 2 and 3 cells puts every padding width in one run: each producer
 returns tables of width kappa, K0 leaves the padding slots at exactly 0, K1
 on whole rows agrees with the per-record oracle fed each row's tail, and
 each CSV writer and reader round-trips the table.  The whole-table
-builders (Pauli members, one batched eigensolve per family, the fine factors)
-give the bytes of their member-by-member references.
+constructions (every family's members, one batched eigensolve per family cut
+into runs by one walk over its eigenvalue columns, the fine factors) give
+the bytes of their member-by-member references.
 """
 
 import numpy as np
 import pytest
 
-from oracles import (custom_basis, fine_factor, pauli_member_kron, record_tails,
-                     round_off_per_record, spectral_tables_per_member, trace_product)
+from oracles import (custom_basis, family_members_per_member, fine_factor, pauli_member_kron,
+                     record_tails, round_off_per_record, spectral_tables_per_member,
+                     trace_product)
 from tomolab import bases, equivalence as eq, hermitian, measurement, regression, states
+from tomolab.bases import SIGMA
 
 # the identity (1 cell), a rank-2 projection (2 cells) and a random Hermitian member (3 cells)
 _rng = np.random.default_rng(8)
@@ -110,20 +113,61 @@ def test_writers_and_readers_round_trip_the_table(tmp_path):
     np.testing.assert_array_equal(table, fine[1])
 
 
-@pytest.mark.parametrize("d", [2, 4, 8, 16])
-@pytest.mark.parametrize("kind", ["canonical", "hermitian", "pauli", "gvector"])
-def test_basis_tables_match_member_by_member_build(kind, d):
-    basis = bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
-    if kind == "pauli":
+def _built(kind, d):
+    return lambda: bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
+
+
+def _custom(*mats):
+    return lambda: custom_basis(list(mats))
+
+
+_tol = hermitian.CLUSTER_TOL
+_v = _rng.normal(size=(6, 6)) + 1j * _rng.normal(size=(6, 6))
+_u = np.linalg.qr(_v)[0]
+# every built-in family at d = 2..32, under the ids "kind-d", then custom families
+# that mix run shapes, chain the tolerance, interleave masking-only members,
+# mask every member (kappa 0) or hold 1 x 1 members
+FAMILIES = {f"{kind}-{d}": _built(kind, d) for kind in ("canonical", "hermitian", "pauli", "gvector")
+            for d in (2, 4, 8, 16, 32)}
+FAMILIES.update({
+    "hermitian-5": _built("hermitian", 5),
+    "mixed": lambda: MIXED,
+    "mixed4": lambda: MIXED4,
+    # 0.6 tol joins the run of 0, 1.2 tol is more than tol above that run's first eigenvalue
+    "chained-tolerance": _custom(np.diag([0.0, 0.6 * _tol, 1.2 * _tol, 1.0])),
+    "degenerate-6": _custom(*(_u @ np.diag(lam) @ _u.conj().T for lam in
+                              ([0, 0, 1, 1, 1, 2], [-2, -2, -2, -2, 0, 5], [1] * 6, [0, 1, 2, 3, 4, 5]))),
+    "non-hermitian-between": _custom(SIGMA[3], [[0, 1], [0, 0]], np.eye(2), [[1, 1j], [0, 2]],
+                                     SIGMA[1]),
+    "all-masking": _custom([[0, 1], [0, 0]], [[0, 0], [1, 0]]),
+    "d1": _custom([[2.0]], [[1j]], [[-0.5]]),
+})
+
+
+# cells per member where the rule's edge cases decide them
+CELLS = {"chained-tolerance": [3], "non-hermitian-between": [2, 0, 1, 0, 2],
+         "all-masking": [0, 0], "d1": [1, 0, 1]}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_basis_tables_match_member_by_member_build(family):
+    basis = FAMILIES[family]()
+    d = basis.dim
+    if basis.kind == "pauli":
         b = d.bit_length() - 1
         want = np.stack([pauli_member_kron(j, b) for j in range(d * d)])
         assert basis.matrices.tobytes() == want.tobytes()
         assert basis.labels == tuple(tuple(j // 4 ** t % 4 for t in range(b - 1, -1, -1))
                                      for j in range(d * d))
+    elif basis.kind != "custom":
+        want = family_members_per_member(basis.kind, d, basis.g_vectors)
+        assert basis.matrices.tobytes() == want.tobytes()
     eigenvalues, projections, sizes = spectral_tables_per_member(basis.matrices)
     assert basis.eigenvalues.tobytes() == eigenvalues.tobytes()
     assert basis.projections.tobytes() == projections.tobytes()
     assert basis.sizes.tobytes() == sizes.tobytes()
+    if family in CELLS:
+        assert basis.sizes.tolist() == CELLS[family]
 
 
 # 4 cells each; on diag(1/2, 0, 1/2, 0) the second and third members have

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import coarse_moments_per_member, custom_basis
+from oracles import coarse_moments_per_member, custom_basis, hs_inner
 from test_measurement import LAW_FAMILIES
 from tomolab import bases, diagnostics, equivalence, hermitian, measurement, regression, states
 
@@ -381,3 +381,26 @@ def test_fine_factors_at_twice_the_active_tolerance():
         cells = np.flatnonzero(row)[:-1]
         cov = (np.diag(row[cells]) - np.outer(row[cells], row[cells])) / m
         np.testing.assert_allclose((factor @ factor.T)[np.ix_(cells, cells)], cov, rtol=1e-6)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind, d", [(kind, d) for kind in ("hermitian", "pauli", "gvector")
+                                     for d in (2, 3, 4, 8, 16) if kind != "pauli" or d != 3])
+def test_transfer_norms_match_per_member_hs_inner(kind, d, monkeypatch):
+    basis = bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
+    seen = []
+
+    class Mean:  # the coefficient means; estimator_transfer divides them by the norms
+        def __truediv__(self, norms):
+            seen.append(norms)
+            raise _Stop
+
+    monkeypatch.setattr(regression, "_coarse_moments",
+                        lambda rho, basis, theta: (Mean(), np.zeros(basis.size)))
+    with pytest.raises(_Stop):
+        regression.estimator_transfer(interior_state(d), basis, 16, seed=1, replications=2)
+    want = np.array([hs_inner(b, b).real for b in basis.matrices])
+    assert seen[0].tobytes() == want.tobytes()
