@@ -252,7 +252,7 @@ def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     slot = kappa - np.cumsum(starts, axis=1)[starts]
     shape = first * (d + 1) + np.diff(flat, append=starts.size)  # (first, width) as one key
     step = max(1, _CHUNK // (d * d))  # products per chunk, so the temporaries stay small
-    for key in np.unique(shape):
+    for key in np.flatnonzero(np.bincount(shape)):  # the distinct keys, ascending
         pick = np.flatnonzero(shape == key)
         h, (lo, width) = member[pick], divmod(int(key), d + 1)
         eigenvalues[rows[h], slot[pick]] = evals[h, lo:lo + width].mean(axis=1)

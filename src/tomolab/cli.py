@@ -21,7 +21,6 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
@@ -161,6 +160,13 @@ def load_config(path) -> ExperimentConfig:
     sources = [key for key in ("witness", "class", "matrix_file") if parser.has_option("state", key)]
     if len(sources) > 1:
         raise ConfigParseError(f"[state] sets {' and '.join(sources)}; pick one source")
+    # keys that only a state class or a random design reads would otherwise go unused
+    for section, keys, read, needed in (
+            ("state", ("s", "r", "gamma"), cfg.state_class is not None, "[state] class"),
+            ("design", ("pi", "xi"), cfg.design_mode == "random", "[design] mode = random")):
+        unused = [key for key in keys if getattr(cfg, key) is not None]
+        if unused and not read:
+            raise ConfigParseError(f"[{section}] {', '.join(unused)}: read only with {needed}")
 
     if "TOMOLAB_SEED" in os.environ:
         try:
@@ -303,9 +309,13 @@ def _task_translate(cfg, path):
 def _grid(cfg, point):
     """``point(i, theta, m)`` at each grid point i, theta first and then m; the results in order."""
     thetas, ms = zip(*product(cfg.thetas, cfg.m_grid))
-    # one thread maps in the calling thread: a pool worker allocates from its own malloc arena
+    # one thread maps in the calling thread: a pool worker allocates from its own malloc
+    # arena, and a run without a pool need not import one
+    if cfg.threads == 1:
+        return list(map(point, range(len(ms)), thetas, ms))
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list((pool.map if cfg.threads > 1 else map)(point, range(len(ms)), thetas, ms))
+        return list(pool.map(point, range(len(ms)), thetas, ms))
 
 
 def _task_distances(cfg, path):

@@ -73,9 +73,9 @@ class DistanceEstimate:
 # Cellwise Gauss-Legendre for the Hellinger integral.  One pass over the
 # window W, the cells meeting the Mahalanobis ellipsoid of radius R = WINDOW,
 # gives the affinity at ORDER and at COMPARE_ORDER (the order term of the error
-# bar, an estimate).  Each flat run of CHUNK_CELLS box cells holds a (kept
-# cells x nodes) exponent matrix; 2048 and 4096 gave the least peak memory at
-# the 4-cell benchmark.
+# bar, an estimate).  Each flat run of CHUNK_CELLS box cells writes its (kept
+# cells x nodes) exponents into a buffer that every run reuses; 4096 gave the
+# least peak memory at the 4-cell benchmark, 2048 nearly as little.
 ORDER, COMPARE_ORDER, WINDOW, CHUNK_CELLS = 5, 3, 8.0, 4096
 
 
@@ -150,7 +150,7 @@ def _perturb(table, sizes, m: int, rng) -> None:
     heads = np.maximum(sizes - 1, 0)
     psi = rng.uniform(-0.5, 0.5, size=heads.sum())
     first = np.cumsum(heads) - heads  # each row's first uniform
-    for k in np.unique(heads[heads > 0]).tolist():
+    for k in np.flatnonzero(np.bincount(heads[heads > 0])).tolist():
         rows, head = np.flatnonzero(heads == k)[:, None], np.arange(-1 - k, -1)
         table[rows, head] += psi[first[rows] + np.arange(k)]
         # a (rows, k) block summed along its rows adds each row as a 1-D sum would
@@ -245,10 +245,19 @@ def _active_law(m: int, theta: np.ndarray, kind: str, method: str) -> tuple:
 # --- Hellinger quadrature --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order: int) -> tuple:
+    """(nodes, weights) of the ``order``-point Gauss-Legendre rule on [-1, 1],
+    read-only: ``legendre.leggauss`` once per order."""
+    x, w = legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _cell_node_tensors(order: int, prec: np.ndarray) -> np.ndarray:
     """The (dim + 2) x nodes table of the tensor Gauss-Legendre nodes o on the
     unit cell: rows -o/2, then 1, then log w_o - o'Po/4."""
-    x, w = legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     idx = np.indices((order,) * len(prec)).reshape(len(prec), -1)
     offsets = x[idx] / 2.0
     log_w = np.log(w / 2.0)[idx].sum(axis=0)
@@ -268,7 +277,10 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     axis where q <= q_max, one cell to spare on each side, and the exact test
     q(c) <= q_max decides.  The runs are flat and still counted in box cells,
     ``chunk_cells`` each; a run's centres are its rows' intervals clipped to it
-    (a run may hold no cell of W).
+    (a run may hold no cell of W), each the row's leading coordinates, computed
+    once per call, and a last-axis offset.  A run's kept cells are written once,
+    into a rows buffer and one exponent buffer per order that every run of the
+    call reuses; only the pmf's input is a fresh array per run.
     BC_W = sum_W sqrt(f_c) S1(c), S1 = sum_o w_o sqrt g(c + o), and each node
     term is the exp of its exact log, the rows (v, log_norm / 2 - q(c) / 4, 1),
     v = P(c - mu), times the node table: log_norm / 2 + log w_o - (c + o -
@@ -290,10 +302,11 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     q_max = (window + 0.5 * math.sqrt(dim * np.linalg.eigvalsh(prec)[-1])) ** 2
     tables = [_cell_node_tensors(order, prec) for order in orders]
     size, length = math.prod(shape), shape[-1]
-    # on a row (axes 0..r-3 fixed at mu + y) q is p (x - mid)^2 + const in the
-    # last axis' index x, so its centres with q <= q_max lie within `half` of mid;
-    # the discriminant is clamped at 0, so a row E misses keeps a few cells
-    y = low[:-1] + np.indices(shape[:-1]).reshape(dim - 1, size // length).T - mu[:-1]
+    # on a row (axes 0..r-3 fixed at lead = mu + y) q is p (x - mid)^2 + const in
+    # the last axis' index x, so its centres with q <= q_max lie within `half` of
+    # mid; the discriminant is clamped at 0, so a row E misses keeps a few cells
+    lead = low[:-1] + np.indices(shape[:-1]).reshape(dim - 1, size // length).T
+    y, rest = lead - mu[:-1], m - lead.sum(axis=1)  # rest: m less the row's leading counts
     p, b = prec[-1, -1], y @ prec[:-1, -1]
     gap = np.einsum("nd,de,ne->n", y, prec[:-1, :-1], y) - q_max
     half = np.sqrt(np.maximum(b * b - p * gap, 0.0)) / p
@@ -302,29 +315,38 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     first, stop = np.arange(len(mid)) * length + x.astype(np.int64)  # flat, per row
     starts = range(0, size, chunk_cells)
     totals, mass, n_max = [0.0] * len(orders), 0.0, 0
+    # the kept cells' rows (v, log_norm / 2 - q / 4, 1) and each order's exponents,
+    # written in place chunk after chunk; the column of ones is written once
+    cell_rows = np.empty((chunk_cells, dim + 2))
+    cell_rows[:, -1] = 1.0
+    exps = [np.empty((chunk_cells, table.shape[1])) for table in tables]
     for start in starts:
         end = min(start + chunk_cells, size)
-        span = slice(start // length, (end - 1) // length + 1)  # the rows the run meets
-        lo = np.clip(first[span], start, end)
-        n = np.clip(stop[span], start, end) - lo
+        rows = np.arange(start // length, (end - 1) // length + 1)  # the rows the run meets
+        lo = np.clip(first[rows], start, end)
+        n = np.clip(stop[rows], start, end) - lo
         if not n.any():
             continue
-        flat = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-        centers = low + np.stack(np.unravel_index(flat, shape), axis=-1)
-        diff = centers - mu
+        row = np.repeat(rows, n)  # each walked cell's row, and its last-axis centre
+        last = low[-1] + np.arange(n.sum()) + np.repeat(lo - rows * length - np.cumsum(n) + n, n)
+        diff = np.empty((len(row), dim))
+        diff[:, :-1] = y[row]
+        diff[:, -1] = last - mu[-1]
         v = diff @ prec
         q = np.einsum("nd,nd->n", diff, v)
-        keep = q <= q_max
-        centers, v, q = centers[keep], v[keep], q[keep]
-        full = np.concatenate([centers, m - centers.sum(axis=-1, keepdims=True)], axis=-1)
+        keep = np.flatnonzero(q <= q_max)
+        k, row, last = len(keep), row[keep], last[keep]
+        full = np.empty((k, dim + 1))  # fresh per run: the pmf may keep a reference to it
+        full[:, :-2], full[:, -2], full[:, -1] = lead[row], last, rest[row] - last
         f = multinomial_pmf(full, m, theta)
         sqrt_f = np.sqrt(f)
-        rows = np.column_stack([v, 0.5 * log_norm - 0.25 * q, np.ones_like(q)])
+        np.take(v, keep, axis=0, out=cell_rows[:k, :-2], mode="clip")  # "raise" would buffer
+        cell_rows[:k, -2] = 0.5 * log_norm - 0.25 * q[keep]
         for i, table in enumerate(tables):
-            e = rows @ table
+            e = np.matmul(cell_rows[:k], table, out=exps[i][:k])
             np.exp(e, out=e)
             totals[i] += float(np.sum(sqrt_f @ e))
-        mass, n_max = mass + np.sum(f), max(n_max, len(f))
+        mass, n_max = mass + np.sum(f), max(n_max, k)
     rel = EPS * (8.0 * (abs(log_norm) + q_max + dim * max(orders))
                  + n_max + max(orders) ** dim + len(starts))
     return totals, mass, rel

@@ -31,7 +31,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # np.unique imports it on its first call (numpy 2.x)
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError
@@ -74,7 +73,7 @@ def cell_probabilities(rho, basis: ObservableBasis) -> np.ndarray:
     if escaped.size:
         raise ValueError(f"cell probabilities escape [0,1]: {escaped}")
     theta = np.clip(theta, 0.0, 1.0)
-    for r in np.unique(basis.sizes[basis.sizes > 0]).tolist():
+    for r in np.flatnonzero(np.bincount(basis.sizes[basis.sizes > 0])).tolist():
         rows = np.flatnonzero(basis.sizes == r)
         # a (members, r) block summed along its rows adds each row as that member's
         # 1-D sum would; a zero-padded row sum does not, from r = 3
@@ -187,7 +186,7 @@ def _record_blocks(basis: ObservableBasis, indices, table, row, *tail):
     the k-th entry of each of ``tail``."""
     kappa = basis.kappa
     sizes = basis.sizes[indices]
-    templates = {r: row(r) for r in np.unique(sizes).tolist()}
+    templates = {r: row(r) for r in np.flatnonzero(np.bincount(sizes)).tolist()}
     for lo in range(0, len(indices), BLOCK):
         hi = min(lo + BLOCK, len(indices))
         block = _objects([np.arange(lo, hi), indices[lo:hi], table[lo:hi],

@@ -96,7 +96,7 @@ def _fine_factors(theta: np.ndarray, m: int) -> np.ndarray:
     factors = np.zeros((p, kappa, kappa - 1))
     active = _active_mask(theta)
     counts = active.sum(axis=1)
-    for q in np.unique(counts[counts >= 2]).tolist():
+    for q in np.flatnonzero(np.bincount(counts[counts >= 2])).tolist():
         rows = np.flatnonzero(counts == q)
         cols = np.nonzero(active[rows])[1].reshape(-1, q)
         th = theta[rows[:, None], cols[:, :-1], None]  # all but the last active cell

@@ -758,6 +758,55 @@ out = {out}
         assert cli.main(["run", "--config", path]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("state, named", [
+        ("r = 2", "r"), ("s = 1", "s"), ("gamma = 1\nr = 2", "r, gamma")])
+    def test_class_keys_without_class_exit_2(self, tmp_path, state, named):
+        # used to exit 0 on the maximally mixed state, the keys dropped without a word
+        out = tmp_path / "z"
+        text = f"""
+[basis]
+kind = pauli
+d = 2
+
+[state]
+{state}
+
+[run]
+task = zeta
+out = {out}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError,
+                           match=rf"^\[state\] {named}: read only with \[state\] class$"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("design, named", [
+        ("pi = 0.25,0.25,0.25,0.25", "pi"), ("mode = fixed\nxi = 0.1,0.2,0.3,0.4", "xi"),
+        ("pi = 0.25,0.25,0.25,0.25\nxi = 0.1,0.2,0.3,0.4", "pi, xi")])
+    def test_design_weights_under_fixed_mode_exit_2(self, tmp_path, design, named):
+        # used to exit 0 with the weights unused; fixed is the default mode
+        out = tmp_path / "z"
+        text = f"""
+[basis]
+kind = pauli
+d = 2
+
+[design]
+{design}
+
+[run]
+task = zeta
+out = {out}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError,
+                           match=rf"^\[design\] {named}: read only with \[design\] mode = random$"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not out.exists()
+
     def test_zeta_reads_witnesses_only_from_its_section(self, tmp_path):
         text = """
 [basis]

@@ -37,6 +37,13 @@ WINDOW_HEX = {
                                  "0x1.ffffffffc6463p-1", "0x1.00873b9f80396p-40"),
     (16, (0.3, 0.3, 0.3999, 1e-4)): ("0x1.fd9ef1e03a7d2p-2", "0x1.d593eae638abdp-1",
                                      "0x1.ffffd7c5b1cb1p-1", "0x1.0cc24e7da648fp-38"),
+    # many runs of many rows each, on 1-, 2- and 3-D lattices
+    (4096, (0.2, 0.3, 0.5)): ("0x1.fff9a9daed07bp-1", "0x1.fff9a9daed086p-1",
+                              "0x1.fffffffffd3e0p-1", "0x1.2194f3db2ee35p-40"),
+    (4096, (0.3, 0.7)): ("0x1.fffde76f1df10p-1", "0x1.fffde76f1df12p-1",
+                         "0x1.fffffffffc950p-1", "0x1.0a242089d9326p-42"),
+    (256, (0.1, 0.2, 0.3, 0.4)): ("0x1.fefdef313e763p-1", "0x1.fefdef31657b5p-1",
+                                  "0x1.fffffffffab24p-1", "0x1.29b6e7ca0a0d0p-40"),
 }
 # 2- and 3-cell points of the distances-4cell and scaling-lowdim benchmark grids
 BENCH_POINTS = [(theta, m) for theta in ([0.5, 0.5], [0.3, 0.7], [0.2, 0.3, 0.5])
@@ -470,6 +477,13 @@ class TestHellinger:
     def test_window_outputs_are_pinned(self, m, theta):
         (bc, bc_cmp), mass, rel = eq._affinity_window(m, np.array(theta), (5, 3), 8.0, 4096)
         assert tuple(float(x).hex() for x in (bc, bc_cmp, mass, rel)) == WINDOW_HEX[m, theta]
+
+    @pytest.mark.parametrize("order", [1, 3, 5, 12])
+    def test_gauss_legendre_is_leggauss_read_only(self, order):
+        got, want = eq._gauss_legendre(order), np.polynomial.legendre.leggauss(order)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert not any(a.flags.writeable for a in got)
+        assert eq._gauss_legendre(order) is got
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("chunk_cells", [1, 7])

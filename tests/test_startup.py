@@ -3,8 +3,11 @@
 ``src/`` reads scipy only for the manifest's version string, so importing
 ``tomolab.cli`` loads no ``scipy.special`` (0.29 s of a 0.40 s import, with
 ``numpy.f2py``).  The numpy subpackages a run uses (``numpy.random``,
-``numpy.ma``, ``numpy.polynomial``) are imported with the modules that use
-them, so a run itself first-imports no numpy or scipy module.
+``numpy.polynomial``) are imported with the modules that use them, so a run
+itself first-imports no numpy or scipy module.  No run loads ``numpy.ma``
+(``np.unique`` would import it; the distinct small counts come from
+``np.bincount``), and a one-thread run maps its grid without importing
+``concurrent.futures``.
 """
 
 import ast
@@ -63,6 +66,27 @@ print(json.dumps({{"rc": rc, "new": new, "scipy": "scipy" in sys.modules}}))
     assert got["new"] == []
     # bench/worker.py reads sys.modules["scipy"].__version__ after every run
     assert got["scipy"]
+
+
+def test_import_and_one_thread_runs_load_no_numpy_ma_or_thread_pool(tmp_path):
+    configs = []
+    for task in cli.TASKS:
+        text = GOLDEN_CFG.format(task=task, out=tmp_path / task) + TASK_SECTIONS
+        configs.append(str(write_cfg(tmp_path, text, f"{task}.cfg")))
+    got = _fresh(f"""
+import contextlib, io
+from tomolab import cli
+unwanted = ("numpy.ma", "concurrent.futures")
+seen = {{"import": [m for m in unwanted if m in sys.modules]}}
+for config in {configs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["run", "--config", config, "--threads", "1"])
+    seen[config] = [rc] + [m for m in unwanted if m in sys.modules]
+print(json.dumps(seen))
+""")
+    assert got.pop("import") == []
+    assert got == {config: [1 if config.endswith("corollaries.cfg") else 0]
+                   for config in configs}
 
 
 def test_src_imports_scipy_only_for_the_manifest_version():
