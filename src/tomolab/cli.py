@@ -21,7 +21,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -320,20 +320,16 @@ def _grid(cfg, point):
 
 def _task_distances(cfg, path):
     def one(i, theta, m):
-        return (theta, m, equivalence.hellinger_perturbed_vs_gaussian(m, theta),
-                equivalence.tv_perturbed_vs_gaussian(m, theta, cfg.tv_samples, cfg.seed, i))
-
-    rows, estimates = [], []
-    for theta, m, hel, tv in _grid(cfg, one):
+        row = {**equivalence.hellinger_perturbed_vs_gaussian(m, theta),
+               **equivalence.tv_perturbed_vs_gaussian(m, theta, cfg.tv_samples, cfg.seed, i)}
         # a bar of sqrt(2) spans every admissible H, so no TV can fail against it
-        ok = (hel.error_bar < equivalence.H_MAX
-              and tv.value <= hel.value + hel.error_bar + tv.error_bar)
-        rows.append({"theta": theta, "m": m, "hellinger": hel.value,
-                     "hellinger_err": hel.error_bar, "tv": tv.value,
-                     "tv_err": tv.error_bar, "tv_le_hellinger": bool(ok)})
-        estimates.extend([asdict(hel), asdict(tv)])
+        bar = row["hellinger_err"]
+        row["tv_le_hellinger"] = bool(bar < equivalence.H_MAX
+                                      and row["tv"] <= row["hellinger"] + bar + row["tv_err"])
+        return row
+
+    rows = _grid(cfg, one)
     diagnostics.write_report_json({"grid": rows}, path("distances.json"))
-    diagnostics.write_report_json(estimates, path("distance_fixtures.json"))
     return [{"name": "tv-below-hellinger", "anchor": "tv-hellinger-inequality",
              "passed": all(row["tv_le_hellinger"] for row in rows)}]
 
@@ -389,11 +385,11 @@ def _task_transfer(cfg, path):
 
 
 def _task_scaling(cfg, path):
-    estimates = _grid(cfg, lambda i, theta, m: equivalence.hellinger_perturbed_vs_gaussian(m, theta))
+    rows = _grid(cfg, lambda i, theta, m: equivalence.hellinger_perturbed_vs_gaussian(m, theta))
     k = len(cfg.m_grid)
     ok_all = True
     for i, theta in enumerate(cfg.thetas):
-        report = equivalence.scaling_report(theta, cfg.m_grid, estimates[i * k:(i + 1) * k])
+        report = equivalence.scaling_report(theta, cfg.m_grid, rows[i * k:(i + 1) * k])
         equivalence.write_scaling_csv(report, path(f"scaling_{i}.csv"))
         diagnostics.write_report_json(report, path(f"scaling_{i}.json"))
         ok_all &= report["passed"]

@@ -12,12 +12,15 @@ The perturbed counts have a piecewise-constant joint density on unit cells:
 the multinomial pmf of the cell.  Each distance to the moment-matched
 multivariate normal on the first r-1 coordinates (the last is the same
 deterministic function of the rest under both laws, so the marginal distance
-equals the joint one) has one function: ``hellinger_perturbed_vs_gaussian``,
+equals the joint one) has one function, and each returns its part of the
+``distances.json`` row as a plain dict: ``hellinger_perturbed_vs_gaussian``,
 from the Bhattacharyya affinity by per-cell Gauss-Legendre quadrature over the
-cells that meet the normal's Mahalanobis ellipsoid, with an error budget and a
-vacuous bar for an impossible affinity above 1; and ``tv_perturbed_vs_gaussian``,
-total variation by Monte Carlo with a CLT error bar.  ``scaling_report`` fits
-the log-log slope of Hellinger estimates against the number of repetitions m.
+cells that meet the normal's Mahalanobis ellipsoid, the keys theta, m,
+hellinger, hellinger_err and the error budget, with a vacuous bar for an
+impossible affinity above 1; and ``tv_perturbed_vs_gaussian``, total variation
+by Monte Carlo, the keys tv and tv_err, a CLT half-width.  ``scaling_report``
+fits the log-log slope of the Hellinger rows' distances against the number of
+repetitions m.
 The product rule for squared Hellinger distances over independent records and
 the paper's two-stage total variation bound are here too; no task calls them,
 and ``diagnostics.deficiency_bound`` takes n, m, gamma, zeta and C, not them.
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -37,7 +39,6 @@ from .measurement import TomographyDataset, _active_mask, _blocks, _write_table
 from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
-    "DistanceEstimate",
     "round_half_away",
     "multinomial_pmf",
     "kernel_K0",
@@ -59,15 +60,6 @@ MAX_QUAD_M = 4096
 MAX_QUAD_CELLS = 4
 H_MAX = math.sqrt(2.0)  # the Hellinger distance never exceeds sqrt(2)
 EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class DistanceEstimate:
-    value: float
-    kind: str                 # "hellinger" | "tv"
-    method: str               # "quadrature" | "monte_carlo"
-    error_bar: float
-    params: dict = field(default_factory=dict)
 
 
 # Cellwise Gauss-Legendre for the Hellinger integral.  One pass over the
@@ -232,14 +224,11 @@ def _gaussian_density(m: int, theta, x) -> np.ndarray:
     return np.exp(log_norm - 0.5 * np.einsum("nd,de,ne->n", diff, prec, diff))
 
 
-def _active_law(m: int, theta: np.ndarray, kind: str, method: str) -> tuple:
-    """(the law of theta's active cells, renormalised; None), or (None, the zero
-    estimate) when fewer than two cells are active and the record is deterministic."""
+def _active_law(theta: np.ndarray) -> np.ndarray | None:
+    """The law of theta's active cells, renormalised, or None when fewer than two
+    cells are active and the record is deterministic."""
     sub = theta[_active_mask(theta)]
-    if len(sub) <= 1:
-        return None, DistanceEstimate(value=0.0, kind=kind, method=method, error_bar=0.0,
-                                      params={"m": m, "theta": theta.tolist()})
-    return sub / sub.sum(), None
+    return sub / sub.sum() if len(sub) > 1 else None
 
 
 # --- Hellinger quadrature --------------------------------------------------------
@@ -364,32 +353,36 @@ def _chi2_tail(dim: int, x: float) -> float:
     raise ValueError(f"no closed-form chi-square tail for {dim} degrees of freedom")
 
 
-def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
-    """Hellinger distance between perturbed counts and the matched normal law.
+def hellinger_perturbed_vs_gaussian(m: int, theta) -> dict:
+    """Hellinger distance between perturbed counts and the matched normal law,
+    as the row {theta, m, hellinger, hellinger_err, order_term, tail_p, tail_q,
+    truncation, rounding}; every field after m is exactly 0.0 when fewer than
+    two cells are active and the record is deterministic.
 
     f is constant on unit cells and both laws have mass 1, so H^2 = 2 - 2 BC,
     BC = sum_c sqrt(f_c) (integral of sqrt g over cell c); one pass over the
-    window W gives BC_W at both orders (``_affinity_window``).  ``params`` hold
-    the error budget: ``order_term`` |H(order) - H(compare_order)|, an
-    estimate; bounds ``tail_p`` (1 - sum_W f)_+ + a on the P mass outside W,
+    window W gives BC_W at both orders (``_affinity_window``).  The last five
+    fields are the error budget: ``order_term`` |H(order) - H(compare_order)|,
+    an estimate; bounds ``tail_p`` (1 - sum_W f)_+ + a on the P mass outside W,
     a = 8 eps (log m! + m max_a(-log theta_a)) bounding the terms each log f
     sums, log m! from the log-factorial table, and ``tail_q`` the chi-square
     tail P(chi^2_{r-1} > R^2) (``_chi2_tail``) on the Q mass outside W, which
     covers E(R); ``truncation`` 2 sqrt(tail_p tail_q), a bound
     on H_W^2 - H^2 >= 0 by Cauchy-Schwarz; and ``rounding`` 2 (a / 2 + rel) BC_W
     + 2 eps, an allowance for the cancellation in H_W^2 = 2 - 2 BC_W.  The
-    error bar is ``order_term`` plus H_W - sqrt(H_W^2 - truncation - rounding),
-    which by concavity also covers H_W^2 + rounding.  Fixed-order nodes give an
-    impossible affinity above 1 when the normal is far narrower than a cell;
-    then H is sqrt(2) with the vacuous bar sqrt(2).  ValueError unless
-    ``theta`` is a probability vector.
+    error bar ``hellinger_err`` is ``order_term`` plus H_W - sqrt(H_W^2 -
+    truncation - rounding), which by concavity also covers H_W^2 + rounding.
+    Fixed-order nodes give an impossible affinity above 1 when the normal is far
+    narrower than a cell; then H is sqrt(2) with the vacuous bar sqrt(2).
+    ValueError unless ``theta`` is a probability vector.
     """
     theta = _checked_theta(theta)
     if m < 1 or m > MAX_QUAD_M:
         raise ValueError(f"m must be in [1, {MAX_QUAD_M}]")
-    sub, zero = _active_law(m, theta, "hellinger", "quadrature")
-    if zero is not None:
-        return zero
+    sub, row = _active_law(theta), {"theta": theta.tolist(), "m": m}
+    if sub is None:
+        return {**row, **dict.fromkeys(("hellinger", "hellinger_err", "order_term", "tail_p",
+                                        "tail_q", "truncation", "rounding"), 0.0)}
     r = len(sub)
     if r > MAX_QUAD_CELLS:
         raise TomolabError(f"quadrature supports up to {MAX_QUAD_CELLS} cells, got {r}")
@@ -406,8 +399,7 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> DistanceEstimate:
     err = budget["order_term"] + value - low
     if max(bc, bc_cmp) > 1.0:
         value = err = H_MAX
-    return DistanceEstimate(value=value, kind="hellinger", method="quadrature", error_bar=err,
-                            params={"m": m, "theta": theta.tolist(), "order": ORDER, **budget})
+    return {**row, "hellinger": value, "hellinger_err": err, **budget}
 
 
 def product_hellinger_bound(h_squares) -> float:
@@ -428,10 +420,11 @@ def product_hellinger_bound(h_squares) -> float:
 
 
 def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
-                             point: int = 0) -> DistanceEstimate:
+                             point: int = 0) -> dict:
     """TV(P, Q) = E_P[max(0, 1 - g/f)] between the perturbed count law P and
-    the matched normal Q on the first r-1 coordinates, by Monte Carlo with a
-    95% CLT half-width.
+    the matched normal Q on the first r-1 coordinates, by Monte Carlo, as the
+    row {tv, tv_err}, tv_err a 95% CLT half-width; both exactly 0.0 when fewer
+    than two cells are active.
 
     Draws from substream (seed, ``TV``, point), one stream per grid point: the
     counts U, then the K0 uniforms psi.  The point x = U_head + psi rounds back
@@ -442,9 +435,9 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
         raise ValueError(f"m must be at least 1, got {m}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    sub, zero = _active_law(m, theta, "tv", "monte_carlo")
-    if zero is not None:
-        return zero
+    sub = _active_law(theta)
+    if sub is None:
+        return {"tv": 0.0, "tv_err": 0.0}
     rng = substream(seed, TV, point)
     counts = rng.multinomial(m, sub, size=n_samples)
     x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n_samples, len(sub) - 1))
@@ -453,9 +446,7 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
         raise TomolabError("sampling density vanished at a drawn point")
     vals = np.maximum(0.0, 1.0 - _gaussian_density(m, sub, x) / f)
     half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(n_samples)
-    return DistanceEstimate(value=float(vals.mean()), kind="tv", method="monte_carlo",
-                            error_bar=half,
-                            params={"m": m, "theta": theta.tolist(), "n_samples": n_samples})
+    return {"tv": float(vals.mean()), "tv_err": half}
 
 
 def conditional_tv_bound(marginal_gap: float, weighted_tvs) -> float:
@@ -473,8 +464,8 @@ def conditional_tv_bound(marginal_gap: float, weighted_tvs) -> float:
 # --- scaling study ------------------------------------------------------------------
 
 
-def scaling_report(theta, m_grid, estimates) -> dict:
-    """The ``scaling_i.json`` payload of one theta's Hellinger ``estimates`` on ``m_grid``:
+def scaling_report(theta, m_grid, rows) -> dict:
+    """The ``scaling_i.json`` payload of one theta's Hellinger ``rows`` on ``m_grid``:
     the log-log slope against m, and whether it lies in ``SLOPE_BAND`` with no vacuous
     bar (one of sqrt(2) spans every admissible H).  ValueError unless the grid has
     ``MIN_SCALING_POINTS`` distinct m, one estimate per m in grid order, all positive
@@ -482,16 +473,15 @@ def scaling_report(theta, m_grid, estimates) -> dict:
     m_grid = [int(m) for m in m_grid]
     if len(set(m_grid)) < MIN_SCALING_POINTS:
         raise ValueError(f"scaling study needs at least {MIN_SCALING_POINTS} distinct m values")
-    if [e.params["m"] for e in estimates] != m_grid:
+    if [row["m"] for row in rows] != m_grid:
         raise ValueError(f"scaling study needs one estimate per m of {m_grid}, in grid order")
-    values = [e.value for e in estimates]
+    values, bars = [row["hellinger"] for row in rows], [row["hellinger_err"] for row in rows]
     if not all(v > 0 for v in values):
         raise ValueError(f"scaling study needs positive distances, got {values} at theta = {theta}")
     slope = float(np.polyfit(np.log(m_grid), np.log(values), 1)[0])
     return {"theta": list(np.asarray(theta, dtype=float)), "m_grid": m_grid, "values": values,
-            "error_bars": [e.error_bar for e in estimates], "slope": slope, "band": SLOPE_BAND,
-            "passed": max(e.error_bar for e in estimates) < H_MAX
-            and SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]}
+            "error_bars": bars, "slope": slope, "band": SLOPE_BAND,
+            "passed": max(bars) < H_MAX and SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]}
 
 
 def write_scaling_csv(report: dict, path) -> None:

@@ -256,7 +256,7 @@ def test_criterion_08_tv_below_hellinger():
         for m in M_GRID:
             hel = eq.hellinger_perturbed_vs_gaussian(m, theta)
             tv = eq.tv_perturbed_vs_gaussian(m, theta, 100_000, seed=SEED)
-            margin = tv.value - hel.value - hel.error_bar - tv.error_bar
+            margin = tv["tv"] - hel["hellinger"] - hel["hellinger_err"] - tv["tv_err"]
             worst_margin = max(worst_margin, margin)
             ok &= margin <= 0
     _report(8, "Monte-Carlo TV below quadrature Hellinger plus error bars", ok,

@@ -94,10 +94,10 @@ samples = 4
 
 # sha256 of each artifact of those five tasks; a refactor must keep them.  The
 # quadrature artifacts follow the Hellinger affinity over the ellipsoidal window,
-# its error budget, the log-factorial table and the closed-form chi-square tails.
+# its error budget (fields of each distances.json row), the log-factorial table and the
+# closed-form chi-square tails.
 TASK_SHA256 = {
-    "distances.json": "95e5d4a84706703f07189f8e9e525b6ff0588c780520421ae91c14f72990728a",
-    "distance_fixtures.json": "cd159c8a232a95d3dbf3f09376be76a3fd3fc8edc225cd4b73ac4229ad7ca741",
+    "distances.json": "ef935ffbbfc8437474b68376c0487cb345b3551be4e577180f8706d810f6188e",
     "scaling_0.csv": "253c90286d85a1b99a991f4e234d8c7aa0902d6d5314c1331830bcbe0fc49511",
     "scaling_0.json": "cea7c53b9ab53c65170c5cae058aad28cabbfe712a3b3e9f5442addd5438b7a9",
     "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
@@ -940,6 +940,32 @@ tv_samples = 2000
         assert first["hellinger"] == second["hellinger"]
         assert first["tv"] != second["tv"]
 
+    def test_distance_rows_share_one_shape(self, tmp_path):
+        # a deterministic point (one active cell) writes the same fields as a
+        # 2-cell point, its distances and budget exact zeros, and the run
+        # writes the one table and its manifest
+        text = f"""
+[run]
+task = distances
+seed = 5
+out = {tmp_path / "o"}
+
+[distances]
+theta = 1,0; 0.3,0.7
+m_grid = 16
+tv_samples = 100
+"""
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["distances.json",
+                                                                     "manifest.json"]
+        fixed, drawn = json.loads((tmp_path / "o" / "distances.json").read_text())["grid"]
+        assert fixed.keys() == drawn.keys()
+        assert (fixed["theta"], fixed["m"], fixed["tv_le_hellinger"]) == ([1.0, 0.0], 16, True)
+        for key in ("hellinger", "hellinger_err", "order_term", "tail_p", "tail_q",
+                    "truncation", "rounding", "tv", "tv_err"):
+            assert fixed[key] == 0.0 and type(fixed[key]) is float
+            assert drawn[key] > 0
+
     def test_one_thread_runs_points_in_the_calling_thread(self, tmp_path, monkeypatch):
         idents = []
         hellinger = cli.equivalence.hellinger_perturbed_vs_gaussian
@@ -970,7 +996,7 @@ m_grid = 16,64,256,1024
 
     @pytest.mark.parametrize("task, grid, names", [
         ("distances", "theta = 0.5,0.5; 0.2,0.3,0.5; 0.1,0.2,0.3,0.4\nm_grid = 16,64\n"
-         "tv_samples = 5000", ("distances.json", "distance_fixtures.json")),
+         "tv_samples = 5000", ("distances.json",)),
         ("scaling", "theta = 0.5,0.5; 0.2,0.3,0.5\nm_grid = 16,64,256,1024",
          ("scaling_0.csv", "scaling_0.json", "scaling_1.csv", "scaling_1.json"))],
         ids=["distances", "scaling"])

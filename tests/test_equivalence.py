@@ -235,7 +235,7 @@ class TestTranslation:
         ratio = eq._gaussian_density(m, law, x) / eq.multinomial_pmf(counts, m, law)
         # they are the draws the estimate averages over
         assert np.maximum(0.0, 1.0 - ratio).mean() == eq.tv_perturbed_vs_gaussian(
-            m, law, n, seed=8, point=3).value
+            m, law, n, seed=8, point=3)["tv"]
         drawn = np.column_stack([x, m - x.sum(axis=1)])
         for a in range(3):
             assert sps.ks_2samp(translated[:, a], drawn[:, a]).pvalue > 0.01
@@ -262,9 +262,10 @@ class TestTranslation:
         assert np.all(fine[:, 1] == 0.0)
         assert np.all(translated[:, 1] != 0.0)
         hel = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        assert hel.value == eq.hellinger_perturbed_vs_gaussian(m, [0.5, 0.5]).value > 0
+        sub = eq.hellinger_perturbed_vs_gaussian(m, [0.5, 0.5])
+        assert hel["hellinger"] == sub["hellinger"] > 0
         tv = eq.tv_perturbed_vs_gaussian(m, theta, 100, seed=4)
-        assert tv.value == eq.tv_perturbed_vs_gaussian(m, [0.5, 0.5], 100, seed=4).value
+        assert tv["tv"] == eq.tv_perturbed_vs_gaussian(m, [0.5, 0.5], 100, seed=4)["tv"]
 
     def test_translation_result_records(self):
         back, dropped = eq.translate_regression_to_qst((np.array([1]), np.array([[0.5, 0.5]])), 4)
@@ -433,45 +434,45 @@ class TestSpecialFunctions:
 class TestHellinger:
     def test_range(self):
         est = eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5])
-        assert 0 <= est.value <= math.sqrt(2) + 1e-9
+        assert 0 <= est["hellinger"] <= math.sqrt(2) + 1e-9
 
     def test_monotone_in_m(self):
-        h16 = eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5]).value
-        h256 = eq.hellinger_perturbed_vs_gaussian(256, [0.5, 0.5]).value
+        h16 = eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5])["hellinger"]
+        h256 = eq.hellinger_perturbed_vs_gaussian(256, [0.5, 0.5])["hellinger"]
         assert h256 < h16
 
     def test_frozen_fixture_r3(self):
         est = eq.hellinger_perturbed_vs_gaussian(64, [1 / 3, 1 / 3, 1 / 3])
-        assert est.value == pytest.approx(FIXTURE_R3_M64, abs=1e-6)
+        assert est["hellinger"] == pytest.approx(FIXTURE_R3_M64, abs=1e-6)
 
     def test_cell_permutation_symmetry(self):
         # the perturbation treats the last cell specially (it absorbs the
         # negative sum of the uniforms), so only permutations fixing the last
         # cell leave the perturbed law unchanged; r = 2 swaps reflect exactly
-        a = eq.hellinger_perturbed_vs_gaussian(32, [0.2, 0.3, 0.5]).value
-        b = eq.hellinger_perturbed_vs_gaussian(32, [0.3, 0.2, 0.5]).value
+        a = eq.hellinger_perturbed_vs_gaussian(32, [0.2, 0.3, 0.5])["hellinger"]
+        b = eq.hellinger_perturbed_vs_gaussian(32, [0.3, 0.2, 0.5])["hellinger"]
         assert a == pytest.approx(b, abs=1e-6)
-        c = eq.hellinger_perturbed_vs_gaussian(32, [0.3, 0.7]).value
-        d = eq.hellinger_perturbed_vs_gaussian(32, [0.7, 0.3]).value
+        c = eq.hellinger_perturbed_vs_gaussian(32, [0.3, 0.7])["hellinger"]
+        d = eq.hellinger_perturbed_vs_gaussian(32, [0.7, 0.3])["hellinger"]
         assert c == pytest.approx(d, abs=1e-6)
 
     def test_degenerate_is_zero(self):
         est = eq.hellinger_perturbed_vs_gaussian(16, [1.0, 0.0])
-        assert est.value == 0.0 and est.error_bar == 0.0
+        assert est["hellinger"] == 0.0 and est["hellinger_err"] == 0.0
 
     def test_degenerate_cell_reduction(self):
-        full = eq.hellinger_perturbed_vs_gaussian(32, [0.5, 0.5, 0.0]).value
-        sub = eq.hellinger_perturbed_vs_gaussian(32, [0.5, 0.5]).value
+        full = eq.hellinger_perturbed_vs_gaussian(32, [0.5, 0.5, 0.0])["hellinger"]
+        sub = eq.hellinger_perturbed_vs_gaussian(32, [0.5, 0.5])["hellinger"]
         assert full == pytest.approx(sub, abs=1e-12)
 
     @pytest.mark.parametrize("m", sorted(FIXTURE_R4))
     def test_frozen_fixture_r4(self, m):
         est = eq.hellinger_perturbed_vs_gaussian(m, [0.1, 0.2, 0.3, 0.4])
-        assert est.value == pytest.approx(FIXTURE_R4[m], abs=1e-12)
+        assert est["hellinger"] == pytest.approx(FIXTURE_R4[m], abs=1e-12)
         # the cells the box adds or drops lie outside the ellipsoid, so the
         # change is inside the error bar
-        assert abs(est.value - FIXTURE_R4_BOX[m]) <= est.error_bar
-        assert abs(est.value - FIXTURE_R4_SQ_DIFF[m]) <= est.error_bar
+        assert abs(est["hellinger"] - FIXTURE_R4_BOX[m]) <= est["hellinger_err"]
+        assert abs(est["hellinger"] - FIXTURE_R4_SQ_DIFF[m]) <= est["hellinger_err"]
 
     @pytest.mark.parametrize("m, theta", sorted(WINDOW_HEX))
     def test_window_outputs_are_pinned(self, m, theta):
@@ -520,11 +521,11 @@ class TestHellinger:
         if theta.min() <= measurement.ACTIVE_TOL or order != eq.ORDER:
             return  # the distance itself drops the inactive cell, and runs at ORDER only
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        assert math.isfinite(est.error_bar)
+        assert math.isfinite(est["hellinger_err"])
         if max(got, got_cmp) > 1:  # an impossible affinity gives the vacuous bar
-            assert est.value == est.error_bar == eq.H_MAX
+            assert est["hellinger"] == est["hellinger_err"] == eq.H_MAX
         else:
-            assert est.value == pytest.approx(math.sqrt(2 - 2 * want), rel=1e-12)
+            assert est["hellinger"] == pytest.approx(math.sqrt(2 - 2 * want), rel=1e-12)
 
     @pytest.mark.parametrize("m, theta", [(16, [0.5, 0.5 - 1e-6, 1e-6]),
                                           (64, [1 - 1e-6, 1e-6])])
@@ -534,7 +535,7 @@ class TestHellinger:
         (bc, _), _, _ = eq._affinity_window(m, np.array(theta), (5, 3), 8.0, 25_000)
         assert bc > 1
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        assert est.value == est.error_bar == eq.H_MAX == math.sqrt(2.0)
+        assert est["hellinger"] == est["hellinger_err"] == eq.H_MAX == math.sqrt(2.0)
 
     @staticmethod
     def _pmf_cells(monkeypatch) -> list:
@@ -575,7 +576,7 @@ class TestHellinger:
     def test_tail_term_bounds_the_mass_outside_the_window(self, monkeypatch, m, theta):
         window = 8.0
         evaluated = self._pmf_cells(monkeypatch)
-        tail = eq.hellinger_perturbed_vs_gaussian(m, theta).params["tail_p"]
+        tail = eq.hellinger_perturbed_vs_gaussian(m, theta)["tail_p"]
         monkeypatch.undo()
         cells = np.concatenate(evaluated)
         np.testing.assert_array_equal(cells, ellipsoid_window(m, theta, window))
@@ -595,8 +596,8 @@ class TestHellinger:
         # the per-axis Bernstein tail of the whole box gave 0.406 +- 0.329 here
         m, theta = 256, [0.00069, 0.98201, 0.0173]
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        assert est.error_bar < 0.01 * est.value
-        assert abs(est.value - hellinger_order_12(m, theta)) <= est.error_bar
+        assert est["hellinger_err"] < 0.01 * est["hellinger"]
+        assert abs(est["hellinger"] - hellinger_order_12(m, theta)) <= est["hellinger_err"]
 
     @pytest.mark.parametrize("theta, m", BENCH_POINTS)
     def test_matches_ndtr_oracle(self, theta, m):
@@ -605,8 +606,8 @@ class TestHellinger:
         # float64 log pmf can do better than a small multiple of it
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
         want = hellinger_ndtr(m, theta)
-        assert abs(est.value ** 2 - want ** 2) <= 2 * eq.EPS * math.lgamma(m + 1)
-        assert abs(est.value - want) <= est.error_bar < 1e-6
+        assert abs(est["hellinger"] ** 2 - want ** 2) <= 2 * eq.EPS * math.lgamma(m + 1)
+        assert abs(est["hellinger"] - want) <= est["hellinger_err"] < 1e-6
 
     @pytest.mark.parametrize("theta, m", [(theta, m) for theta in ([0.5, 0.5], [0.3, 0.7],
                                                                    [0.2, 0.3, 0.5])
@@ -616,7 +617,7 @@ class TestHellinger:
         # inside its bar, and order 12 resolves it
         want = hellinger_ndtr(m, theta)
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        assert abs(est.value - want) <= est.error_bar
+        assert abs(est["hellinger"] - want) <= est["hellinger_err"]
         assert hellinger_order_12(m, theta) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("theta, m, exact", [
@@ -630,12 +631,13 @@ class TestHellinger:
         want = hellinger_ndtr(m, theta)
         assert want == pytest.approx(exact, abs=1e-6)
         est = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        assert abs(est.value - want) <= est.error_bar
+        assert abs(est["hellinger"] - want) <= est["hellinger_err"]
 
     def test_bar_covers_tiny_cell_value_r4(self):
         # the exact value lies in this 95% Hoeffding interval of 200,000 mixture samples
         est = eq.hellinger_perturbed_vs_gaussian(16, [0.3, 0.3, 0.3999, 1e-4])
-        assert est.value - est.error_bar <= 1.1508 and 1.1589 <= est.value + est.error_bar
+        h, err = est["hellinger"], est["hellinger_err"]
+        assert h - err <= 1.1508 and 1.1589 <= h + err
 
     @pytest.mark.parametrize("theta", [[1.5, -0.5], [math.nan, 0.5], [0.5, 0.6]])
     def test_invalid_theta_rejected(self, theta):
@@ -667,7 +669,7 @@ class TestProductBound:
 
     def test_degenerate_record_is_zero(self):
         # a record with fewer than two active cells contributes its H^2 = 0.0
-        zero = eq.hellinger_perturbed_vs_gaussian(16, [1.0, 0.0]).value
+        zero = eq.hellinger_perturbed_vs_gaussian(16, [1.0, 0.0])["hellinger"]
         assert zero == 0.0
         assert eq.product_hellinger_bound([zero, 0.04, zero]) == pytest.approx(0.2)
         with pytest.raises(ValueError, match="at most 2: None"):
@@ -695,7 +697,7 @@ class TestTVMonteCarlo:
     def test_identical_laws(self):
         # one active cell: both laws are the same point mass
         est = eq.tv_perturbed_vs_gaussian(16, [1.0, 0.0], 2, seed=1)
-        assert est.value == est.error_bar == 0.0
+        assert est["tv"] == est["tv_err"] == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("m, exact", [(16, 0.059959), (256, 0.014815)])
@@ -704,7 +706,7 @@ class TestTVMonteCarlo:
         want = tv_two_cell(m, theta)
         assert want == pytest.approx(exact, abs=1e-6)
         est = eq.tv_perturbed_vs_gaussian(m, theta, 50_000, seed=seed)
-        assert abs(est.value - want) <= 3 * est.error_bar
+        assert abs(est["tv"] - want) <= 3 * est["tv_err"]
 
     def test_zero_density_raises(self, monkeypatch):
         monkeypatch.setattr(eq, "multinomial_pmf", lambda counts, m, theta: np.zeros(len(counts)))
@@ -746,14 +748,14 @@ class TestTVMonteCarlo:
         b = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=4)
         again = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=3)
         assert calls == [(9, rng.TV, 3), (9, rng.TV, 4), (9, rng.TV, 3)]
-        assert a.value == again.value != b.value
+        assert a["tv"] == again["tv"] != b["tv"]
 
     @pytest.mark.parametrize("theta", [[0.5, 0.5], [0.2, 0.3, 0.5]])
     @pytest.mark.parametrize("m", [16, 256])
     def test_tv_below_hellinger(self, theta, m):
         hel = eq.hellinger_perturbed_vs_gaussian(m, theta)
         tv = eq.tv_perturbed_vs_gaussian(m, theta, 50_000, seed=4)
-        assert tv.value <= hel.value + hel.error_bar + tv.error_bar
+        assert tv["tv"] <= hel["hellinger"] + hel["hellinger_err"] + tv["tv_err"]
 
 
 def enumerate_two_stage_tv(f1, f21, g1, g21):
@@ -817,9 +819,7 @@ def _hellinger_grid(theta, m_grid):
 class TestScaling:
     def test_synthetic_powerlaw(self):
         ms = [16, 64, 256, 1024]
-        estimates = [eq.DistanceEstimate(value=0.7 / math.sqrt(m), kind="hellinger",
-                                         method="quadrature", error_bar=0.0, params={"m": m})
-                     for m in ms]
+        estimates = [{"m": m, "hellinger": 0.7 / math.sqrt(m), "hellinger_err": 0.0} for m in ms]
         rep = eq.scaling_report([0.5, 0.5], ms, estimates)
         assert rep["slope"] == pytest.approx(-0.5, abs=1e-12)
         assert rep["passed"] is True
@@ -859,7 +859,7 @@ class TestScaling:
         # carries the vacuous bar; the slope (-0.367) is in the band but means nothing
         theta, ms = [2e-5, 0.99998], [64, 256, 1024, 4096]
         estimates = _hellinger_grid(theta, ms)
-        assert [e.error_bar == eq.H_MAX for e in estimates] == [True, True, False, False]
+        assert [e["hellinger_err"] == eq.H_MAX for e in estimates] == [True, True, False, False]
         rep = eq.scaling_report(theta, ms, estimates)
         assert eq.SLOPE_BAND[0] <= rep["slope"] <= eq.SLOPE_BAND[1]
         assert rep["passed"] is False

@@ -11,7 +11,8 @@ family table, is defined in the package, and every ``module.name(args)`` the
 README quotes names the leading parameters of that function.
 ``bases._make_basis`` is the one
 place that constructs an ``ObservableBasis``.  The README's config block
-lists exactly the (section, key) pairs the config loader reads.
+lists exactly the (section, key) pairs the config loader reads, and its
+"Distances" file-format entry exactly the fields of a ``distances.json`` row.
 """
 
 import ast
@@ -19,6 +20,7 @@ import builtins
 import configparser
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -256,3 +258,24 @@ def test_readme_block_parser_drops_comments():
     text = ("```ini\n[run]\ntask = zeta   # a task\n              # more on the task\n\n"
             "[zeta]        # zeta task\nwitnesses = cor2_line\n```\n")
     assert _readme_config_keys(text) == {("run", "task"), ("zeta", "witnesses")}
+
+
+def _readme_distance_fields(text: str) -> set:
+    """The names quoted in the README's "Distances" file-format entry, up to the
+    next entry or blank line; a quote holding anything but a name is skipped."""
+    entry = re.search(r"^\* \*\*Distances\*\*:(.*?)(?=^\* |^$)", text, re.M | re.S).group(1)
+    return set(re.findall(r"`([a-z_]+)`", entry))
+
+
+def test_readme_lists_the_distances_row_fields(tmp_path):
+    cfg = cli.ExperimentConfig(task="distances", thetas=[[0.3, 0.7]], m_grid=[16],
+                               tv_samples=100, out_dir=str(tmp_path))
+    cli.run(cfg)
+    (row,) = json.loads((tmp_path / "distances.json").read_text())["grid"]
+    assert _readme_distance_fields(README.read_text()) == set(row)
+
+
+def test_readme_distance_parser_stops_at_the_entry():
+    text = ("* **Matrix**: `d` rows\n* **Distances**: `distances.json` holds `{\"grid\": rows}`,\n"
+            "  with `theta` and\n  `tv`.\n* **Manifest**: `task`\n")
+    assert _readme_distance_fields(text) == {"theta", "tv"}

@@ -290,7 +290,7 @@ class TestActiveRule:
             "fine": (not np.array_equal(ys[j][-len(theta):], theta),
                      np.any(regression._fine_factors(theta[None], 64))),
             "zeta": (zeta > 0, np.count_nonzero(diagnostics.active_index_set(st, basis)[j]) >= 2),
-            "hellinger": (est.value > 0, est.error_bar > 0),
+            "hellinger": (est["hellinger"] > 0, est["hellinger_err"] > 0),
         }
 
     def test_nearly_degenerate_member_is_degenerate_everywhere(self):
