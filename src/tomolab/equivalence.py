@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -90,6 +91,15 @@ def _checked_theta(theta) -> np.ndarray:
     return theta
 
 
+def _checked_integer(name: str, value, least: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 @functools.lru_cache(maxsize=32)
 def _log_factorials(m: int) -> np.ndarray:
     """log k! for k = 0..m, read-only: a long-double running sum of log k, rounded
@@ -100,24 +110,18 @@ def _log_factorials(m: int) -> np.ndarray:
     return table
 
 
-def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
-    """Multinomial pmf at vectors ``counts`` (last axis over cells); checks theta.
-    A row that is not a nonnegative integer vector summing to m has pmf 0.
-
-    The cells are walked one column at a time, left to right, which adds in
-    the order a reduction over a row this short does."""
-    counts = np.asarray(counts, dtype=float)
-    theta = _checked_theta(theta)
-    if counts.shape[-1:] != theta.shape:
-        raise ValueError(f"counts have {counts.shape[-1:]} cells, theta has {len(theta)}")
-    scalar = counts.ndim == 1
-    if scalar:
-        counts = counts[None, :]
+def _pmf_walk(columns, m: int, theta, log_theta, sums=None, at=slice(None), partial=False):
+    """The multinomial pmf at count vectors given by their cell ``columns``, walked
+    left to right onto the running sums (count total, sum log c!, sum c log theta,
+    valid): ``sums`` taken ``at``, or 0; those sums themselves when ``partial``.  A
+    count that is not an integer in [0, m], or not 0 where theta is 0, clears valid,
+    and the pmf is 0 unless valid with total m."""
+    if sums is None:
+        shape = np.shape(columns)[1:]
+        sums = (*(np.zeros(shape) for _ in range(3)), np.ones(shape, dtype=bool))
+    total, log_fact, terms, valid = (s[at] for s in sums)
     log_k = _log_factorials(m)
-    total, log_fact, terms = (np.zeros(counts.shape[:-1]) for _ in range(3))
-    valid = np.ones(counts.shape[:-1], dtype=bool)
-    log_theta = np.log(theta, where=theta > 0, out=np.zeros_like(theta))
-    for c, t, log_t in zip(np.moveaxis(counts, -1, 0), theta, log_theta):
+    for c, t, log_t in zip(columns, theta, log_theta):
         total += c
         if t == 0.0:
             valid &= c == 0  # a cell with theta = 0 must carry zero count
@@ -127,8 +131,29 @@ def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
         safe = np.where(ok, c, 0.0)
         log_fact += log_k[safe.astype(np.intp)]
         terms += safe * log_t
-    valid &= total == m
-    out = np.exp(log_k[m] - log_fact + terms, where=valid, out=np.zeros(valid.shape))
+    if partial:
+        return total, log_fact, terms, valid
+    return np.exp(log_k[m] - log_fact + terms, where=valid & (total == m), out=np.zeros(valid.shape))
+
+
+def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
+    """Multinomial pmf at vectors ``counts`` (last axis over cells); checks theta
+    and that m is an integer >= 0.  A row that is not a nonnegative integer vector
+    summing to m has pmf 0.
+
+    The cells are walked one column at a time, left to right, from sums of 0
+    (``_pmf_walk``), which adds in the order a reduction over a row this short does."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind != "i":  # integer counts are walked as they are, with no float copy
+        counts = counts.astype(float, copy=False)
+    theta, m = _checked_theta(theta), _checked_integer("m", m, 0)
+    if counts.shape[-1:] != theta.shape:
+        raise ValueError(f"counts have {counts.shape[-1:]} cells, theta has {len(theta)}")
+    scalar = counts.ndim == 1
+    if scalar:
+        counts = counts[None, :]
+    log_theta = np.log(theta, where=theta > 0, out=np.zeros_like(theta))
+    out = _pmf_walk(np.moveaxis(counts, -1, 0), m, theta, log_theta)
     return float(out[0]) if scalar else out
 
 
@@ -269,7 +294,9 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     (a run may hold no cell of W), each the row's leading coordinates, computed
     once per call, and a last-axis offset.  A run's kept cells are written once,
     into a rows buffer and one exponent buffer per order that every run of the
-    call reuses; only the pmf's input is a fresh array per run.
+    call reuses.  The pmf's sums over each row's leading r - 2 counts are formed
+    once per call too, and a run walks on from them over its cells' last two
+    counts, so f is ``multinomial_pmf`` bit for bit.
     BC_W = sum_W sqrt(f_c) S1(c), S1 = sum_o w_o sqrt g(c + o), and each node
     term is the exp of its exact log, the rows (v, log_norm / 2 - q(c) / 4, 1),
     v = P(c - mu), times the node table: log_norm / 2 + log w_o - (c + o -
@@ -296,12 +323,15 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     # mid; the discriminant is clamped at 0, so a row E misses keeps a few cells
     lead = low[:-1] + np.indices(shape[:-1]).reshape(dim - 1, size // length).T
     y, rest = lead - mu[:-1], m - lead.sum(axis=1)  # rest: m less the row's leading counts
+    # the pmf's sums over each row's leading counts; a run walks on over the last two
+    log_theta = np.log(theta, where=theta > 0, out=np.zeros_like(theta))
+    row_sums = _pmf_walk(lead.T, m, theta[:-2], log_theta[:-2], partial=True)
     p, b = prec[-1, -1], y @ prec[:-1, -1]
     gap = np.einsum("nd,de,ne->n", y, prec[:-1, :-1], y) - q_max
     half = np.sqrt(np.maximum(b * b - p * gap, 0.0)) / p
     mid = mu[-1] - low[-1] - b / p
     x = np.clip([np.ceil(mid - half) - 1, np.floor(mid + half) + 2], 0, length)
-    first, stop = np.arange(len(mid)) * length + x.astype(np.int64)  # flat, per row
+    bounds = np.arange(len(mid)) * length + x.astype(np.int64)  # flat first and stop, per row
     starts = range(0, size, chunk_cells)
     totals, mass, n_max = [0.0] * len(orders), 0.0, 0
     # the kept cells' rows (v, log_norm / 2 - q / 4, 1) and each order's exponents,
@@ -312,30 +342,27 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     for start in starts:
         end = min(start + chunk_cells, size)
         rows = np.arange(start // length, (end - 1) // length + 1)  # the rows the run meets
-        lo = np.clip(first[rows], start, end)
-        n = np.clip(stop[rows], start, end) - lo
+        lo, n = np.minimum(np.maximum(bounds[:, rows], start), end)
+        n -= lo
         if not n.any():
             continue
-        row = np.repeat(rows, n)  # each walked cell's row, and its last-axis centre
         last = low[-1] + np.arange(n.sum()) + np.repeat(lo - rows * length - np.cumsum(n) + n, n)
-        diff = np.empty((len(row), dim))
-        diff[:, :-1] = y[row]
+        diff = np.empty((len(last), dim))
+        diff[:, :-1] = np.repeat(y[rows], n, axis=0)
         diff[:, -1] = last - mu[-1]
         v = diff @ prec
         q = np.einsum("nd,nd->n", diff, v)
         keep = np.flatnonzero(q <= q_max)
-        k, row, last = len(keep), row[keep], last[keep]
-        full = np.empty((k, dim + 1))  # fresh per run: the pmf may keep a reference to it
-        full[:, :-2], full[:, -2], full[:, -1] = lead[row], last, rest[row] - last
-        f = multinomial_pmf(full, m, theta)
+        k, row, last = len(keep), np.repeat(rows, n)[keep], last[keep]
+        f = _pmf_walk((last, rest[row] - last), m, theta[-2:], log_theta[-2:], row_sums, row)
         sqrt_f = np.sqrt(f)
         np.take(v, keep, axis=0, out=cell_rows[:k, :-2], mode="clip")  # "raise" would buffer
         cell_rows[:k, -2] = 0.5 * log_norm - 0.25 * q[keep]
         for i, table in enumerate(tables):
             e = np.matmul(cell_rows[:k], table, out=exps[i][:k])
             np.exp(e, out=e)
-            totals[i] += float(np.sum(sqrt_f @ e))
-        mass, n_max = mass + np.sum(f), max(n_max, k)
+            totals[i] += float((sqrt_f @ e).sum())
+        mass, n_max = mass + f.sum(), max(n_max, k)
     rel = EPS * (8.0 * (abs(log_norm) + q_max + dim * max(orders))
                  + n_max + max(orders) ** dim + len(starts))
     return totals, mass, rel
@@ -374,11 +401,12 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> dict:
     truncation - rounding), which by concavity also covers H_W^2 + rounding.
     Fixed-order nodes give an impossible affinity above 1 when the normal is far
     narrower than a cell; then H is sqrt(2) with the vacuous bar sqrt(2).
-    ValueError unless ``theta`` is a probability vector.
+    ValueError unless ``theta`` is a probability vector and m an integer in [1,
+    ``MAX_QUAD_M``].
     """
-    theta = _checked_theta(theta)
-    if m < 1 or m > MAX_QUAD_M:
-        raise ValueError(f"m must be in [1, {MAX_QUAD_M}]")
+    theta, m = _checked_theta(theta), _checked_integer("m", m, 1)
+    if m > MAX_QUAD_M:
+        raise ValueError(f"m must be at most {MAX_QUAD_M}, got {m}")
     sub, row = _active_law(theta), {"theta": theta.tolist(), "m": m}
     if sub is None:
         return {**row, **dict.fromkeys(("hellinger", "hellinger_err", "order_term", "tail_p",
@@ -428,13 +456,11 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
 
     Draws from substream (seed, ``TV``, point), one stream per grid point: the
     counts U, then the K0 uniforms psi.  The point x = U_head + psi rounds back
-    to U, so f(x) is the pmf at U.  ValueError unless m >= 1, ``n_samples`` >= 2
-    (the fewest the half-width needs) and ``theta`` is a probability vector."""
+    to U, so f(x) is the pmf at U.  ValueError unless ``theta`` is a probability
+    vector, m an integer >= 1 and ``n_samples`` an integer >= 2 (the fewest the
+    half-width needs)."""
     theta = _checked_theta(theta)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    m, n_samples = _checked_integer("m", m, 1), _checked_integer("n_samples", n_samples, 2)
     sub = _active_law(theta)
     if sub is None:
         return {"tv": 0.0, "tv_err": 0.0}

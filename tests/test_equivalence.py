@@ -317,6 +317,27 @@ class TestPerturbedDensity:
         with pytest.raises(ValueError):
             density(theta)
 
+    @pytest.mark.parametrize("theta", [[0.5, 0.5], [1.0, 0.0]])
+    @pytest.mark.parametrize("call, message", [
+        (lambda theta: eq.multinomial_pmf([8, 8], 16.5, theta), "m must be an integer, got 16.5"),
+        (lambda theta: eq.multinomial_pmf([8, 8], -2, theta), "m must be at least 0, got -2"),
+        (lambda theta: eq.hellinger_perturbed_vs_gaussian(16.5, theta),
+         "m must be an integer, got 16.5"),
+        (lambda theta: eq.tv_perturbed_vs_gaussian(16.5, theta, 100, seed=1),
+         "m must be an integer, got 16.5"),
+        (lambda theta: eq.tv_perturbed_vs_gaussian(16, theta, 100.5, seed=1),
+         "n_samples must be an integer, got 100.5"),
+    ], ids=["pmf", "pmf-negative", "hellinger", "sampler", "sampler-n_samples"])
+    def test_bad_integer_argument_named(self, call, message, theta):
+        # checked where it enters, before a degenerate theta returns early
+        with pytest.raises(ValueError, match=message):
+            call(theta)
+
+    def test_numpy_integer_m_accepted(self):
+        row = eq.hellinger_perturbed_vs_gaussian(np.int64(16), [0.3, 0.7])
+        assert type(row["m"]) is int and row == eq.hellinger_perturbed_vs_gaussian(16, [0.3, 0.7])
+        assert eq.multinomial_pmf([1, 1], np.int64(2), [0.5, 0.5]) == 0.5
+
     @pytest.mark.parametrize("m", [0, -1])
     def test_sampler_rejects_m_below_one(self, m):
         # checked before the sample count, so the first error names m
@@ -375,6 +396,9 @@ class TestMultinomialPmf:
         want = np.where(whole, multinomial_pmf_gammaln(counts, m, theta), 0.0)
         np.testing.assert_allclose(got, want, rtol=4 * eq.EPS * (1 + math.lgamma(m + 1)), atol=0)
         assert np.any(got > 0) and not np.any(got[~whole])
+        # integer counts, as the TV sampler draws them, give the same bits without a float copy
+        np.testing.assert_array_equal(
+            eq.multinomial_pmf(counts[whole].astype(np.int64), m, theta), got[whole])
         shaped = counts.reshape(30, 100, r)
         np.testing.assert_array_equal(eq.multinomial_pmf(shaped, m, theta),
                                       got.reshape(30, 100))
@@ -538,16 +562,24 @@ class TestHellinger:
         assert est["hellinger"] == est["hellinger_err"] == eq.H_MAX == math.sqrt(2.0)
 
     @staticmethod
-    def _pmf_cells(monkeypatch) -> list:
-        """The first r - 1 counts of every row the quadrature passes to the pmf."""
-        cells = []
-        pmf = eq.multinomial_pmf
+    def _pmf_cells(monkeypatch, values=None) -> list:
+        """The first r - 1 counts of every cell the quadrature evaluates the pmf at,
+        each run's last two columns walked on from its rows' sums over the leading
+        counts; the pmf values too, into ``values`` when given."""
+        cells, lead = [], []
+        walk = eq._pmf_walk
 
-        def recording(counts, m, theta):
-            cells.append(np.asarray(counts)[:, :-1])
-            return pmf(counts, m, theta)
+        def recording(columns, m, theta, log_theta, sums=None, at=slice(None), partial=False):
+            out = walk(columns, m, theta, log_theta, sums, at, partial)
+            if partial:  # the sums over each box row's leading counts
+                lead.append(np.asarray(columns).T)
+            elif sums is not None:
+                cells.append(np.column_stack([lead[-1][at], columns[0]]))
+                if values is not None:
+                    values.append(out)
+            return out
 
-        monkeypatch.setattr(eq, "multinomial_pmf", recording)
+        monkeypatch.setattr(eq, "_pmf_walk", recording)
         return cells
 
     def test_one_pmf_pass_for_both_orders(self, monkeypatch):
@@ -566,6 +598,33 @@ class TestHellinger:
         cells = self._pmf_cells(monkeypatch)
         eq.hellinger_perturbed_vs_gaussian(m, theta)
         assert sum(map(len, cells)) < 0.55 * box
+        # len(ellipsoid_window(m, theta, 8.0)), frozen: the oracle takes about 12 s here
+        assert sum(map(len, cells)) == 464_201
+
+    @pytest.mark.parametrize("m, theta", [
+        (16, (0.1, 0.2, 0.3, 0.4)),  # the box reaches negative implied counts
+        (4096, (0.3, 0.7)),  # rows with no leading count
+        (16, (0.3, 0.3, 0.3999, 1e-4)),  # a tiny cell
+    ])
+    def test_window_pmf_is_multinomial_pmf(self, monkeypatch, m, theta):
+        values = []
+        cells = self._pmf_cells(monkeypatch, values)
+        eq._affinity_window(m, np.array(theta), (5, 3), 8.0, 4096)
+        monkeypatch.undo()
+        cells, f = np.concatenate(cells), np.concatenate(values)
+        np.testing.assert_array_equal(cells, ellipsoid_window(m, theta, 8.0))
+        counts = whole_cells(m, cells)
+        np.testing.assert_array_equal(f, eq.multinomial_pmf(counts, m, theta))
+        np.testing.assert_array_equal(f == 0, counts.min(axis=1) < 0)  # only outside the simplex
+
+    def test_theta_checked_once_per_distance_not_per_run(self, monkeypatch):
+        from test_regression import _count_calls
+        calls = _count_calls(monkeypatch, eq._checked_theta)
+        eq.hellinger_perturbed_vs_gaussian(16, (0.1, 0.2, 0.3, 0.4))
+        few = len(calls)
+        # 232 runs of CHUNK_CELLS box cells here, against 4 at m = 16
+        eq.hellinger_perturbed_vs_gaussian(256, (0.1, 0.2, 0.3, 0.4))
+        assert len(calls) - few == few <= 2
 
     @pytest.mark.parametrize("m, theta", [
         (16, [0.1, 0.3, 0.6]), (16, [0.01, 0.9, 0.09]),
