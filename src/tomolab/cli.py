@@ -376,10 +376,6 @@ def _task_transfer(cfg, path):
     report = regression.estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed,
                                                  cfg.replications)
     diagnostics.write_report_json(report, path("transfer.json"))
-    columns = ("m", "risk_counts", "risk_gaussian", "gap", "gap_se")
-    measurement._write_table(path("transfer.csv"), columns, measurement._blocks(
-        "%d" + ",%.17g" * 4, *([row[c] for row in report["sweep"]] for c in columns)),
-        lineterminator="\n")
     return [{"name": "risk-gap-monotone", "anchor": "estimator-transfer",
              "passed": report["monotone"]}]
 
@@ -390,7 +386,6 @@ def _task_scaling(cfg, path):
     ok_all = True
     for i, theta in enumerate(cfg.thetas):
         report = equivalence.scaling_report(theta, cfg.m_grid, rows[i * k:(i + 1) * k])
-        equivalence.write_scaling_csv(report, path(f"scaling_{i}.csv"))
         diagnostics.write_report_json(report, path(f"scaling_{i}.json"))
         ok_all &= report["passed"]
     return [{"name": "hellinger-slope-band", "anchor": "perturbed-count-scaling",

@@ -196,15 +196,10 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
 
 
 def write_report_json(payload: dict, path) -> None:
-    """The one JSON writer; a NaN or infinite value raises ValueError before
+    """The one JSON writer, of dicts, lists, strings, numbers, booleans and None;
+    anything else raises TypeError, and a NaN or infinite value ValueError, before
     the file is opened, so every file it writes is valid JSON."""
     def default(obj):
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
         raise TypeError(f"cannot serialize {type(obj)}")
 
     text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)

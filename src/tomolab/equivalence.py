@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import TomolabError
-from .measurement import TomographyDataset, _active_mask, _blocks, _write_table
+from .measurement import TomographyDataset, _active_mask
 from .rng import TRANSLATE, TV, record_blocks, substream
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "tv_perturbed_vs_gaussian",
     "conditional_tv_bound",
     "scaling_report",
-    "write_scaling_csv",
     "SLOPE_BAND",
 ]
 
@@ -67,8 +66,9 @@ EPS = np.finfo(float).eps
 # window W, the cells meeting the Mahalanobis ellipsoid of radius R = WINDOW,
 # gives the affinity at ORDER and at COMPARE_ORDER (the order term of the error
 # bar, an estimate).  Each flat run of CHUNK_CELLS box cells writes its (kept
-# cells x nodes) exponents into a buffer that every run reuses; 4096 gave the
-# least peak memory at the 4-cell benchmark, 2048 nearly as little.
+# cells x nodes) exponents into a buffer that every run reuses.  Which run size
+# gives the least peak memory at the 4-cell benchmark depends on the harness's
+# heap layout: its runner read 4096 lowest, a one-process run of its config 2048.
 ORDER, COMPARE_ORDER, WINDOW, CHUNK_CELLS = 5, 3, 8.0, 4096
 
 
@@ -199,9 +199,9 @@ def kernel_K0(counts, m: int, seed) -> np.ndarray:
 
 def kernel_K1(values, m: int) -> np.ndarray:
     """Round off a perturbed vector back to counts; inverts :func:`kernel_K0`.  Raises
-    TomolabError on a negative implied count (out-of-model), ValueError unless finite."""
+    TomolabError on a negative implied count, ValueError unless finite and m an integer >= 1."""
     values = np.asarray(values, dtype=float)
-    counts, keep = _round_off(values[None], m)
+    counts, keep = _round_off(values[None], _checked_integer("m", m, 1))
     if not keep[0]:
         raise TomolabError(f"values {values.tolist()} imply a negative count")
     return counts[0]
@@ -221,9 +221,10 @@ def translate_qst_to_regression(dataset: TomographyDataset, basis, seed: int) ->
 
 
 def translate_regression_to_qst(samples, m: int) -> tuple:
-    """Map fine samples (indices, y), y a front-padded table, to counts via K1(m y), as
-    (dataset of the records K1 maps to counts, number of out-of-model records dropped)."""
+    """Map fine samples (indices, y), y a front-padded table, to counts via K1(m y), m an
+    integer >= 1, as (dataset of the records K1 maps to counts, out-of-model records dropped)."""
     indices, table = samples
+    m = _checked_integer("m", m, 1)
     counts, keep = _round_off(m * np.asarray(table, dtype=float), m)
     return TomographyDataset(m=m, indices=np.asarray(indices, dtype=np.int64)[keep],
                              counts=counts[keep]), int((~keep).sum())
@@ -508,9 +509,3 @@ def scaling_report(theta, m_grid, rows) -> dict:
     return {"theta": list(np.asarray(theta, dtype=float)), "m_grid": m_grid, "values": values,
             "error_bars": bars, "slope": slope, "band": SLOPE_BAND,
             "passed": max(bars) < H_MAX and SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]}
-
-
-def write_scaling_csv(report: dict, path) -> None:
-    """One row per grid point of a :func:`scaling_report` payload: m, H, error_bar."""
-    _write_table(path, ["m", "H", "error_bar"], _blocks(
-        "%d,%.17g,%.17g", report["m_grid"], report["values"], report["error_bars"]))

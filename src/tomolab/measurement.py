@@ -148,18 +148,18 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
 # --- CSV ----------------------------------------------------------------------
 
 
-def _write_table(path, header, blocks, lineterminator: str = "\r\n") -> None:
+def _write_table(path, header, blocks) -> None:
     """The one table writer: ``header`` (None for none), then each block of
     ``blocks``, a (row templates, flat values) pair, with one ``%`` over its
-    templates, each ended by ``lineterminator``.  ``blocks`` may be a
-    generator, so a large table streams a block at a time.  Every field is a
-    number, which csv quoting would leave as it is."""
+    templates, each line ended by CR LF as csv.writer ends it.  ``blocks``
+    may be a generator, so a large table streams a block at a time.  Every
+    field is a number, which csv quoting would leave as it is."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         if header is not None:
-            fh.write(",".join(header) + lineterminator)
+            fh.write(",".join(header) + "\r\n")
         for templates, values in blocks:
-            fh.write(lineterminator.join(templates) % values)
-            fh.write(lineterminator)
+            fh.write("\r\n".join(templates) % values)
+            fh.write("\r\n")
             del templates, values  # so one block at a time is alive
 
 

@@ -115,15 +115,15 @@ def lattice_box(m: int, theta, radius: float, pad: int = 0) -> np.ndarray:
 
 
 def ellipsoid_window(m: int, theta, radius: float) -> np.ndarray:
-    """The Hellinger quadrature's window, cell by cell: the centres of
-    ``lattice_box`` whose Mahalanobis length under the matched normal is at
-    most radius + delta, delta = sqrt(r - 1) / 2 over the square root of the
-    covariance's smallest eigenvalue (the longest half cell diagonal)."""
+    """The Hellinger quadrature's window, by one linear solve over the whole box:
+    the centres of ``lattice_box`` whose Mahalanobis length under the matched
+    normal is at most radius + delta, delta = sqrt(r - 1) / 2 over the square
+    root of the covariance's smallest eigenvalue (the longest half cell diagonal)."""
     mu, cov = _matched_normal(m, theta)
     limit = (radius + 0.5 * math.sqrt(len(mu) / np.linalg.eigvalsh(cov)[0])) ** 2
-    cells = [c for c in lattice_box(m, theta, radius)
-             if (c - mu) @ np.linalg.solve(cov, c - mu) <= limit]
-    return np.array(cells, dtype=float).reshape(-1, len(mu))
+    box = lattice_box(m, theta, radius)
+    diff = box - mu
+    return box[np.einsum("ij,ji->i", diff, np.linalg.solve(cov, diff.T)) <= limit]
 
 
 def _long_double(x) -> np.longdouble:
@@ -453,10 +453,10 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_table_rows(path, header, rows, lineterminator: str = "\r\n") -> None:
+def write_table_rows(path, header, rows) -> None:
     """``header`` (None for none), then ``rows``, through ``csv.writer``."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
         writer.writerows(rows)
@@ -489,20 +489,6 @@ def write_fine_rows(samples, basis, path) -> None:
     write_table_rows(path, ["k", "j", "y"], (
         [k, j, "|".join(map(_fmt, y))]
         for k, (j, y) in enumerate(zip(indices.tolist(), record_tails(basis, indices, table)))))
-
-
-def write_scaling_rows(report, path) -> None:
-    """scaling_i.csv: m, H, error_bar."""
-    write_table_rows(path, ["m", "H", "error_bar"], (
-        [m, _fmt(h), _fmt(e)] for m, h, e in zip(report["m_grid"], report["values"],
-                                                  report["error_bars"])))
-
-
-def write_transfer_rows(sweep, path) -> None:
-    """transfer.csv: m, then the risks, the gap and its standard error, "\\n" line ends."""
-    columns = ("risk_counts", "risk_gaussian", "gap", "gap_se")
-    write_table_rows(path, ("m",) + columns, (
-        [row["m"], *(_fmt(row[c]) for c in columns)] for row in sweep), lineterminator="\n")
 
 
 # --- families ------------------------------------------------------------------

@@ -98,12 +98,10 @@ samples = 4
 # closed-form chi-square tails.
 TASK_SHA256 = {
     "distances.json": "ef935ffbbfc8437474b68376c0487cb345b3551be4e577180f8706d810f6188e",
-    "scaling_0.csv": "253c90286d85a1b99a991f4e234d8c7aa0902d6d5314c1331830bcbe0fc49511",
     "scaling_0.json": "cea7c53b9ab53c65170c5cae058aad28cabbfe712a3b3e9f5442addd5438b7a9",
     "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
     "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
     "transfer.json": "2f9a4199852ec320fa94a9c4398288b249b827c5350775225d3ad601fe8c9603",
-    "transfer.csv": "e746065a74c470241bae3b65db5eec0049c1c73c41555abc9b342f8f4bd8ce5c",
 }
 
 
@@ -998,7 +996,7 @@ m_grid = 16,64,256,1024
         ("distances", "theta = 0.5,0.5; 0.2,0.3,0.5; 0.1,0.2,0.3,0.4\nm_grid = 16,64\n"
          "tv_samples = 5000", ("distances.json",)),
         ("scaling", "theta = 0.5,0.5; 0.2,0.3,0.5\nm_grid = 16,64,256,1024",
-         ("scaling_0.csv", "scaling_0.json", "scaling_1.csv", "scaling_1.json"))],
+         ("scaling_0.json", "scaling_1.json"))],
         ids=["distances", "scaling"])
     def test_thread_count_does_not_change_artifacts(self, tmp_path, task, grid, names):
         text = f"""

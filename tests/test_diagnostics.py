@@ -361,7 +361,8 @@ class TestReportJson:
         assert not path.exists()
 
     def test_object_rejected(self, tmp_path):
-        # a dataclass reaches a file only as a dict, through dataclasses.asdict
+        # a dataclass reaches a file only as a dict, through dataclasses.asdict, and
+        # a numpy integer or array only as an int or a list
         @dataclasses.dataclass(frozen=True)
         class Estimate:
             value: float
@@ -369,7 +370,7 @@ class TestReportJson:
 
         est = Estimate(value=0.25, error_bar=0.01)
         path = tmp_path / "r.json"
-        for payload in (est, {"estimate": est}, [est]):
+        for payload in (est, {"estimate": est}, [est], {"n": np.int64(1)}, [np.zeros(2)]):
             with pytest.raises(TypeError, match="cannot serialize"):
                 diagnostics.write_report_json(payload, path)
             assert not path.exists()

@@ -104,6 +104,14 @@ class TestKernels:
         with pytest.raises(TomolabError):
             eq.kernel_K1([4.9, 0.0], 4)
 
+    @pytest.mark.parametrize("m", [2.5, 0, -1, np.float64(2.0)])
+    def test_round_off_rejects_m_not_a_positive_integer(self, m):
+        # K1 would round [1.2, 0.8] to [1, 1], which sums to 2, not 2.5
+        with pytest.raises(ValueError, match="^m must be"):
+            eq.kernel_K1([1.2, 0.8], m)
+        with pytest.raises(ValueError, match="^m must be"):
+            eq.translate_regression_to_qst((np.array([1]), np.array([[0.6, 0.4]])), m)
+
     @given(st.integers(0, 2 ** 31), st.integers(2, 5), st.integers(1, 64))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, seed, r, m):
@@ -598,8 +606,7 @@ class TestHellinger:
         cells = self._pmf_cells(monkeypatch)
         eq.hellinger_perturbed_vs_gaussian(m, theta)
         assert sum(map(len, cells)) < 0.55 * box
-        # len(ellipsoid_window(m, theta, 8.0)), frozen: the oracle takes about 12 s here
-        assert sum(map(len, cells)) == 464_201
+        assert sum(map(len, cells)) == len(ellipsoid_window(m, theta, 8.0))
 
     @pytest.mark.parametrize("m, theta", [
         (16, (0.1, 0.2, 0.3, 0.4)),  # the box reaches negative implied counts
@@ -923,16 +930,11 @@ class TestScaling:
         assert eq.SLOPE_BAND[0] <= rep["slope"] <= eq.SLOPE_BAND[1]
         assert rep["passed"] is False
 
-    def test_csv_and_json(self, tmp_path):
+    def test_json_payload(self, tmp_path):
         ms = [16, 64, 256, 1024]
         rep = eq.scaling_report([0.5, 0.5], ms, _hellinger_grid([0.5, 0.5], ms))
-        cpath = tmp_path / "scale.csv"
         jpath = tmp_path / "scale.json"
-        eq.write_scaling_csv(rep, cpath)
         diagnostics.write_report_json(rep, jpath)
-        rows = cpath.read_text().strip().splitlines()
-        assert rows[0] == "m,H,error_bar"
-        assert len(rows) == 5
         import json
         payload = json.loads(jpath.read_text())
         assert payload["passed"] is True

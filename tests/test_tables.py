@@ -7,14 +7,13 @@ reference in ``oracles`` on 3-cell members too (hermitian d = 4 has 2- and
 rebuild the tables the writers wrote.
 """
 
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from tomolab import bases, cli, equivalence, measurement, regression, states
+from tomolab import bases, equivalence, measurement, regression, states
 from tomolab.rng import BLOCK
 
 N = 3 * BLOCK + 5
@@ -81,23 +80,6 @@ def test_regression_tables(tmp_path, kind):
         back = regression.read_fine_csv(path, basis)
         np.testing.assert_array_equal(back[0], samples[0])
         np.testing.assert_array_equal(back[1], samples[1])
-
-
-def test_scaling_table(tmp_path):
-    m_grid = [16, 64, 256, 1024]
-    estimates = [equivalence.hellinger_perturbed_vs_gaussian(m, [0.3, 0.7]) for m in m_grid]
-    report = equivalence.scaling_report([0.3, 0.7], m_grid, estimates)
-    _same_bytes(tmp_path, equivalence.write_scaling_csv, oracles.write_scaling_rows, report)
-
-
-def test_transfer_table(tmp_path):
-    cfg = cli.ExperimentConfig(task="estimator_transfer", state_class="low_rank", r=2,
-                               m_grid=[16, 64, 256], replications=50, seed=SEED,
-                               out_dir=str(tmp_path))
-    cli.run(cfg)
-    sweep = json.loads((tmp_path / "transfer.json").read_text())["sweep"]
-    oracles.write_transfer_rows(sweep, tmp_path / "reference.csv")
-    assert (tmp_path / "transfer.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_outcomes_stream_a_block_at_a_time(tmp_path):

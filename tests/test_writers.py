@@ -1,8 +1,9 @@
 """One writer per file format: only the module that owns a format writes files.
 
-Tables are written by ``measurement``, JSON reports by ``diagnostics``, the
-matrix text format by ``hermitian`` and basis files by ``bases``; every other
-module hands its rows or payload to one of them.
+Record tables are CSV, written by ``measurement``'s table layer, which only the
+record modules ``measurement`` and ``regression`` use; reports are JSON, written
+by ``diagnostics``; the matrix text format is written by ``hermitian`` and basis
+files by ``bases``.  Every other module hands its payload to one of them.
 """
 
 import ast
@@ -12,6 +13,8 @@ import tomolab
 
 WRITERS = {"measurement", "diagnostics", "hermitian", "bases"}
 WRITE_METHODS = {"write_text", "write_bytes", "savetxt", "savez", "tofile"}
+TABLE_LAYER = {"_write_table", "_blocks", "_record_blocks"}
+RECORD_MODULES = {"measurement", "regression"}
 
 
 def _mode_args(node) -> list:
@@ -74,3 +77,41 @@ def test_guard_sees_an_open_method_or_module_function():
         'fh.open("a+")',
     ])
     assert _writes_files(ast.parse(source)) == [1, 4, 6, 7]
+
+
+def _table_layer_reads(tree) -> list:
+    """Line numbers in ``tree`` that import or read a name of ``TABLE_LAYER``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if TABLE_LAYER & set(names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_record_modules_write_tables():
+    package = Path(tomolab.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        lines = _table_layer_reads(ast.parse(path.read_text(), str(path)))
+        if lines and path.stem not in RECORD_MODULES:
+            offenders[path.stem] = lines
+    assert offenders == {}
+
+
+def test_table_guard_sees_an_import_a_name_and_an_attribute():
+    source = "\n".join([
+        "from .measurement import TomographyDataset, _blocks",
+        "_write_table(p, None, rows)",
+        "measurement._record_blocks(basis, k, t, row)",
+        "write_table(p)",
+        "measurement.blocks",
+    ])
+    assert _table_layer_reads(ast.parse(source)) == [1, 2, 3]
