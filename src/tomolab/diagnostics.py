@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .bases import ObservableBasis, _pauli_slots, build_basis, default_g_vectors
+from .equivalence import _checked_integer
 from .errors import TomolabError
 from .measurement import ACTIVE_TOL, _active_mask
 from .states import StateClassSpec, pauli_line_state, sample_class, tilted_product_state
@@ -140,9 +141,24 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
     sparse-vector mixtures on a g-vector family) pass or fail on the nominal
     bounds d*s_d and 8*r*gamma^2 + 2*r*gamma; each block also reports the
     observed maximum count and whether every count meets the rule
-    2*d*u - u^2, so discrepancies stay visible.
+    2*d*u - u^2, so discrepancies stay visible.  Each family is built, checked
+    and dropped in turn, so one basis is alive at a time.  ValueError unless
+    ``samples``, the states sampled per class, is an integer >= 1.
     """
-    p = d * d
+    samples = _checked_integer("samples", samples, 1)
+    results = [_sparse_entry_check(d, seed, samples)]
+    try:
+        b = _pauli_slots(d)
+    except TomolabError:
+        b = 0  # no Pauli family at this d
+    if b:
+        results += _pauli_witness_checks(d, b)
+    results.append(_sparse_vector_check(d, seed, samples))
+    return results
+
+
+def _sparse_entry_check(d: int, seed: int, samples: int) -> dict:
+    """Corollary 1: entry-sparse states on the hermitian family."""
     herm = build_basis("hermitian", d)
     worst = {}
     for s in (1, 2, 4):
@@ -150,36 +166,40 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
         sampled = [sample_class(spec, d, seed + 1000 * s + i) for i in range(samples)]
         worst[f"s{s}"] = {**_count_block(herm, np.eye(d), sampled, lambda u: d * u),
                           "bound_rule": f"{d}*s_d per state"}
-    results = [{"name": "sparse-entry-count", "anchor": "corollary1",
-                "passed": all(v["ok"] for v in worst.values()), "details": worst}]
+    return {"name": "sparse-entry-count", "anchor": "corollary1",
+            "passed": all(v["ok"] for v in worst.values()), "details": worst}
 
-    try:
-        b = _pauli_slots(d)
-    except TomolabError:
-        b = 0  # no Pauli family at this d
-    if b:
-        # zeta = count / p is exact, p being a power of 4; it is (p - 1) / p
-        # exactly when count = p - 1
-        pauli = build_basis("pauli", d)
-        ok, detail = True, {}
-        for beta in (0.1, 0.5, 0.9):
-            st = pauli_line_state(d, 1, beta)
-            count = int(_nondegenerate(active_index_set(st, pauli)).sum())
-            ok &= abs(pauli.cell_traces(st.matrix)[0, -1] - 1.0) <= ACTIVE_TOL and count == p - 1
-            detail[str(beta)] = {"nondegenerate": count, "zeta": count / p}
-        results.append({"name": "pauli-line-witness", "anchor": "corollary2",
-                        "passed": bool(ok), "details": detail})
 
-        # the tilted product state; every non-identity member has two cells, +1 then -1
-        st = tilted_product_state(b)
-        rest = pauli.cell_traces(st.matrix)[1:]
+def _pauli_witness_checks(d: int, b: int) -> list:
+    """Corollaries 2 and 3: the Pauli line and tilted product witnesses on the
+    Pauli family of b qubits."""
+    # zeta = count / p is exact, p being a power of 4; it is (p - 1) / p
+    # exactly when count = p - 1
+    p = d * d
+    pauli = build_basis("pauli", d)
+    ok, detail = True, {}
+    for beta in (0.1, 0.5, 0.9):
+        st = pauli_line_state(d, 1, beta)
         count = int(_nondegenerate(active_index_set(st, pauli)).sum())
-        ok = (count == p - 1 and np.all(rest[:, 0] >= 0.5 - ACTIVE_TOL)
-              and np.all(rest[:, 1] >= 1 / 7 - ACTIVE_TOL))
-        results.append({"name": "tilted-product-witness", "anchor": "corollary3",
-                        "passed": bool(ok), "details": {
-                            "zeta": count / p, "min_trace": rest.min(), "max_trace": rest.max()}})
+        ok &= abs(pauli.cell_traces(st.matrix)[0, -1] - 1.0) <= ACTIVE_TOL and count == p - 1
+        detail[str(beta)] = {"nondegenerate": count, "zeta": count / p}
+    results = [{"name": "pauli-line-witness", "anchor": "corollary2",
+                "passed": bool(ok), "details": detail}]
 
+    # the tilted product state; every non-identity member has two cells, +1 then -1
+    st = tilted_product_state(b)
+    rest = pauli.cell_traces(st.matrix)[1:]
+    count = int(_nondegenerate(active_index_set(st, pauli)).sum())
+    ok = (count == p - 1 and np.all(rest[:, 0] >= 0.5 - ACTIVE_TOL)
+          and np.all(rest[:, 1] >= 1 / 7 - ACTIVE_TOL))
+    results.append({"name": "tilted-product-witness", "anchor": "corollary3",
+                    "passed": bool(ok), "details": {
+                        "zeta": count / p, "min_trace": rest.min(), "max_trace": rest.max()}})
+    return results
+
+
+def _sparse_vector_check(d: int, seed: int, samples: int) -> dict:
+    """Corollary 4: sparse-vector mixtures on the default g-vector family."""
     g = default_g_vectors(d)
     gbasis = build_basis("gvector", d, g_vectors=g)
     worst = {}
@@ -190,9 +210,8 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
                    for i in range(samples)]
         worst[f"r{r}g{gam}"] = {**_count_block(gbasis, g, sampled, lambda u: bound),
                                 "bound": bound}
-    results.append({"name": "sparse-vector-count", "anchor": "corollary4",
-                    "passed": all(v["ok"] for v in worst.values()), "details": worst})
-    return results
+    return {"name": "sparse-vector-count", "anchor": "corollary4",
+            "passed": all(v["ok"] for v in worst.values()), "details": worst}
 
 
 def write_report_json(payload: dict, path) -> None:

@@ -66,9 +66,9 @@ EPS = np.finfo(float).eps
 # window W, the cells meeting the Mahalanobis ellipsoid of radius R = WINDOW,
 # gives the affinity at ORDER and at COMPARE_ORDER (the order term of the error
 # bar, an estimate).  Each flat run of CHUNK_CELLS box cells writes its (kept
-# cells x nodes) exponents into a buffer that every run reuses.  Which run size
-# gives the least peak memory at the 4-cell benchmark depends on the harness's
-# heap layout: its runner read 4096 lowest, a one-process run of its config 2048.
+# cells x nodes) exponents into a buffer that every run reuses; the TV Monte Carlo
+# scores its draws in blocks of as many rows.  The 4-cell benchmark reads the least
+# peak memory at 2048, but any size other than 4096 moves the affinity's last digits.
 ORDER, COMPARE_ORDER, WINDOW, CHUNK_CELLS = 5, 3, 8.0, 4096
 
 
@@ -455,11 +455,13 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
     row {tv, tv_err}, tv_err a 95% CLT half-width; both exactly 0.0 when fewer
     than two cells are active.
 
-    Draws from substream (seed, ``TV``, point), one stream per grid point: the
-    counts U, then the K0 uniforms psi.  The point x = U_head + psi rounds back
-    to U, so f(x) is the pmf at U.  ValueError unless ``theta`` is a probability
-    vector, m an integer >= 1 and ``n_samples`` an integer >= 2 (the fewest the
-    half-width needs)."""
+    Draws from substream (seed, ``TV``, point), one stream per grid point: all
+    the counts U, then the K0 uniforms psi, a block of CHUNK_CELLS rows at a
+    time, each block scored before the next is drawn (the stream is sequential,
+    so the draws are those of one (n_samples, r - 1) call).  The point
+    x = U_head + psi rounds back to U, so f(x) is the pmf at U.  ValueError
+    unless ``theta`` is a probability vector, m an integer >= 1 and ``n_samples``
+    an integer >= 2 (the fewest the half-width needs)."""
     theta = _checked_theta(theta)
     m, n_samples = _checked_integer("m", m, 1), _checked_integer("n_samples", n_samples, 2)
     sub = _active_law(theta)
@@ -467,11 +469,14 @@ def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
         return {"tv": 0.0, "tv_err": 0.0}
     rng = substream(seed, TV, point)
     counts = rng.multinomial(m, sub, size=n_samples)
-    x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n_samples, len(sub) - 1))
-    f = multinomial_pmf(counts, m, sub)
-    if np.any(f <= 0):
-        raise TomolabError("sampling density vanished at a drawn point")
-    vals = np.maximum(0.0, 1.0 - _gaussian_density(m, sub, x) / f)
+    vals = np.empty(n_samples)
+    for lo in range(0, n_samples, CHUNK_CELLS):
+        block = counts[lo:lo + CHUNK_CELLS]
+        x = block[:, :-1] + rng.uniform(-0.5, 0.5, size=(len(block), len(sub) - 1))
+        f = multinomial_pmf(block, m, sub)
+        if np.any(f <= 0):
+            raise TomolabError("sampling density vanished at a drawn point")
+        vals[lo:lo + len(block)] = np.maximum(0.0, 1.0 - _gaussian_density(m, sub, x) / f)
     half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(n_samples)
     return {"tv": float(vals.mean()), "tv_err": half}
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +349,32 @@ class TestDeficiencyBound:
     def test_bad_sizes_rejected(self, n, m):
         with pytest.raises(ValueError, match="n must be nonnegative, m >= 1"):
             diagnostics.deficiency_bound(n, m, 0.1, 0.5, 1.0)
+
+
+class TestCorollarySuite:
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_samples_not_a_positive_integer_rejected(self, samples):
+        # with no sampled state the two counting checks would pass vacuously
+        with pytest.raises(ValueError, match="samples must be"):
+            diagnostics.corollary_suite(4, 1, samples)
+
+    def test_one_basis_alive_at_a_time(self, monkeypatch):
+        # each family is built, checked and dropped before the next is built
+        built = []
+        build = diagnostics.build_basis
+
+        def tracked(*args, **kwargs):
+            alive = [ref().kind for ref in built if ref() is not None]
+            assert not alive, f"{alive} still alive when building {args[0]!r}"
+            basis = build(*args, **kwargs)
+            built.append(weakref.ref(basis))
+            return basis
+
+        monkeypatch.setattr(diagnostics, "build_basis", tracked)
+        results = diagnostics.corollary_suite(16, 3, 2)
+        assert [r["anchor"] for r in results] == [
+            "corollary1", "corollary2", "corollary3", "corollary4"]
+        assert len(built) == 3
 
 
 class TestReportJson:

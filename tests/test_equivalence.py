@@ -786,19 +786,38 @@ class TestTVMonteCarlo:
             eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], n_samples, seed=3)
 
     def test_one_pmf_call_at_the_drawn_counts(self, monkeypatch):
-        # U first, then psi; f is the pmf at U, since U_head + psi rounds back to U
-        m, theta, n = 16, [0.2, 0.3, 0.5], 1000
+        # U first, then psi; f is the pmf at U, since U_head + psi rounds back to U,
+        # one call per block of CHUNK_CELLS consecutive rows of U
+        m, theta, b = 16, [0.2, 0.3, 0.5], eq.CHUNK_CELLS
         calls = []
         pmf = eq.multinomial_pmf
         monkeypatch.setattr(eq, "multinomial_pmf",
                             lambda counts, m, theta: calls.append(counts) or pmf(counts, m, theta))
-        eq.tv_perturbed_vs_gaussian(m, theta, n, seed=7, point=2)
-        rng = substream(7, TV, 2)
-        counts = rng.multinomial(m, np.array(theta) / np.sum(theta), size=n)
-        x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, 2))
-        (drawn,) = calls
-        np.testing.assert_array_equal(drawn, counts)
-        np.testing.assert_array_equal(eq.round_half_away(x), counts[:, :-1])
+        for n, sizes in ((1000, [1000]), (2 * b + 1, [b, b, 1])):
+            calls.clear()
+            eq.tv_perturbed_vs_gaussian(m, theta, n, seed=7, point=2)
+            rng = substream(7, TV, 2)
+            counts = rng.multinomial(m, np.array(theta) / np.sum(theta), size=n)
+            x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, 2))
+            assert [len(block) for block in calls] == sizes
+            np.testing.assert_array_equal(np.concatenate(calls), counts)
+            np.testing.assert_array_equal(eq.round_half_away(x), counts[:, :-1])
+
+    @pytest.mark.parametrize("theta", [[0.3, 0.7], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]])
+    @pytest.mark.parametrize("n", [eq.CHUNK_CELLS - 1, eq.CHUNK_CELLS, eq.CHUNK_CELLS + 1,
+                                   2 * eq.CHUNK_CELLS + 1])
+    def test_blocks_match_one_pass(self, n, theta):
+        # scoring a block of draws at a time gives the bits of one pass over all
+        # of them: every count of substream (seed, TV, point), then every uniform
+        m, seed, point = 64, 5, 1
+        law = np.array(theta) / np.sum(theta)
+        rng = substream(seed, TV, point)
+        counts = rng.multinomial(m, law, size=n)
+        x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, len(law) - 1))
+        ratio = eq._gaussian_density(m, law, x) / eq.multinomial_pmf(counts, m, law)
+        vals = np.maximum(0.0, 1.0 - ratio)
+        assert eq.tv_perturbed_vs_gaussian(m, theta, n, seed, point) == {
+            "tv": float(vals.mean()), "tv_err": 1.96 * float(vals.std(ddof=1)) / math.sqrt(n)}
 
     @pytest.mark.parametrize("theta", [[0.5, 0.5], [1.0, 0.0]])
     @pytest.mark.parametrize("m", [0, -2])
