@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TomolabError
+from .errors import TomolabError, _checked_integer
 from .hermitian import (_CHUNK, MAX_TENSOR_DIM, TOL_HERM, _run_starts, format_matrix,
                         parse_matrix, stack_traces)
 
@@ -147,8 +147,7 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
     """Construct one of the built-in observable families (p = d^2 members)."""
     if kind not in _KINDS:
         raise TomolabError(f"unknown basis kind {kind!r}")
-    if d < 2:
-        raise TomolabError("dimension must be at least 2")
+    d = _checked_integer("d", d, 2)
 
     g_store = None
     if kind == "canonical":

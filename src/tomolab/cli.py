@@ -189,8 +189,8 @@ def load_config(path) -> ExperimentConfig:
 def _check_bounds(cfg: ExperimentConfig) -> None:
     # a Monte-Carlo half-width or a standard error needs two draws, a translate run a record
     for key, value, least, most in (
-            ("[basis] d", cfg.d, -math.inf, ENVELOPE["d"]),
-            ("[run] m", cfg.m, -math.inf, ENVELOPE["m"]),
+            ("[basis] d", cfg.d, 2, ENVELOPE["d"]),
+            ("[run] m", cfg.m, 1, ENVELOPE["m"]),
             ("[run] n", cfg.n, int(cfg.task == "translate"), ENVELOPE["n"]),
             ("[run] seed or TOMOLAB_SEED", cfg.seed, 0, math.inf),
             ("[corollaries] samples", cfg.class_samples, 1, ENVELOPE["samples"]),

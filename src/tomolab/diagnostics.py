@@ -22,8 +22,7 @@ import math
 import numpy as np
 
 from .bases import ObservableBasis, _pauli_slots, build_basis, default_g_vectors
-from .equivalence import _checked_integer
-from .errors import TomolabError
+from .errors import TomolabError, _checked_integer
 from .measurement import ACTIVE_TOL, _active_mask
 from .states import StateClassSpec, pauli_line_state, sample_class, tilted_product_state
 
@@ -143,9 +142,9 @@ def corollary_suite(d: int, seed: int, samples: int) -> list:
     observed maximum count and whether every count meets the rule
     2*d*u - u^2, so discrepancies stay visible.  Each family is built, checked
     and dropped in turn, so one basis is alive at a time.  ValueError unless
-    ``samples``, the states sampled per class, is an integer >= 1.
+    ``seed`` is an integer >= 0 and ``samples``, the states sampled per class, one >= 1.
     """
-    samples = _checked_integer("samples", samples, 1)
+    seed, samples = _checked_integer("seed", seed, 0), _checked_integer("samples", samples, 1)
     results = [_sparse_entry_check(d, seed, samples)]
     try:
         b = _pauli_slots(d)

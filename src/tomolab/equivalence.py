@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import TomolabError
+from .errors import TomolabError, _checked_integer
 from .measurement import TomographyDataset, _active_mask
 from .rng import TRANSLATE, TV, record_blocks, substream
 
@@ -89,15 +88,6 @@ def _checked_theta(theta) -> np.ndarray:
     if abs(theta.sum() - 1.0) > 1e-9:
         raise ValueError(f"theta sums to {theta.sum()!r}, not 1")
     return theta
-
-
-def _checked_integer(name: str, value, least: int) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
 
 
 @functools.lru_cache(maxsize=32)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .errors import TomolabError
+from .errors import TomolabError, _checked_integer
 from .rng import BLOCK, TOMOGRAPHY, record_blocks, substream
 
 __all__ = [
@@ -122,8 +122,7 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     """Simulate n records of m measurements each under the given design."""
     if detail not in ("counts", "summary", "individual"):
         raise ValueError(f"unknown detail level {detail!r}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    n, m = _checked_integer("n", n, 0), _checked_integer("m", m, 1)
     indices = draw_design_indices(design, basis, n, seed)
     pvals, lams = cell_probabilities(rho, basis), basis.eigenvalues
     counts = np.empty((n, basis.kappa), dtype=np.int64)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .errors import TomolabError
+from .errors import TomolabError, _checked_integer
 from .hermitian import stack_traces
 from .measurement import (_active_mask, _blocks, _cell_table, _field, _read_records,
                           _record_blocks, _write_table, cell_probabilities, draw_design_indices)
@@ -75,8 +75,7 @@ def _coarse_moments(rho, basis: ObservableBasis, theta: np.ndarray) -> tuple:
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
                     n: int, m: int, seed: int) -> tuple:
     """n coarse samples Y_k = tr(X_k rho) + eps_k, as (indices, Y)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    n, m = _checked_integer("n", n, 0), _checked_integer("m", m, 1)
     indices = draw_design_indices(design, basis, n, seed, COARSE)
     mean, var = _coarse_moments(rho, basis, cell_probabilities(rho, basis))
     sd = np.sqrt(var / m)
@@ -110,8 +109,7 @@ def simulate_fine(rho, basis: ObservableBasis, design: SamplingDesign,
                   n: int, m: int, seed: int) -> tuple:
     """n fine samples y_k = theta(X_k) + z_k, z_k singular multivariate normal,
     as (indices, y) with y the front-padded (n, kappa) table of the records."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    n, m = _checked_integer("n", n, 0), _checked_integer("m", m, 1)
     indices = draw_design_indices(design, basis, n, seed, FINE)
     width = basis.kappa - 1
     theta = cell_probabilities(rho, basis)
@@ -177,8 +175,7 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     if basis.kind not in ("hermitian", "pauli", "gvector"):
         raise TomolabError("estimator transfer requires an orthogonal family")
     p = basis.size
-    if m < 1:
-        raise TomolabError("m must be at least 1")
+    m, replications = _checked_integer("m", m, 1), _checked_integer("replications", replications, 2)
     rng = substream(seed, TRANSFER)
     norms = (basis.matrices.conj() * basis.matrices).reshape(p, -1).sum(axis=1).real
     theta = cell_probabilities(rho, basis)

@@ -32,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 import numpy.random  # numpy 2.x loads it on first use otherwise
 
+from .errors import _checked_integer
+
 __all__ = ["RNG_CONTRACT", "BLOCK", "TOMOGRAPHY", "COARSE", "FINE", "TRANSLATE", "TRANSFER", "TV",
            "substream", "record_blocks"]
 
@@ -41,9 +43,11 @@ BLOCK = 256  # records per block
 TOMOGRAPHY, COARSE, FINE, TRANSLATE, TRANSFER, TV = range(6)
 
 
-def substream(root: int, *keys: int) -> np.random.Generator:
-    """Return the generator for substream ``keys`` of root seed ``root``."""
-    return np.random.default_rng(np.random.SeedSequence((int(root),) + tuple(int(k) for k in keys)))
+def substream(seed: int, *keys: int) -> np.random.Generator:
+    """Return the generator for substream ``keys`` of root seed ``seed``; TomolabError
+    unless the seed and every key are nonnegative integers (a float is not truncated)."""
+    keys = tuple(_checked_integer("key", k, 0) for k in keys)
+    return np.random.default_rng(np.random.SeedSequence((_checked_integer("seed", seed, 0),) + keys))
 
 
 def record_blocks(seed: int, family: int, n: int) -> list:

@@ -29,6 +29,12 @@ class TestBuildBasis:
                                                r"Haar vectors; got d = 6"):
             bases.build_basis("pauli", 6)
 
+    @pytest.mark.parametrize("d, message", [(2.5, "d must be an integer, got 2.5"),
+                                            (1, "d must be at least 2, got 1")])
+    def test_dimension_not_an_integer_of_at_least_two_rejected(self, d, message):
+        with pytest.raises(TomolabError, match=message):
+            bases.build_basis("hermitian", d)
+
     def test_gvector_with_canonical_axes_matches_hermitian(self):
         bh = bases.build_basis("hermitian", 3)
         bg = bases.build_basis("gvector", 3, g_vectors=np.eye(3))

@@ -268,8 +268,11 @@ m_grid = {grid}
         ("distances", "tv_samples", 1),
         ("transfer", "replications", 1),
         ("run", "threads", 0),
+        ("run", "m", 0),
+        ("basis", "d", 1),
     ])
-    def test_meaningless_sample_size_exits_2(self, tmp_path, monkeypatch, section, key, value):
+    def test_meaningless_sample_size_exits_2(self, tmp_path, monkeypatch, capsys, section, key,
+                                              value):
         def no_build(*args, **kwargs):
             raise AssertionError("a basis was built")
 
@@ -279,6 +282,7 @@ m_grid = {grid}
         text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                          for name, keys in sections.items())
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [{section}] {key}")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("task, n_line", [

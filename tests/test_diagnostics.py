@@ -358,6 +358,13 @@ class TestCorollarySuite:
         with pytest.raises(ValueError, match="samples must be"):
             diagnostics.corollary_suite(4, 1, samples)
 
+    @pytest.mark.parametrize("seed, message", [(-5000, "seed must be at least 0, got -5000"),
+                                               (1.9, "seed must be an integer, got 1.9")])
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed, message):
+        # named as given, not as the per-state seed derived from it
+        with pytest.raises(ValueError, match=message):
+            diagnostics.corollary_suite(4, seed, 1)
+
     def test_one_basis_alive_at_a_time(self, monkeypatch):
         # each family is built, checked and dropped before the next is built
         built = []

@@ -216,6 +216,14 @@ class TestRunTomography:
         with pytest.raises(ValueError):
             measurement.run_tomography(st, PAULI2, design, n, 0, seed=1)
 
+    @pytest.mark.parametrize("n, m, message", [(4, 8.0, "m must be an integer, got 8.0"),
+                                               (2.5, 2, "n must be an integer, got 2.5")])
+    def test_count_not_an_integer_rejected(self, n, m, message):
+        # an m of 8.0 would reach tomography.csv as "8.0", which the reader rejects
+        st = states.validate_density(np.eye(2) / 2)
+        with pytest.raises(ValueError, match=message):
+            measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), n, m, seed=1)
+
     def test_point_mass_design(self):
         st = states.validate_density(np.eye(2) / 2)
         xi = np.array([0.0, 0.0, 1.0, 0.0])

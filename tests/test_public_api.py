@@ -241,6 +241,12 @@ def test_one_basis_constructor():
     assert callers == {("bases", "_make_basis")}
 
 
+def test_one_integer_rule():
+    homes = {mod for mod, src in _sources().items() for node in ast.walk(ast.parse(src))
+             if isinstance(node, ast.FunctionDef) and node.name == "_checked_integer"}
+    assert homes == {"errors"}
+
+
 def _readme_config_keys(text: str) -> set:
     """(section, key) of every key of the README's ``ini`` block, parsed as the
     config loader parses a file."""

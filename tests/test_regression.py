@@ -137,12 +137,22 @@ class TestSimulateFine:
         with pytest.raises(ValueError):
             regression.simulate_fine(st, PAULI2, bases.SamplingDesign.fixed(), 4, 0, seed=1)
 
+    def test_fractional_m_rejected(self):
+        st = states.validate_density(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            regression.simulate_fine(st, PAULI2, bases.SamplingDesign.fixed(), 4, 2.5, seed=1)
+
 
 class TestSimulateCoarse:
     def test_zero_m_rejected(self):
         st = states.validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
             regression.simulate_coarse(st, PAULI2, bases.SamplingDesign.fixed(), 4, 0, seed=1)
+
+    def test_fractional_m_rejected(self):
+        st = states.validate_density(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            regression.simulate_coarse(st, PAULI2, bases.SamplingDesign.fixed(), 4, 2.5, seed=1)
 
     def test_identity_member_exact(self):
         st = states.validate_density(np.diag([0.5, 0.25, 0.125, 0.125]))
@@ -404,3 +414,9 @@ def test_transfer_norms_match_per_member_hs_inner(kind, d, monkeypatch):
         regression.estimator_transfer(interior_state(d), basis, 16, seed=1, replications=2)
     want = np.array([hs_inner(b, b).real for b in basis.matrices])
     assert seen[0].tobytes() == want.tobytes()
+
+
+def test_transfer_needs_two_replications():
+    # one replication has no standard error: gap_se would be NaN
+    with pytest.raises(ValueError, match="replications must be at least 2, got 1"):
+        regression.estimator_transfer(interior_state(2), PAULI2, 16, seed=1, replications=1)

@@ -113,3 +113,16 @@ def test_one_substream_per_block(monkeypatch, name, family, design_draws, n):
     assert all(args[:2] == (SEED, family) for args in calls)
     blocks = sorted(args[2] for args in calls if args[2] > 0)
     assert blocks == list(range(1, math.ceil(n / B) + 1))
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda: rng.substream(1.9), "seed must be an integer, got 1.9"),
+    (lambda: rng.substream(1, rng.TV, 0.5), "key must be an integer, got 0.5"),
+    (lambda: measurement.run_tomography(STATE, HERM4, rare_wide_design(), 4, 32, 1.9),
+     "seed must be an integer, got 1.9"),
+], ids=["seed", "key", "run_tomography"])
+def test_seed_is_not_truncated(draw, message):
+    # a float seed used to draw exactly the stream of its integer part
+    with pytest.raises(ValueError, match=message):
+        draw()
+
