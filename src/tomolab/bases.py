@@ -179,7 +179,8 @@ def _pauli_label(j, b: int) -> np.ndarray:
 
 def _pauli_slots(d: int) -> int:
     """b with d = 2^b, b >= 1 (Pauli tensor slots, Haar levels); TomolabError otherwise."""
-    if d < 2 or d & (d - 1):
+    # a d of at least 2 is checked to be an integer before its bits are read
+    if d < 2 or _checked_integer("d", d, 2) & (d - 1):
         raise TomolabError(f"pauli family needs d = 2^b (b >= 1), as do Haar vectors; got d = {d}")
     return int(d).bit_length() - 1
 

@@ -157,6 +157,8 @@ def load_config(path) -> ExperimentConfig:
                            **{name: v for name, v in values.items() if v is not None})
     if cfg.design_mode not in ("fixed", "random"):
         raise ConfigParseError(f"[design] mode must be fixed or random, got {cfg.design_mode!r}")
+    if cfg.detail not in ("summary", "individual"):
+        raise ConfigParseError(f"[run] detail must be summary or individual, got {cfg.detail!r}")
     sources = [key for key in ("witness", "class", "matrix_file") if parser.has_option("state", key)]
     if len(sources) > 1:
         raise ConfigParseError(f"[state] sets {' and '.join(sources)}; pick one source")
@@ -280,11 +282,11 @@ def _inputs(cfg: ExperimentConfig):
 
 def _task_simulate(cfg, path):
     basis, state, design = _inputs(cfg)
-    dataset = measurement.run_tomography(state, basis, design, cfg.n, cfg.m, cfg.seed,
-                                         detail=cfg.detail)
+    dataset = measurement.run_tomography(state, basis, design, cfg.n, cfg.m, cfg.seed)
     measurement.write_dataset_csv(dataset, basis, path("tomography.csv"))
-    if dataset.individuals is not None:
-        measurement.write_individuals_csv(dataset, path("individuals.csv"))
+    if cfg.detail == "individual":
+        measurement.write_individuals_csv(measurement.outcome_sequences(dataset, basis, cfg.seed),
+                                          path("individuals.csv"))
     coarse = regression.simulate_coarse(state, basis, design, cfg.n, cfg.m, cfg.seed)
     regression.write_coarse_csv(coarse, path("coarse.csv"))
     fine = regression.simulate_fine(state, basis, design, cfg.n, cfg.m, cfg.seed)

@@ -105,10 +105,9 @@ def gamma_p(pi, xi) -> float:
 
 def deficiency_bound(n: int, m: int, gamma: float, zeta: float, constant: float) -> float:
     """n*gamma + C*sqrt(n*zeta/m); a uniform or fixed design has gamma = 0."""
-    if (n < 0 or m < 1 or not 0 < constant < math.inf
-            or not (0 <= gamma < math.inf and 0 <= zeta < math.inf)):
-        raise ValueError("n must be nonnegative, m >= 1, C > 0, and C, gamma and zeta "
-                         "finite and nonnegative")
+    n, m = _checked_integer("n", n, 0), _checked_integer("m", m, 1)
+    if not 0 < constant < math.inf or not (0 <= gamma < math.inf and 0 <= zeta < math.inf):
+        raise ValueError("C must be positive, and C, gamma and zeta finite and nonnegative")
     return n * gamma + constant * math.sqrt(n * zeta / m)
 
 

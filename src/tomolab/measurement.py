@@ -12,17 +12,17 @@ block of ``BLOCK`` records makes one ``multinomial`` call on its substream,
 with one row of cell probabilities per record.  Rows are the basis's
 front-padded (p, kappa) table (:class:`ObservableBasis`), padded in front to
 the largest cell count over its members; a zero cell takes no draw, so each
-row consumes the stream exactly as a one-record call would.  Individual
-outcomes are one ``permuted`` call per block on a copy of the block
-substream advanced from its start by ``bit_generator.jumped()`` (PCG64's
-fixed jump of about 0.618 * 2**128 steps), so the counts do not depend on
-``detail`` and the first n records do not depend on n.  The cell
+row consumes the stream exactly as a one-record call would.  The cell
 probabilities of every member are computed once per run.
 
 A run's records are held once, as arrays (:class:`TomographyDataset`): the
-member index per record, the (n, kappa) count table the multinomial fills
+member index per record and the (n, kappa) count table the multinomial fills
 (record k's counts in the last ``sizes[indices[k]]`` slots of row k, zeros in
-front), and optionally the average outcomes and the (n, m) outcome array.
+front).  The rest is derived where it is written: N by
+:func:`write_dataset_csv`, and the outcomes by :func:`outcome_sequences`, one
+``permuted`` call per block on a copy of the block substream advanced from its
+start by ``bit_generator.jumped()`` (PCG64's fixed jump of about 0.618 * 2**128
+steps), so the first n records do not depend on n.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "TomographyDataset",
     "cell_probabilities",
     "run_tomography",
+    "outcome_sequences",
     "write_dataset_csv",
     "read_dataset_csv",
     "write_individuals_csv",
@@ -58,8 +59,6 @@ class TomographyDataset:
     m: int
     indices: np.ndarray             # int64, one member per record
     counts: np.ndarray              # (n, kappa) int64, front-padded as the basis's tables
-    summaries: np.ndarray = None    # N_k per record
-    individuals: np.ndarray = None  # (n, m) outcomes, one row per record
 
 
 def cell_probabilities(rho, basis: ObservableBasis) -> np.ndarray:
@@ -118,30 +117,28 @@ def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, 
 
 
 def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
-                   n: int, m: int, seed: int, detail: str = "counts") -> TomographyDataset:
+                   n: int, m: int, seed: int) -> TomographyDataset:
     """Simulate n records of m measurements each under the given design."""
-    if detail not in ("counts", "summary", "individual"):
-        raise ValueError(f"unknown detail level {detail!r}")
     n, m = _checked_integer("n", n, 0), _checked_integer("m", m, 1)
     indices = draw_design_indices(design, basis, n, seed)
-    pvals, lams = cell_probabilities(rho, basis), basis.eigenvalues
+    pvals = cell_probabilities(rho, basis)
     counts = np.empty((n, basis.kappa), dtype=np.int64)
-    outcomes = np.empty((n, m)) if detail == "individual" else None
     for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, n):
-        idx = indices[lo:hi]
-        # jumped from the block's start (jumped() leaves rng where it is), so
-        # the shuffle does not depend on how many draws the counts took
-        shuffler = None if outcomes is None else np.random.Generator(rng.bit_generator.jumped())
-        counts[lo:hi] = rng.multinomial(m, pvals[idx])
-        if outcomes is not None:
-            # every row holds m outcomes in eigenvalue order, then is shuffled
-            in_order = np.repeat(lams[idx].ravel(), counts[lo:hi].ravel()).reshape(hi - lo, m)
-            outcomes[lo:hi] = shuffler.permuted(in_order, axis=1)
-    summaries = None
-    if detail in ("summary", "individual"):
-        summaries = _mean_outcomes(lams[indices], counts, m)
-    return TomographyDataset(m=m, indices=indices, counts=counts,
-                             summaries=summaries, individuals=outcomes)
+        counts[lo:hi] = rng.multinomial(m, pvals[indices[lo:hi]])
+    return TomographyDataset(m=m, indices=indices, counts=counts)
+
+
+def outcome_sequences(dataset: TomographyDataset, basis: ObservableBasis, seed: int) -> np.ndarray:
+    """The (n, m) outcomes of ``dataset``'s records, run at ``seed``: row k holds record
+    k's eigenvalues, each as often as its count, in a seeded shuffled order."""
+    outcomes = np.empty((len(dataset.indices), dataset.m))
+    for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, len(outcomes)):
+        # jumped from the block's start, where the counts' multinomial began
+        shuffler = np.random.Generator(rng.bit_generator.jumped())
+        lams, counts = basis.eigenvalues[dataset.indices[lo:hi]], dataset.counts[lo:hi]
+        in_order = np.repeat(lams.ravel(), counts.ravel()).reshape(hi - lo, dataset.m)
+        outcomes[lo:hi] = shuffler.permuted(in_order, axis=1)
+    return outcomes
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -196,19 +193,15 @@ def _record_blocks(basis: ObservableBasis, indices, table, row, *tail):
 
 
 def write_dataset_csv(dataset: TomographyDataset, basis: ObservableBasis, path) -> None:
-    """One row per record: k, j, m, "U_1|U_2|...", N (empty when absent)."""
-    tail = () if dataset.summaries is None else (dataset.summaries,)
-    last = ",%.17g" if tail else ","
+    """One row per record: k, j, m, "U_1|U_2|...", N, its mean outcome."""
+    means = _mean_outcomes(basis.eigenvalues[dataset.indices], dataset.counts, dataset.m)
     _write_table(path, ["k", "j", "m", "counts", "N"], _record_blocks(
         basis, dataset.indices, dataset.counts,
-        lambda r: f"%d,%d,{dataset.m}," + "|".join(["%d"] * r) + last, *tail))
+        lambda r: f"%d,%d,{dataset.m}," + "|".join(["%d"] * r) + ",%.17g", means))
 
 
-def write_individuals_csv(dataset: TomographyDataset, path) -> None:
-    """Sibling outcome file: row per record, one outcome per column."""
-    if dataset.individuals is None:
-        raise ValueError("dataset carries no individual outcomes")
-    outcomes = dataset.individuals
+def write_individuals_csv(outcomes, path) -> None:
+    """Sibling outcome file of :func:`outcome_sequences`: one row per record."""
     _write_table(path, None, _blocks(",".join(["%.17g"] * outcomes.shape[1]), outcomes))
 
 
@@ -258,8 +251,8 @@ def _cell_table(texts, indices, basis: ObservableBasis, column: str, noun: str,
 
 def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
     """Rebuild a dataset from its CSV; ValueError unless every row holds one count per cell
-    of a measurable member, summing to the file's one m, and N is set on every row, as
-    their mean outcome, or on none."""
+    of a measurable member, summing to the file's one m, and N on every row is their
+    mean outcome."""
     rows, indices = _read_records(path, basis, ["k", "j", "m", "counts", "N"])
     ms = sorted({_field(k, "m", row[2], int) for k, row in enumerate(rows)}) or [0]
     if len(ms) > 1:
@@ -272,16 +265,10 @@ def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
             raise ValueError(f"record {k}: counts {u} do not sum to m = {ms[0]}")
 
     counts = _cell_table([row[3] for row in rows], indices, basis, "counts", "counts", int, check)
-    with_n = [bool(row[4]) for row in rows]
-    if len(set(with_n)) > 1:
-        k = with_n.index(not with_n[0])
-        raise ValueError(f"record {k}: N must be set on every row or on none")
-    if not any(with_n):
-        return TomographyDataset(m=ms[0], indices=indices, counts=counts)
-    summaries = np.array([_field(k, "N", row[4], float) for k, row in enumerate(rows)])
+    means = np.array([_field(k, "N", row[4], float) for k, row in enumerate(rows)])
     # the writer's formula, so the library's own files read back bit for bit
-    err = np.abs(summaries - _mean_outcomes(basis.eigenvalues[indices], counts, ms[0]))
+    err = np.abs(means - _mean_outcomes(basis.eigenvalues[indices], counts, ms[0]))
     bad = np.flatnonzero(~(err <= 1e-12 * max(1.0, np.abs(basis.eigenvalues).max()))).tolist()
     if bad:
-        raise ValueError(f"record {bad[0]}: N = {summaries[bad[0]]} is not its counts' mean outcome")
-    return TomographyDataset(m=ms[0], indices=indices, counts=counts, summaries=summaries)
+        raise ValueError(f"record {bad[0]}: N = {means[bad[0]]} is not its counts' mean outcome")
+    return TomographyDataset(m=ms[0], indices=indices, counts=counts)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bases
-from .errors import TomolabError
+from .errors import TomolabError, _checked_integer
 from .hermitian import require_hermitian
 from .rng import substream
 
@@ -84,7 +84,7 @@ def pauli_line_state(d: int, j_star: int, beta: float) -> DensityMatrix:
     if not 0 < j_star < d * d:
         raise TomolabError(f"j_star must name a non-identity member, 0 < j_star < {d * d}, "
                            f"got {j_star}")
-    member = bases._pauli_members(bases._pauli_label([j_star], b))[0]
+    member = bases._pauli_members(bases._pauli_label([_checked_integer("j_star", j_star, 1)], b))[0]
     return validate_density(np.eye(d, dtype=complex) / d + (beta / d) * member)
 
 
@@ -94,9 +94,7 @@ def tilted_product_state(b: int) -> DensityMatrix:
     Built from the single-qubit unit vector (sqrt(6/7), sqrt(1/14)(1+i));
     its four single-qubit averages are (1, 2 sqrt(3)/7, 2 sqrt(3)/7, 5/7).
     """
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    bases._pauli_tensor_slots(2 ** b)  # the tensor-product size cap
+    bases._pauli_tensor_slots(2 ** _checked_integer("b", b, 1))  # the tensor-product size cap
     e = np.array([np.sqrt(6.0 / 7.0), np.sqrt(1.0 / 14.0) * (1 + 1j)])
     u = e
     for _ in range(b - 1):
@@ -126,7 +124,7 @@ def witness_state(name: str, d: int, j_star=None, beta: float = 0.5) -> DensityM
 
 def sample_class(spec: StateClassSpec, d: int, seed: int) -> DensityMatrix:
     """Draw one state from the class; deterministic for a fixed seed."""
-    rng = substream(seed)
+    d, rng = _checked_integer("d", d, 1), substream(seed)
     if spec.class_name == "entry_sparse":
         return _sample_entry_sparse(d, spec.s, rng)
     if spec.class_name == "pauli_sparse":
@@ -141,6 +139,7 @@ def sample_class(spec: StateClassSpec, d: int, seed: int) -> DensityMatrix:
 def _sample_entry_sparse(d: int, s: int, rng) -> DensityMatrix:
     if s is None or s < 1:
         raise TomolabError("entry_sparse needs s >= 1")
+    s = _checked_integer("s", s, 1)
     # Support patterns that survive PSD repair: a few full 2x2 blocks
     # (4 entries each) plus isolated diagonal entries.
     for _ in range(200):
@@ -182,6 +181,7 @@ def _psd_repair(mat: np.ndarray) -> np.ndarray:
 def _sample_pauli_sparse(d: int, s: int, rng) -> DensityMatrix:
     if s is None or s < 1:
         raise TomolabError("pauli_sparse needs s >= 1 (unit trace forces the identity term)")
+    s = _checked_integer("s", s, 1)
     b, p = bases._pauli_tensor_slots(d), d * d
     if s > p:
         raise TomolabError(f"s={s} exceeds the family size {p}")
@@ -203,6 +203,7 @@ def _sample_pauli_sparse(d: int, s: int, rng) -> DensityMatrix:
 def _sample_low_rank(d: int, r: int, rng) -> DensityMatrix:
     if r is None or not (1 <= r <= d):
         raise TomolabError(f"low_rank needs 1 <= r <= {d}")
+    r = _checked_integer("r", r, 1)
     z = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     q, _ = np.linalg.qr(z)
     xi = rng.dirichlet(np.ones(r))
@@ -212,6 +213,7 @@ def _sample_low_rank(d: int, r: int, rng) -> DensityMatrix:
 def _sample_sparse_vec(d: int, r: int, gamma: int, g_vectors, rng) -> DensityMatrix:
     if r is None or gamma is None or r < 1 or gamma < 1:
         raise TomolabError("low_rank_sparse_vec needs r >= 1 and gamma >= 1")
+    r, gamma = _checked_integer("r", r, 1), _checked_integer("gamma", gamma, 1)
     if r > d:
         raise TomolabError(f"cannot place {r} orthogonal vectors in dimension {d}")
     g = np.asarray(g_vectors if g_vectors is not None else bases.default_g_vectors(d), dtype=float)

@@ -463,17 +463,18 @@ def write_table_rows(path, header, rows) -> None:
 
 
 def write_dataset_rows(dataset, basis, path) -> None:
-    """tomography.csv: k, j, m, "U_1|U_2|...", N (empty when absent)."""
+    """tomography.csv: k, j, m, "U_1|U_2|...", N, the mean outcome summed cell by cell."""
     write_table_rows(path, ["k", "j", "m", "counts", "N"], (
         [k, j, dataset.m, "|".join(map(str, counts.tolist())),
-         _fmt(dataset.summaries[k]) if dataset.summaries is not None else ""]
+         _fmt(sum(lam * u for lam, u in zip(basis.eigenvalues[j, basis.cells(j)].tolist(),
+                                            counts.tolist())) / dataset.m)]
         for k, (j, counts) in enumerate(zip(dataset.indices.tolist(),
                                             record_tails(basis, dataset.indices, dataset.counts)))))
 
 
-def write_individuals_rows(dataset, path) -> None:
+def write_individuals_rows(outcomes, path) -> None:
     """individuals.csv: one outcome per column, no header."""
-    write_table_rows(path, None, ([_fmt(x) for x in row] for row in dataset.individuals))
+    write_table_rows(path, None, ([_fmt(x) for x in row] for row in outcomes))
 
 
 def write_coarse_rows(samples, path) -> None:

@@ -733,6 +733,17 @@ m_grid = 16,64,256,1024
         assert cli.main(["run", "--config", path]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("detail", ["counts", "bogus"])
+    def test_unknown_detail_exits_2(self, tmp_path, capsys, detail):
+        # summary and individual are the two values; counts wrote an empty N column before
+        out = tmp_path / "o"
+        path = write_cfg(tmp_path, SIM_CFG.replace("detail = individual", f"detail = {detail}")
+                         .format(out=out))
+        assert cli.main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: [run] detail must be summary or individual, got '{detail}'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sources, named", [
         ("class = low_rank\nr = 2\nmatrix_file = {rho}", "class and matrix_file"),
         ("witness = cor2_line\nclass = low_rank\nr = 2", "witness and class"),

@@ -347,7 +347,8 @@ class TestDeficiencyBound:
 
     @pytest.mark.parametrize("n,m", [(-1, 16), (10, 0), (10, -4)])
     def test_bad_sizes_rejected(self, n, m):
-        with pytest.raises(ValueError, match="n must be nonnegative, m >= 1"):
+        message = f"n must be at least 0, got {n}" if n < 0 else f"m must be at least 1, got {m}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             diagnostics.deficiency_bound(n, m, 0.1, 0.5, 1.0)
 
 

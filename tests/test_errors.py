@@ -37,6 +37,9 @@ ENTRY_POINTS = [
       for argument, least in (("m", 1), ("n_samples", 2))),
     *(_entry(diagnostics.corollary_suite, argument, least, d=2, seed=1, samples=1)
       for argument, least in (("seed", 0), ("samples", 1))),
+    *(_entry(diagnostics.deficiency_bound, argument, least,
+             n=10, m=16, gamma=0.1, zeta=0.5, constant=1.0)
+      for argument, least in (("n", 0), ("m", 1))),
     _entry(bases.build_basis, "d", 2, kind="hermitian", d=2),
     _entry(rng.substream, "seed", 0, seed=1),
 ]
@@ -48,3 +51,33 @@ def test_counts_sizes_and_seeds_follow_the_integer_rule(function, kwargs, argume
     for value, problem in ((2.5, "an integer"), (least - 1, "at least")):
         with pytest.raises(ValueError, match=f"^{argument} must be {problem}"):
             function(**{**kwargs, argument: value})
+
+
+def _sample(class_name, d, **fields):
+    return states.sample_class(states.StateClassSpec(class_name, **fields), d, seed=1)
+
+
+# the state constructions keep their own messages for an integer out of range, so
+# only a value that is not an integer is checked here
+NON_INTEGERS = [
+    pytest.param(function, kwargs, argument, value, id=f"{name}-{argument}")
+    for name, function, kwargs, argument, value in (
+        ("haar_wavelet_vectors", bases.haar_wavelet_vectors, dict(d=4), "d", 2.5),
+        ("witness_state", states.witness_state, dict(name="cor3_tilted", d=4), "d", 4.0),
+        ("tilted_product_state", states.tilted_product_state, dict(b=2), "b", 1.5),
+        ("pauli_line_state", states.pauli_line_state, dict(d=4, j_star=1, beta=0.5), "j_star", 1.5),
+        ("sample_class", _sample, dict(class_name="low_rank", d=4, r=2), "d", 2.5),
+        ("entry_sparse", _sample, dict(class_name="entry_sparse", d=4, s=1), "s", 1.5),
+        ("pauli_sparse", _sample, dict(class_name="pauli_sparse", d=4, s=2), "s", 1.5),
+        ("low_rank", _sample, dict(class_name="low_rank", d=4, r=2), "r", 1.5),
+        ("low_rank_sparse_vec", _sample,
+         dict(class_name="low_rank_sparse_vec", d=4, r=1, gamma=1), "r", 1.5),
+        ("low_rank_sparse_vec", _sample,
+         dict(class_name="low_rank_sparse_vec", d=4, r=1, gamma=1), "gamma", 1.5))]
+
+
+@pytest.mark.parametrize("function, kwargs, argument, value", NON_INTEGERS)
+def test_state_sizes_follow_the_integer_rule(function, kwargs, argument, value):
+    function(**kwargs)
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got {value}$"):
+        function(**{**kwargs, argument: value})

@@ -1,4 +1,6 @@
-"""Tomography simulator: cell probabilities, counts, summaries, datasets."""
+"""Tomography simulator: cell probabilities, counts, summaries, outcomes, datasets."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -243,22 +245,24 @@ class TestRunTomography:
 
     def test_individual_outcomes_tally_to_counts(self):
         st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
-                                        4, 12, seed=3, detail="individual")
-        assert ds.individuals.shape == (4, 12)
-        for j, counts, outcomes, n_k in zip(ds.indices, ds.counts, ds.individuals, ds.summaries):
+        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 12, seed=3)
+        individuals = measurement.outcome_sequences(ds, PAULI2, seed=3)
+        assert individuals.shape == (4, 12)
+        for j, counts, outcomes in zip(ds.indices, ds.counts, individuals):
             lams = PAULI2.eigenvalues[j, PAULI2.cells(j)]
             for lam, count in zip(lams, counts[2 - len(lams):]):
                 assert np.sum(np.isclose(outcomes, lam)) == count
-            assert outcomes.mean() == pytest.approx(n_k)
+            assert outcomes.mean() == pytest.approx(np.dot(lams, counts[2 - len(lams):]) / 12)
 
-    def test_summary_matches_counts(self):
+    def test_summary_matches_counts(self, tmp_path):
+        # N is written for every record, as its mean outcome
         st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
-                                        4, 50, seed=4, detail="summary")
-        for j, counts, n_k in zip(ds.indices, ds.counts, ds.summaries):
+        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 50, seed=4)
+        measurement.write_dataset_csv(ds, PAULI2, tmp_path / "ds.csv")
+        rows = [row.split(",") for row in (tmp_path / "ds.csv").read_text().splitlines()[1:]]
+        for j, counts, row in zip(ds.indices, ds.counts, rows):
             lam = PAULI2.eigenvalues[j, PAULI2.cells(j)]
-            assert n_k == pytest.approx(np.dot(lam, counts[2 - len(lam):]) / ds.m)
+            assert float(row[4]) == pytest.approx(np.dot(lam, counts[2 - len(lam):]) / ds.m)
 
     def test_variance_of_summary_monte_carlo(self):
         st = states.pauli_line_state(2, 1, 0.5)
@@ -278,9 +282,9 @@ class TestRunTomography:
         herm = bases.build_basis("hermitian", 4)
         st = states.sample_class(states.StateClassSpec("low_rank", r=4), 4, seed=2)
         ds = measurement.run_tomography(st, herm, bases.SamplingDesign.fixed(), herm.size, 9,
-                                        seed=6, detail="summary")
-        assert ds.indices.dtype == np.int64 and ds.summaries.shape == (herm.size,)
-        assert ds.individuals is None
+                                        seed=6)
+        assert [f.name for f in fields(ds)] == ["m", "indices", "counts"]
+        assert ds.indices.dtype == np.int64
         assert ds.counts.dtype == np.int64 and ds.counts.shape == (herm.size, 3)
         assert set(herm.sizes[ds.indices].tolist()) == {2, 3}
         for j, u in zip(ds.indices, ds.counts):
@@ -288,27 +292,41 @@ class TestRunTomography:
 
     def test_deterministic_per_seed(self):
         st = states.pauli_line_state(2, 1, 0.3)
-        a = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
-                                       4, 9, seed=8, detail="individual")
-        b = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
-                                       4, 9, seed=8, detail="individual")
+        a = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 9, seed=8)
+        b = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 9, seed=8)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.individuals, b.individuals)
+        np.testing.assert_array_equal(measurement.outcome_sequences(a, PAULI2, 8),
+                                      measurement.outcome_sequences(b, PAULI2, 8))
 
 
 class TestDatasetCSV:
     def test_round_trip(self, tmp_path):
         st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
-                                        4, 7, seed=5, detail="summary")
+        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 7, seed=5)
         path = tmp_path / "ds.csv"
         measurement.write_dataset_csv(ds, PAULI2, path)
         back = measurement.read_dataset_csv(path, PAULI2)
         assert back.m == 7
         np.testing.assert_array_equal(back.indices, ds.indices)
         np.testing.assert_array_equal(back.counts, ds.counts)
-        np.testing.assert_allclose(back.summaries, ds.summaries)
+
+    @pytest.mark.parametrize("kind, d", [("pauli", 4), ("hermitian", 3), ("canonical", 3)])
+    def test_outcomes_survive_the_round_trip(self, tmp_path, kind, d):
+        # the counts and the run's seed are all outcome_sequences needs; n spans two blocks
+        basis = bases.build_basis(kind, d)
+        st = states.sample_class(states.StateClassSpec("low_rank", r=2), d, seed=1)
+        measurable = basis.sizes > 0  # canonical's off-diagonal members are masking-only
+        design = bases.SamplingDesign.random(measurable / measurable.sum())
+        ds = measurement.run_tomography(st, basis, design, 300, 10, seed=5)
+        measurement.write_dataset_csv(ds, basis, tmp_path / "ds.csv")
+        back = measurement.read_dataset_csv(tmp_path / "ds.csv", basis)
+        outcomes = measurement.outcome_sequences(ds, basis, seed=5)
+        np.testing.assert_array_equal(measurement.outcome_sequences(back, basis, seed=5), outcomes)
+        for row, j, counts in zip(outcomes, ds.indices, ds.counts):
+            lams = basis.eigenvalues[j, basis.cells(j)]
+            tally = [np.count_nonzero(row == lam) for lam in lams]
+            assert tally == counts[basis.kappa - len(lams):].tolist()
 
     def test_round_trip_is_exact_for_large_eigenvalues(self, tmp_path):
         # one rounding step of an N near 1e5 exceeds 1e-12, so the reader must
@@ -320,28 +338,17 @@ class TestDatasetCSV:
                                          [1e5 / 3, 2e5 / 7, -5e5 / 9])])
         st = states.validate_density(np.diag([0.5, 0.3, 0.2]).astype(complex))
         ds = measurement.run_tomography(st, big, bases.SamplingDesign.random([0.5, 0.5]),
-                                        200, 7, seed=5, detail="summary")
+                                        200, 7, seed=5)
         path = tmp_path / "ds.csv"
         measurement.write_dataset_csv(ds, big, path)
-        back = measurement.read_dataset_csv(path, big)
+        back = measurement.read_dataset_csv(path, big)  # raises unless every N reads back
         np.testing.assert_array_equal(back.counts, ds.counts)
-        np.testing.assert_array_equal(back.summaries, ds.summaries)
-
-    def test_counts_only_has_empty_summary_column(self, tmp_path):
-        st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
-                                        4, 7, seed=5, detail="counts")
-        path = tmp_path / "ds.csv"
-        measurement.write_dataset_csv(ds, PAULI2, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[1].endswith(",")
 
     def test_individuals_file(self, tmp_path):
         st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(),
-                                        4, 6, seed=5, detail="individual")
+        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 6, seed=5)
         path = tmp_path / "outcomes.csv"
-        measurement.write_individuals_csv(ds, path)
+        measurement.write_individuals_csv(measurement.outcome_sequences(ds, PAULI2, 5), path)
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 4
         assert all(len(row.split(",")) == 6 for row in rows)
@@ -359,10 +366,9 @@ class TestDatasetCSV:
         (["0,1,4,1|3,-0.5", "1,1,4,2|2,0.9"], "record 1: N = 0.9 is not its counts' mean outcome"),
         (["0,1,4,2|2,nan"], "record 0: N = nan is not"),
         (["0,1,0,0|0,0"], "m must be at least 1, got 0"),
-        # N on every row or on none: record 1's wrong N must not go unread
-        (["0,1,4,1|3,-0.5", "1,1,4,2|2,123.0", "2,1,4,2|2,"],
-         "record 2: N must be set on every row or on none"),
-        (["0,1,4,1|3,", "1,1,4,2|2,0"], "record 1: N must be set on every row or on none"),
+        # N is required on every row
+        (["0,1,4,1|3,-0.5", "1,1,4,2|2,"], "record 1: cannot read column N from ''"),
+        (["0,1,4,1|3,"], "record 0: cannot read column N from ''"),
         # row k's column k reads as the integer k
         (["0,1,4,1|3,", "x,1,4,2|2,"], "record 1: cannot read column k from 'x'"),
         (["0,1,4,1|3,", "-3,1,4,2|2,"], "record 1: column k holds '-3', not 1"),
@@ -386,7 +392,7 @@ class TestDatasetCSV:
         assert back.indices.dtype == np.int64 and back.counts.shape == (0, PAULI2.kappa)
 
     def test_read_requires_the_summary_column(self, tmp_path):
-        # the writer always writes N, empty when absent
+        # the writer always writes N
         path = tmp_path / "ds.csv"
         path.write_text("k,j,m,counts\n0,1,4,1|3\n")
         with pytest.raises(ValueError, match="unexpected header"):

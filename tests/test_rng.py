@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_regression import _count_calls
 
-from tomolab import bases, equivalence, measurement, regression, rng, states
+from tomolab import bases, cli, equivalence, measurement, regression, rng, states
 from tomolab.measurement import TomographyDataset
 
 B = rng.BLOCK
@@ -27,9 +27,9 @@ def rare_wide_design():
     return bases.SamplingDesign.random(w)
 
 
-def tomography(n, detail="individual"):
-    ds = measurement.run_tomography(STATE, HERM4, rare_wide_design(), n, 32, SEED, detail)
-    return ds.indices, ds.counts, ds.summaries, ds.individuals
+def tomography(n):
+    ds = measurement.run_tomography(STATE, HERM4, rare_wide_design(), n, 32, SEED)
+    return ds.indices, ds.counts
 
 
 def coarse(n):
@@ -45,29 +45,34 @@ def counted():
     return measurement.run_tomography(STATE, HERM4, rare_wide_design(), 3 * B, 32, SEED)
 
 
-def translate(n):
+def counted_prefix(n):
     ds = counted()
-    part = TomographyDataset(m=ds.m, indices=ds.indices[:n], counts=ds.counts[:n])
-    return equivalence.translate_qst_to_regression(part, HERM4, SEED)
+    return TomographyDataset(m=ds.m, indices=ds.indices[:n], counts=ds.counts[:n])
+
+
+def translate(n):
+    return equivalence.translate_qst_to_regression(counted_prefix(n), HERM4, SEED)
+
+
+def outcomes(n):
+    part = counted_prefix(n)
+    return part.indices, measurement.outcome_sequences(part, HERM4, SEED)
 
 
 SIMULATORS = {"tomography": tomography, "coarse": coarse, "fine": fine,
-              "translate": translate}
+              "translate": translate, "outcomes": outcomes}
 
 
 def assert_prefix(short, long, n):
     for part_short, part_long in zip(short, long):
-        if part_short is None:
-            assert part_long is None
-            continue
         assert len(part_short) == n
         for a, b in zip(part_short, part_long[:n]):
             np.testing.assert_array_equal(a, b)
 
 
-# the family whose design draw picks the members (translation reads counted records)
+# the family whose design draw picks the members (translation and outcomes read counted records)
 DESIGN_FAMILY = {"tomography": rng.TOMOGRAPHY, "coarse": rng.COARSE, "fine": rng.FINE,
-                 "translate": rng.TOMOGRAPHY}
+                 "translate": rng.TOMOGRAPHY, "outcomes": rng.TOMOGRAPHY}
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATORS))
@@ -92,21 +97,29 @@ def test_block_edges(name, n):
     assert_prefix(simulate(n), simulate(3 * B), n)
 
 
-def test_counts_do_not_depend_on_detail():
-    _, plain, _, _ = tomography(B + 5, detail="counts")
-    _, counted, _, outcomes = tomography(B + 5, detail="individual")
-    for a, b in zip(plain, counted):
-        np.testing.assert_array_equal(a, b)
+def test_counts_do_not_depend_on_detail(tmp_path):
+    # detail = individual derives the outcomes from the counts a summary run draws,
+    # on the jumped block streams, so it writes the same tomography.csv
+    written = {}
+    for detail in ("summary", "individual"):
+        out = tmp_path / detail
+        config = tmp_path / f"{detail}.cfg"
+        config.write_text(f"[basis]\nkind = hermitian\nd = 4\n[design]\nmode = random\n"
+                          f"[run]\ntask = simulate\nn = {B + 5}\nm = 32\nseed = {SEED}\n"
+                          f"detail = {detail}\nout = {out}\n")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        written[detail] = (out / "tomography.csv").read_bytes()
+    assert written["summary"] == written["individual"]
     # the shuffled outcomes are not left in eigenvalue order
-    assert any(np.any(np.diff(o) > 0) for o in outcomes)
+    assert any(np.any(np.diff(o) > 0) for o in outcomes(B + 5)[1])
 
 
 @pytest.mark.parametrize("n", [0, 1, B, 2 * B + 1])
 @pytest.mark.parametrize("name, family, design_draws", [
     ("tomography", rng.TOMOGRAPHY, 1), ("coarse", rng.COARSE, 1),
-    ("fine", rng.FINE, 1), ("translate", rng.TRANSLATE, 0)])
+    ("fine", rng.FINE, 1), ("translate", rng.TRANSLATE, 0), ("outcomes", rng.TOMOGRAPHY, 0)])
 def test_one_substream_per_block(monkeypatch, name, family, design_draws, n):
-    counted()  # build the translation input before counting
+    counted()  # build the counted records that translate and outcomes read before counting
     calls = _count_calls(monkeypatch, rng.substream)
     SIMULATORS[name](n)
     assert len(calls) == design_draws + math.ceil(n / B)
