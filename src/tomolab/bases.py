@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError, _checked_integer
-from .hermitian import (_CHUNK, MAX_TENSOR_DIM, TOL_HERM, _run_starts, format_matrix,
-                        parse_matrix, stack_traces)
+from .hermitian import _CHUNK, MAX_TENSOR_DIM, TOL_HERM, _run_starts, stack_traces
 
 __all__ = [
     "SIGMA",
@@ -36,8 +35,6 @@ __all__ = [
     "build_basis",
     "haar_wavelet_vectors",
     "default_g_vectors",
-    "write_basis",
-    "read_basis",
 ]
 
 SIGMA = (
@@ -159,6 +156,9 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
             axes = np.asarray(g_vectors, dtype=float)
             if axes.shape != (d, d):
                 raise TomolabError(f"expected {d} vectors of length {d}")
+            if not np.all(np.abs(axes) <= 1 + 1e-9):  # NaN and inf fail too
+                raise TomolabError("g-vectors have an entry that is not finite or exceeds 1 "
+                                   "in magnitude, so their Gram matrix is not the identity")
             gram_dev = float(np.max(np.abs(axes.T @ axes - np.eye(d))))
             if not gram_dev <= 1e-9:
                 raise TomolabError(f"Gram matrix deviates from identity by {gram_dev:.3e}")
@@ -215,29 +215,11 @@ def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     solves every Hermitian member, :func:`_run_starts` cuts each spectrum into
     runs, run k (ascending) goes to slot kappa - 1 - k, and one mean and one
     batched V V^dagger serve all runs of one (first column, width) shape.  A built-in
-    kind takes its labels from :func:`_labels`, any other kind 1..p.  TomolabError
-    unless ``matrices`` holds one or more finite (d, d) matrices, d member 0's size."""
-    try:
-        mats = np.asarray(matrices, dtype=complex)
-        shapes = [mats.shape[1:]] if len(mats) else []  # one shape for every member
-    except ValueError:  # ragged, or an entry that is not a number (raised as it is)
-        shapes = [np.shape(m) for m in matrices]
-        if len(set(shapes)) == 1:
-            raise
-    if not shapes:
-        raise TomolabError("a basis needs at least one member")
-    square = shapes[0][:1] * 2 if len(shapes[0]) == 2 and shapes[0][0] else None
-    bad = [j for j, shape in enumerate(shapes) if shape != square]
-    if bad:
-        raise TomolabError(f"member {bad[0]} has shape {shapes[bad[0]]}; every member "
-                           f"must be square, of member 0's size")
+    kind takes its labels from :func:`_labels`, any other kind 1..p.  ``matrices``
+    is a (p, d, d) stack of finite members, p >= 1, built by the caller."""
+    mats = np.asarray(matrices, dtype=complex)
     p, d = mats.shape[:2]
     labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, p + 1))
-    if len(labels) != p:
-        raise ValueError(f"{len(labels)} labels for {p} members")
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    if not finite.all():
-        raise TomolabError(f"member {np.argmin(finite)} has a non-finite entry")
     herm = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= TOL_HERM
     rows = np.flatnonzero(herm)
     evals, evecs = np.linalg.eigh(mats if herm.all() else mats[herm])  # no copy when all are
@@ -288,34 +270,3 @@ def default_g_vectors(d: int) -> np.ndarray:
             raise
         return np.eye(d)
 
-
-# --- basis text files --------------------------------------------------------
-
-
-def write_basis(basis: ObservableBasis, path) -> None:
-    """Header line "kind d p" followed by the p matrices in text format."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{basis.kind} {basis.dim} {basis.size}\n")
-        for mat in basis.matrices:
-            fh.write(format_matrix(mat))
-
-
-def read_basis(path) -> ObservableBasis:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    head = lines[0].split() if lines else []
-    if len(head) != 3 or not all(t.isascii() and t.isdigit() and int(t) > 0 for t in head[1:]):
-        raise ValueError(f"line 1: expected the header 'kind d p', d and p positive "
-                         f"integers, got {' '.join(head)!r}")
-    kind, d, p = head[0], int(head[1]), int(head[2])
-    mats = []
-    pos = 1
-    for j in range(p):
-        mat = parse_matrix(lines[pos:pos + d + 1])
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix {j} is {len(mat)} x {len(mat)}, the header declares d = {d}")
-        mats.append(mat)
-        pos += d + 1
-    if any(ln.strip() for ln in lines[pos:]):
-        raise ValueError(f"text after the {p} matrices the header declares")
-    return _make_basis(mats, kind if kind in _KINDS else "custom")

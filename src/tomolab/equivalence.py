@@ -178,8 +178,8 @@ def _round_off(table, m: int) -> tuple:
 def kernel_K0(counts, m: int, seed) -> np.ndarray:
     """Uniformly perturb a count vector summing to m; the sum stays m exactly.
     A single-cell vector passes through unchanged (as floats).  ValueError
-    unless the counts are nonnegative integers summing to m."""
-    vals = np.array(counts, dtype=float)
+    unless m is an integer >= 1 and the counts are nonnegative integers summing to m."""
+    m, vals = _checked_integer("m", m, 1), np.array(counts, dtype=float)
     if not (np.all((vals >= 0) & (vals == np.floor(vals))) and vals.sum() == m):  # NaN, inf fail too
         raise ValueError(f"counts {vals.tolist()} are not nonnegative integers summing to m = {m}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
@@ -490,9 +490,10 @@ def scaling_report(theta, m_grid, rows) -> dict:
     """The ``scaling_i.json`` payload of one theta's Hellinger ``rows`` on ``m_grid``:
     the log-log slope against m, and whether it lies in ``SLOPE_BAND`` with no vacuous
     bar (one of sqrt(2) spans every admissible H).  ValueError unless the grid has
-    ``MIN_SCALING_POINTS`` distinct m, one estimate per m in grid order, all positive
-    (H = 0 exactly when fewer than two cells are active, and log 0 has no slope)."""
-    m_grid = [int(m) for m in m_grid]
+    ``MIN_SCALING_POINTS`` distinct m, each an integer >= 1, one estimate per m in grid
+    order, all positive (H = 0 exactly when fewer than two cells are active, and log 0
+    has no slope)."""
+    m_grid = [_checked_integer("m_grid", m, 1) for m in m_grid]
     if len(set(m_grid)) < MIN_SCALING_POINTS:
         raise ValueError(f"scaling study needs at least {MIN_SCALING_POINTS} distinct m values")
     if [row["m"] for row in rows] != m_grid:

@@ -113,11 +113,10 @@ def format_matrix(mat: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text) -> np.ndarray:
-    """Inverse of :func:`format_matrix`; accepts a string or line iterable.
-    ValueError unless the text holds exactly the d rows its header declares."""
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    lines = [ln.strip() for ln in lines if ln.strip()]
+def parse_matrix(text: str) -> np.ndarray:
+    """Inverse of :func:`format_matrix`.  ValueError unless the text holds
+    exactly the d rows its header declares."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
     d = int(lines[0])

@@ -207,8 +207,10 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
 
 
 def estimator_transfer_sweep(rho, basis, m_grid, seed: int, replications: int) -> dict:
-    """Run the transfer comparison across a repetition grid; check the gap shrinks."""
-    sweep = [estimator_transfer(rho, basis, int(m), seed, replications) for m in m_grid]
+    """Run the transfer comparison across a grid of m, each an integer >= 1; check the
+    gap shrinks."""
+    m_grid = [_checked_integer("m_grid", m, 1) for m in m_grid]
+    sweep = [estimator_transfer(rho, basis, m, seed, replications) for m in m_grid]
     monotone = all(
         sweep[i + 1]["gap"] <= sweep[i]["gap"] + sweep[i]["gap_se"] + sweep[i + 1]["gap_se"]
         for i in range(len(sweep) - 1))

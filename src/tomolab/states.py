@@ -111,6 +111,7 @@ def witness_state(name: str, d: int, j_star=None, beta: float = 0.5) -> DensityM
     if name == "cor3_tilted":
         return tilted_product_state(bases._pauli_slots(d))
     if name == "remark8_haar_rank1":
+        d = _checked_integer("d", d, 1)
         return validate_density(np.ones((d, d), dtype=complex) / d)
     if name == "remark8_haar_rank2":
         g = bases.haar_wavelet_vectors(d)

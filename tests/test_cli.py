@@ -3,6 +3,7 @@
 import hashlib
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -465,6 +466,33 @@ out = {tmp_path / "z"}
 """
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
         assert not (tmp_path / "z" / "zeta.json").exists()
+
+    @pytest.mark.parametrize("entry", [np.inf, 1e200])
+    def test_oversized_g_file_exits_2_without_a_warning(self, tmp_path, capsys, entry):
+        # the entries are checked before the Gram product, which would print
+        # numpy's invalid-value or overflow warning
+        g = bases.haar_wavelet_vectors(4)
+        g[0, 0] = entry
+        np.savetxt(tmp_path / "g.txt", g)
+        text = f"""
+[basis]
+kind = gvector
+d = 4
+g_file = {tmp_path / "g.txt"}
+
+[state]
+witness = cor2_line
+
+[run]
+task = zeta
+seed = 2
+out = {tmp_path / "z"}
+"""
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # printed to stderr, not raised
+            assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: g-vectors have an entry") and "Warning" not in err
 
     def test_over_long_matrix_file_exits_2(self, tmp_path):
         # a third row under a "2" header is not a 2 x 2 state with a stray line

@@ -27,6 +27,7 @@ ENTRY_POINTS = [
     *(_entry(regression.estimator_transfer, argument, least,
              rho=RHO, basis=PAULI2, m=4, seed=1, replications=2)
       for argument, least in (("m", 1), ("replications", 2))),
+    _entry(equivalence.kernel_K0, "m", 1, counts=[1, 1], m=2, seed=1),
     _entry(equivalence.kernel_K1, "m", 1, values=[1.0, 1.0], m=2),
     _entry(equivalence.translate_regression_to_qst, "m", 1,
            samples=(np.array([1]), np.array([[0.5, 0.5]])), m=2),
@@ -53,6 +54,22 @@ def test_counts_sizes_and_seeds_follow_the_integer_rule(function, kwargs, argume
             function(**{**kwargs, argument: value})
 
 
+# each m of a grid is checked before any point runs, so a grid is never truncated
+M_GRIDS = [
+    pytest.param(lambda grid: equivalence.scaling_report(THETA, grid, []), id="scaling_report"),
+    pytest.param(lambda grid: regression.estimator_transfer_sweep(RHO, PAULI2, grid, 1, 2),
+                 id="estimator_transfer_sweep"),
+]
+
+
+@pytest.mark.parametrize("sweep", M_GRIDS)
+@pytest.mark.parametrize("grid, problem", [([16.5, 64], "an integer, got 16.5"),
+                                           ([0, 64], "at least 1, got 0")], ids=["float", "zero"])
+def test_m_grids_follow_the_integer_rule(sweep, grid, problem):
+    with pytest.raises(ValueError, match=f"^m_grid must be {problem}$"):
+        sweep(grid)
+
+
 def _sample(class_name, d, **fields):
     return states.sample_class(states.StateClassSpec(class_name, **fields), d, seed=1)
 
@@ -64,6 +81,8 @@ NON_INTEGERS = [
     for name, function, kwargs, argument, value in (
         ("haar_wavelet_vectors", bases.haar_wavelet_vectors, dict(d=4), "d", 2.5),
         ("witness_state", states.witness_state, dict(name="cor3_tilted", d=4), "d", 4.0),
+        ("remark8_haar_rank1", states.witness_state, dict(name="remark8_haar_rank1", d=4), "d",
+         2.5),
         ("tilted_product_state", states.tilted_product_state, dict(b=2), "b", 1.5),
         ("pauli_line_state", states.pauli_line_state, dict(d=4, j_star=1, beta=0.5), "j_star", 1.5),
         ("sample_class", _sample, dict(class_name="low_rank", d=4, r=2), "d", 2.5),

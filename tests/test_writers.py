@@ -2,8 +2,8 @@
 
 Record tables are CSV, written by ``measurement``'s table layer, which only the
 record modules ``measurement`` and ``regression`` use; reports are JSON, written
-by ``diagnostics``; the matrix text format is written by ``hermitian`` and basis
-files by ``bases``.  Every other module hands its payload to one of them.
+by ``diagnostics``; the matrix text format is written by ``hermitian``.  Every
+other module hands its payload to one of them.
 """
 
 import ast
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import tomolab
 
-WRITERS = {"measurement", "diagnostics", "hermitian", "bases"}
+WRITERS = {"measurement", "diagnostics", "hermitian"}
 WRITE_METHODS = {"write_text", "write_bytes", "savetxt", "savez", "tofile"}
 TABLE_LAYER = {"_write_table", "_blocks", "_record_blocks"}
 RECORD_MODULES = {"measurement", "regression"}
