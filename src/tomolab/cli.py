@@ -162,10 +162,11 @@ def load_config(path) -> ExperimentConfig:
     sources = [key for key in ("witness", "class", "matrix_file") if parser.has_option("state", key)]
     if len(sources) > 1:
         raise ConfigParseError(f"[state] sets {' and '.join(sources)}; pick one source")
-    # keys that only a state class or a random design reads would otherwise go unused
+    # keys that only a state class, a random design or a g-vector family reads would go unused
     for section, keys, read, needed in (
             ("state", ("s", "r", "gamma"), cfg.state_class is not None, "[state] class"),
-            ("design", ("pi", "xi"), cfg.design_mode == "random", "[design] mode = random")):
+            ("design", ("pi", "xi"), cfg.design_mode == "random", "[design] mode = random"),
+            ("basis", ("g_file",), cfg.basis_kind == "gvector", "[basis] kind = gvector")):
         unused = [key for key in keys if getattr(cfg, key) is not None]
         if unused and not read:
             raise ConfigParseError(f"[{section}] {', '.join(unused)}: read only with {needed}")

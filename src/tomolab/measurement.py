@@ -27,7 +27,6 @@ steps), so the first n records do not depend on n.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "run_tomography",
     "outcome_sequences",
     "write_dataset_csv",
-    "read_dataset_csv",
     "write_individuals_csv",
 ]
 
@@ -204,71 +202,3 @@ def write_individuals_csv(outcomes, path) -> None:
     """Sibling outcome file of :func:`outcome_sequences`: one row per record."""
     _write_table(path, None, _blocks(",".join(["%.17g"] * outcomes.shape[1]), outcomes))
 
-
-def _field(k: int, column: str, text: str, cast):
-    """``cast(text)``; a ValueError names record k and ``column`` if it fails."""
-    try:
-        return cast(text)
-    except (ValueError, OverflowError):
-        raise ValueError(f"record {k}: cannot read column {column} from {text!r}") from None
-
-
-def _read_records(path, basis: ObservableBasis, header: list) -> tuple:
-    """(rows, member indices) of a record CSV; ValueError unless its header
-    starts with ``header``, every row has as many fields as the header, row k's
-    column k reads as the integer k and every row names a measurable member of
-    ``basis``."""
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        head, *rows = list(csv.reader(fh)) or [[]]
-    if head[:len(header)] != header:
-        raise ValueError(f"unexpected header {head}, expected {header}")
-    for k, row in enumerate(rows):
-        if len(row) != len(head):
-            raise ValueError(f"record {k}: {len(row)} fields, the header has {len(head)}")
-        if _field(k, "k", row[0], int) != k:
-            raise ValueError(f"record {k}: column k holds {row[0]!r}, not {k}")
-    indices = np.array([_field(k, "j", r[1], np.int64) for k, r in enumerate(rows)], dtype=np.int64)
-    for k, j in enumerate(indices.tolist()):
-        if not (0 <= j < basis.size and basis.sizes[j]):
-            raise ValueError(f"record {k}: member {j} is not a measurable member of the basis")
-    return rows, indices
-
-
-def _cell_table(texts, indices, basis: ObservableBasis, column: str, noun: str,
-                cast, check) -> np.ndarray:
-    """The front-padded (n, kappa) table (dtype ``cast``) of the records' "|"-joined ``column``
-    fields ``texts``; ValueError unless record k holds one ``cast`` value per cell of member
-    ``indices[k]``.  ``check(k, values)`` may raise too, before row k is stored."""
-    table = np.zeros((len(texts), basis.kappa), dtype=cast)
-    for k, (j, text) in enumerate(zip(indices.tolist(), texts)):
-        u = _field(k, column, text, lambda t: [cast(v) for v in t.split("|")])
-        if len(u) != basis.sizes[j]:
-            raise ValueError(f"record {k}: {len(u)} {noun} do not fit member {j}")
-        check(k, u)
-        table[k, basis.kappa - len(u):] = u
-    return table
-
-
-def read_dataset_csv(path, basis: ObservableBasis) -> TomographyDataset:
-    """Rebuild a dataset from its CSV; ValueError unless every row holds one count per cell
-    of a measurable member, summing to the file's one m, and N on every row is their
-    mean outcome."""
-    rows, indices = _read_records(path, basis, ["k", "j", "m", "counts", "N"])
-    ms = sorted({_field(k, "m", row[2], int) for k, row in enumerate(rows)}) or [0]
-    if len(ms) > 1:
-        raise ValueError(f"records mix m values {ms}")
-    if rows and ms[0] < 1:
-        raise ValueError(f"m must be at least 1, got {ms[0]}")
-
-    def check(k, u):
-        if min(u) < 0 or sum(u) != ms[0]:
-            raise ValueError(f"record {k}: counts {u} do not sum to m = {ms[0]}")
-
-    counts = _cell_table([row[3] for row in rows], indices, basis, "counts", "counts", int, check)
-    means = np.array([_field(k, "N", row[4], float) for k, row in enumerate(rows)])
-    # the writer's formula, so the library's own files read back bit for bit
-    err = np.abs(means - _mean_outcomes(basis.eigenvalues[indices], counts, ms[0]))
-    bad = np.flatnonzero(~(err <= 1e-12 * max(1.0, np.abs(basis.eigenvalues).max()))).tolist()
-    if bad:
-        raise ValueError(f"record {bad[0]}: N = {means[bad[0]]} is not its counts' mean outcome")
-    return TomographyDataset(m=ms[0], indices=indices, counts=counts)

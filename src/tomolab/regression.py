@@ -25,8 +25,8 @@ once per run, in the basis's front-padded (p, kappa) table
 (:class:`ObservableBasis`), the factors with one batched Cholesky per
 active-cell count.
 
-Both simulators, and the CSV readers and writers, hold a run's records once,
-as the pair (indices, values): the member index per record (int64) with the
+Both simulators, and the CSV writers, hold a run's records once, as the
+pair (indices, values): the member index per record (int64) with the
 coarse Y array, or with the fine (n, kappa) table, record k's values in the
 last ``sizes[indices[k]]`` slots of row k and zeros in front of them.
 
@@ -41,8 +41,8 @@ import numpy as np
 from .bases import ObservableBasis, SamplingDesign
 from .errors import TomolabError, _checked_integer
 from .hermitian import stack_traces
-from .measurement import (_active_mask, _blocks, _cell_table, _field, _read_records,
-                          _record_blocks, _write_table, cell_probabilities, draw_design_indices)
+from .measurement import (_active_mask, _blocks, _record_blocks, _write_table, cell_probabilities,
+                          draw_design_indices)
 from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "simulate_fine",
     "write_coarse_csv",
     "write_fine_csv",
-    "read_coarse_csv",
-    "read_fine_csv",
     "estimator_transfer",
     "estimator_transfer_sweep",
 ]
@@ -134,33 +132,6 @@ def write_fine_csv(samples, basis: ObservableBasis, path) -> None:
     """One row per record of ``samples`` = (indices, y): k, j, "y_1|y_2|..."."""
     _write_table(path, ["k", "j", "y"], _record_blocks(
         basis, *samples, lambda r: "%d,%d," + "|".join(["%.17g"] * r)))
-
-
-def read_coarse_csv(path, basis: ObservableBasis) -> tuple:
-    """(indices, Y) from a coarse CSV; ValueError unless every row names a
-    measurable member of ``basis`` and holds a finite Y."""
-    rows, indices = _read_records(path, basis, ["k", "j", "Y"])
-    values = np.array([_field(k, "Y", row[2], float) for k, row in enumerate(rows)])
-    if not np.all(np.isfinite(values)):
-        raise ValueError("coarse values must be finite")
-    return indices, values
-
-
-def read_fine_csv(path, basis: ObservableBasis) -> tuple:
-    """(indices, y) from a fine CSV, y the front-padded (n, kappa) table;
-    ValueError unless every row holds one finite value per cell of a
-    measurable member of ``basis``, summing to 1 within 1e-9."""
-    rows, indices = _read_records(path, basis, ["k", "j", "y"])
-
-    def check(k, y):
-        y = np.array(y)
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"record {k}: values {y.tolist()} must be finite")
-        if abs(y.sum() - 1.0) > 1e-9:
-            raise ValueError(f"record {k}: values sum to {y.sum()!r}, not 1")
-
-    return indices, _cell_table([row[2] for row in rows], indices, basis, "y", "values", float,
-                                check)
 
 
 def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict:

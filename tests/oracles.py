@@ -14,7 +14,8 @@ Haar vectors, a family's spectral tables (the clustering rule walked one
 eigenvalue at a time) and the fine noise factors one member at a time, the
 Hilbert-Schmidt inner product of one pair, the active index sets, cell
 probabilities and coarse moments one member at a time, and every table
-written one ``csv.writer`` row at a time.
+written one ``csv.writer`` row at a time (with two tomography tables compared
+field by field, N to a tolerance).
 ``custom_basis`` wraps an explicit matrix list as a family.
 """
 
@@ -470,6 +471,23 @@ def write_dataset_rows(dataset, basis, path) -> None:
                                             counts.tolist())) / dataset.m)]
         for k, (j, counts) in enumerate(zip(dataset.indices.tolist(),
                                             record_tails(basis, dataset.indices, dataset.counts)))))
+
+
+def dataset_row_mismatches(ours, reference, basis) -> list:
+    """Line numbers where two tomography.csv files differ, in any field but N
+    byte for byte, and in N by more than 1e-12 * max(1, max |lambda|): the
+    reference sums N cell by cell and the package's writer does not, so on
+    some bases the two N differ in their last digits."""
+    tol = 1e-12 * max(1.0, np.abs(basis.eigenvalues).max())
+
+    def same(a, b):
+        a, b = a.split(b","), b.split(b",")
+        return a == b or (len(a) == len(b) == 5 and a[:4] == b[:4]
+                          and abs(float(a[4]) - float(b[4])) <= tol)
+
+    lines = [path.read_bytes().split(b"\r\n") for path in (ours, reference)]
+    return [k for k, (a, b) in enumerate(itertools.zip_longest(*lines, fillvalue=b""))
+            if not same(a, b)]
 
 
 def write_individuals_rows(outcomes, path) -> None:

@@ -848,6 +848,31 @@ out = {out}
         assert cli.main(["run", "--config", path]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["pauli", "hermitian", "canonical"])
+    def test_g_file_under_another_kind_exits_2(self, tmp_path, kind):
+        # used to exit 0 with the axes unused; only a gvector family reads them
+        np.savetxt(tmp_path / "g.txt", bases.haar_wavelet_vectors(4))
+        out = tmp_path / "z"
+        text = f"""
+[basis]
+kind = {kind}
+d = 4
+g_file = {tmp_path / "g.txt"}
+
+[state]
+witness = cor2_line
+
+[run]
+task = zeta
+out = {out}
+"""
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError,
+                           match=r"^\[basis\] g_file: read only with \[basis\] kind = gvector$"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not out.exists()
+
     def test_zeta_reads_witnesses_only_from_its_section(self, tmp_path):
         text = """
 [basis]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from oracles import cell_probabilities_per_member, custom_basis
+from oracles import (cell_probabilities_per_member, custom_basis, dataset_row_mismatches,
+                     write_dataset_rows)
 from tomolab import bases, measurement, regression, states
 from tomolab.errors import TomolabError
 
@@ -221,7 +222,7 @@ class TestRunTomography:
     @pytest.mark.parametrize("n, m, message", [(4, 8.0, "m must be an integer, got 8.0"),
                                                (2.5, 2, "n must be an integer, got 2.5")])
     def test_count_not_an_integer_rejected(self, n, m, message):
-        # an m of 8.0 would reach tomography.csv as "8.0", which the reader rejects
+        # an m of 8.0 would reach tomography.csv as "8.0", not as an integer count
         st = states.validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError, match=message):
             measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), n, m, seed=1)
@@ -301,36 +302,27 @@ class TestRunTomography:
 
 
 class TestDatasetCSV:
-    def test_round_trip(self, tmp_path):
-        st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 7, seed=5)
-        path = tmp_path / "ds.csv"
-        measurement.write_dataset_csv(ds, PAULI2, path)
-        back = measurement.read_dataset_csv(path, PAULI2)
-        assert back.m == 7
-        np.testing.assert_array_equal(back.indices, ds.indices)
-        np.testing.assert_array_equal(back.counts, ds.counts)
-
     @pytest.mark.parametrize("kind, d", [("pauli", 4), ("hermitian", 3), ("canonical", 3)])
     def test_outcomes_survive_the_round_trip(self, tmp_path, kind, d):
-        # the counts and the run's seed are all outcome_sequences needs; n spans two blocks
+        # the written counts and the run's seed are all outcome_sequences needs; n spans
+        # two blocks
         basis = bases.build_basis(kind, d)
         st = states.sample_class(states.StateClassSpec("low_rank", r=2), d, seed=1)
         measurable = basis.sizes > 0  # canonical's off-diagonal members are masking-only
         design = bases.SamplingDesign.random(measurable / measurable.sum())
         ds = measurement.run_tomography(st, basis, design, 300, 10, seed=5)
         measurement.write_dataset_csv(ds, basis, tmp_path / "ds.csv")
-        back = measurement.read_dataset_csv(tmp_path / "ds.csv", basis)
+        rows = [row.split(",") for row in (tmp_path / "ds.csv").read_text().splitlines()[1:]]
         outcomes = measurement.outcome_sequences(ds, basis, seed=5)
-        np.testing.assert_array_equal(measurement.outcome_sequences(back, basis, seed=5), outcomes)
-        for row, j, counts in zip(outcomes, ds.indices, ds.counts):
+        for row, outcome, j in zip(rows, outcomes, ds.indices):
             lams = basis.eigenvalues[j, basis.cells(j)]
-            tally = [np.count_nonzero(row == lam) for lam in lams]
-            assert tally == counts[basis.kappa - len(lams):].tolist()
+            tally = [np.count_nonzero(outcome == lam) for lam in lams]
+            assert row[1] == str(j) and tally == [int(u) for u in row[3].split("|")]
+        assert len(rows) == len(outcomes)
 
-    def test_round_trip_is_exact_for_large_eigenvalues(self, tmp_path):
-        # one rounding step of an N near 1e5 exceeds 1e-12, so the reader must
-        # recompute N as the writer does and scale its bound by the eigenvalues
+    def test_n_meets_the_reference_for_large_eigenvalues(self, tmp_path):
+        # one rounding step of an N near 1e5 exceeds 1e-12, so the writer's N meets the
+        # reference's cell-by-cell sum only within a bound scaled by the eigenvalues
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         big = custom_basis([q @ np.diag(lams) @ q.conj().T
@@ -339,10 +331,9 @@ class TestDatasetCSV:
         st = states.validate_density(np.diag([0.5, 0.3, 0.2]).astype(complex))
         ds = measurement.run_tomography(st, big, bases.SamplingDesign.random([0.5, 0.5]),
                                         200, 7, seed=5)
-        path = tmp_path / "ds.csv"
-        measurement.write_dataset_csv(ds, big, path)
-        back = measurement.read_dataset_csv(path, big)  # raises unless every N reads back
-        np.testing.assert_array_equal(back.counts, ds.counts)
+        measurement.write_dataset_csv(ds, big, tmp_path / "ds.csv")
+        write_dataset_rows(ds, big, tmp_path / "reference.csv")
+        assert dataset_row_mismatches(tmp_path / "ds.csv", tmp_path / "reference.csv", big) == []
 
     def test_individuals_file(self, tmp_path):
         st = states.pauli_line_state(2, 1, 0.3)
@@ -352,48 +343,3 @@ class TestDatasetCSV:
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 4
         assert all(len(row.split(",")) == 6 for row in rows)
-
-    @pytest.mark.parametrize("rows, problem", [
-        (["0,1,4,1|1|2,"], "counts do not fit"),      # 3 counts on a 2-cell member
-        (["0,1,4,1|2,"], "do not sum"),               # 3 counts for m = 4
-        (["0,1,4,1|3,", "1,2,8,4|4,"], "mix m"),      # m = 4, then m = 8
-        (["0,1,4,1|3,", "1,2,4,2|2"], "record 1: 4 fields, the header has 5"),
-        (["0,x,4,1|3,"], "record 0: cannot read column j from 'x'"),
-        (["0,1,4,1|3,", "1,1,a,2|2,"], "record 1: cannot read column m from 'a'"),
-        (["0,1,4,1|abc,"], r"record 0: cannot read column counts from '1\|abc'"),
-        (["0,1,4,1|3,-0.5", "1,1,4,2|2,x"], "record 1: cannot read column N from 'x'"),
-        # sigma1's eigenvalues are +1 and -1, so counts 2|2 mean N = 0
-        (["0,1,4,1|3,-0.5", "1,1,4,2|2,0.9"], "record 1: N = 0.9 is not its counts' mean outcome"),
-        (["0,1,4,2|2,nan"], "record 0: N = nan is not"),
-        (["0,1,0,0|0,0"], "m must be at least 1, got 0"),
-        # N is required on every row
-        (["0,1,4,1|3,-0.5", "1,1,4,2|2,"], "record 1: cannot read column N from ''"),
-        (["0,1,4,1|3,"], "record 0: cannot read column N from ''"),
-        # row k's column k reads as the integer k
-        (["0,1,4,1|3,", "x,1,4,2|2,"], "record 1: cannot read column k from 'x'"),
-        (["0,1,4,1|3,", "-3,1,4,2|2,"], "record 1: column k holds '-3', not 1"),
-    ])
-    def test_read_rejects_invalid_rows(self, tmp_path, rows, problem):
-        path = tmp_path / "ds.csv"
-        path.write_text("\n".join(["k,j,m,counts,N"] + rows) + "\n")
-        with pytest.raises(ValueError, match=problem):
-            measurement.read_dataset_csv(path, PAULI2)
-
-    def test_read_rejects_an_empty_file(self, tmp_path):
-        path = tmp_path / "ds.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match=r"unexpected header \[\]"):
-            measurement.read_dataset_csv(path, PAULI2)
-
-    def test_header_only_file_has_no_records(self, tmp_path):
-        path = tmp_path / "ds.csv"
-        path.write_text("k,j,m,counts,N\n")
-        back = measurement.read_dataset_csv(path, PAULI2)
-        assert back.indices.dtype == np.int64 and back.counts.shape == (0, PAULI2.kappa)
-
-    def test_read_requires_the_summary_column(self, tmp_path):
-        # the writer always writes N
-        path = tmp_path / "ds.csv"
-        path.write_text("k,j,m,counts\n0,1,4,1|3\n")
-        with pytest.raises(ValueError, match="unexpected header"):
-            measurement.read_dataset_csv(path, PAULI2)

@@ -180,7 +180,7 @@ def test_guard_sees_a_public_def_outside_all():
 
 def test_readme_paragraph_is_found():
     listed = _listed_public_api(README.read_text())
-    assert {"read_fine_csv", "kernel_K1", "conditional_tv_bound"} <= listed
+    assert {"write_matrix", "kernel_K1", "conditional_tv_bound"} <= listed
     # the paragraph after the list is not part of it
     assert "estimator_transfer_sweep" not in listed
 

@@ -218,68 +218,6 @@ class TestAggregateFine:
             np.testing.assert_allclose(np.cov(counts.T), cov / m, atol=0.01)
 
 
-class TestCSV:
-    def test_coarse_round_trip(self, tmp_path):
-        st = interior_state()
-        out = regression.simulate_coarse(st, PAULI4, bases.SamplingDesign.fixed(),
-                                         16, 5, seed=4)
-        path = tmp_path / "coarse.csv"
-        regression.write_coarse_csv(out, path)
-        indices, values = regression.read_coarse_csv(path, PAULI4)
-        assert indices.dtype == np.int64
-        np.testing.assert_array_equal(indices, out[0])
-        np.testing.assert_array_equal(values, out[1])
-
-    def test_fine_round_trip(self, tmp_path):
-        st = interior_state()
-        out = regression.simulate_fine(st, HERM4, bases.SamplingDesign.fixed(),
-                                       16, 5, seed=4)
-        path = tmp_path / "fine.csv"
-        regression.write_fine_csv(out, HERM4, path)
-        indices, ys = regression.read_fine_csv(path, HERM4)
-        np.testing.assert_array_equal(indices, out[0])
-        np.testing.assert_array_equal(ys, out[1])
-
-
-    @pytest.mark.parametrize("lines, problem", [
-        (["k,j,y", "0,0,0.5"], "unexpected header"),
-        (["k,j,Y", "0,-5,0.5"], "member -5 is not a measurable member"),
-        (["k,j,Y", "0,99,0.5"], "member 99 is not a measurable member"),
-        (["k,j,Y", "0,1,0.5"], "member 1 is not a measurable member"),  # off-diagonal
-        (["k,j,Y", "0,0,nan"], "finite"),
-        (["k,j,Y", "0,3,-inf"], "finite"),
-        (["k,j,Y", "0,1"], "record 0: 2 fields, the header has 3"),
-        (["k,j,Y", "0,x,0.5"], "record 0: cannot read column j from 'x'"),
-        (["k,j,Y", "0,100000000000000000000,0.5"], "cannot read column j from '1000"),
-        (["k,j,Y", "0,0,0.5", "1,3,abc"], "record 1: cannot read column Y from 'abc'"),
-        ([], r"unexpected header \[\]"),
-        (["k,j,Y", "0,0,0.5", "foo,3,0.5"], "record 1: cannot read column k from 'foo'"),
-    ])
-    def test_coarse_read_rejects(self, tmp_path, lines, problem):
-        path = tmp_path / "coarse.csv"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=problem):
-            regression.read_coarse_csv(path, CANON2)
-
-    @pytest.mark.parametrize("lines, problem", [
-        (["k,j,Y", "0,0,0.5|0.5"], "unexpected header"),
-        (["k,j,y", "0,-5,0.7|0.3"], "member -5 is not a measurable member"),
-        (["k,j,y", "0,99,0.7|0.3"], "member 99 is not a measurable member"),
-        (["k,j,y", "0,1,0.5|0.5"], "member 1 is not a measurable member"),  # off-diagonal
-        (["k,j,y", "0,0,0.7|0.2|0.1"], "3 values do not fit member 0"),
-        (["k,j,y", "0,0,0.7|0.3", "1,3,0.7|0.2"], "record 1: values sum to"),
-        (["k,j,y", "0,0,nan|1"], "finite"),
-        (["k,j,y", "0,0,inf|-inf"], "finite"),
-        (["k,j,y", "0,0,0.5|x"], r"record 0: cannot read column y from '0.5\|x'"),
-        (["k,j,y", "0,0,0.7|0.3", "-3,3,0.7|0.3"], "record 1: column k holds '-3', not 1"),
-    ])
-    def test_fine_read_rejects(self, tmp_path, lines, problem):
-        path = tmp_path / "fine.csv"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=problem):
-            regression.read_fine_csv(path, CANON2)
-
-
 class TestActiveRule:
     """On diag(1 - eps, eps) the second cell of sigma3 is eps: inside the shared
     ACTIVE_TOL of 1e-9 every layer treats the member as deterministic, above it
