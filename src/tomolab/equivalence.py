@@ -9,18 +9,20 @@ Two data translations drive everything here:
   inverts K0 exactly on every count vector.
 
 The perturbed counts have a piecewise-constant joint density on unit cells:
-the multinomial pmf of the cell.  Each distance to the moment-matched
+the multinomial pmf of the cell.  Both distances to the moment-matched
 multivariate normal on the first r-1 coordinates (the last is the same
 deterministic function of the rest under both laws, so the marginal distance
-equals the joint one) has one function, and each returns its part of the
-``distances.json`` row as a plain dict: ``hellinger_perturbed_vs_gaussian``,
-from the Bhattacharyya affinity by per-cell Gauss-Legendre quadrature over the
-cells that meet the normal's Mahalanobis ellipsoid, the keys theta, m,
-hellinger, hellinger_err and the error budget, with a vacuous bar for an
-impossible affinity above 1; and ``tv_perturbed_vs_gaussian``, total variation
-by Monte Carlo, the keys tv and tv_err, a CLT half-width.  ``scaling_report``
-fits the log-log slope of the Hellinger rows' distances against the number of
-repetitions m.
+equals the joint one) come from one walk over the cells that meet the
+normal's Mahalanobis ellipsoid, and one function returns them as its
+``distances.json`` row, a plain dict:
+``hellinger_perturbed_vs_gaussian`` gives the Hellinger distance from the
+Bhattacharyya affinity by per-cell Gauss-Legendre quadrature, as the keys
+theta, m, hellinger, hellinger_err and the error budget, with a vacuous bar
+for an impossible affinity above 1; given ``n_samples`` it also gives total
+variation by Monte Carlo, the keys tv, tv_err and tv_half_width, from draws
+that land on the walk's cells by the pmf the quadrature computes there
+(``_TVDraws``).  ``scaling_report`` fits the log-log slope of the Hellinger
+rows' distances against the number of repetitions m.
 The product rule for squared Hellinger distances over independent records and
 the paper's two-stage total variation bound are here too; no task calls them,
 and ``diagnostics.deficiency_bound`` takes n, m, gamma, zeta and C, not them.
@@ -47,7 +49,6 @@ __all__ = [
     "translate_regression_to_qst",
     "hellinger_perturbed_vs_gaussian",
     "product_hellinger_bound",
-    "tv_perturbed_vs_gaussian",
     "conditional_tv_bound",
     "scaling_report",
     "SLOPE_BAND",
@@ -65,9 +66,10 @@ EPS = np.finfo(float).eps
 # window W, the cells meeting the Mahalanobis ellipsoid of radius R = WINDOW,
 # gives the affinity at ORDER and at COMPARE_ORDER (the order term of the error
 # bar, an estimate).  Each flat run of CHUNK_CELLS box cells writes its (kept
-# cells x nodes) exponents into a buffer that every run reuses; the TV Monte Carlo
-# scores its draws in blocks of as many rows.  The 4-cell benchmark reads the least
-# peak memory at 2048, but any size other than 4096 moves the affinity's last digits.
+# cells x nodes) exponents into one buffer that both orders and every run reuse;
+# the TV Monte Carlo scores its draws in blocks of as many rows.  The 4-cell benchmark
+# reads the least peak memory at 2048, but any size other than 4096 moves the
+# affinity's last digits.
 ORDER, COMPARE_ORDER, WINDOW, CHUNK_CELLS = 5, 3, 8.0, 4096
 
 
@@ -133,9 +135,7 @@ def multinomial_pmf(counts, m: int, theta) -> np.ndarray:
 
     The cells are walked one column at a time, left to right, from sums of 0
     (``_pmf_walk``), which adds in the order a reduction over a row this short does."""
-    counts = np.asarray(counts)
-    if counts.dtype.kind != "i":  # integer counts are walked as they are, with no float copy
-        counts = counts.astype(float, copy=False)
+    counts = np.asarray(counts, dtype=float)
     theta, m = _checked_theta(theta), _checked_integer("m", m, 0)
     if counts.shape[-1:] != theta.shape:
         raise ValueError(f"counts have {counts.shape[-1:]} cells, theta has {len(theta)}")
@@ -233,13 +233,6 @@ def _gaussian_marginal_params(m: int, theta):
     return mu, cov, np.linalg.inv(cov), -0.5 * (dim * np.log(2 * np.pi) + logdet)
 
 
-def _gaussian_density(m: int, theta, x) -> np.ndarray:
-    """Matched normal density of the first r-1 counts at the (n, r - 1) points ``x``."""
-    mu, _, prec, log_norm = _gaussian_marginal_params(m, theta)
-    diff = x - mu
-    return np.exp(log_norm - 0.5 * np.einsum("nd,de,ne->n", diff, prec, diff))
-
-
 def _active_law(theta: np.ndarray) -> np.ndarray | None:
     """The law of theta's active cells, renormalised, or None when fewer than two
     cells are active and the record is deterministic."""
@@ -271,7 +264,7 @@ def _cell_node_tensors(order: int, prec: np.ndarray) -> np.ndarray:
 
 
 def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
-                     chunk_cells: int) -> tuple:
+                     chunk_cells: int, visit=None) -> tuple:
     """(Bhattacharyya affinity BC_W over the window W, one per order; sum_W f; rel).
 
     W is every unit cell that meets E(R) = {x : (x - mu)'P(x - mu) <= R^2},
@@ -284,10 +277,13 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     ``chunk_cells`` each; a run's centres are its rows' intervals clipped to it
     (a run may hold no cell of W), each the row's leading coordinates, computed
     once per call, and a last-axis offset.  A run's kept cells are written once,
-    into a rows buffer and one exponent buffer per order that every run of the
-    call reuses.  The pmf's sums over each row's leading r - 2 counts are formed
-    once per call too, and a run walks on from them over its cells' last two
-    counts, so f is ``multinomial_pmf`` bit for bit.
+    into a rows buffer and one exponent buffer, sized for the order with the
+    most nodes, that every order and every run of the call reuses.  The pmf's
+    sums over each row's leading r - 2 counts are formed once per call too, and
+    a run walks on from them over its cells' last two counts, so f is
+    ``multinomial_pmf`` bit for bit.  ``visit(f, v, q, keep)``,
+    when given, sees each run with a kept cell: f at the kept cells, v = P(c - mu)
+    and q(c) at the run's walked centres, and the indices ``keep`` of the kept ones.
     BC_W = sum_W sqrt(f_c) S1(c), S1 = sum_o w_o sqrt g(c + o), and each node
     term is the exp of its exact log, the rows (v, log_norm / 2 - q(c) / 4, 1),
     v = P(c - mu), times the node table: log_norm / 2 + log w_o - (c + o -
@@ -325,11 +321,11 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
     bounds = np.arange(len(mid)) * length + x.astype(np.int64)  # flat first and stop, per row
     starts = range(0, size, chunk_cells)
     totals, mass, n_max = [0.0] * len(orders), 0.0, 0
-    # the kept cells' rows (v, log_norm / 2 - q / 4, 1) and each order's exponents,
-    # written in place chunk after chunk; the column of ones is written once
+    # the kept cells' rows (v, log_norm / 2 - q / 4, 1) and the exponents of one order
+    # at a time, written in place chunk after chunk; the column of ones is written once
     cell_rows = np.empty((chunk_cells, dim + 2))
     cell_rows[:, -1] = 1.0
-    exps = [np.empty((chunk_cells, table.shape[1])) for table in tables]
+    exps = np.empty(chunk_cells * max(table.shape[1] for table in tables))
     for start in starts:
         end = min(start + chunk_cells, size)
         rows = np.arange(start // length, (end - 1) // length + 1)  # the rows the run meets
@@ -350,10 +346,13 @@ def _affinity_window(m: int, theta: np.ndarray, orders, window: float,
         np.take(v, keep, axis=0, out=cell_rows[:k, :-2], mode="clip")  # "raise" would buffer
         cell_rows[:k, -2] = 0.5 * log_norm - 0.25 * q[keep]
         for i, table in enumerate(tables):
-            e = np.matmul(cell_rows[:k], table, out=exps[i][:k])
+            nodes = table.shape[1]
+            e = np.matmul(cell_rows[:k], table, out=exps[:k * nodes].reshape(k, nodes))
             np.exp(e, out=e)
             totals[i] += float((sqrt_f @ e).sum())
         mass, n_max = mass + f.sum(), max(n_max, k)
+        if visit is not None and k:
+            visit(f, v, q, keep)
     rel = EPS * (8.0 * (abs(log_norm) + q_max + dim * max(orders))
                  + n_max + max(orders) ** dim + len(starts))
     return totals, mass, rel
@@ -371,15 +370,77 @@ def _chi2_tail(dim: int, x: float) -> float:
     raise ValueError(f"no closed-form chi-square tail for {dim} degrees of freedom")
 
 
-def hellinger_perturbed_vs_gaussian(m: int, theta) -> dict:
+def _inverse_cdf(f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The cells at which the uniforms ``u`` in [0, 1) fall, by inverse CDF of the
+    nonnegative masses ``f`` (positive in total): cell i takes the u with f_<i <= u
+    sum f < f_<=i, so a cell with f = 0 is never drawn, and a u whose product with
+    sum f rounds up to it takes the last cell with f > 0."""
+    cum = np.cumsum(f)
+    cells = np.searchsorted(cum, u * cum[-1], side="right")
+    return np.minimum(cells, np.searchsorted(cum, cum[-1]), out=cells)
+
+
+class _TVDraws:
+    """The TV Monte Carlo's n draws from the perturbed count law P, taken and scored
+    inside the Hellinger window walk, which calls the instance once per run with a
+    kept cell (``visit`` of ``_affinity_window``).  A run gets one binomial draw from
+    ``rng``: of the draws left, with success probability (the run's sum f) / (the P
+    mass not yet walked), 1 where rounding leaves less; a run with no mass or no
+    draws left draws nothing.  Its draws land on its cells by inverse CDF of f
+    (``_inverse_cdf``), one uniform each, all drawn at once and sorted, so the
+    cells come in walk order; then they take their K0 uniforms psi and are scored
+    a ``block`` of draws at a time, max(0, 1 - g/f) at x = c + psi, log g =
+    log_norm - q(c) / 2 - psi'(v + P psi / 2) from the walk's v and q.  So the
+    stream is, per run, the binomial, the cell uniforms, then psi, whatever
+    ``block`` is.  The draws left after the last run fall outside W, with
+    probability 1 - sum_W f, and are scored 0."""
+
+    def __init__(self, n: int, rng, m: int, theta, block: int = CHUNK_CELLS):
+        _, _, self.prec, self.log_norm = _gaussian_marginal_params(m, theta)
+        self.scores, self.rng, self.block = np.zeros(n), rng, block
+        self.drawn, self.walked = 0, 0.0
+
+    def __call__(self, f, v, q, keep) -> None:
+        mass, unwalked = f.sum(), 1.0 - self.walked
+        self.walked += mass
+        left = len(self.scores) - self.drawn
+        if left == 0 or mass == 0.0:
+            return
+        count = int(self.rng.binomial(left, mass / unwalked if mass < unwalked else 1.0))
+        u = self.rng.random(count)
+        u.sort()  # sorted keys search several times faster, and gather in order
+        cells = _inverse_cdf(f, u)
+        for lo in range(0, count, self.block):
+            at = cells[lo:lo + self.block]
+            psi = self.rng.uniform(-0.5, 0.5, size=(len(at), v.shape[1]))
+            rows, f_at = keep[at], f[at]
+            if np.any(f_at <= 0):
+                raise TomolabError("sampling density vanished at a drawn point")
+            shift = np.take(v, rows, axis=0)  # v + P psi / 2 at each draw
+            shift += 0.5 * np.einsum("nd,de->ne", psi, self.prec)
+            log_g = self.log_norm - 0.5 * q[rows] - np.einsum("nd,nd->n", psi, shift)
+            end = self.drawn + len(at)
+            self.scores[self.drawn:end] = np.maximum(0.0, 1.0 - np.exp(log_g) / f_at)
+            self.drawn = end
+
+    def row(self, tail_p: float) -> dict:
+        """{tv, tv_err, tv_half_width}: the mean score; its 95% CLT half-width plus
+        ``tail_p``, which bounds what the draws outside W would add; the half-width."""
+        half = 1.96 * float(self.scores.std(ddof=1)) / math.sqrt(len(self.scores))
+        return {"tv": float(self.scores.mean()), "tv_err": half + tail_p, "tv_half_width": half}
+
+
+def hellinger_perturbed_vs_gaussian(m: int, theta, n_samples: int = 0, seed: int = 0,
+                                    point: int = 0) -> dict:
     """Hellinger distance between perturbed counts and the matched normal law,
     as the row {theta, m, hellinger, hellinger_err, order_term, tail_p, tail_q,
-    truncation, rounding}; every field after m is exactly 0.0 when fewer than
-    two cells are active and the record is deterministic.
+    truncation, rounding}, and with ``n_samples`` >= 2 also total variation by
+    Monte Carlo, {tv, tv_err, tv_half_width}; every field after m is exactly 0.0
+    when fewer than two cells are active and the record is deterministic.
 
     f is constant on unit cells and both laws have mass 1, so H^2 = 2 - 2 BC,
     BC = sum_c sqrt(f_c) (integral of sqrt g over cell c); one pass over the
-    window W gives BC_W at both orders (``_affinity_window``).  The last five
+    window W gives BC_W at both orders (``_affinity_window``).  The next five
     fields are the error budget: ``order_term`` |H(order) - H(compare_order)|,
     an estimate; bounds ``tail_p`` (1 - sum_W f)_+ + a on the P mass outside W,
     a = 8 eps (log m! + m max_a(-log theta_a)) bounding the terms each log f
@@ -392,20 +453,34 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> dict:
     truncation - rounding), which by concavity also covers H_W^2 + rounding.
     Fixed-order nodes give an impossible affinity above 1 when the normal is far
     narrower than a cell; then H is sqrt(2) with the vacuous bar sqrt(2).
-    ValueError unless ``theta`` is a probability vector and m an integer in [1,
-    ``MAX_QUAD_M``].
+
+    TV(P, Q) = E_P[max(0, 1 - g/f)] is the mean score of ``n_samples`` draws from
+    P, taken in the same walk from substream (seed, ``TV``, point), one stream per
+    grid point (``_TVDraws``); a draw outside W is scored 0, so ``tv_err`` is the
+    95% CLT half-width ``tv_half_width`` plus ``tail_p``.  The walk sets the TV's
+    domain too: m <= ``MAX_QUAD_M`` and at most ``MAX_QUAD_CELLS`` active cells.
+    ValueError unless ``theta`` is a probability vector, m an integer in [1,
+    ``MAX_QUAD_M``], ``n_samples`` 0 or an integer >= 2 (the fewest the half-width
+    needs), and ``seed`` and ``point`` nonnegative integers.
     """
     theta, m = _checked_theta(theta), _checked_integer("m", m, 1)
+    n_samples = _checked_integer("n_samples", n_samples, 0)
+    if n_samples == 1:
+        raise TomolabError("n_samples must be 0 or at least 2, got 1")
+    seed, point = _checked_integer("seed", seed, 0), _checked_integer("point", point, 0)
     if m > MAX_QUAD_M:
         raise ValueError(f"m must be at most {MAX_QUAD_M}, got {m}")
     sub, row = _active_law(theta), {"theta": theta.tolist(), "m": m}
     if sub is None:
+        tv = ("tv", "tv_err", "tv_half_width") if n_samples else ()
         return {**row, **dict.fromkeys(("hellinger", "hellinger_err", "order_term", "tail_p",
-                                        "tail_q", "truncation", "rounding"), 0.0)}
+                                        "tail_q", "truncation", "rounding", *tv), 0.0)}
     r = len(sub)
     if r > MAX_QUAD_CELLS:
         raise TomolabError(f"quadrature supports up to {MAX_QUAD_CELLS} cells, got {r}")
-    (bc, bc_cmp), mass, rel = _affinity_window(m, sub, (ORDER, COMPARE_ORDER), WINDOW, CHUNK_CELLS)
+    draws = _TVDraws(n_samples, substream(seed, TV, point), m, sub) if n_samples else None
+    (bc, bc_cmp), mass, rel = _affinity_window(m, sub, (ORDER, COMPARE_ORDER), WINDOW,
+                                               CHUNK_CELLS, draws)
     a = 8.0 * EPS * (_log_factorials(m)[m] - m * np.log(sub.min()))
     h2 = 2.0 - 2.0 * bc
     value = math.sqrt(max(h2, 0.0))
@@ -418,7 +493,8 @@ def hellinger_perturbed_vs_gaussian(m: int, theta) -> dict:
     err = budget["order_term"] + value - low
     if max(bc, bc_cmp) > 1.0:
         value = err = H_MAX
-    return {**row, "hellinger": value, "hellinger_err": err, **budget}
+    row.update(hellinger=value, hellinger_err=err, **budget)
+    return row if draws is None else {**row, **draws.row(budget["tail_p"])}
 
 
 def product_hellinger_bound(h_squares) -> float:
@@ -436,39 +512,6 @@ def product_hellinger_bound(h_squares) -> float:
 
 
 # --- total variation --------------------------------------------------------------
-
-
-def tv_perturbed_vs_gaussian(m: int, theta, n_samples: int, seed: int,
-                             point: int = 0) -> dict:
-    """TV(P, Q) = E_P[max(0, 1 - g/f)] between the perturbed count law P and
-    the matched normal Q on the first r-1 coordinates, by Monte Carlo, as the
-    row {tv, tv_err}, tv_err a 95% CLT half-width; both exactly 0.0 when fewer
-    than two cells are active.
-
-    Draws from substream (seed, ``TV``, point), one stream per grid point: all
-    the counts U, then the K0 uniforms psi, a block of CHUNK_CELLS rows at a
-    time, each block scored before the next is drawn (the stream is sequential,
-    so the draws are those of one (n_samples, r - 1) call).  The point
-    x = U_head + psi rounds back to U, so f(x) is the pmf at U.  ValueError
-    unless ``theta`` is a probability vector, m an integer >= 1 and ``n_samples``
-    an integer >= 2 (the fewest the half-width needs)."""
-    theta = _checked_theta(theta)
-    m, n_samples = _checked_integer("m", m, 1), _checked_integer("n_samples", n_samples, 2)
-    sub = _active_law(theta)
-    if sub is None:
-        return {"tv": 0.0, "tv_err": 0.0}
-    rng = substream(seed, TV, point)
-    counts = rng.multinomial(m, sub, size=n_samples)
-    vals = np.empty(n_samples)
-    for lo in range(0, n_samples, CHUNK_CELLS):
-        block = counts[lo:lo + CHUNK_CELLS]
-        x = block[:, :-1] + rng.uniform(-0.5, 0.5, size=(len(block), len(sub) - 1))
-        f = multinomial_pmf(block, m, sub)
-        if np.any(f <= 0):
-            raise TomolabError("sampling density vanished at a drawn point")
-        vals[lo:lo + len(block)] = np.maximum(0.0, 1.0 - _gaussian_density(m, sub, x) / f)
-    half = 1.96 * float(vals.std(ddof=1)) / math.sqrt(n_samples)
-    return {"tv": float(vals.mean()), "tv_err": half}
 
 
 def conditional_tv_bound(marginal_gap: float, weighted_tvs) -> float:

@@ -1,4 +1,4 @@
-"""Seeded random-number substreams (RNG contract v2).
+"""Seeded random-number substreams (RNG contract v3).
 
 Everything random takes one root seed.  A substream is the generator seeded
 by numpy's ``SeedSequence`` hash of ``(seed, *keys)``; distinct keys give
@@ -11,7 +11,9 @@ substream ``(seed, family, b + 1)``; the family's design draws use
 ``(seed, family, 0)``.  Each block makes one vectorised call per draw kind
 and consumes it in record order, with row layouts fixed by the basis or flat,
 so the first n records never depend on n.  ``BLOCK`` is part of the
-contract: changing it changes every simulated artifact.
+contract: changing it changes every simulated artifact.  v3 changed the
+``TV`` family alone, whose draws follow the Hellinger window walk; the
+others draw as under v2.
 
 Families:
 
@@ -23,7 +25,9 @@ key     name             draws
 2       ``FINE``         design, standard normals of a basis-fixed width
 3       ``TRANSLATE``    K0 uniforms, flat per block (no design draw)
 4       ``TRANSFER``     estimator transfer: the one stream ``(seed, 4)``
-5       ``TV``           ``tv_perturbed_vs_gaussian``: ``(seed, 5, point)`` per grid point
+5       ``TV``           ``(seed, 5, point)`` per grid point; per run of the
+                         window walk with mass: one binomial, the cell
+                         uniforms, then psi
 ======  ===============  ==================================================
 """
 
@@ -37,7 +41,7 @@ from .errors import _checked_integer
 __all__ = ["RNG_CONTRACT", "BLOCK", "TOMOGRAPHY", "COARSE", "FINE", "TRANSLATE", "TRANSFER", "TV",
            "substream", "record_blocks"]
 
-RNG_CONTRACT = 2
+RNG_CONTRACT = 3
 BLOCK = 256  # records per block
 
 TOMOGRAPHY, COARSE, FINE, TRANSLATE, TRANSFER, TV = range(6)

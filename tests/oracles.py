@@ -6,7 +6,9 @@ route of its own: one trace tr(a b) at a time, the multinomial pmf through condi
 mpmath log-factorials, the Hellinger quadrature's lattice
 window cell by cell and the exact Mahalanobis distance of a cell, the
 Hellinger distance for 2 and 3 cells with the last axis integrated exactly,
-the total variation distance for 2 cells exactly, the two dataset translations one record at a time, class membership of a
+the matched normal's density one point at a time, the TV Monte Carlo's
+draws replayed from the window's cells in box order, the total variation
+distance for 2 cells exactly, the two dataset translations one record at a time, class membership of a
 sampled state, orthogonality and Pauli projection traces of a family, a
 matrix rebuilt from its spectral decomposition, each member's spectrum on its
 own, the Pauli members as ``np.kron`` chains, the other families' members, the
@@ -30,10 +32,11 @@ from scipy import stats as sps
 from scipy.special import gammaln, ndtr
 
 from tomolab.bases import SIGMA, _make_basis, build_basis, default_g_vectors
+from tomolab.equivalence import multinomial_pmf
 from tomolab.errors import TomolabError
 from tomolab.hermitian import CLUSTER_TOL, TOL_HERM
 from tomolab.measurement import PROB_CLAMP, _active_mask
-from tomolab.rng import TRANSLATE, record_blocks
+from tomolab.rng import TRANSLATE, TV, record_blocks, substream
 from tomolab.states import DENSITY_TOL, DensityMatrix
 
 
@@ -125,6 +128,53 @@ def ellipsoid_window(m: int, theta, radius: float) -> np.ndarray:
     box = lattice_box(m, theta, radius)
     diff = box - mu
     return box[np.einsum("ij,ji->i", diff, np.linalg.solve(cov, diff.T)) <= limit]
+
+
+def matched_normal_density(m: int, theta, x) -> np.ndarray:
+    """The matched normal's density of the first r - 1 counts at the (n, r - 1)
+    points ``x``, as the exp of its log at each point on its own."""
+    mu, cov = _matched_normal(m, theta)
+    diff = np.asarray(x, dtype=float) - mu
+    _, logdet = np.linalg.slogdet(cov)
+    log_norm = -0.5 * (len(mu) * math.log(2 * math.pi) + logdet)
+    return np.exp(log_norm - 0.5 * np.einsum("nd,de,ne->n", diff, np.linalg.inv(cov), diff))
+
+
+def tv_window_draws(m: int, theta, n: int, seed: int, point: int,
+                    chunk_cells: int = 4096, radius: float = 8.0) -> tuple:
+    """The TV Monte Carlo's draws replayed from substream (seed, TV, point), as
+    (cells, psi, f): the drawn cells' first r - 1 counts, their psi, and the pmf
+    there (``multinomial_pmf``, which the window's pmf equals bit for bit), k rows
+    each, k <= n; the other draws fell outside the window.  The cells of
+    ``ellipsoid_window`` are grouped into runs of ``chunk_cells`` box cells by their
+    place in ``lattice_box``.  Each run in box order takes, while draws are left and
+    its mass is positive, one binomial draw (the draws left, success probability
+    its mass over the mass not yet walked), one uniform u per draw, the draws in
+    the order of their u, each placed on the first cell whose running mass exceeds
+    u times the run's (on its last cell of positive mass if none does), then
+    every draw's psi in one call."""
+    theta = np.asarray(theta, dtype=float)
+    box, window = lattice_box(m, theta, radius), ellipsoid_window(m, theta, radius)
+    shape = (box[-1] - box[0] + 1).astype(int)  # box is in C order, corner to corner
+    runs = np.ravel_multi_index((window - box[0]).astype(int).T, shape) // chunk_cells
+    f_all = multinomial_pmf(np.column_stack([window, m - window.sum(axis=1)]), m, theta)
+    rng, left, walked = substream(seed, TV, point), n, 0.0
+    cells, psi, f = [], [], []
+    for run in np.unique(runs):
+        at = np.flatnonzero(runs == run)
+        mass, unwalked = f_all[at].sum(), 1.0 - walked
+        walked += mass
+        if left == 0 or mass == 0.0:
+            continue
+        count = int(rng.binomial(left, min(mass / unwalked, 1.0) if unwalked > 0 else 1.0))
+        left -= count
+        running = np.cumsum(f_all[at])
+        picks = [np.argmax(running > u * running[-1]) if u * running[-1] < running[-1]
+                 else np.flatnonzero(f_all[at])[-1] for u in np.sort(rng.random(count))]
+        cells.append(window[at[picks]])
+        f.append(f_all[at[picks]])
+        psi.append(rng.uniform(-0.5, 0.5, size=(count, len(theta) - 1)))
+    return np.concatenate(cells), np.concatenate(psi), np.concatenate(f)
 
 
 def _long_double(x) -> np.longdouble:

@@ -254,9 +254,8 @@ def test_criterion_08_tv_below_hellinger():
     worst_margin = -np.inf
     for theta in THETA_GRID:
         for m in M_GRID:
-            hel = eq.hellinger_perturbed_vs_gaussian(m, theta)
-            tv = eq.tv_perturbed_vs_gaussian(m, theta, 100_000, seed=SEED)
-            margin = tv["tv"] - hel["hellinger"] - hel["hellinger_err"] - tv["tv_err"]
+            est = eq.hellinger_perturbed_vs_gaussian(m, theta, 100_000, seed=SEED)
+            margin = est["tv"] - est["hellinger"] - est["hellinger_err"] - est["tv_err"]
             worst_margin = max(worst_margin, margin)
             ok &= margin <= 0
     _report(8, "Monte-Carlo TV below quadrature Hellinger plus error bars", ok,

@@ -63,8 +63,8 @@ out = {out}
 """
 
 # sha256 of each artifact under RNG contract v2 (blocks of rng.BLOCK = 256
-# records, one vectorised draw per block and draw kind); n = 500 spans two
-# blocks.
+# records, one vectorised draw per block and draw kind), which v3 keeps for
+# every family but TV; n = 500 spans two blocks.
 # These bytes change only with a deliberate, versioned change of the contract.
 GOLDEN_SHA256 = {
     "tomography.csv": "d6e0c10aaf263924dc762468f479e4d12f46cfcbfa4cc620456a24c1398f8074",
@@ -96,9 +96,9 @@ samples = 4
 # sha256 of each artifact of those five tasks; a refactor must keep them.  The
 # quadrature artifacts follow the Hellinger affinity over the ellipsoidal window,
 # its error budget (fields of each distances.json row), the log-factorial table and the
-# closed-form chi-square tails.
+# closed-form chi-square tails; its TV fields follow the TV draws of RNG contract v3.
 TASK_SHA256 = {
-    "distances.json": "ef935ffbbfc8437474b68376c0487cb345b3551be4e577180f8706d810f6188e",
+    "distances.json": "29e1e2ae2f78c03feeb325e3658b3881c22ff7e8c1ce5176ff6dc9ff71afe711",
     "scaling_0.json": "cea7c53b9ab53c65170c5cae058aad28cabbfe712a3b3e9f5442addd5438b7a9",
     "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
     "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
@@ -709,7 +709,6 @@ witnesses = cor2_line
             raise AssertionError("a grid point ran")
 
         monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian", no_point)
-        monkeypatch.setattr(cli.equivalence, "tv_perturbed_vs_gaussian", no_point)
         text = f"""
 [run]
 task = {task}
@@ -986,7 +985,7 @@ out = {out}
     def test_manifest_records_rng_contract(self, tmp_path):
         out = tmp_path / "m"
         assert cli.main(["run", "--config", write_cfg(tmp_path, SIM_CFG.format(out=out))]) == 0
-        assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 2
+        assert json.loads((out / "manifest.json").read_text())["rng_contract"] == 3
 
     def test_repeated_grid_points_draw_own_tv_streams(self, tmp_path):
         text = """
@@ -1028,7 +1027,7 @@ tv_samples = 100
         assert fixed.keys() == drawn.keys()
         assert (fixed["theta"], fixed["m"], fixed["tv_le_hellinger"]) == ([1.0, 0.0], 16, True)
         for key in ("hellinger", "hellinger_err", "order_term", "tail_p", "tail_q",
-                    "truncation", "rounding", "tv", "tv_err"):
+                    "truncation", "rounding", "tv", "tv_err", "tv_half_width"):
             assert fixed[key] == 0.0 and type(fixed[key]) is float
             assert drawn[key] > 0
 
@@ -1036,7 +1035,7 @@ tv_samples = 100
         idents = []
         hellinger = cli.equivalence.hellinger_perturbed_vs_gaussian
         monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian",
-                            lambda m, theta: idents.append(threading.get_ident()) or hellinger(m, theta))
+                            lambda *args: idents.append(threading.get_ident()) or hellinger(*args))
         for task in ("distances", "scaling"):
             text = f"""
 [run]
@@ -1090,7 +1089,7 @@ out = {{out}}
         idents = []
         hellinger = cli.equivalence.hellinger_perturbed_vs_gaussian
         monkeypatch.setattr(cli.equivalence, "hellinger_perturbed_vs_gaussian",
-                            lambda m, theta: idents.append(threading.get_ident()) or hellinger(m, theta))
+                            lambda *args: idents.append(threading.get_ident()) or hellinger(*args))
         text = f"""
 [run]
 task = {task}

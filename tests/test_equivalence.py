@@ -12,9 +12,9 @@ from scipy import stats as sps
 from scipy.special import gammaincc, gammaln
 
 from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, hellinger_ndtr,
-                     lattice_box, log_factorials_30_digits, multinomial_pmf_chain,
-                     multinomial_pmf_gammaln,
-                     record_tails, round_off_per_record, translate_per_record, tv_two_cell)
+                     lattice_box, log_factorials_30_digits, matched_normal_density,
+                     multinomial_pmf_chain, multinomial_pmf_gammaln, record_tails,
+                     round_off_per_record, translate_per_record, tv_two_cell, tv_window_draws)
 from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
 from tomolab.errors import TomolabError
 from tomolab.rng import BLOCK, TRANSLATE, TV, record_blocks, substream
@@ -224,7 +224,7 @@ class TestTranslation:
 
     def test_translated_law_is_tv_draw(self):
         # K0's law: at m = 64 the translated vectors of a 3-cell member, times m,
-        # follow the law of U + psi that tv_perturbed_vs_gaussian samples from
+        # follow the law of U + psi that the TV Monte Carlo samples from
         herm3 = bases.build_basis("hermitian", 3)
         j, m, n = herm3.labels.index((1, 2)), 64, 4000
         theta = np.array([0.00069, 0.982, 0.01731])
@@ -236,14 +236,17 @@ class TestTranslation:
         design = bases.SamplingDesign.random(np.eye(herm3.size)[j])
         ds = measurement.run_tomography(st_, herm3, design, n, m, seed=21)
         translated = m * eq.translate_qst_to_regression(ds, herm3, seed=21)[1]
-        # the draws of substream (seed, TV, point): the counts U, then the uniforms psi
-        rng = substream(8, TV, 3)
-        counts = rng.multinomial(m, law / law.sum(), size=n)
-        x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, 2))
-        ratio = eq._gaussian_density(m, law, x) / eq.multinomial_pmf(counts, m, law)
-        # they are the draws the estimate averages over
-        assert np.maximum(0.0, 1.0 - ratio).mean() == eq.tv_perturbed_vs_gaussian(
-            m, law, n, seed=8, point=3)["tv"]
+        # the draws of substream (seed, TV, point): per run of the window walk the
+        # draws landing there, their cells U, then the uniforms psi
+        law = law / law.sum()
+        cells, psi, f = tv_window_draws(m, law, n, seed=8, point=3)
+        x = cells + psi
+        ratio = matched_normal_density(m, law, x) / f
+        # they are the draws the estimate averages over; the window holds all but
+        # about 1e-5 of P, so at most a few fall outside it, each scored 0
+        assert len(x) >= n - 3
+        assert np.maximum(0.0, 1.0 - ratio).sum() / n == pytest.approx(
+            eq.hellinger_perturbed_vs_gaussian(m, law, n, seed=8, point=3)["tv"], rel=1e-12)
         drawn = np.column_stack([x, m - x.sum(axis=1)])
         for a in range(3):
             assert sps.ks_2samp(translated[:, a], drawn[:, a]).pvalue > 0.01
@@ -272,8 +275,8 @@ class TestTranslation:
         hel = eq.hellinger_perturbed_vs_gaussian(m, theta)
         sub = eq.hellinger_perturbed_vs_gaussian(m, [0.5, 0.5])
         assert hel["hellinger"] == sub["hellinger"] > 0
-        tv = eq.tv_perturbed_vs_gaussian(m, theta, 100, seed=4)
-        assert tv["tv"] == eq.tv_perturbed_vs_gaussian(m, [0.5, 0.5], 100, seed=4)["tv"]
+        tv = eq.hellinger_perturbed_vs_gaussian(m, theta, 100, seed=4)
+        assert tv["tv"] == eq.hellinger_perturbed_vs_gaussian(m, [0.5, 0.5], 100, seed=4)["tv"]
 
     def test_translation_result_records(self):
         back, dropped = eq.translate_regression_to_qst((np.array([1]), np.array([[0.5, 0.5]])), 4)
@@ -317,9 +320,9 @@ class TestPerturbedDensity:
 
     @pytest.mark.parametrize("theta", [[0.5, 0.6], [0.5, math.nan], [1.5, -0.5]])
     @pytest.mark.parametrize("density", [
-        lambda theta: eq._gaussian_density(4, theta, np.array([[2.0]])),
+        lambda theta: eq._gaussian_marginal_params(4, theta),
         lambda theta: eq.multinomial_pmf([2, 2], 4, theta),
-        lambda theta: eq.tv_perturbed_vs_gaussian(4, theta, 100, seed=1),
+        lambda theta: eq.hellinger_perturbed_vs_gaussian(4, theta, 100, seed=1),
     ], ids=["gaussian", "pmf", "sampler"])
     def test_invalid_theta_rejected(self, density, theta):
         with pytest.raises(ValueError):
@@ -331,9 +334,9 @@ class TestPerturbedDensity:
         (lambda theta: eq.multinomial_pmf([8, 8], -2, theta), "m must be at least 0, got -2"),
         (lambda theta: eq.hellinger_perturbed_vs_gaussian(16.5, theta),
          "m must be an integer, got 16.5"),
-        (lambda theta: eq.tv_perturbed_vs_gaussian(16.5, theta, 100, seed=1),
+        (lambda theta: eq.hellinger_perturbed_vs_gaussian(16.5, theta, 100, seed=1),
          "m must be an integer, got 16.5"),
-        (lambda theta: eq.tv_perturbed_vs_gaussian(16, theta, 100.5, seed=1),
+        (lambda theta: eq.hellinger_perturbed_vs_gaussian(16, theta, 100.5, seed=1),
          "n_samples must be an integer, got 100.5"),
     ], ids=["pmf", "pmf-negative", "hellinger", "sampler", "sampler-n_samples"])
     def test_bad_integer_argument_named(self, call, message, theta):
@@ -350,7 +353,7 @@ class TestPerturbedDensity:
     def test_sampler_rejects_m_below_one(self, m):
         # checked before the sample count, so the first error names m
         with pytest.raises(ValueError, match="m must be at least 1"):
-            eq.tv_perturbed_vs_gaussian(m, [0.5, 0.5], 1, seed=1)
+            eq.hellinger_perturbed_vs_gaussian(m, [0.5, 0.5], 1, seed=1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_decomposition_matches_direct(self, seed):
@@ -404,7 +407,7 @@ class TestMultinomialPmf:
         want = np.where(whole, multinomial_pmf_gammaln(counts, m, theta), 0.0)
         np.testing.assert_allclose(got, want, rtol=4 * eq.EPS * (1 + math.lgamma(m + 1)), atol=0)
         assert np.any(got > 0) and not np.any(got[~whole])
-        # integer counts, as the TV sampler draws them, give the same bits without a float copy
+        # integer counts give the same bits
         np.testing.assert_array_equal(
             eq.multinomial_pmf(counts[whole].astype(np.int64), m, theta), got[whole])
         shaped = counts.reshape(30, 100, r)
@@ -541,7 +544,7 @@ class TestHellinger:
         sqrt_f = np.sqrt(f)
         want = 0.0
         for idx in itertools.product(range(order), repeat=dim):
-            sqrt_g = np.sqrt(eq._gaussian_density(m, theta, cells + x[list(idx)] / 2))
+            sqrt_g = np.sqrt(matched_normal_density(m, theta, cells + x[list(idx)] / 2))
             want += np.prod(w[list(idx)] / 2) * np.sum(sqrt_f * sqrt_g)
         # with chunk_cells = 1 most chunks hold no cell of W
         evaluated = self._pmf_cells(monkeypatch)
@@ -710,7 +713,7 @@ class TestHellinger:
         with pytest.raises(ValueError):
             eq.hellinger_perturbed_vs_gaussian(16, theta)
         with pytest.raises(ValueError):
-            eq.tv_perturbed_vs_gaussian(16, theta, 100, seed=1)
+            eq.hellinger_perturbed_vs_gaussian(16, theta, 100, seed=1)
 
     def test_arity_cap(self):
         with pytest.raises(TomolabError, match="quadrature supports up to 4 cells, got 5"):
@@ -759,11 +762,28 @@ class TestProductBound:
             eq.product_hellinger_bound([9.0])
 
 
+class RecordingStream:
+    """A generator that records the name and output shape of each draw it makes."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.shape(out)))
+            return out
+
+        return draw
+
+
 class TestTVMonteCarlo:
     def test_identical_laws(self):
         # one active cell: both laws are the same point mass
-        est = eq.tv_perturbed_vs_gaussian(16, [1.0, 0.0], 2, seed=1)
-        assert est["tv"] == est["tv_err"] == 0.0
+        est = eq.hellinger_perturbed_vs_gaussian(16, [1.0, 0.0], 2, seed=1)
+        assert est["tv"] == est["tv_err"] == est["tv_half_width"] == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("m, exact", [(16, 0.059959), (256, 0.014815)])
@@ -771,76 +791,158 @@ class TestTVMonteCarlo:
         theta = [0.3, 0.7]
         want = tv_two_cell(m, theta)
         assert want == pytest.approx(exact, abs=1e-6)
-        est = eq.tv_perturbed_vs_gaussian(m, theta, 50_000, seed=seed)
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta, 50_000, seed=seed)
         assert abs(est["tv"] - want) <= 3 * est["tv_err"]
 
-    def test_zero_density_raises(self, monkeypatch):
-        monkeypatch.setattr(eq, "multinomial_pmf", lambda counts, m, theta: np.zeros(len(counts)))
-        with pytest.raises(TomolabError, match="sampling density vanished"):
-            eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 100, seed=3)
+    def test_two_cell_half_width_covers_the_exact_value(self):
+        # a 95% interval: 1.96 half-widths cover the exact value at 90% of seeds or more
+        m, theta = 16, [0.3, 0.7]
+        want = tv_two_cell(m, theta)
+        covered = 0
+        for seed in range(200):
+            est = eq.hellinger_perturbed_vs_gaussian(m, theta, 5_000, seed=seed)
+            covered += abs(est["tv"] - want) <= est["tv_half_width"]
+        assert covered >= 180
 
-    @pytest.mark.parametrize("n_samples", [0, 1])
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_draws_outside_the_window_are_charged_to_the_bar(self, m):
+        # the window holds count 0 alone and misses P's mass m 1e-6 at count 1, where
+        # g is 0 and a draw would score 1; the bar takes that mass as tail_p
+        theta = [1e-6, 1 - 1e-6]
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta, 50_000, seed=2)
+        assert est["tail_p"] >= m * 1e-6 * (1 - 1e-6) ** (m - 1)
+        assert est["tv_err"] == est["tv_half_width"] + est["tail_p"] >= est["tail_p"]
+        assert abs(est["tv"] - tv_two_cell(m, theta)) <= est["tv_err"]
+
+    def test_zero_density_raises(self, monkeypatch):
+        # a picker that ignores f puts every draw of a run on its cell of least f; at
+        # this point the window reaches negative implied counts, where f = 0
+        monkeypatch.setattr(eq, "_inverse_cdf", lambda f, u: np.full(len(u), np.argmin(f)))
+        with pytest.raises(TomolabError, match="sampling density vanished"):
+            eq.hellinger_perturbed_vs_gaussian(16, [0.1, 0.2, 0.3, 0.4], 100, seed=3)
+
+    @pytest.mark.parametrize("n_samples", [1])
     def test_too_few_samples_rejected(self, n_samples):
         # one sample has no standard deviation, so no error bar
-        with pytest.raises(ValueError, match="n_samples must be at least 2"):
-            eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], n_samples, seed=3)
+        with pytest.raises(ValueError, match="n_samples must be 0 or at least 2, got 1"):
+            eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5], n_samples, seed=3)
+
+    def test_zero_samples_draw_nothing(self, monkeypatch):
+        # n_samples = 0 is the Hellinger row alone, with no stream opened
+        from test_regression import _count_calls
+        calls = _count_calls(monkeypatch, eq.substream)
+        for theta in ([0.5, 0.5], [1.0, 0.0]):
+            row = eq.hellinger_perturbed_vs_gaussian(16, theta, 0, seed=3)
+            assert "tv" not in row and row == eq.hellinger_perturbed_vs_gaussian(16, theta)
+        assert calls == []
+
+    def test_chunk_cell_frequencies_follow_f(self, monkeypatch):
+        # runs of 16 box cells split this window 48 ways, 25 of them with mass, so
+        # the draws cross runs; each cell's share of the draws follows f
+        m, theta, n = 16, np.array([0.2, 0.3, 0.5]), 20_000
+        values, picks = [], []
+        runs = TestHellinger._pmf_cells(monkeypatch, values)
+        inverse = eq._inverse_cdf
+        monkeypatch.setattr(eq, "_inverse_cdf",
+                            lambda f, u: picks.append((f, inverse(f, u))) or picks[-1][1])
+        draws = eq._TVDraws(n, substream(11, TV, 0), m, theta)
+        eq._affinity_window(m, theta, (5, 3), 8.0, 16, draws)
+        monkeypatch.undo()
+        assert len(picks) >= 10
+        window, f = np.concatenate(runs), np.concatenate(values)
+        np.testing.assert_array_equal(window, ellipsoid_window(m, theta, 8.0))
+        place = {tuple(c): i for i, c in enumerate(window.tolist())}
+        observed = np.zeros(len(window))
+        for run_f, cells in picks:
+            run = next(i for i, v in enumerate(values) if v is run_f)
+            np.add.at(observed, [place[tuple(c)] for c in runs[run][cells].tolist()], 1)
+        assert observed.sum() == draws.drawn == n and not np.any(observed[f == 0])
+        expected = n * f / f.sum()
+        # pool the cells expected fewer than 5 draws into one bin
+        small = expected < 5
+        obs = np.append(observed[~small], observed[small].sum())
+        exp = np.append(expected[~small], expected[small].sum())
+        assert sps.chisquare(obs, exp).pvalue > 1e-3
 
     def test_one_pmf_call_at_the_drawn_counts(self, monkeypatch):
-        # U first, then psi; f is the pmf at U, since U_head + psi rounds back to U,
-        # one call per block of CHUNK_CELLS consecutive rows of U
+        # the draws take f from the walk, which evaluates the pmf once per cell of W
+        # with or without them; U_head + psi rounds back to the drawn cell U, f there
+        # is the pmf at U, and psi is drawn and scored a block of CHUNK_CELLS at a time
         m, theta, b = 16, [0.2, 0.3, 0.5], eq.CHUNK_CELLS
-        calls = []
-        pmf = eq.multinomial_pmf
-        monkeypatch.setattr(eq, "multinomial_pmf",
-                            lambda counts, m, theta: calls.append(counts) or pmf(counts, m, theta))
+        lengths = []
+        walk = eq._pmf_walk
+
+        def recording(*args, **kwargs):
+            out = walk(*args, **kwargs)
+            if not kwargs.get("partial"):
+                lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(eq, "_pmf_walk", recording)
+        eq.hellinger_perturbed_vs_gaussian(m, theta)
+        alone, lengths[:] = list(lengths), []
+        streams = []
+        stream = eq.substream
+        monkeypatch.setattr(eq, "substream",
+                            lambda *keys: streams.append(RecordingStream(stream(*keys)))
+                            or streams[-1])
         for n, sizes in ((1000, [1000]), (2 * b + 1, [b, b, 1])):
-            calls.clear()
-            eq.tv_perturbed_vs_gaussian(m, theta, n, seed=7, point=2)
-            rng = substream(7, TV, 2)
-            counts = rng.multinomial(m, np.array(theta) / np.sum(theta), size=n)
-            x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, 2))
-            assert [len(block) for block in calls] == sizes
-            np.testing.assert_array_equal(np.concatenate(calls), counts)
-            np.testing.assert_array_equal(eq.round_half_away(x), counts[:, :-1])
+            lengths.clear()
+            est = eq.hellinger_perturbed_vs_gaussian(m, theta, n, seed=7, point=2)
+            assert lengths == alone
+            # the window is one run here: a binomial, the cell uniforms, then psi
+            assert streams[-1].calls == [("binomial", ()), ("random", (n,)),
+                                         *(("uniform", (size, 2)) for size in sizes)]
+            cells, psi, f = tv_window_draws(m, theta, n, seed=7, point=2)
+            np.testing.assert_array_equal(eq.round_half_away(cells + psi), cells)
+            np.testing.assert_array_equal(f, eq.multinomial_pmf(whole_cells(m, cells), m, theta))
+            ratio = matched_normal_density(m, theta, cells + psi) / f
+            assert est["tv"] == pytest.approx(np.maximum(0.0, 1.0 - ratio).mean(), rel=1e-12)
 
     @pytest.mark.parametrize("theta", [[0.3, 0.7], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]])
     @pytest.mark.parametrize("n", [eq.CHUNK_CELLS - 1, eq.CHUNK_CELLS, eq.CHUNK_CELLS + 1,
                                    2 * eq.CHUNK_CELLS + 1])
     def test_blocks_match_one_pass(self, n, theta):
-        # scoring a block of draws at a time gives the bits of one pass over all
-        # of them: every count of substream (seed, TV, point), then every uniform
+        # scoring a block of draws at a time gives the bits of one pass over all of
+        # them, and the draws are those of substream (seed, TV, point) with each run's
+        # psi in one call
         m, seed, point = 64, 5, 1
         law = np.array(theta) / np.sum(theta)
-        rng = substream(seed, TV, point)
-        counts = rng.multinomial(m, law, size=n)
-        x = counts[:, :-1] + rng.uniform(-0.5, 0.5, size=(n, len(law) - 1))
-        ratio = eq._gaussian_density(m, law, x) / eq.multinomial_pmf(counts, m, law)
-        vals = np.maximum(0.0, 1.0 - ratio)
-        assert eq.tv_perturbed_vs_gaussian(m, theta, n, seed, point) == {
-            "tv": float(vals.mean()), "tv_err": 1.96 * float(vals.std(ddof=1)) / math.sqrt(n)}
+        passes = [eq._TVDraws(n, substream(seed, TV, point), m, law, block)
+                  for block in (eq.CHUNK_CELLS, n)]
+        for draws in passes:
+            eq._affinity_window(m, law, (5, 3), 8.0, eq.CHUNK_CELLS, draws)
+        assert passes[0].scores.tobytes() == passes[1].scores.tobytes()
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta, n, seed, point)
+        assert {key: est[key] for key in ("tv", "tv_err", "tv_half_width")} == passes[0].row(
+            est["tail_p"])
+        cells, psi, f = tv_window_draws(m, law, n, seed, point)
+        ratio = matched_normal_density(m, law, cells + psi) / f
+        assert est["tv"] == pytest.approx(np.maximum(0.0, 1.0 - ratio).sum() / n, rel=1e-12)
 
     @pytest.mark.parametrize("theta", [[0.5, 0.5], [1.0, 0.0]])
     @pytest.mark.parametrize("m", [0, -2])
     def test_m_below_one_rejected(self, theta, m):
         with pytest.raises(ValueError, match="m must be at least 1"):
-            eq.tv_perturbed_vs_gaussian(m, theta, 100, seed=1)
+            eq.hellinger_perturbed_vs_gaussian(m, theta, 100, seed=1)
 
     def test_stream_keyed_by_point(self, monkeypatch):
         from test_regression import _count_calls
         from tomolab import rng
         calls = _count_calls(monkeypatch, rng.substream)
-        a = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=3)
-        b = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=4)
-        again = eq.tv_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=3)
+        a = eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=3)
+        b = eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=4)
+        again = eq.hellinger_perturbed_vs_gaussian(16, [0.5, 0.5], 2000, seed=9, point=3)
         assert calls == [(9, rng.TV, 3), (9, rng.TV, 4), (9, rng.TV, 3)]
         assert a["tv"] == again["tv"] != b["tv"]
+        assert a["hellinger"] == b["hellinger"] == eq.hellinger_perturbed_vs_gaussian(
+            16, [0.5, 0.5])["hellinger"]
 
     @pytest.mark.parametrize("theta", [[0.5, 0.5], [0.2, 0.3, 0.5]])
     @pytest.mark.parametrize("m", [16, 256])
     def test_tv_below_hellinger(self, theta, m):
-        hel = eq.hellinger_perturbed_vs_gaussian(m, theta)
-        tv = eq.tv_perturbed_vs_gaussian(m, theta, 50_000, seed=4)
-        assert tv["tv"] <= hel["hellinger"] + hel["hellinger_err"] + tv["tv_err"]
+        est = eq.hellinger_perturbed_vs_gaussian(m, theta, 50_000, seed=4)
+        assert est["tv"] <= est["hellinger"] + est["hellinger_err"] + est["tv_err"]
 
 
 def enumerate_two_stage_tv(f1, f21, g1, g21):
