@@ -13,10 +13,11 @@ THETA = [0.5, 0.5]
 RUN = dict(rho=RHO, basis=PAULI2, design=bases.SamplingDesign.fixed(), n=4, m=4, seed=1)
 
 
-def _entry(function, argument, least, **kwargs):
+def _entry(function, argument, least, name=None, **kwargs):
     """One (callable, argument) pair: ``kwargs`` is a valid call, ``least`` the
-    least value ``argument`` takes."""
-    return pytest.param(function, kwargs, argument, least, id=f"{function.__name__}-{argument}")
+    least value ``argument`` takes, ``name`` the id (default the function's)."""
+    return pytest.param(function, kwargs, argument, least,
+                        id=f"{name or function.__name__}-{argument}")
 
 
 ENTRY_POINTS = [
@@ -32,10 +33,14 @@ ENTRY_POINTS = [
     _entry(equivalence.translate_regression_to_qst, "m", 1,
            samples=(np.array([1]), np.array([[0.5, 0.5]])), m=2),
     _entry(equivalence.multinomial_pmf, "m", 0, counts=[1, 1], m=2, theta=THETA),
-    # n_samples is 0 or at least 2: one sample gives no half-width (test_equivalence)
+    # n_samples is 0 or at least 2: one sample gives no half-width (test_equivalence);
+    # the call without samples gives H alone, the call with samples the TV too
     *(_entry(equivalence.hellinger_perturbed_vs_gaussian, argument, least,
-             m=2, theta=THETA, n_samples=2, seed=1, point=0)
+             m=2, theta=THETA, n_samples=0, seed=1, point=0)
       for argument, least in (("m", 1), ("n_samples", 0), ("seed", 0), ("point", 0))),
+    *(_entry(equivalence.hellinger_perturbed_vs_gaussian, argument, least,
+             name="tv_perturbed_vs_gaussian", m=2, theta=THETA, n_samples=2, seed=1)
+      for argument, least in (("m", 1), ("n_samples", 0))),
     *(_entry(diagnostics.corollary_suite, argument, least, d=2, seed=1, samples=1)
       for argument, least in (("seed", 0), ("samples", 1))),
     *(_entry(diagnostics.deficiency_bound, argument, least,
