@@ -1,14 +1,11 @@
 """Observable families and sampling designs.
 
-Four constructions, all of size p = d^2:
+Three constructions, all of size p = d^2 and all of Hermitian members:
 
-* ``canonical`` - unit matrices e_l1 e_l2'; the off-diagonal members are not
-  Hermitian and are admitted for masking only (no spectral decomposition, the
-  measurement simulator rejects them).
 * ``hermitian`` - the orthonormal Hermitian family: diagonal units, and
   symmetric / antisymmetric off-diagonal pairs scaled by 1/sqrt(2).
 * ``pauli`` - b-fold tensor products of the 2x2 Pauli matrices, d = 2^b.
-* ``gvector`` - the hermitian construction with the canonical axes replaced
+* ``gvector`` - the hermitian construction with the unit axes e_1..e_d replaced
   by a supplied orthonormal real basis g_1..g_d.
 
 A basis holds its members as one (p, d, d) array and its spectra once, in
@@ -26,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError, _checked_integer
-from .hermitian import _CHUNK, MAX_TENSOR_DIM, TOL_HERM, _run_starts, stack_traces
+from .hermitian import _CHUNK, MAX_TENSOR_DIM, _run_starts, stack_traces
 
 __all__ = [
     "SIGMA",
@@ -44,7 +41,7 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-_KINDS = ("canonical", "hermitian", "pauli", "gvector")
+_KINDS = ("hermitian", "pauli", "gvector")
 
 
 @dataclass(frozen=True)
@@ -147,9 +144,7 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
     d = _checked_integer("d", d, 2)
 
     g_store = None
-    if kind == "canonical":
-        mats = np.eye(d * d).reshape(d * d, d, d)
-    elif kind in ("hermitian", "gvector"):
+    if kind in ("hermitian", "gvector"):
         if kind == "gvector":
             if g_vectors is None:
                 raise ValueError("gvector basis requires g_vectors")
@@ -209,25 +204,23 @@ def _pauli_members(labels) -> np.ndarray:
 
 
 def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
-    """The one constructor of every family: each Hermitian member is measurable,
-    its eigenvalues and eigenspace projections V V^dagger written into the
-    last slots of its row, the others get no cells (masking only).  One ``eigh``
-    solves every Hermitian member, :func:`_run_starts` cuts each spectrum into
-    runs, run k (ascending) goes to slot kappa - 1 - k, and one mean and one
-    batched V V^dagger serve all runs of one (first column, width) shape.  A built-in
-    kind takes its labels from :func:`_labels`, any other kind 1..p.  ``matrices``
-    is a (p, d, d) stack of finite members, p >= 1, built by the caller."""
+    """The one constructor of every family: each member's eigenvalues and
+    eigenspace projections V V^dagger are written into the last slots of its
+    row.  One ``eigh`` solves every member, :func:`_run_starts` cuts each
+    spectrum into runs, run k (ascending) goes to slot kappa - 1 - k, and one
+    mean and one batched V V^dagger serve all runs of one (first column, width)
+    shape.  A built-in kind takes its labels from :func:`_labels`, any other kind
+    1..p.  ``matrices`` is a (p, d, d) stack of finite Hermitian members, p >= 1,
+    built by the caller."""
     mats = np.asarray(matrices, dtype=complex)
     p, d = mats.shape[:2]
     labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, p + 1))
-    herm = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= TOL_HERM
-    rows = np.flatnonzero(herm)
-    evals, evecs = np.linalg.eigh(mats if herm.all() else mats[herm])  # no copy when all are
+    evals, evecs = np.linalg.eigh(mats)
     starts = _run_starts(evals)
     # runs in table order; column 0 opens every row's first run, so a run ends where the next starts
     flat = np.flatnonzero(starts)
     member, first = np.divmod(flat, d)
-    sizes = np.bincount(rows[member], minlength=p)
+    sizes = np.bincount(member, minlength=p)
     kappa = int(sizes.max())
     eigenvalues = np.zeros((p, kappa))
     projections = np.zeros((p, kappa, d, d), dtype=complex)
@@ -237,10 +230,10 @@ def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
     for key in np.flatnonzero(np.bincount(shape)):  # the distinct keys, ascending
         pick = np.flatnonzero(shape == key)
         h, (lo, width) = member[pick], divmod(int(key), d + 1)
-        eigenvalues[rows[h], slot[pick]] = evals[h, lo:lo + width].mean(axis=1)
+        eigenvalues[h, slot[pick]] = evals[h, lo:lo + width].mean(axis=1)
         for part in np.split(pick, range(step, len(pick), step)):
             block = evecs[member[part], :, lo:lo + width]
-            projections[rows[member[part]], slot[part]] = block @ block.conj().swapaxes(1, 2)
+            projections[member[part], slot[part]] = block @ block.conj().swapaxes(1, 2)
     return ObservableBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues,
                            projections=projections, sizes=sizes, labels=labels, g_vectors=g_vectors)
 

@@ -76,6 +76,7 @@ def _key(section, key: str, cast=str, **default):
 # the section each grid task reads its grid keys from; estimator_transfer has no theta
 _THETA_SECTION = {"distances": "distances", "scaling": "scaling"}
 _GRID_SECTION = {**_THETA_SECTION, "estimator_transfer": "transfer"}
+_RECORDS = {"simulate": "run", "translate": "run"}  # the tasks that read [run] n and m
 
 
 @dataclass
@@ -99,10 +100,10 @@ class ExperimentConfig:
     design_mode: str = _key("design", "mode", default="fixed")
     pi: np.ndarray = _key("design", "pi", _parse_vector, default=None)
     xi: np.ndarray = _key("design", "xi", _parse_vector, default=None)
-    n: int = _key("run", "n", int, default=None)
-    m: int = _key("run", "m", int, default=64)
+    n: int = _key(_RECORDS, "n", int, default=None)
+    m: int = _key(_RECORDS, "m", int, default=64)
     seed: int = _key("run", "seed", int, default=20130204)
-    detail: str = _key("run", "detail", default="summary")
+    detail: str = _key({"simulate": "run"}, "detail", default="summary")
     out_dir: str = _key("run", "out", default="tomolab_out")
     threads: int = _key("run", "threads", int, default=1)
     c0: float = _key("tolerances", "c0", _finite, default=None)
@@ -119,9 +120,10 @@ class ExperimentConfig:
     raw_text: str = ""
 
 
-# every (section, key) a config may set: those the fields read for some task, and [run] task
-_KEYS = {("run", "task")} | {(sec, f.metadata["key"][1]) for f in fields(ExperimentConfig)
-                             if "key" in f.metadata for sec in f.metadata["key"][0].values()}
+# every (section, key) a config of each task may set: those its fields read, and [run] task
+_READS = [f.metadata["key"][:2] for f in fields(ExperimentConfig) if "key" in f.metadata]
+_KEYS = {task: {("run", "task")} | {(sections[task], key) for sections, key in _READS
+                                    if task in sections} for task in TASKS}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -144,10 +146,10 @@ def load_config(path) -> ExperimentConfig:
     task = get("run", "task")
     if task not in TASKS:
         raise ConfigParseError(f"task must be one of {TASKS}, got {task!r}")
-    unknown = sorted({(sec, key) for sec in [parser.default_section, *parser.sections()]
-                      for key in parser[sec]} - _KEYS)
+    unknown = sorted({(sec, key) for sec in parser for key in parser[sec]} - _KEYS[task])
     if unknown:
-        raise ConfigParseError("read by no setting: " + ", ".join(f"[{s}] {k}" for s, k in unknown))
+        raise ConfigParseError(f"read by no setting of task {task}: "
+                               + ", ".join(f"[{s}] {k}" for s, k in unknown))
     values = {}
     for f in fields(ExperimentConfig):
         if "key" in f.metadata:
@@ -259,11 +261,7 @@ def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
 def _build_design(cfg: ExperimentConfig, basis) -> bases.SamplingDesign:
     if cfg.design_mode == "fixed":
         return bases.SamplingDesign.fixed()
-    measurable = basis.sizes > 0
-    # masking-only members cannot be measured, so they get no weight; with
-    # every member measurable this is exactly np.full(p, 1 / p)
-    default = measurable / measurable.sum()
-    pi = cfg.pi if cfg.pi is not None else default
+    pi = cfg.pi if cfg.pi is not None else np.full(basis.size, 1.0 / basis.size)
     xi = cfg.xi if cfg.xi is not None else pi
     return bases.SamplingDesign.random(pi, xi)
 

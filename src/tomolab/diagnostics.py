@@ -89,8 +89,8 @@ def zeta_fraction(states, basis: ObservableBasis, weights=None) -> dict:
 def gamma_p(pi, xi) -> float:
     """max_j |1 - Pi(j)/Xi(j)| + |1 - Xi(j)/Pi(j)|, the design discrepancy.
 
-    Members that neither design draws (both weights 0, such as the
-    masking-only canonical members) carry no discrepancy and are skipped.
+    Members that neither design draws (both weights 0) carry no
+    discrepancy and are skipped.
     """
     pi = np.asarray(pi, dtype=float)
     xi = np.asarray(xi, dtype=float)

@@ -154,7 +154,7 @@ def _perturb(table, sizes, m: int, rng) -> None:
     """K0 in place on each front-padded row of ``table`` with two or more cells
     (``sizes``): one flat Uniform(-1/2, 1/2) draw from ``rng`` on the first r - 1
     cells of each, slots -r:-1, in row order; the last slot restores the sum m."""
-    heads = np.maximum(sizes - 1, 0)
+    heads = sizes - 1
     psi = rng.uniform(-0.5, 0.5, size=heads.sum())
     first = np.cumsum(heads) - heads  # each row's first uniform
     for k in np.flatnonzero(np.bincount(heads[heads > 0])).tolist():

@@ -70,7 +70,7 @@ def cell_probabilities(rho, basis: ObservableBasis) -> np.ndarray:
     if escaped.size:
         raise ValueError(f"cell probabilities escape [0,1]: {escaped}")
     theta = np.clip(theta, 0.0, 1.0)
-    for r in np.flatnonzero(np.bincount(basis.sizes[basis.sizes > 0])).tolist():
+    for r in np.flatnonzero(np.bincount(basis.sizes)).tolist():
         rows = np.flatnonzero(basis.sizes == r)
         # a (members, r) block summed along its rows adds each row as that member's
         # 1-D sum would; a zero-padded row sum does not, from r = 3
@@ -95,8 +95,7 @@ def _mean_outcomes(eigenvalues, counts, m: int) -> np.ndarray:
 def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, seed,
                         family: int = TOMOGRAPHY) -> np.ndarray:
     """Observable index per record: 0..p-1 in order (fixed), or i.i.d. from substream
-    (seed, family, 0) with Xi for the tomography family and Pi otherwise (random).
-    The one place that rejects a design drawing a masking-only member."""
+    (seed, family, 0) with Xi for the tomography family and Pi otherwise (random)."""
     p = basis.size
     if design.mode == "fixed":
         if n != p:
@@ -108,9 +107,6 @@ def draw_design_indices(design: SamplingDesign, basis: ObservableBasis, n: int, 
         if len(weights) != p:
             raise TomolabError(f"{name} has length {len(weights)}, family has {p} members")
         indices = substream(seed, family, 0).choice(p, size=n, p=weights)
-    masked = indices[basis.sizes[indices] == 0]
-    if len(masked):
-        raise TomolabError(f"the design draws member {masked[0]}, which is masking-only")
     return indices
 
 

@@ -16,7 +16,7 @@ Randomness follows RNG contract v2 (:mod:`tomolab.rng`), with the families
 ``COARSE`` and ``FINE``: design indices from (seed, family, 0), then one
 ``standard_normal`` call per block of ``BLOCK`` records.  Coarse draws one
 normal per record.  Fine draws a row of w normals per record, w being one
-less than the largest cell count over the basis's measurable members, and
+less than the largest cell count over the basis's members, and
 maps it through the member's factor F (rows: the Cholesky factor on all but
 the last active cell, minus its column sums on the last, zero on inactive
 cells), so y = theta + F z meets the sum constraint.  Every member's law
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
-from .errors import TomolabError, _checked_integer
+from .errors import _checked_integer
 from .hermitian import stack_traces
 from .measurement import (_active_mask, _blocks, _record_blocks, _write_table, cell_probabilities,
                           draw_design_indices)
@@ -57,8 +57,8 @@ __all__ = [
 
 
 def noise_variance_coarse(rho, basis: ObservableBasis) -> np.ndarray:
-    """tr(B_j^2 rho) - tr(B_j rho)^2 of every member, (p,), not divided by m: NaN if masking-only,
-    0 with fewer than two active cells, else clamped at 0; raises where cell_probabilities does."""
+    """tr(B_j^2 rho) - tr(B_j rho)^2 of every member, (p,), not divided by m: 0 with fewer
+    than two active cells, else clamped at 0; raises where cell_probabilities does."""
     return _coarse_moments(rho, basis, cell_probabilities(rho, basis))[1]
 
 
@@ -67,7 +67,7 @@ def _coarse_moments(rho, basis: ObservableBasis, theta: np.ndarray) -> tuple:
     mean = stack_traces(basis.matrices, rho)
     var = np.maximum(stack_traces(basis.matrices @ basis.matrices, rho) - mean * mean, 0.0)
     active = _active_mask(theta).sum(axis=1)
-    return mean, np.where(basis.sizes == 0, np.nan, np.where(active >= 2, var, 0.0))
+    return mean, np.where(active >= 2, var, 0.0)
 
 
 def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
@@ -143,8 +143,6 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     normalizing by the member's squared norm.  Reports per-coefficient
     squared errors and the paired gap in total squared risk.
     """
-    if basis.kind not in ("hermitian", "pauli", "gvector"):
-        raise TomolabError("estimator transfer requires an orthogonal family")
     p = basis.size
     m, replications = _checked_integer("m", m, 1), _checked_integer("replications", replications, 2)
     rng = substream(seed, TRANSFER)

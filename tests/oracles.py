@@ -34,7 +34,7 @@ from scipy.special import gammaln, ndtr
 from tomolab.bases import SIGMA, _make_basis, build_basis, default_g_vectors
 from tomolab.equivalence import multinomial_pmf
 from tomolab.errors import TomolabError
-from tomolab.hermitian import CLUSTER_TOL, TOL_HERM
+from tomolab.hermitian import CLUSTER_TOL
 from tomolab.measurement import PROB_CLAMP, _active_mask
 from tomolab.rng import TRANSLATE, TV, record_blocks, substream
 from tomolab.states import DENSITY_TOL, DensityMatrix
@@ -323,10 +323,8 @@ def member_spectrum(mat, cluster_tol: float = 1e-9) -> tuple:
     descending, by a route of its own: eigenvalues within ``cluster_tol``
     times the spectral norm (at least 1) of the previous one are merged, and
     each projection is the sum of the rank-one projectors of its merged
-    eigenvectors.  None for a matrix that is not Hermitian."""
+    eigenvectors."""
     mat = np.asarray(mat, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
-        return None
     evals, evecs = np.linalg.eigh(mat)
     gap = cluster_tol * max(float(np.max(np.abs(evals))), 1.0)
     groups = [[0]]
@@ -367,8 +365,7 @@ def spectral_tables_per_member(matrices) -> tuple:
     its output, each block's V V^dagger by its own matmul into the front-padded
     tables; ``bases`` reproduces them bit for bit with one batched ``eigh``, one
     walk over the eigenvalue columns and one product per run shape."""
-    spaces = [member_eigenspaces(*np.linalg.eigh(m))
-              if np.max(np.abs(m - m.conj().T)) <= TOL_HERM else ((), ()) for m in matrices]
+    spaces = [member_eigenspaces(*np.linalg.eigh(m)) for m in matrices]
     sizes = np.array([len(lams) for lams, _ in spaces], dtype=np.int64)
     kappa = int(sizes.max())
     d = len(matrices[0])
@@ -381,20 +378,17 @@ def spectral_tables_per_member(matrices) -> tuple:
     return eigenvalues, projections, sizes
 
 
-def family_members_per_member(kind: str, d: int, g_vectors=None) -> np.ndarray:
-    """The (d*d, d, d) members of a canonical, hermitian or gvector family built
-    one at a time, member (l1, l2) at row (l1 - 1) d + l2 - 1: canonical the
-    outer product of two unit vectors, the others from the matmul outer
+def family_members_per_member(d: int, g_vectors=None) -> np.ndarray:
+    """The (d*d, d, d) members of a hermitian or gvector family built one at a
+    time, member (l1, l2) at row (l1 - 1) d + l2 - 1, from the matmul outer
     products of the two axis columns; ``bases`` builds them all at once."""
-    eye = np.eye(d, dtype=complex)
-    axes = eye if g_vectors is None else np.asarray(g_vectors, dtype=float).astype(complex)
+    axes = np.eye(d) if g_vectors is None else np.asarray(g_vectors, dtype=float)
+    axes = axes.astype(complex)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     mats = []
     for l1, l2 in itertools.product(range(d), repeat=2):
         u, v = axes[:, l1][:, None], axes[:, l2][:, None]
-        if kind == "canonical":
-            mats.append(np.outer(eye[:, l1], eye[:, l2]))
-        elif l1 == l2:
+        if l1 == l2:
             mats.append(u @ u.conj().T)
         elif l1 < l2:
             mats.append(inv_sqrt2 * (u @ v.conj().T + v @ u.conj().T))
@@ -564,7 +558,7 @@ def write_fine_rows(samples, basis, path) -> None:
 
 
 def custom_basis(matrices):
-    """Wrap an explicit matrix list; non-Hermitian members get no cells (masking only)."""
+    """Wrap an explicit list of Hermitian members."""
     return _make_basis(matrices, "custom")
 
 

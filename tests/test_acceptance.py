@@ -310,24 +310,20 @@ mode = fixed
 
 [run]
 task = {task}
-n = 4
-m = 64
 seed = 99
-detail = individual
 out = {out}
-
-[distances]
-theta = 0.5,0.5; 0.2,0.3,0.5
-m_grid = 16,64
-tv_samples = 20000
-"""
+{extra}"""
+    # what each task reads beyond cfg_text, which ends inside [run]
+    extra = {"simulate": "n = 4\nm = 64\ndetail = individual\n",
+             "distances": "\n[distances]\ntheta = 0.5,0.5; 0.2,0.3,0.5\nm_grid = 16,64\n"
+                          "tv_samples = 20000\n"}
     ok = True
     for task in ("simulate", "distances"):
         outs = []
         for run_idx, threads in ((0, 1), (1, 4)):
             out = tmp_path / f"{task}{run_idx}"
             cfg = tmp_path / f"{task}{run_idx}.cfg"
-            cfg.write_text(cfg_text.format(task=task, out=out))
+            cfg.write_text(cfg_text.format(task=task, out=out, extra=extra[task]))
             rc = cli.main(["run", "--config", str(cfg), "--threads", str(threads)])
             ok &= rc == 0
             outs.append(out)

@@ -8,6 +8,7 @@ from oracles import (custom_basis, haar_vectors_per_column, member_spectrum,
 from tomolab import bases, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
+from tomolab.hermitian import TOL_HERM
 
 
 class TestBuildBasis:
@@ -46,18 +47,17 @@ class TestBuildBasis:
             bases.build_basis("gvector", 3, g_vectors=g)
 
     def test_sizes_are_d_squared(self):
-        for kind, d in [("canonical", 3), ("hermitian", 4), ("pauli", 4)]:
-            assert bases.build_basis(kind, d).size == d * d
-
-    def test_canonical_off_diagonal_not_measurable(self):
-        b = bases.build_basis("canonical", 3)
-        for j, (l1, l2) in enumerate(b.labels):
-            assert bool(b.sizes[j]) == (l1 == l2)
+        # every member of every built-in family is Hermitian, so each has a cell to measure
+        for kind in bases._KINDS:
+            for d in (2, 4, 8):
+                b = bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
+                assert b.size == d * d and np.all(b.sizes >= 1)
+                assert np.abs(b.matrices - b.matrices.conj().swapaxes(1, 2)).max() <= TOL_HERM
 
     def test_kappa_recorded(self):
         assert bases.build_basis("pauli", 4).kappa == 2
         assert bases.build_basis("hermitian", 3).kappa == 3
-        assert bases.build_basis("canonical", 3).kappa == 2
+        assert bases.build_basis("hermitian", 2).kappa == 2
 
     @pytest.mark.parametrize("kind", ["hermitian", "gvector"])
     def test_eigenvalue_sets(self, kind):
@@ -177,7 +177,7 @@ class TestProjectionArray:
     @staticmethod
     def assert_member_spectra(basis):
         spectra = [member_spectrum(mat) for mat in basis.matrices]
-        sizes = [0 if sp is None else len(sp[0]) for sp in spectra]
+        sizes = [len(sp[0]) for sp in spectra]
         kappa = max(sizes)
         np.testing.assert_array_equal(basis.sizes, sizes)
         assert basis.eigenvalues.shape == (basis.size, kappa)
@@ -185,40 +185,41 @@ class TestProjectionArray:
         for j, sp in enumerate(spectra):
             pad = slice(0, kappa - sizes[j])
             assert not basis.eigenvalues[j, pad].any() and not basis.projections[j, pad].any()
-            if sp is not None:
-                np.testing.assert_allclose(basis.eigenvalues[j, basis.cells(j)], sp[0], atol=1e-12)
-                np.testing.assert_allclose(basis.projections[j, basis.cells(j)], np.stack(sp[1]),
-                                           atol=1e-12)
+            np.testing.assert_allclose(basis.eigenvalues[j, basis.cells(j)], sp[0], atol=1e-12)
+            np.testing.assert_allclose(basis.projections[j, basis.cells(j)], np.stack(sp[1]),
+                                       atol=1e-12)
 
-    @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("canonical", 3),
-                                        ("gvector", 4), ("hermitian", 16)])
+    @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("gvector", 4),
+                                        ("hermitian", 16)])
     def test_built_family(self, kind, d):
         g = bases.haar_wavelet_vectors(d) if kind == "gvector" else None
         self.assert_member_spectra(bases.build_basis(kind, d, g_vectors=g))
 
-    @pytest.mark.parametrize("kind", ["canonical", "hermitian", "pauli", "gvector"])
+    @pytest.mark.parametrize("kind", bases._KINDS)
     def test_one_eigensolve_per_basis(self, kind, monkeypatch):
-        # every Hermitian member of a family in one batched eigh call
+        # every member of a family in one batched eigh call
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         b = bases.build_basis(kind, 8, g_vectors=bases.default_g_vectors(8))
-        assert calls == [(np.count_nonzero(b.sizes), 8, 8)]
+        assert calls == [(64, 8, 8)] and np.all(b.sizes >= 1)
 
     def test_custom_family(self):
-        b = custom_basis([SIGMA[1], np.array([[0, 1], [0, 0]]), np.eye(2)])
+        b = custom_basis([SIGMA[1], np.diag([2.0, 0.0]), np.eye(2)])
         self.assert_member_spectra(b)
-        np.testing.assert_array_equal(b.sizes, [2, 0, 1])
+        np.testing.assert_array_equal(b.sizes, [2, 2, 1])
 
     def test_front_padded_table(self):
-        b = bases.build_basis("canonical", 3)  # 3 diagonal members with 2 cells, 6 masking-only
-        sizes = [2 if l1 == l2 else 0 for l1, l2 in b.labels]
+        b = bases.build_basis("hermitian", 3)  # 3 diagonal members with 2 cells, 6 pairs with 3
+        sizes = [2 if l1 == l2 else 3 for l1, l2 in b.labels]
         np.testing.assert_array_equal(b.sizes, sizes)
-        assert b.kappa == 2
-        assert b.eigenvalues.shape == (9, 2) and b.projections.shape == (9, 2, 3, 3)
-        # member 4 is e_2 e_2', the second diagonal member; member 1 is masking-only
-        assert b.cells(4) == slice(0, 2) and b.cells(1) == slice(2, 2)
+        assert b.kappa == 3
+        assert b.eigenvalues.shape == (9, 3) and b.projections.shape == (9, 3, 3, 3)
+        # member 4 is e_2 e_2', the second diagonal member, with one padding slot; member 1 a pair
+        assert b.cells(4) == slice(1, 3) and b.cells(1) == slice(0, 3)
         assert b.eigenvalues[4, b.cells(4)].tolist() == [1.0, 0.0]
-        assert not b.eigenvalues[1].any() and not b.projections[1].any()
+        assert b.eigenvalues[4, 0] == 0 and not b.projections[4, 0].any()
+        np.testing.assert_allclose(b.eigenvalues[1], [1 / np.sqrt(2), 0, -1 / np.sqrt(2)],
+                                   atol=1e-15)
 
 
 class TestBasisFiles:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import custom_basis
 from tomolab import bases, cli, hermitian, regression, states
 from tomolab.errors import ConfigParseError, TomolabError
 
@@ -55,10 +56,7 @@ mode = random
 
 [run]
 task = {task}
-n = 500
-m = 64
 seed = 1729
-detail = individual
 out = {out}
 """
 
@@ -74,26 +72,41 @@ GOLDEN_SHA256 = {
     "translated_fine.csv": "7361d4b22442b8361711b5605498c270a0fab7a4343f7f225d0d66dc28304b27",
 }
 
-# the other five tasks at small sizes, on the golden basis, state and design
-TASK_SECTIONS = """
+# what each task reads beyond GOLDEN_CFG, which ends inside [run]: simulate and
+# translate their record keys, the grid tasks and corollaries their own section,
+# at small sizes
+TASK_KEYS = {
+    "simulate": "n = 500\nm = 64\ndetail = individual\n",
+    "translate": "n = 500\nm = 64\n",
+    "distances": """
 [distances]
 theta = 0.5,0.5; 0.2,0.3,0.5
 m_grid = 16,64
 tv_samples = 2000
-
+""",
+    "scaling": """
 [scaling]
 theta = 0.3,0.7
 m_grid = 16,64,256,1024
-
+""",
+    "estimator_transfer": """
 [transfer]
 m_grid = 16,64
 replications = 200
-
+""",
+    "corollaries": """
 [corollaries]
 samples = 4
-"""
+""",
+}
 
-# sha256 of each artifact of those five tasks; a refactor must keep them.  The
+
+def golden_cfg(task, out) -> str:
+    """The config of ``task`` on the golden basis, state and design."""
+    return GOLDEN_CFG.format(task=task, out=out) + TASK_KEYS.get(task, "")
+
+
+# sha256 of each artifact of the other five tasks; a refactor must keep them.  The
 # quadrature artifacts follow the Hellinger affinity over the ellipsoidal window,
 # its error budget (fields of each distances.json row), the log-factorial table and the
 # closed-form chi-square tails; its TV fields follow the TV draws of RNG contract v3.
@@ -135,33 +148,21 @@ class TestConfig:
         assert cfg.seed == 4242
 
     def test_task_section_wins_for_grids(self, tmp_path):
-        # a config carrying several task sections must use the grid of the
-        # task actually selected
+        # each grid task reads its grid from its own section only
         text = """
 [run]
-task = scaling
+task = {task}
 seed = 1
 out = {out}
 
-[distances]
-theta = 0.2,0.8
-m_grid = 16,64
-
-[scaling]
-theta = 0.5,0.5
-m_grid = 16,64,256,1024
+[{section}]
+m_grid = 32,128,512,2048
 """
-        cfg = cli.load_config(write_cfg(tmp_path, text.format(out=tmp_path)))
-        assert cfg.m_grid == [16, 64, 256, 1024]
-        assert cfg.thetas == [[0.5, 0.5]]
-        # [transfer] leads for estimator_transfer, ahead of [distances]
-        text = text.replace("task = scaling", "task = estimator_transfer")
-        text += "\n[transfer]\nm_grid = 32,128\n"
-        cfg = cli.load_config(write_cfg(tmp_path, text.format(out=tmp_path), "transfer.cfg"))
-        assert cfg.m_grid == [32, 128]
-        # another task's section is never a fallback: with theta only under
-        # [distances], scaling gets the default theta, and with m_grid only
-        # under [distances], estimator_transfer gets the default m_grid
+        for task, section in (("scaling", "scaling"), ("estimator_transfer", "transfer")):
+            path = write_cfg(tmp_path, text.format(task=task, section=section, out=tmp_path))
+            assert cli.load_config(path).m_grid == [32, 128, 512, 2048]
+        # another task's section is never a fallback: a grid task rejects another
+        # task's grid keys, and without its own section it gets the defaults
         only_distances = """
 [run]
 task = {task}
@@ -171,17 +172,16 @@ out = {out}
 [distances]
 theta = 0.2,0.8
 m_grid = 16,64
-
-[scaling]
-m_grid = 16,64,256,1024
 """
-        cfg = cli.load_config(write_cfg(
-            tmp_path, only_distances.format(task="scaling", out=tmp_path), "s.cfg"))
-        assert cfg.thetas == [[0.5, 0.5]]
-        assert cfg.m_grid == [16, 64, 256, 1024]
-        cfg = cli.load_config(write_cfg(
-            tmp_path, only_distances.format(task="estimator_transfer", out=tmp_path), "t.cfg"))
-        assert cfg.m_grid == cli.ExperimentConfig(task="estimator_transfer").m_grid
+        for task in ("scaling", "estimator_transfer"):
+            path = write_cfg(tmp_path, only_distances.format(task=task, out=tmp_path))
+            with pytest.raises(ConfigParseError, match=rf"^read by no setting of task {task}: "
+                                                       r"\[distances\] m_grid, \[distances\] theta$"):
+                cli.load_config(path)
+            bare = only_distances.split("[distances]")[0].format(task=task, out=tmp_path)
+            cfg = cli.load_config(write_cfg(tmp_path, bare))
+            default = cli.ExperimentConfig(task=task)
+            assert cfg.thetas == default.thetas and cfg.m_grid == default.m_grid
 
     def test_semicolon_is_not_an_inline_comment(self, tmp_path):
         text = """
@@ -278,7 +278,8 @@ m_grid = {grid}
             raise AssertionError("a basis was built")
 
         monkeypatch.setattr(bases, "build_basis", no_build)
-        sections = {"run": {"task": "corollaries", "seed": 1, "out": tmp_path / "o"}}
+        task = "corollaries" if (section, key) in cli._KEYS["corollaries"] else "simulate"
+        sections = {"run": {"task": task, "seed": 1, "out": tmp_path / "o"}}
         sections.setdefault(section, {})[key] = value
         text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                          for name, keys in sections.items())
@@ -662,7 +663,8 @@ out = {tmp_path / "o"}
         ("distances", "m_grid", "16,8192", "m_grid exceeds envelope 4096"),
     ], ids=["d", "m", "n", "m_grid"])
     def test_size_above_envelope_exits_2(self, tmp_path, section, key, value, message):
-        sections = {"run": {"task": "distances", "seed": 1, "out": tmp_path / "o"}}
+        task = "distances" if (section, key) in cli._KEYS["distances"] else "simulate"
+        sections = {"run": {"task": task, "seed": 1, "out": tmp_path / "o"}}
         sections.setdefault(section, {})[key] = value
         text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                          for name, keys in sections.items())
@@ -847,6 +849,7 @@ out = {out}
         assert cli.main(["run", "--config", path]) == 2
         assert not out.exists()
 
+    # canonical is no kind at all; the g_file rule rejects the key before the kind is built
     @pytest.mark.parametrize("kind", ["pauli", "hermitian", "canonical"])
     def test_g_file_under_another_kind_exits_2(self, tmp_path, kind):
         # used to exit 0 with the axes unused; only a gvector family reads them
@@ -908,10 +911,25 @@ witnesses = cor3_tilted
         text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                          for name, keys in sections.items())
         path = write_cfg(tmp_path, text)
-        with pytest.raises(ConfigParseError, match=rf"read by no setting: \[{section}\] {key}$"):
+        with pytest.raises(ConfigParseError,
+                           match=rf"^read by no setting of task zeta: \[{section}\] {key}$"):
             cli.load_config(path)
         assert cli.main(["run", "--config", path]) == 2
         assert not (tmp_path / "z").exists()
+
+    @pytest.mark.parametrize("task, key", [("distances", "detail"), ("distances", "m"),
+                                           ("translate", "detail"), ("corollaries", "n")])
+    def test_run_key_only_another_task_reads_exits_2(self, tmp_path, task, key):
+        # [run] n and m are read by simulate and translate, detail by simulate alone;
+        # distances with detail = individual used to exit 0 and ignore it
+        out = tmp_path / "o"
+        text = f"[run]\ntask = {task}\nseed = 1\nout = {out}\n{key} = individual\n"
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigParseError,
+                           match=rf"^read by no setting of task {task}: \[run\] {key}$"):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert not out.exists()
 
 
 class TestRun:
@@ -950,37 +968,23 @@ out = {out}
         assert rows == ["k,j,m,counts,N"]
         assert (out / "manifest.json").exists()
 
-    def test_canonical_random_design(self, tmp_path):
-        # the off-diagonal canonical members cannot be measured, so the
-        # default weights leave them out
-        text = """
-[basis]
-kind = canonical
-d = 2
-
-[design]
-mode = random
-
-[run]
-task = simulate
-n = 10
-m = 8
-seed = 3
-out = {out}
-"""
-        out = tmp_path / "canon"
-        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 0
-        rows = (out / "tomography.csv").read_text().strip().splitlines()[1:]
-        assert len(rows) == 10
-        canonical = bases.build_basis("canonical", 2)
-        assert all(canonical.sizes[int(row.split(",")[1])] for row in rows)
+    def test_canonical_kind_exits_2(self, tmp_path, capsys):
+        # every family measures Hermitian members only, so the masking units are no kind
+        text = SIM_CFG.replace("kind = pauli", "kind = canonical").format(out=tmp_path / "c")
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "unknown basis kind 'canonical'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_default_weights_uniform_when_all_measurable(self, tmp_path):
+        # every member is measurable, so both default designs are uniform, bit for bit
         cfg = cli.load_config(write_cfg(tmp_path, SIM_CFG.format(out=tmp_path)))
         cfg.design_mode = "random"
-        design = cli._build_design(cfg, bases.build_basis("pauli", 2))
-        np.testing.assert_array_equal(design.weights_regression, np.full(4, 1 / 4))
-        np.testing.assert_array_equal(design.weights_tomography, np.full(4, 1 / 4))
+        for kind, d in [("pauli", 2), ("hermitian", 3), ("gvector", 4), ("pauli", 16)]:
+            basis = bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
+            design = cli._build_design(cfg, basis)
+            uniform = np.full(d * d, 1.0 / (d * d)).tobytes()
+            assert design.weights_regression.tobytes() == uniform
+            assert design.weights_tomography.tobytes() == uniform
 
     def test_manifest_records_rng_contract(self, tmp_path):
         out = tmp_path / "m"
@@ -1109,8 +1113,7 @@ m_grid = 16,64,256,1024
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"t{threads}"
-            cfg = write_cfg(tmp_path, GOLDEN_CFG.format(task="simulate", out=out),
-                            f"t{threads}.cfg")
+            cfg = write_cfg(tmp_path, golden_cfg("simulate", out), f"t{threads}.cfg")
             assert cli.main(["run", "--config", cfg, "--threads", threads]) == 0
             outs.append(out)
         for name in ("tomography.csv", "individuals.csv", "coarse.csv", "fine.csv"):
@@ -1120,7 +1123,7 @@ m_grid = 16,64,256,1024
         got = {}
         for task in ("simulate", "translate"):
             out = tmp_path / task
-            cfg = write_cfg(tmp_path, GOLDEN_CFG.format(task=task, out=out), f"{task}.cfg")
+            cfg = write_cfg(tmp_path, golden_cfg(task, out), f"{task}.cfg")
             assert cli.main(["run", "--config", cfg]) == 0
             got.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in out.glob("*.csv")})
@@ -1130,8 +1133,8 @@ m_grid = 16,64,256,1024
         got = {}
         for task in ("distances", "scaling", "zeta", "corollaries", "estimator_transfer"):
             out = tmp_path / task
-            text = GOLDEN_CFG.format(task=task, out=out) + TASK_SECTIONS
-            rc = cli.main(["run", "--config", write_cfg(tmp_path, text, f"{task}.cfg")])
+            cfg = write_cfg(tmp_path, golden_cfg(task, out), f"{task}.cfg")
+            rc = cli.main(["run", "--config", cfg])
             assert rc == (1 if task == "corollaries" else 0)
             got.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in out.iterdir() if path.name != "manifest.json"})
@@ -1139,6 +1142,7 @@ m_grid = 16,64,256,1024
 
     def test_translate_roundtrip_check(self, tmp_path):
         text = SIM_CFG.replace("task = simulate", "task = translate")
+        text = text.replace("detail = individual\n", "")  # only simulate writes outcomes
         out = tmp_path / "tr"
         rc = cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))])
         assert rc == 0
@@ -1233,14 +1237,16 @@ witnesses = cor2_line
         assert rc == 1
         assert json.loads((tmp_path / "zc2" / "zeta.json").read_text())["c3_ok"] is False
 
-    def test_zeta_c3_window_without_active_trace(self, tmp_path, capsys):
-        # on |1><1| every cell trace of the canonical family is 0 or 1, so no
-        # trace is active: c3_ok is null and the window check fails
+    def test_zeta_c3_window_without_active_trace(self, tmp_path, capsys, monkeypatch):
+        # no built-in family leaves every cell inactive, but the diagonal units do on
+        # |1><1|: every cell trace is 0 or 1, so c3_ok is null and the window check fails
+        units = custom_basis([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        monkeypatch.setattr(bases, "build_basis", lambda *args, **kwargs: units)
         rho = tmp_path / "rho.txt"
         hermitian.write_matrix(np.diag([1.0, 0.0]), rho)
         text = f"""
 [basis]
-kind = canonical
+kind = hermitian
 d = 2
 
 [run]
@@ -1264,25 +1270,6 @@ witness_files = {rho}
     def test_config_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "missing.cfg")])
         assert rc == 2
-
-    def test_zeta_canonical_random_design(self, tmp_path):
-        # the masking-only members get weight 0 in both default designs
-        text = """
-[basis]
-kind = canonical
-d = 4
-
-[design]
-mode = random
-
-[run]
-task = zeta
-seed = 2
-out = {out}
-"""
-        out = tmp_path / "zr"
-        assert cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))]) == 0
-        assert json.loads((out / "zeta.json").read_text())["gamma_p"] == 0.0
 
     def test_zeta_rerun_leaves_config_unchanged(self, tmp_path):
         rho = tmp_path / "rho.txt"
@@ -1354,12 +1341,6 @@ class TestEstimatorTransfer:
         assert report["per_j_sq_error_gaussian"][j_star] == pytest.approx(want, rel=0.15)
         assert report["risk_counts"] == pytest.approx(report["risk_gaussian"],
                                                       rel=0.2)
-
-    def test_requires_orthogonal_family(self):
-        basis = bases.build_basis("canonical", 2)
-        st = states.validate_density(np.eye(2) / 2)
-        with pytest.raises(TomolabError, match="orthogonal family"):
-            regression.estimator_transfer(st, basis, 8, seed=1, replications=600)
 
     def test_sweep_monotone(self):
         basis = bases.build_basis("pauli", 4)

@@ -24,14 +24,12 @@ def permuted(basis, perm):
 
 def repeated_eigenvalue_family():
     """d = 4 custom family: members with one, two and three distinct eigenvalues
-    (two of them repeated), two Pauli members and a masking-only unit."""
+    (two of them repeated) and two Pauli members."""
     rng = np.random.default_rng(3)
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    unit = np.zeros((4, 4), dtype=complex)
-    unit[0, 1] = 1.0
     return custom_basis([np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0]),
-                               u @ np.diag([2.0, 2.0, -1.0, 0.0]) @ u.conj().T,
-                               unit, PAULI4.matrices[5], PAULI4.matrices[11]])
+                         u @ np.diag([2.0, 2.0, -1.0, 0.0]) @ u.conj().T,
+                         PAULI4.matrices[5], PAULI4.matrices[11]])
 
 
 HERM16 = bases.build_basis("hermitian", 16)
@@ -39,7 +37,6 @@ FAMILIES = {
     "hermitian16": HERM16,
     "pauli16": bases.build_basis("pauli", 16),
     "gvector16": bases.build_basis("gvector", 16, g_vectors=bases.haar_wavelet_vectors(16)),
-    "canonical4": bases.build_basis("canonical", 4),
     "custom4": repeated_eigenvalue_family(),
     "permuted-hermitian16": permuted(HERM16, np.random.default_rng(5).permutation(256)),
 }
@@ -76,13 +73,6 @@ class TestActiveIndexSet:
         st = states.tilted_product_state(b)
         basis = bases.build_basis("pauli", d)
         assert nondegenerate_count(diagnostics.active_index_set(st, basis)) == d * d - 1
-
-    def test_masking_members_skipped(self):
-        canonical = bases.build_basis("canonical", 2)
-        st = states.validate_density(np.eye(2) / 2)
-        table = diagnostics.active_index_set(st, canonical)
-        assert not canonical.sizes[1]
-        assert np.all(table[1] == 0.0)
 
     def test_excluded_indices_are_near_deterministic(self):
         st = states.pauli_line_state(4, 2, 0.5)
@@ -215,9 +205,9 @@ class TestZetaFraction:
         rep = diagnostics.zeta_fraction([st], PAULI4)
         assert rep["active_trace_min"] == pytest.approx(0.25)
         assert rep["active_trace_max"] == pytest.approx(0.75)
-        # on |0><0| every cell trace of the canonical family is 0 or 1
-        canonical = bases.build_basis("canonical", 4)
-        none = diagnostics.zeta_fraction([np.diag([1.0, 0, 0, 0])], canonical)
+        # on |0><0| every cell trace of the diagonal units is 0 or 1
+        units = custom_basis([np.diag(e) for e in np.eye(4)])
+        none = diagnostics.zeta_fraction([np.diag([1.0, 0, 0, 0])], units)
         assert none["active_trace_min"] is None and none["active_trace_max"] is None
         assert none["zeta"] == 0.0
 

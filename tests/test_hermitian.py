@@ -62,10 +62,6 @@ class TestSpectralDecompose:
         mat = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(TomolabError, match="deviates from Hermitian symmetry"):
             hermitian.require_hermitian(mat)
-        # a basis admits it for masking only, with no cells, next to a measurable member
-        basis = custom_basis([mat, SIGMA[3]])
-        assert basis.sizes.tolist() == [0, 2]
-        assert np.all(basis.eigenvalues[0] == 0) and np.all(basis.projections[0] == 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):

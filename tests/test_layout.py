@@ -21,7 +21,6 @@ from oracles import (custom_basis, dataset_row_mismatches, family_members_per_me
                      spectral_tables_per_member, trace_product, write_dataset_rows,
                      write_fine_rows)
 from tomolab import bases, equivalence as eq, hermitian, measurement, regression, states
-from tomolab.bases import SIGMA
 
 # the identity (1 cell), a rank-2 projection (2 cells) and a random Hermitian member (3 cells)
 _rng = np.random.default_rng(8)
@@ -41,21 +40,18 @@ def test_basis_mixes_one_two_and_three_cells():
     assert MIXED.sizes.tolist() == [1, 2, 3] and MIXED.kappa == 3
 
 
-# canonical d = 3: six masking-only members, whose rows are all padding
-CANONICAL3 = bases.build_basis("canonical", 3)
-CANONICAL3_STATE = states.sample_class(states.StateClassSpec("low_rank", r=2), 3, seed=2)
+# hermitian d = 3: each diagonal member's row has one padding slot in front of its two cells
+HERMITIAN3 = bases.build_basis("hermitian", 3)
+HERMITIAN3_STATE = states.sample_class(states.StateClassSpec("low_rank", r=2), 3, seed=2)
 
 
-@pytest.mark.parametrize("basis, state, masked", [(MIXED, STATE, 0),
-                                                  (CANONICAL3, CANONICAL3_STATE, 6)],
-                         ids=["mixed", "canonical3"])
-def test_basis_tables_are_front_padded_with_exact_zeros(basis, state, masked):
+@pytest.mark.parametrize("basis, state", [(MIXED, STATE), (HERMITIAN3, HERMITIAN3_STATE)],
+                         ids=["mixed", "hermitian3"])
+def test_basis_tables_are_front_padded_with_exact_zeros(basis, state):
     slots = np.arange(basis.kappa) < (basis.kappa - basis.sizes)[:, None]
     assert basis.eigenvalues.shape == (basis.size, basis.kappa)
     assert basis.projections.shape == (basis.size, basis.kappa, basis.dim, basis.dim)
     assert np.all(basis.eigenvalues[slots] == 0) and np.all(basis.projections[slots] == 0)
-    # a masking-only member's row is all padding and its cells(j) is empty
-    assert np.count_nonzero(basis.sizes == 0) == masked
     for j in range(basis.size):
         cells = basis.cells(j)
         assert cells.stop == basis.kappa and cells.stop - cells.start == basis.sizes[j]
@@ -126,10 +122,8 @@ _tol = hermitian.CLUSTER_TOL
 _v = _rng.normal(size=(6, 6)) + 1j * _rng.normal(size=(6, 6))
 _u = np.linalg.qr(_v)[0]
 # every built-in family at d = 2..32, under the ids "kind-d", then custom families
-# that mix run shapes, chain the tolerance, interleave masking-only members,
-# mask every member (kappa 0) or hold 1 x 1 members
-FAMILIES = {f"{kind}-{d}": _built(kind, d) for kind in ("canonical", "hermitian", "pauli", "gvector")
-            for d in (2, 4, 8, 16, 32)}
+# that mix run shapes, chain the tolerance or hold 1 x 1 members
+FAMILIES = {f"{kind}-{d}": _built(kind, d) for kind in bases._KINDS for d in (2, 4, 8, 16, 32)}
 FAMILIES.update({
     "hermitian-5": _built("hermitian", 5),
     "mixed": lambda: MIXED,
@@ -138,16 +132,12 @@ FAMILIES.update({
     "chained-tolerance": _custom(np.diag([0.0, 0.6 * _tol, 1.2 * _tol, 1.0])),
     "degenerate-6": _custom(*(_u @ np.diag(lam) @ _u.conj().T for lam in
                               ([0, 0, 1, 1, 1, 2], [-2, -2, -2, -2, 0, 5], [1] * 6, [0, 1, 2, 3, 4, 5]))),
-    "non-hermitian-between": _custom(SIGMA[3], [[0, 1], [0, 0]], np.eye(2), [[1, 1j], [0, 2]],
-                                     SIGMA[1]),
-    "all-masking": _custom([[0, 1], [0, 0]], [[0, 0], [1, 0]]),
-    "d1": _custom([[2.0]], [[1j]], [[-0.5]]),
+    "d1": _custom([[2.0]], [[-0.5]]),
 })
 
 
 # cells per member where the rule's edge cases decide them
-CELLS = {"chained-tolerance": [3], "non-hermitian-between": [2, 0, 1, 0, 2],
-         "all-masking": [0, 0], "d1": [1, 0, 1]}
+CELLS = {"chained-tolerance": [3], "d1": [1, 1]}
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -161,7 +151,7 @@ def test_basis_tables_match_member_by_member_build(family):
         assert basis.labels == tuple(tuple(j // 4 ** t % 4 for t in range(b - 1, -1, -1))
                                      for j in range(d * d))
     elif basis.kind != "custom":
-        want = family_members_per_member(basis.kind, d, basis.g_vectors)
+        want = family_members_per_member(d, basis.g_vectors)
         assert basis.matrices.tobytes() == want.tobytes()
     eigenvalues, projections, sizes = spectral_tables_per_member(basis.matrices)
     assert basis.eigenvalues.tobytes() == eigenvalues.tobytes()

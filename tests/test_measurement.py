@@ -8,7 +8,7 @@ from scipy import stats as sps
 
 from oracles import (cell_probabilities_per_member, custom_basis, dataset_row_mismatches,
                      write_dataset_rows)
-from tomolab import bases, measurement, regression, states
+from tomolab import bases, measurement, states
 from tomolab.errors import TomolabError
 
 PAULI2 = bases.build_basis("pauli", 2)
@@ -28,7 +28,6 @@ LAW_FAMILIES = {
     "pauli16": bases.build_basis("pauli", 16),
     "hermitian16": bases.build_basis("hermitian", 16),
     "gvector16": bases.build_basis("gvector", 16, g_vectors=bases.haar_wavelet_vectors(16)),
-    "canonical4": bases.build_basis("canonical", 4),
     "custom12": _custom_family(12, seed=3),
 }
 
@@ -77,16 +76,6 @@ class TestCellProbabilities:
             want = np.trace(st.matrix @ PAULI4.matrices[j]).real
             assert np.dot(lam, theta) == pytest.approx(want, abs=1e-9)
 
-    def test_masking_member_rejected(self):
-        # a masking-only member has an all-zero row in the table, and no simulator draws it
-        canonical = bases.build_basis("canonical", 2)
-        theta = measurement.cell_probabilities(pure_z(), canonical)
-        np.testing.assert_array_equal(theta, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-                                              [0.0, 1.0]])  # e_1 e_1', e_2 e_2'
-        with pytest.raises(TomolabError, match="masking-only"):
-            measurement.run_tomography(pure_z(), canonical, bases.SamplingDesign.fixed(),
-                                       4, 5, seed=1)
-
     def test_probabilities_beyond_clamp_rejected(self):
         # traces below -1e-12 signal a genuinely indefinite input
         bad = states.DensityMatrix(matrix=np.diag([1.0 + 1e-9, -1e-9]).astype(complex))
@@ -104,8 +93,7 @@ class TestCellProbabilities:
         assert theta[1] == 0.0
         assert theta.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("name", ["pauli16", "hermitian16", "gvector16", "canonical4",
-                                      "custom12"])
+    @pytest.mark.parametrize("name", ["pauli16", "hermitian16", "gvector16", "custom12"])
     def test_table_matches_per_member(self, name):
         # bit for bit each member's law computed on its own, for cell counts 1
         # to 3 and, in the custom family, 12 distinct eigenvalues
@@ -115,7 +103,7 @@ class TestCellProbabilities:
             st = states.sample_class(states.StateClassSpec("low_rank", r=r), d, seed=seed)
             theta = measurement.cell_probabilities(st, basis)
             assert theta.shape == (basis.size, basis.kappa)
-            for j in np.flatnonzero(basis.sizes):
+            for j in range(basis.size):
                 np.testing.assert_array_equal(theta[j, basis.cells(j)],
                                               cell_probabilities_per_member(st, basis, j))
 
@@ -198,19 +186,6 @@ class TestRunTomography:
         st = states.validate_density(np.eye(2) / 2)
         with pytest.raises(TomolabError, match="fixed design requires n = p"):
             measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 3, 5, 1)
-
-    @pytest.mark.parametrize("simulate", [measurement.run_tomography,
-                                          regression.simulate_coarse, regression.simulate_fine])
-    def test_masking_only_draw_rejected_by_design_draw(self, simulate):
-        canonical = bases.build_basis("canonical", 2)
-        with pytest.raises(TomolabError, match="draws member 1, which is masking-only") as exc:
-            simulate(pure_z(), canonical, bases.SamplingDesign.fixed(), 4, 5, 1)
-        assert exc.traceback[-1].name == "draw_design_indices"
-        # a random design that never draws a masking-only member runs
-        diagonal = bases.SamplingDesign.random([0.5, 0.0, 0.0, 0.5])
-        out = simulate(pure_z(), canonical, diagonal, 50, 5, 1)
-        indices = out[0] if isinstance(out, tuple) else out.indices
-        assert set(indices.tolist()) == {0, 3}
 
     @pytest.mark.parametrize("design, n", [(bases.SamplingDesign.fixed(), 4),
                                            (bases.SamplingDesign.random(np.full(4, 0.25)), 0)])
@@ -302,14 +277,13 @@ class TestRunTomography:
 
 
 class TestDatasetCSV:
-    @pytest.mark.parametrize("kind, d", [("pauli", 4), ("hermitian", 3), ("canonical", 3)])
+    @pytest.mark.parametrize("kind, d", [("pauli", 4), ("hermitian", 3)])
     def test_outcomes_survive_the_round_trip(self, tmp_path, kind, d):
         # the written counts and the run's seed are all outcome_sequences needs; n spans
         # two blocks
         basis = bases.build_basis(kind, d)
         st = states.sample_class(states.StateClassSpec("low_rank", r=2), d, seed=1)
-        measurable = basis.sizes > 0  # canonical's off-diagonal members are masking-only
-        design = bases.SamplingDesign.random(measurable / measurable.sum())
+        design = bases.SamplingDesign.random(np.full(basis.size, 1 / basis.size))
         ds = measurement.run_tomography(st, basis, design, 300, 10, seed=5)
         measurement.write_dataset_csv(ds, basis, tmp_path / "ds.csv")
         rows = [row.split(",") for row in (tmp_path / "ds.csv").read_text().splitlines()[1:]]

@@ -25,7 +25,7 @@ import re
 from pathlib import Path
 
 import tomolab
-from tomolab import cli
+from tomolab import bases, cli
 
 PACKAGE = Path(tomolab.__file__).parent
 README = PACKAGE.parents[1] / "README.md"
@@ -257,7 +257,10 @@ def _readme_config_keys(text: str) -> set:
 
 
 def test_readme_config_block_lists_the_loader_keys():
-    assert _readme_config_keys(README.read_text()) == cli._KEYS
+    assert _readme_config_keys(README.read_text()) == set().union(*cli._KEYS.values())
+    # the [basis] kind comment lists exactly the built-in kinds, in their order
+    kinds = re.search(r"^kind = \w+ +# (.*)$", README.read_text(), re.M).group(1)
+    assert tuple(k.strip() for k in kinds.split("|")) == bases._KINDS
 
 
 def test_readme_block_parser_drops_comments():

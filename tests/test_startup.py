@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import tomolab
-from test_cli import GOLDEN_CFG, TASK_SECTIONS, write_cfg
+from test_cli import golden_cfg, write_cfg
 from tomolab import cli
 
 PACKAGE = Path(tomolab.__file__).resolve().parent
@@ -52,7 +52,7 @@ def test_import_loads_no_scipy_special():
 
 @pytest.mark.parametrize("task", cli.TASKS)
 def test_run_first_imports_no_numpy_or_scipy_module(tmp_path, task):
-    config = write_cfg(tmp_path, GOLDEN_CFG.format(task=task, out=tmp_path / "out") + TASK_SECTIONS)
+    config = write_cfg(tmp_path, golden_cfg(task, tmp_path / "out"))
     got = _fresh(f"""
 import contextlib, io
 from tomolab import cli
@@ -71,8 +71,7 @@ print(json.dumps({{"rc": rc, "new": new, "scipy": "scipy" in sys.modules}}))
 def test_import_and_one_thread_runs_load_no_numpy_ma_or_thread_pool(tmp_path):
     configs = []
     for task in cli.TASKS:
-        text = GOLDEN_CFG.format(task=task, out=tmp_path / task) + TASK_SECTIONS
-        configs.append(str(write_cfg(tmp_path, text, f"{task}.cfg")))
+        configs.append(str(write_cfg(tmp_path, golden_cfg(task, tmp_path / task), f"{task}.cfg")))
     got = _fresh(f"""
 import contextlib, io
 from tomolab import cli
