@@ -8,12 +8,25 @@ Three constructions, all of size p = d^2 and all of Hermitian members:
 * ``gvector`` - the hermitian construction with the unit axes e_1..e_d replaced
   by a supplied orthonormal real basis g_1..g_d.
 
-A basis holds its members as one (p, d, d) array and its spectra once, in
-the front-padded table every per-cell value of the package uses: row j of
-the (p, kappa) ``eigenvalues`` and the (p, kappa, d, d) ``projections`` holds
-member j's distinct eigenvalues lambda_ja and eigenspace projections Q_ja in
-its last ``sizes[j]`` slots and exact zeros in front, kappa the largest cell
-count.  :meth:`ObservableBasis.cell_traces` gives every tr(Q_ja rho) in one pass.
+A basis holds its members as one (p, d, d) array and its spectra in the
+front-padded table every per-cell value of the package uses: row j of the
+(p, kappa) ``eigenvalues`` holds member j's distinct eigenvalues lambda_ja,
+descending, in its last ``sizes[j]`` slots and exact zeros in front, kappa the
+largest cell count.  Every kind's spectra and cell law tr(Q_ja rho) have closed
+forms, so no eigensolve and no eigenspace projection is formed:
+
+* pauli: the identity has the one eigenvalue 1 and law tr(rho); every other
+  string P has eigenvalues (1, -1) and law ((1 + tr(P rho))/2, (1 - tr(P rho))/2),
+  tr(P rho) of all 4^b strings from one contraction of rho with the four
+  Paulis per qubit.
+* hermitian: the diagonal member of axis l has eigenvalues (1, 0) and law
+  (rho_ll, 1 - rho_ll); the pair member (l1, l2) of axes u and v has
+  (1/sqrt(2), 0, -1/sqrt(2)) and law (h + o, 1 - rho_uu - rho_vv, h - o),
+  h = (rho_uu + rho_vv)/2 and o = Re rho_uv if l1 < l2, Im rho_uv if l1 > l2.
+  At d = 2 a pair member has no zero eigenspace, so kappa = 2.
+* gvector: the hermitian law of G' rho G, G the g-vectors as columns.
+
+:meth:`ObservableBasis.cell_traces` gives the whole (p, kappa) law table.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TomolabError, _checked_integer
-from .hermitian import _CHUNK, MAX_TENSOR_DIM, _run_starts, stack_traces
+from .hermitian import MAX_TENSOR_DIM
 
 __all__ = [
     "SIGMA",
@@ -46,19 +59,17 @@ _KINDS = ("hermitian", "pauli", "gvector")
 
 @dataclass(frozen=True)
 class ObservableBasis:
-    """A finite observable family with its spectra, built by :func:`_make_basis`.
+    """A finite observable family with its spectra, built by :func:`build_basis`.
 
     ``matrices`` (shape (p, d, d)) holds the members.  Member j's ``sizes[j]``
-    cells, its distinct eigenvalues in descending order and the projections
-    onto their eigenspaces, are the slots ``cells(j)`` of row j of ``eigenvalues``
-    (p, kappa) and ``projections`` (p, kappa, d, d); every other slot is zero.
+    cells, its distinct eigenvalues in descending order, are the slots
+    ``cells(j)`` of row j of ``eigenvalues`` (p, kappa); every other slot is zero.
     """
 
     kind: str
     dim: int
     matrices: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
-    projections: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)        # (p,) cells per member
     labels: tuple = ()
     g_vectors: np.ndarray = field(default=None, repr=False)
@@ -72,12 +83,22 @@ class ObservableBasis:
         return self.eigenvalues.shape[1]
 
     def cells(self, j: int) -> slice:
-        """Member j's slots of row j of ``eigenvalues`` and ``projections``."""
+        """Member j's slots of row j of ``eigenvalues`` and of every per-cell table."""
         return slice(self.kappa - int(self.sizes[j]), self.kappa)
 
     def cell_traces(self, rho) -> np.ndarray:
-        """tr(Q_ja rho) of every slot of ``projections``, the (p, kappa) table, in one pass."""
-        return stack_traces(self.projections, rho)
+        """tr(Q_ja rho) of every cell, the (p, kappa) table with zeros in the padding
+        slots, in closed form from rho's entries.  ``rho`` is a matrix or a state
+        holding one as ``matrix``; TomolabError unless that matrix is finite and (d, d)."""
+        mat = np.asarray(getattr(rho, "matrix", rho))
+        d = self.dim
+        if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
+            raise TomolabError(f"state must be a finite ({d}, {d}) matrix, got shape {mat.shape}")
+        if self.kind == "pauli":
+            return _pauli_law(mat)
+        if self.kind == "gvector":
+            mat = self.g_vectors.T @ mat @ self.g_vectors
+        return _hermitian_law(mat, self.kappa)
 
 
 @dataclass(frozen=True)
@@ -129,20 +150,13 @@ def _hermitian_family(axes: np.ndarray) -> np.ndarray:
     return outer.reshape(d * d, d, d)
 
 
-def _labels(kind: str, d: int) -> list:
-    """Member labels of a built-in family: base-4 digit tuples for pauli,
-    (l1, l2) axis pairs otherwise.  They depend only on kind and d."""
-    if kind == "pauli":
-        return list(map(tuple, _pauli_label(np.arange(d * d), _pauli_tensor_slots(d)).tolist()))
-    return [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
-
-
 def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
     """Construct one of the built-in observable families (p = d^2 members)."""
     if kind not in _KINDS:
         raise TomolabError(f"unknown basis kind {kind!r}")
     d = _checked_integer("d", d, 2)
 
+    p = d * d
     g_store = None
     if kind in ("hermitian", "gvector"):
         if kind == "gvector":
@@ -161,9 +175,61 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
         else:
             axes = np.eye(d)
         mats = _hermitian_family(axes.astype(complex))
+        labels = [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
+        # a pair member has a zero eigenspace unless d = 2
+        kappa = 3 if d > 2 else 2
+        diagonal = np.eye(d, dtype=bool).ravel()[:, None]
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        pair = [inv_sqrt2, 0.0, -inv_sqrt2] if kappa == 3 else [inv_sqrt2, -inv_sqrt2]
+        eigenvalues = np.where(diagonal, [0.0, 1.0, 0.0][-kappa:], pair)
+        sizes = np.where(diagonal[:, 0], 2, kappa)
     else:  # pauli
-        mats = _pauli_members(_pauli_label(np.arange(d * d), _pauli_tensor_slots(d)))
-    return _make_basis(mats, kind, g_vectors=g_store)
+        digits = _pauli_label(np.arange(p), _pauli_tensor_slots(d))
+        mats = _pauli_members(digits)
+        labels = list(map(tuple, digits.tolist()))  # base-4 digits, most significant first
+        eigenvalues = np.tile([1.0, -1.0], (p, 1))
+        eigenvalues[0] = 0.0, 1.0  # the identity
+        sizes = np.full(p, 2)
+        sizes[0] = 1
+    return ObservableBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues, sizes=sizes,
+                           labels=tuple(labels), g_vectors=g_store)
+
+
+def _pauli_law(rho: np.ndarray) -> np.ndarray:
+    """The (4^b, 2) law table of the Pauli family on the (2^b, 2^b) matrix rho.
+    tr(P rho) of every string comes from one contraction per qubit: the leading
+    qubit's row and column indices of each remaining block are traced against
+    the four Paulis, which makes each string's first factor its most significant
+    base-4 digit, the order of :func:`_pauli_label`."""
+    d = len(rho)
+    sigma = np.stack(SIGMA)
+    x = rho.reshape(1, d, d)  # (strings so far, remaining rows, remaining columns)
+    while x.shape[1] > 1:
+        n, k = x.shape[0], x.shape[1] // 2
+        x = np.einsum("aij,njrio->naro", sigma, x.reshape(n, 2, k, 2, k)).reshape(4 * n, k, k)
+    t = x.reshape(-1).real
+    law = np.column_stack([(1 + t) / 2, (1 - t) / 2])
+    law[0] = 0.0, t[0]  # the identity's one cell
+    return law
+
+
+def _hermitian_law(rho: np.ndarray, kappa: int) -> np.ndarray:
+    """The (d*d, kappa) law table of the hermitian family on the (d, d) matrix
+    rho, member (l1, l2) at row (l1 - 1) d + l2 - 1, from rho's diagonal and
+    the real (l1 < l2) or imaginary (l1 > l2) part of rho[l1, l2]."""
+    d = len(rho)
+    diag = rho.diagonal().real
+    pair = diag[:, None] + diag
+    off = np.where(np.triu(np.ones((d, d), dtype=bool), 1), rho.real, rho.imag)
+    law = np.empty((d, d, kappa))
+    law[..., 0] = pair / 2 + off
+    law[..., -1] = pair / 2 - off
+    if kappa == 3:
+        law[..., 1] = 1 - pair
+    at = np.arange(d)  # the diagonal members
+    law[at, at] = 0.0
+    law[at, at, -2:] = np.column_stack([diag, 1 - diag])
+    return law.reshape(d * d, kappa)
 
 
 def _pauli_label(j, b: int) -> np.ndarray:
@@ -201,41 +267,6 @@ def _pauli_members(labels) -> np.ndarray:
         outer = out[:, :, None, :, None] * sigma[digits][:, None, :, None, :]
         out = outer.reshape(n, 2 * k, 2 * k)
     return out
-
-
-def _make_basis(matrices, kind: str, g_vectors=None) -> ObservableBasis:
-    """The one constructor of every family: each member's eigenvalues and
-    eigenspace projections V V^dagger are written into the last slots of its
-    row.  One ``eigh`` solves every member, :func:`_run_starts` cuts each
-    spectrum into runs, run k (ascending) goes to slot kappa - 1 - k, and one
-    mean and one batched V V^dagger serve all runs of one (first column, width)
-    shape.  A built-in kind takes its labels from :func:`_labels`, any other kind
-    1..p.  ``matrices`` is a (p, d, d) stack of finite Hermitian members, p >= 1,
-    built by the caller."""
-    mats = np.asarray(matrices, dtype=complex)
-    p, d = mats.shape[:2]
-    labels = tuple(_labels(kind, d) if kind in _KINDS else range(1, p + 1))
-    evals, evecs = np.linalg.eigh(mats)
-    starts = _run_starts(evals)
-    # runs in table order; column 0 opens every row's first run, so a run ends where the next starts
-    flat = np.flatnonzero(starts)
-    member, first = np.divmod(flat, d)
-    sizes = np.bincount(member, minlength=p)
-    kappa = int(sizes.max())
-    eigenvalues = np.zeros((p, kappa))
-    projections = np.zeros((p, kappa, d, d), dtype=complex)
-    slot = kappa - np.cumsum(starts, axis=1)[starts]
-    shape = first * (d + 1) + np.diff(flat, append=starts.size)  # (first, width) as one key
-    step = max(1, _CHUNK // (d * d))  # products per chunk, so the temporaries stay small
-    for key in np.flatnonzero(np.bincount(shape)):  # the distinct keys, ascending
-        pick = np.flatnonzero(shape == key)
-        h, (lo, width) = member[pick], divmod(int(key), d + 1)
-        eigenvalues[h, slot[pick]] = evals[h, lo:lo + width].mean(axis=1)
-        for part in np.split(pick, range(step, len(pick), step)):
-            block = evecs[member[part], :, lo:lo + width]
-            projections[member[part], slot[part]] = block @ block.conj().swapaxes(1, 2)
-    return ObservableBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues,
-                           projections=projections, sizes=sizes, labels=labels, g_vectors=g_vectors)
 
 
 def haar_wavelet_vectors(d: int) -> np.ndarray:

@@ -172,6 +172,10 @@ def load_config(path) -> ExperimentConfig:
         unused = [key for key in keys if getattr(cfg, key) is not None]
         if unused and not read:
             raise ConfigParseError(f"[{section}] {', '.join(unused)}: read only with {needed}")
+    # checked here, not by the tasks that build a family, so a task that builds none rejects it too
+    if cfg.basis_kind not in bases._KINDS:
+        raise ConfigParseError(f"unknown basis kind {cfg.basis_kind!r}: [basis] kind must be one "
+                               f"of {bases._KINDS}")
 
     if "TOMOLAB_SEED" in os.environ:
         try:

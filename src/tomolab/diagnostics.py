@@ -41,9 +41,9 @@ def active_index_set(rho, basis: ObservableBasis) -> np.ndarray:
     table, tr(Q_ja rho) where ACTIVE_TOL < tr(Q_ja rho) < 1 - ACTIVE_TOL and
     exact 0 elsewhere, so member j's I_j is the nonzero slots of ``cells(j)``.
 
-    Every tr(Q_ja rho) of the family comes from one pass over the basis's
-    projection table (:meth:`ObservableBasis.cell_traces`), which rejects a
-    state that is not a finite (d, d) matrix before computing any of them.
+    Every tr(Q_ja rho) of the family comes from the basis's closed-form law
+    table (:meth:`ObservableBasis.cell_traces`), which rejects a state that is
+    not a finite (d, d) matrix before computing any of them.
     """
     traces = basis.cell_traces(rho)
     return np.where(_active_mask(traces), traces, 0.0)

@@ -1,16 +1,11 @@
-"""Complex Hermitian matrix arithmetic and the eigenspace clustering rule.
+"""Complex Hermitian matrix checks and matrix text I/O.
 
-Matrices are plain complex ``numpy`` arrays.  :func:`_run_starts` applies the
-clustering rule to a whole family's ascending ``eigh`` eigenvalues at once, one
-walk over the d eigenvalue columns: floating-point eigensolvers split degenerate
-eigenvalues, so an eigenvalue within the relative tolerance ``CLUSTER_TOL`` of
-the first eigenvalue of its run joins that run, and :mod:`tomolab.bases` turns
-each run into a distinct eigenvalue (the run's mean) and an eigenspace
-projection V V^dagger.  :func:`stack_traces` is the one kernel for tr(a rho)
-over a stack of matrices.
+Matrices are plain complex ``numpy`` arrays.  :func:`require_hermitian` is the
+Hermitian check of an outside matrix, and ``MAX_TENSOR_DIM`` caps the tensor
+products the Pauli constructions build.
 
 Design envelope: dense double precision, dimensions up to ~1024 (tensor
-products are capped there at ``MAX_TENSOR_DIM``); each eigensolve is O(d^3).
+products are capped there at ``MAX_TENSOR_DIM``).
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ __all__ = [
     "TOL_HERM",
     "MAX_TENSOR_DIM",
     "require_hermitian",
-    "stack_traces",
     "format_matrix",
     "parse_matrix",
     "write_matrix",
@@ -31,9 +25,7 @@ __all__ = [
 ]
 
 TOL_HERM = 1e-9          # Hermitian symmetry check
-CLUSTER_TOL = 1e-9       # eigenvalues within this times max(spectral norm, 1) share a cell
 MAX_TENSOR_DIM = 2 ** 10  # tensor-product size cap
-_CHUNK = 8192             # entries of a temporary product in one chunk (traces, projections)
 
 
 def require_hermitian(mat: np.ndarray) -> np.ndarray:
@@ -48,39 +40,6 @@ def require_hermitian(mat: np.ndarray) -> np.ndarray:
     if dev > TOL_HERM:
         raise TomolabError(f"matrix deviates from Hermitian symmetry by {dev:.3e}")
     return mat
-
-
-def _run_starts(evals: np.ndarray) -> np.ndarray:
-    """The clustering rule on an (h, d) table of ascending ``eigh`` eigenvalues,
-    one row per member: the (h, d) mask of the eigenvalues that open a run, those
-    more than ``CLUSTER_TOL`` times max(spectral norm, 1) above the first
-    eigenvalue of the current run.  Each run is one distinct eigenvalue."""
-    gap = CLUSTER_TOL * np.max(np.abs(evals), axis=1, initial=1.0)
-    starts = np.ones(evals.shape, dtype=bool)
-    first = evals[:, 0]
-    for i in range(1, evals.shape[1]):
-        starts[:, i] = evals[:, i] - first > gap
-        first = np.where(starts[:, i], evals[:, i], first)
-    return starts
-
-
-def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
-    """tr(a rho).real of every matrix a of a (..., d, d) stack, shaped as its
-    leading axes, each the sum of the d*d products a_ik rho_ki in row-major
-    order, in chunks of whole matrices that keep the temporary product small.
-    ``rho`` is a matrix or a state holding one as ``matrix``; TomolabError
-    unless that matrix is finite and (d, d)."""
-    mat = np.asarray(getattr(rho, "matrix", rho))
-    d = stack.shape[-1]
-    if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
-        raise TomolabError(f"state must be a finite ({d}, {d}) matrix, got shape {mat.shape}")
-    rows = stack.reshape(-1, d * d)
-    rho_t = mat.T.ravel()
-    out = np.empty(len(rows))
-    step = max(1, _CHUNK // (d * d))
-    for lo in range(0, len(rows), step):
-        out[lo:lo + step] = (rows[lo:lo + step] * rho_t).sum(axis=1).real
-    return out.reshape(stack.shape[:-2])
 
 
 # --- text serialization ------------------------------------------------------

@@ -3,6 +3,8 @@
 Coarse: Y_k = tr(X_k rho) + eps_k with eps_k normal, variance
 (tr(X_k^2 rho) - tr(X_k rho)^2)/m, the variance of the averaged outcome on the
 same observable, and exactly 0 on a member with fewer than two active cells.
+Both moments come from the member's cell law theta: tr(X rho) is
+sum_a lambda_a theta_a and tr(X^2 rho) is sum_a lambda_a^2 theta_a.
 
 Fine: per eigenprojection, y_ka = tr(Q_ka rho) + z_ka with (z_ka) jointly
 normal, covariance (diag(theta) - theta theta')/m where theta_a =
@@ -40,7 +42,6 @@ import numpy as np
 
 from .bases import ObservableBasis, SamplingDesign
 from .errors import _checked_integer
-from .hermitian import stack_traces
 from .measurement import (_active_mask, _blocks, _record_blocks, _write_table, cell_probabilities,
                           draw_design_indices)
 from .rng import COARSE, FINE, TRANSFER, record_blocks, substream
@@ -59,13 +60,15 @@ __all__ = [
 def noise_variance_coarse(rho, basis: ObservableBasis) -> np.ndarray:
     """tr(B_j^2 rho) - tr(B_j rho)^2 of every member, (p,), not divided by m: 0 with fewer
     than two active cells, else clamped at 0; raises where cell_probabilities does."""
-    return _coarse_moments(rho, basis, cell_probabilities(rho, basis))[1]
+    return _coarse_moments(basis, cell_probabilities(rho, basis))[1]
 
 
-def _coarse_moments(rho, basis: ObservableBasis, theta: np.ndarray) -> tuple:
-    """(mean, variance) (p,) vectors of the coarse model, given the run's cell law theta."""
-    mean = stack_traces(basis.matrices, rho)
-    var = np.maximum(stack_traces(basis.matrices @ basis.matrices, rho) - mean * mean, 0.0)
+def _coarse_moments(basis: ObservableBasis, theta: np.ndarray) -> tuple:
+    """(mean, variance) (p,) vectors of the coarse model from the run's cell law theta:
+    sum_a lambda_ja theta_ja and sum_a lambda_ja^2 theta_ja - mean^2."""
+    lam = basis.eigenvalues
+    mean = (lam * theta).sum(axis=1)
+    var = np.maximum((lam * lam * theta).sum(axis=1) - mean * mean, 0.0)
     active = _active_mask(theta).sum(axis=1)
     return mean, np.where(active >= 2, var, 0.0)
 
@@ -75,7 +78,7 @@ def simulate_coarse(rho, basis: ObservableBasis, design: SamplingDesign,
     """n coarse samples Y_k = tr(X_k rho) + eps_k, as (indices, Y)."""
     n, m = _checked_integer("n", n, 0), _checked_integer("m", m, 1)
     indices = draw_design_indices(design, basis, n, seed, COARSE)
-    mean, var = _coarse_moments(rho, basis, cell_probabilities(rho, basis))
+    mean, var = _coarse_moments(basis, cell_probabilities(rho, basis))
     sd = np.sqrt(var / m)
     z = np.empty(n)
     for lo, hi, rng in record_blocks(seed, COARSE, n):
@@ -148,7 +151,7 @@ def estimator_transfer(rho, basis, m: int, seed: int, replications: int) -> dict
     rng = substream(seed, TRANSFER)
     norms = (basis.matrices.conj() * basis.matrices).reshape(p, -1).sum(axis=1).real
     theta = cell_probabilities(rho, basis)
-    mean, var = _coarse_moments(rho, basis, theta)
+    mean, var = _coarse_moments(basis, theta)
     sd = np.sqrt(var / m)
     alpha = mean / norms
     err_counts = np.empty((replications, p))

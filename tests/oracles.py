@@ -18,30 +18,33 @@ Hilbert-Schmidt inner product of one pair, the active index sets, cell
 probabilities and coarse moments one member at a time, and every table
 written one ``csv.writer`` row at a time (with two tomography tables compared
 field by field, N to a tolerance).
-``custom_basis`` wraps an explicit matrix list as a family.
+Every family's spectra and cell laws from one batched eigensolve
+(:func:`eigh_basis`) are the reference of the package's closed forms, within
+``LAW_TOL``; the same build serves ``custom_basis``, which wraps an explicit
+matrix list as a family.
 """
 
 import csv
 import functools
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
 from scipy import stats as sps
 from scipy.special import gammaln, ndtr
 
-from tomolab.bases import SIGMA, _make_basis, build_basis, default_g_vectors
+from tomolab.bases import SIGMA, ObservableBasis, build_basis, default_g_vectors
 from tomolab.equivalence import multinomial_pmf
 from tomolab.errors import TomolabError
-from tomolab.hermitian import CLUSTER_TOL
 from tomolab.measurement import PROB_CLAMP, _active_mask
 from tomolab.rng import TRANSLATE, TV, record_blocks, substream
 from tomolab.states import DENSITY_TOL, DensityMatrix
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr(a @ b) without forming the product matrix; ``hermitian.stack_traces``
+    """tr(a @ b) without forming the product matrix; :func:`stack_traces`
     reproduces its real part bit for bit (the same d*d products summed in the
     same order) for every matrix of a stack."""
     if a.shape[1] != b.shape[0]:
@@ -309,6 +312,115 @@ def cell_min_mahalanobis_sq(m: int, theta, centres) -> np.ndarray:
     return best
 
 
+# --- the eigensolver reference of every family ------------------------------------
+#
+# A family's spectra and cell laws as the package built them before it had closed
+# forms: one batched ``eigh`` of every member, the clustering rule cutting each
+# spectrum into runs, one projection V V^dagger per run and one d*d-long trace
+# per cell and state.  ``LAW_TOL`` bounds the closed forms' distance from it.
+
+CLUSTER_TOL = 1e-9  # eigenvalues within this times max(spectral norm, 1) share a cell
+LAW_TOL = 4e-15     # closed-form eigenvalues and laws against this reference, absolute
+_CHUNK = 8192       # entries of a temporary product in one chunk (traces, projections)
+
+
+def stack_traces(stack: np.ndarray, rho) -> np.ndarray:
+    """tr(a rho).real of every matrix a of a (..., d, d) stack, shaped as its
+    leading axes, each the sum of the d*d products a_ik rho_ki in row-major
+    order, in chunks of whole matrices that keep the temporary product small.
+    ``rho`` is a matrix or a state holding one as ``matrix``; TomolabError
+    unless that matrix is finite and (d, d)."""
+    mat = np.asarray(getattr(rho, "matrix", rho))
+    d = stack.shape[-1]
+    if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
+        raise TomolabError(f"state must be a finite ({d}, {d}) matrix, got shape {mat.shape}")
+    rows = stack.reshape(-1, d * d)
+    rho_t = mat.T.ravel()
+    out = np.empty(len(rows))
+    step = max(1, _CHUNK // (d * d))
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = (rows[lo:lo + step] * rho_t).sum(axis=1).real
+    return out.reshape(stack.shape[:-2])
+
+
+def run_starts(evals: np.ndarray) -> np.ndarray:
+    """The clustering rule on an (h, d) table of ascending ``eigh`` eigenvalues,
+    one row per member: the (h, d) mask of the eigenvalues that open a run, those
+    more than ``CLUSTER_TOL`` times max(spectral norm, 1) above the first
+    eigenvalue of the current run.  Each run is one distinct eigenvalue."""
+    gap = CLUSTER_TOL * np.max(np.abs(evals), axis=1, initial=1.0)
+    starts = np.ones(evals.shape, dtype=bool)
+    first = evals[:, 0]
+    for i in range(1, evals.shape[1]):
+        starts[:, i] = evals[:, i] - first > gap
+        first = np.where(starts[:, i], evals[:, i], first)
+    return starts
+
+
+@dataclass(frozen=True)
+class EighBasis(ObservableBasis):
+    """A family whose spectra come from its members' eigensolve: row j of the
+    (p, kappa, d, d) ``projections`` holds member j's eigenspace projections Q_ja
+    in the slots ``cells(j)`` and zeros elsewhere, and every cell trace is one
+    d*d-long sum per slot."""
+
+    projections: np.ndarray = field(default=None, repr=False)
+
+    def cell_traces(self, rho) -> np.ndarray:
+        return stack_traces(self.projections, rho)
+
+
+def eigh_basis(matrices, kind: str = "custom", labels=None, g_vectors=None) -> EighBasis:
+    """The family of the (p, d, d) stack of finite Hermitian ``matrices``: each
+    member's eigenvalues and eigenspace projections V V^dagger are written into
+    the last slots of its row.  One ``eigh`` solves every member, :func:`run_starts`
+    cuts each spectrum into runs, run k (ascending) goes to slot kappa - 1 - k,
+    and one mean and one batched V V^dagger serve all runs of one (first column,
+    width) shape.  ``labels`` defaults to 1..p."""
+    mats = np.asarray(matrices, dtype=complex)
+    p, d = mats.shape[:2]
+    labels = tuple(range(1, p + 1)) if labels is None else labels
+    evals, evecs = np.linalg.eigh(mats)
+    starts = run_starts(evals)
+    # runs in table order; column 0 opens every row's first run, so a run ends where the next starts
+    flat = np.flatnonzero(starts)
+    member, first = np.divmod(flat, d)
+    sizes = np.bincount(member, minlength=p)
+    kappa = int(sizes.max())
+    eigenvalues = np.zeros((p, kappa))
+    projections = np.zeros((p, kappa, d, d), dtype=complex)
+    slot = kappa - np.cumsum(starts, axis=1)[starts]
+    shape = first * (d + 1) + np.diff(flat, append=starts.size)  # (first, width) as one key
+    step = max(1, _CHUNK // (d * d))  # products per chunk, so the temporaries stay small
+    for key in np.flatnonzero(np.bincount(shape)):  # the distinct keys, ascending
+        pick = np.flatnonzero(shape == key)
+        h, (lo, width) = member[pick], divmod(int(key), d + 1)
+        eigenvalues[h, slot[pick]] = evals[h, lo:lo + width].mean(axis=1)
+        for part in np.split(pick, range(step, len(pick), step)):
+            block = evecs[member[part], :, lo:lo + width]
+            projections[member[part], slot[part]] = block @ block.conj().swapaxes(1, 2)
+    return EighBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues, sizes=sizes,
+                     labels=labels, g_vectors=g_vectors, projections=projections)
+
+
+def reference_basis(basis) -> EighBasis:
+    """The eigensolver reference of ``basis``: its own members, kind, labels and g-vectors."""
+    return eigh_basis(basis.matrices, basis.kind, basis.labels, basis.g_vectors)
+
+
+def custom_basis(matrices) -> EighBasis:
+    """Wrap an explicit list of Hermitian members as a family, served by the reference."""
+    return eigh_basis(matrices)
+
+
+def member_projections(basis, j: int) -> list:
+    """Member j's eigenspace projections, descending: the basis's own where it
+    holds them, else from an eigensolve of that member alone."""
+    if isinstance(basis, EighBasis):
+        return list(basis.projections[j, basis.cells(j)])
+    return member_spectrum(basis.matrices[j])[1]
+
+
 def reconstruct(eigenvalues, projections) -> np.ndarray:
     """Sum of the eigenvalue-weighted projections of a spectral decomposition."""
     d = projections[0].shape[0]
@@ -363,8 +475,8 @@ def spectral_tables_per_member(matrices) -> tuple:
     """(eigenvalues, projections, sizes) of a family built member by member:
     ``eigh`` of one Hermitian member at a time, :func:`member_eigenspaces` on
     its output, each block's V V^dagger by its own matmul into the front-padded
-    tables; ``bases`` reproduces them bit for bit with one batched ``eigh``, one
-    walk over the eigenvalue columns and one product per run shape."""
+    tables; :func:`eigh_basis` reproduces them bit for bit with one batched
+    ``eigh``, one walk over the eigenvalue columns and one product per run shape."""
     spaces = [member_eigenspaces(*np.linalg.eigh(m)) for m in matrices]
     sizes = np.array([len(lams) for lams, _ in spaces], dtype=np.int64)
     kappa = int(sizes.max())
@@ -557,11 +669,6 @@ def write_fine_rows(samples, basis, path) -> None:
 # --- families ------------------------------------------------------------------
 
 
-def custom_basis(matrices):
-    """Wrap an explicit list of Hermitian members."""
-    return _make_basis(matrices, "custom")
-
-
 def hs_inner(a1: np.ndarray, a2: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product tr(a2^dagger a1) of one pair; the norms of
     ``regression.estimator_transfer`` are hs_inner(b, b).real bit for bit."""
@@ -593,7 +700,7 @@ def pauli_projection_traces(basis) -> dict:
     stack = np.stack([basis.matrices[j] for j in others])
     rows = []
     for pos, j in enumerate(others):
-        q_plus, q_minus = basis.projections[j, basis.cells(j)]
+        q_plus, q_minus = member_projections(basis, j)
         cross = np.abs(np.einsum("kab,qba->qk", stack, np.stack([q_plus, q_minus])))
         rows.append({
             "j": j,
@@ -617,22 +724,23 @@ def pauli_projection_traces(basis) -> dict:
 
 def active_index_set_per_member(rho, basis) -> np.ndarray:
     """The active-trace table member by member: in row j, one ``trace_product``
-    per slot of ``cells(j)`` where the active rule holds, exact 0 elsewhere."""
+    per projection of :func:`member_projections` where the active rule holds,
+    exact 0 elsewhere."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     table = np.zeros((basis.size, basis.kappa))
     for j in range(basis.size):
         slots = basis.cells(j)
-        traces = np.array([trace_product(q, mat).real for q in basis.projections[j, slots]])
+        traces = np.array([trace_product(q, mat).real for q in member_projections(basis, j)])
         table[j, slots] = np.where(_active_mask(traces), traces, 0.0)
     return table
 
 
 def cell_probabilities_per_member(rho, basis, j: int) -> np.ndarray:
     """Member j's cell probabilities on their own: one ``trace_product`` per
-    slot of ``cells(j)`` in row j of the projection table, the escape check,
-    the clip, and division by the 1-D sum of its own law."""
+    projection of :func:`member_projections`, the escape check, the clip, and
+    division by the 1-D sum of its own law."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    theta = np.array([trace_product(q, mat).real for q in basis.projections[j, basis.cells(j)]])
+    theta = np.array([trace_product(q, mat).real for q in member_projections(basis, j)])
     if np.any(theta < -PROB_CLAMP) or np.any(theta > 1 + PROB_CLAMP):
         raise ValueError(f"cell probabilities escape [0,1]: {theta}")
     theta = np.clip(theta, 0.0, 1.0)

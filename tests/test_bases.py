@@ -1,10 +1,13 @@
-"""Observable families: constructions, orthogonality, Pauli projection traces."""
+"""Observable families: constructions, orthogonality, Pauli projection traces,
+the closed-form spectra and laws against the eigensolver reference."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from oracles import (custom_basis, haar_vectors_per_column, member_spectrum,
-                     pauli_projection_traces, verify_orthogonal)
+from oracles import (LAW_TOL, custom_basis, haar_vectors_per_column, member_spectrum,
+                     pauli_projection_traces, reference_basis, trace_product, verify_orthogonal)
 from tomolab import bases, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
@@ -170,42 +173,49 @@ class TestDesign:
 
 
 class TestProjectionArray:
-    """The last slots of each member's row of a family's eigenvalue and
-    projection tables hold that member's own spectrum, the slots in front of
-    them zeros."""
+    """The last slots of each member's row of a family's eigenvalue table hold
+    that member's own spectrum, and those of its law table the traces of that
+    member's own eigenspace projections; the slots in front of them are zeros."""
 
     @staticmethod
-    def assert_member_spectra(basis):
+    def assert_member_spectra(basis, rho):
         spectra = [member_spectrum(mat) for mat in basis.matrices]
         sizes = [len(sp[0]) for sp in spectra]
         kappa = max(sizes)
         np.testing.assert_array_equal(basis.sizes, sizes)
         assert basis.eigenvalues.shape == (basis.size, kappa)
-        assert basis.projections.shape == (basis.size, kappa, basis.dim, basis.dim)
+        law = basis.cell_traces(rho)
+        assert law.shape == (basis.size, kappa)
         for j, sp in enumerate(spectra):
             pad = slice(0, kappa - sizes[j])
-            assert not basis.eigenvalues[j, pad].any() and not basis.projections[j, pad].any()
+            assert not basis.eigenvalues[j, pad].any() and not law[j, pad].any()
             np.testing.assert_allclose(basis.eigenvalues[j, basis.cells(j)], sp[0], atol=1e-12)
-            np.testing.assert_allclose(basis.projections[j, basis.cells(j)], np.stack(sp[1]),
-                                       atol=1e-12)
+            np.testing.assert_allclose(law[j, basis.cells(j)],
+                                       [trace_product(q, rho).real for q in sp[1]], atol=1e-12)
 
     @pytest.mark.parametrize("kind,d", [("pauli", 4), ("hermitian", 3), ("gvector", 4),
                                         ("hermitian", 16)])
     def test_built_family(self, kind, d):
         g = bases.haar_wavelet_vectors(d) if kind == "gvector" else None
-        self.assert_member_spectra(bases.build_basis(kind, d, g_vectors=g))
+        rho = states.sample_class(states.StateClassSpec("low_rank", r=2), d, seed=d).matrix
+        self.assert_member_spectra(bases.build_basis(kind, d, g_vectors=g), rho)
 
     @pytest.mark.parametrize("kind", bases._KINDS)
-    def test_one_eigensolve_per_basis(self, kind, monkeypatch):
-        # every member of a family in one batched eigh call
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        b = bases.build_basis(kind, 8, g_vectors=bases.default_g_vectors(8))
-        assert calls == [(64, 8, 8)] and np.all(b.sizes >= 1)
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_no_eigensolver(self, kind, d, monkeypatch):
+        # spectra and laws in closed form: no member is ever diagonalised
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver was called")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        b = bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
+        law = b.cell_traces(np.eye(d) / d)
+        assert law.shape == (d * d, b.kappa) and np.all(b.sizes >= 1)
 
     def test_custom_family(self):
         b = custom_basis([SIGMA[1], np.diag([2.0, 0.0]), np.eye(2)])
-        self.assert_member_spectra(b)
+        self.assert_member_spectra(b, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
         np.testing.assert_array_equal(b.sizes, [2, 2, 1])
 
     def test_front_padded_table(self):
@@ -213,13 +223,74 @@ class TestProjectionArray:
         sizes = [2 if l1 == l2 else 3 for l1, l2 in b.labels]
         np.testing.assert_array_equal(b.sizes, sizes)
         assert b.kappa == 3
-        assert b.eigenvalues.shape == (9, 3) and b.projections.shape == (9, 3, 3, 3)
+        assert b.eigenvalues.shape == (9, 3) and b.cell_traces(np.eye(3) / 3).shape == (9, 3)
         # member 4 is e_2 e_2', the second diagonal member, with one padding slot; member 1 a pair
         assert b.cells(4) == slice(1, 3) and b.cells(1) == slice(0, 3)
         assert b.eigenvalues[4, b.cells(4)].tolist() == [1.0, 0.0]
-        assert b.eigenvalues[4, 0] == 0 and not b.projections[4, 0].any()
+        assert b.eigenvalues[4, 0] == 0 and b.cell_traces(np.eye(3) / 3)[4, 0] == 0
         np.testing.assert_allclose(b.eigenvalues[1], [1 / np.sqrt(2), 0, -1 / np.sqrt(2)],
                                    atol=1e-15)
+
+
+def _random_state(d, seed):
+    """A full-rank complex state, so every entry of its law is generic, made
+    Hermitian bit for bit, rho[b, a] the exact conjugate of rho[a, b]."""
+    rho = states.sample_class(states.StateClassSpec("low_rank", r=d), d, seed=seed).matrix
+    return (rho + rho.conj().T) / 2
+
+
+class TestClosedForm:
+    """Every family's eigenvalues and cell law against the eigensolver reference:
+    one batched eigh of the members, their projections and one trace per cell."""
+
+    @pytest.mark.parametrize("kind, d", [(k, d) for k in bases._KINDS for d in (2, 4, 8, 16, 32)]
+                             + [("hermitian", 5), ("gvector", 5)])
+    def test_matches_eigh_reference(self, kind, d):
+        basis = bases.build_basis(kind, d, g_vectors=bases.default_g_vectors(d))
+        ref = reference_basis(basis)
+        np.testing.assert_array_equal(basis.sizes, ref.sizes)
+        assert basis.kappa == ref.kappa == (2 if kind == "pauli" or d == 2 else 3)
+        np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=0, atol=LAW_TOL)
+        for r, seed in ((1, 1), (2, 2), (d, 3)):
+            st = states.sample_class(states.StateClassSpec("low_rank", r=r), d, seed=seed)
+            np.testing.assert_allclose(basis.cell_traces(st), ref.cell_traces(st),
+                                       rtol=0, atol=LAW_TOL)
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_axis_permutation_permutes_members(self, d):
+        # permuting rho's axes maps each hermitian member to the member of the
+        # permuted axes, or to its negative when an antisymmetric member's axes
+        # swap order, whose law is the same law reversed; exactly, entry by entry
+        basis = bases.build_basis("hermitian", d)
+        rho = _random_state(d, seed=d)
+        perm = np.random.default_rng(d).permutation(d)
+        law, law_moved = basis.cell_traces(rho), basis.cell_traces(rho[np.ix_(perm, perm)])
+        for l1, l2 in itertools.product(range(d), repeat=2):
+            u, v = perm[l1], perm[l2]
+            if (l1 < l2) != (u < v):
+                u, v = v, u
+            row = law[u * d + v]
+            flip = l1 > l2 and perm[l1] < perm[l2]
+            assert law_moved[l1 * d + l2].tobytes() == (row[::-1] if flip else row).tobytes()
+
+    @pytest.mark.parametrize("vector", [
+        [1, 0, 0, 0, 0, 0, 0, 0],          # |000>
+        [1, 1, 1, 1, 1, 1, 1, 1],          # |+++>
+        [1, 0, 0, 0, 0, 0, 0, 1],          # GHZ
+        [1, 0, 0, 1j, 0, 1, -1j, 0],       # a graph-like stabiliser state with phases
+    ])
+    def test_stabiliser_state_has_a_pauli_law_in_halves(self, vector):
+        psi = np.asarray(vector, dtype=complex)
+        # entries in {0, +-1, +-i} over a power of two: the state is exact
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        law = bases.build_basis("pauli", 8).cell_traces(rho)
+        assert set(law.ravel().tolist()) <= {0.0, 0.5, 1.0}
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
+    def test_maximally_mixed_pauli_law_is_exact(self, d):
+        law = bases.build_basis("pauli", d).cell_traces(np.eye(d) / d)
+        assert law[0].tolist() == [0.0, 1.0]
+        assert np.all(law[1:] == 0.5)
 
 
 class TestBasisFiles:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import threading
 import warnings
 
@@ -63,12 +64,14 @@ out = {out}
 # sha256 of each artifact under RNG contract v2 (blocks of rng.BLOCK = 256
 # records, one vectorised draw per block and draw kind), which v3 keeps for
 # every family but TV; n = 500 spans two blocks.
-# These bytes change only with a deliberate, versioned change of the contract.
+# The draws change only with a deliberate, versioned change of the contract; the
+# coarse and fine values also carry the last bits of the closed-form cell laws
+# (``ObservableBasis.cell_traces``) and the moments read from them.
 GOLDEN_SHA256 = {
     "tomography.csv": "d6e0c10aaf263924dc762468f479e4d12f46cfcbfa4cc620456a24c1398f8074",
     "individuals.csv": "f44e45233bc2198f2d56e41eac9707641c44f8037aecb3e74cddd7de4019e400",
-    "coarse.csv": "e90b38a356309612607fe8aae71bd1cc0a759898687400053efb556d9edfc46d",
-    "fine.csv": "744879131d0085882a57ba8f87502fd9f0826830fec5fab2159277abe46c1c4f",
+    "coarse.csv": "592324ea48aa33b18d9b6f50fea563e4009d24081b7231fc822095f07a624885",
+    "fine.csv": "da48a21f6f52adebba028eb4ccf77e6c82d38af7c44b17427e84d2784f25bae1",
     "translated_fine.csv": "7361d4b22442b8361711b5605498c270a0fab7a4343f7f225d0d66dc28304b27",
 }
 
@@ -110,12 +113,13 @@ def golden_cfg(task, out) -> str:
 # quadrature artifacts follow the Hellinger affinity over the ellipsoidal window,
 # its error budget (fields of each distances.json row), the log-factorial table and the
 # closed-form chi-square tails; its TV fields follow the TV draws of RNG contract v3.
+# zeta, corollaries and transfer carry the last bits of the closed-form cell laws.
 TASK_SHA256 = {
     "distances.json": "29e1e2ae2f78c03feeb325e3658b3881c22ff7e8c1ce5176ff6dc9ff71afe711",
     "scaling_0.json": "cea7c53b9ab53c65170c5cae058aad28cabbfe712a3b3e9f5442addd5438b7a9",
-    "zeta.json": "e5006c20807a0572351e2c402670ce6f8a02c6e7ced9b2b026527bc791de42ba",
-    "corollaries.json": "02a5e7975f1d547b8fae3805d32ddbfabfbfbcbacc385d7222ff06ed1d9c67c2",
-    "transfer.json": "2f9a4199852ec320fa94a9c4398288b249b827c5350775225d3ad601fe8c9603",
+    "zeta.json": "cd59505bf5850af1429c0fa0992b707ae706c2009e89ab79d7572d4a490d1856",
+    "corollaries.json": "5ac74dd0f410dd5d8ab059094b65e3ad6738d034ee27967fc8f090eb512d5b15",
+    "transfer.json": "2086eef3df6446832cd0bc665359b1cc234aed8424dc3a43cba25a9c94f8ae6c",
 }
 
 
@@ -974,6 +978,22 @@ out = {out}
         assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
         assert "unknown basis kind 'canonical'" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("task, run_keys, section", [
+        ("distances", "", "[distances]\ntheta = 0.5,0.5\nm_grid = 16\ntv_samples = 100\n"),
+        ("simulate", "n = 4\nm = 16\n", "")], ids=["distances", "simulate"])
+    def test_unknown_kind_exits_2_under_every_task(self, tmp_path, capsys, task, run_keys,
+                                                   section):
+        # a task that builds no family used to run and pass with any kind
+        out = tmp_path / "o"
+        path = write_cfg(tmp_path, f"[basis]\nkind = canonical\nd = 4\n\n[run]\ntask = {task}\n"
+                                   f"out = {out}\n{run_keys}\n{section}")
+        want = f"unknown basis kind 'canonical': [basis] kind must be one of {bases._KINDS}"
+        with pytest.raises(ConfigParseError, match=re.escape(want)):
+            cli.load_config(path)
+        assert cli.main(["run", "--config", path]) == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_weights_uniform_when_all_measurable(self, tmp_path):
         # every member is measurable, so both default designs are uniform, bit for bit

@@ -13,7 +13,7 @@ from scipy.special import gammaincc, gammaln
 
 from oracles import (cell_min_mahalanobis_sq, ellipsoid_window, hellinger_ndtr,
                      lattice_box, log_factorials_30_digits, matched_normal_density,
-                     multinomial_pmf_chain, multinomial_pmf_gammaln, record_tails,
+                     member_projections, multinomial_pmf_chain, multinomial_pmf_gammaln, record_tails,
                      round_off_per_record, translate_per_record, tv_two_cell, tv_window_draws)
 from tomolab import bases, diagnostics, equivalence as eq, measurement, regression, states
 from tomolab.errors import TomolabError
@@ -229,7 +229,7 @@ class TestTranslation:
         j, m, n = herm3.labels.index((1, 2)), 64, 4000
         theta = np.array([0.00069, 0.982, 0.01731])
         # rho = sum_a theta_a Q_ja, the member's rank-one projections
-        rho = np.einsum("a,aij->ij", theta, herm3.projections[j, herm3.cells(j)])
+        rho = np.einsum("a,aij->ij", theta, member_projections(herm3, j))
         st_ = states.validate_density(rho)
         law = measurement.cell_probabilities(st_, herm3)[j, herm3.cells(j)]
         np.testing.assert_allclose(law, theta, atol=1e-15)

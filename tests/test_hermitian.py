@@ -1,11 +1,13 @@
-"""Matrix layer: the eigenspace clustering rule, Pauli tensor products, inner product, text I/O."""
+"""Matrix layer: the Hermitian check, Pauli tensor products, inner product, text I/O,
+and the eigenspace clustering rule of the tests' eigensolver reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import custom_basis, hs_inner, member_eigenspaces, reconstruct, trace_product
+from oracles import (CLUSTER_TOL, custom_basis, hs_inner, member_eigenspaces, reconstruct,
+                     trace_product)
 from tomolab import bases, hermitian, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
@@ -100,7 +102,7 @@ class TestSpectralDecompose:
         # a pair closer than CLUSTER_TOL times max(spectral norm, 1) merges, a pair
         # twice as far apart splits
         for scale in (1.0, 100.0):
-            tol = hermitian.CLUSTER_TOL * scale
+            tol = CLUSTER_TOL * scale
             assert len(spectrum(np.diag([scale, scale + tol / 2, 0.0]))[0]) == 2
             assert len(spectrum(np.diag([scale, scale + 2 * tol, 0.0]))[0]) == 3
 

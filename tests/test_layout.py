@@ -1,26 +1,27 @@
 """One layout from basis to record: the front-padded table of width kappa.
 
-A basis stores its spectra as (p, kappa) and (p, kappa, d, d) tables with
-exact zeros in front of each member's cells, so its cell traces carry exact
-zeros there too, which no rule reads as active.  A custom basis with members
+A basis stores its spectra as a (p, kappa) table with exact zeros in front of
+each member's cells, and its cell traces carry exact zeros there too, which no
+rule reads as active; so do the eigensolver reference's (p, kappa, d, d)
+projections.  A custom basis with members
 of 1, 2 and 3 cells puts every padding width in one run: each producer
 returns tables of width kappa, K0 leaves the padding slots at exactly 0, K1
 on whole rows agrees with the per-record oracle fed each row's tail, and
 the tomography and fine CSV writers cut each row to its member's cells as
 their row-by-row references do.  The whole-table
-constructions (every family's members, one batched eigensolve per family cut
-into runs by one walk over its eigenvalue columns, the fine factors) give
-the bytes of their member-by-member references.
+constructions (every family's members, the reference's one batched eigensolve
+per family cut into runs by one walk over its eigenvalue columns, the fine
+factors) give the bytes of their member-by-member references.
 """
 
 import numpy as np
 import pytest
 
-from oracles import (custom_basis, dataset_row_mismatches, family_members_per_member,
-                     fine_factor, pauli_member_kron, record_tails, round_off_per_record,
-                     spectral_tables_per_member, trace_product, write_dataset_rows,
-                     write_fine_rows)
-from tomolab import bases, equivalence as eq, hermitian, measurement, regression, states
+from oracles import (CLUSTER_TOL, custom_basis, dataset_row_mismatches,
+                     family_members_per_member, fine_factor, pauli_member_kron, record_tails,
+                     reference_basis, round_off_per_record, spectral_tables_per_member,
+                     stack_traces, trace_product, write_dataset_rows, write_fine_rows)
+from tomolab import bases, equivalence as eq, measurement, regression, states
 
 # the identity (1 cell), a rank-2 projection (2 cells) and a random Hermitian member (3 cells)
 _rng = np.random.default_rng(8)
@@ -50,18 +51,20 @@ HERMITIAN3_STATE = states.sample_class(states.StateClassSpec("low_rank", r=2), 3
 def test_basis_tables_are_front_padded_with_exact_zeros(basis, state):
     slots = np.arange(basis.kappa) < (basis.kappa - basis.sizes)[:, None]
     assert basis.eigenvalues.shape == (basis.size, basis.kappa)
-    assert basis.projections.shape == (basis.size, basis.kappa, basis.dim, basis.dim)
-    assert np.all(basis.eigenvalues[slots] == 0) and np.all(basis.projections[slots] == 0)
+    assert np.all(basis.eigenvalues[slots] == 0)
     for j in range(basis.size):
         cells = basis.cells(j)
         assert cells.stop == basis.kappa and cells.stop - cells.start == basis.sizes[j]
     traces = basis.cell_traces(state)
     assert traces.shape == (basis.size, basis.kappa)
     assert np.all(traces[slots] == 0.0) and not measurement._active_mask(traces)[slots].any()
-    # bit for bit one trace_product per slot, padding slots included
-    want = np.array([[trace_product(q, state.matrix).real for q in row]
-                     for row in basis.projections])
-    assert hermitian.stack_traces(basis.projections, state).tobytes() == want.tobytes()
+    # the reference's projections are padded alike, and its traces are bit for bit
+    # one trace_product per slot, padding slots included
+    projections = reference_basis(basis).projections
+    assert projections.shape == (basis.size, basis.kappa, basis.dim, basis.dim)
+    assert np.all(projections[slots] == 0)
+    want = np.array([[trace_product(q, state.matrix).real for q in row] for row in projections])
+    assert stack_traces(projections, state).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 64])
@@ -118,7 +121,7 @@ def _custom(*mats):
     return lambda: custom_basis(list(mats))
 
 
-_tol = hermitian.CLUSTER_TOL
+_tol = CLUSTER_TOL
 _v = _rng.normal(size=(6, 6)) + 1j * _rng.normal(size=(6, 6))
 _u = np.linalg.qr(_v)[0]
 # every built-in family at d = 2..32, under the ids "kind-d", then custom families
@@ -142,7 +145,8 @@ CELLS = {"chained-tolerance": [3], "d1": [1, 1]}
 
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_basis_tables_match_member_by_member_build(family):
-    basis = FAMILIES[family]()
+    # the built-in families' closed forms meet this reference in test_bases.TestClosedForm
+    basis = reference_basis(FAMILIES[family]())
     d = basis.dim
     if basis.kind == "pauli":
         b = d.bit_length() - 1

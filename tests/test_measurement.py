@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from oracles import (cell_probabilities_per_member, custom_basis, dataset_row_mismatches,
-                     write_dataset_rows)
+from oracles import (LAW_TOL, cell_probabilities_per_member, custom_basis,
+                     dataset_row_mismatches, write_dataset_rows)
 from tomolab import bases, measurement, states
 from tomolab.errors import TomolabError
 
@@ -95,17 +95,20 @@ class TestCellProbabilities:
 
     @pytest.mark.parametrize("name", ["pauli16", "hermitian16", "gvector16", "custom12"])
     def test_table_matches_per_member(self, name):
-        # bit for bit each member's law computed on its own, for cell counts 1
-        # to 3 and, in the custom family, 12 distinct eigenvalues
+        # each member's law computed on its own from its eigenspace projections,
+        # for cell counts 1 to 3 and, in the custom family, 12 distinct
+        # eigenvalues: within LAW_TOL of the closed forms, bit for bit on the
+        # custom family, whose traces are the reference's own
         basis = LAW_FAMILIES[name]
         d = basis.dim
+        check = (np.testing.assert_array_equal if basis.kind == "custom" else
+                 lambda got, want: np.testing.assert_allclose(got, want, rtol=0, atol=LAW_TOL))
         for seed, r in ((1, 1), (2, 2), (3, d)):
             st = states.sample_class(states.StateClassSpec("low_rank", r=r), d, seed=seed)
             theta = measurement.cell_probabilities(st, basis)
             assert theta.shape == (basis.size, basis.kappa)
             for j in range(basis.size):
-                np.testing.assert_array_equal(theta[j, basis.cells(j)],
-                                              cell_probabilities_per_member(st, basis, j))
+                check(theta[j, basis.cells(j)], cell_probabilities_per_member(st, basis, j))
 
     def test_padded_table(self):
         herm = LAW_FAMILIES["hermitian16"]
@@ -114,7 +117,8 @@ class TestCellProbabilities:
         assert table.shape == (herm.size, herm.kappa) == (256, 3)
         for j in range(herm.size):
             r = herm.sizes[j]
-            np.testing.assert_array_equal(table[j, 3 - r:], cell_probabilities_per_member(st, herm, j))
+            np.testing.assert_allclose(table[j, 3 - r:], cell_probabilities_per_member(st, herm, j),
+                                       rtol=0, atol=LAW_TOL)
             assert np.all(table[j, :3 - r] == 0.0)
 
 

@@ -9,8 +9,8 @@ paragraph as deliberately part of the library's API.  The package's own
 that paragraph lists, and every family and function of the README's RNG
 family table, is defined in the package, and every ``module.name(args)`` the
 README quotes names the leading parameters of that function.
-``bases._make_basis`` is the one
-place that constructs an ``ObservableBasis``.  The README's config block
+``bases.build_basis`` is the one
+place that constructs an ``ObservableBasis``, as the README says.  The README's config block
 lists exactly the (section, key) pairs the config loader reads, and its
 "Distances" file-format entry exactly the fields of a ``distances.json`` row.
 """
@@ -238,7 +238,9 @@ def test_one_basis_constructor():
                 if isinstance(node, ast.Call) and "ObservableBasis" in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add((mod, getattr(top, "name", "<module>")))
-    assert callers == {("bases", "_make_basis")}
+    assert callers == {("bases", "build_basis")}
+    assert re.search(r"`bases\.build_basis\(kind, d, g_vectors\)` is the one\s+constructor of an\s+"
+                     r"`ObservableBasis`", README.read_text())
 
 
 def test_one_integer_rule():

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import coarse_moments_per_member, custom_basis, hs_inner
+from oracles import LAW_TOL, coarse_moments_per_member, custom_basis, hs_inner
 from test_measurement import LAW_FAMILIES
-from tomolab import bases, diagnostics, equivalence, hermitian, measurement, regression, states
+from tomolab import bases, diagnostics, equivalence, measurement, regression, states
 
 PAULI2 = bases.build_basis("pauli", 2)
 PAULI4 = bases.build_basis("pauli", 4)
@@ -49,16 +49,20 @@ class TestNoiseVarianceCoarse:
 
     @pytest.mark.parametrize("name", sorted(LAW_FAMILIES))
     def test_moments_match_per_member(self, name):
-        # bit for bit one trace_product per member, the variance zero on a member
-        # without two active cells
+        # tr(B rho) and tr(B^2 rho) - tr(B rho)^2 by one trace_product each, per
+        # member, against sum_a lambda_a theta_a and sum_a lambda_a^2 theta_a - mean^2
+        # from the law; the variance exactly zero on a member without two active cells
         basis = LAW_FAMILIES[name]
         d = basis.dim
         for seed, r in ((1, 1), (2, d)):
             st = states.sample_class(states.StateClassSpec("low_rank", r=r), d, seed=seed)
-            mean = hermitian.stack_traces(basis.matrices, st.matrix)
-            var = regression.noise_variance_coarse(st, basis)
+            mean, var = regression._coarse_moments(basis, measurement.cell_probabilities(st, basis))
+            np.testing.assert_array_equal(var, regression.noise_variance_coarse(st, basis))
             for j in range(basis.size):
-                assert (mean[j], var[j]) == coarse_moments_per_member(st, basis, j)
+                want = coarse_moments_per_member(st, basis, j)
+                scale = max(1.0, float(np.abs(basis.eigenvalues[j]).max())) ** 2
+                np.testing.assert_allclose((mean[j], var[j]), want, rtol=0, atol=LAW_TOL * scale)
+                assert (var[j] == 0) == (want[1] == 0)
 
 
 class TestNoiseCovarianceFine:
@@ -223,7 +227,7 @@ class TestActiveRule:
         """Per layer, whether it drew or counted member j as random on state st."""
         design, p = bases.SamplingDesign.fixed(), basis.size
         theta = measurement.cell_probabilities(st, basis)[j, basis.cells(j)]
-        mean = hermitian.stack_traces(basis.matrices, st.matrix)[j]
+        mean = regression._coarse_moments(basis, measurement.cell_probabilities(st, basis))[0][j]
         _, big_y = regression.simulate_coarse(st, basis, design, p, 64, seed=1)
         _, ys = regression.simulate_fine(st, basis, design, p, 64, seed=1)
         zeta = diagnostics.zeta_fraction([st], basis, weights=np.eye(p)[j])["zeta"]
@@ -342,7 +346,7 @@ def test_transfer_norms_match_per_member_hs_inner(kind, d, monkeypatch):
             raise _Stop
 
     monkeypatch.setattr(regression, "_coarse_moments",
-                        lambda rho, basis, theta: (Mean(), np.zeros(basis.size)))
+                        lambda basis, theta: (Mean(), np.zeros(basis.size)))
     with pytest.raises(_Stop):
         regression.estimator_transfer(interior_state(d), basis, 16, seed=1, replications=2)
     want = np.array([hs_inner(b, b).real for b in basis.matrices])
