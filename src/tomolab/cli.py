@@ -29,7 +29,6 @@ import scipy  # only for the manifest's version string
 
 from . import __version__, bases, diagnostics, equivalence, measurement, regression, states
 from .errors import ConfigParseError
-from .hermitian import read_matrix
 from .rng import RNG_CONTRACT
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
@@ -66,13 +65,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def _key(section, key: str, cast=str, **default):
-    """A config field read from ``[section] key`` through ``cast``; ``section``
-    may map each task to the one section it reads the key from."""
-    sections = section if isinstance(section, dict) else dict.fromkeys(TASKS, section)
+def _key(section, key: str, cast=str, tasks=TASKS, **default):
+    """A config field that ``tasks`` read from ``[section] key`` through ``cast``;
+    ``section`` may instead map each task that reads the key to its section."""
+    sections = section if isinstance(section, dict) else dict.fromkeys(tasks, section)
     return field(metadata={"key": (sections, key, cast)}, **default)
 
 
+# the tasks that build a basis and a state; all but estimator_transfer build a design too
+_INPUTS = ("simulate", "translate", "zeta", "estimator_transfer")
+_DESIGN = _INPUTS[:3]
 # the section each grid task reads its grid keys from; estimator_transfer has no theta
 _THETA_SECTION = {"distances": "distances", "scaling": "scaling"}
 _GRID_SECTION = {**_THETA_SECTION, "estimator_transfer": "transfer"}
@@ -87,36 +89,38 @@ class ExperimentConfig:
 
     task: str
     basis_kind: str = _key("basis", "kind", default="pauli")
-    d: int = _key("basis", "d", int, default=4)
-    g_file: str = _key("basis", "g_file", default=None)
-    witness: str = _key("state", "witness", default=None)
-    beta: float = _key("state", "beta", _finite, default=0.5)
-    j_star: int = _key("state", "j_star", int, default=1)
-    state_class: str = _key("state", "class", default=None)
-    s: int = _key("state", "s", int, default=None)
-    r: int = _key("state", "r", int, default=None)
-    gamma: int = _key("state", "gamma", int, default=None)
-    matrix_file: str = _key("state", "matrix_file", default=None)
-    design_mode: str = _key("design", "mode", default="fixed")
-    pi: np.ndarray = _key("design", "pi", _parse_vector, default=None)
-    xi: np.ndarray = _key("design", "xi", _parse_vector, default=None)
+    d: int = _key("basis", "d", int, tasks=_INPUTS + ("corollaries",), default=4)
+    g_file: str = _key("basis", "g_file", tasks=_INPUTS, default=None)
+    witness: str = _key("state", "witness", tasks=_INPUTS, default=None)
+    beta: float = _key("state", "beta", _finite, tasks=_INPUTS, default=0.5)
+    j_star: int = _key("state", "j_star", int, tasks=_INPUTS, default=1)
+    state_class: str = _key("state", "class", tasks=_INPUTS, default=None)
+    s: int = _key("state", "s", int, tasks=_INPUTS, default=None)
+    r: int = _key("state", "r", int, tasks=_INPUTS, default=None)
+    gamma: int = _key("state", "gamma", int, tasks=_INPUTS, default=None)
+    matrix_file: str = _key("state", "matrix_file", tasks=_INPUTS, default=None)
+    design_mode: str = _key("design", "mode", tasks=_DESIGN, default="fixed")
+    pi: np.ndarray = _key("design", "pi", _parse_vector, tasks=_DESIGN, default=None)
+    xi: np.ndarray = _key("design", "xi", _parse_vector, tasks=_DESIGN, default=None)
     n: int = _key(_RECORDS, "n", int, default=None)
     m: int = _key(_RECORDS, "m", int, default=64)
     seed: int = _key("run", "seed", int, default=20130204)
     detail: str = _key({"simulate": "run"}, "detail", default="summary")
     out_dir: str = _key("run", "out", default="tomolab_out")
     threads: int = _key("run", "threads", int, default=1)
-    c0: float = _key("tolerances", "c0", _finite, default=None)
-    c1: float = _key("tolerances", "c1", _finite, default=None)
+    c0: float = _key({"zeta": "tolerances"}, "c0", _finite, default=None)
+    c1: float = _key({"zeta": "tolerances"}, "c1", _finite, default=None)
     thetas: list = _key(_THETA_SECTION, "theta", _parse_theta_list,
                         default_factory=lambda: [[0.5, 0.5]])
     m_grid: list = _key(_GRID_SECTION, "m_grid", _parse_m_grid,
                         default_factory=lambda: [16, 64, 256, 1024, 4096])
-    tv_samples: int = _key("distances", "tv_samples", int, default=50_000)
-    replications: int = _key("transfer", "replications", int, default=600)
-    witnesses: list = _key("zeta", "witnesses", _parse_names, default_factory=list)
-    witness_files: list = _key("zeta", "witness_files", _parse_names, default_factory=list)
-    class_samples: int = _key("corollaries", "samples", int, default=20)
+    tv_samples: int = _key({"distances": "distances"}, "tv_samples", int, default=50_000)
+    replications: int = _key({"estimator_transfer": "transfer"}, "replications", int,
+                             default=600)
+    witnesses: list = _key({"zeta": "zeta"}, "witnesses", _parse_names, default_factory=list)
+    witness_files: list = _key({"zeta": "zeta"}, "witness_files", _parse_names,
+                               default_factory=list)
+    class_samples: int = _key({"corollaries": "corollaries"}, "samples", int, default=20)
     raw_text: str = ""
 
 
@@ -241,18 +245,34 @@ def _check_grids(cfg: ExperimentConfig) -> None:
         raise ConfigParseError(f"estimator_transfer m_grid must strictly increase, got {cfg.m_grid}")
 
 
+def _read_matrix(fname, dtype, check=lambda mat: mat):
+    """``check`` of the square matrix in numpy text file ``fname``, one row a line as
+    ``np.savetxt`` writes it; a ValueError in either becomes a ConfigParseError naming
+    the file."""
+    try:
+        with open(fname, encoding="ascii") as fh:
+            rows = [line for line in fh if line.split("#")[0].strip()]
+        # np.loadtxt would only warn on a file without a row
+        mat = np.loadtxt(rows, dtype=dtype, ndmin=2) if rows else np.empty((0, 0))
+        if mat.size == 0 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        return check(mat)
+    except ValueError as exc:
+        raise ConfigParseError(f"matrix file {fname}: {exc}") from exc
+
+
 def _build_basis(cfg: ExperimentConfig) -> bases.ObservableBasis:
     g = None
     if cfg.basis_kind == "gvector":
         if cfg.g_file is None:
             raise ConfigParseError("gvector basis requires g_file")
-        g = np.loadtxt(cfg.g_file)
+        g = _read_matrix(cfg.g_file, float)
     return bases.build_basis(cfg.basis_kind, cfg.d, g_vectors=g)
 
 
 def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
     if cfg.matrix_file:
-        return states.validate_density(read_matrix(cfg.matrix_file))
+        return _read_matrix(cfg.matrix_file, complex, states.validate_density)
     if cfg.witness:
         return states.witness_state(cfg.witness, cfg.d, j_star=cfg.j_star, beta=cfg.beta)
     if cfg.state_class:
@@ -274,8 +294,8 @@ def _build_design(cfg: ExperimentConfig, basis) -> bases.SamplingDesign:
 #
 # A task takes the config and ``path``, which turns an artifact name into its
 # path in the output directory and lists it in the manifest; it returns its
-# checks.  Only the tasks that simulate or measure a state build a basis, a
-# state and a design.
+# checks.  Only the tasks of ``_INPUTS`` build a basis and a state, and only
+# those of ``_DESIGN`` a design.
 
 
 def _inputs(cfg: ExperimentConfig):
@@ -344,7 +364,7 @@ def _task_zeta(cfg, path):
     wit = [states.witness_state(nm, cfg.d, j_star=cfg.j_star, beta=cfg.beta)
            for nm in names]
     for fname in cfg.witness_files:
-        wit.append(states.validate_density(read_matrix(fname)))
+        wit.append(_read_matrix(fname, complex, states.validate_density))
         names.append(os.path.basename(fname))
     if not wit:
         wit, names = [state], ["configured-state"]
@@ -376,9 +396,9 @@ def _task_corollaries(cfg, path):
 
 
 def _task_transfer(cfg, path):
-    basis, state, _ = _inputs(cfg)
-    report = regression.estimator_transfer_sweep(state, basis, cfg.m_grid, cfg.seed,
-                                                 cfg.replications)
+    basis = _build_basis(cfg)
+    report = regression.estimator_transfer_sweep(_build_state(cfg, basis), basis, cfg.m_grid,
+                                                 cfg.seed, cfg.replications)
     diagnostics.write_report_json(report, path("transfer.json"))
     return [{"name": "risk-gap-monotone", "anchor": "estimator-transfer",
              "passed": report["monotone"]}]

@@ -6,13 +6,13 @@ tr(Q_ja rho).  Repeating m times, the per-eigenvalue counts are multinomial
 and sufficient; individual outcome sequences are reconstructed from counts by
 a seeded shuffle, which preserves the joint law of the exchangeable outcomes.
 
-Randomness follows RNG contract v2 (:mod:`tomolab.rng`), family
-``TOMOGRAPHY``: the design indices come from (seed, family, 0), and each
-block of ``BLOCK`` records makes one ``multinomial`` call on its substream,
-with one row of cell probabilities per record.  Rows are the basis's
-front-padded (p, kappa) table (:class:`ObservableBasis`), padded in front to
-the largest cell count over its members; a zero cell takes no draw, so each
-row consumes the stream exactly as a one-record call would.  The cell
+Randomness follows RNG contract v3 (:mod:`tomolab.rng`), family
+``TOMOGRAPHY``, which draws as under v2: the design indices come from (seed,
+family, 0), and each block of ``BLOCK`` records makes one ``multinomial`` call
+on its substream, with one row of cell probabilities per record.  Rows are the
+basis's front-padded (p, kappa) table (:class:`ObservableBasis`), padded in
+front to the largest cell count over its members; a zero cell takes no draw,
+so each row consumes the stream exactly as a one-record call would.  The cell
 probabilities of every member are computed once per run.
 
 A run's records are held once, as arrays (:class:`TomographyDataset`): the

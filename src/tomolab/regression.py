@@ -14,18 +14,17 @@ coordinate by Cholesky and sets the last coordinate from the sum constraint.
 Cells that are not active (theta_a within ``ACTIVE_TOL`` of 0 or 1) are
 deterministic and excluded from the Gaussian block.
 
-Randomness follows RNG contract v2 (:mod:`tomolab.rng`), with the families
-``COARSE`` and ``FINE``: design indices from (seed, family, 0), then one
-``standard_normal`` call per block of ``BLOCK`` records.  Coarse draws one
-normal per record.  Fine draws a row of w normals per record, w being one
-less than the largest cell count over the basis's members, and
+Randomness follows RNG contract v3 (:mod:`tomolab.rng`), with the families
+``COARSE`` and ``FINE``, which draw as under v2: design indices from (seed,
+family, 0), then one ``standard_normal`` call per block of ``BLOCK`` records.
+Coarse draws one normal per record.  Fine draws a row of w normals per record,
+w being one less than the largest cell count over the basis's members, and
 maps it through the member's factor F (rows: the Cholesky factor on all but
 the last active cell, minus its column sums on the last, zero on inactive
-cells), so y = theta + F z meets the sum constraint.  Every member's law
-(cell probabilities, coarse mean and variance) and fine factor is computed
-once per run, in the basis's front-padded (p, kappa) table
-(:class:`ObservableBasis`), the factors with one batched Cholesky per
-active-cell count.
+cells), so y = theta + F z meets the sum constraint.  Every member's law (cell
+probabilities, coarse mean and variance) and fine factor is computed once per
+run, in the basis's front-padded (p, kappa) table (:class:`ObservableBasis`),
+the factors with one batched Cholesky per active-cell count.
 
 Both simulators, and the CSV writers, hold a run's records once, as the
 pair (indices, values): the member index per record (int64) with the

@@ -296,25 +296,16 @@ def test_criterion_10_estimator_transfer():
 
 def test_criterion_11_determinism(tmp_path):
     cfg_text = """
-[basis]
-kind = pauli
-d = 2
-
-[state]
-witness = cor2_line
-beta = 0.5
-j_star = 1
-
-[design]
-mode = fixed
-
 [run]
 task = {task}
 seed = 99
 out = {out}
 {extra}"""
     # what each task reads beyond cfg_text, which ends inside [run]
-    extra = {"simulate": "n = 4\nm = 64\ndetail = individual\n",
+    extra = {"simulate": "n = 4\nm = 64\ndetail = individual\n"
+                         "\n[basis]\nkind = pauli\nd = 2\n"
+                         "\n[state]\nwitness = cor2_line\nbeta = 0.5\nj_star = 1\n"
+                         "\n[design]\nmode = fixed\n",
              "distances": "\n[distances]\ntheta = 0.5,0.5; 0.2,0.3,0.5\nm_grid = 16,64\n"
                           "tv_samples = 20000\n"}
     ok = True

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import custom_basis
-from tomolab import bases, cli, hermitian, regression, states
+from tomolab import bases, cli, regression, states
 from tomolab.errors import ConfigParseError, TomolabError
 
 
@@ -44,22 +44,20 @@ out = {out}
 
 
 GOLDEN_CFG = """
-[basis]
-kind = pauli
-d = 4
-
-[state]
-class = low_rank
-r = 2
-
-[design]
-mode = random
-
 [run]
 task = {task}
 seed = 1729
 out = {out}
 """
+
+# the golden basis, state and design, each with the tasks that read it
+GOLDEN_INPUTS = [
+    ("\n[basis]\nkind = pauli\nd = 4\n",
+     ("simulate", "translate", "zeta", "estimator_transfer", "corollaries")),
+    ("\n[state]\nclass = low_rank\nr = 2\n",
+     ("simulate", "translate", "zeta", "estimator_transfer")),
+    ("\n[design]\nmode = random\n", ("simulate", "translate", "zeta")),
+]
 
 # sha256 of each artifact under RNG contract v2 (blocks of rng.BLOCK = 256
 # records, one vectorised draw per block and draw kind), which v3 keeps for
@@ -105,8 +103,9 @@ samples = 4
 
 
 def golden_cfg(task, out) -> str:
-    """The config of ``task`` on the golden basis, state and design."""
-    return GOLDEN_CFG.format(task=task, out=out) + TASK_KEYS.get(task, "")
+    """The config of ``task`` on the golden basis, state and design, those it reads."""
+    return (GOLDEN_CFG.format(task=task, out=out) + TASK_KEYS.get(task, "")
+            + "".join(text for text, tasks in GOLDEN_INPUTS if task in tasks))
 
 
 # sha256 of each artifact of the other five tasks; a refactor must keep them.  The
@@ -282,7 +281,8 @@ m_grid = {grid}
             raise AssertionError("a basis was built")
 
         monkeypatch.setattr(bases, "build_basis", no_build)
-        task = "corollaries" if (section, key) in cli._KEYS["corollaries"] else "simulate"
+        task = next(t for t in ("corollaries", "simulate", "distances", "estimator_transfer")
+                    if (section, key) in cli._KEYS[t])
         sections = {"run": {"task": task, "seed": 1, "out": tmp_path / "o"}}
         sections.setdefault(section, {})[key] = value
         text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -784,7 +784,7 @@ m_grid = 16,64,256,1024
     ], ids=["class-file", "witness-class", "all-three"])
     def test_two_state_sources_exit_2(self, tmp_path, sources, named):
         # the README's [state] block says "pick one source"; none wins by precedence
-        hermitian.write_matrix(np.eye(2) / 2, tmp_path / "rho.txt")
+        np.savetxt(tmp_path / "rho.txt", np.eye(2) / 2)
         out = tmp_path / "z"
         text = f"""
 [basis]
@@ -935,6 +935,135 @@ witnesses = cor3_tilted
         assert cli.main(["run", "--config", path]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("task, keys", [
+        ("scaling", {"state": {"witness": "cor2_line"}, "distances": {"tv_samples": 100}}),
+        ("distances", {"basis": {"d": 4}, "tolerances": {"c0": 0.2, "c1": 0.8},
+                       "design": {"mode": "random"}}),
+        ("estimator_transfer", {"design": {"mode": "random"}}),
+    ], ids=["scaling", "distances", "estimator_transfer"])
+    def test_key_the_task_never_reads_exits_2(self, tmp_path, capsys, task, keys):
+        # each of these configs used to exit 0 and ignore the keys
+        out = tmp_path / "o"
+        sections = {"run": {"task": task, "seed": 1, "out": out}, **keys}
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items())
+                         for name, pairs in sections.items())
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        named = sorted(f"[{name}] {k}" for name, pairs in keys.items() for k in pairs)
+        assert capsys.readouterr().err == (f"config error: read by no setting of task {task}: "
+                                           f"{', '.join(named)}\n")
+        assert not out.exists()
+
+    def test_each_key_is_read_by_the_tasks_that_use_it(self):
+        def readers(section, key):
+            return {task for task in cli.TASKS if (section, key) in cli._KEYS[task]}
+
+        inputs = {"simulate", "translate", "zeta", "estimator_transfer"}
+        everywhere = [("basis", "kind"), ("run", "task"), ("run", "seed"), ("run", "out"),
+                      ("run", "threads")]
+        assert all(readers(*key) == set(cli.TASKS) for key in everywhere)
+        assert readers("basis", "d") == inputs | {"corollaries"}
+        for key in ["witness", "beta", "j_star", "class", "s", "r", "gamma", "matrix_file"]:
+            assert readers("state", key) == inputs
+        assert readers("basis", "g_file") == inputs
+        for key in ["mode", "pi", "xi"]:
+            assert readers("design", key) == {"simulate", "translate", "zeta"}
+        assert readers("tolerances", "c0") == readers("tolerances", "c1") == {"zeta"}
+        assert readers("distances", "tv_samples") == {"distances"}
+        assert readers("transfer", "replications") == {"estimator_transfer"}
+        assert readers("zeta", "witnesses") == readers("zeta", "witness_files") == {"zeta"}
+        assert readers("corollaries", "samples") == {"corollaries"}
+
+
+# matrix files that hold no square matrix of finite numbers
+BAD_FILES = {
+    "empty": "",
+    "comments-only": "# 0.5 0\n\n",
+    "ragged": "0.5 0\n0.5\n",
+    "non-square": "0.5 0 0\n0 0.5 0\n",
+    "over-long": "0.5 0\n0 0.5\n0 0\n",
+    "non-numeric": "0.5 x\n0 0.5\n",
+    "old-header-format": "2\n0.5+0i 0+0i\n0+0i 0.5+0i\n",
+    "nan": "nan 0\n0 0.5\n",
+}
+
+
+class TestMatrixFile:
+    """A state or g-vector file is numpy text, one matrix row a line, as np.savetxt writes it."""
+
+    ZETA = """
+[basis]
+kind = {kind}
+d = {d}
+{g_line}
+
+[state]
+{state_line}
+
+[run]
+task = zeta
+seed = 2
+out = {out}
+
+[zeta]
+{zeta_line}
+"""
+
+    @staticmethod
+    def state():
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        rho[0, 0] = complex(rho[0, 0].real, -0.0)
+        rho[1, 1] = complex(rho[1, 1].real, 0.0)
+        return rho
+
+    @pytest.mark.parametrize("fmt", [{}, {"fmt": "%.17g"}], ids=["default", "17g"])
+    def test_state_reads_back_bit_for_bit(self, tmp_path, monkeypatch, fmt):
+        rho = self.state()
+        assert np.signbit(rho[0, 0].imag) and not np.signbit(rho[1, 1].imag)
+        np.savetxt(tmp_path / "rho.txt", rho, **fmt)
+        read = []
+        validate = states.validate_density
+        monkeypatch.setattr(states, "validate_density",
+                            lambda mat: read.append(mat) or validate(mat))
+        text = self.ZETA.format(kind="pauli", d=4, g_line="", out=tmp_path / "z",
+                                state_line=f"matrix_file = {tmp_path / 'rho.txt'}",
+                                zeta_line=f"witness_files = {tmp_path / 'rho.txt'}")
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 0
+        assert len(read) == 2  # the configured state, then the witness
+        for mat in read:
+            assert mat.dtype == complex and mat.tobytes() == rho.tobytes()
+
+    @pytest.mark.parametrize("fmt", [{}, {"fmt": "%.17g"}], ids=["default", "17g"])
+    def test_g_vectors_read_back_bit_for_bit(self, tmp_path, fmt):
+        g = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
+        np.savetxt(tmp_path / "g.txt", g, **fmt)
+        text = self.ZETA.format(kind="gvector", d=4, g_line=f"g_file = {tmp_path / 'g.txt'}",
+                                state_line="", zeta_line="", out=tmp_path / "z")
+        basis = cli._build_basis(cli.load_config(write_cfg(tmp_path, text)))
+        assert basis.g_vectors.dtype == float and basis.g_vectors.tobytes() == g.tobytes()
+
+
+    # build_basis rejects a non-finite axis with its own message (test_nan_g_file_exits_2)
+    @pytest.mark.parametrize("role, name", [
+        (role, name) for role in ("matrix_file", "witness_files", "g_file") for name in BAD_FILES
+        if (role, name) != ("g_file", "nan")])
+    def test_bad_file_exits_2_naming_it(self, tmp_path, capsys, role, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(BAD_FILES[name])
+        text = self.ZETA.format(
+            kind="gvector" if role == "g_file" else "pauli", d=2, out=tmp_path / "z",
+            g_line=f"g_file = {path}" if role == "g_file" else "",
+            state_line=f"matrix_file = {path}" if role == "matrix_file" else "",
+            zeta_line=f"witness_files = {path}" if role == "witness_files" else "")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err.startswith(f"config error: matrix file {path}: ")
+        assert not (tmp_path / "z").exists()
+
 
 class TestRun:
     def test_simulate_writes_artifacts(self, tmp_path):
@@ -986,7 +1115,7 @@ out = {out}
                                                    section):
         # a task that builds no family used to run and pass with any kind
         out = tmp_path / "o"
-        path = write_cfg(tmp_path, f"[basis]\nkind = canonical\nd = 4\n\n[run]\ntask = {task}\n"
+        path = write_cfg(tmp_path, f"[basis]\nkind = canonical\n\n[run]\ntask = {task}\n"
                                    f"out = {out}\n{run_keys}\n{section}")
         want = f"unknown basis kind 'canonical': [basis] kind must be one of {bases._KINDS}"
         with pytest.raises(ConfigParseError, match=re.escape(want)):
@@ -1263,7 +1392,7 @@ witnesses = cor2_line
         units = custom_basis([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         monkeypatch.setattr(bases, "build_basis", lambda *args, **kwargs: units)
         rho = tmp_path / "rho.txt"
-        hermitian.write_matrix(np.diag([1.0, 0.0]), rho)
+        np.savetxt(rho, np.diag([1.0, 0.0]))
         text = f"""
 [basis]
 kind = hermitian
@@ -1293,7 +1422,7 @@ witness_files = {rho}
 
     def test_zeta_rerun_leaves_config_unchanged(self, tmp_path):
         rho = tmp_path / "rho.txt"
-        hermitian.write_matrix(np.eye(4) / 4, rho)
+        np.savetxt(rho, np.eye(4) / 4)
         text = f"""
 [basis]
 kind = pauli
@@ -1327,7 +1456,6 @@ witness_files = {rho}
         text = f"""
 [basis]
 kind = gvector
-d = 4
 
 [run]
 task = {task}

@@ -1,4 +1,4 @@
-"""Matrix layer: the Hermitian check, Pauli tensor products, inner product, text I/O,
+"""Matrix layer: the Hermitian check, Pauli tensor products, inner product,
 and the eigenspace clustering rule of the tests' eigensolver reference."""
 
 import numpy as np
@@ -175,43 +175,3 @@ class TestHSInner:
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert trace_product(a, b) == pytest.approx(np.trace(a @ b))
 
-
-class TestTextFormat:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_round_trip_exact(self, seed, tmp_path):
-        rng = np.random.default_rng(seed)
-        mat = rng.normal(size=(3, 3)) * 10.0 ** int(rng.integers(-8, 8)) \
-            + 1j * rng.normal(size=(3, 3))
-        path = tmp_path / "mat.txt"
-        hermitian.write_matrix(mat, path)
-        back = hermitian.read_matrix(path)
-        np.testing.assert_array_equal(back, mat)
-
-    def test_format_shape(self):
-        text = hermitian.format_matrix(np.eye(2, dtype=complex))
-        lines = text.strip().splitlines()
-        assert lines[0] == "2"
-        assert lines[1].split() == ["1+0i", "0+0i"]
-
-    def test_parse_negative_imag(self):
-        mat = hermitian.parse_matrix("1\n2.5-0.5i\n")
-        assert mat[0, 0] == 2.5 - 0.5j
-
-    def test_bad_entry(self):
-        with pytest.raises(ValueError):
-            hermitian.parse_matrix("1\nnot-a-number\n")
-
-    @pytest.mark.parametrize("text", [
-        "2\n1 0\n0 1\n5 5\n",   # one row more than the header declares
-        "2\n1 0\n",             # one row fewer
-        "0\n",                  # no rows at all
-    ])
-    def test_rows_must_match_header(self, text):
-        with pytest.raises(ValueError, match="header declares d"):
-            hermitian.parse_matrix(text)
-
-    def test_over_long_matrix_file_rejected(self, tmp_path):
-        path = tmp_path / "mat.txt"
-        path.write_text("2\n1 0\n0 1\n5 5\n")
-        with pytest.raises(ValueError, match="header declares d = 2, got 3 rows"):
-            hermitian.read_matrix(path)

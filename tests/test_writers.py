@@ -2,11 +2,11 @@
 
 Record tables are CSV, written by ``measurement``'s table layer, which only the
 record modules ``measurement`` and ``regression`` use; reports are JSON, written
-by ``diagnostics``; the matrix text format is written by ``hermitian``.  Every
-other module hands its payload to one of them.
+by ``diagnostics``.  Every other module hands its payload to one of them, and
+the package writes no other format.
 
-Inputs are read by their owners only: ``cli`` reads the config and the
-``g_file`` axes, ``hermitian`` the matrix text.  No module reads a record table
+Inputs are read by their owner only: ``cli`` reads the config and every matrix
+file (states and ``g_file`` axes, numpy text).  No module reads a record table
 back (a run's config and seed rebuild it) or imports ``csv``.
 """
 
@@ -15,9 +15,9 @@ from pathlib import Path
 
 import tomolab
 
-WRITERS = {"measurement", "diagnostics", "hermitian"}
+WRITERS = {"measurement", "diagnostics"}
 WRITE_METHODS = {"write_text", "write_bytes", "savetxt", "savez", "tofile"}
-READERS = {"cli", "hermitian"}
+READERS = {"cli"}
 READ_METHODS = {"read_text", "read_bytes", "loadtxt", "genfromtxt", "load", "fromfile"}
 TABLE_LAYER = {"_write_table", "_blocks", "_record_blocks"}
 RECORD_MODULES = {"measurement", "regression"}
