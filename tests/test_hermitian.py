@@ -1,5 +1,7 @@
-"""Matrix layer: the Hermitian check, Pauli tensor products, inner product,
-and the eigenspace clustering rule of the tests' eigensolver reference."""
+"""Matrix layer: the Hermitian check, Pauli tensor products, inner product, the
+matrix text format, and the eigenspace clustering rule of the tests' eigensolver reference."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (CLUSTER_TOL, custom_basis, hs_inner, member_eigenspaces, reconstruct,
                      trace_product)
-from tomolab import bases, hermitian, states
+from tomolab import bases, cli, hermitian, states
 from tomolab.bases import SIGMA
 from tomolab.errors import TomolabError
 
@@ -175,3 +177,54 @@ class TestHSInner:
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert trace_product(a, b) == pytest.approx(np.trace(a @ b))
 
+
+class TestTextFormat:
+    """A matrix file is numpy text, one row a line, as np.savetxt writes it; cli reads it."""
+
+    @staticmethod
+    def rejected(tmp_path, text):
+        path = tmp_path / "mat.txt"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigParseError, match=f"^matrix file {re.escape(str(path))}: ") \
+                as err:
+            cli._read_matrix(path, complex, states.validate_density)
+        return str(err.value)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_exact(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(3, 3)) * 10.0 ** int(rng.integers(-8, 8)) \
+            + 1j * rng.normal(size=(3, 3))
+        path = tmp_path / "mat.txt"
+        np.savetxt(path, mat)
+        back = cli._read_matrix(path, complex)
+        np.testing.assert_array_equal(back, mat)
+
+    def test_format_shape(self, tmp_path):
+        path = tmp_path / "mat.txt"
+        np.savetxt(path, np.eye(2, dtype=complex))
+        lines = path.read_text().strip().splitlines()
+        assert [len(line.split()) for line in lines] == [2, 2]  # no header line
+        np.testing.assert_array_equal(cli._read_matrix(path, complex), np.eye(2))
+
+    def test_parse_negative_imag(self, tmp_path):
+        path = tmp_path / "mat.txt"
+        path.write_text("2.5-0.5j\n")
+        mat = cli._read_matrix(path, complex)
+        assert mat.shape == (1, 1) and mat[0, 0] == 2.5 - 0.5j
+
+    def test_bad_entry(self, tmp_path):
+        self.rejected(tmp_path, "not-a-number\n")
+
+    # files in the retired header-plus-a+bi format: the header is now a row of its own
+    @pytest.mark.parametrize("text", [
+        "2\n1 0\n0 1\n5 5\n",   # one row more than the header declared (ragged)
+        "2\n1 0\n",             # one row fewer (ragged)
+        "0\n",                   # no rows at all (a 1 x 1 zero, trace 0)
+    ])
+    def test_rows_must_match_header(self, text, tmp_path):
+        self.rejected(tmp_path, text)
+
+    def test_over_long_matrix_file_rejected(self, tmp_path):
+        message = self.rejected(tmp_path, "1 0\n0 1\n5 5\n")
+        assert message.endswith("expected a square matrix, got shape (3, 2)")
