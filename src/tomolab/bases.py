@@ -8,11 +8,11 @@ Three constructions, all of size p = d^2 and all of Hermitian members:
 * ``gvector`` - the hermitian construction with the unit axes e_1..e_d replaced
   by a supplied orthonormal real basis g_1..g_d.
 
-A basis holds its members as one (p, d, d) array and its spectra in the
-front-padded table every per-cell value of the package uses: row j of the
-(p, kappa) ``eigenvalues`` holds member j's distinct eigenvalues lambda_ja,
-descending, in its last ``sizes[j]`` slots and exact zeros in front, kappa the
-largest cell count.  Every kind's spectra and cell law tr(Q_ja rho) have closed
+A basis holds its spectra in the front-padded table every per-cell value of
+the package uses: row j of the (p, kappa) ``eigenvalues`` holds member j's
+distinct eigenvalues lambda_ja, descending, in its last ``sizes[j]`` slots and
+exact zeros in front, kappa the largest cell count.  Its members are built only
+when read.  Every kind's spectra and cell law tr(Q_ja rho) have closed
 forms, so no eigensolve and no eigenspace projection is formed:
 
 * pauli: the identity has the one eigenvalue 1 and law tr(rho); every other
@@ -32,6 +32,7 @@ forms, so no eigensolve and no eigenspace projection is formed:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,14 +62,14 @@ _KINDS = ("hermitian", "pauli", "gvector")
 class ObservableBasis:
     """A finite observable family with its spectra, built by :func:`build_basis`.
 
-    ``matrices`` (shape (p, d, d)) holds the members.  Member j's ``sizes[j]``
-    cells, its distinct eigenvalues in descending order, are the slots
-    ``cells(j)`` of row j of ``eigenvalues`` (p, kappa); every other slot is zero.
+    Member j's ``sizes[j]`` cells, its distinct eigenvalues in descending order,
+    are the slots ``cells(j)`` of row j of ``eigenvalues`` (p, kappa); every other
+    slot is zero.  No law, draw or check reads the members themselves, so
+    ``matrices`` builds them on first read.
     """
 
     kind: str
     dim: int
-    matrices: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)        # (p,) cells per member
     labels: tuple = ()
@@ -76,7 +77,15 @@ class ObservableBasis:
 
     @property
     def size(self) -> int:
-        return len(self.matrices)
+        return len(self.sizes)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The (p, d, d) members, built from ``kind``, ``dim`` and ``g_vectors`` on first read."""
+        if self.kind == "pauli":
+            return _pauli_members(_pauli_label(np.arange(self.size), _pauli_tensor_slots(self.dim)))
+        axes = np.eye(self.dim) if self.g_vectors is None else self.g_vectors
+        return _hermitian_family(axes.astype(complex))
 
     @property
     def kappa(self) -> int:  # the largest cell count, the tables' width
@@ -172,9 +181,6 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
             if not gram_dev <= 1e-9:
                 raise TomolabError(f"Gram matrix deviates from identity by {gram_dev:.3e}")
             g_store = axes.copy()
-        else:
-            axes = np.eye(d)
-        mats = _hermitian_family(axes.astype(complex))
         labels = [(l1, l2) for l1 in range(1, d + 1) for l2 in range(1, d + 1)]
         # a pair member has a zero eigenspace unless d = 2
         kappa = 3 if d > 2 else 2
@@ -185,13 +191,12 @@ def build_basis(kind: str, d: int, g_vectors=None) -> ObservableBasis:
         sizes = np.where(diagonal[:, 0], 2, kappa)
     else:  # pauli
         digits = _pauli_label(np.arange(p), _pauli_tensor_slots(d))
-        mats = _pauli_members(digits)
         labels = list(map(tuple, digits.tolist()))  # base-4 digits, most significant first
         eigenvalues = np.tile([1.0, -1.0], (p, 1))
         eigenvalues[0] = 0.0, 1.0  # the identity
         sizes = np.full(p, 2)
         sizes[0] = 1
-    return ObservableBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues, sizes=sizes,
+    return ObservableBasis(kind=kind, dim=d, eigenvalues=eigenvalues, sizes=sizes,
                            labels=tuple(labels), g_vectors=g_store)
 
 

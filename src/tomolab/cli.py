@@ -105,7 +105,7 @@ class ExperimentConfig:
     n: int = _key(_RECORDS, "n", int, default=None)
     m: int = _key(_RECORDS, "m", int, default=64)
     seed: int = _key("run", "seed", int, default=20130204)
-    detail: str = _key({"simulate": "run"}, "detail", default="summary")
+    detail: str = _key({"simulate": "run"}, "detail", default="summary")  # summary only
     out_dir: str = _key("run", "out", default="tomolab_out")
     threads: int = _key("run", "threads", int, default=1)
     c0: float = _key({"zeta": "tolerances"}, "c0", _finite, default=None)
@@ -163,8 +163,9 @@ def load_config(path) -> ExperimentConfig:
                            **{name: v for name, v in values.items() if v is not None})
     if cfg.design_mode not in ("fixed", "random"):
         raise ConfigParseError(f"[design] mode must be fixed or random, got {cfg.design_mode!r}")
-    if cfg.detail not in ("summary", "individual"):
-        raise ConfigParseError(f"[run] detail must be summary or individual, got {cfg.detail!r}")
+    if cfg.detail != "summary":
+        raise ConfigParseError(f"[run] detail must be summary, got {cfg.detail!r}: the outcome "
+                               f"file was removed, since the counts are sufficient")
     sources = [key for key in ("witness", "class", "matrix_file") if parser.has_option("state", key)]
     if len(sources) > 1:
         raise ConfigParseError(f"[state] sets {' and '.join(sources)}; pick one source")
@@ -245,8 +246,8 @@ def _check_grids(cfg: ExperimentConfig) -> None:
         raise ConfigParseError(f"estimator_transfer m_grid must strictly increase, got {cfg.m_grid}")
 
 
-def _read_matrix(fname, dtype, check=lambda mat: mat):
-    """``check`` of the square matrix in numpy text file ``fname``, one row a line as
+def _read_matrix(fname, dtype, d, check=lambda mat: mat):
+    """``check`` of the (d, d) matrix in numpy text file ``fname``, one row a line as
     ``np.savetxt`` writes it; a ValueError in either becomes a ConfigParseError naming
     the file."""
     try:
@@ -254,8 +255,9 @@ def _read_matrix(fname, dtype, check=lambda mat: mat):
             rows = [line for line in fh if line.split("#")[0].strip()]
         # np.loadtxt would only warn on a file without a row
         mat = np.loadtxt(rows, dtype=dtype, ndmin=2) if rows else np.empty((0, 0))
-        if mat.size == 0 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.shape != (d, d):
+            raise ValueError(f"expected a ({d}, {d}) matrix for [basis] d = {d}, "
+                             f"got shape {mat.shape}")
         return check(mat)
     except ValueError as exc:
         raise ConfigParseError(f"matrix file {fname}: {exc}") from exc
@@ -266,13 +268,13 @@ def _build_basis(cfg: ExperimentConfig) -> bases.ObservableBasis:
     if cfg.basis_kind == "gvector":
         if cfg.g_file is None:
             raise ConfigParseError("gvector basis requires g_file")
-        g = _read_matrix(cfg.g_file, float)
+        g = _read_matrix(cfg.g_file, float, cfg.d)
     return bases.build_basis(cfg.basis_kind, cfg.d, g_vectors=g)
 
 
 def _build_state(cfg: ExperimentConfig, basis) -> states.DensityMatrix:
     if cfg.matrix_file:
-        return _read_matrix(cfg.matrix_file, complex, states.validate_density)
+        return _read_matrix(cfg.matrix_file, complex, cfg.d, states.validate_density)
     if cfg.witness:
         return states.witness_state(cfg.witness, cfg.d, j_star=cfg.j_star, beta=cfg.beta)
     if cfg.state_class:
@@ -307,9 +309,6 @@ def _task_simulate(cfg, path):
     basis, state, design = _inputs(cfg)
     dataset = measurement.run_tomography(state, basis, design, cfg.n, cfg.m, cfg.seed)
     measurement.write_dataset_csv(dataset, basis, path("tomography.csv"))
-    if cfg.detail == "individual":
-        measurement.write_individuals_csv(measurement.outcome_sequences(dataset, basis, cfg.seed),
-                                          path("individuals.csv"))
     coarse = regression.simulate_coarse(state, basis, design, cfg.n, cfg.m, cfg.seed)
     regression.write_coarse_csv(coarse, path("coarse.csv"))
     fine = regression.simulate_fine(state, basis, design, cfg.n, cfg.m, cfg.seed)
@@ -364,7 +363,7 @@ def _task_zeta(cfg, path):
     wit = [states.witness_state(nm, cfg.d, j_star=cfg.j_star, beta=cfg.beta)
            for nm in names]
     for fname in cfg.witness_files:
-        wit.append(_read_matrix(fname, complex, states.validate_density))
+        wit.append(_read_matrix(fname, complex, cfg.d, states.validate_density))
         names.append(os.path.basename(fname))
     if not wit:
         wit, names = [state], ["configured-state"]

@@ -3,8 +3,7 @@
 Measuring observable B_j (spectral decomposition sum_a lambda_ja Q_ja) on a
 system in state rho yields eigenvalue lambda_ja with probability
 tr(Q_ja rho).  Repeating m times, the per-eigenvalue counts are multinomial
-and sufficient; individual outcome sequences are reconstructed from counts by
-a seeded shuffle, which preserves the joint law of the exchangeable outcomes.
+and sufficient.
 
 Randomness follows RNG contract v3 (:mod:`tomolab.rng`), family
 ``TOMOGRAPHY``, which draws as under v2: the design indices come from (seed,
@@ -14,15 +13,6 @@ basis's front-padded (p, kappa) table (:class:`ObservableBasis`), padded in
 front to the largest cell count over its members; a zero cell takes no draw,
 so each row consumes the stream exactly as a one-record call would.  The cell
 probabilities of every member are computed once per run.
-
-A run's records are held once, as arrays (:class:`TomographyDataset`): the
-member index per record and the (n, kappa) count table the multinomial fills
-(record k's counts in the last ``sizes[indices[k]]`` slots of row k, zeros in
-front).  The rest is derived where it is written: N by
-:func:`write_dataset_csv`, and the outcomes by :func:`outcome_sequences`, one
-``permuted`` call per block on a copy of the block substream advanced from its
-start by ``bit_generator.jumped()`` (PCG64's fixed jump of about 0.618 * 2**128
-steps), so the first n records do not depend on n.
 """
 
 from __future__ import annotations
@@ -39,9 +29,7 @@ __all__ = [
     "TomographyDataset",
     "cell_probabilities",
     "run_tomography",
-    "outcome_sequences",
     "write_dataset_csv",
-    "write_individuals_csv",
 ]
 
 PROB_CLAMP = 1e-12
@@ -122,31 +110,17 @@ def run_tomography(rho, basis: ObservableBasis, design: SamplingDesign,
     return TomographyDataset(m=m, indices=indices, counts=counts)
 
 
-def outcome_sequences(dataset: TomographyDataset, basis: ObservableBasis, seed: int) -> np.ndarray:
-    """The (n, m) outcomes of ``dataset``'s records, run at ``seed``: row k holds record
-    k's eigenvalues, each as often as its count, in a seeded shuffled order."""
-    outcomes = np.empty((len(dataset.indices), dataset.m))
-    for lo, hi, rng in record_blocks(seed, TOMOGRAPHY, len(outcomes)):
-        # jumped from the block's start, where the counts' multinomial began
-        shuffler = np.random.Generator(rng.bit_generator.jumped())
-        lams, counts = basis.eigenvalues[dataset.indices[lo:hi]], dataset.counts[lo:hi]
-        in_order = np.repeat(lams.ravel(), counts.ravel()).reshape(hi - lo, dataset.m)
-        outcomes[lo:hi] = shuffler.permuted(in_order, axis=1)
-    return outcomes
-
-
 # --- CSV ----------------------------------------------------------------------
 
 
 def _write_table(path, header, blocks) -> None:
-    """The one table writer: ``header`` (None for none), then each block of
+    """The one table writer: the ``header`` line, then each block of
     ``blocks``, a (row templates, flat values) pair, with one ``%`` over its
     templates, each line ended by CR LF as csv.writer ends it.  ``blocks``
     may be a generator, so a large table streams a block at a time.  Every
     field is a number, which csv quoting would leave as it is."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
         for templates, values in blocks:
             fh.write("\r\n".join(templates) % values)
             fh.write("\r\n")
@@ -192,9 +166,3 @@ def write_dataset_csv(dataset: TomographyDataset, basis: ObservableBasis, path) 
     _write_table(path, ["k", "j", "m", "counts", "N"], _record_blocks(
         basis, dataset.indices, dataset.counts,
         lambda r: f"%d,%d,{dataset.m}," + "|".join(["%d"] * r) + ",%.17g", means))
-
-
-def write_individuals_csv(outcomes, path) -> None:
-    """Sibling outcome file of :func:`outcome_sequences`: one row per record."""
-    _write_table(path, None, _blocks(",".join(["%.17g"] * outcomes.shape[1]), outcomes))
-

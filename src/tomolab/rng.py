@@ -20,7 +20,7 @@ Families:
 ======  ===============  ==================================================
 key     name             draws
 ======  ===============  ==================================================
-0       ``TOMOGRAPHY``   design, counts (and outcome order) per block
+0       ``TOMOGRAPHY``   design, counts per block
 1       ``COARSE``       design, one standard normal per record
 2       ``FINE``         design, standard normals of a basis-fixed width
 3       ``TRANSLATE``    K0 uniforms, flat per block (no design draw)

@@ -359,12 +359,14 @@ def run_starts(evals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EighBasis(ObservableBasis):
-    """A family whose spectra come from its members' eigensolve: row j of the
-    (p, kappa, d, d) ``projections`` holds member j's eigenspace projections Q_ja
-    in the slots ``cells(j)`` and zeros elsewhere, and every cell trace is one
-    d*d-long sum per slot."""
+    """A family whose spectra come from its members' eigensolve: it stores its
+    (p, d, d) members as ``matrices``, row j of the (p, kappa, d, d)
+    ``projections`` holds member j's eigenspace projections Q_ja in the slots
+    ``cells(j)`` and zeros elsewhere, and every cell trace is one d*d-long sum
+    per slot."""
 
     projections: np.ndarray = field(default=None, repr=False)
+    matrices: np.ndarray = field(default=None, repr=False)
 
     def cell_traces(self, rho) -> np.ndarray:
         return stack_traces(self.projections, rho)
@@ -399,8 +401,8 @@ def eigh_basis(matrices, kind: str = "custom", labels=None, g_vectors=None) -> E
         for part in np.split(pick, range(step, len(pick), step)):
             block = evecs[member[part], :, lo:lo + width]
             projections[member[part], slot[part]] = block @ block.conj().swapaxes(1, 2)
-    return EighBasis(kind=kind, dim=d, matrices=mats, eigenvalues=eigenvalues, sizes=sizes,
-                     labels=labels, g_vectors=g_vectors, projections=projections)
+    return EighBasis(kind=kind, dim=d, eigenvalues=eigenvalues, sizes=sizes, labels=labels,
+                     g_vectors=g_vectors, projections=projections, matrices=mats)
 
 
 def reference_basis(basis) -> EighBasis:
@@ -611,11 +613,10 @@ def _fmt(x) -> str:
 
 
 def write_table_rows(path, header, rows) -> None:
-    """``header`` (None for none), then ``rows``, through ``csv.writer``."""
+    """``header``, then ``rows``, through ``csv.writer``."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -644,11 +645,6 @@ def dataset_row_mismatches(ours, reference, basis) -> list:
     lines = [path.read_bytes().split(b"\r\n") for path in (ours, reference)]
     return [k for k, (a, b) in enumerate(itertools.zip_longest(*lines, fillvalue=b""))
             if not same(a, b)]
-
-
-def write_individuals_rows(outcomes, path) -> None:
-    """individuals.csv: one outcome per column, no header."""
-    write_table_rows(path, None, ([_fmt(x) for x in row] for row in outcomes))
 
 
 def write_coarse_rows(samples, path) -> None:

@@ -302,7 +302,7 @@ seed = 99
 out = {out}
 {extra}"""
     # what each task reads beyond cfg_text, which ends inside [run]
-    extra = {"simulate": "n = 4\nm = 64\ndetail = individual\n"
+    extra = {"simulate": "n = 4\nm = 64\n"
                          "\n[basis]\nkind = pauli\nd = 2\n"
                          "\n[state]\nwitness = cor2_line\nbeta = 0.5\nj_star = 1\n"
                          "\n[design]\nmode = fixed\n",

@@ -57,6 +57,14 @@ class TestBuildBasis:
                 assert b.size == d * d and np.all(b.sizes >= 1)
                 assert np.abs(b.matrices - b.matrices.conj().swapaxes(1, 2)).max() <= TOL_HERM
 
+    @pytest.mark.parametrize("kind", bases._KINDS)
+    def test_members_are_built_on_first_read(self, kind):
+        # the build forms no (p, d, d) stack; the first read builds it once and keeps it
+        b = bases.build_basis(kind, 4, g_vectors=bases.default_g_vectors(4))
+        assert "matrices" not in vars(b)
+        members = b.matrices
+        assert members.shape == (16, 4, 4) and b.matrices is members
+
     def test_kappa_recorded(self):
         assert bases.build_basis("pauli", 4).kappa == 2
         assert bases.build_basis("hermitian", 3).kappa == 3

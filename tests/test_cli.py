@@ -38,7 +38,6 @@ task = simulate
 n = 4
 m = 16
 seed = 77
-detail = individual
 out = {out}
 """
 
@@ -67,7 +66,6 @@ GOLDEN_INPUTS = [
 # (``ObservableBasis.cell_traces``) and the moments read from them.
 GOLDEN_SHA256 = {
     "tomography.csv": "d6e0c10aaf263924dc762468f479e4d12f46cfcbfa4cc620456a24c1398f8074",
-    "individuals.csv": "f44e45233bc2198f2d56e41eac9707641c44f8037aecb3e74cddd7de4019e400",
     "coarse.csv": "592324ea48aa33b18d9b6f50fea563e4009d24081b7231fc822095f07a624885",
     "fine.csv": "da48a21f6f52adebba028eb4ccf77e6c82d38af7c44b17427e84d2784f25bae1",
     "translated_fine.csv": "7361d4b22442b8361711b5605498c270a0fab7a4343f7f225d0d66dc28304b27",
@@ -77,7 +75,7 @@ GOLDEN_SHA256 = {
 # translate their record keys, the grid tasks and corollaries their own section,
 # at small sizes
 TASK_KEYS = {
-    "simulate": "n = 500\nm = 64\ndetail = individual\n",
+    "simulate": "n = 500\nm = 64\n",
     "translate": "n = 500\nm = 64\n",
     "distances": """
 [distances]
@@ -127,7 +125,7 @@ class TestConfig:
         cfg = cli.load_config(write_cfg(tmp_path, SIM_CFG.format(out=tmp_path / "o")))
         assert cfg.task == "simulate"
         assert cfg.d == 2 and cfg.m == 16 and cfg.seed == 77
-        assert cfg.detail == "individual"
+        assert cfg.detail == "summary"
 
     def test_unknown_task(self, tmp_path):
         bad = SIM_CFG.replace("task = simulate", "task = fly")
@@ -766,15 +764,17 @@ m_grid = 16,64,256,1024
         assert cli.main(["run", "--config", path]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("detail", ["counts", "bogus"])
+    @pytest.mark.parametrize("detail", ["counts", "bogus", "individual"])
     def test_unknown_detail_exits_2(self, tmp_path, capsys, detail):
-        # summary and individual are the two values; counts wrote an empty N column before
+        # summary is the one value; counts wrote an empty N column before, and individual
+        # an outcome file that the sufficient counts make redundant
         out = tmp_path / "o"
-        path = write_cfg(tmp_path, SIM_CFG.replace("detail = individual", f"detail = {detail}")
+        path = write_cfg(tmp_path, SIM_CFG.replace("seed = 77", f"seed = 77\ndetail = {detail}")
                          .format(out=out))
         assert cli.main(["run", "--config", path]) == 2
         assert capsys.readouterr().err.startswith(
-            f"config error: [run] detail must be summary or individual, got '{detail}'")
+            f"config error: [run] detail must be summary, got '{detail}': the outcome file was "
+            f"removed, since the counts are sufficient")
         assert not out.exists()
 
     @pytest.mark.parametrize("sources, named", [
@@ -1064,6 +1064,22 @@ out = {out}
         assert capsys.readouterr().err.startswith(f"config error: matrix file {path}: ")
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize("role", ["matrix_file", "witness_files", "g_file"])
+    def test_size_other_than_d_exits_2_naming_file_and_d(self, tmp_path, capsys, role):
+        # a valid 2 x 2 state or axis set under d = 4 used to fail later, in the state or
+        # basis checks, with a message that named neither the file nor [basis] d
+        path = tmp_path / "two.txt"
+        np.savetxt(path, np.eye(2) / 2 if role != "g_file" else np.eye(2))
+        text = self.ZETA.format(
+            kind="gvector" if role == "g_file" else "pauli", d=4, out=tmp_path / "z",
+            g_line=f"g_file = {path}" if role == "g_file" else "",
+            state_line=f"matrix_file = {path}" if role == "matrix_file" else "",
+            zeta_line=f"witness_files = {path}" if role == "witness_files" else "")
+        assert cli.main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (f"config error: matrix file {path}: expected a (4, 4) "
+                                           f"matrix for [basis] d = 4, got shape (2, 2)\n")
+        assert not (tmp_path / "z").exists()
+
 
 class TestRun:
     def test_simulate_writes_artifacts(self, tmp_path):
@@ -1071,8 +1087,7 @@ class TestRun:
         rc = cli.main(["run", "--config",
                        write_cfg(tmp_path, SIM_CFG.format(out=out))])
         assert rc == 0
-        for name in ("tomography.csv", "individuals.csv", "coarse.csv",
-                     "fine.csv", "manifest.json"):
+        for name in ("tomography.csv", "coarse.csv", "fine.csv", "manifest.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 77
@@ -1209,7 +1224,7 @@ m_grid = 16,64,256,1024
         cfg2 = write_cfg(tmp_path, SIM_CFG.format(out=out2), "b.cfg")
         assert cli.main(["run", "--config", cfg1]) == 0
         assert cli.main(["run", "--config", cfg2]) == 0
-        for name in ("tomography.csv", "individuals.csv", "coarse.csv", "fine.csv"):
+        for name in ("tomography.csv", "coarse.csv", "fine.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("task, grid, names", [
@@ -1265,7 +1280,7 @@ m_grid = 16,64,256,1024
             cfg = write_cfg(tmp_path, golden_cfg("simulate", out), f"t{threads}.cfg")
             assert cli.main(["run", "--config", cfg, "--threads", threads]) == 0
             outs.append(out)
-        for name in ("tomography.csv", "individuals.csv", "coarse.csv", "fine.csv"):
+        for name in ("tomography.csv", "coarse.csv", "fine.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_golden_artifact_hashes(self, tmp_path):
@@ -1289,9 +1304,29 @@ m_grid = 16,64,256,1024
                         for path in out.iterdir() if path.name != "manifest.json"})
         assert got == TASK_SHA256
 
+    def test_no_run_path_builds_members(self, tmp_path, monkeypatch):
+        # every law, draw and check reads the spectra and the closed-form cell law, so the
+        # (p, d, d) members are built only for estimator_transfer's norms
+        def unbuilt(basis):
+            raise AssertionError(f"the {basis.kind} members were built")
+
+        monkeypatch.setattr(bases.ObservableBasis, "matrices", property(unbuilt))
+        got = {}
+        for task in ("simulate", "translate", "zeta", "distances", "scaling", "corollaries"):
+            out = tmp_path / task
+            cfg = write_cfg(tmp_path, golden_cfg(task, out), f"{task}.cfg")
+            assert cli.main(["run", "--config", cfg]) == (1 if task == "corollaries" else 0)
+            got.update({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir()})
+        pins = {**GOLDEN_SHA256, **TASK_SHA256}
+        del pins["transfer.json"]
+        assert {name: got.get(name) for name in pins} == pins
+        cfg = write_cfg(tmp_path, golden_cfg("estimator_transfer", tmp_path / "t"), "t.cfg")
+        with pytest.raises(AssertionError, match="the pauli members were built"):
+            cli.main(["run", "--config", cfg])
+
     def test_translate_roundtrip_check(self, tmp_path):
         text = SIM_CFG.replace("task = simulate", "task = translate")
-        text = text.replace("detail = individual\n", "")  # only simulate writes outcomes
         out = tmp_path / "tr"
         rc = cli.main(["run", "--config", write_cfg(tmp_path, text.format(out=out))])
         assert rc == 0

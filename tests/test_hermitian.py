@@ -187,7 +187,7 @@ class TestTextFormat:
         path.write_text(text)
         with pytest.raises(cli.ConfigParseError, match=f"^matrix file {re.escape(str(path))}: ") \
                 as err:
-            cli._read_matrix(path, complex, states.validate_density)
+            cli._read_matrix(path, complex, 2, states.validate_density)
         return str(err.value)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -197,7 +197,7 @@ class TestTextFormat:
             + 1j * rng.normal(size=(3, 3))
         path = tmp_path / "mat.txt"
         np.savetxt(path, mat)
-        back = cli._read_matrix(path, complex)
+        back = cli._read_matrix(path, complex, 3)
         np.testing.assert_array_equal(back, mat)
 
     def test_format_shape(self, tmp_path):
@@ -205,12 +205,12 @@ class TestTextFormat:
         np.savetxt(path, np.eye(2, dtype=complex))
         lines = path.read_text().strip().splitlines()
         assert [len(line.split()) for line in lines] == [2, 2]  # no header line
-        np.testing.assert_array_equal(cli._read_matrix(path, complex), np.eye(2))
+        np.testing.assert_array_equal(cli._read_matrix(path, complex, 2), np.eye(2))
 
     def test_parse_negative_imag(self, tmp_path):
         path = tmp_path / "mat.txt"
         path.write_text("2.5-0.5j\n")
-        mat = cli._read_matrix(path, complex)
+        mat = cli._read_matrix(path, complex, 1)
         assert mat.shape == (1, 1) and mat[0, 0] == 2.5 - 0.5j
 
     def test_bad_entry(self, tmp_path):
@@ -227,4 +227,4 @@ class TestTextFormat:
 
     def test_over_long_matrix_file_rejected(self, tmp_path):
         message = self.rejected(tmp_path, "1 0\n0 1\n5 5\n")
-        assert message.endswith("expected a square matrix, got shape (3, 2)")
+        assert message.endswith("expected a (2, 2) matrix for [basis] d = 2, got shape (3, 2)")

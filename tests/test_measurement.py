@@ -1,4 +1,4 @@
-"""Tomography simulator: cell probabilities, counts, summaries, outcomes, datasets."""
+"""Tomography simulator: cell probabilities, counts, summaries, datasets."""
 
 from dataclasses import fields
 
@@ -223,17 +223,6 @@ class TestRunTomography:
         chi2 = np.sum((hits - n * xi) ** 2 / (n * xi))
         assert chi2 < sps.chi2.ppf(0.99, df=3)
 
-    def test_individual_outcomes_tally_to_counts(self):
-        st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 12, seed=3)
-        individuals = measurement.outcome_sequences(ds, PAULI2, seed=3)
-        assert individuals.shape == (4, 12)
-        for j, counts, outcomes in zip(ds.indices, ds.counts, individuals):
-            lams = PAULI2.eigenvalues[j, PAULI2.cells(j)]
-            for lam, count in zip(lams, counts[2 - len(lams):]):
-                assert np.sum(np.isclose(outcomes, lam)) == count
-            assert outcomes.mean() == pytest.approx(np.dot(lams, counts[2 - len(lams):]) / 12)
-
     def test_summary_matches_counts(self, tmp_path):
         # N is written for every record, as its mean outcome
         st = states.pauli_line_state(2, 1, 0.3)
@@ -276,28 +265,9 @@ class TestRunTomography:
         b = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 9, seed=8)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(measurement.outcome_sequences(a, PAULI2, 8),
-                                      measurement.outcome_sequences(b, PAULI2, 8))
 
 
 class TestDatasetCSV:
-    @pytest.mark.parametrize("kind, d", [("pauli", 4), ("hermitian", 3)])
-    def test_outcomes_survive_the_round_trip(self, tmp_path, kind, d):
-        # the written counts and the run's seed are all outcome_sequences needs; n spans
-        # two blocks
-        basis = bases.build_basis(kind, d)
-        st = states.sample_class(states.StateClassSpec("low_rank", r=2), d, seed=1)
-        design = bases.SamplingDesign.random(np.full(basis.size, 1 / basis.size))
-        ds = measurement.run_tomography(st, basis, design, 300, 10, seed=5)
-        measurement.write_dataset_csv(ds, basis, tmp_path / "ds.csv")
-        rows = [row.split(",") for row in (tmp_path / "ds.csv").read_text().splitlines()[1:]]
-        outcomes = measurement.outcome_sequences(ds, basis, seed=5)
-        for row, outcome, j in zip(rows, outcomes, ds.indices):
-            lams = basis.eigenvalues[j, basis.cells(j)]
-            tally = [np.count_nonzero(outcome == lam) for lam in lams]
-            assert row[1] == str(j) and tally == [int(u) for u in row[3].split("|")]
-        assert len(rows) == len(outcomes)
-
     def test_n_meets_the_reference_for_large_eigenvalues(self, tmp_path):
         # one rounding step of an N near 1e5 exceeds 1e-12, so the writer's N meets the
         # reference's cell-by-cell sum only within a bound scaled by the eigenvalues
@@ -313,11 +283,3 @@ class TestDatasetCSV:
         write_dataset_rows(ds, big, tmp_path / "reference.csv")
         assert dataset_row_mismatches(tmp_path / "ds.csv", tmp_path / "reference.csv", big) == []
 
-    def test_individuals_file(self, tmp_path):
-        st = states.pauli_line_state(2, 1, 0.3)
-        ds = measurement.run_tomography(st, PAULI2, bases.SamplingDesign.fixed(), 4, 6, seed=5)
-        path = tmp_path / "outcomes.csv"
-        measurement.write_individuals_csv(measurement.outcome_sequences(ds, PAULI2, 5), path)
-        rows = path.read_text().strip().splitlines()
-        assert len(rows) == 4
-        assert all(len(row.split(",")) == 6 for row in rows)

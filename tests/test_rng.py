@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_regression import _count_calls
 
-from tomolab import bases, cli, equivalence, measurement, regression, rng, states
+from tomolab import bases, equivalence, measurement, regression, rng, states
 from tomolab.measurement import TomographyDataset
 
 B = rng.BLOCK
@@ -54,13 +54,7 @@ def translate(n):
     return equivalence.translate_qst_to_regression(counted_prefix(n), HERM4, SEED)
 
 
-def outcomes(n):
-    part = counted_prefix(n)
-    return part.indices, measurement.outcome_sequences(part, HERM4, SEED)
-
-
-SIMULATORS = {"tomography": tomography, "coarse": coarse, "fine": fine,
-              "translate": translate, "outcomes": outcomes}
+SIMULATORS = {"tomography": tomography, "coarse": coarse, "fine": fine, "translate": translate}
 
 
 def assert_prefix(short, long, n):
@@ -70,9 +64,9 @@ def assert_prefix(short, long, n):
             np.testing.assert_array_equal(a, b)
 
 
-# the family whose design draw picks the members (translation and outcomes read counted records)
+# the family whose design draw picks the members (translation reads counted records)
 DESIGN_FAMILY = {"tomography": rng.TOMOGRAPHY, "coarse": rng.COARSE, "fine": rng.FINE,
-                 "translate": rng.TOMOGRAPHY, "outcomes": rng.TOMOGRAPHY}
+                 "translate": rng.TOMOGRAPHY}
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATORS))
@@ -97,29 +91,12 @@ def test_block_edges(name, n):
     assert_prefix(simulate(n), simulate(3 * B), n)
 
 
-def test_counts_do_not_depend_on_detail(tmp_path):
-    # detail = individual derives the outcomes from the counts a summary run draws,
-    # on the jumped block streams, so it writes the same tomography.csv
-    written = {}
-    for detail in ("summary", "individual"):
-        out = tmp_path / detail
-        config = tmp_path / f"{detail}.cfg"
-        config.write_text(f"[basis]\nkind = hermitian\nd = 4\n[design]\nmode = random\n"
-                          f"[run]\ntask = simulate\nn = {B + 5}\nm = 32\nseed = {SEED}\n"
-                          f"detail = {detail}\nout = {out}\n")
-        assert cli.main(["run", "--config", str(config)]) == 0
-        written[detail] = (out / "tomography.csv").read_bytes()
-    assert written["summary"] == written["individual"]
-    # the shuffled outcomes are not left in eigenvalue order
-    assert any(np.any(np.diff(o) > 0) for o in outcomes(B + 5)[1])
-
-
 @pytest.mark.parametrize("n", [0, 1, B, 2 * B + 1])
 @pytest.mark.parametrize("name, family, design_draws", [
     ("tomography", rng.TOMOGRAPHY, 1), ("coarse", rng.COARSE, 1),
-    ("fine", rng.FINE, 1), ("translate", rng.TRANSLATE, 0), ("outcomes", rng.TOMOGRAPHY, 0)])
+    ("fine", rng.FINE, 1), ("translate", rng.TRANSLATE, 0)])
 def test_one_substream_per_block(monkeypatch, name, family, design_draws, n):
-    counted()  # build the counted records that translate and outcomes read before counting
+    counted()  # build the counted records that translate reads before counting
     calls = _count_calls(monkeypatch, rng.substream)
     SIMULATORS[name](n)
     assert len(calls) == design_draws + math.ceil(n / B)

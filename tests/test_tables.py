@@ -7,8 +7,6 @@ reference in ``oracles`` on 3-cell members too (hermitian d = 4 has 2- and
 table back: the run's config and seed rebuild it.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -44,16 +42,11 @@ def test_families_mix_cell_counts():
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
-@pytest.mark.parametrize("detail", ["summary", "individual"])
-def test_tomography_tables(tmp_path, kind, detail):
-    # the tables a simulate run writes at each [run] detail
+def test_tomography_tables(tmp_path, kind):
     basis = FAMILIES[kind]
     ds = measurement.run_tomography(_state(), basis, _design(basis), N, M, SEED)
     _same_bytes(tmp_path, lambda d, p: measurement.write_dataset_csv(d, basis, p),
                 lambda d, p: oracles.write_dataset_rows(d, basis, p), ds)
-    if detail == "individual":
-        _same_bytes(tmp_path, measurement.write_individuals_csv, oracles.write_individuals_rows,
-                    measurement.outcome_sequences(ds, basis, SEED))
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -68,21 +61,3 @@ def test_regression_tables(tmp_path, kind):
         _same_bytes(tmp_path, lambda s, p: regression.write_fine_csv(s, basis, p),
                     lambda s, p: oracles.write_fine_rows(s, basis, p), samples)
 
-
-def test_outcomes_stream_a_block_at_a_time(tmp_path):
-    """The outcome file is formatted one block of rows at a time: the write's
-    peak allocation stays below the outcome array's own size, and a table
-    twice as long does not raise it."""
-    basis = FAMILIES["pauli"]
-    peaks = []
-    for blocks in (8, 16):
-        ds = measurement.run_tomography(_state(), basis, _design(basis), blocks * BLOCK, M, SEED)
-        outcomes = measurement.outcome_sequences(ds, basis, SEED)
-        tracemalloc.start()
-        try:
-            measurement.write_individuals_csv(outcomes, tmp_path / "outcomes.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert peaks[-1] < outcomes.nbytes
-    assert peaks[1] < 1.1 * peaks[0]
